@@ -50,9 +50,6 @@ __all__ = [
     "export_first_mistake_csv",
 ]
 
-# Agents pick -1 when exactly indifferent; fixed by the model, not a config.
-TIE_BREAK = -1
-
 
 class ActionLabel(Enum):
     """An agent's binary action; serialized as -1 / +1."""
@@ -165,7 +162,7 @@ def log_d_minus(model: SignalModel, x):
 
 
 def decide(ell: float, llr: float) -> ActionLabel:
-    """Optimal action given public LLR and the agent's private LLR."""
+    """Optimal action given public LLR and the agent's private LLR; ties pick -1."""
     return ActionLabel.PLUS if ell + llr > 0.0 else ActionLabel.MINUS
 
 

@@ -397,15 +397,15 @@ _DISPATCH = {
 
 
 def _dump_trajectories(config: ExperimentConfig) -> dict:
-    model = _build_model(config)
     n = min(config.trials, 100)
+    _, actions = montecarlo.run_trials(
+        _build_model(config), StateOfWorld.PLUS, config.horizon, n,
+        config.master_seed, config.checkpoint_times(), threads=config.threads,
+        collect_actions=True,
+    )
     lines = ["trial,t,action"]
-    for trial in range(n):
-        traj, _ = montecarlo.simulate_trajectory(
-            model, StateOfWorld.PLUS, config.horizon, config.master_seed, trial,
-            config.checkpoint_times(),
-        )
-        for t, a in enumerate(traj.actions, start=1):
+    for trial, row in enumerate(actions):
+        for t, a in enumerate(row, start=1):
             lines.append(f"{trial},{t},{int(a)}")
     return {"trajectories.csv": "\n".join(lines) + "\n"}
 

@@ -3,9 +3,16 @@
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so results are a pure function of the seed and trial index
 regardless of scheduling or thread count.  Trials are simulated in
-lockstep batches (one vectorized update per time step across the batch)
-and reduced into mergeable ``AggregateStats``; batch boundaries are fixed
-by the trial indices alone, and merges happen in batch order, so parallel
+lockstep batches around a leader lane: every trial whose actions have all
+been correct sits on the same deterministic path ell* and shares one
+belief, so it costs one comparison per step.  A trial leaves this herd at
+its first mistake and from then on is stepped in a lane of its own; all
+lanes step with one signed increment call (two for the discrete
+rate-target model).  Bookkeeping runs on the lanes only and is scattered
+back to full width, in trial order, at checkpoints and at the end, so the
+aggregates are bit-identical to stepping every trial.  Batches are
+reduced into mergeable ``AggregateStats``; batch boundaries are fixed by
+the trial indices alone, and merges happen in batch order, so parallel
 and serial runs produce identical aggregates bit for bit.
 """
 
@@ -19,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .belief import ActionLabel, d_minus, d_plus, rb_mistake_weight
-from .signal_models import SignalModel, StateOfWorld
+from .signal_models import InverseCdfSignalModel, SignalModel, StateOfWorld
 
 __all__ = [
     "Trajectory",
@@ -42,12 +49,27 @@ __all__ = [
 
 DEFAULT_BATCH_SIZE = 2048
 _TIME_CHUNK = 1024
+_SAMPLE_BLOCK = 128  # streams drawn per block; bounds the transform's temporaries
 
 
 def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """The counter-based stream owned by one trial."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _checkpoint_grid(checkpoint_times: Sequence[int] | None, horizon: int) -> tuple[int, ...]:
+    """The sorted checkpoint grid, validated against the horizon."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if checkpoint_times is None:
+        return default_checkpoints(horizon)
+    grid = tuple(sorted(set(int(t) for t in checkpoint_times)))
+    if grid and not (1 <= grid[0] and grid[-1] <= horizon):
+        raise ValueError(
+            f"checkpoint_times must lie in [1, horizon={horizon}], got {grid[0]}..{grid[-1]}"
+        )
+    return grid
 
 
 def default_checkpoints(horizon: int) -> tuple[int, ...]:
@@ -125,6 +147,81 @@ def _add_hist(hist: dict, values: np.ndarray) -> None:
         hist[int(v)] = hist.get(int(v), 0) + int(c)
 
 
+# Run bookkeeping of one lane.  It changes only when the lane's trial
+# switches action; ``run_start`` is the first step of its current run.
+_LANE = np.dtype(
+    [
+        ("t_first", np.int64),
+        ("t_last", np.int64),
+        ("upsets", np.int64),
+        ("good_runs", np.int64),
+        ("max_good", np.int64),
+        ("max_bad", np.int64),
+        ("run_start", np.int64),
+    ]
+)
+
+
+def _draw_chunk(model: SignalModel, theta: StateOfWorld, gens, chunk: int) -> np.ndarray:
+    """Private-LLR draws of shape (chunk, trials); column j comes from stream j.
+
+    Streams are drawn ``_SAMPLE_BLOCK`` at a time into the rows of a small
+    buffer that is then transposed into place.  Inversion-sampled models
+    draw uniforms there and transform the whole block in one call; the
+    transform is elementwise, so the draws equal per-stream ``sample_llr``
+    calls bit for bit.
+    """
+    draws = np.empty((chunk, len(gens)))
+    buf = np.empty((_SAMPLE_BLOCK, chunk))
+    inverse = isinstance(model, InverseCdfSignalModel)
+    for lo in range(0, len(gens), _SAMPLE_BLOCK):
+        block = gens[lo:lo + _SAMPLE_BLOCK]
+        rows = buf[:len(block)]
+        for row, gen in zip(rows, block):
+            if inverse:
+                gen.random(out=row)
+            else:
+                row[:] = model.sample_llr(theta, gen, size=chunk)
+        if inverse:
+            rows = model.llr_from_uniform(theta, rows)
+        draws[:, lo:lo + len(block)] = rows.T
+    return draws
+
+
+def _increment(model: SignalModel, ell: np.ndarray, sgn: np.ndarray) -> np.ndarray:
+    """D_plus(ell) where ``sgn`` is +1 and D_minus(ell) where it is -1.
+
+    For continuous families D_minus(x) = -D_plus(-x) holds bit for bit, so
+    one signed call serves both actions.  The discrete rate-target model
+    breaks that identity at its integer atoms and keeps the split calls.
+    """
+    if not model.is_discrete:
+        return sgn * d_plus(model, sgn * ell)
+    plus = sgn > 0.0
+    if plus.all():
+        return d_plus(model, ell)
+    if not plus.any():
+        return d_minus(model, ell)
+    step = np.empty(len(ell))
+    step[plus] = d_plus(model, ell[plus])
+    step[~plus] = d_minus(model, ell[~plus])
+    return step
+
+
+def _close_runs(book: np.ndarray, idx: np.ndarray, ended_good: np.ndarray, t: int) -> None:
+    """Lanes ``idx`` switch action at step t, ending the run over [run_start, t)."""
+    rec = book[idx]
+    length = t - rec["run_start"]
+    ended_bad = ~ended_good
+    rec["upsets"] += 1
+    rec["good_runs"] += ended_good
+    rec["max_good"] = np.where(ended_good, np.maximum(rec["max_good"], length), rec["max_good"])
+    rec["max_bad"] = np.where(ended_bad, np.maximum(rec["max_bad"], length), rec["max_bad"])
+    rec["t_last"] = np.where(ended_bad, t - 1, rec["t_last"])
+    rec["run_start"] = t
+    book[idx] = rec
+
+
 def _simulate_batch(
     model: SignalModel,
     theta: StateOfWorld,
@@ -134,7 +231,15 @@ def _simulate_batch(
     checkpoint_times: tuple[int, ...],
     collect_actions: bool = False,
 ):
-    """Lockstep simulation of one batch of trials.
+    """Leader-lane simulation of one batch of trials.
+
+    Every trial whose actions have all been correct shares one belief, the
+    leader in lane 0, and costs one comparison per step.  A trial leaves
+    this herd at its first mistake and gets a lane of its own, starting
+    from the leader's exact (ell, carry).  Lanes carry the belief and the
+    current action; run bookkeeping is touched only when a lane switches
+    action, and everything is scattered to full width, in trial order, at
+    checkpoints and at the end.
 
     Returns (AggregateStats, per-trial stats arrays dict, actions or None,
     per-trial checkpoint ell matrix).  Output depends only on
@@ -142,83 +247,95 @@ def _simulate_batch(
     """
     nb = len(trial_indices)
     gens = [_trial_rng(master_seed, int(i)) for i in trial_indices]
-    correct_sign = theta.sign
+    correct_plus = theta.sign > 0
 
-    ell = np.zeros(nb)
-    carry = np.zeros(nb)
-    t_first = np.zeros(nb, dtype=np.int64)
-    t_last = np.zeros(nb, dtype=np.int64)
-    upsets = np.zeros(nb, dtype=np.int64)
-    good_runs = np.zeros(nb, dtype=np.int64)
-    max_good = np.zeros(nb, dtype=np.int64)
-    max_bad = np.zeros(nb, dtype=np.int64)
-    run_len = np.zeros(nb, dtype=np.int64)
-    prev_plus = np.zeros(nb, dtype=bool)
-    have_prev = False
-    last_was_mistake = np.zeros(nb, dtype=bool)
+    herd = np.arange(nb)
+    # Lane 0 is the leader; lane i >= 1 is trial cols[i - 1] with run
+    # bookkeeping book[i - 1].  sgn holds each lane's latest action as +-1.0.
+    ell = np.zeros(1)
+    carry = np.zeros(1)
+    sgn = np.full(1, float(theta.sign))
+    cols = np.zeros(0, dtype=np.int64)
+    book = np.zeros(0, dtype=_LANE)
 
     ckpt = np.asarray(checkpoint_times, dtype=np.int64)
     agg = AggregateStats(horizon=horizon, checkpoint_times=tuple(checkpoint_times))
     ell_ckpt = np.zeros((nb, len(ckpt)))
-    actions = np.zeros((nb, horizon), dtype=np.int8) if collect_actions else None
+    actions = np.full((nb, horizon), theta.sign, dtype=np.int8) if collect_actions else None
 
     next_ckpt = 0
     t = 1
     while t <= horizon:
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws = np.empty((chunk, nb))
-        for j, gen in enumerate(gens):
-            draws[:, j] = model.sample_llr(theta, gen, size=chunk)
+        draws = _draw_chunk(model, theta, gens, chunk)
         for s in range(chunk):
+            lead = ell[0]
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
-                w = rb_mistake_weight(ell)
+                full = np.full(nb, lead)
+                full[cols] = ell[1:]
+                w = rb_mistake_weight(full)
                 agg.rb_sum[next_ckpt] += float(np.sum(w))
                 agg.rb_sumsq[next_ckpt] += float(np.sum(w * w))
-                agg.naive_sum[next_ckpt] += float(np.sum(last_was_mistake))
-                agg.ell_sum[next_ckpt] += float(np.sum(ell))
-                ell_ckpt[:, next_ckpt] = ell
+                agg.naive_sum[next_ckpt] += float(np.count_nonzero(sgn[1:] != theta.sign))
+                agg.ell_sum[next_ckpt] += float(np.sum(full))
+                ell_ckpt[:, next_ckpt] = full
                 next_ckpt += 1
-            plus = ell + draws[s] > 0.0
-            mistake = plus != (correct_sign > 0)
+            row = draws[s]
+
+            if len(cols):
+                flipped = (ell[1:] + row[cols] > 0.0) != (sgn[1:] > 0.0)
+                if flipped.any():
+                    lane = np.flatnonzero(flipped) + 1
+                    _close_runs(book, lane - 1, sgn[lane] == theta.sign, t)
+                    sgn[lane] = -sgn[lane]
+
+            if len(herd):
+                h = row[herd]
+                # fl(lead + x) is monotone in x, so the extreme draw decides
+                # whether any member errs.
+                edge = h.min() if correct_plus else h.max()
+                if (lead + edge > 0.0) != correct_plus:
+                    err = (lead + h > 0.0) != correct_plus
+                    k = int(np.count_nonzero(err))
+                    new = np.zeros(k, dtype=_LANE)
+                    new["t_first"] = t
+                    new["upsets"] = new["good_runs"] = t > 1
+                    new["max_good"] = t - 1
+                    new["run_start"] = t
+                    book = np.concatenate((book, new))
+                    cols = np.concatenate((cols, herd[err]))
+                    herd = herd[~err]
+                    sgn = np.concatenate((sgn, np.full(k, -sgn[0])))
+                    ell = np.concatenate((ell, np.full(k, lead)))
+                    carry = np.concatenate((carry, np.full(k, carry[0])))
+
             if actions is not None:
-                actions[:, t - 1] = np.where(plus, 1, -1)
-
-            np.putmask(t_first, mistake & (t_first == 0), t)
-            np.putmask(t_last, mistake, t)
-            if have_prev:
-                flipped = plus != prev_plus
-                if np.any(flipped):
-                    upsets[flipped] += 1
-                    ended_good = flipped & (prev_plus == (correct_sign > 0))
-                    good_runs[ended_good] += 1
-                    np.putmask(max_good, ended_good, np.maximum(max_good, run_len)[ended_good])
-                    ended_bad = flipped & ~ended_good
-                    np.putmask(max_bad, ended_bad, np.maximum(max_bad, run_len)[ended_bad])
-                    run_len[flipped] = 0
-            run_len += 1
-            prev_plus = plus
-            have_prev = True
-            last_was_mistake = mistake
-
-            step = np.empty(nb)
-            if np.all(plus):
-                step = np.asarray(d_plus(model, ell))
-            elif not np.any(plus):
-                step = np.asarray(d_minus(model, ell))
-            else:
-                step[plus] = d_plus(model, ell[plus])
-                step[~plus] = d_minus(model, ell[~plus])
-            y = step - carry
+                actions[cols, t - 1] = sgn[1:]
+            y = _increment(model, ell, sgn) - carry
             s2 = ell + y
             carry = (s2 - ell) - y
             ell = s2
             t += 1
 
-    # Close the final (still open) run; it does not count as a finished run.
-    final_good = prev_plus == (correct_sign > 0)
-    np.putmask(max_good, final_good, np.maximum(max_good, run_len)[final_good])
-    np.putmask(max_bad, ~final_good, np.maximum(max_bad, run_len)[~final_good])
-    censored = ~final_good
+    # Herd members made no mistake: one correct run over the whole horizon.
+    # A lane's final, still open, run counts for its maximum but is neither
+    # an upset nor a finished run; a final wrong run makes the trial censored.
+    t_first = np.zeros(nb, dtype=np.int64)
+    t_last = np.zeros(nb, dtype=np.int64)
+    upsets = np.zeros(nb, dtype=np.int64)
+    good_runs = np.zeros(nb, dtype=np.int64)
+    max_good = np.full(nb, horizon, dtype=np.int64)
+    max_bad = np.zeros(nb, dtype=np.int64)
+    censored = np.zeros(nb, dtype=bool)
+    final_good = sgn[1:] == theta.sign
+    final_run = horizon + 1 - book["run_start"]
+    t_first[cols] = book["t_first"]
+    t_last[cols] = np.where(final_good, book["t_last"], horizon)
+    upsets[cols] = book["upsets"]
+    good_runs[cols] = book["good_runs"]
+    max_good[cols] = np.where(final_good, np.maximum(book["max_good"], final_run), book["max_good"])
+    max_bad[cols] = np.where(final_good, book["max_bad"], np.maximum(book["max_bad"], final_run))
+    censored[cols] = ~final_good
 
     agg.trial_count = nb
     _add_hist(agg.first_mistake_hist, t_first)
@@ -254,11 +371,7 @@ def simulate_trajectory(
     checkpoint_times: Sequence[int] | None = None,
 ) -> tuple[Trajectory, TrajectoryStats]:
     """Simulate one full trajectory with stored actions and checkpoints."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if checkpoint_times is None:
-        checkpoint_times = default_checkpoints(horizon)
-    checkpoint_times = tuple(sorted(set(int(t) for t in checkpoint_times)))
+    checkpoint_times = _checkpoint_grid(checkpoint_times, horizon)
     _, per, actions, ell_ckpt = _simulate_batch(
         model, theta, horizon, master_seed, [trial_index], checkpoint_times,
         collect_actions=True,
@@ -296,9 +409,7 @@ def simulate_baseline_llr(
     Uses the same per-trial stream as simulate_trajectory, so the baseline
     and the herding run see identical signal sequences.
     """
-    if checkpoint_times is None:
-        checkpoint_times = default_checkpoints(horizon)
-    ckpt = sorted(set(int(t) for t in checkpoint_times))
+    ckpt = _checkpoint_grid(checkpoint_times, horizon)
     gen = _trial_rng(master_seed, trial_index)
     total = 0.0
     carry = 0.0
@@ -339,10 +450,8 @@ def run_trials(
     action matrices are returned alongside the aggregate.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if checkpoint_times is None:
-        checkpoint_times = default_checkpoints(horizon)
-    checkpoint_times = tuple(sorted(set(int(t) for t in checkpoint_times)))
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    checkpoint_times = _checkpoint_grid(checkpoint_times, horizon)
     batches = [
         list(range(lo, min(lo + batch_size, trials)))
         for lo in range(0, trials, batch_size)

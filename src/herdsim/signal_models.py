@@ -33,6 +33,7 @@ from scipy import integrate, interpolate, special
 __all__ = [
     "StateOfWorld",
     "SignalModel",
+    "InverseCdfSignalModel",
     "GaussianSignalModel",
     "PolyTailSignalModel",
     "RateTargetSignalModel",
@@ -161,6 +162,24 @@ def _hybrid_log_ndtr(z):
     return out
 
 
+class InverseCdfSignalModel(SignalModel):
+    """A model that samples by inversion: one uniform per draw.
+
+    ``llr_from_uniform`` is the only sampling route; ``sample_llr`` feeds it
+    ``rng.random(size)``.  The map is elementwise, so a caller may draw each
+    stream's uniforms separately and transform them together in one block
+    of any shape, bit-identically to per-stream ``sample_llr`` calls.
+    """
+
+    def llr_from_uniform(self, state: StateOfWorld, u: np.ndarray) -> np.ndarray:
+        """The quantile function of G_state applied to uniforms u in [0, 1)."""
+        raise NotImplementedError
+
+    def sample_llr(self, state, rng, size=None):
+        x = self.llr_from_uniform(state, np.atleast_1d(rng.random(size)))
+        return float(x[0]) if size is None else x
+
+
 # ---------------------------------------------------------------------------
 # Gaussian
 # ---------------------------------------------------------------------------
@@ -282,7 +301,7 @@ def poly_tail_normalizer(k: float) -> float:
 
 
 @dataclass(frozen=True)
-class PolyTailSignalModel(SignalModel):
+class PolyTailSignalModel(InverseCdfSignalModel):
     """Piecewise density with polynomial left tail and e^{-x} x^{-k-1} right tail.
 
     Under theta=-1 the density is c*e^{-x} x^{-k-1} for x >= 1, zero on
@@ -452,14 +471,9 @@ class PolyTailSignalModel(SignalModel):
                 break
         return 0.5 * (lo + hi)
 
-    def sample_llr(self, state, rng, size=None):
-        u = rng.random(size)
-        x = self._ppf_minus(np.atleast_1d(u))
-        if state is StateOfWorld.PLUS:
-            x = -x
-        if size is None:
-            return float(x[0])
-        return x
+    def llr_from_uniform(self, state, u):
+        x = self._ppf_minus(u)
+        return -x if state is StateOfWorld.PLUS else x
 
     def to_dict(self):
         return {"family": "polytail", "k": self.k}
@@ -476,7 +490,7 @@ class PolyTailSignalModel(SignalModel):
 
 
 @dataclass(frozen=True)
-class RateTargetSignalModel(SignalModel):
+class RateTargetSignalModel(InverseCdfSignalModel):
     """Integer-supported model from a decreasing table Q.
 
     Built so that the measure nu(n) = (Q(n-1) - Q(n))/e^n on the positive
@@ -523,9 +537,15 @@ class RateTargetSignalModel(SignalModel):
     def _sf_plus(self):
         return np.cumsum(self._p_plus[::-1])[::-1]
 
+    @cached_property
+    def _support_f(self):
+        # searchsorted of a float key on the int64 support would convert
+        # the whole support on every call; the float copy is exact.
+        return self.support.astype(float)
+
     def _index_leq(self, x):
         """Number of support points <= x, elementwise."""
-        return np.searchsorted(self.support, np.floor(x), side="right")
+        return np.searchsorted(self._support_f, np.floor(x), side="right")
 
     def _lookup_cdf(self, cdf, x):
         x, scalar = _as1d(x)
@@ -556,14 +576,10 @@ class RateTargetSignalModel(SignalModel):
         with np.errstate(divide="ignore"):
             return np.log(self._lookup_sf(sf, x))
 
-    def sample_llr(self, state, rng, size=None):
+    def llr_from_uniform(self, state, u):
         cdf = self._cdf_minus if state is StateOfWorld.MINUS else self._cdf_plus
-        u = rng.random(size)
         idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(self.support) - 1)
-        out = self.support[idx].astype(float)
-        if size is None:
-            return float(out)
-        return out
+        return self._support_f[idx]
 
     def to_dict(self):
         return {"family": "ratetarget", "q_table": list(self.q_table)}

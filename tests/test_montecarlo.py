@@ -1,13 +1,16 @@
 """Monte Carlo engine: determinism, replay exactness, and estimator laws."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from herdsim.belief import ActionLabel, d_minus, d_plus
+from herdsim import montecarlo
+from herdsim.belief import ActionLabel, d_minus, d_plus, rb_mistake_weight
 from herdsim.montecarlo import (
+    AggregateStats,
     default_checkpoints,
     estimate_mistake_curve,
     estimate_time_to_learn,
@@ -28,6 +31,8 @@ from herdsim.signal_models import (
 MINUS, PLUS = StateOfWorld.MINUS, StateOfWorld.PLUS
 G1 = GaussianSignalModel(sigma=1.0)
 G2 = GaussianSignalModel(sigma=2.0)
+PT2 = PolyTailSignalModel(k=2.0)
+RT = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=500)
 
 
 class TestCheckpoints:
@@ -119,6 +124,11 @@ class TestReplay:
         dec = extract_runs_and_upsets(a, PLUS)
         assert stats.upsets == dec.upsets
         assert stats.censored == (a[-1] != 1)
+        good = [b.length for b in dec.blocks if b.good]
+        bad = [b.length for b in dec.blocks if not b.good]
+        assert stats.good_run_count == len(good) - (a[-1] == 1)
+        assert stats.max_good_run == max(good, default=0)
+        assert stats.max_bad_run == max(bad, default=0)
 
     def test_baseline_shares_the_signal_stream(self):
         # first checkpoint of the baseline equals the first private LLR draw
@@ -239,3 +249,211 @@ class TestValidation:
             run_trials(G1, PLUS, 100, 0, master_seed=1)
         with pytest.raises(ValueError):
             simulate_trajectory(G1, PLUS, 0, master_seed=1, trial_index=0)
+
+    def test_nonpositive_horizon_is_named(self):
+        for horizon in (0, -3):
+            with pytest.raises(ValueError, match="horizon"):
+                run_trials(G1, PLUS, horizon, 10, master_seed=1)
+            with pytest.raises(ValueError, match="horizon"):
+                simulate_baseline_llr(G1, PLUS, horizon, master_seed=1, trial_index=0)
+
+    @pytest.mark.parametrize("grid", [[0, 5], [5, 101], [-1], [101]])
+    def test_checkpoints_outside_the_horizon_are_named(self, grid):
+        with pytest.raises(ValueError, match="checkpoint_times"):
+            run_trials(G1, PLUS, 100, 10, master_seed=1, checkpoint_times=grid)
+        with pytest.raises(ValueError, match="checkpoint_times"):
+            simulate_trajectory(G1, PLUS, 100, 1, 0, checkpoint_times=grid)
+        with pytest.raises(ValueError, match="checkpoint_times"):
+            simulate_baseline_llr(G1, PLUS, 100, 1, 0, checkpoint_times=grid)
+
+    def test_checkpoints_at_both_ends_are_accepted(self):
+        agg = run_trials(G1, PLUS, 100, 10, master_seed=1, checkpoint_times=[100, 1])
+        assert agg.checkpoint_times == (1, 100)
+
+
+# ---------------------------------------------------------------------------
+# The leader-lane engine against scalar references
+# ---------------------------------------------------------------------------
+
+_CONTINUOUS = [GaussianSignalModel(sigma=s) for s in (0.3, 1.0, 2.0, 5.0)] + [
+    PolyTailSignalModel(k=k) for k in (0.5, 2.0, 4.0)
+]
+# Dense in the bulk, geometric out to |x| = 1e18: reaches the tail form of
+# both increments, PolyTail's asymptotic log-tail past 60 and the Gaussian
+# deep-tail log_ndtr branch.
+_MIRROR_GRID = np.concatenate(
+    (np.linspace(-300.0, 300.0, 120001), np.geomspace(1e-8, 1e18, 8001), -np.geomspace(1e-8, 1e18, 8001))
+)
+
+
+class TestSignedIncrement:
+    @pytest.mark.parametrize("model", _CONTINUOUS, ids=repr)
+    def test_d_minus_is_mirrored_d_plus_exactly(self, model):
+        # The engine steps all lanes with one call sgn * d_plus(sgn * ell);
+        # that is exact only if D_-(x) == -D_+(-x) to the last bit.
+        x = _MIRROR_GRID
+        with np.errstate(divide="ignore"):  # log1p(-1) where the tail form underflows
+            dm = d_minus(model, x)
+            dp = d_plus(model, -x)
+        assert not np.any(np.isnan(dm))
+        assert np.array_equal(dm, -dp)
+        # both branches of both increments are exercised
+        lsm = model.llr_log_sf(MINUS, x)
+        lcp = model.llr_log_cdf(PLUS, -x)
+        assert np.any(lsm > -1e-8) and np.any(lsm <= -1e-8)
+        assert np.any(lcp > -1e-8) and np.any(lcp <= -1e-8)
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("model", [G1, PT2, PolyTailSignalModel(k=0.5), RT], ids=repr)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_blocked_draws_equal_per_trial_sampling(self, model, theta):
+        trials, chunk = 300, 257  # two full blocks of 128 and a partial one
+        gens = [montecarlo._trial_rng(5, i) for i in range(trials)]
+        blocked = montecarlo._draw_chunk(model, theta, gens, chunk)
+        for j in range(trials):
+            ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
+            assert np.array_equal(blocked[:, j], ref[:chunk])
+        # the streams continue where the block left them
+        again = montecarlo._draw_chunk(model, theta, gens, chunk)
+        for j in (0, 127, 128, trials - 1):
+            ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
+            assert np.array_equal(again[:, j], ref[chunk:])
+
+    @pytest.mark.parametrize("model", [PT2, RT], ids=repr)
+    def test_uniform_transform_is_elementwise(self, model):
+        u = np.random.default_rng(3).random((64, 40))
+        u[0, :3] = (0.0, 1.0 - 2.0**-53, model.llr_cdf(MINUS, 1.0))
+        with np.errstate(divide="ignore"):  # u = 0 maps to -inf for PolyTail
+            block = model.llr_from_uniform(PLUS, u)
+            for j in range(u.shape[1]):
+                assert np.array_equal(block[:, j], model.llr_from_uniform(PLUS, u[:, j].copy()))
+        # the scalar draw takes the same route
+        u0 = np.random.default_rng(4).random()
+        assert model.sample_llr(MINUS, np.random.default_rng(4)) == model.llr_from_uniform(
+            MINUS, np.array([u0])
+        )[0]
+
+
+def _replay_aggregate(model, theta, horizon, trials, seed, batch_size, actions):
+    """Every AggregateStats field rebuilt from the stored actions alone.
+
+    Each trial's private draws come from its own stream; its actions are
+    checked against the decision rule and replayed through scalar
+    d_plus / d_minus with compensated summation.  Checkpoint sums reduce
+    each batch's full-width vector in trial order with np.sum, as the
+    engine promises, and batches merge in order.  Also returns, per batch,
+    the per-trial checkpoint ells and stats.
+    """
+    ck = default_checkpoints(horizon)
+    correct = theta.sign
+
+    @functools.lru_cache(maxsize=None)
+    def incr(x, a):
+        return float(d_plus(model, x)) if a > 0 else float(d_minus(model, x))
+
+    batches = []
+    for lo in range(0, trials, batch_size):
+        idx = range(lo, min(lo + batch_size, trials))
+        nb = len(idx)
+        ells = np.zeros((nb, len(ck)))
+        naive = np.zeros((nb, len(ck)), dtype=bool)
+        t_first, t_last = np.zeros(nb, dtype=np.int64), np.zeros(nb, dtype=np.int64)
+        upsets, good_runs, max_good, max_bad = (np.zeros(nb, dtype=np.int64) for _ in range(4))
+        censored = np.zeros(nb, dtype=bool)
+        for r, i in enumerate(idx):
+            a = actions[i]
+            draws = model.sample_llr(theta, _rng_for(seed, i), size=horizon)
+            ell = carry = 0.0
+            for t in range(1, horizon + 1):
+                if t in ck:
+                    k = ck.index(t)
+                    ells[r, k] = ell
+                    naive[r, k] = t > 1 and a[t - 2] != correct
+                assert a[t - 1] == (1 if ell + draws[t - 1] > 0.0 else -1), (i, t)
+                y = incr(ell, int(a[t - 1])) - carry
+                s = ell + y
+                carry = (s - ell) - y
+                ell = s
+            wrong = np.flatnonzero(a != correct) + 1
+            t_first[r] = wrong[0] if len(wrong) else 0
+            t_last[r] = wrong[-1] if len(wrong) else 0
+            dec = extract_runs_and_upsets(a, theta)
+            upsets[r] = dec.upsets
+            good_runs[r] = sum(b.good for b in dec.blocks[:-1])
+            max_good[r] = max((b.length for b in dec.blocks if b.good), default=0)
+            max_bad[r] = max((b.length for b in dec.blocks if not b.good), default=0)
+            censored[r] = a[-1] != correct
+        batch = AggregateStats(horizon=horizon, checkpoint_times=ck, trial_count=nb)
+        for name, values in (
+            ("first_mistake_hist", t_first), ("upset_hist", upsets),
+            ("max_good_run_hist", max_good), ("max_bad_run_hist", max_bad),
+        ):
+            u, c = np.unique(values, return_counts=True)
+            setattr(batch, name, {int(k): int(n) for k, n in zip(u, c)})
+        w = rb_mistake_weight(ells)
+        batch.rb_sum = np.array([float(np.sum(w[:, k])) for k in range(len(ck))])
+        batch.rb_sumsq = np.array([float(np.sum(w[:, k] * w[:, k])) for k in range(len(ck))])
+        batch.naive_sum = np.array([float(np.sum(naive[:, k])) for k in range(len(ck))])
+        batch.ell_sum = np.array([float(np.sum(ells[:, k])) for k in range(len(ck))])
+        unc = ~censored
+        batch.censored_count = int(np.sum(censored))
+        batch.uncensored_count = nb - batch.censored_count
+        batch.last_mistake_sum = float(np.sum(t_last[unc]))
+        batch.last_mistake_sumsq = float(np.sum(t_last[unc].astype(float) ** 2))
+        batch.ttl_lower_bound_sum = float(np.sum(np.where(unc, t_last + 1, horizon).astype(float)))
+        per_trial = {
+            "t_first": t_first, "t_last": t_last, "upsets": upsets, "good_runs": good_runs,
+            "max_good": max_good, "max_bad": max_bad, "censored": censored,
+        }
+        batches.append((batch, per_trial, ells))
+    total = batches[0][0]
+    for batch, _, _ in batches[1:]:
+        total = merge_aggregates(total, batch)
+    return total, [(per, ells) for _, per, ells in batches]
+
+
+_AGG_FIELDS = (
+    "horizon", "checkpoint_times", "trial_count", "first_mistake_hist", "upset_hist",
+    "max_good_run_hist", "max_bad_run_hist", "rb_sum", "rb_sumsq", "naive_sum", "ell_sum",
+    "censored_count", "uncensored_count", "last_mistake_sum", "last_mistake_sumsq",
+    "ttl_lower_bound_sum",
+)
+
+
+class TestScalarReplayOracle:
+    @pytest.mark.parametrize("model", [G2, PT2, RT], ids=lambda m: m.family)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    @pytest.mark.parametrize("trials,batch_size", [(3, 1), (20, 7), (2048, 2048)])
+    def test_engine_equals_scalar_replay(self, model, theta, trials, batch_size):
+        horizon = 60
+        agg, actions = run_trials(
+            model, theta, horizon, trials, master_seed=77, batch_size=batch_size,
+            collect_actions=True,
+        )
+        assert actions.shape == (trials, horizon) and actions.dtype == np.int8
+        ref, ref_batches = _replay_aggregate(model, theta, horizon, trials, 77, batch_size, actions)
+        plain = run_trials(model, theta, horizon, trials, master_seed=77, batch_size=batch_size)
+        for name in _AGG_FIELDS:
+            for got in (agg, plain):
+                a, b = getattr(got, name), getattr(ref, name)
+                if isinstance(b, np.ndarray):
+                    assert np.array_equal(a, b), name
+                else:
+                    assert a == b, name
+        # per trial, a 1-ulp belief error would vanish in the sums above
+        ck = default_checkpoints(horizon)
+        for b, (per, ells) in enumerate(ref_batches):
+            idx = list(range(b * batch_size, min((b + 1) * batch_size, trials)))
+            _, got_per, _, got_ells = montecarlo._simulate_batch(model, theta, horizon, 77, idx, ck)
+            assert np.array_equal(got_ells.view(np.int64), ells.view(np.int64))
+            for name, values in per.items():
+                assert np.array_equal(got_per[name], values), name
+
+    def test_oracle_sees_herd_exits_and_recoveries(self):
+        # the 2048-trial batches above hold first mistakes after t=1,
+        # recoveries and censored trials, so every lane transition is covered
+        agg = run_trials(G2, PLUS, 60, 2048, master_seed=77)
+        assert any(t > 1 for t in agg.first_mistake_hist if t)
+        assert any(u >= 2 for u in agg.upset_hist)
+        assert 0 < agg.censored_count < agg.trial_count
