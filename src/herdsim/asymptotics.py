@@ -10,10 +10,9 @@ recurrence iterator for recurrence-vs-ODE comparisons.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,7 +30,6 @@ __all__ = [
     "gaussian_envelope_solutions",
     "iterate_recurrence",
     "ratio_curve",
-    "export_ode_csv",
 ]
 
 
@@ -204,7 +202,9 @@ def iterate_recurrence(
 ) -> np.ndarray:
     """Run a_{t+1} = a_t + increment(a_t) with compensated summation.
 
-    Returns the array [a_1, ..., a_horizon] with a_1 = a0.
+    Returns the array [a_1, ..., a_horizon] with a_1 = a0.  A step of
+    exactly 0 (an increment that underflows in double precision) holds
+    the sequence; a negative or non-finite step raises NumericalFailure.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -212,10 +212,11 @@ def iterate_recurrence(
     a = float(a0)
     carry = 0.0
     values[0] = a
+    inf = math.inf
     for i in range(1, horizon):
         step = increment(a)
-        if not step > 0.0:
-            raise NumericalFailure(f"increment not positive at a={a!r}")
+        if not 0.0 <= step < inf:
+            raise NumericalFailure(f"increment {step!r} not finite and >= 0 at a={a!r}")
         y = step - carry
         s = a + y
         carry = (s - a) - y
@@ -236,13 +237,3 @@ def ratio_curve(
             raise ValueError(f"sample time {t} outside the sequences")
         out.append((int(t), float(a[t - 1] / b[t - 1])))
     return out
-
-
-def export_ode_csv(solution: OdeSolution, fh: IO[str]) -> None:
-    """Write the accepted grid as (t, f, dfdt) rows."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "f", "dfdt"])
-    for t, f in zip(solution.t_grid, solution.f_values):
-        writer.writerow(
-            [format(t, ".17g"), format(f, ".17g"), format(solution._rate(float(f)), ".17g")]
-        )

@@ -12,19 +12,21 @@ All functions are pure; d_plus / d_minus accept scalars or arrays.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 
+from .asymptotics import iterate_recurrence
 from .signal_models import (
     GaussianSignalModel,
     PolyTailSignalModel,
     RateTargetSignalModel,
     SignalModel,
     StateOfWorld,
+    _as1d,
+    _restore,
     log_ndtr_scalar,
 )
 from enum import Enum
@@ -47,7 +49,6 @@ __all__ = [
     "first_mistake_distribution",
     "rb_mistake_weight",
     "u_plus_monotone_threshold",
-    "export_first_mistake_csv",
 ]
 
 
@@ -75,85 +76,79 @@ class BeliefState:
 # ---------------------------------------------------------------------------
 
 
-def d_plus(model: SignalModel, x):
-    """Increment of ell when action +1 is observed at public LLR x.
+def _log_tail_gap(near, far):
+    """log(e^near - e^far) for far <= near; -inf when both tails are empty."""
+    empty = near == -np.inf
+    if empty.any():  # past the cut of a truncated support; -inf - -inf is NaN
+        out = np.full_like(near, -np.inf)
+        out[~empty] = _log_tail_gap(near[~empty], far[~empty])
+        return out
+    return near + np.log1p(-np.exp(far - near))
 
-    Computed as a difference of log-survival values while the minus-state
-    tail mass at -x is above 1e-8.  Past that point both log-survivals are
-    within rounding of zero and the difference loses all precision, so the
-    computation switches to the tail form G_minus(-x) - G_plus(-x) (whose
-    neglected relative correction is of order the tail mass itself).
-    Always positive.
+
+def _signed_increment(model: SignalModel, x, sign: int):
+    """D_plus(x) for ``sign`` = +1 and D_minus(x) for ``sign`` = -1.
+
+    In the bulk D = B(PLUS, -x) - B(MINUS, -x), with B the log-survival for
+    +1 and the log-CDF for -1.  Once the near state's tail mass (minus for
+    +1, plus for -1) drops below 1e-8 that difference loses all precision,
+    and D switches to the tail form sign * (G_near - G_far) in the other log
+    function T; its neglected relative correction is of order that mass.
+    Past the cut of a truncated support both tails are empty and D = 0.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    lsm = np.asarray(model.llr_log_sf(StateOfWorld.MINUS, -x), dtype=float)
-    lsp = np.asarray(model.llr_log_sf(StateOfWorld.PLUS, -x), dtype=float)
-    out = lsp - lsm
-    tail = lsm > -1e-8
+    x, scalar = _as1d(x)
+    bulk_log, tail_log = (model.llr_log_sf, model.llr_log_cdf)[::sign]
+    near, far = (StateOfWorld.MINUS, StateOfWorld.PLUS)[::sign]
+    b_minus = np.asarray(bulk_log(StateOfWorld.MINUS, -x), dtype=float)
+    b_plus = np.asarray(bulk_log(StateOfWorld.PLUS, -x), dtype=float)
+    out = b_plus - b_minus
+    tail = (b_minus if sign > 0 else b_plus) > -1e-8
     if np.any(tail):
-        xt = x[tail]
-        lcm = np.asarray(model.llr_log_cdf(StateOfWorld.MINUS, -xt), dtype=float)
-        lcp = np.asarray(model.llr_log_cdf(StateOfWorld.PLUS, -xt), dtype=float)
-        out[tail] = np.exp(lcm + np.log1p(-np.exp(lcp - lcm)))
-    return float(out[0]) if scalar else out
+        xt = -x[tail]
+        t_near = np.asarray(tail_log(near, xt), dtype=float)
+        t_far = np.asarray(tail_log(far, xt), dtype=float)
+        gap = np.exp(_log_tail_gap(t_near, t_far))
+        out[tail] = gap if sign > 0 else -gap
+    return _restore(out, scalar)
+
+
+def _log_signed_increment(model: SignalModel, x, sign: int):
+    """log(sign * D(x)), usable far beyond the underflow point of D.
+
+    Deep in the tail D = sign * (G_near - G_far) up to a relative error of
+    order G_near, so that log form is taken once G_near drops below 1e-8.
+    """
+    x, scalar = _as1d(x)
+    tail_log = model.llr_log_cdf if sign > 0 else model.llr_log_sf
+    near, far = (StateOfWorld.MINUS, StateOfWorld.PLUS)[::sign]
+    t_near = np.asarray(tail_log(near, -x), dtype=float)
+    t_far = np.asarray(tail_log(far, -x), dtype=float)
+    out = np.empty_like(t_near)
+    tail = t_near < math.log(1e-8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[tail] = _log_tail_gap(t_near[tail], t_far[tail])
+        out[~tail] = np.log(sign * _signed_increment(model, x[~tail], sign))
+    return _restore(out, scalar)
+
+
+def d_plus(model: SignalModel, x):
+    """Increment of ell when action +1 is observed at public LLR x; >= 0."""
+    return _signed_increment(model, x, +1)
 
 
 def d_minus(model: SignalModel, x):
-    """Increment of ell when action -1 is observed; always negative.
-
-    Mirrors d_plus: log-CDF difference in the bulk, switching to the tail
-    form -(1 - G_plus(-x)) + (1 - G_minus(-x)) once the plus-state upper
-    tail mass at -x drops below 1e-8.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    lcp = np.asarray(model.llr_log_cdf(StateOfWorld.PLUS, -x), dtype=float)
-    lcm = np.asarray(model.llr_log_cdf(StateOfWorld.MINUS, -x), dtype=float)
-    out = lcp - lcm
-    tail = lcp > -1e-8
-    if np.any(tail):
-        xt = x[tail]
-        lsm = np.asarray(model.llr_log_sf(StateOfWorld.MINUS, -xt), dtype=float)
-        lsp = np.asarray(model.llr_log_sf(StateOfWorld.PLUS, -xt), dtype=float)
-        out[tail] = -np.exp(lsp + np.log1p(-np.exp(lsm - lsp)))
-    return float(out[0]) if scalar else out
+    """Increment of ell when action -1 is observed at public LLR x; <= 0."""
+    return _signed_increment(model, x, -1)
 
 
 def log_d_plus(model: SignalModel, x):
-    """log D_plus(x), usable far beyond the underflow point of d_plus.
-
-    For large x, D_plus(x) = G_minus(-x) - G_plus(-x) up to a relative
-    error of order G_minus(-x); we switch to that log-space form once the
-    tail arguments drop below 1e-8, where the correction is negligible.
-    """
-    x, scalar = np.asarray(x, dtype=float), np.asarray(x).ndim == 0
-    x = np.atleast_1d(x)
-    lcm = np.asarray(model.llr_log_cdf(StateOfWorld.MINUS, -x), dtype=float)
-    lcp = np.asarray(model.llr_log_cdf(StateOfWorld.PLUS, -x), dtype=float)
-    out = np.empty_like(lcm)
-    tail = lcm < math.log(1e-8)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[tail] = lcm[tail] + np.log1p(-np.exp(lcp[tail] - lcm[tail]))
-        bulk = ~tail
-        out[bulk] = np.log(d_plus(model, x[bulk]))
-    return float(out[0]) if scalar else out
+    """log D_plus(x), usable far beyond the underflow point of d_plus."""
+    return _log_signed_increment(model, x, +1)
 
 
 def log_d_minus(model: SignalModel, x):
     """log(-D_minus(x)), the mirrored companion of log_d_plus."""
-    x, scalar = np.atleast_1d(np.asarray(x, dtype=float)), np.asarray(x).ndim == 0
-    lsm = np.asarray(model.llr_log_sf(StateOfWorld.MINUS, -x), dtype=float)
-    lsp = np.asarray(model.llr_log_sf(StateOfWorld.PLUS, -x), dtype=float)
-    out = np.empty_like(lsm)
-    tail = lsp < math.log(1e-8)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[tail] = lsp[tail] + np.log1p(-np.exp(lsm[tail] - lsp[tail]))
-        bulk = ~tail
-        out[bulk] = np.log(-d_minus(model, x[bulk]))
-    return float(out[0]) if scalar else out
+    return _log_signed_increment(model, x, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +163,7 @@ def decide(ell: float, llr: float) -> ActionLabel:
 
 def update(model: SignalModel, state: BeliefState, action: ActionLabel) -> BeliefState:
     """Public belief after observing one action."""
-    if action is ActionLabel.PLUS:
-        incr = float(d_plus(model, state.ell))
-    else:
-        incr = float(d_minus(model, state.ell))
+    incr = float(_signed_increment(model, state.ell, action.sign))
     return BeliefState(ell=state.ell + incr, t=state.t + 1)
 
 
@@ -261,24 +253,17 @@ def _scalar_increment(model: SignalModel) -> Callable[[float], float]:
 def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> EllStarPath:
     """Iterate ell' = ell + D_plus(ell) for ``horizon`` agents.
 
-    Uses compensated summation so that even 1e7 steps of shrinking
-    increments accumulate negligible rounding.
+    Compensated summation (``asymptotics.iterate_recurrence``) keeps even
+    1e7 steps of shrinking increments accurate; a step that underflows to
+    exactly 0 holds the path.  ``prior_llr`` must be finite.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if not math.isfinite(prior_llr):
+        raise ValueError(f"prior_llr must be finite, got {prior_llr!r}")
     if isinstance(model, RateTargetSignalModel):
         return _ell_star_path_ratetarget(model, horizon, prior_llr)
-    values = np.empty(horizon, dtype=float)
-    incr = _scalar_increment(model)
-    ell = float(prior_llr)
-    carry = 0.0
-    values[0] = ell
-    for i in range(1, horizon):
-        y = incr(ell) - carry
-        s = ell + y
-        carry = (s - ell) - y
-        ell = s
-        values[i] = ell
+    values = iterate_recurrence(_scalar_increment(model), prior_llr, horizon)
     return EllStarPath(values=values, prior_llr=float(prior_llr))
 
 
@@ -362,28 +347,3 @@ def u_plus_monotone_threshold(
     if idx >= len(slopes):
         return None
     return float(xs[idx])
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def export_first_mistake_csv(dist: FirstMistakeDistribution, fh: IO[str]) -> None:
-    """Write (t, ell_star, p_first_mistake, log10_p, survivor_mass_running)."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "ell_star", "p_first_mistake", "log10_p", "survivor_mass_running"])
-    running = 1.0
-    with np.errstate(divide="ignore"):
-        log10p = np.log10(dist.pmf)
-    for i, (ell, p) in enumerate(zip(dist.ell_star.values, dist.pmf)):
-        running -= p
-        writer.writerow(
-            [
-                i + 1,
-                format(ell, ".17g"),
-                format(p, ".17g"),
-                format(float(log10p[i]), ".17g"),
-                format(running, ".17g"),
-            ]
-        )

@@ -148,28 +148,27 @@ def parse_config(text: str) -> ExperimentConfig:
         except (ModelValidationError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from exc
 
-    horizon = doc.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ConfigError(f"horizon: must be a positive integer, got {horizon!r}")
-    trials = doc.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
-    prior = doc.get("prior", 0.5)
-    if not isinstance(prior, (int, float)) or not (0.0 < prior < 1.0):
-        raise ConfigError(f"prior: must lie strictly between 0 and 1, got {prior!r}")
-    master_seed = doc.get("master_seed", 0)
-    if not isinstance(master_seed, int) or master_seed < 0:
-        raise ConfigError(f"master_seed: must be a nonnegative integer, got {master_seed!r}")
-    checkpoints = doc.get("checkpoints")
+    horizon = _field(doc, "horizon", None, _positive_int, "a positive integer")
+    trials = _field(doc, "trials", 1, _positive_int, "a positive integer")
+    prior = _field(
+        doc, "prior", 0.5, lambda v: type(v) in (int, float) and 0.0 < v < 1.0,
+        "strictly between 0 and 1",
+    )
+    master_seed = _field(
+        doc, "master_seed", 0, lambda v: type(v) is int and v >= 0, "a nonnegative integer"
+    )
+    checkpoints = _field(
+        doc, "checkpoints", None,
+        lambda v: v is None or type(v) is list and all(_positive_int(t) and t <= horizon for t in v),
+        "integers in [1, horizon]",
+    )
     if checkpoints is not None:
-        if not isinstance(checkpoints, list) or not all(
-            isinstance(t, int) and 1 <= t <= horizon for t in checkpoints
-        ):
-            raise ConfigError("checkpoints: must be integers in [1, horizon]")
         checkpoints = tuple(sorted(set(checkpoints)))
-    threads = doc.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads: must be a positive integer, got {threads!r}")
+    threads = _field(doc, "threads", 1, _positive_int, "a positive integer")
+    output_dir = _field(doc, "output_dir", ".", lambda v: type(v) is str, "a string")
+    dump_trajectories = _field(
+        doc, "dump_trajectories", False, lambda v: type(v) is bool, "true or false"
+    )
 
     return ExperimentConfig(
         experiment=experiment,
@@ -179,10 +178,23 @@ def parse_config(text: str) -> ExperimentConfig:
         master_seed=master_seed,
         prior=float(prior),
         checkpoints=checkpoints,
-        output_dir=doc.get("output_dir", "."),
+        output_dir=output_dir,
         threads=threads,
-        dump_trajectories=bool(doc.get("dump_trajectories", False)),
+        dump_trajectories=dump_trajectories,
     )
+
+
+def _positive_int(value) -> bool:
+    # type(), not isinstance(): JSON true/false parse to bool, a subclass of int
+    return type(value) is int and value >= 1
+
+
+def _field(doc: dict, key: str, default, valid, expected: str):
+    """The value at ``key`` (or ``default``); ConfigError naming the key if not valid."""
+    value = doc.get(key, default)
+    if not valid(value):
+        raise ConfigError(f"{key}: must be {expected}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,6 @@ class TrajectoryStats:
     t_first_mistake: int
     t_last_mistake: int
     upsets: int
-    good_run_count: int
     max_good_run: int
     max_bad_run: int
     censored: bool
@@ -154,7 +153,6 @@ _LANE = np.dtype(
         ("t_first", np.int64),
         ("t_last", np.int64),
         ("upsets", np.int64),
-        ("good_runs", np.int64),
         ("max_good", np.int64),
         ("max_bad", np.int64),
         ("run_start", np.int64),
@@ -214,7 +212,6 @@ def _close_runs(book: np.ndarray, idx: np.ndarray, ended_good: np.ndarray, t: in
     length = t - rec["run_start"]
     ended_bad = ~ended_good
     rec["upsets"] += 1
-    rec["good_runs"] += ended_good
     rec["max_good"] = np.where(ended_good, np.maximum(rec["max_good"], length), rec["max_good"])
     rec["max_bad"] = np.where(ended_bad, np.maximum(rec["max_bad"], length), rec["max_bad"])
     rec["t_last"] = np.where(ended_bad, t - 1, rec["t_last"])
@@ -299,7 +296,7 @@ def _simulate_batch(
                     k = int(np.count_nonzero(err))
                     new = np.zeros(k, dtype=_LANE)
                     new["t_first"] = t
-                    new["upsets"] = new["good_runs"] = t > 1
+                    new["upsets"] = t > 1
                     new["max_good"] = t - 1
                     new["run_start"] = t
                     book = np.concatenate((book, new))
@@ -323,7 +320,6 @@ def _simulate_batch(
     t_first = np.zeros(nb, dtype=np.int64)
     t_last = np.zeros(nb, dtype=np.int64)
     upsets = np.zeros(nb, dtype=np.int64)
-    good_runs = np.zeros(nb, dtype=np.int64)
     max_good = np.full(nb, horizon, dtype=np.int64)
     max_bad = np.zeros(nb, dtype=np.int64)
     censored = np.zeros(nb, dtype=bool)
@@ -332,7 +328,6 @@ def _simulate_batch(
     t_first[cols] = book["t_first"]
     t_last[cols] = np.where(final_good, book["t_last"], horizon)
     upsets[cols] = book["upsets"]
-    good_runs[cols] = book["good_runs"]
     max_good[cols] = np.where(final_good, np.maximum(book["max_good"], final_run), book["max_good"])
     max_bad[cols] = np.where(final_good, book["max_bad"], np.maximum(book["max_bad"], final_run))
     censored[cols] = ~final_good
@@ -354,7 +349,6 @@ def _simulate_batch(
         "t_first": t_first,
         "t_last": t_last,
         "upsets": upsets,
-        "good_runs": good_runs,
         "max_good": max_good,
         "max_bad": max_bad,
         "censored": censored,
@@ -388,7 +382,6 @@ def simulate_trajectory(
         t_first_mistake=int(per["t_first"][0]),
         t_last_mistake=int(per["t_last"][0]),
         upsets=int(per["upsets"][0]),
-        good_run_count=int(per["good_runs"][0]),
         max_good_run=int(per["max_good"][0]),
         max_bad_run=int(per["max_bad"][0]),
         censored=bool(per["censored"][0]),

@@ -233,13 +233,8 @@ class GaussianSignalModel(SignalModel):
 # ---------------------------------------------------------------------------
 
 
-def _exp_poly_upper_tail(x, k: float):
-    """T(x) = integral_x^inf e^{-t} t^{-k-1} dt for x >= 1, elementwise."""
-    return np.exp(_log_exp_poly_upper_tail(x, k))
-
-
 def _log_exp_poly_upper_tail(x, k: float, max_iter: int = 400):
-    """log T(x) for x >= 1 via the incomplete-gamma continued fraction.
+    """log T(x) for x >= 1, where T(x) = integral_x^inf e^{-t} t^{-k-1} dt.
 
     T(x) = Gamma(-k, x), and the Legendre continued fraction for the upper
     incomplete gamma converges for all x >= 1 when the parameter is
@@ -294,7 +289,7 @@ def poly_tail_normalizer(k: float) -> float:
     """
     if not (k > 0.0 and math.isfinite(k)):
         raise ModelValidationError(f"tail exponent k must be positive, got {k}")
-    val = float(_exp_poly_upper_tail(1.0, k))
+    val = float(np.exp(_log_exp_poly_upper_tail(1.0, k)))
     if not (math.isfinite(val) and val > 0.0):
         raise NumericalFailure(f"tail integral evaluation failed for k={k}")
     return 1.0 / (val + 1.0 / k)
@@ -323,7 +318,7 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         if self.c is None:
             object.__setattr__(self, "c", poly_tail_normalizer(self.k))
 
-    # T and E in the notation above
+    # T in the notation above
     @cached_property
     def _log_tail_spline(self):
         """Dense cubic spline of log T on [1, 60]; max error ~1e-13.
@@ -351,10 +346,6 @@ class PolyTailSignalModel(InverseCdfSignalModel):
 
     def _T(self, x):
         return np.exp(self._log_T(x))
-
-    @cached_property
-    def _E(self) -> float:
-        return float(_exp_poly_upper_tail(1.0, self.k))
 
     # -- G_minus and its logs; G_plus comes from the mirror symmetry ----
 
@@ -436,12 +427,16 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         return interpolate.CubicSpline(w_nodes[::-1], x_nodes[::-1])
 
     def _ppf_minus(self, u):
-        """Quantile function of G_minus for u in (0,1), elementwise."""
+        """Quantile function of G_minus for u in [0,1), elementwise.
+
+        u = 0, which ``Generator.random`` can return, is read as its
+        smallest positive value 2**-53, so every draw is finite.
+        """
         u = np.asarray(u, dtype=float)
         ck = self.c / self.k
         out = np.empty_like(u)
         lo = u <= ck
-        out[lo] = -np.power(self.k * u[lo] / self.c, -1.0 / self.k)
+        out[lo] = -np.power(self.k * np.maximum(u[lo], 2.0**-53) / self.c, -1.0 / self.k)
         hi = ~lo
         if np.any(hi):
             s = 1.0 - u[hi]
@@ -489,14 +484,15 @@ class PolyTailSignalModel(InverseCdfSignalModel):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateTargetSignalModel(InverseCdfSignalModel):
     """Integer-supported model from a decreasing table Q.
 
     Built so that the measure nu(n) = (Q(n-1) - Q(n))/e^n on the positive
     integers and nu(-n) = Q(n-1) - Q(n) on the negatives has the same total
     mass C under both conditionals, which keeps the LLR at support point n
-    equal to n exactly after renormalization.
+    equal to n exactly after renormalization.  Equality and hashing are by
+    identity, since the fields hold arrays.
     """
 
     q_table: tuple  # Q(-1), Q(0), ..., Q(N), verbatim for serialization

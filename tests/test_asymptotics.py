@@ -1,6 +1,5 @@
 """ODE growth predictions: closed forms, recurrence agreement, envelopes."""
 
-import io
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from herdsim.asymptotics import (
     GaussianEnvelope,
     closed_form_exponential_tail,
     closed_form_polynomial_tail,
-    export_ode_csv,
     gaussian_envelope_solutions,
     gaussian_rate_prediction,
     iterate_recurrence,
@@ -135,6 +133,15 @@ class TestRecurrenceVsOde:
         with pytest.raises(NumericalFailure):
             iterate_recurrence(lambda x: -1.0, 0.0, 10)
 
+    def test_zero_step_holds(self):
+        # an increment that underflows to 0 is exact, not a failure
+        assert np.array_equal(iterate_recurrence(lambda x: 0.0, 1.5, 4), [1.5] * 4)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_step_raises(self, step):
+        with pytest.raises(NumericalFailure):
+            iterate_recurrence(lambda x: step, 0.0, 10)
+
     def test_model_recurrence_tracks_belief_ode(self):
         # the exact discrete path and the continuous ODE agree to a few
         # percent by t = 1e4 for the polynomial-tail model
@@ -199,16 +206,6 @@ class TestRatioCurveAndExport:
         assert ratio_curve(a, b, [1, 3]) == [(1, 0.5), (3, 1.5)]
         with pytest.raises(ValueError):
             ratio_curve(a, b, [4])
-
-    def test_export_csv(self):
-        sol = solve_growth_ode(lambda f: math.exp(-f), 1.0, 0.0, 100.0)
-        buf = io.StringIO()
-        export_ode_csv(sol, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,f,dfdt"
-        assert len(lines) == len(sol.t_grid) + 1
-        t0, f0, d0 = (float(v) for v in lines[1].split(","))
-        assert t0 == 1.0 and f0 == 0.0 and d0 == pytest.approx(1.0)
 
 
 class TestGaussianRateAgainstPath:

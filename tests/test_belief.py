@@ -1,7 +1,7 @@
 """Public-belief dynamics: increments, martingale identity, ell*, first mistake."""
 
-import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from herdsim.belief import (
     d_plus,
     decide,
     ell_star_path,
-    export_first_mistake_csv,
     first_mistake_distribution,
     log_d_minus,
     log_d_plus,
@@ -90,6 +89,20 @@ class TestIncrements:
             assert_allclose(
                 np.exp(log_d_minus(model, xs)), -np.asarray(d_minus(model, xs)), rtol=1e-9
             )
+
+    def test_rate_target_increments_vanish_past_the_cut(self):
+        # Past the support's cut every signal is outvoted (an information
+        # cascade), so an action carries no information: D is exactly 0.
+        model = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=30)
+        cut = float(model.support[-1])
+        xs = cut + np.array([0.5, 1.0, 7.25, 1e6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(d_plus(model, xs) == 0.0) and d_plus(model, cut + 1.0) == 0.0
+            assert np.all(d_minus(model, -xs) == 0.0) and d_minus(model, -cut - 1.0) == 0.0
+            assert np.all(log_d_plus(model, xs) == -np.inf)
+            assert np.all(log_d_minus(model, -xs) == -np.inf)
+        assert d_plus(model, cut) > 0.0 and d_minus(model, 0.5 - cut) < 0.0
 
     def test_vanishing_increments(self):
         # lim_x D_+(x) = 0
@@ -201,6 +214,19 @@ class TestEllStarPath:
         with pytest.raises(ValueError):
             ell_star_path(G1, 0)
 
+    @pytest.mark.parametrize("prior_llr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_is_named(self, prior_llr):
+        for model in (G1, PT2, RT):
+            with pytest.raises(ValueError, match="prior_llr"):
+                ell_star_path(model, 10, prior_llr)
+            with pytest.raises(ValueError, match="prior_llr"):
+                first_mistake_distribution(model, 10, prior_llr)
+
+    def test_underflowed_increment_holds_the_path(self):
+        # D_plus underflows to exactly 0 past ell ~ 38 for sigma = 2
+        assert d_plus(G2, 40.0) == 0.0
+        assert np.all(ell_star_path(G2, 5, prior_llr=40.0).values == 40.0)
+
 
 class TestFirstMistake:
     def test_first_step_probability(self):
@@ -226,17 +252,6 @@ class TestFirstMistake:
     def test_survivor_is_product_of_survivals(self):
         dist = first_mistake_distribution(G2, 50)
         assert_allclose(dist.survivor_mass, 1.0 - np.sum(dist.pmf), rtol=1e-12)
-
-    def test_csv_export(self):
-        dist = first_mistake_distribution(G2, 5)
-        buf = io.StringIO()
-        export_first_mistake_csv(dist, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,ell_star,p_first_mistake,log10_p,survivor_mass_running"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert float(first[2]) == pytest.approx(0.308537538725986896)
 
 
 class TestUPlusMonotone:

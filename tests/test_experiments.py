@@ -60,6 +60,14 @@ class TestParseConfig:
             ({"model": {"family": "gaussian", "sigma": -2.0}}, "model"),
             ({"model": {"family": "ratetarget"}}, "q_table"),
             ({"typo_key": 1}, "typo_key"),
+            # JSON true is an int to Python; no integer field may take it
+            ({"horizon": True}, "horizon"),
+            ({"trials": True}, "trials"),
+            ({"master_seed": True}, "master_seed"),
+            ({"threads": True}, "threads"),
+            ({"checkpoints": [True, 5]}, "checkpoints"),
+            ({"output_dir": 7}, "output_dir"),
+            ({"dump_trajectories": "no"}, "dump_trajectories"),
         ],
     )
     def test_errors_name_the_key(self, over, needle):
@@ -144,6 +152,7 @@ class TestExperiments:
         run_experiment(_cfg(tmp_path, "first-mistake", trials=1))
         rows = read_csv(tmp_path / "first-mistake" / "first_mistake.csv")
         assert rows[0] == ["t", "ell_star", "p_first_mistake", "log10_p", "survivor_mass_running"]
+        assert len(rows) == 1 + 60  # one row per agent up to the horizon
         # t=1 row: P(T1=1) = Phi(-1/2) for sigma=2
         assert float(rows[1][2]) == pytest.approx(0.308537538725986896, rel=1e-12)
         # empirical column is NaN with a single trial

@@ -2,13 +2,14 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from herdsim import montecarlo
-from herdsim.belief import ActionLabel, d_minus, d_plus, rb_mistake_weight
+from herdsim.belief import ActionLabel, d_minus, d_plus, ell_star_path, rb_mistake_weight
 from herdsim.montecarlo import (
     AggregateStats,
     default_checkpoints,
@@ -126,7 +127,6 @@ class TestReplay:
         assert stats.censored == (a[-1] != 1)
         good = [b.length for b in dec.blocks if b.good]
         bad = [b.length for b in dec.blocks if not b.good]
-        assert stats.good_run_count == len(good) - (a[-1] == 1)
         assert stats.max_good_run == max(good, default=0)
         assert stats.max_bad_run == max(bad, default=0)
 
@@ -271,6 +271,24 @@ class TestValidation:
         assert agg.checkpoint_times == (1, 100)
 
 
+class TestCascade:
+    def test_rate_target_herd_past_the_cut_stays_finite(self):
+        # Once the shared belief passes the truncated support's cut no signal
+        # can overturn it: D+- is 0 there, the herd holds its belief and no
+        # trial errs for the first time afterwards.  (When D+- was NaN there,
+        # every remaining herd member recorded a mistake at t = 3252.)
+        model = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=30)
+        cut = float(model.support[-1])
+        t_cross = int(np.argmax(ell_star_path(model, 5000).values > cut)) + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = run_trials(model, PLUS, 5000, 200, master_seed=0)
+        for name in ("rb_sum", "rb_sumsq", "naive_sum", "ell_sum"):
+            assert np.all(np.isfinite(getattr(agg, name))), name
+        assert max(agg.first_mistake_hist) < t_cross
+        assert agg.first_mistake_hist[0] > 0
+
+
 # ---------------------------------------------------------------------------
 # The leader-lane engine against scalar references
 # ---------------------------------------------------------------------------
@@ -324,10 +342,12 @@ class TestBlockedSampling:
     def test_uniform_transform_is_elementwise(self, model):
         u = np.random.default_rng(3).random((64, 40))
         u[0, :3] = (0.0, 1.0 - 2.0**-53, model.llr_cdf(MINUS, 1.0))
-        with np.errstate(divide="ignore"):  # u = 0 maps to -inf for PolyTail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             block = model.llr_from_uniform(PLUS, u)
             for j in range(u.shape[1]):
                 assert np.array_equal(block[:, j], model.llr_from_uniform(PLUS, u[:, j].copy()))
+        assert np.all(np.isfinite(block))  # Generator.random can return u = 0
         # the scalar draw takes the same route
         u0 = np.random.default_rng(4).random()
         assert model.sample_llr(MINUS, np.random.default_rng(4)) == model.llr_from_uniform(
@@ -359,7 +379,7 @@ def _replay_aggregate(model, theta, horizon, trials, seed, batch_size, actions):
         ells = np.zeros((nb, len(ck)))
         naive = np.zeros((nb, len(ck)), dtype=bool)
         t_first, t_last = np.zeros(nb, dtype=np.int64), np.zeros(nb, dtype=np.int64)
-        upsets, good_runs, max_good, max_bad = (np.zeros(nb, dtype=np.int64) for _ in range(4))
+        upsets, max_good, max_bad = (np.zeros(nb, dtype=np.int64) for _ in range(3))
         censored = np.zeros(nb, dtype=bool)
         for r, i in enumerate(idx):
             a = actions[i]
@@ -380,7 +400,6 @@ def _replay_aggregate(model, theta, horizon, trials, seed, batch_size, actions):
             t_last[r] = wrong[-1] if len(wrong) else 0
             dec = extract_runs_and_upsets(a, theta)
             upsets[r] = dec.upsets
-            good_runs[r] = sum(b.good for b in dec.blocks[:-1])
             max_good[r] = max((b.length for b in dec.blocks if b.good), default=0)
             max_bad[r] = max((b.length for b in dec.blocks if not b.good), default=0)
             censored[r] = a[-1] != correct
@@ -403,7 +422,7 @@ def _replay_aggregate(model, theta, horizon, trials, seed, batch_size, actions):
         batch.last_mistake_sumsq = float(np.sum(t_last[unc].astype(float) ** 2))
         batch.ttl_lower_bound_sum = float(np.sum(np.where(unc, t_last + 1, horizon).astype(float)))
         per_trial = {
-            "t_first": t_first, "t_last": t_last, "upsets": upsets, "good_runs": good_runs,
+            "t_first": t_first, "t_last": t_last, "upsets": upsets,
             "max_good": max_good, "max_bad": max_bad, "censored": censored,
         }
         batches.append((batch, per_trial, ells))

@@ -202,6 +202,12 @@ class TestRateTargetModel:
         with pytest.raises(ModelValidationError):
             build_rate_target([1.0, 0.5, 0.25], cutoff_mass=0.5)  # cutoff too large
 
+    def test_equality_is_identity(self):
+        # the fields hold arrays, so field-wise == and hash cannot work
+        other = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=2000)
+        assert self.model == self.model and self.model != other
+        assert len({self.model, other, self.model}) == 2
+
     def test_callable_q_matches_table(self):
         q = [1.0 / (n + 2.0) for n in range(-1, 101)]
         a = build_rate_target(q)
