@@ -300,13 +300,18 @@ def _ell_star_path_ratetarget(
 class FirstMistakeDistribution:
     """Exact law of the first mistake time under theta=+1.
 
-    ``pmf[i]`` is P(T1 = i+1); ``survivor_mass`` is the probability that no
-    mistake occurs within the horizon (the paper's T1 = 0 convention).
+    ``pmf[i]`` is P(T1 = i+1) and ``survivor[i]`` is P(T1 > i+1), both from
+    sums of logs, so neither cancels; ``survivor_mass`` is the probability that
+    no mistake occurs within the horizon (the paper's T1 = 0 convention).
     """
 
     pmf: np.ndarray
-    survivor_mass: float
+    survivor: np.ndarray
     ell_star: EllStarPath
+
+    @property
+    def survivor_mass(self) -> float:
+        return float(self.survivor[-1])
 
     def total(self) -> float:
         return float(np.sum(self.pmf) + self.survivor_mass)
@@ -326,8 +331,7 @@ def first_mistake_distribution(
     log_correct = np.asarray(model.llr_log_sf(StateOfWorld.PLUS, neg), dtype=float)
     cum = np.concatenate(([0.0], np.cumsum(log_correct)))
     pmf = np.exp(log_mistake + cum[:-1])
-    survivor = float(np.exp(cum[-1]))
-    return FirstMistakeDistribution(pmf=pmf, survivor_mass=survivor, ell_star=path)
+    return FirstMistakeDistribution(pmf=pmf, survivor=np.exp(cum[1:]), ell_star=path)
 
 
 def u_plus_monotone_threshold(

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .experiments import ConfigError, parse_config, run_experiment
@@ -32,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads (affects speed only, never results)",
     )
     run.add_argument(
-        "--dump-trajectories", action="store_true",
+        "--dump-trajectories", action="store_true", default=None,
         help="also write raw action sequences for the first trials",
     )
     return parser
@@ -49,27 +48,10 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.output_dir is not None:
-        overrides["output_dir"] = args.output_dir
-    if args.threads is not None:
-        if args.threads < 1:
-            print("config error: threads: must be a positive integer", file=sys.stderr)
-            return EXIT_CONFIG
-        overrides["threads"] = args.threads
-    if args.dump_trajectories:
-        overrides["dump_trajectories"] = True
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-
-    try:
+        config = parse_config(
+            text, master_seed=args.seed, output_dir=args.output_dir,
+            threads=args.threads, dump_trajectories=args.dump_trajectories,
+        )
         manifest = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,14 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import asymptotics, belief, montecarlo
-from .signal_models import (
-    ModelValidationError,
-    NumericalFailure,
-    SignalModel,
-    StateOfWorld,
-    build_rate_target,
-    model_from_dict,
-)
+from .signal_models import ModelValidationError, NumericalFailure, StateOfWorld, model_from_dict
 
 __all__ = [
     "EXPERIMENT_NAMES",
@@ -40,17 +33,6 @@ __all__ = [
     "emit_outputs",
 ]
 
-EXPERIMENT_NAMES = (
-    "gauss-rate",
-    "first-mistake",
-    "time-to-learn",
-    "upset-tail",
-    "rate-target",
-    "mistake-curve",
-    "baseline-compare",
-    "ode-check",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending key."""
@@ -58,6 +40,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One checked run; the fields are the config keys, in the order parse_config checks them."""
+
     experiment: str
     model: dict  # model document; "synthetic" family allowed for ode-check
     horizon: int
@@ -104,97 +88,59 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment document, applying defaults."""
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse and validate a JSON experiment document, applying defaults.
+
+    ``overrides`` (the CLI flags) replace keys of the document before
+    validation; a value of None means "not given".  The keys, defaults and
+    order come from ``ExperimentConfig``'s fields, and every invalid value
+    raises a ConfigError that names its key.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    doc.update((key, value) for key, value in overrides.items() if value is not None)
 
-    known = {
-        "experiment", "model", "horizon", "trials", "master_seed",
-        "prior", "checkpoints", "output_dir", "threads", "dump_trajectories",
-    }
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+    fields = dataclasses.fields(ExperimentConfig)
+    unknown = [key for key in doc if key not in {f.name for f in fields}]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    values = {}
+    for f in fields:
+        value = doc.get(f.name, None if f.default is dataclasses.MISSING else f.default)
+        valid, expected = _RULES[f.name]
+        if not valid(value, values):
+            raise ConfigError(f"{f.name}: must be {expected}, got {value!r}")
+        values[f.name] = value
 
-    experiment = doc.get("experiment")
-    if experiment not in EXPERIMENT_NAMES:
-        raise ConfigError(
-            f"experiment: unknown experiment name {experiment!r}; "
-            f"expected one of {', '.join(EXPERIMENT_NAMES)}"
-        )
-
-    model = doc.get("model")
-    if not isinstance(model, dict) or "family" not in model:
-        raise ConfigError("model: a model document with a 'family' key is required")
+    experiment, model = values["experiment"], values["model"]
     family = model["family"]
     if family == "synthetic":
-        if experiment != "ode-check":
-            raise ConfigError("model.family: 'synthetic' is only valid for ode-check")
         tail = model.get("tail")
         if tail not in ("exponential", "polynomial"):
             raise ConfigError("model.tail: must be 'exponential' or 'polynomial'")
         if tail == "polynomial" and not (isinstance(model.get("k"), (int, float)) and model["k"] > 0):
             raise ConfigError("model.k: positive tail exponent required")
     else:
-        if family == "ratetarget" and "q_table" not in model:
-            raise ConfigError("model.q_table: rate-target models require a Q table")
         try:
             model_from_dict(model)
         except (ModelValidationError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from exc
+    if _PAIRED.get(experiment, family) != family or _PAIRED.get(family, experiment) != experiment:
+        raise ConfigError(f"model.family: {experiment} cannot take a {family!r} model")
 
-    horizon = _field(doc, "horizon", None, _positive_int, "a positive integer")
-    trials = _field(doc, "trials", 1, _positive_int, "a positive integer")
-    prior = _field(
-        doc, "prior", 0.5, lambda v: type(v) in (int, float) and 0.0 < v < 1.0,
-        "strictly between 0 and 1",
-    )
-    master_seed = _field(
-        doc, "master_seed", 0, lambda v: type(v) is int and v >= 0, "a nonnegative integer"
-    )
-    checkpoints = _field(
-        doc, "checkpoints", None,
-        lambda v: v is None or type(v) is list and all(_positive_int(t) and t <= horizon for t in v),
-        "integers in [1, horizon]",
-    )
-    if checkpoints is not None:
-        checkpoints = tuple(sorted(set(checkpoints)))
-    threads = _field(doc, "threads", 1, _positive_int, "a positive integer")
-    output_dir = _field(doc, "output_dir", ".", lambda v: type(v) is str, "a string")
-    dump_trajectories = _field(
-        doc, "dump_trajectories", False, lambda v: type(v) is bool, "true or false"
-    )
-
-    return ExperimentConfig(
-        experiment=experiment,
-        model=model,
-        horizon=horizon,
-        trials=trials,
-        master_seed=master_seed,
-        prior=float(prior),
-        checkpoints=checkpoints,
-        output_dir=output_dir,
-        threads=threads,
-        dump_trajectories=dump_trajectories,
-    )
+    if values["checkpoints"] is not None:
+        values["checkpoints"] = tuple(sorted(set(values["checkpoints"])))
+    values["prior"] = float(values["prior"])
+    return ExperimentConfig(**values)
 
 
-def _positive_int(value) -> bool:
+def _positive_int(value, _=None) -> bool:
     # type(), not isinstance(): JSON true/false parse to bool, a subclass of int
     return type(value) is int and value >= 1
-
-
-def _field(doc: dict, key: str, default, valid, expected: str):
-    """The value at ``key`` (or ``default``); ConfigError naming the key if not valid."""
-    value = doc.get(key, default)
-    if not valid(value):
-        raise ConfigError(f"{key}: must be {expected}, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -217,39 +163,37 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_model(config: ExperimentConfig) -> SignalModel:
-    return model_from_dict(config.model)
-
-
 # ---------------------------------------------------------------------------
-# Experiment bodies: each returns ({filename: text}, summary dict)
+# Experiment bodies: each takes (config, model) and returns
+# ({filename: text}, summary dict); model is None for a synthetic ode-check
 # ---------------------------------------------------------------------------
 
 
-def _exp_gauss_rate(config: ExperimentConfig):
-    model = _build_model(config)
-    if model.family != "gaussian":
-        raise ConfigError("model.family: gauss-rate requires a gaussian model")
+def _ratio_to_reference(config, model, t_min: int, reference, name: str):
+    """ratio.csv of ell*_t against a reference curve at checkpoints t >= t_min."""
     path = belief.ell_star_path(model, config.horizon, config.prior_llr)
-    rows = []
-    for t in config.checkpoint_times():
-        if t <= 1:
-            continue
-        pred = asymptotics.gaussian_rate_prediction(model.sigma, t)
-        ell = path.values[t - 1]
-        rows.append((t, ell, pred, ell / pred))
-    files = {"ratio.csv": _csv_text(["t", "ell_star", "prediction", "ratio"], rows)}
-    return files, {"final_ratio": rows[-1][3] if rows else None}
+    rows = [
+        (t, path.values[t - 1], reference(t), path.values[t - 1] / reference(t))
+        for t in config.checkpoint_times()
+        if t >= t_min
+    ]
+    return {"ratio.csv": _csv_text(["t", "ell_star", name, "ratio"], rows)}, [r[3] for r in rows]
 
 
-def _exp_first_mistake(config: ExperimentConfig):
-    model = _build_model(config)
+def _exp_gauss_rate(config: ExperimentConfig, model):
+    files, ratios = _ratio_to_reference(
+        config, model, 2, lambda t: asymptotics.gaussian_rate_prediction(model.sigma, t),
+        "prediction",
+    )
+    return files, {"final_ratio": ratios[-1] if ratios else None}
+
+
+def _exp_first_mistake(config: ExperimentConfig, model):
     dist = belief.first_mistake_distribution(model, config.horizon, config.prior_llr)
-    running = 1.0 - np.cumsum(dist.pmf)
     with np.errstate(divide="ignore"):
         log10p = np.log10(dist.pmf)
     fm_rows = [
-        (t + 1, dist.ell_star.values[t], dist.pmf[t], log10p[t], running[t])
+        (t + 1, dist.ell_star.values[t], dist.pmf[t], log10p[t], dist.survivor[t])
         for t in range(config.horizon)
     ]
     files = {
@@ -259,31 +203,24 @@ def _exp_first_mistake(config: ExperimentConfig):
         )
     }
     if config.trials >= 2:
-        agg = montecarlo.run_trials(
-            model, StateOfWorld.PLUS, config.horizon, config.trials,
-            config.master_seed, config.checkpoint_times(), threads=config.threads,
-        )
-        t1_rows = [
-            (t + 1, agg.first_mistake_hist.get(t + 1, 0) / config.trials, dist.pmf[t])
-            for t in range(config.horizon)
-        ]
+        hist = _run_aggregate(config, model).first_mistake_hist
+        empirical = [hist.get(t, 0) / config.trials for t in range(1, config.horizon + 1)]
     else:
-        t1_rows = [(t + 1, float("nan"), dist.pmf[t]) for t in range(config.horizon)]
+        empirical = [float("nan")] * config.horizon
+    t1_rows = zip(range(1, config.horizon + 1), empirical, dist.pmf)
     files["t1.csv"] = _csv_text(["t", "empirical", "exact"], t1_rows)
     return files, {"survivor_mass": dist.survivor_mass}
 
 
-def _run_aggregate(config: ExperimentConfig):
-    model = _build_model(config)
-    return model, montecarlo.run_trials(
-        model, StateOfWorld.PLUS, config.horizon, config.trials,
-        config.master_seed, config.checkpoint_times(), threads=config.threads,
+def _run_aggregate(config: ExperimentConfig, model, trials=None, **kwargs):
+    return montecarlo.run_trials(
+        model, StateOfWorld.PLUS, config.horizon, trials or config.trials,
+        config.master_seed, config.checkpoint_times(), threads=config.threads, **kwargs,
     )
 
 
-def _exp_time_to_learn(config: ExperimentConfig):
-    _, agg = _run_aggregate(config)
-    report = montecarlo.estimate_time_to_learn(agg)
+def _exp_time_to_learn(config: ExperimentConfig, model):
+    report = montecarlo.estimate_time_to_learn(_run_aggregate(config, model))
     rows = [
         (
             report.horizon,
@@ -304,8 +241,8 @@ def _exp_time_to_learn(config: ExperimentConfig):
     }
 
 
-def _exp_upset_tail(config: ExperimentConfig):
-    _, agg = _run_aggregate(config)
+def _exp_upset_tail(config: ExperimentConfig, model):
+    agg = _run_aggregate(config, model)
     fit = montecarlo.estimate_upset_tail(agg)
     upset_rows = [
         (int(n), fit.survival[n], fit.wilson_lo[n], fit.wilson_hi[n])
@@ -322,32 +259,18 @@ def _exp_upset_tail(config: ExperimentConfig):
     return files, {"slope": fit.slope, "r_squared": fit.r_squared}
 
 
-def _exp_rate_target(config: ExperimentConfig):
-    model = _build_model(config)
-    if model.family != "ratetarget":
-        raise ConfigError("model.family: rate-target requires a ratetarget model")
-    path = belief.ell_star_path(model, config.horizon, config.prior_llr)
-    rows = []
-    for t in config.checkpoint_times():
-        if t < 3:
-            continue
-        r_t = t / math.log(t)
-        ell = path.values[t - 1]
-        rows.append((t, ell, r_t, ell / r_t))
-    files = {"ratio.csv": _csv_text(["t", "ell_star", "r_t", "ratio"], rows)}
-    ratios = [r[3] for r in rows]
+def _exp_rate_target(config: ExperimentConfig, model):
+    files, ratios = _ratio_to_reference(config, model, 3, lambda t: t / math.log(t), "r_t")
     return files, {"min_ratio": min(ratios) if ratios else None}
 
 
-def _exp_mistake_curve(config: ExperimentConfig):
-    _, agg = _run_aggregate(config)
-    rows = montecarlo.estimate_mistake_curve(agg)
+def _exp_mistake_curve(config: ExperimentConfig, model):
+    rows = montecarlo.estimate_mistake_curve(_run_aggregate(config, model))
     files = {"mistakes.csv": _csv_text(["t", "p_rb", "p_naive", "stderr"], rows)}
     return files, {"final_p_rb": rows[-1][1]}
 
 
-def _exp_baseline_compare(config: ExperimentConfig):
-    model = _build_model(config)
+def _exp_baseline_compare(config: ExperimentConfig, model):
     ckpt = config.checkpoint_times()
     sums = np.zeros(len(ckpt))
     for trial in range(config.trials):
@@ -363,9 +286,9 @@ def _exp_baseline_compare(config: ExperimentConfig):
     return files, {"final_per_step": rows[-1][2]}
 
 
-def _exp_ode_check(config: ExperimentConfig):
+def _exp_ode_check(config: ExperimentConfig, model):
     ts = np.geomspace(10.0, float(config.horizon), 40)
-    if config.model.get("family") == "synthetic":
+    if model is None:
         if config.model["tail"] == "exponential":
             rate = lambda x: math.exp(-x)
             closed = lambda t: asymptotics.closed_form_exponential_tail(1.0, t)
@@ -385,7 +308,6 @@ def _exp_ode_check(config: ExperimentConfig):
         files = {"ode_check.csv": _csv_text(["t", "f_ode", "f_closed", "rel_err"], rows)}
         return files, {"max_rel_err": max(r[3] for r in rows)}
 
-    model = _build_model(config)
     sol = asymptotics.solve_belief_ode(model, 1.0, 1.0, float(config.horizon))
     path = belief.ell_star_path(model, config.horizon, config.prior_llr)
     rows = []
@@ -406,15 +328,38 @@ _DISPATCH = {
     "baseline-compare": _exp_baseline_compare,
     "ode-check": _exp_ode_check,
 }
+EXPERIMENT_NAMES = tuple(_DISPATCH)
 
 
-def _dump_trajectories(config: ExperimentConfig) -> dict:
-    n = min(config.trials, 100)
-    _, actions = montecarlo.run_trials(
-        _build_model(config), StateOfWorld.PLUS, config.horizon, n,
-        config.master_seed, config.checkpoint_times(), threads=config.threads,
-        collect_actions=True,
-    )
+# key -> (valid(value, values parsed so far), what a valid value is)
+_RULES = {
+    "experiment": (
+        lambda v, _: v in EXPERIMENT_NAMES, "one of " + ", ".join(EXPERIMENT_NAMES)
+    ),
+    "model": (
+        lambda v, _: isinstance(v, dict) and "family" in v, "a model document with a 'family' key"
+    ),
+    "horizon": (_positive_int, "a positive integer"),
+    "trials": (_positive_int, "a positive integer"),
+    "master_seed": (lambda v, _: type(v) is int and v >= 0, "a nonnegative integer"),
+    "prior": (lambda v, _: type(v) in (int, float) and 0.0 < v < 1.0, "strictly between 0 and 1"),
+    "checkpoints": (
+        lambda v, got: v is None or type(v) is list and len(v) > 0
+        and all(_positive_int(t) and t <= got["horizon"] for t in v),
+        "a nonempty list of integers in [1, horizon]",
+    ),
+    "output_dir": (lambda v, _: type(v) is str, "a string"),
+    "threads": (_positive_int, "a positive integer"),
+    "dump_trajectories": (lambda v, _: type(v) is bool, "true or false"),
+}
+
+# An experiment that needs one model family, and a family that needs one
+# experiment: the closed-form "synthetic" tails only make sense for ode-check.
+_PAIRED = {"gauss-rate": "gaussian", "rate-target": "ratetarget", "synthetic": "ode-check"}
+
+
+def _dump_trajectories(config: ExperimentConfig, model) -> dict:
+    _, actions = _run_aggregate(config, model, min(config.trials, 100), collect_actions=True)
     lines = ["trial,t,action"]
     for trial, row in enumerate(actions):
         for t, a in enumerate(row, start=1):
@@ -445,13 +390,18 @@ def emit_outputs(files: dict, output_dir: str) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
-    """Run one experiment and write its artifacts plus manifest.json."""
+    """Run one experiment and write its artifacts plus manifest.json.
+
+    ``config`` comes from ``parse_config``, which has already checked it;
+    the signal model is built here once and shared by the experiment body
+    and the trajectory dump.
+    """
     started = datetime.now(timezone.utc).isoformat()
-    body = _DISPATCH[config.experiment]
+    model = None if config.model["family"] == "synthetic" else model_from_dict(config.model)
     try:
-        files, summary = body(config)
-        if config.dump_trajectories and config.model.get("family") != "synthetic":
-            files.update(_dump_trajectories(config))
+        files, summary = _DISPATCH[config.experiment](config, model)
+        if config.dump_trajectories and model is not None:
+            files.update(_dump_trajectories(config, model))
     except NumericalFailure as exc:
         raise NumericalFailure(f"{config.experiment}: {exc}") from exc
     checksums = emit_outputs(files, config.output_dir)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -632,31 +632,19 @@ def estimate_upset_tail(agg: AggregateStats, min_count: int = 50) -> UpsetTailFi
 
 
 def merge_aggregates(a: AggregateStats, b: AggregateStats) -> AggregateStats:
-    """Commutative, associative merge of two aggregates on the same grid."""
+    """Commutative, associative merge of two aggregates on the same grid.
+
+    Every ``AggregateStats`` field after the shared grid (``horizon``,
+    ``checkpoint_times``) is merged by its type: the histograms (dicts) add
+    count by count, and the counts and per-checkpoint sums add.
+    """
     if a.horizon != b.horizon or a.checkpoint_times != b.checkpoint_times:
         raise ValueError("aggregates use different horizons or checkpoint grids")
-
-    def merged_hist(ha, hb):
-        out = dict(ha)
-        for k, v in hb.items():
-            out[k] = out.get(k, 0) + v
-        return out
-
-    return AggregateStats(
-        horizon=a.horizon,
-        checkpoint_times=a.checkpoint_times,
-        trial_count=a.trial_count + b.trial_count,
-        first_mistake_hist=merged_hist(a.first_mistake_hist, b.first_mistake_hist),
-        upset_hist=merged_hist(a.upset_hist, b.upset_hist),
-        max_good_run_hist=merged_hist(a.max_good_run_hist, b.max_good_run_hist),
-        max_bad_run_hist=merged_hist(a.max_bad_run_hist, b.max_bad_run_hist),
-        rb_sum=a.rb_sum + b.rb_sum,
-        rb_sumsq=a.rb_sumsq + b.rb_sumsq,
-        naive_sum=a.naive_sum + b.naive_sum,
-        ell_sum=a.ell_sum + b.ell_sum,
-        censored_count=a.censored_count + b.censored_count,
-        uncensored_count=a.uncensored_count + b.uncensored_count,
-        last_mistake_sum=a.last_mistake_sum + b.last_mistake_sum,
-        last_mistake_sumsq=a.last_mistake_sumsq + b.last_mistake_sumsq,
-        ttl_lower_bound_sum=a.ttl_lower_bound_sum + b.ttl_lower_bound_sum,
-    )
+    merged = {}
+    for f in fields(AggregateStats)[2:]:
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, dict):
+            merged[f.name] = va | {k: va.get(k, 0) + v for k, v in vb.items()}
+        else:
+            merged[f.name] = va + vb
+    return AggregateStats(horizon=a.horizon, checkpoint_times=a.checkpoint_times, **merged)

@@ -320,18 +320,24 @@ class PolyTailSignalModel(InverseCdfSignalModel):
 
     # T in the notation above
     @cached_property
+    def _tail_nodes(self):
+        """(x, log T(x)) on 20001 even nodes of [1, 60], shared by both splines.
+
+        The confluent-hypergeometric evaluation of T costs microseconds per
+        point (about 20 ms for the whole table at k=2), so it runs once.
+        """
+        x_nodes = np.linspace(1.0, 60.0, 20001)
+        return x_nodes, _log_exp_poly_upper_tail(x_nodes, self.k)
+
+    @cached_property
     def _log_tail_spline(self):
         """Dense cubic spline of log T on [1, 60]; max error ~1e-13.
 
-        The confluent-hypergeometric evaluation of T costs microseconds per
-        point, far too slow for the simulation hot path; the spline (plus
-        the asymptotic series beyond x=60) reproduces it to near machine
-        precision at vector speed.
+        Exact evaluation of T is far too slow for the simulation hot path;
+        the spline (plus the asymptotic series beyond x=60) reproduces it to
+        near machine precision at vector speed.
         """
-        x_nodes = np.linspace(1.0, 60.0, 20001)
-        return interpolate.CubicSpline(
-            x_nodes, _log_exp_poly_upper_tail(x_nodes, self.k)
-        )
+        return interpolate.CubicSpline(*self._tail_nodes)
 
     def _log_T(self, x):
         """log T(x) for x >= 1, elementwise and fast."""
@@ -418,11 +424,13 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         """Inverse of s = c*T(x) on x in [1, 60], as a cubic spline in log s.
 
         The map log s -> x is close to linear, so a dense spline reproduces
-        the exact inverse to ~1e-13 in probability; draws landing beyond
-        x=60 (survival below ~1e-30) are refined by bisection.
+        the exact inverse to ~1e-13 in probability.  Every draw lands inside
+        it: for u in [0, 1), s = 1 - u >= 2**-53, so log s >= -36.74, while
+        the spline reaches down to log(c*T(60)), about -71.8 for k=2 and
+        lower for every k.
         """
-        x_nodes = np.linspace(1.0, 60.0, 20001)
-        w_nodes = np.log(self.c) + _log_exp_poly_upper_tail(x_nodes, self.k)
+        x_nodes, log_t = self._tail_nodes
+        w_nodes = np.log(self.c) + log_t
         # w decreases in x; CubicSpline wants increasing abscissae.
         return interpolate.CubicSpline(w_nodes[::-1], x_nodes[::-1])
 
@@ -439,32 +447,9 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         out[lo] = -np.power(self.k * np.maximum(u[lo], 2.0**-53) / self.c, -1.0 / self.k)
         hi = ~lo
         if np.any(hi):
-            s = 1.0 - u[hi]
-            w = np.log(s)
             spl = self._pos_branch_ppf
-            x = spl(np.clip(w, spl.x[0], spl.x[-1]))
-            deep = w < spl.x[0]
-            if np.any(deep):
-                x[deep] = [self._deep_tail_root(wi) for wi in np.atleast_1d(w[deep])]
-            out[hi] = x
+            out[hi] = spl(np.clip(np.log(1.0 - u[hi]), spl.x[0], spl.x[-1]))
         return out
-
-    def _deep_tail_root(self, w: float) -> float:
-        """Solve log(c*T(x)) = w for x beyond the spline domain by bisection."""
-        lo, hi = 60.0, 120.0
-        while np.log(self.c) + float(_log_exp_poly_upper_tail(hi, self.k)) > w:
-            lo, hi = hi, hi * 2.0
-            if hi > 1e6:
-                raise NumericalFailure("poly-tail quantile bracket failed")
-        for _ in range(200):
-            midp = 0.5 * (lo + hi)
-            if np.log(self.c) + float(_log_exp_poly_upper_tail(midp, self.k)) > w:
-                lo = midp
-            else:
-                hi = midp
-            if hi - lo < 1e-12 * hi:
-                break
-        return 0.5 * (lo + hi)
 
     def llr_from_uniform(self, state, u):
         x = self._ppf_minus(u)
@@ -474,9 +459,8 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         return {"family": "polytail", "k": self.k}
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_pos_branch_ppf", None)  # rebuilt lazily after unpickling
-        return state
+        lazy = ("_tail_nodes", "_pos_branch_ppf")  # rebuilt lazily after unpickling
+        return {k: v for k, v in self.__dict__.items() if k not in lazy}
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,17 @@ class TestFirstMistake:
         dist = first_mistake_distribution(G2, 50)
         assert_allclose(dist.survivor_mass, 1.0 - np.sum(dist.pmf), rtol=1e-12)
 
+    def test_survivor_is_exact_in_the_deep_tail(self):
+        # Prior 1e-9 on theta=+: almost every herd errs at t=1, and 1 - cumsum(pmf)
+        # cancels to 0.0 long before t=200.  The survivor is built from logs.
+        dist = first_mistake_distribution(G1, 200, math.log(1e-9 / (1.0 - 1e-9)))
+        # [DERIVED] mpmath at 40 digits: prod_t (1 - Phi((-ell*_t - 2)/2)) = 3.1741267904184383e-21
+        assert_allclose(dist.survivor[-1], 3.1741267904184383e-21, rtol=1e-12)
+        assert dist.survivor_mass == dist.survivor[-1]
+        # P(T1 > t-1) = P(T1 = t) + P(T1 > t), all terms positive, so no cancellation
+        assert_allclose(dist.pmf[1:] + dist.survivor[1:], dist.survivor[:-1], rtol=1e-12)
+        assert dist.pmf[0] + dist.survivor[0] == pytest.approx(1.0, rel=1e-15)
+
 
 class TestUPlusMonotone:
     def test_gaussian_threshold_exists(self):

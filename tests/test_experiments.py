@@ -68,6 +68,10 @@ class TestParseConfig:
             ({"checkpoints": [True, 5]}, "checkpoints"),
             ({"output_dir": 7}, "output_dir"),
             ({"dump_trajectories": "no"}, "dump_trajectories"),
+            # an empty grid would leave the CSVs without rows and alias the default hash
+            ({"checkpoints": []}, "checkpoints"),
+            ({"model": POLY}, "model.family"),
+            ({"experiment": "rate-target"}, "model.family"),
         ],
     )
     def test_errors_name_the_key(self, over, needle):
@@ -91,6 +95,14 @@ class TestParseConfig:
             )
         )
         assert cfg.model["tail"] == "exponential"
+
+    def test_overrides_are_validated_like_keys(self):
+        cfg = parse_config(make_config(master_seed=4), master_seed=None, threads=3)
+        assert (cfg.master_seed, cfg.threads) == (4, 3)
+        assert parse_config(make_config(), dump_trajectories=True).dump_trajectories
+        for key, value in (("master_seed", -1), ("threads", 0), ("output_dir", 5)):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(make_config(), **{key: value})
 
     def test_checkpoints_sorted_deduped(self):
         cfg = parse_config(make_config(checkpoints=[50, 10, 50, 1]))
@@ -158,6 +170,17 @@ class TestExperiments:
         # empirical column is NaN with a single trial
         t1 = read_csv(tmp_path / "first-mistake" / "t1.csv")
         assert t1[1][1] == "nan"
+
+    def test_first_mistake_survivor_column_is_exact(self, tmp_path):
+        # at prior 1e-9, 1 - cumsum(pmf) cancels to 0.0; the exact value is 3.17e-21
+        cfg = _cfg(
+            tmp_path, "first-mistake", model={"family": "gaussian", "sigma": 1.0},
+            horizon=200, trials=1, prior=1e-9,
+        )
+        manifest = run_experiment(cfg)
+        rows = read_csv(tmp_path / "first-mistake" / "first_mistake.csv")
+        assert float(rows[-1][4]) == pytest.approx(3.1741267904184383e-21, rel=1e-12)
+        assert float(rows[-1][4]) == manifest.summary["survivor_mass"]
 
     def test_dump_trajectories(self, tmp_path):
         cfg = _cfg(tmp_path, "mistake-curve", trials=3, dump_trajectories=True)
@@ -270,9 +293,30 @@ class TestCli:
         assert manifest["master_seed"] == 77
         assert not (tmp_path / "ignored").exists()
 
-    def test_invalid_threads_exit_two(self, tmp_path):
+    def test_invalid_threads_exit_two(self, tmp_path, capsys):
         p = self._write(
             tmp_path,
             {"experiment": "gauss-rate", "model": GAUSS, "horizon": 100},
         )
         assert cli_main(["run", p, "--threads", "0"]) == 2
+        assert "threads" in capsys.readouterr().err
+
+    def test_invalid_seed_exit_two(self, tmp_path, capsys):
+        p = self._write(
+            tmp_path,
+            {"experiment": "mistake-curve", "model": GAUSS, "horizon": 20, "trials": 5,
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p, "--seed", "-1"]) == 2
+        assert "master_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["gauss-rate", "mistake-curve", "baseline-compare"])
+    def test_empty_checkpoints_exit_two(self, tmp_path, capsys, name):
+        p = self._write(
+            tmp_path,
+            {"experiment": name, "model": GAUSS, "horizon": 100, "checkpoints": [],
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p]) == 2
+        assert "checkpoints" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -152,6 +152,16 @@ class TestPolyTailModel:
         back = pt.llr_cdf(MINUS, xs)
         assert np.max(np.abs(back - us)) < 1e-10
 
+    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+    def test_largest_uniform_stays_inside_the_spline(self, k):
+        # 1 - u >= 2**-53 for every u in [0, 1), so log(1 - u) >= -36.74, far
+        # above the spline's lower end log(c*T(60)): no draw needs x > 60.
+        pt = PolyTailSignalModel(k=k)
+        x = pt._ppf_minus(np.array([1.0 - 2.0**-53]))[0]
+        assert math.isfinite(x) and 1.0 <= x <= 60.0
+        assert pt._pos_branch_ppf.x[0] < math.log(2.0**-53)
+        assert pt.llr_from_uniform(MINUS, np.array([1.0 - 2.0**-53]))[0] == x
+
     def test_invalid_k(self):
         with pytest.raises(ModelValidationError):
             PolyTailSignalModel(k=0.0)
