@@ -89,21 +89,22 @@ def _log_tail_gap(near, far):
 def _signed_increment(model: SignalModel, x, sign: int):
     """D_plus(x) for ``sign`` = +1 and D_minus(x) for ``sign`` = -1.
 
-    In the bulk D = B(PLUS, -x) - B(MINUS, -x), with B the log-survival for
-    +1 and the log-CDF for -1.  Once the near state's tail mass (minus for
-    +1, plus for -1) drops below 1e-8 that difference loses all precision,
-    and D switches to the tail form sign * (G_near - G_far) in the other log
-    function T; its neglected relative correction is of order that mass.
-    Past the cut of a truncated support both tails are empty and D = 0.
+    In the bulk D = B(PLUS) - B(MINUS), with B(state) the log-probability
+    of the action at x (``model.log_action_probabilities``).  Once the near
+    state's tail mass (minus for +1, plus for -1) drops below 1e-8 that
+    difference loses all precision, and D switches to the tail form
+    sign * (G_near - G_far) in the other log function T; its neglected
+    relative correction is of order that mass.  Past the cut of a truncated
+    support both tails are empty and D = 0; where the action itself is
+    impossible under both states the model raises ValueError.
     """
     x, scalar = _as1d(x)
-    bulk_log, tail_log = (model.llr_log_sf, model.llr_log_cdf)[::sign]
-    near, far = (StateOfWorld.MINUS, StateOfWorld.PLUS)[::sign]
-    b_minus = np.asarray(bulk_log(StateOfWorld.MINUS, -x), dtype=float)
-    b_plus = np.asarray(bulk_log(StateOfWorld.PLUS, -x), dtype=float)
+    b_minus, b_plus = model.log_action_probabilities(x, sign)
     out = b_plus - b_minus
     tail = (b_minus if sign > 0 else b_plus) > -1e-8
-    if np.any(tail):
+    if tail.any():
+        tail_log = model.llr_log_cdf if sign > 0 else model.llr_log_sf
+        near, far = (StateOfWorld.MINUS, StateOfWorld.PLUS)[::sign]
         xt = -x[tail]
         t_near = np.asarray(tail_log(near, xt), dtype=float)
         t_far = np.asarray(tail_log(far, xt), dtype=float)
@@ -279,11 +280,13 @@ def _ell_star_path_ratetarget(
     values = np.empty(horizon, dtype=float)
     ell = float(prior_llr)
     values[0] = ell
+    # At or below -cut no signal can make an agent play +1 (D_plus raises
+    # there); past +cut the increment vanishes.  Either way the path holds.
+    cut = float(model.support[-1])
     i = 0
     while i < horizon - 1:
-        step = float(d_plus(model, ell))
+        step = float(d_plus(model, ell)) if ell > -cut else 0.0
         if step <= 0.0 or not math.isfinite(step):
-            # Beyond the truncated support the increment vanishes.
             values[i:] = ell
             break
         next_boundary = math.floor(ell) + 1.0

@@ -111,26 +111,34 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
     values = {}
     for f in fields:
         value = doc.get(f.name, None if f.default is dataclasses.MISSING else f.default)
-        valid, expected = _RULES[f.name]
-        if not valid(value, values):
-            raise ConfigError(f"{f.name}: must be {expected}, got {value!r}")
+        _check(f.name, value, values)
         values[f.name] = value
-
     experiment, model = values["experiment"], values["model"]
+    for key, param in model.items():
+        if f"model.{key}" in _RULES:
+            _check(f"model.{key}", param, values)
+
     family = model["family"]
     if family == "synthetic":
         tail = model.get("tail")
         if tail not in ("exponential", "polynomial"):
             raise ConfigError("model.tail: must be 'exponential' or 'polynomial'")
-        if tail == "polynomial" and not (isinstance(model.get("k"), (int, float)) and model["k"] > 0):
+        if tail == "polynomial" and not (model.get("k", 0) > 0):
             raise ConfigError("model.k: positive tail exponent required")
     else:
         try:
             model_from_dict(model)
         except (ModelValidationError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from exc
-    if _PAIRED.get(experiment, family) != family or _PAIRED.get(family, experiment) != experiment:
+    family_needed, first_t = _PAIRED.get(experiment, (family, 1))
+    if family_needed != family or _PAIRED.get(family, (experiment, 1))[0] != experiment:
         raise ConfigError(f"model.family: {experiment} cannot take a {family!r} model")
+    grid = values["checkpoints"] or [values["horizon"]]  # the default grid ends at the horizon
+    if max(grid) < first_t:
+        raise ConfigError(
+            f"checkpoints: {experiment} needs a checkpoint t >= {first_t}, "
+            f"got {values['checkpoints']!r} with horizon {values['horizon']}"
+        )
 
     if values["checkpoints"] is not None:
         values["checkpoints"] = tuple(sorted(set(values["checkpoints"])))
@@ -138,9 +146,19 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _check(key: str, value, values: dict) -> None:
+    valid, expected = _RULES[key]
+    if not valid(value, values):
+        raise ConfigError(f"{key}: must be {expected}, got {value!r}")
+
+
 def _positive_int(value, _=None) -> bool:
     # type(), not isinstance(): JSON true/false parse to bool, a subclass of int
     return type(value) is int and value >= 1
+
+
+def _number(value, _=None) -> bool:
+    return type(value) in (int, float)
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +187,27 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_to_reference(config, model, t_min: int, reference, name: str):
-    """ratio.csv of ell*_t against a reference curve at checkpoints t >= t_min."""
+def _ratio_to_reference(config, model, reference, name: str):
+    """ratio.csv of ell*_t against a reference curve at the checkpoints where it is defined.
+
+    ``parse_config`` has checked that the grid reaches the experiment's
+    first usable t, so the file has at least one row.
+    """
+    first_t = _PAIRED[config.experiment][1]
     path = belief.ell_star_path(model, config.horizon, config.prior_llr)
     rows = [
         (t, path.values[t - 1], reference(t), path.values[t - 1] / reference(t))
         for t in config.checkpoint_times()
-        if t >= t_min
+        if t >= first_t
     ]
     return {"ratio.csv": _csv_text(["t", "ell_star", name, "ratio"], rows)}, [r[3] for r in rows]
 
 
 def _exp_gauss_rate(config: ExperimentConfig, model):
     files, ratios = _ratio_to_reference(
-        config, model, 2, lambda t: asymptotics.gaussian_rate_prediction(model.sigma, t),
-        "prediction",
+        config, model, lambda t: asymptotics.gaussian_rate_prediction(model.sigma, t), "prediction"
     )
-    return files, {"final_ratio": ratios[-1] if ratios else None}
+    return files, {"final_ratio": ratios[-1]}
 
 
 def _exp_first_mistake(config: ExperimentConfig, model):
@@ -260,8 +282,8 @@ def _exp_upset_tail(config: ExperimentConfig, model):
 
 
 def _exp_rate_target(config: ExperimentConfig, model):
-    files, ratios = _ratio_to_reference(config, model, 3, lambda t: t / math.log(t), "r_t")
-    return files, {"min_ratio": min(ratios) if ratios else None}
+    files, ratios = _ratio_to_reference(config, model, lambda t: t / math.log(t), "r_t")
+    return files, {"min_ratio": min(ratios)}
 
 
 def _exp_mistake_curve(config: ExperimentConfig, model):
@@ -351,11 +373,24 @@ _RULES = {
     "output_dir": (lambda v, _: type(v) is str, "a string"),
     "threads": (_positive_int, "a positive integer"),
     "dump_trajectories": (lambda v, _: type(v) is bool, "true or false"),
+    # parameters of the model document; JSON true must not pass as 1
+    "model.sigma": (_number, "a number"),
+    "model.k": (_number, "a number"),
+    "model.cutoff_mass": (_number, "a number"),
+    "model.q_table": (
+        lambda v, _: type(v) is list and all(_number(q) for q in v), "a list of numbers"
+    ),
 }
 
-# An experiment that needs one model family, and a family that needs one
-# experiment: the closed-form "synthetic" tails only make sense for ode-check.
-_PAIRED = {"gauss-rate": "gaussian", "rate-target": "ratetarget", "synthetic": "ode-check"}
+# An experiment that needs one model family, with the first checkpoint t
+# its ratio.csv uses (gauss-rate's sqrt(log t) is 0 at t = 1, rate-target's
+# t/log t falls until t = e), and a family that needs one experiment: the
+# closed-form "synthetic" tails only make sense for ode-check.
+_PAIRED = {
+    "gauss-rate": ("gaussian", 2),
+    "rate-target": ("ratetarget", 3),
+    "synthetic": ("ode-check", 1),
+}
 
 
 def _dump_trajectories(config: ExperimentConfig, model) -> dict:

@@ -3,17 +3,21 @@
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so results are a pure function of the seed and trial index
 regardless of scheduling or thread count.  Trials are simulated in
-lockstep batches around a leader lane: every trial whose actions have all
-been correct sits on the same deterministic path ell* and shares one
-belief, so it costs one comparison per step.  A trial leaves this herd at
-its first mistake and from then on is stepped in a lane of its own; all
-lanes step with one signed increment call (two for the discrete
-rate-target model).  Bookkeeping runs on the lanes only and is scattered
-back to full width, in trial order, at checkpoints and at the end, so the
-aggregates are bit-identical to stepping every trial.  Batches are
-reduced into mergeable ``AggregateStats``; batch boundaries are fixed by
-the trial indices alone, and merges happen in batch order, so parallel
-and serial runs produce identical aggregates bit for bit.
+lockstep batches around a leader: every trial whose actions have all been
+correct sits on the same deterministic path ell* and shares one belief, so
+the whole herd costs one comparison per step, against the step's extreme
+herd draw, found once per chunk of steps.  A trial leaves this herd at its
+first mistake and becomes a lane.  Lanes with equal (ell,
+carry, action) step identically, so they point into a small array of
+cohort states and the signed increment runs once per cohort (twice per
+step for the discrete rate-target model); run bookkeeping stays per lane.
+Inversion-sampled models keep the herd's draws as uniforms and transform
+only the lanes' draws.  Everything is scattered back to full width, in
+trial order, at checkpoints and at the end, so the aggregates are
+bit-identical to stepping every trial.  Batches are reduced into mergeable
+``AggregateStats``; batch boundaries are fixed by the trial indices alone,
+and merges happen in batch order, so parallel and serial runs produce
+identical aggregates bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ __all__ = [
 
 DEFAULT_BATCH_SIZE = 2048
 _TIME_CHUNK = 1024
-_SAMPLE_BLOCK = 128  # streams drawn per block; bounds the transform's temporaries
+_SAMPLE_BLOCK = 64  # rows transformed per block; bounds the transform's temporaries
 
 
 def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -159,31 +163,53 @@ _LANE = np.dtype(
     ]
 )
 
+# Relative slack on the herd's edge.  It covers transforms that are
+# monotone only to within a few ulps (spline and power evaluations), so a
+# step is cleared from its extreme uniforms only when no herd draw can err.
+_HERD_MARGIN = 1e-9
 
-def _draw_chunk(model: SignalModel, theta: StateOfWorld, gens, chunk: int) -> np.ndarray:
-    """Private-LLR draws of shape (chunk, trials); column j comes from stream j.
 
-    Streams are drawn ``_SAMPLE_BLOCK`` at a time into the rows of a small
-    buffer that is then transposed into place.  Inversion-sampled models
-    draw uniforms there and transform the whole block in one call; the
-    transform is elementwise, so the draws equal per-stream ``sample_llr``
-    calls bit for bit.
+def _draw_chunk(model: SignalModel, theta: StateOfWorld, gens, chunk: int, in_herd: np.ndarray):
+    """Draws of shape (trials, chunk), row j from stream j, and the herd's edge.
+
+    Inversion-sampled models draw uniforms and turn into LLRs only the rows
+    of trials outside the herd (``~in_herd``); a herd row stays uniform
+    until its trial leaves the herd.  The transform is elementwise, so each
+    transformed draw equals the per-stream ``sample_llr`` draw bit for bit.
+
+    ``edge[s]`` bounds the herd's LLRs at step s on the erring side: none
+    lies below it under theta=+1, none above it under theta=-1.  It comes
+    from the step's two extreme herd values, both transformed, so no
+    direction of monotonicity is assumed, widened by ``_HERD_MARGIN``.
+    ``edge`` is None when the herd is empty.
     """
-    draws = np.empty((chunk, len(gens)))
-    buf = np.empty((_SAMPLE_BLOCK, chunk))
+    draws = np.empty((len(gens), chunk))
     inverse = isinstance(model, InverseCdfSignalModel)
-    for lo in range(0, len(gens), _SAMPLE_BLOCK):
-        block = gens[lo:lo + _SAMPLE_BLOCK]
-        rows = buf[:len(block)]
-        for row, gen in zip(rows, block):
-            if inverse:
-                gen.random(out=row)
-            else:
-                row[:] = model.sample_llr(theta, gen, size=chunk)
+    for row, gen in zip(draws, gens):
         if inverse:
-            rows = model.llr_from_uniform(theta, rows)
-        draws[:, lo:lo + len(block)] = rows.T
-    return draws
+            gen.random(out=row)
+        else:
+            row[:] = model.sample_llr(theta, gen, size=chunk)
+    if inverse:
+        _to_llr(model, theta, draws, np.flatnonzero(~in_herd), 0)
+    if not in_herd.any():
+        return draws, None
+    herd = in_herd[:, None]
+    ends = np.stack((
+        draws.min(axis=0, where=herd, initial=np.inf),
+        draws.max(axis=0, where=herd, initial=-np.inf),
+    ))
+    if inverse:
+        ends = model.llr_from_uniform(theta, ends)
+    edge = ends.min(axis=0) if theta.sign > 0 else ends.max(axis=0)
+    return draws, edge - theta.sign * _HERD_MARGIN * (1.0 + np.abs(edge))
+
+
+def _to_llr(model: InverseCdfSignalModel, theta, draws: np.ndarray, rows: np.ndarray, start: int):
+    """Turn the uniforms draws[rows, start:] into LLRs in place, in blocks of rows."""
+    for lo in range(0, len(rows), _SAMPLE_BLOCK):
+        block = rows[lo:lo + _SAMPLE_BLOCK]
+        draws[block, start:] = model.llr_from_uniform(theta, draws[block, start:])
 
 
 def _increment(model: SignalModel, ell: np.ndarray, sgn: np.ndarray) -> np.ndarray:
@@ -228,15 +254,19 @@ def _simulate_batch(
     checkpoint_times: tuple[int, ...],
     collect_actions: bool = False,
 ):
-    """Leader-lane simulation of one batch of trials.
+    """Leader-lane simulation of one batch of trials, stepped by cohort.
 
     Every trial whose actions have all been correct shares one belief, the
-    leader in lane 0, and costs one comparison per step.  A trial leaves
-    this herd at its first mistake and gets a lane of its own, starting
-    from the leader's exact (ell, carry).  Lanes carry the belief and the
-    current action; run bookkeeping is touched only when a lane switches
-    action, and everything is scattered to full width, in trial order, at
-    checkpoints and at the end.
+    leader, and costs one comparison per step.  A trial leaves this herd at
+    its first mistake and becomes a lane.  Trials with equal (ell, carry,
+    action) step identically, so a lane holds only an index into a small
+    array of cohort states, and the increment runs once per cohort: the
+    lanes that leave the herd at one step share a new cohort, as do the
+    lanes of one cohort that switch action at the same step, and cohorts
+    no lane uses any more are dropped at chunk boundaries.  Run bookkeeping
+    stays per lane and is touched only when a lane switches action; the
+    checkpoint values and the final statistics are scattered to full width,
+    in trial order.
 
     Returns (AggregateStats, per-trial stats arrays dict, actions or None,
     per-trial checkpoint ell matrix).  Output depends only on
@@ -245,14 +275,17 @@ def _simulate_batch(
     nb = len(trial_indices)
     gens = [_trial_rng(master_seed, int(i)) for i in trial_indices]
     correct_plus = theta.sign > 0
+    inverse = isinstance(model, InverseCdfSignalModel)
 
     herd = np.arange(nb)
-    # Lane 0 is the leader; lane i >= 1 is trial cols[i - 1] with run
-    # bookkeeping book[i - 1].  sgn holds each lane's latest action as +-1.0.
+    # Cohort 0 is the leader.  Cohort c holds ell[c], carry[c] and the
+    # latest action sgn[c] as +-1.0; lane i is trial cols[i] in cohort
+    # coh[i] with run bookkeeping book[i].
     ell = np.zeros(1)
     carry = np.zeros(1)
     sgn = np.full(1, float(theta.sign))
     cols = np.zeros(0, dtype=np.int64)
+    coh = np.zeros(0, dtype=np.int64)
     book = np.zeros(0, dtype=_LANE)
 
     ckpt = np.asarray(checkpoint_times, dtype=np.int64)
@@ -264,36 +297,48 @@ def _simulate_batch(
     t = 1
     while t <= horizon:
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws = _draw_chunk(model, theta, gens, chunk)
+        in_herd = np.zeros(nb, dtype=bool)
+        in_herd[herd] = True
+        draws, edge = _draw_chunk(model, theta, gens, chunk, in_herd)
+        live, coh = np.unique(coh, return_inverse=True)  # drop cohorts without lanes
+        keep = np.concatenate(([0], live))
+        ell, carry, sgn = ell[keep], carry[keep], sgn[keep]
+        coh += 1
         for s in range(chunk):
             lead = ell[0]
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
                 full = np.full(nb, lead)
-                full[cols] = ell[1:]
+                full[cols] = ell[coh]
                 w = rb_mistake_weight(full)
                 agg.rb_sum[next_ckpt] += float(np.sum(w))
                 agg.rb_sumsq[next_ckpt] += float(np.sum(w * w))
-                agg.naive_sum[next_ckpt] += float(np.count_nonzero(sgn[1:] != theta.sign))
+                agg.naive_sum[next_ckpt] += float(np.count_nonzero(sgn[coh] != theta.sign))
                 agg.ell_sum[next_ckpt] += float(np.sum(full))
                 ell_ckpt[:, next_ckpt] = full
                 next_ckpt += 1
-            row = draws[s]
+            row = draws[:, s]
 
             if len(cols):
-                flipped = (ell[1:] + row[cols] > 0.0) != (sgn[1:] > 0.0)
+                lane_sgn = sgn[coh]
+                flipped = (ell[coh] + row[cols] > 0.0) != (lane_sgn > 0.0)
                 if flipped.any():
-                    lane = np.flatnonzero(flipped) + 1
-                    _close_runs(book, lane - 1, sgn[lane] == theta.sign, t)
-                    sgn[lane] = -sgn[lane]
+                    lane = np.flatnonzero(flipped)
+                    _close_runs(book, lane, lane_sgn[lane] == theta.sign, t)
+                    old, split = np.unique(coh[lane], return_inverse=True)
+                    coh[lane] = split + len(ell)
+                    ell = np.concatenate((ell, ell[old]))
+                    carry = np.concatenate((carry, carry[old]))
+                    sgn = np.concatenate((sgn, -sgn[old]))
 
-            if len(herd):
+            # fl(lead + x) is monotone in x: a step whose edge does not err
+            # holds no erring herd member.
+            if len(herd) and (lead + edge[s] > 0.0) != correct_plus:
                 h = row[herd]
-                # fl(lead + x) is monotone in x, so the extreme draw decides
-                # whether any member errs.
-                edge = h.min() if correct_plus else h.max()
-                if (lead + edge > 0.0) != correct_plus:
-                    err = (lead + h > 0.0) != correct_plus
-                    k = int(np.count_nonzero(err))
+                if inverse:
+                    h = model.llr_from_uniform(theta, h)
+                err = (lead + h > 0.0) != correct_plus
+                k = int(np.count_nonzero(err))
+                if k:
                     new = np.zeros(k, dtype=_LANE)
                     new["t_first"] = t
                     new["upsets"] = t > 1
@@ -301,13 +346,16 @@ def _simulate_batch(
                     new["run_start"] = t
                     book = np.concatenate((book, new))
                     cols = np.concatenate((cols, herd[err]))
+                    coh = np.concatenate((coh, np.full(k, len(ell))))
+                    ell = np.append(ell, lead)
+                    carry = np.append(carry, carry[0])
+                    sgn = np.append(sgn, -sgn[0])
+                    if inverse:
+                        _to_llr(model, theta, draws, herd[err], s + 1)
                     herd = herd[~err]
-                    sgn = np.concatenate((sgn, np.full(k, -sgn[0])))
-                    ell = np.concatenate((ell, np.full(k, lead)))
-                    carry = np.concatenate((carry, np.full(k, carry[0])))
 
             if actions is not None:
-                actions[cols, t - 1] = sgn[1:]
+                actions[cols, t - 1] = sgn[coh]
             y = _increment(model, ell, sgn) - carry
             s2 = ell + y
             carry = (s2 - ell) - y
@@ -323,7 +371,7 @@ def _simulate_batch(
     max_good = np.full(nb, horizon, dtype=np.int64)
     max_bad = np.zeros(nb, dtype=np.int64)
     censored = np.zeros(nb, dtype=bool)
-    final_good = sgn[1:] == theta.sign
+    final_good = sgn[coh] == theta.sign
     final_run = horizon + 1 - book["run_start"]
     t_first[cols] = book["t_first"]
     t_last[cols] = np.where(final_good, book["t_last"], horizon)

@@ -125,6 +125,19 @@ class SignalModel:
         """Conditional density of the LLR; None for discrete models."""
         return None
 
+    def log_action_probabilities(self, x: np.ndarray, sign: int):
+        """log P(action ``sign`` | public LLR x) under theta = -1 and under theta = +1.
+
+        An agent plays +1 when x + L > 0, so these are the log-survivals of
+        L at -x for ``sign`` = +1 and the log-CDFs for -1.  Families override
+        this to evaluate both states in one pass over the 1-d array x.
+        """
+        log_p = self.llr_log_sf if sign > 0 else self.llr_log_cdf
+        return (
+            np.asarray(log_p(StateOfWorld.MINUS, -x), dtype=float),
+            np.asarray(log_p(StateOfWorld.PLUS, -x), dtype=float),
+        )
+
     # -- sampling ------------------------------------------------------
 
     def sample_llr(self, state: StateOfWorld, rng: np.random.Generator, size=None):
@@ -154,12 +167,11 @@ def _hybrid_log_ndtr(z):
     """
     z = np.asarray(z, dtype=float)
     p = special.ndtr(z)
-    with np.errstate(divide="ignore"):
-        out = np.log(p)
+    if not (p < 1e-300).any():  # the mask is gone before log allocates: no extra peak memory
+        return np.log(p)
     deep = p < 1e-300
-    if np.any(deep):
-        out = np.where(deep, special.log_ndtr(z), out)
-    return out
+    # the placeholder 1 keeps log(0) from warning where log_ndtr takes over
+    return np.where(deep, special.log_ndtr(z), np.log(np.where(deep, 1.0, p)))
 
 
 class InverseCdfSignalModel(SignalModel):
@@ -220,6 +232,18 @@ class GaussianSignalModel(SignalModel):
     def llr_pdf(self, state, x):
         z = self._z(state, x)
         return np.exp(-0.5 * z * z) / (self.tau * math.sqrt(2.0 * math.pi))
+
+    @cached_property
+    def _state_means(self):
+        return np.array([[self._mean(StateOfWorld.MINUS)], [self._mean(StateOfWorld.PLUS)]])
+
+    def log_action_probabilities(self, x, sign):
+        # Row 0 is theta = -1, row 1 is theta = +1, so ndtr and log run once
+        # for both states.  z equals -_z(state, -x) bit for bit, because
+        # negation commutes with rounding.
+        z = (x + self._state_means) / self.tau
+        b_minus, b_plus = _hybrid_log_ndtr(z if sign > 0 else -z)
+        return b_minus, b_plus
 
     def sample_llr(self, state, rng, size=None):
         return rng.normal(self._mean(state), self.tau, size)
@@ -342,8 +366,10 @@ class PolyTailSignalModel(InverseCdfSignalModel):
     def _log_T(self, x):
         """log T(x) for x >= 1, elementwise and fast."""
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
         near = x <= 60.0
+        if near.all():
+            return self._log_tail_spline(x)
+        out = np.empty_like(x)
         out[near] = self._log_tail_spline(x[near])
         far = ~near
         if np.any(far):
@@ -390,6 +416,18 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         out[mid] = math.log1p(-ck)
         out[right] = math.log(self.c) + self._log_T(x[right])
         return _restore(out, scalar)
+
+    def log_action_probabilities(self, x, sign):
+        # With a = sign * x >= 1 everywhere (every belief past the gap on the
+        # action's side, the usual lockstep case) the near state's log is a
+        # closed power of a and the far state's needs log T(a): one spline
+        # pass serves both states.  Otherwise the two log functions run.
+        a = sign * x
+        if not (a >= 1.0).all():
+            return super().log_action_probabilities(x, sign)
+        near = np.log1p(-(self.c / self.k) * np.power(a, -self.k))
+        far = np.log1p(-self.c * np.exp(self._log_T(a)))
+        return (near, far) if sign > 0 else (far, near)
 
     def llr_cdf(self, state, x):
         if state is StateOfWorld.MINUS:
@@ -555,6 +593,22 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         sf = self._sf_minus if state is StateOfWorld.MINUS else self._sf_plus
         with np.errstate(divide="ignore"):
             return np.log(self._lookup_sf(sf, x))
+
+    def log_action_probabilities(self, x, sign):
+        """As for every model, but raises where the action is impossible.
+
+        Action +1 needs L > -x and -1 needs L <= -x.  At x <= -cut (for +1)
+        or x > cut (for -1) no support point qualifies: the action has
+        probability 0 under both states and the update after it is undefined.
+        """
+        b_minus, b_plus = super().log_action_probabilities(x, sign)
+        null = (b_minus == -np.inf) & (b_plus == -np.inf)
+        if null.any():
+            raise ValueError(
+                f"action {sign:+d} has probability 0 under both states at x = "
+                f"{float(x[null][0])!r}: the support is cut at +-{int(self.support[-1])}"
+            )
+        return b_minus, b_plus
 
     def llr_from_uniform(self, state, u):
         cdf = self._cdf_minus if state is StateOfWorld.MINUS else self._cdf_plus

@@ -104,6 +104,24 @@ class TestIncrements:
             assert np.all(log_d_minus(model, -xs) == -np.inf)
         assert d_plus(model, cut) > 0.0 and d_minus(model, 0.5 - cut) < 0.0
 
+    def test_rate_target_impossible_action_is_named(self):
+        # At x <= -cut no signal makes an agent play +1, and at x > cut none
+        # makes it play -1: the action has probability 0 under both states
+        # and the update after it is undefined, so asking for it raises.
+        model = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=30)
+        cut = int(model.support[-1])
+        cases = [(d_plus, -31.0), (log_d_plus, -31.0), (d_plus, -float(cut)),
+                 (d_minus, 31.0), (log_d_minus, 31.0), (d_minus, np.array([0.0, cut + 0.5]))]
+        for fn, x in cases:
+            with pytest.raises(ValueError, match=rf"x = .*cut at \+-{cut}"):
+                fn(model, x)
+        # the all-correct path from such a prior holds, and agent 1 errs surely
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(ell_star_path(model, 20, -31.0).values == -31.0)
+            law = first_mistake_distribution(model, 20, -31.0)
+        assert law.pmf[0] == pytest.approx(1.0, abs=1e-15) and law.survivor_mass == 0.0
+
     def test_vanishing_increments(self):
         # lim_x D_+(x) = 0
         assert float(d_plus(G1, 30.0)) < 1e-40

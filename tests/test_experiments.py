@@ -72,6 +72,19 @@ class TestParseConfig:
             ({"checkpoints": []}, "checkpoints"),
             ({"model": POLY}, "model.family"),
             ({"experiment": "rate-target"}, "model.family"),
+            # JSON true is a number to Python; no model parameter may take it
+            ({"model": {"family": "gaussian", "sigma": True}}, "model.sigma"),
+            ({"experiment": "time-to-learn", "model": dict(POLY, k=True)}, "model.k"),
+            ({"experiment": "ode-check", "model": {"family": "synthetic", "tail": "polynomial",
+                                                   "k": True}}, "model.k"),
+            ({"experiment": "rate-target", "model": dict(RATE, cutoff_mass=True)},
+             "model.cutoff_mass"),
+            ({"experiment": "rate-target", "model": dict(RATE, q_table=[1.0, True, 0.25])},
+             "model.q_table"),
+            # no checkpoint at which the ratio is defined: ratio.csv would be empty
+            ({"checkpoints": [1]}, "checkpoints"),
+            ({"horizon": 1}, "checkpoints"),
+            ({"experiment": "rate-target", "model": RATE, "checkpoints": [1, 2]}, "checkpoints"),
         ],
     )
     def test_errors_name_the_key(self, over, needle):
@@ -309,6 +322,19 @@ class TestCli:
         )
         assert cli_main(["run", p, "--seed", "-1"]) == 2
         assert "master_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,model,grid", [("gauss-rate", GAUSS, [1]), ("rate-target", RATE, [1, 2])]
+    )
+    def test_checkpoints_before_the_first_ratio_exit_two(self, tmp_path, capsys, name, model, grid):
+        p = self._write(
+            tmp_path,
+            {"experiment": name, "model": model, "horizon": 50, "checkpoints": grid,
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p]) == 2
+        assert "checkpoints" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["gauss-rate", "mistake-curve", "baseline-compare"])
     def test_empty_checkpoints_exit_two(self, tmp_path, capsys, name):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from herdsim import montecarlo
@@ -24,6 +26,7 @@ from herdsim.montecarlo import (
 )
 from herdsim.signal_models import (
     GaussianSignalModel,
+    InverseCdfSignalModel,
     PolyTailSignalModel,
     StateOfWorld,
     build_rate_target,
@@ -326,17 +329,30 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("model", [G1, PT2, PolyTailSignalModel(k=0.5), RT], ids=repr)
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
     def test_blocked_draws_equal_per_trial_sampling(self, model, theta):
-        trials, chunk = 300, 257  # two full blocks of 128 and a partial one
+        trials, chunk = 300, 257  # 200 non-herd rows: full transform blocks and a partial one
         gens = [montecarlo._trial_rng(5, i) for i in range(trials)]
-        blocked = montecarlo._draw_chunk(model, theta, gens, chunk)
+        in_herd = np.zeros(trials, dtype=bool)
+        in_herd[::3] = True
+        inverse = isinstance(model, InverseCdfSignalModel)
+
+        def llr(draws, j):
+            # herd rows of inversion-sampled models are left as uniforms
+            if inverse and in_herd[j]:
+                return model.llr_from_uniform(theta, draws[j].copy())
+            return draws[j]
+
+        blocked, edge = montecarlo._draw_chunk(model, theta, gens, chunk, in_herd)
         for j in range(trials):
             ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
-            assert np.array_equal(blocked[:, j], ref[:chunk])
+            assert np.array_equal(llr(blocked, j), ref[:chunk])
+        # the edge bounds every herd draw from the erring side
+        herd = np.array([llr(blocked, j) for j in np.flatnonzero(in_herd)])
+        assert np.all(theta.sign * (herd - edge) > 0.0)
         # the streams continue where the block left them
-        again = montecarlo._draw_chunk(model, theta, gens, chunk)
-        for j in (0, 127, 128, trials - 1):
+        again, _ = montecarlo._draw_chunk(model, theta, gens, chunk, in_herd)
+        for j in (0, 127, 128, 129, trials - 1):
             ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
-            assert np.array_equal(again[:, j], ref[chunk:])
+            assert np.array_equal(llr(again, j), ref[chunk:])
 
     @pytest.mark.parametrize("model", [PT2, RT], ids=repr)
     def test_uniform_transform_is_elementwise(self, model):
@@ -476,3 +492,88 @@ class TestScalarReplayOracle:
         assert any(t > 1 for t in agg.first_mistake_hist if t)
         assert any(u >= 2 for u in agg.upset_hist)
         assert 0 < agg.censored_count < agg.trial_count
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from([G2, PT2, PolyTailSignalModel(k=0.5), RT]),
+    theta=st.sampled_from([PLUS, MINUS]),
+    trials=st.integers(min_value=1, max_value=12),
+    batch_size=st.integers(min_value=1, max_value=12),
+    horizon=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_engine_equals_scalar_replay_property(model, theta, trials, batch_size, horizon, seed):
+    agg, actions = run_trials(
+        model, theta, horizon, trials, master_seed=seed, batch_size=batch_size,
+        collect_actions=True,
+    )
+    ref, ref_batches = _replay_aggregate(model, theta, horizon, trials, seed, batch_size, actions)
+    for name in _AGG_FIELDS:
+        a, b = getattr(agg, name), getattr(ref, name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, name
+    ck = default_checkpoints(horizon)
+    for b, (per, ells) in enumerate(ref_batches):
+        idx = list(range(b * batch_size, min((b + 1) * batch_size, trials)))
+        _, got_per, _, got_ells = montecarlo._simulate_batch(model, theta, horizon, seed, idx, ck)
+        assert np.array_equal(got_ells.view(np.int64), ells.view(np.int64))
+        for name, values in per.items():
+            assert np.array_equal(got_per[name], values), name
+
+
+class TestHerdEdge:
+    @pytest.mark.parametrize("model", [G2, PT2, RT], ids=lambda m: m.family)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_exact_fallback_matches_the_edge_shortcut(self, model, theta, monkeypatch):
+        # An infinite margin leaves no step to the edge: every step takes the
+        # exact path, which transforms and compares the herd's draws one by
+        # one, whether or not any of them errs.  The shortcut must agree.
+        args = (model, theta, 1500, 3, list(range(300)), default_checkpoints(1500), True)
+        fast = montecarlo._simulate_batch(*args)
+        monkeypatch.setattr(montecarlo, "_HERD_MARGIN", math.inf)
+        exact = montecarlo._simulate_batch(*args)
+        assert vars(fast[0]).keys() == vars(exact[0]).keys()
+        for name, value in vars(fast[0]).items():
+            other = getattr(exact[0], name)
+            assert np.array_equal(value, other) if isinstance(value, np.ndarray) else value == other
+        for name in fast[1]:
+            assert np.array_equal(fast[1][name], exact[1][name]), name
+        assert np.array_equal(fast[2], exact[2])
+        assert np.array_equal(fast[3].view(np.int64), exact[3].view(np.int64))
+        # the run left the herd mid-chunk, so lane-only transforms were exercised
+        assert any(1 < t <= 1024 for t in fast[0].first_mistake_hist)
+
+    @staticmethod
+    def _dense_uniforms(model):
+        """Uniforms on a dense grid plus ulp-spaced runs at every branch point and knot."""
+        centers = [0.5]
+        if isinstance(model, PolyTailSignalModel):
+            centers.append(model.c / model.k)  # the power/spline switch
+            w = model._pos_branch_ppf.x  # spline knots in w = log(1 - u)
+            centers.extend(-np.expm1(w[w > math.log(2.0**-53)][::50]))
+        else:
+            centers.extend(model._cdf_minus[:60])  # the atoms' jumps
+            centers.extend(model._cdf_plus[:60])
+        runs = [
+            u + np.arange(-64, 65) * np.spacing(u) for u in np.asarray(centers, dtype=float)
+        ] + [u + np.linspace(-1e-7, 1e-7, 257) for u in centers]
+        u = np.concatenate([np.linspace(0.0, 1.0 - 2.0**-53, 400001)] + runs)
+        return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+    @pytest.mark.parametrize(
+        "model",
+        [PolyTailSignalModel(k=k) for k in (0.5, 2.0, 4.0)] + [RT],
+        ids=lambda m: f"{m.family}-{getattr(m, 'k', '')}",
+    )
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_transform_is_monotone_within_the_margin(self, model, theta):
+        # The edge shortcut reads a step's herd minimum off its two extreme
+        # uniforms.  That is sound if llr_from_uniform is monotone up to the
+        # margin: no value falls below a value at a smaller (or, for a
+        # decreasing map, larger) uniform by more than _HERD_MARGIN relative.
+        x = model.llr_from_uniform(theta, self._dense_uniforms(model))
+        if x[-1] < x[0]:  # decreasing in u: read the grid backwards
+            x = x[::-1]
+        slack = montecarlo._HERD_MARGIN * (1.0 + np.abs(x))
+        assert np.all(x >= np.maximum.accumulate(x) - slack)
+        assert np.all(x <= np.minimum.accumulate(x[::-1])[::-1] + slack)
