@@ -114,11 +114,13 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         _check(f.name, value, values)
         values[f.name] = value
     experiment, model = values["experiment"], values["model"]
+    family = model["family"]
     for key, param in model.items():
+        if key not in ("family", *_MODEL_KEYS[family]):
+            raise ConfigError(f"model.{key}: not a parameter of a {family} model")
         if f"model.{key}" in _RULES:
             _check(f"model.{key}", param, values)
 
-    family = model["family"]
     if family == "synthetic":
         tail = model.get("tail")
         if tail not in ("exponential", "polynomial"):
@@ -353,13 +355,22 @@ _DISPATCH = {
 EXPERIMENT_NAMES = tuple(_DISPATCH)
 
 
+# The parameters of each model family; any other key would be ignored, so it is refused.
+_MODEL_KEYS = {
+    "gaussian": ("sigma",),
+    "polytail": ("k",),
+    "ratetarget": ("q_table",),
+    "synthetic": ("tail", "k"),
+}
+
 # key -> (valid(value, values parsed so far), what a valid value is)
 _RULES = {
     "experiment": (
         lambda v, _: v in EXPERIMENT_NAMES, "one of " + ", ".join(EXPERIMENT_NAMES)
     ),
     "model": (
-        lambda v, _: isinstance(v, dict) and "family" in v, "a model document with a 'family' key"
+        lambda v, _: isinstance(v, dict) and v.get("family") in tuple(_MODEL_KEYS),
+        "a model document whose 'family' is one of " + ", ".join(_MODEL_KEYS),
     ),
     "horizon": (_positive_int, "a positive integer"),
     "trials": (_positive_int, "a positive integer"),
@@ -376,7 +387,6 @@ _RULES = {
     # parameters of the model document; JSON true must not pass as 1
     "model.sigma": (_number, "a number"),
     "model.k": (_number, "a number"),
-    "model.cutoff_mass": (_number, "a number"),
     "model.q_table": (
         lambda v, _: type(v) is list and all(_number(q) for q in v), "a list of numbers"
     ),

@@ -7,14 +7,16 @@ lockstep batches around a leader: every trial whose actions have all been
 correct sits on the same deterministic path ell* and shares one belief, so
 the whole herd costs one comparison per step, against the step's extreme
 herd draw, found once per chunk of steps.  A trial leaves this herd at its
-first mistake and becomes a lane.  Lanes with equal (ell,
-carry, action) step identically, so they point into a small array of
-cohort states and the signed increment runs once per cohort (twice per
-step for the discrete rate-target model); run bookkeeping stays per lane.
+first mistake and becomes a lane.  Lanes with equal (ell, carry, action)
+step identically, so they point into a small array of cohort states and
+the signed increment runs once per cohort (twice per step for the
+discrete rate-target model).  A herd exit and a lane flip are one switch:
+it forks the lanes' cohorts into ones with the other action and ends a
+run in each trial's run book; the horizon ends the last runs.
 Inversion-sampled models keep the herd's draws as uniforms and transform
-only the lanes' draws.  Everything is scattered back to full width, in
-trial order, at checkpoints and at the end, so the aggregates are
-bit-identical to stepping every trial.  Batches are reduced into mergeable
+only the lanes' draws.  Checkpoint beliefs are summed after the last
+step, so the aggregates are bit-identical to stepping every trial.
+Batches are reduced into mergeable
 ``AggregateStats``; batch boundaries are fixed by the trial indices alone,
 and merges happen in batch order, so parallel and serial runs produce
 identical aggregates bit for bit.
@@ -150,13 +152,13 @@ def _add_hist(hist: dict, values: np.ndarray) -> None:
         hist[int(v)] = hist.get(int(v), 0) + int(c)
 
 
-# Run bookkeeping of one lane.  It changes only when the lane's trial
-# switches action; ``run_start`` is the first step of its current run.
-_LANE = np.dtype(
+# Run bookkeeping of one trial, changed only when it switches action: its
+# current run started at ``run_start``; ``runs`` counts finished ones.
+_BOOK = np.dtype(
     [
         ("t_first", np.int64),
         ("t_last", np.int64),
-        ("upsets", np.int64),
+        ("runs", np.int64),
         ("max_good", np.int64),
         ("max_bad", np.int64),
         ("run_start", np.int64),
@@ -232,17 +234,32 @@ def _increment(model: SignalModel, ell: np.ndarray, sgn: np.ndarray) -> np.ndarr
     return step
 
 
-def _close_runs(book: np.ndarray, idx: np.ndarray, ended_good: np.ndarray, t: int) -> None:
-    """Lanes ``idx`` switch action at step t, ending the run over [run_start, t)."""
-    rec = book[idx]
+def _close_runs(book: np.ndarray, trials: np.ndarray, ended_good, t: int) -> None:
+    """``trials`` switch action at step t, ending the run over [run_start, t).
+
+    Lane flips, herd exits and the horizon (t = horizon + 1) all end runs
+    here.  Only a non-empty run counts, so a trial's upsets are its runs - 1.
+    """
+    rec = book[trials]
     length = t - rec["run_start"]
-    ended_bad = ~ended_good
-    rec["upsets"] += 1
+    ended_bad = np.logical_not(ended_good)
+    rec["runs"] += length > 0
     rec["max_good"] = np.where(ended_good, np.maximum(rec["max_good"], length), rec["max_good"])
     rec["max_bad"] = np.where(ended_bad, np.maximum(rec["max_bad"], length), rec["max_bad"])
     rec["t_last"] = np.where(ended_bad, t - 1, rec["t_last"])
     rec["run_start"] = t
-    book[idx] = rec
+    book[trials] = rec
+
+
+def _fork(ell: np.ndarray, carry: np.ndarray, sgn: np.ndarray, source: np.ndarray):
+    """New cohorts for lanes that switch action out of cohorts ``source``.
+
+    Each source gets one new cohort with its ell and carry and the other
+    action.  Returns the lanes' new cohorts and the extended (ell, carry, sgn).
+    """
+    src, new = np.unique(source, return_inverse=True)
+    new += len(ell)
+    return new, np.append(ell, ell[src]), np.append(carry, carry[src]), np.append(sgn, -sgn[src])
 
 
 def _simulate_batch(
@@ -260,13 +277,11 @@ def _simulate_batch(
     leader, and costs one comparison per step.  A trial leaves this herd at
     its first mistake and becomes a lane.  Trials with equal (ell, carry,
     action) step identically, so a lane holds only an index into a small
-    array of cohort states, and the increment runs once per cohort: the
-    lanes that leave the herd at one step share a new cohort, as do the
-    lanes of one cohort that switch action at the same step, and cohorts
-    no lane uses any more are dropped at chunk boundaries.  Run bookkeeping
-    stays per lane and is touched only when a lane switches action; the
-    checkpoint values and the final statistics are scattered to full width,
-    in trial order.
+    array of cohort states, and the increment runs once per cohort.  A
+    switch of action, out of the herd or by a lane, forks the lanes'
+    cohorts and ends a run in each trial's run book; cohorts no lane uses
+    any more are dropped at chunk boundaries.  The step loop records the
+    beliefs at checkpoints; their sums are taken after it.
 
     Returns (AggregateStats, per-trial stats arrays dict, actions or None,
     per-trial checkpoint ell matrix).  Output depends only on
@@ -280,17 +295,18 @@ def _simulate_batch(
     herd = np.arange(nb)
     # Cohort 0 is the leader.  Cohort c holds ell[c], carry[c] and the
     # latest action sgn[c] as +-1.0; lane i is trial cols[i] in cohort
-    # coh[i] with run bookkeeping book[i].
+    # coh[i].  book[j] is trial j's run bookkeeping.
     ell = np.zeros(1)
     carry = np.zeros(1)
     sgn = np.full(1, float(theta.sign))
     cols = np.zeros(0, dtype=np.int64)
     coh = np.zeros(0, dtype=np.int64)
-    book = np.zeros(0, dtype=_LANE)
+    book = np.zeros(nb, dtype=_BOOK)
+    book["run_start"] = 1
 
     ckpt = np.asarray(checkpoint_times, dtype=np.int64)
-    agg = AggregateStats(horizon=horizon, checkpoint_times=tuple(checkpoint_times))
-    ell_ckpt = np.zeros((nb, len(ckpt)))
+    agg = AggregateStats(horizon=horizon, checkpoint_times=tuple(checkpoint_times), trial_count=nb)
+    ell_ckpt = np.zeros((len(ckpt), nb))  # row i: every trial's belief at ckpt[i]
     actions = np.full((nb, horizon), theta.sign, dtype=np.int8) if collect_actions else None
 
     next_ckpt = 0
@@ -307,14 +323,9 @@ def _simulate_batch(
         for s in range(chunk):
             lead = ell[0]
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
-                full = np.full(nb, lead)
-                full[cols] = ell[coh]
-                w = rb_mistake_weight(full)
-                agg.rb_sum[next_ckpt] += float(np.sum(w))
-                agg.rb_sumsq[next_ckpt] += float(np.sum(w * w))
+                ell_ckpt[next_ckpt] = lead
+                ell_ckpt[next_ckpt, cols] = ell[coh]
                 agg.naive_sum[next_ckpt] += float(np.count_nonzero(sgn[coh] != theta.sign))
-                agg.ell_sum[next_ckpt] += float(np.sum(full))
-                ell_ckpt[:, next_ckpt] = full
                 next_ckpt += 1
             row = draws[:, s]
 
@@ -323,12 +334,8 @@ def _simulate_batch(
                 flipped = (ell[coh] + row[cols] > 0.0) != (lane_sgn > 0.0)
                 if flipped.any():
                     lane = np.flatnonzero(flipped)
-                    _close_runs(book, lane, lane_sgn[lane] == theta.sign, t)
-                    old, split = np.unique(coh[lane], return_inverse=True)
-                    coh[lane] = split + len(ell)
-                    ell = np.concatenate((ell, ell[old]))
-                    carry = np.concatenate((carry, carry[old]))
-                    sgn = np.concatenate((sgn, -sgn[old]))
+                    _close_runs(book, cols[lane], lane_sgn[lane] == theta.sign, t)
+                    coh[lane], ell, carry, sgn = _fork(ell, carry, sgn, coh[lane])
 
             # fl(lead + x) is monotone in x: a step whose edge does not err
             # holds no erring herd member.
@@ -337,21 +344,15 @@ def _simulate_batch(
                 if inverse:
                     h = model.llr_from_uniform(theta, h)
                 err = (lead + h > 0.0) != correct_plus
-                k = int(np.count_nonzero(err))
-                if k:
-                    new = np.zeros(k, dtype=_LANE)
-                    new["t_first"] = t
-                    new["upsets"] = t > 1
-                    new["max_good"] = t - 1
-                    new["run_start"] = t
-                    book = np.concatenate((book, new))
-                    cols = np.concatenate((cols, herd[err]))
-                    coh = np.concatenate((coh, np.full(k, len(ell))))
-                    ell = np.append(ell, lead)
-                    carry = np.append(carry, carry[0])
-                    sgn = np.append(sgn, -sgn[0])
+                if err.any():
+                    out = herd[err]
+                    _close_runs(book, out, True, t)
+                    book["t_first"][out] = t
+                    new, ell, carry, sgn = _fork(ell, carry, sgn, np.zeros_like(out))
+                    cols = np.concatenate((cols, out))
+                    coh = np.concatenate((coh, new))
                     if inverse:
-                        _to_llr(model, theta, draws, herd[err], s + 1)
+                        _to_llr(model, theta, draws, out, s + 1)
                     herd = herd[~err]
 
             if actions is not None:
@@ -362,46 +363,27 @@ def _simulate_batch(
             ell = s2
             t += 1
 
-    # Herd members made no mistake: one correct run over the whole horizon.
-    # A lane's final, still open, run counts for its maximum but is neither
-    # an upset nor a finished run; a final wrong run makes the trial censored.
-    t_first = np.zeros(nb, dtype=np.int64)
-    t_last = np.zeros(nb, dtype=np.int64)
-    upsets = np.zeros(nb, dtype=np.int64)
-    max_good = np.full(nb, horizon, dtype=np.int64)
-    max_bad = np.zeros(nb, dtype=np.int64)
-    censored = np.zeros(nb, dtype=bool)
-    final_good = sgn[coh] == theta.sign
-    final_run = horizon + 1 - book["run_start"]
-    t_first[cols] = book["t_first"]
-    t_last[cols] = np.where(final_good, book["t_last"], horizon)
-    upsets[cols] = book["upsets"]
-    max_good[cols] = np.where(final_good, np.maximum(book["max_good"], final_run), book["max_good"])
-    max_bad[cols] = np.where(final_good, book["max_bad"], np.maximum(book["max_bad"], final_run))
-    censored[cols] = ~final_good
+    # A trial whose last run is wrong at the horizon is censored.
+    final_good = np.ones(nb, dtype=bool)
+    final_good[cols] = sgn[coh] == theta.sign
+    _close_runs(book, np.arange(nb), final_good, horizon + 1)
+    per_trial = {name: book[name] for name in ("t_first", "t_last", "max_good", "max_bad")}
+    per_trial.update(upsets=book["runs"] - 1, censored=~final_good)
 
-    agg.trial_count = nb
-    _add_hist(agg.first_mistake_hist, t_first)
-    _add_hist(agg.upset_hist, upsets)
-    _add_hist(agg.max_good_run_hist, max_good)
-    _add_hist(agg.max_bad_run_hist, max_bad)
-    agg.censored_count = int(np.sum(censored))
-    agg.uncensored_count = nb - agg.censored_count
-    unc = ~censored
-    agg.last_mistake_sum = float(np.sum(t_last[unc]))
-    agg.last_mistake_sumsq = float(np.sum(t_last[unc].astype(float) ** 2))
-    agg.ttl_lower_bound_sum = float(
-        np.sum(np.where(unc, t_last + 1, horizon).astype(float))
-    )
-    per_trial = {
-        "t_first": t_first,
-        "t_last": t_last,
-        "upsets": upsets,
-        "max_good": max_good,
-        "max_bad": max_bad,
-        "censored": censored,
-    }
-    return agg, per_trial, actions, ell_ckpt
+    w = rb_mistake_weight(ell_ckpt)
+    agg.rb_sum += np.sum(w, axis=1)
+    agg.rb_sumsq += np.sum(w * w, axis=1)
+    agg.ell_sum += np.sum(ell_ckpt, axis=1)
+    for name, hist in (("t_first", agg.first_mistake_hist), ("upsets", agg.upset_hist),
+                       ("max_good", agg.max_good_run_hist), ("max_bad", agg.max_bad_run_hist)):
+        _add_hist(hist, per_trial[name])
+    agg.uncensored_count = int(np.count_nonzero(final_good))
+    agg.censored_count = nb - agg.uncensored_count
+    t_last = per_trial["t_last"]
+    agg.last_mistake_sum = float(np.sum(t_last[final_good]))
+    agg.last_mistake_sumsq = float(np.sum(t_last[final_good].astype(float) ** 2))
+    agg.ttl_lower_bound_sum = float(np.sum(np.where(final_good, t_last + 1, horizon).astype(float)))
+    return agg, per_trial, actions, ell_ckpt.T
 
 
 def simulate_trajectory(

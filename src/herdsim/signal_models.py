@@ -331,16 +331,12 @@ class PolyTailSignalModel(InverseCdfSignalModel):
     """
 
     k: float
-    c: float = field(default=None)
-    x0: float = field(default=1.0, init=False)  # tail onset, fixed by the family
+    c: float = field(init=False)  # normalizer, fixed by k
 
     family = "polytail"
 
-    def __post_init__(self):
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise ModelValidationError(f"tail exponent k must be positive, got {self.k}")
-        if self.c is None:
-            object.__setattr__(self, "c", poly_tail_normalizer(self.k))
+    def __post_init__(self):  # the normalizer also validates k
+        object.__setattr__(self, "c", poly_tail_normalizer(self.k))
 
     # T in the notation above
     @cached_property
@@ -600,15 +596,34 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         Action +1 needs L > -x and -1 needs L <= -x.  At x <= -cut (for +1)
         or x > cut (for -1) no support point qualifies: the action has
         probability 0 under both states and the update after it is undefined.
+        Deep on the far side (|x| past ~734 for Q(n) = 1/log(n + 2 + e)) the
+        plain sums of one state's masses dq(n) e^-n underflow to 0; there
+        ``_log_far_tail`` gives its log-probability.
         """
         b_minus, b_plus = super().log_action_probabilities(x, sign)
-        null = (b_minus == -np.inf) & (b_plus == -np.inf)
-        if null.any():
-            raise ValueError(
-                f"action {sign:+d} has probability 0 under both states at x = "
-                f"{float(x[null][0])!r}: the support is cut at +-{int(self.support[-1])}"
-            )
+        far = b_minus if sign > 0 else b_plus  # the state whose masses can underflow
+        lost = far == -np.inf
+        if lost.any():
+            # +1 needs L >= floor(-x) + 1 under theta = -1, -1 needs -L >= ceil(x) under +1
+            m = np.floor(-x[lost]) + 1.0 if sign > 0 else np.ceil(x[lost])
+            cut = len(self.support) // 2
+            if not (m <= cut).all():  # no support point qualifies (or x is NaN)
+                raise ValueError(
+                    f"action {sign:+d} has probability 0 under both states at x = "
+                    f"{float(x[lost][~(m <= cut)][0])!r}: the support is cut at +-{cut}"
+                )
+            far[lost] = self._log_far_tail[m.astype(np.int64)]
         return b_minus, b_plus
+
+    @cached_property
+    def _log_far_tail(self):
+        """log P(L >= m | theta = -1) = log P(L <= -m | theta = +1), m = 0..cut.
+
+        Both sum dq(j) e^-j over j >= m; in log space they stay finite.
+        """
+        cut = len(self.support) // 2
+        log_terms = np.log(self.w_minus[cut::-1]) - np.arange(cut + 1)  # w_minus(-j) = dq(j)
+        return np.logaddexp.accumulate(log_terms[::-1])[::-1] - math.log(self.normalizer)
 
     def llr_from_uniform(self, state, u):
         cdf = self._cdf_minus if state is StateOfWorld.MINUS else self._cdf_plus
@@ -619,15 +634,11 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         return {"family": "ratetarget", "q_table": list(self.q_table)}
 
 
-def build_rate_target(
-    q: Sequence[float],
-    cutoff_mass: float = 1e-12,
-    max_support: int = 10**5,
-) -> RateTargetSignalModel:
+def build_rate_target(q: Sequence[float], max_support: int = 10**5) -> RateTargetSignalModel:
     """Build a ``RateTargetSignalModel`` from the table Q(-1), Q(0), ..., Q(N).
 
     The support is truncated symmetrically at the smallest N' whose residual
-    in-table nu-mass falls below ``cutoff_mass`` (symmetric truncation keeps
+    in-table nu-mass falls below 1e-12 (symmetric truncation keeps
     the two conditional normalizers exactly equal, hence LLR(n) = n exact).
     If no such N' exists the full table is used.
 
@@ -642,8 +653,6 @@ def build_rate_target(
         raise ModelValidationError("q_table entries must be positive")
     if np.any(np.diff(q) >= 0.0):
         raise ModelValidationError("q_table must be strictly decreasing")
-    if not (0.0 < cutoff_mass <= 1e-6):
-        raise ModelValidationError(f"cutoff_mass must lie in (0, 1e-6], got {cutoff_mass}")
 
     dq = -np.diff(q)  # dq[n] = Q(n-1) - Q(n), n = 0..N
     n_max = len(dq) - 1
@@ -659,7 +668,7 @@ def build_rate_target(
     # Residual mass beyond a symmetric cut at N': sum over n > N' of both sides.
     resid = np.cumsum((nu_pos + nu_neg)[::-1])[::-1]
     cut = n_max
-    below = np.nonzero(resid <= cutoff_mass)[0]
+    below = np.nonzero(resid <= 1e-12)[0]
     if len(below) > 0:
         cut = max(int(below[0]) - 1, 0)
 
@@ -769,9 +778,7 @@ def model_from_dict(doc: dict) -> SignalModel:
     if family == "ratetarget":
         if "q_table" not in doc:
             raise ModelValidationError("ratetarget model requires q_table")
-        return build_rate_target(
-            doc["q_table"], cutoff_mass=float(doc.get("cutoff_mass", 1e-12))
-        )
+        return build_rate_target(doc["q_table"])
     raise ModelValidationError(f"unknown model family: {family!r}")
 
 

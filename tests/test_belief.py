@@ -122,6 +122,27 @@ class TestIncrements:
             law = first_mistake_distribution(model, 20, -31.0)
         assert law.pmf[0] == pytest.approx(1.0, abs=1e-15) and law.survivor_mass == 0.0
 
+    def test_rate_target_deep_far_side_stays_finite(self):
+        # Past |x| ~ 734 the plain sums of one state's masses dq(n) e^-n
+        # underflow to 0 while the other state's stay positive; the
+        # increments must still be the finite log-ratio of the two sums.
+        q = [1.0 / math.log(n + 2.0 + math.e) for n in range(-1, 2001)]
+        model = build_rate_target(q)
+        assert int(model.support[-1]) == 2000
+        log_dq = np.log(-np.diff(q))
+        n = np.arange(len(log_dq))
+
+        def log_ratio(k):  # log P(|L| in k | +) / P(|L| in k | -) over the mask k of n >= 0
+            return np.logaddexp.reduce(log_dq[k]) - np.logaddexp.reduce(log_dq[k] - n[k])
+
+        for x in (-744.0, -744.5, -800.5, -1500.5, -1999.0):  # +1 needs L = n > -x
+            assert float(d_plus(model, x)) == pytest.approx(log_ratio(n > -x), rel=1e-14)
+            assert float(log_d_plus(model, x)) == pytest.approx(math.log(log_ratio(n > -x)))
+        for x in (744.0, 744.5, 800.5, 1500.5, 2000.0):  # -1 needs L = -n with n >= x
+            assert float(d_minus(model, x)) == pytest.approx(-log_ratio(n >= x), rel=1e-14)
+            assert float(log_d_minus(model, x)) == pytest.approx(math.log(log_ratio(n >= x)))
+        assert float(d_plus(model, -700.0)) == 706.9976574921798
+
     def test_vanishing_increments(self):
         # lim_x D_+(x) = 0
         assert float(d_plus(G1, 30.0)) < 1e-40

@@ -85,6 +85,8 @@ class TestParseConfig:
             ({"checkpoints": [1]}, "checkpoints"),
             ({"horizon": 1}, "checkpoints"),
             ({"experiment": "rate-target", "model": RATE, "checkpoints": [1, 2]}, "checkpoints"),
+            # a key the family does not take would be ignored: refused, not dropped
+            ({"model": {"family": "gaussian", "sigma": 1.0, "sgima": 3}}, "model.sgima:"),
         ],
     )
     def test_errors_name_the_key(self, over, needle):

@@ -521,6 +521,28 @@ def test_engine_equals_scalar_replay_property(model, theta, trials, batch_size, 
             assert np.array_equal(got_per[name], values), name
 
 
+class TestCohortFork:
+    # A forked cohort must carry its source's compensation term: in the
+    # engine the leader's carry at a late herd exit is nonzero but too small
+    # to change the rounding of D- - carry, so no end-to-end run notices it.
+    ELL = np.array([4.75, -1.5, 2.25])
+    CARRY = np.array([3.5e-16, -2.0e-17, 7.0e-17])
+    SGN = np.array([1.0, -1.0, 1.0])
+
+    def test_lane_flips_share_one_new_cohort_per_source(self):
+        new, ell, carry, sgn = montecarlo._fork(self.ELL, self.CARRY, self.SGN, np.array([2, 1, 2]))
+        assert new.tolist() == [4, 3, 4]
+        assert np.array_equal(ell, [4.75, -1.5, 2.25, -1.5, 2.25])
+        assert np.array_equal(carry, [3.5e-16, -2.0e-17, 7.0e-17, -2.0e-17, 7.0e-17])
+        assert np.array_equal(sgn, [1.0, -1.0, 1.0, 1.0, -1.0])
+
+    def test_herd_exits_fork_the_leader(self):
+        leader = np.zeros(2, dtype=np.int64)
+        new, ell, carry, sgn = montecarlo._fork(self.ELL, self.CARRY, self.SGN, leader)
+        assert new.tolist() == [3, 3]
+        assert (ell[3], carry[3], sgn[3]) == (4.75, 3.5e-16, -1.0)
+
+
 class TestHerdEdge:
     @pytest.mark.parametrize("model", [G2, PT2, RT], ids=lambda m: m.family)
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)

@@ -131,6 +131,12 @@ class TestPolyTailModel:
                 rtol=1e-10,
             )
 
+    def test_normalizer_is_not_a_parameter(self):
+        # a caller-set c would build an unnormalized density
+        with pytest.raises(TypeError):
+            PolyTailSignalModel(k=2.0, c=0.9)
+        assert PolyTailSignalModel(k=2.0).c == poly_tail_normalizer(2.0)
+
     def test_flat_gap(self):
         # density vanishes on (-1, 1): CDF constant there
         pt = PolyTailSignalModel(k=1.0)
@@ -209,8 +215,6 @@ class TestRateTargetModel:
             build_rate_target([1.0, 1.0, 0.5])  # not strictly decreasing
         with pytest.raises(ModelValidationError):
             build_rate_target([1.0, -0.5])  # not positive
-        with pytest.raises(ModelValidationError):
-            build_rate_target([1.0, 0.5, 0.25], cutoff_mass=0.5)  # cutoff too large
 
     def test_equality_is_identity(self):
         # the fields hold arrays, so field-wise == and hash cannot work
