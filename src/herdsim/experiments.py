@@ -297,11 +297,12 @@ def _exp_mistake_curve(config: ExperimentConfig, model):
 def _exp_baseline_compare(config: ExperimentConfig, model):
     ckpt = config.checkpoint_times()
     sums = np.zeros(len(ckpt))
-    for trial in range(config.trials):
-        vals = montecarlo.simulate_baseline_llr(
-            model, StateOfWorld.PLUS, config.horizon, config.master_seed, trial, ckpt
-        )
-        sums += np.array([v for _, v in vals])
+    for lo in range(0, config.trials, montecarlo.DEFAULT_BATCH_SIZE):
+        batch = range(lo, min(lo + montecarlo.DEFAULT_BATCH_SIZE, config.trials))
+        for row in montecarlo._baseline_batch(
+            model, StateOfWorld.PLUS, config.horizon, config.master_seed, batch, ckpt
+        ):
+            sums += row  # in trial order, as one trial at a time
     means = sums / config.trials
     rows = [(t, means[i], means[i] / t) for i, t in enumerate(ckpt)]
     files = {

@@ -2,7 +2,10 @@
 
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so results are a pure function of the seed and trial index
-regardless of scheduling or thread count.  Trials are simulated in
+regardless of scheduling or thread count.  The key is numpy's
+``SeedSequence(master_seed, spawn_key=(trial_index,))`` key, computed for a
+whole batch of trials in one vectorised pass of that algorithm; each
+``Philox`` is then built from its key alone.  Trials are simulated in
 lockstep batches around a leader: every trial whose actions have all been
 correct sits on the same deterministic path ell* and shares one belief, so
 the whole herd costs one comparison per step, against the step's extreme
@@ -16,10 +19,11 @@ run in each trial's run book; the horizon ends the last runs.
 Inversion-sampled models keep the herd's draws as uniforms and transform
 only the lanes' draws.  Checkpoint beliefs are summed after the last
 step, so the aggregates are bit-identical to stepping every trial.
-Batches are reduced into mergeable
-``AggregateStats``; batch boundaries are fixed by the trial indices alone,
-and merges happen in batch order, so parallel and serial runs produce
-identical aggregates bit for bit.
+The observed-signals baseline draws a batch's streams chunk by chunk
+through the same sampler and sums along time.  Batches are reduced into
+mergeable ``AggregateStats``; batch boundaries are fixed by the trial
+indices alone, and merges happen in batch order, so parallel and serial
+runs produce identical aggregates bit for bit.
 """
 
 from __future__ import annotations
@@ -58,10 +62,100 @@ _TIME_CHUNK = 1024
 _SAMPLE_BLOCK = 64  # rows transformed per block; bounds the transform's temporaries
 
 
-def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """The counter-based stream owned by one trial."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
-    return np.random.Generator(np.random.Philox(ss))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands ``Philox`` a precomputed 128-bit key as its seed sequence."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"a Philox key is 2 uint64 words, asked for {n_words} {np.dtype(dtype)}"
+            )
+        return self.key
+
+
+def _philox_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """Rows ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
+
+    The public SeedSequence algorithm with a 4-word pool.  Its hash steps
+    serve Python ints and uint32 arrays alike, since both wrap mod 2**32
+    under the masks: the master seed's words (zero-padded to 4) are mixed
+    in once, as ints, and only the last entropy word, the index, and the
+    output hash run as vector operations over the batch.
+    """
+    words = []
+    while True:
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    words += [0] * (4 - len(words))
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:] + [indices.astype(np.uint32)]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    h = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ h
+        h = h * _MULT_B & _MASK32
+        word = word * h & _MASK32
+        state.append((word ^ word >> 16).astype(np.uint64))
+    # Little-endian pairs of 32-bit words make the two 64-bit key words.
+    high = np.uint64(32)
+    return np.stack((state[0] | state[1] << high, state[2] | state[3] << high), axis=1)
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> list[np.random.Generator]:
+    """The counter-based streams owned by a batch of trials, in order.
+
+    Trial i's stream is ``Philox`` keyed by ``SeedSequence(master_seed,
+    spawn_key=(i,))``, bit for bit; the keys of the whole batch are
+    derived in one vectorised pass.
+    """
+    if not _is_int(master_seed) or master_seed < 0:
+        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
+    idx = np.asarray(trial_indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"trial_indices must be integers in [0, 2**32), got dtype {idx.dtype}")
+    if idx.size and not (0 <= idx.min() and idx.max() <= _MASK32):
+        raise ValueError(f"trial_indices must lie in [0, 2**32), got {idx.min()}..{idx.max()}")
+    keys = _philox_keys(int(master_seed), idx.reshape(-1))
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
 
 
 def _checkpoint_grid(checkpoint_times: Sequence[int] | None, horizon: int) -> tuple[int, ...]:
@@ -288,7 +382,7 @@ def _simulate_batch(
     (model, theta, horizon, master_seed, trial_indices, checkpoint_times).
     """
     nb = len(trial_indices)
-    gens = [_trial_rng(master_seed, int(i)) for i in trial_indices]
+    gens = _trial_rng(master_seed, trial_indices)
     correct_plus = theta.sign > 0
     inverse = isinstance(model, InverseCdfSignalModel)
 
@@ -433,25 +527,43 @@ def simulate_baseline_llr(
     and the herding run see identical signal sequences.
     """
     ckpt = _checkpoint_grid(checkpoint_times, horizon)
-    gen = _trial_rng(master_seed, trial_index)
-    total = 0.0
-    carry = 0.0
-    out = []
+    row = _baseline_batch(model, theta, horizon, master_seed, [trial_index], ckpt)[0]
+    return tuple((t, float(v)) for t, v in zip(ckpt, row))
+
+
+def _baseline_batch(
+    model: SignalModel,
+    theta: StateOfWorld,
+    horizon: int,
+    master_seed: int,
+    trial_indices: Sequence[int],
+    ckpt: tuple[int, ...],
+) -> np.ndarray:
+    """The observed-signals baseline of a batch: row j holds trial j's sums at ``ckpt``.
+
+    Each chunk of draws is summed in place along time; the chunk totals
+    are added with a compensated (Kahan) carry per trial.
+    """
+    gens = _trial_rng(master_seed, trial_indices)
+    out = np.empty((len(gens), len(ckpt)))
+    total = np.zeros(len(gens))
+    carry = np.zeros(len(gens))
+    no_herd = np.zeros(len(gens), dtype=bool)
     next_i = 0
     t = 1
     while t <= horizon and next_i < len(ckpt):
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws = model.sample_llr(theta, gen, size=chunk)
-        partial = np.cumsum(draws)
-        while next_i < len(ckpt) and t <= ckpt[next_i] <= t + chunk - 1:
-            out.append((ckpt[next_i], total + float(partial[ckpt[next_i] - t])))
+        draws, _ = _draw_chunk(model, theta, gens, chunk, no_herd)
+        partial = np.cumsum(draws, axis=1, out=draws)
+        while next_i < len(ckpt) and ckpt[next_i] < t + chunk:
+            out[:, next_i] = total + partial[:, ckpt[next_i] - t]
             next_i += 1
-        y = float(partial[-1]) - carry
+        y = partial[:, -1] - carry
         tot = total + y
         carry = (tot - total) - y
         total = tot
         t += chunk
-    return tuple(out)
+    return out
 
 
 def run_trials(
@@ -474,6 +586,8 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not _is_int(batch_size) or batch_size < 1:
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     checkpoint_times = _checkpoint_grid(checkpoint_times, horizon)
     batches = [
         list(range(lo, min(lo + batch_size, trials)))

@@ -582,13 +582,32 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         return self._lookup_cdf(cdf, x)
 
     def llr_log_cdf(self, state, x):
+        x, scalar = _as1d(x)
         with np.errstate(divide="ignore"):
-            return np.log(self.llr_cdf(state, x))
+            out = np.log(self.llr_cdf(state, x))
+        if state is StateOfWorld.PLUS and (out == -np.inf).any():  # L <= x is -L >= ceil(-x)
+            self._fill_far_tail(out, np.ceil(-x))
+        return _restore(out, scalar)
 
     def llr_log_sf(self, state, x):
+        x, scalar = _as1d(x)
         sf = self._sf_minus if state is StateOfWorld.MINUS else self._sf_plus
         with np.errstate(divide="ignore"):
-            return np.log(self._lookup_sf(sf, x))
+            out = np.log(self._lookup_sf(sf, x))
+        if state is StateOfWorld.MINUS and (out == -np.inf).any():  # L > x is L >= floor(x) + 1
+            self._fill_far_tail(out, np.floor(x) + 1.0)
+        return _restore(out, scalar)
+
+    def _fill_far_tail(self, log_p, m):
+        """Replace -inf in log_p by ``_log_far_tail[m]`` wherever m <= cut.
+
+        m is the least support magnitude that qualifies.  Deep on the far
+        side (|x| past ~734 for Q(n) = 1/log(n + 2 + e)) the plain sums of
+        one state's masses dq(n) e^-n underflow to 0, although the
+        probability stays positive up to the cut.
+        """
+        lost = (log_p == -np.inf) & (m <= len(self.support) // 2)
+        log_p[lost] = self._log_far_tail[m[lost].astype(np.int64)]
 
     def log_action_probabilities(self, x, sign):
         """As for every model, but raises where the action is impossible.
@@ -596,23 +615,15 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         Action +1 needs L > -x and -1 needs L <= -x.  At x <= -cut (for +1)
         or x > cut (for -1) no support point qualifies: the action has
         probability 0 under both states and the update after it is undefined.
-        Deep on the far side (|x| past ~734 for Q(n) = 1/log(n + 2 + e)) the
-        plain sums of one state's masses dq(n) e^-n underflow to 0; there
-        ``_log_far_tail`` gives its log-probability.
         """
         b_minus, b_plus = super().log_action_probabilities(x, sign)
         far = b_minus if sign > 0 else b_plus  # the state whose masses can underflow
         lost = far == -np.inf
-        if lost.any():
-            # +1 needs L >= floor(-x) + 1 under theta = -1, -1 needs -L >= ceil(x) under +1
-            m = np.floor(-x[lost]) + 1.0 if sign > 0 else np.ceil(x[lost])
-            cut = len(self.support) // 2
-            if not (m <= cut).all():  # no support point qualifies (or x is NaN)
-                raise ValueError(
-                    f"action {sign:+d} has probability 0 under both states at x = "
-                    f"{float(x[lost][~(m <= cut)][0])!r}: the support is cut at +-{cut}"
-                )
-            far[lost] = self._log_far_tail[m.astype(np.int64)]
+        if lost.any():  # no support point qualifies (or x is NaN)
+            raise ValueError(
+                f"action {sign:+d} has probability 0 under both states at x = "
+                f"{float(x[lost][0])!r}: the support is cut at +-{len(self.support) // 2}"
+            )
         return b_minus, b_plus
 
     @cached_property

@@ -153,6 +153,50 @@ def _rng_for(master_seed, trial_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
+class TestStreamKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)),
+        extra=st.lists(st.integers(0, 2**32 - 1), max_size=4),
+    )
+    def test_batched_keys_equal_seed_sequence(self, seed, extra):
+        # One vectorised pass must reproduce numpy's per-trial SeedSequence
+        # keys, and with them the streams, bit for bit.
+        indices = [0, 2047, 2048, 2**32 - 1] + extra
+        for gen, i in zip(montecarlo._trial_rng(seed, indices), indices):
+            ref = _rng_for(seed, i)
+            assert np.array_equal(
+                gen.bit_generator.state["state"]["key"], ref.bit_generator.state["state"]["key"]
+            )
+            assert np.array_equal(gen.random(3), ref.random(3))
+            assert np.array_equal(gen.normal(size=3), ref.normal(size=3))
+
+    def test_empty_batch(self):
+        assert montecarlo._trial_rng(3, []) == []
+
+
+class TestBaselineBatch:
+    @pytest.mark.parametrize("model", [G2, PT2, RT], ids=repr)
+    def test_rows_equal_the_per_trial_reference(self, model):
+        # Reference: one stream at a time, each chunk summed and the chunk
+        # totals added with a compensated carry.
+        horizon, ckpt = 2500, (1, 2, 1023, 1024, 1025, 2048, 2049, 2500)
+        indices = [0, 1, 7, 2047, 2048, 5000]
+        batch = montecarlo._baseline_batch(model, PLUS, horizon, 9, indices, ckpt)
+        for row, i in zip(batch, indices):
+            gen, total, carry, ref = _rng_for(9, i), 0.0, 0.0, {}
+            for t in range(1, horizon + 1, montecarlo._TIME_CHUNK):
+                chunk = min(montecarlo._TIME_CHUNK, horizon - t + 1)
+                partial = np.cumsum(model.sample_llr(PLUS, gen, size=chunk))
+                ref.update((c, total + float(partial[c - t])) for c in ckpt if t <= c < t + chunk)
+                y = float(partial[-1]) - carry
+                tot = total + y
+                carry, total = (tot - total) - y, tot
+            assert row.tolist() == [ref[c] for c in ckpt]
+            one = simulate_baseline_llr(model, PLUS, horizon, 9, i, ckpt)
+            assert one == tuple(zip(ckpt, row.tolist()))
+
+
 class TestRunsAndUpsets:
     def test_blocks(self):
         dec = extract_runs_and_upsets([1, 1, -1, -1, -1, 1], PLUS)
@@ -269,6 +313,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="checkpoint_times"):
             simulate_baseline_llr(G1, PLUS, 100, 1, 0, checkpoint_times=grid)
 
+    @pytest.mark.parametrize("batch_size", [0, -3, 2.0, True, "64"])
+    def test_bad_batch_size_is_named(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            run_trials(G1, PLUS, 100, 10, master_seed=1, batch_size=batch_size)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_bad_master_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            montecarlo._trial_rng(seed, [0])
+        with pytest.raises(ValueError, match="master_seed"):
+            run_trials(G1, PLUS, 100, 10, master_seed=seed)
+
+    @pytest.mark.parametrize("indices", [[-1], [2**32], [0, 2**64], [0.0], [True]])
+    def test_trial_index_outside_32_bits_is_named(self, indices):
+        with pytest.raises(ValueError, match="trial_indices"):
+            montecarlo._trial_rng(1, indices)
+        with pytest.raises(ValueError, match="trial_indices"):
+            simulate_baseline_llr(G1, PLUS, 10, 1, indices[-1])
+
     def test_checkpoints_at_both_ends_are_accepted(self):
         agg = run_trials(G1, PLUS, 100, 10, master_seed=1, checkpoint_times=[100, 1])
         assert agg.checkpoint_times == (1, 100)
@@ -330,7 +393,7 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
     def test_blocked_draws_equal_per_trial_sampling(self, model, theta):
         trials, chunk = 300, 257  # 200 non-herd rows: full transform blocks and a partial one
-        gens = [montecarlo._trial_rng(5, i) for i in range(trials)]
+        gens = montecarlo._trial_rng(5, range(trials))
         in_herd = np.zeros(trials, dtype=bool)
         in_herd[::3] = True
         inverse = isinstance(model, InverseCdfSignalModel)

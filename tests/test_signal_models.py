@@ -198,6 +198,29 @@ class TestRateTargetModel:
         d_m = m.llr_log_cdf(PLUS, grid) - m.llr_log_cdf(MINUS, grid)
         assert np.max(np.abs(d_p + d_m)) < 1e-9
 
+    def test_far_tails_stay_finite_past_underflow(self):
+        # Past |x| ~ 734 the plain sums of dq(n) e^-n underflow to 0 while
+        # the probability is positive up to the cut; the log tails must be
+        # the log of those sums, and stay -inf only past the cut.
+        q = [1.0 / math.log(n + 2.0 + math.e) for n in range(-1, 2001)]
+        m = build_rate_target(q)
+        log_dq = np.log(-np.diff(q))
+        n = np.arange(len(log_dq))
+
+        def log_tail(n_min):  # log sum over n >= n_min of dq(n) e^-n, normalized
+            k = n >= n_min
+            return np.logaddexp.reduce(log_dq[k] - n[k]) - math.log(m.normalizer)
+
+        for x in (700.5, 744.5, 1500.5, 1999.5):
+            sf_minus = float(m.llr_log_sf(MINUS, x))  # L >= floor(x) + 1
+            cdf_plus = float(m.llr_log_cdf(PLUS, -x))  # -L >= ceil(x)
+            assert sf_minus == pytest.approx(log_tail(math.floor(x) + 1), rel=1e-13)
+            assert cdf_plus == pytest.approx(log_tail(math.ceil(x)), rel=1e-13)
+        xs = np.array([700.5, 744.5, 2000.0, 2000.5])
+        assert np.array_equal(m.llr_log_sf(MINUS, xs)[:2], [m.llr_log_sf(MINUS, x) for x in xs[:2]])
+        assert m.llr_log_sf(MINUS, xs)[2:].tolist() == [-np.inf, -np.inf]
+        assert float(m.llr_log_cdf(PLUS, -2000.5)) == -np.inf
+
     def test_sampling_matches_pmf(self):
         m = self.model
         rng = np.random.default_rng(11)
