@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .signal_models import NumericalFailure, SignalModel, StateOfWorld
+from .signal_models import NumericalFailure, SignalModel, StateOfWorld, _check_size
 
 __all__ = [
     "OdeSolution",
@@ -205,24 +205,52 @@ def iterate_recurrence(
     Returns the array [a_1, ..., a_horizon] with a_1 = a0.  A step of
     exactly 0 (an increment that underflows in double precision) holds
     the sequence; a negative or non-finite step raises NumericalFailure.
+    The sequence never decreases: a step smaller than the compensation
+    carry (the amount by which the rounded sum overshoots the exact one)
+    holds the value and is taken out of the carry instead.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_size("horizon", horizon)
     values = np.empty(horizon, dtype=float)
-    a = float(a0)
-    carry = 0.0
-    values[0] = a
+    values[0] = a = float(a0)
+    _compensated_steps(increment, values, 1, horizon, a, 0.0)
+    return values
+
+
+def _compensated_steps(
+    increment: Callable[[float], float],
+    values: np.ndarray,
+    start: int,
+    stop: int,
+    a: float,
+    carry: float,
+) -> tuple[float, float]:
+    """Fill ``values[start:stop]`` with a <- a + increment(a), Kahan-compensated.
+
+    ``a`` and ``carry`` are the value at ``start - 1`` and the running
+    compensation there; the pair at ``stop - 1`` is returned, so a caller
+    can resume the sequence.  The one compensated loop of the recurrence
+    iterators: a steps array is replayed through it as an increment that
+    ignores its argument.
+    """
+    out = memoryview(values)  # stores a Python float faster than ndarray item assignment
     inf = math.inf
-    for i in range(1, horizon):
+    for i in range(start, stop):
         step = increment(a)
-        if not 0.0 <= step < inf:
-            raise NumericalFailure(f"increment {step!r} not finite and >= 0 at a={a!r}")
+        if not 0.0 < step < inf:
+            if step != 0.0:  # NaN included
+                raise NumericalFailure(f"increment {step!r} not finite and >= 0 at a={a!r}")
+            out[i] = a  # a zero step holds a; applying the carry could move it down
+            continue
         y = step - carry
+        if y < 0.0:  # a overshoots the exact sum by more than the step: hold it there
+            carry = -y
+            out[i] = a
+            continue
         s = a + y
         carry = (s - a) - y
         a = s
-        values[i] = a
-    return values
+        out[i] = a
+    return a, carry
 
 
 def ratio_curve(

@@ -12,20 +12,23 @@ All functions are pure; d_plus / d_minus accept scalars or arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .asymptotics import iterate_recurrence
+from .asymptotics import _compensated_steps
 from .signal_models import (
     GaussianSignalModel,
+    NumericalFailure,
     PolyTailSignalModel,
     RateTargetSignalModel,
     SignalModel,
     StateOfWorld,
     _as1d,
+    _check_size,
     _restore,
     log_ndtr_scalar,
 )
@@ -217,8 +220,13 @@ class EllStarPath:
         return len(self.values)
 
 
-def _scalar_increment(model: SignalModel) -> Callable[[float], float]:
-    """A fast scalar x -> D_plus(x) for the tight path loops."""
+def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], float]:
+    """A fast scalar x -> D_plus(x) for the tight path loops, and its d_plus stretch.
+
+    The second value is the x below which the scalar increment is
+    ``float(d_plus(model, x))`` itself: -inf for the Gaussian closed form,
+    40 for PolyTail, +inf for any other model.
+    """
     if isinstance(model, GaussianSignalModel):
         mean_p = 2.0 / (model.sigma * model.sigma)
         inv_tau = 1.0 / model.tau
@@ -229,7 +237,7 @@ def _scalar_increment(model: SignalModel) -> Callable[[float], float]:
                 (x - mean_p) * inv_tau
             )
 
-        return incr
+        return incr, -math.inf
 
     if isinstance(model, PolyTailSignalModel):
         c, k = model.c, model.k
@@ -243,28 +251,93 @@ def _scalar_increment(model: SignalModel) -> Callable[[float], float]:
             # smaller by a factor ~ e^-x x^k+1, i.e. < 1e-15 of the result
             return -math.log1p(-a * x**-k) - c * math.exp(-x) * x ** (-k - 1.0)
 
-        return poly
+        return poly, 40.0
 
     def generic(x: float) -> float:
         return float(d_plus(model, x))
 
-    return generic
+    return generic, math.inf
+
+
+# Steps per block of the block solve, and the sweeps a block may take
+# before it is finished by the sequential loop instead.
+_BLOCK = 256
+_MAX_SWEEPS = 24
+
+
+def _solve_blocks(model, incr, below, values, a):
+    """Fill ``values[1:]`` from ``values[0] = a`` while the path lies below ``below``.
+
+    While x < ``below`` the path's increment is d_plus itself, so a block of
+    steps is the fixed point of "evaluate d_plus at guessed positions in one
+    call, rerun the compensated scan over those steps": each sweep fixes at
+    least one more position, and only the sequential path returns its input
+    bit for bit.  A block whose sweeps fail (a guessed position may be one
+    the path never visits) or do not converge within ``_MAX_SWEEPS`` is run
+    by the sequential loop, which raises any error where the step-by-step
+    iteration would.  Returns the index of the last position filled, with
+    its value and carry.
+    """
+    horizon = len(values)
+    i, carry, slope = 0, 0.0, 0.0
+    while i < horizon - 1 and a < below:
+        n = min(_BLOCK, horizon - 1 - i)
+        x = a + slope * np.arange(n, dtype=float)  # x[j] guesses values[i + j]
+        x[0] = a
+        new = values[i + 1:i + n]  # what the scan makes of x[1:]
+        solved = False
+        for _ in range(_MAX_SWEEPS):
+            try:
+                steps = d_plus(model, x).tolist()
+                end = _compensated_steps(_replay(steps), values, i + 1, i + 1 + n, a, carry)
+            except (ArithmeticError, ValueError, NumericalFailure):
+                break  # the sequential loop below raises it again if the path meets it
+            solved = np.array_equal(new.view(np.int64), x[1:].view(np.int64))
+            if solved:
+                break
+            x[1:] = new
+        if not solved:
+            end = _compensated_steps(incr, values, i + 1, i + 1 + n, a, carry)
+        else:
+            crossed = np.flatnonzero(values[i + 1:i + 1 + n] >= below)
+            if len(crossed) and crossed[0] < n - 1:
+                # past the first position >= below the steps are not the path's
+                n = int(crossed[0]) + 1
+                end = _compensated_steps(_replay(steps[:n]), values, i + 1, i + 1 + n, a, carry)
+        a, carry = end
+        i += n
+        slope = values[i] - values[i - 1]
+    return i, a, carry
+
+
+def _replay(steps: list) -> Callable[[float], float]:
+    """An increment that returns ``steps`` in turn, whatever its argument.
+
+    ``next(it, a)`` returns the next step (``a`` would only be the default
+    of an exhausted iterator), with no Python frame per step.
+    """
+    return functools.partial(next, iter(steps))
 
 
 def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> EllStarPath:
     """Iterate ell' = ell + D_plus(ell) for ``horizon`` agents.
 
-    Compensated summation (``asymptotics.iterate_recurrence``) keeps even
-    1e7 steps of shrinking increments accurate; a step that underflows to
-    exactly 0 holds the path.  ``prior_llr`` must be finite.
+    Compensated summation (``asymptotics.iterate_recurrence``'s loop) keeps
+    even 1e7 steps of shrinking increments accurate; a step that underflows
+    to exactly 0 holds the path.  Where the increment is d_plus itself the
+    path is solved in blocks of steps (``_solve_blocks``), bit-identical to
+    the step-by-step loop.  ``prior_llr`` must be finite.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_size("horizon", horizon)
     if not math.isfinite(prior_llr):
         raise ValueError(f"prior_llr must be finite, got {prior_llr!r}")
     if isinstance(model, RateTargetSignalModel):
         return _ell_star_path_ratetarget(model, horizon, prior_llr)
-    values = iterate_recurrence(_scalar_increment(model), prior_llr, horizon)
+    incr, below = _scalar_increment(model)
+    values = np.empty(horizon, dtype=float)
+    values[0] = a = float(prior_llr)
+    i, a, carry = _solve_blocks(model, incr, below, values, a)
+    _compensated_steps(incr, values, i + 1, horizon, a, carry)
     return EllStarPath(values=values, prior_llr=float(prior_llr))
 
 

@@ -135,6 +135,11 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
     family_needed, first_t = _PAIRED.get(experiment, (family, 1))
     if family_needed != family or _PAIRED.get(family, (experiment, 1))[0] != experiment:
         raise ConfigError(f"model.family: {experiment} cannot take a {family!r} model")
+    if experiment == "ode-check" and values["horizon"] < _ODE_FIRST_T:
+        raise ConfigError(
+            f"horizon: ode-check samples t on [{_ODE_FIRST_T}, horizon], "
+            f"so it needs horizon >= {_ODE_FIRST_T}, got {values['horizon']}"
+        )
     grid = values["checkpoints"] or [values["horizon"]]  # the default grid ends at the horizon
     if max(grid) < first_t:
         raise ConfigError(
@@ -267,7 +272,12 @@ def _exp_time_to_learn(config: ExperimentConfig, model):
 
 def _exp_upset_tail(config: ExperimentConfig, model):
     agg = _run_aggregate(config, model)
-    fit = montecarlo.estimate_upset_tail(agg)
+    try:
+        fit = montecarlo.estimate_upset_tail(agg)
+    except ValueError as exc:  # a fit needs upset counts that enough trials reach
+        raise ConfigError(
+            f"trials: {config.trials} are too few for the upset-tail fit ({exc})"
+        ) from exc
     upset_rows = [
         (int(n), fit.survival[n], fit.wilson_lo[n], fit.wilson_hi[n])
         for n in range(len(fit.n_values))
@@ -312,7 +322,7 @@ def _exp_baseline_compare(config: ExperimentConfig, model):
 
 
 def _exp_ode_check(config: ExperimentConfig, model):
-    ts = np.geomspace(10.0, float(config.horizon), 40)
+    ts = np.geomspace(float(_ODE_FIRST_T), float(config.horizon), 40)
     if model is None:
         if config.model["tail"] == "exponential":
             rate = lambda x: math.exp(-x)
@@ -342,6 +352,9 @@ def _exp_ode_check(config: ExperimentConfig, model):
     files = {"ode_check.csv": _csv_text(["t", "recurrence", "f_ode", "ratio"], rows)}
     return files, {"final_ratio": rows[-1][3]}
 
+
+# ode-check's rows sample t geometrically from here to the horizon.
+_ODE_FIRST_T = 10
 
 _DISPATCH = {
     "gauss-rate": _exp_gauss_rate,
@@ -440,7 +453,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     ``config`` comes from ``parse_config``, which has already checked it;
     the signal model is built here once and shared by the experiment body
-    and the trajectory dump.
+    and the trajectory dump.  An upset-tail run whose trials turn out too
+    few for its tail fit raises a ConfigError naming ``trials``.
     """
     started = datetime.now(timezone.utc).isoformat()
     model = None if config.model["family"] == "synthetic" else model_from_dict(config.model)

@@ -36,7 +36,13 @@ from typing import Sequence
 import numpy as np
 
 from .belief import ActionLabel, d_minus, d_plus, rb_mistake_weight
-from .signal_models import InverseCdfSignalModel, SignalModel, StateOfWorld
+from .signal_models import (
+    InverseCdfSignalModel,
+    SignalModel,
+    StateOfWorld,
+    _check_size,
+    _is_int,
+)
 
 __all__ = [
     "Trajectory",
@@ -135,11 +141,6 @@ def _philox_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
     return np.stack((state[0] | state[1] << high, state[2] | state[3] << high), axis=1)
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> list[np.random.Generator]:
     """The counter-based streams owned by a batch of trials, in order.
 
@@ -160,8 +161,7 @@ def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> list[np.random
 
 def _checkpoint_grid(checkpoint_times: Sequence[int] | None, horizon: int) -> tuple[int, ...]:
     """The sorted checkpoint grid, validated against the horizon."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_size("horizon", horizon)
     if checkpoint_times is None:
         return default_checkpoints(horizon)
     grid = tuple(sorted(set(int(t) for t in checkpoint_times)))
@@ -584,10 +584,8 @@ def run_trials(
     speed only, never results.  When ``collect_actions`` is set, the raw
     action matrices are returned alongside the aggregate.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not _is_int(batch_size) or batch_size < 1:
-        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    _check_size("trials", trials)
+    _check_size("batch_size", batch_size)
     checkpoint_times = _checkpoint_grid(checkpoint_times, horizon)
     batches = [
         list(range(lo, min(lo + batch_size, trials)))

@@ -61,6 +61,17 @@ def _restore(out, scalar):
     return float(out[0]) if scalar else out
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_size(name: str, value) -> None:
+    """Refuse a size argument that is not an integer >= 1, naming it."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class NumericalFailure(RuntimeError):
     """A quadrature or root-find did not converge to the requested accuracy."""
 

@@ -133,6 +133,11 @@ class TestRecurrenceVsOde:
         with pytest.raises(NumericalFailure):
             iterate_recurrence(lambda x: -1.0, 0.0, 10)
 
+    @pytest.mark.parametrize("horizon", [0, -3, 10.5, True])
+    def test_bad_horizon_is_named(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            iterate_recurrence(lambda x: 1.0, 0.0, horizon)
+
     def test_zero_step_holds(self):
         # an increment that underflows to 0 is exact, not a failure
         assert np.array_equal(iterate_recurrence(lambda x: 0.0, 1.5, 4), [1.5] * 4)

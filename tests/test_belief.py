@@ -1,7 +1,9 @@
 """Public-belief dynamics: increments, martingale identity, ell*, first mistake."""
 
+import functools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from herdsim import belief
+from herdsim.asymptotics import iterate_recurrence
 from herdsim.belief import (
     ActionLabel,
     BeliefState,
@@ -28,7 +32,9 @@ from herdsim.belief import (
 )
 from herdsim.signal_models import (
     GaussianSignalModel,
+    NumericalFailure,
     PolyTailSignalModel,
+    SignalModel,
     StateOfWorld,
     build_rate_target,
 )
@@ -249,9 +255,13 @@ class TestEllStarPath:
         pred = (2.0 * math.sqrt(2.0)) * math.sqrt(math.log(10**5))
         assert 0.75 <= path.values[-1] / pred <= 1.25
 
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            ell_star_path(G1, 0)
+    @pytest.mark.parametrize("horizon", [0, -3, 10.5, True])
+    def test_bad_horizon(self, horizon):
+        for model in (G1, PT2, RT):
+            with pytest.raises(ValueError, match="horizon"):
+                ell_star_path(model, horizon)
+            with pytest.raises(ValueError, match="horizon"):
+                first_mistake_distribution(model, horizon)
 
     @pytest.mark.parametrize("prior_llr", [math.nan, math.inf, -math.inf])
     def test_non_finite_prior_is_named(self, prior_llr):
@@ -265,6 +275,113 @@ class TestEllStarPath:
         # D_plus underflows to exactly 0 past ell ~ 38 for sigma = 2
         assert d_plus(G2, 40.0) == 0.0
         assert np.all(ell_star_path(G2, 5, prior_llr=40.0).values == 40.0)
+
+
+@dataclass(frozen=True)
+class LogisticModel(SignalModel):
+    """A minimal custom model: the LLR is logistic around +-1 under theta = +-1.
+
+    Past ``bad_above`` its increments are NaN, a model defect the path
+    iteration must report.
+    """
+
+    bad_above: float = math.inf
+    family = "logistic"
+
+    def llr_log_sf(self, state, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(-x > self.bad_above, np.nan, -np.logaddexp(0.0, x - state.sign))
+
+    def llr_log_cdf(self, state, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(-x > self.bad_above, np.nan, -np.logaddexp(0.0, state.sign - x))
+
+
+def _sequential(model, horizon, prior):
+    """ell* by the step-by-step compensated loop over the scalar increment."""
+    incr, _ = belief._scalar_increment(model)
+    return iterate_recurrence(incr, prior, horizon)
+
+
+def _bytes_equal(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+PRIORS = [0.0, 0.3, -2.0, 39.5, 41.0, -45.0]
+
+
+class TestBlockSolve:
+    """ell_star_path solves the d_plus stretch in blocks; the bytes are the loop's."""
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
+    def test_polytail_paths_equal_the_sequential_loop(self, k):
+        model = PolyTailSignalModel(k=k)
+        # a prior from which the path crosses 40 within a few hundred steps,
+        # inside a block; from 41 it starts past 40
+        crossing = 40.0 - 300.0 * float(d_plus(model, 40.0))
+        for prior in PRIORS + [crossing]:
+            for horizon in (1, 2, 3000):  # 3000 steps end mid-block
+                path = ell_star_path(model, horizon, prior).values
+                assert _bytes_equal(path, _sequential(model, horizon, prior)), (prior, horizon)
+        assert 100 < np.argmax(ell_star_path(model, 3000, crossing).values >= 40.0) < 3000
+
+    def test_generic_model_equals_the_sequential_loop(self):
+        model = LogisticModel()
+        for prior in (0.0, -2.0, 5.0):
+            for horizon in (1, 2, 1000):
+                path = ell_star_path(model, horizon, prior).values
+                assert _bytes_equal(path, _sequential(model, horizon, prior))
+        assert np.all(np.diff(ell_star_path(model, 1000).values) > 0.0)
+
+    @pytest.mark.parametrize("model", [PT1, PT2, LogisticModel()], ids=lambda m: m.family)
+    def test_first_mistake_law_bytes(self, model):
+        for prior in (0.0, -2.0, 39.5):
+            law = first_mistake_distribution(model, 1500, prior)
+            neg = -_sequential(model, 1500, prior)
+            log_correct = np.asarray(model.llr_log_sf(PLUS, neg), dtype=float)
+            cum = np.concatenate(([0.0], np.cumsum(log_correct)))
+            pmf = np.exp(np.asarray(model.llr_log_cdf(PLUS, neg), dtype=float) + cum[:-1])
+            assert _bytes_equal(law.pmf, pmf) and _bytes_equal(law.survivor, np.exp(cum[1:]))
+
+    @staticmethod
+    def _spy_on_sequential_blocks(monkeypatch):
+        """Record the (start, stop) of every scan that calls the model's own increment."""
+        sequential, scan = [], belief._compensated_steps
+
+        def spy(increment, values, start, stop, a, carry):
+            if not isinstance(increment, functools.partial):  # not a replay of solved steps
+                sequential.append((start, stop))
+            return scan(increment, values, start, stop, a, carry)
+
+        monkeypatch.setattr(belief, "_compensated_steps", spy)
+        return sequential
+
+    def test_sweep_cap_falls_back_to_the_same_bytes(self, monkeypatch):
+        expected = {prior: _sequential(PT2, 700, prior) for prior in PRIORS}
+        sequential = self._spy_on_sequential_blocks(monkeypatch)
+        monkeypatch.setattr(belief, "_MAX_SWEEPS", 1)  # one sweep solves no block of 3+ steps
+        for prior in PRIORS:
+            assert _bytes_equal(ell_star_path(PT2, 700, prior).values, expected[prior])
+        assert (1, 257) in sequential and (257, 513) in sequential
+
+    def test_invalid_guessed_step_falls_back(self, monkeypatch):
+        # the path stays below 10 for 300 steps, but the straight-line guess
+        # of the first block runs past it into NaN increments
+        model = LogisticModel(bad_above=10.0)
+        expected = _sequential(model, 300, 0.0)
+        sequential = self._spy_on_sequential_blocks(monkeypatch)
+        path = ell_star_path(model, 300).values
+        assert path[-1] < 10.0 and _bytes_equal(path, expected)
+        assert (1, 257) in sequential
+
+    def test_invalid_step_on_the_path_raises_as_the_loop_does(self):
+        model = LogisticModel(bad_above=3.0)
+        with pytest.raises(NumericalFailure) as sequential:
+            _sequential(model, 300, 0.0)
+        with pytest.raises(NumericalFailure) as blocked:
+            ell_star_path(model, 300)
+        assert str(blocked.value) == str(sequential.value)
+        assert "nan" in str(blocked.value)
 
 
 class TestFirstMistake:

@@ -348,3 +348,37 @@ class TestCli:
         assert cli_main(["run", p]) == 2
         assert "checkpoints" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model,horizon",
+        [(GAUSS, 5), ({"family": "synthetic", "tail": "exponential"}, 9)],
+    )
+    def test_ode_check_below_its_first_sample_exit_two(self, tmp_path, capsys, model, horizon):
+        # its rows sample t on [10, horizon]
+        p = self._write(
+            tmp_path,
+            {"experiment": "ode-check", "model": model, "horizon": horizon,
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p]) == 2
+        assert "horizon" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ode_check_at_its_first_sample_runs(self, tmp_path):
+        p = self._write(
+            tmp_path,
+            {"experiment": "ode-check", "model": GAUSS, "horizon": 10,
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p]) == 0
+
+    def test_upset_tail_with_too_few_trials_exit_two(self, tmp_path, capsys):
+        # no upset count is reached by the fit's 50 trials
+        p = self._write(
+            tmp_path,
+            {"experiment": "upset-tail", "model": {"family": "gaussian", "sigma": 1.0},
+             "horizon": 50, "trials": 3, "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p]) == 2
+        assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -291,18 +291,21 @@ class TestEstimators:
 
 
 class TestValidation:
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            run_trials(G1, PLUS, 100, 0, master_seed=1)
+    @pytest.mark.parametrize("trials", [0, 2.5, True])
+    def test_bad_arguments(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            run_trials(G1, PLUS, 100, trials, master_seed=1)
         with pytest.raises(ValueError):
             simulate_trajectory(G1, PLUS, 0, master_seed=1, trial_index=0)
 
-    def test_nonpositive_horizon_is_named(self):
-        for horizon in (0, -3):
-            with pytest.raises(ValueError, match="horizon"):
-                run_trials(G1, PLUS, horizon, 10, master_seed=1)
-            with pytest.raises(ValueError, match="horizon"):
-                simulate_baseline_llr(G1, PLUS, horizon, master_seed=1, trial_index=0)
+    @pytest.mark.parametrize("horizon", [0, -3, 10.5, True])
+    def test_nonpositive_horizon_is_named(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            run_trials(G1, PLUS, horizon, 10, master_seed=1)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_trajectory(G1, PLUS, horizon, master_seed=1, trial_index=0)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_baseline_llr(G1, PLUS, horizon, master_seed=1, trial_index=0)
 
     @pytest.mark.parametrize("grid", [[0, 5], [5, 101], [-1], [101]])
     def test_checkpoints_outside_the_horizon_are_named(self, grid):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herdsim.asymptotics import iterate_recurrence
@@ -56,6 +56,10 @@ def test_non_finite_prior_is_named(model, prior, horizon):
     steps=st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=20),
     horizon=st.integers(min_value=1, max_value=30),
 )
+# a zero step, then a step smaller than the carry, right after a step that
+# leaves a carry of half an ulp: applying the carry would move the value down
+@example(a0=1.7463821097862393, steps=[510.4912475341722], horizon=3)
+@example(a0=1.7463821097862393, steps=[510.4912475341722, 8.037100231503564e-181], horizon=3)
 def test_zero_step_holds_the_recurrence(a0, steps, horizon):
     # the increment falls to exactly 0 after len(steps) calls and stays there
     calls = []
