@@ -238,7 +238,7 @@ def _compensated_steps(
         step = increment(a)
         if not 0.0 < step < inf:
             if step != 0.0:  # NaN included
-                raise NumericalFailure(f"increment {step!r} not finite and >= 0 at a={a!r}")
+                raise _invalid_step(step, a)
             out[i] = a  # a zero step holds a; applying the carry could move it down
             continue
         y = step - carry
@@ -251,6 +251,11 @@ def _compensated_steps(
         a = s
         out[i] = a
     return a, carry
+
+
+def _invalid_step(step: float, a: float) -> NumericalFailure:
+    """The error of a recurrence whose increment at ``a`` is negative or not finite."""
+    return NumericalFailure(f"increment {step!r} not finite and >= 0 at a={a!r}")
 
 
 def ratio_curve(

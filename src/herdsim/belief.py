@@ -220,6 +220,11 @@ class EllStarPath:
         return len(self.values)
 
 
+def _gaussian_constants(model: GaussianSignalModel) -> tuple[float, float]:
+    """The plus-state LLR mean and 1 / tau of the Gaussian increment's closed form."""
+    return 2.0 / (model.sigma * model.sigma), 1.0 / model.tau
+
+
 def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], float]:
     """A fast scalar x -> D_plus(x) for the tight path loops, and its d_plus stretch.
 
@@ -228,8 +233,7 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
     40 for PolyTail, +inf for any other model.
     """
     if isinstance(model, GaussianSignalModel):
-        mean_p = 2.0 / (model.sigma * model.sigma)
-        inv_tau = 1.0 / model.tau
+        mean_p, inv_tau = _gaussian_constants(model)
 
         def incr(x: float) -> float:
             # log sf(state, -x) = log_ndtr((x + mean_state) / tau)
@@ -272,11 +276,13 @@ def _solve_blocks(model, incr, below, values, a):
     steps is the fixed point of "evaluate d_plus at guessed positions in one
     call, rerun the compensated scan over those steps": each sweep fixes at
     least one more position, and only the sequential path returns its input
-    bit for bit.  A block whose sweeps fail (a guessed position may be one
-    the path never visits) or do not converge within ``_MAX_SWEEPS`` is run
-    by the sequential loop, which raises any error where the step-by-step
-    iteration would.  Returns the index of the last position filled, with
-    its value and carry.
+    bit for bit.  A block that has not converged within ``_MAX_SWEEPS``
+    commits the prefix its last sweep returned unchanged, plus the next
+    position, which that exact prefix determines.  A block whose sweep fails
+    (a guessed position may be one the path never visits) is run by the
+    sequential loop, which raises any error where the step-by-step iteration
+    would.  Returns the index of the last position filled, with its value
+    and carry.
     """
     horizon = len(values)
     i, carry, slope = 0, 0.0, 0.0
@@ -285,27 +291,34 @@ def _solve_blocks(model, incr, below, values, a):
         x = a + slope * np.arange(n, dtype=float)  # x[j] guesses values[i + j]
         x[0] = a
         new = values[i + 1:i + n]  # what the scan makes of x[1:]
-        solved = False
         for _ in range(_MAX_SWEEPS):
             try:
                 steps = d_plus(model, x).tolist()
                 end = _compensated_steps(_replay(steps), values, i + 1, i + 1 + n, a, carry)
             except (ArithmeticError, ValueError, NumericalFailure):
-                break  # the sequential loop below raises it again if the path meets it
-            solved = np.array_equal(new.view(np.int64), x[1:].view(np.int64))
-            if solved:
+                exact = 0  # the sequential loop below raises it again if the path meets it
+                break
+            moved = new.view(np.int64) != x[1:].view(np.int64)
+            # x[:j + 1] is exact while the scan returns x[1:j + 1] unchanged,
+            # and then so is the step it takes from there
+            exact = int(np.argmax(moved)) + 1 if moved.any() else n
+            if exact == n:
                 break
             x[1:] = new
-        if not solved:
-            end = _compensated_steps(incr, values, i + 1, i + 1 + n, a, carry)
+        if not exact:
+            a, carry = _compensated_steps(incr, values, i + 1, i + 1 + n, a, carry)
+            i += n
         else:
-            crossed = np.flatnonzero(values[i + 1:i + 1 + n] >= below)
-            if len(crossed) and crossed[0] < n - 1:
-                # past the first position >= below the steps are not the path's
-                n = int(crossed[0]) + 1
-                end = _compensated_steps(_replay(steps[:n]), values, i + 1, i + 1 + n, a, carry)
-        a, carry = end
-        i += n
+            # past the first position >= below the steps are not the path's
+            crossed = np.flatnonzero(values[i + 1:i + exact] >= below)
+            if len(crossed):
+                exact = int(crossed[0]) + 1
+            if exact < n:
+                end = _compensated_steps(
+                    _replay(steps[:exact]), values, i + 1, i + 1 + exact, a, carry
+                )
+            a, carry = end
+            i += exact
         slope = values[i] - values[i - 1]
     return i, a, carry
 
@@ -325,17 +338,25 @@ def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> E
     Compensated summation (``asymptotics.iterate_recurrence``'s loop) keeps
     even 1e7 steps of shrinking increments accurate; a step that underflows
     to exactly 0 holds the path.  Where the increment is d_plus itself the
-    path is solved in blocks of steps (``_solve_blocks``), bit-identical to
-    the step-by-step loop.  ``prior_llr`` must be finite.
+    path is solved in blocks of steps (``_solve_blocks``), and a Gaussian
+    path runs in C (``_native``), both bit-identical to the step-by-step
+    loop.  ``prior_llr`` must be finite.
     """
     _check_size("horizon", horizon)
     if not math.isfinite(prior_llr):
         raise ValueError(f"prior_llr must be finite, got {prior_llr!r}")
     if isinstance(model, RateTargetSignalModel):
         return _ell_star_path_ratetarget(model, horizon, prior_llr)
-    incr, below = _scalar_increment(model)
     values = np.empty(horizon, dtype=float)
     values[0] = a = float(prior_llr)
+    if isinstance(model, GaussianSignalModel):
+        from . import _native  # imported here: only a Gaussian path builds or loads the library
+
+        steps = _native.gaussian_steps()
+        if steps is not None:
+            steps(values, 1, horizon, a, 0.0, *_gaussian_constants(model))
+            return EllStarPath(values=values, prior_llr=float(prior_llr))
+    incr, below = _scalar_increment(model)
     i, a, carry = _solve_blocks(model, incr, below, values, a)
     _compensated_steps(incr, values, i + 1, horizon, a, carry)
     return EllStarPath(values=values, prior_llr=float(prior_llr))

@@ -140,6 +140,12 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
             f"horizon: ode-check samples t on [{_ODE_FIRST_T}, horizon], "
             f"so it needs horizon >= {_ODE_FIRST_T}, got {values['horizon']}"
         )
+    fit_trials = montecarlo._UPSET_FIT_MIN_COUNT
+    if experiment == "upset-tail" and values["trials"] < fit_trials:
+        raise ConfigError(
+            f"trials: the upset-tail fit uses bins of at least {fit_trials} trials, "
+            f"so it needs trials >= {fit_trials}, got {values['trials']}"
+        )
     grid = values["checkpoints"] or [values["horizon"]]  # the default grid ends at the horizon
     if max(grid) < first_t:
         raise ConfigError(

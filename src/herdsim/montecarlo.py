@@ -734,7 +734,14 @@ def _wilson(successes: np.ndarray, n: int, z: float = 1.959963984540054):
     return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
 
 
-def estimate_upset_tail(agg: AggregateStats, min_count: int = 50) -> UpsetTailFit:
+# Trials that back a survival bin of the default upset-tail fit; with fewer
+# trials in all, no bin is backed.
+_UPSET_FIT_MIN_COUNT = 50
+
+
+def estimate_upset_tail(
+    agg: AggregateStats, min_count: int = _UPSET_FIT_MIN_COUNT
+) -> UpsetTailFit:
     """Survival P(Xi >= n) with Wilson bands and a log-linear fit.
 
     The fit covers the survival bins backed by at least ``min_count``

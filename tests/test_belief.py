@@ -2,6 +2,12 @@
 
 import functools
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 import warnings
 from dataclasses import dataclass
 
@@ -11,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from herdsim import belief
+from herdsim import _native, belief
 from herdsim.asymptotics import iterate_recurrence
 from herdsim.belief import (
     ActionLabel,
@@ -333,7 +339,7 @@ class TestBlockSolve:
                 assert _bytes_equal(path, _sequential(model, horizon, prior))
         assert np.all(np.diff(ell_star_path(model, 1000).values) > 0.0)
 
-    @pytest.mark.parametrize("model", [PT1, PT2, LogisticModel()], ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", [G1, PT1, PT2, LogisticModel()], ids=lambda m: m.family)
     def test_first_mistake_law_bytes(self, model):
         for prior in (0.0, -2.0, 39.5):
             law = first_mistake_distribution(model, 1500, prior)
@@ -344,32 +350,46 @@ class TestBlockSolve:
             assert _bytes_equal(law.pmf, pmf) and _bytes_equal(law.survivor, np.exp(cum[1:]))
 
     @staticmethod
-    def _spy_on_sequential_blocks(monkeypatch):
-        """Record the (start, stop) of every scan that calls the model's own increment."""
-        sequential, scan = [], belief._compensated_steps
+    def _spy_on_scans(monkeypatch):
+        """Record the (start, stop) of every scan: over the model's own increment, and replays."""
+        sequential, replayed, scan = [], [], belief._compensated_steps
 
         def spy(increment, values, start, stop, a, carry):
-            if not isinstance(increment, functools.partial):  # not a replay of solved steps
-                sequential.append((start, stop))
+            # a replay of solved steps is a partial; anything else steps the model
+            replay = isinstance(increment, functools.partial)
+            (replayed if replay else sequential).append((start, stop))
             return scan(increment, values, start, stop, a, carry)
 
         monkeypatch.setattr(belief, "_compensated_steps", spy)
-        return sequential
+        return sequential, replayed
 
-    def test_sweep_cap_falls_back_to_the_same_bytes(self, monkeypatch):
+    def test_sweep_cap_commits_the_converged_prefix(self, monkeypatch):
         expected = {prior: _sequential(PT2, 700, prior) for prior in PRIORS}
-        sequential = self._spy_on_sequential_blocks(monkeypatch)
+        sequential, replayed = self._spy_on_scans(monkeypatch)
         monkeypatch.setattr(belief, "_MAX_SWEEPS", 1)  # one sweep solves no block of 3+ steps
         for prior in PRIORS:
             assert _bytes_equal(ell_star_path(PT2, 700, prior).values, expected[prior])
-        assert (1, 257) in sequential and (257, 513) in sequential
+        # each capped block commits the step its exact start fixes; none runs step by step
+        assert all(stop == 700 for _, stop in sequential)
+        assert (1, 257) in replayed and (1, 2) in replayed and (2, 258) in replayed
+
+    @pytest.mark.parametrize("k", [2.0, 4.0])
+    def test_unconverged_first_block_is_not_rerun_step_by_step(self, k, monkeypatch):
+        # from a prior near 0 the first block of a k >= 1 path hits the sweep cap
+        model = PolyTailSignalModel(k=k)
+        expected = _sequential(model, 1000, 0.1)
+        sequential, replayed = self._spy_on_scans(monkeypatch)
+        assert _bytes_equal(ell_star_path(model, 1000, 0.1).values, expected)
+        assert sequential == [(1000, 1000)]
+        prefix = [stop for start, stop in replayed if start == 1 and stop < 257]
+        assert len(prefix) == 1 and 2 < prefix[0]
 
     def test_invalid_guessed_step_falls_back(self, monkeypatch):
         # the path stays below 10 for 300 steps, but the straight-line guess
         # of the first block runs past it into NaN increments
         model = LogisticModel(bad_above=10.0)
         expected = _sequential(model, 300, 0.0)
-        sequential = self._spy_on_sequential_blocks(monkeypatch)
+        sequential, _ = self._spy_on_scans(monkeypatch)
         path = ell_star_path(model, 300).values
         assert path[-1] < 10.0 and _bytes_equal(path, expected)
         assert (1, 257) in sequential
@@ -382,6 +402,71 @@ class TestBlockSolve:
             ell_star_path(model, 300)
         assert str(blocked.value) == str(sequential.value)
         assert "nan" in str(blocked.value)
+
+
+@pytest.fixture
+def native_loop():
+    """The compiled Gaussian loop; it must load wherever the interpreter's C compiler runs."""
+    loop = _native.gaussian_steps()
+    cc = sysconfig.get_config_var("CC")
+    if loop is None and not (cc and shutil.which(shlex.split(cc)[0])):
+        pytest.skip("no C compiler to build the Gaussian loop with")
+    assert loop is not None
+    return loop
+
+
+class TestNativeGaussianLoop:
+    """The Gaussian ell* path runs in C; its bytes are the Python loop's."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.0])
+    def test_paths_equal_the_sequential_loop(self, sigma, native_loop):
+        model = GaussianSignalModel(sigma=sigma)
+        # -40: the deep-tail series branch; 700: the increment underflows and holds
+        for prior in (-40.0, -3.0, 0.0, 0.1, 5.0, 700.0):
+            for horizon in (1, 2, 10**5):
+                path = ell_star_path(model, horizon, prior).values
+                assert _bytes_equal(path, _sequential(model, horizon, prior)), (prior, horizon)
+
+    def test_million_step_path_equals_the_sequential_loop(self, native_loop):
+        assert _bytes_equal(ell_star_path(G1, 10**6, 0.1).values, _sequential(G1, 10**6, 0.1))
+
+    def test_invalid_step_raises_as_the_loop_does(self, native_loop):
+        with pytest.raises(NumericalFailure) as sequential:
+            _sequential(G1, 10, -1e160)
+        with pytest.raises(NumericalFailure) as compiled:
+            ell_star_path(G1, 10, -1e160)
+        assert str(compiled.value) == str(sequential.value)
+        assert str(compiled.value) == "increment nan not finite and >= 0 at a=-1e+160"
+
+    def test_without_the_library_the_python_loop_gives_the_same_bytes(self, native_loop, monkeypatch):
+        compiled = ell_star_path(G2, 5000, -3.0).values
+        monkeypatch.setattr(_native, "gaussian_steps", lambda: None)
+        assert _bytes_equal(ell_star_path(G2, 5000, -3.0).values, compiled)
+
+    def test_build_goes_to_a_private_cache_file_named_by_the_source(self, native_loop, tmp_path):
+        cache = tmp_path / "herdsim"
+        assert _native._load(str(cache)) is not None
+        assert os.stat(cache).st_mode & 0o777 == 0o700
+        library = _native._library_path(str(cache))
+        assert os.listdir(cache) == [os.path.basename(library)]
+        built = os.stat(library).st_mtime_ns
+        assert _native._load(str(cache)) is not None
+        assert os.stat(library).st_mtime_ns == built  # loaded, not rebuilt
+
+    def test_no_compiler_or_shared_cache_dir_loads_nothing(self, monkeypatch, tmp_path):
+        shared = tmp_path / "shared"
+        shared.mkdir(mode=0o777)
+        os.chmod(shared, 0o777)
+        assert _native._load(str(shared)) is None
+        assert os.listdir(shared) == []
+        monkeypatch.setattr(_native.sysconfig, "get_config_var", lambda name: "no-such-cc-herdsim")
+        assert _native._load(str(tmp_path / "herdsim")) is None
+        assert os.listdir(tmp_path / "herdsim") == []
+
+    def test_importing_the_package_loads_no_library(self):
+        code = "import sys, herdsim; sys.exit('herdsim._native' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestFirstMistake:

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from herdsim import montecarlo
 from herdsim.cli import main as cli_main
 from herdsim.experiments import (
     EXPERIMENT_NAMES,
@@ -51,6 +52,8 @@ class TestParseConfig:
             ({"horizon": 0}, "horizon"),
             ({"horizon": "big"}, "horizon"),
             ({"trials": -3}, "trials"),
+            # the upset-tail fit needs bins of 50 trials
+            ({"experiment": "upset-tail", "trials": 49}, "trials"),
             ({"prior": 1.5}, "prior"),
             ({"master_seed": -1}, "master_seed"),
             ({"threads": 0}, "threads"),
@@ -372,13 +375,16 @@ class TestCli:
         )
         assert cli_main(["run", p]) == 0
 
-    def test_upset_tail_with_too_few_trials_exit_two(self, tmp_path, capsys):
-        # no upset count is reached by the fit's 50 trials
+    def test_upset_tail_with_too_few_trials_exit_two(self, tmp_path, capsys, monkeypatch):
+        # no upset count is reached by the fit's 50 trials, so none is simulated
         p = self._write(
             tmp_path,
             {"experiment": "upset-tail", "model": {"family": "gaussian", "sigma": 1.0},
              "horizon": 50, "trials": 3, "output_dir": str(tmp_path / "out")},
         )
+        ran = []
+        monkeypatch.setattr(montecarlo, "run_trials", lambda *a, **k: ran.append(a))
         assert cli_main(["run", p]) == 2
+        assert ran == []
         assert "trials" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
