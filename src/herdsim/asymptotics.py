@@ -17,7 +17,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .signal_models import NumericalFailure, SignalModel, StateOfWorld, _check_size
+from .signal_models import (
+    NumericalFailure,
+    SignalModel,
+    StateOfWorld,
+    _check_finite,
+    _check_size,
+)
 
 __all__ = [
     "OdeSolution",
@@ -119,8 +125,9 @@ def solve_belief_ode(
 
 def closed_form_exponential_tail(c: float, t) -> float:
     """Solution log(t + c) of f' = e^{-f}."""
+    _check_finite("c", c)
     t = np.asarray(t, dtype=float)
-    if np.any(t + c <= 0.0):
+    if not np.all(t + c > 0.0):
         raise ValueError("t + c must be positive")
     out = np.log(t + c)
     return float(out) if out.ndim == 0 else out
@@ -128,11 +135,13 @@ def closed_form_exponential_tail(c: float, t) -> float:
 
 def closed_form_polynomial_tail(k: float, c: float, t) -> float:
     """Solution ((k+1) t + c)^{1/(k+1)} of f' = f^{-k}."""
+    _check_finite("k", k)
+    _check_finite("c", c)
     if k <= 0.0:
         raise ValueError("tail exponent k must be positive")
     t = np.asarray(t, dtype=float)
     arg = (k + 1.0) * t + c
-    if np.any(arg <= 0.0):
+    if not np.all(arg > 0.0):
         raise ValueError("(k+1) t + c must be positive")
     out = np.power(arg, 1.0 / (k + 1.0))
     return float(out) if out.ndim == 0 else out
@@ -140,10 +149,11 @@ def closed_form_polynomial_tail(k: float, c: float, t) -> float:
 
 def gaussian_rate_prediction(sigma: float, t) -> float:
     """Leading-order growth (2 sqrt(2) / sigma) sqrt(log t) of the Gaussian model."""
+    _check_finite("sigma", sigma)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 1.0):
+    if not np.all(t > 1.0):
         raise ValueError("prediction requires t > 1")
     out = (2.0 * math.sqrt(2.0) / sigma) * np.sqrt(np.log(t))
     return float(out) if out.ndim == 0 else out
@@ -163,10 +173,7 @@ class GaussianEnvelope:
     c_shift: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.eta < 1.0):
-            raise ValueError("eta must lie in [0, 1)")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        _check_envelope(self.eta, self.tau, self.c_shift)
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
@@ -185,16 +192,23 @@ def gaussian_envelope_solutions(eta: float, tau: float, c_shift: float, t):
     from the exact solution of f' = F_eta(f) only by a bounded shift
     inside the logarithm, which is irrelevant at the sqrt(log t) scale.
     """
-    if not (0.0 <= eta < 1.0):
-        raise ValueError("eta must lie in [0, 1)")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    _check_envelope(eta, tau, c_shift)
     t = np.asarray(t, dtype=float)
     inner = np.log(t + c_shift) + math.log((1.0 - eta) ** 2 / (2.0 * tau**2))
-    if np.any(inner <= 0.0):
+    if not np.all(inner > 0.0):
         raise ValueError("envelope argument not positive at the requested time")
     out = (math.sqrt(2.0) * tau / math.sqrt(1.0 - eta)) * np.sqrt(inner)
     return float(out) if out.ndim == 0 else out
+
+
+def _check_envelope(eta: float, tau: float, c_shift: float) -> None:
+    """The parameter checks shared by GaussianEnvelope and gaussian_envelope_solutions."""
+    if not (0.0 <= eta < 1.0):
+        raise ValueError(f"eta must lie in [0, 1), got {eta!r}")
+    _check_finite("tau", tau)
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    _check_finite("c_shift", c_shift)
 
 
 def iterate_recurrence(
@@ -210,6 +224,7 @@ def iterate_recurrence(
     holds the value and is taken out of the carry instead.
     """
     _check_size("horizon", horizon)
+    _check_finite("a0", a0)
     values = np.empty(horizon, dtype=float)
     values[0] = a = float(a0)
     _compensated_steps(increment, values, 1, horizon, a, 0.0)

@@ -28,6 +28,7 @@ from .signal_models import (
     SignalModel,
     StateOfWorld,
     _as1d,
+    _check_finite,
     _check_size,
     _restore,
     log_ndtr_scalar,
@@ -338,17 +339,18 @@ def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> E
     Compensated summation (``asymptotics.iterate_recurrence``'s loop) keeps
     even 1e7 steps of shrinking increments accurate; a step that underflows
     to exactly 0 holds the path.  Where the increment is d_plus itself the
-    path is solved in blocks of steps (``_solve_blocks``), and a Gaussian
-    path runs in C (``_native``), both bit-identical to the step-by-step
-    loop.  ``prior_llr`` must be finite.
+    path is solved in blocks of steps (``_solve_blocks``; a rate-target path
+    throughout), and a Gaussian path runs in C (``_native``), both
+    bit-identical to the step-by-step loop.  A rate-target path from a prior
+    at or below -cut holds.  ``prior_llr`` must be finite.
     """
     _check_size("horizon", horizon)
-    if not math.isfinite(prior_llr):
-        raise ValueError(f"prior_llr must be finite, got {prior_llr!r}")
-    if isinstance(model, RateTargetSignalModel):
-        return _ell_star_path_ratetarget(model, horizon, prior_llr)
+    _check_finite("prior_llr", prior_llr)
     values = np.empty(horizon, dtype=float)
     values[0] = a = float(prior_llr)
+    if isinstance(model, RateTargetSignalModel) and a <= -model.support[-1]:
+        values[1:] = a  # no signal makes an agent play +1 here (d_plus raises): the path holds
+        return EllStarPath(values=values, prior_llr=a)
     if isinstance(model, GaussianSignalModel):
         from . import _native  # imported here: only a Gaussian path builds or loads the library
 
@@ -359,37 +361,6 @@ def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> E
     incr, below = _scalar_increment(model)
     i, a, carry = _solve_blocks(model, incr, below, values, a)
     _compensated_steps(incr, values, i + 1, horizon, a, carry)
-    return EllStarPath(values=values, prior_llr=float(prior_llr))
-
-
-def _ell_star_path_ratetarget(
-    model: RateTargetSignalModel, horizon: int, prior_llr: float
-) -> EllStarPath:
-    """Exploits that D_plus is piecewise constant between integers.
-
-    Within an integer cell the path is an arithmetic progression, so whole
-    segments are filled at once; the cost is O(support + horizon) instead
-    of one CDF lookup per step.
-    """
-    values = np.empty(horizon, dtype=float)
-    ell = float(prior_llr)
-    values[0] = ell
-    # At or below -cut no signal can make an agent play +1 (D_plus raises
-    # there); past +cut the increment vanishes.  Either way the path holds.
-    cut = float(model.support[-1])
-    i = 0
-    while i < horizon - 1:
-        step = float(d_plus(model, ell)) if ell > -cut else 0.0
-        if step <= 0.0 or not math.isfinite(step):
-            values[i:] = ell
-            break
-        next_boundary = math.floor(ell) + 1.0
-        n_steps = int(math.ceil((next_boundary - ell) / step))
-        n_steps = max(1, min(n_steps, horizon - 1 - i))
-        seg = ell + step * np.arange(1, n_steps + 1)
-        values[i + 1:i + 1 + n_steps] = seg
-        ell = float(seg[-1])
-        i += n_steps
     return EllStarPath(values=values, prior_llr=float(prior_llr))
 
 
@@ -438,8 +409,10 @@ def u_plus_monotone_threshold(
 
     Returns None when no such point exists below ``search_limit``.
     """
-    if search_limit <= 0:
-        raise ValueError("search_limit must be positive")
+    for name, value in (("search_limit", search_limit), ("grid_step", grid_step)):
+        _check_finite(name, value)
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     xs = np.arange(0.0, search_limit + grid_step, grid_step)
     u = xs + np.asarray(d_plus(model, xs), dtype=float)
     slopes = np.diff(u)

@@ -164,8 +164,11 @@ def _checkpoint_grid(checkpoint_times: Sequence[int] | None, horizon: int) -> tu
     _check_size("horizon", horizon)
     if checkpoint_times is None:
         return default_checkpoints(horizon)
-    grid = tuple(sorted(set(int(t) for t in checkpoint_times)))
-    if grid and not (1 <= grid[0] and grid[-1] <= horizon):
+    grid = tuple(checkpoint_times)
+    if not grid or not all(_is_int(t) for t in grid):
+        raise ValueError(f"checkpoint_times must be a nonempty list of integers, got {grid!r}")
+    grid = tuple(sorted(set(int(t) for t in grid)))
+    if not (1 <= grid[0] and grid[-1] <= horizon):
         raise ValueError(
             f"checkpoint_times must lie in [1, horizon={horizon}], got {grid[0]}..{grid[-1]}"
         )
@@ -586,6 +589,7 @@ def run_trials(
     """
     _check_size("trials", trials)
     _check_size("batch_size", batch_size)
+    _check_size("threads", threads)
     checkpoint_times = _checkpoint_grid(checkpoint_times, horizon)
     batches = [
         list(range(lo, min(lo + batch_size, trials)))

@@ -72,6 +72,12 @@ def _check_size(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_finite(name: str, value) -> None:
+    """Refuse a parameter that is NaN or infinite, naming it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class NumericalFailure(RuntimeError):
     """A quadrature or root-find did not converge to the requested accuracy."""
 
@@ -504,8 +510,7 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         return {"family": "polytail", "k": self.k}
 
     def __getstate__(self):
-        lazy = ("_tail_nodes", "_pos_branch_ppf")  # rebuilt lazily after unpickling
-        return {k: v for k, v in self.__dict__.items() if k not in lazy}
+        return {"k": self.k, "c": self.c}  # the cached tables are rebuilt lazily after unpickling
 
 
 # ---------------------------------------------------------------------------

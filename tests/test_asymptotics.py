@@ -204,6 +204,46 @@ class TestGaussianEnvelopes:
             gaussian_envelope_solutions(0.0, 2.0, 0.0, 1.0)  # inner log <= 0
 
 
+class TestNonFiniteParameters:
+    """A NaN or infinite parameter is refused by name, never returned as NaN."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("a0", lambda v: iterate_recurrence(lambda x: 1.0, v, 3)),
+            ("sigma", lambda v: gaussian_rate_prediction(v, 10.0)),
+            ("c", lambda v: closed_form_exponential_tail(v, [10.0, 1e3])),
+            ("k", lambda v: closed_form_polynomial_tail(v, 1.0, [10.0, 1e3])),
+            ("c", lambda v: closed_form_polynomial_tail(2.0, v, [10.0, 1e3])),
+            ("eta", lambda v: gaussian_envelope_solutions(v, 2.0, 0.0, 1e3)),
+            ("tau", lambda v: gaussian_envelope_solutions(0.1, v, 0.0, 1e3)),
+            ("c_shift", lambda v: gaussian_envelope_solutions(0.1, 2.0, v, 1e3)),
+            ("tau", lambda v: GaussianEnvelope(0.1, v).solution(1e3)),
+            ("c_shift", lambda v: GaussianEnvelope(0.1, 2.0, v).solution(1e3)),
+        ],
+    )
+    def test_parameter_is_named(self, name, call, value):
+        with pytest.raises(ValueError, match=rf"^{name} must "):
+            call(value)
+
+    def test_a0_wording_matches_the_ell_star_prior(self):
+        with pytest.raises(ValueError, match=r"^a0 must be finite, got nan$"):
+            iterate_recurrence(lambda x: 1.0, math.nan, 3)
+        with pytest.raises(ValueError, match=r"^prior_llr must be finite, got nan$"):
+            ell_star_path(GaussianSignalModel(1.0), 3, math.nan)
+
+    def test_non_finite_times_are_refused(self):
+        with pytest.raises(ValueError, match="t > 1"):
+            gaussian_rate_prediction(1.0, [10.0, math.nan])
+        with pytest.raises(ValueError, match="positive"):
+            closed_form_exponential_tail(1.0, math.nan)
+        with pytest.raises(ValueError, match="positive"):
+            closed_form_polynomial_tail(2.0, 1.0, math.nan)
+        with pytest.raises(ValueError, match="positive"):
+            gaussian_envelope_solutions(0.1, 2.0, 0.0, math.nan)
+
+
 class TestRatioCurveAndExport:
     def test_ratio_curve(self):
         a = [1.0, 2.0, 3.0]

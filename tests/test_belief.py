@@ -339,7 +339,26 @@ class TestBlockSolve:
                 assert _bytes_equal(path, _sequential(model, horizon, prior))
         assert np.all(np.diff(ell_star_path(model, 1000).values) > 0.0)
 
-    @pytest.mark.parametrize("model", [G1, PT1, PT2, LogisticModel()], ids=lambda m: m.family)
+    @pytest.mark.parametrize(
+        "q, support",
+        [(lambda n: 1.0 / (n + 2.0), 5000), (lambda n: 1.0 / (n + 2.0), 30),
+         (lambda n: 1.0 / math.log(n + 2.0 + math.e), 200000)],
+        ids=["harmonic", "harmonic-cut30", "log"],
+    )
+    def test_rate_target_paths_equal_the_recurrence(self, q, support):
+        # D+ is constant on each integer cell (k, k+1], so a path that lands
+        # on an integer takes the step of the cell below it
+        model = build_rate_target(q, max_support=support)
+        cut = float(model.support[-1])
+        for prior in (0.0, 0.3, 1.0, 2.0, -2.0, cut - 5.5, -cut + 0.5):
+            path = ell_star_path(model, 3000, prior).values
+            recurrence = iterate_recurrence(lambda x: float(d_plus(model, x)), prior, 3000)
+            assert _bytes_equal(path, recurrence), prior
+        # at -cut no signal makes an agent play +1: the path holds and agent 1 errs
+        assert np.all(ell_star_path(model, 50, -cut).values == -cut)
+        assert first_mistake_distribution(model, 50, -cut).pmf[0] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("model", [G1, PT1, PT2, RT, LogisticModel()], ids=lambda m: m.family)
     def test_first_mistake_law_bytes(self, model):
         for prior in (0.0, -2.0, 39.5):
             law = first_mistake_distribution(model, 1500, prior)
@@ -520,9 +539,15 @@ class TestUPlusMonotone:
             u1 = (x + 0.01) + float(d_plus(PT2, x + 0.01))
             assert u1 >= u0
 
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            u_plus_monotone_threshold(G1, -1.0)
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [("search_limit", {"search_limit": -1.0}), ("search_limit", {"search_limit": math.nan}),
+         ("search_limit", {"search_limit": math.inf}), ("grid_step", {"grid_step": math.nan}),
+         ("grid_step", {"grid_step": 0.0})],
+    )
+    def test_invalid_limit(self, name, kwargs):
+        with pytest.raises(ValueError, match=name):
+            u_plus_monotone_threshold(G1, **{"search_limit": 10.0, **kwargs})
 
 
 class TestUpsetContraction:

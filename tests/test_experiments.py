@@ -7,11 +7,13 @@ import os
 
 import pytest
 
-from herdsim import montecarlo
+from herdsim import experiments, montecarlo
 from herdsim.cli import main as cli_main
+from herdsim.signal_models import NumericalFailure
 from herdsim.experiments import (
     EXPERIMENT_NAMES,
     ConfigError,
+    emit_outputs,
     parse_config,
     run_experiment,
 )
@@ -221,6 +223,26 @@ class TestExperiments:
         assert manifest.summary["max_rel_err"] < 1e-6
 
 
+    def test_explicit_checkpoints_set_the_rows(self, tmp_path):
+        # sorted and deduplicated; row t is the mistake before checkpoint t
+        run_experiment(_cfg(tmp_path, "mistake-curve", checkpoints=[40, 3, 3, 10]))
+        rows = read_csv(tmp_path / "mistake-curve" / "mistakes.csv")
+        assert [r[0] for r in rows[1:]] == ["2", "9", "39"]
+
+    def test_synthetic_polynomial_ode_check_hits_tolerance(self, tmp_path):
+        cfg = _cfg(
+            tmp_path, "ode-check", model={"family": "synthetic", "tail": "polynomial", "k": 2},
+            horizon=1000, trials=1,
+        )
+        assert run_experiment(cfg).summary["max_rel_err"] < 1e-6
+
+    def test_emit_outputs_removes_what_it_wrote_on_failure(self, tmp_path):
+        (tmp_path / "b.csv").mkdir()  # the second file cannot be written
+        with pytest.raises(OSError):
+            emit_outputs({"a.csv": "x\n", "b.csv": "y\n", "c.csv": "z\n"}, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["b.csv"]
+
+
 class TestReproducibility:
     def _digest_dir(self, d):
         out = {}
@@ -387,4 +409,29 @@ class TestCli:
         assert cli_main(["run", p]) == 2
         assert ran == []
         assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_upset_tail_fit_that_fails_exit_two(self, tmp_path, capsys):
+        # enough trials to try the fit, but at sigma 0.3 too few upsets to fit
+        p = self._write(
+            tmp_path,
+            {"experiment": "upset-tail", "model": {"family": "gaussian", "sigma": 0.3},
+             "horizon": 50, "trials": 50, "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p]) == 2
+        assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_numerical_failure_exit_three(self, tmp_path, capsys, monkeypatch):
+        def failing(config, model):
+            raise NumericalFailure("quadrature did not converge")
+
+        monkeypatch.setitem(experiments._DISPATCH, "gauss-rate", failing)
+        p = self._write(
+            tmp_path,
+            {"experiment": "gauss-rate", "model": GAUSS, "horizon": 100,
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p]) == 3
+        assert "gauss-rate: quadrature did not converge" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -307,7 +307,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="horizon"):
             simulate_baseline_llr(G1, PLUS, horizon, master_seed=1, trial_index=0)
 
-    @pytest.mark.parametrize("grid", [[0, 5], [5, 101], [-1], [101]])
+    @pytest.mark.parametrize(
+        "grid", [[0, 5], [5, 101], [-1], [101], [2.5], [True], [5, 10.0], [], [math.nan]]
+    )
     def test_checkpoints_outside_the_horizon_are_named(self, grid):
         with pytest.raises(ValueError, match="checkpoint_times"):
             run_trials(G1, PLUS, 100, 10, master_seed=1, checkpoint_times=grid)
@@ -320,6 +322,11 @@ class TestValidation:
     def test_bad_batch_size_is_named(self, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
             run_trials(G1, PLUS, 100, 10, master_seed=1, batch_size=batch_size)
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, True])
+    def test_bad_threads_is_named(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_trials(G1, PLUS, 20, 5, master_seed=0, threads=threads)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_bad_master_seed_is_named(self, seed):

@@ -5,6 +5,7 @@ quadrature and noted inline; property tests use hypothesis where natural.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
+from herdsim.belief import d_plus, log_d_plus
 from herdsim.signal_models import (
     GaussianSignalModel,
+    InverseCdfSignalModel,
     ModelValidationError,
     PolyTailSignalModel,
     RateTargetSignalModel,
@@ -299,6 +302,30 @@ class TestSerialization:
             np.asarray(model.llr_cdf(MINUS, xs)),
             rtol=0,
         )
+
+    @pytest.mark.parametrize(
+        "model",
+        [GaussianSignalModel(sigma=1.0), PolyTailSignalModel(k=2.0),
+         build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=2000)],
+        ids=lambda m: m.family,
+    )
+    def test_pickle_round_trip_is_bit_exact(self, model):
+        xs = np.array([-50.0, -3.0, -0.5, 0.0, 0.7, 1.7, 12.0, 45.0, 80.0])
+        u = np.random.default_rng(3).random(64)
+
+        def outputs(m):
+            out = [d_plus(m, xs), log_d_plus(m, xs)]
+            if isinstance(m, InverseCdfSignalModel):
+                out += [m.llr_from_uniform(state, u) for state in (MINUS, PLUS)]
+            else:
+                out += [m.sample_llr(state, np.random.default_rng(5), 64) for state in (MINUS, PLUS)]
+            return [np.asarray(a).tobytes() for a in out]
+
+        expected = outputs(model)  # builds every cached table first
+        blob = pickle.dumps(model)
+        assert outputs(pickle.loads(blob)) == expected
+        if isinstance(model, PolyTailSignalModel):
+            assert len(blob) < 1024  # the node table and splines are not pickled
 
     def test_unknown_family(self):
         with pytest.raises(ModelValidationError):

@@ -1,0 +1,34 @@
+"""tools/output_digests.py runs against the package in src/ and names every output once."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+EXPERIMENTS = [
+    "gauss-rate", "first-mistake", "time-to-learn", "upset-tail",
+    "rate-target", "mistake-curve", "baseline-compare", "ode-check",
+]
+
+
+def test_output_digests_smoke(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digests.py"), "--quick"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
+    names = [line.split()[0] for line in lines]
+    assert len(names) == len(set(names))
+    families = ("gaussian", "polytail", "ratetarget")
+    for family in families:
+        for prior in ("0.0", "0.3", "2.0"):
+            assert f"ell_star/{family}/prior={prior}" in names
+            assert f"first_mistake/{family}/prior={prior}/pmf" in names
+        assert f"increment/{family}/log_d_minus" in names
+        assert {f"run_trials/{family}/theta=+1", f"run_trials/{family}/theta=-1"} <= set(names)
+    assert sorted({n.split("/")[1] for n in names if n.startswith("cli/")}) == sorted(EXPERIMENTS)

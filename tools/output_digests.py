@@ -1,0 +1,143 @@
+"""Print a sha256 digest of every deterministic output, one ``name digest`` line each.
+
+Run against any checkout of the package and diff two runs to see exactly
+which outputs a change moves:
+
+    PYTHONPATH=<checkout>/src python3 tools/output_digests.py [--quick] > digests.txt
+
+The outputs are the ell* path and the first-mistake law of each model
+family at priors 0, 0.3 and 2; D+-, log D+- on a fixed grid; the
+``run_trials`` aggregate of each family at theta = +-; and the CSV files
+of all eight CLI experiments (``manifest.json`` holds timestamps, so it is
+skipped).  ``--quick`` shrinks every size, for a smoke run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from herdsim import belief, cli, montecarlo
+from herdsim.signal_models import (
+    GaussianSignalModel,
+    PolyTailSignalModel,
+    StateOfWorld,
+    build_rate_target,
+)
+
+PRIORS = (0.0, 0.3, 2.0)
+GRID = np.linspace(-60.0, 60.0, 241)
+
+# (ell* horizon, Monte Carlo trials and horizon, CLI horizon and trials)
+SIZES = {
+    "full": {"path": 10**4, "mc": (256, 2000), "cli": (2000, 400)},
+    "quick": {"path": 300, "mc": (16, 100), "cli": (200, 200)},
+}
+
+
+def _harmonic_q(n: int) -> float:
+    return 1.0 / (n + 2.0)
+
+
+def models() -> dict:
+    return {
+        "gaussian": GaussianSignalModel(sigma=1.0),
+        "polytail": PolyTailSignalModel(k=2.0),
+        "ratetarget": build_rate_target(_harmonic_q, max_support=5000),
+    }
+
+
+def sha(*parts) -> str:
+    """The digest of arrays (by their bytes) and other values (by their repr)."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(part.tobytes())
+        elif isinstance(part, dict):
+            h.update(repr(sorted(part.items())).encode())
+        else:  # a float's repr is exact
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def path_digests(size: dict):
+    for family, model in models().items():
+        for prior in PRIORS:
+            law = belief.first_mistake_distribution(model, size["path"], prior)
+            yield f"ell_star/{family}/prior={prior}", sha(law.ell_star.values)
+            yield f"first_mistake/{family}/prior={prior}/pmf", sha(law.pmf)
+            yield f"first_mistake/{family}/prior={prior}/survivor", sha(law.survivor)
+
+
+def increment_digests(_size: dict):
+    for family, model in models().items():
+        for fn in (belief.d_plus, belief.d_minus, belief.log_d_plus, belief.log_d_minus):
+            yield f"increment/{family}/{fn.__name__}", sha(np.asarray(fn(model, GRID)))
+
+
+def aggregate_digests(size: dict):
+    trials, horizon = size["mc"]
+    for family, model in models().items():
+        for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
+            agg = montecarlo.run_trials(model, theta, horizon, trials, master_seed=20)
+            parts = [x for f in dataclasses.fields(agg) for x in (f.name, getattr(agg, f.name))]
+            yield f"run_trials/{family}/theta={theta.sign:+d}", sha(*parts)
+
+
+def _cli_configs(horizon: int, trials: int) -> dict:
+    gauss = {"family": "gaussian", "sigma": 2.0}
+    poly = {"family": "polytail", "k": 2.0}
+    rate = {"family": "ratetarget", "q_table": [_harmonic_q(n) for n in range(-1, 2001)]}
+    return {
+        "gauss-rate": {"model": gauss},
+        "first-mistake": {"model": gauss, "trials": trials},
+        "time-to-learn": {"model": poly, "trials": trials},
+        "upset-tail": {"model": gauss, "trials": trials},
+        "rate-target": {"model": rate, "prior": 0.3},
+        "mistake-curve": {"model": poly, "trials": trials},
+        "baseline-compare": {"model": gauss, "trials": trials},
+        "ode-check": {"model": poly},
+    }
+
+
+def cli_digests(size: dict):
+    horizon, trials = size["cli"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, over in _cli_configs(horizon, trials).items():
+            out = os.path.join(tmp, name)
+            doc = {"experiment": name, "horizon": horizon, "master_seed": 3, "output_dir": out}
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump({**doc, **over}, fh)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", path])
+            if code != 0:
+                raise RuntimeError(f"herdsim run {name} exited {code}")
+            with open(os.path.join(out, "manifest.json")) as fh:
+                files = json.load(fh)["files"]
+            for fname, digest in sorted(files.items()):
+                yield f"cli/{name}/{fname}", digest
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="smallest sizes, for a smoke run")
+    args = parser.parse_args(argv)
+    size = SIZES["quick" if args.quick else "full"]
+    for digests in (path_digests, increment_digests, aggregate_digests, cli_digests):
+        for name, digest in digests(size):
+            print(name, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
