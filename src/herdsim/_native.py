@@ -1,15 +1,17 @@
-"""The Gaussian all-correct path loop in C, compiled on first use.
+"""The compensated recurrence loop in C, compiled on first use.
 
-``belief.ell_star_path`` runs the Gaussian path through ``gaussian_steps()``:
-``asymptotics._compensated_steps`` fused with the closed-form increment
-``log_ndtr_scalar((x + m) / tau) - log_ndtr_scalar((x - m) / tau)``, in the
-same operation order on the same libm functions (``math.erfc``, ``log`` and
-``log1p`` are those), so its bytes are the Python loop's.  The library is
-built once per source and flags with the interpreter's C compiler into a
-per-user cache directory (``$XDG_CACHE_HOME/herdsim``, else
-``~/.cache/herdsim``) and loaded with ctypes.  Where no compiler runs, the
-directory cannot be written or the library does not load, ``gaussian_steps()``
-is None and the caller runs the Python loop, which stays the reference.
+One compensated step, ``asymptotics._python_steps``' body in the same order
+of operations, serves three loops: ``gaussian_steps`` fused with the Gaussian
+closed-form increment (``log_ndtr_scalar`` on the same libm functions),
+``array_steps`` over a block-solve steps array and ``call_steps`` over a
+Python increment.  A loop hands back the first step it cannot add (an invalid
+one, or a return that is not an exact float) with its index, for the Python
+loop to raise at or go on from, so the bytes, errors and types are that
+loop's.  The library includes ``Python.h`` and is loaded with ``ctypes.PyDLL``
+(the GIL is held; an increment's exception propagates).  It is built once per
+source, flags and interpreter ABI with the interpreter's C compiler into
+``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``).  Where it cannot be
+built or loaded, ``library()`` is None and the Python loop runs.
 """
 
 from __future__ import annotations
@@ -22,16 +24,54 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
-from typing import Callable
 
 import numpy as np
 
-from .asymptotics import _invalid_step
-from .signal_models import _LOG_SQRT_2PI, _SQRT2
-
 _SOURCE = r"""
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
+
+/* One step of asymptotics._python_steps: stores values[i] and returns 1, or
+   returns 0 for a step that is negative or not finite. */
+static inline int add_step(double step, double *a, double *carry, double *value)
+{
+    double y = step - *carry;
+    if (!(0.0 < step && step < INFINITY)) {
+        if (step != 0.0)
+            return 0;  /* a zero step holds a: applying the carry could move it down */
+    } else if (y < 0.0) {
+        *carry = -y;  /* a overshoots the exact sum by more than the step: hold it there */
+    } else {
+        double s = *a + y;
+        *carry = (s - *a) - y;
+        *a = s;
+    }
+    *value = *a;
+    return 1;
+}
+
+/* The data of a C-contiguous float64 array, or NULL with an error set */
+static double *float64s(PyObject *array, Py_buffer *view, int flags)
+{
+    if (PyObject_GetBuffer(array, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return NULL;
+    if (strcmp(view->format, "d") == 0)
+        return view->buf;
+    PyBuffer_Release(view);
+    PyErr_SetString(PyExc_TypeError, "a float64 array is required");
+    return NULL;
+}
+
+/* Each loop fills values[start:stop] from state = {a, carry} and returns None with {a, carry, stop}
+   in state, the step at i it cannot add with {a, carry, i}, or NULL with an error set. */
+static PyObject *hand_back(double *state, double a, double carry, int64_t i, int64_t stop,
+                           Py_buffer *out, PyObject *step)
+{
+    state[0] = a, state[1] = carry, state[2] = (double)i;
+    PyBuffer_Release(out);
+    return i < stop ? step : Py_NewRef(Py_None);
+}
 
 /* signal_models.log_ndtr_scalar, operation for operation */
 static double log_ndtr(double a, double sqrt2, double log_sqrt_2pi)
@@ -45,41 +85,69 @@ static double log_ndtr(double a, double sqrt2, double log_sqrt_2pi)
     return -0.5 * a * a - log_sqrt_2pi - log(-a) + log(series);
 }
 
-/* asymptotics._compensated_steps over the Gaussian increment.  Fills
-   values[start:stop] from state = {a, carry} and leaves the pair at stop - 1
-   there.  Returns stop, or the index of an increment that is negative or not
-   finite, with {a, carry, increment} in state as they were at that index. */
-int64_t gaussian_steps(double *values, int64_t start, int64_t stop, double *state,
-                       double mean_p, double inv_tau, double sqrt2, double log_sqrt_2pi)
+PyObject *gaussian_steps(PyObject *array, int64_t start, int64_t stop, double *state,
+                         double mean_p, double inv_tau, double sqrt2, double log_sqrt_2pi)
 {
-    double a = state[0], carry = state[1];
-    for (int64_t i = start; i < stop; i++) {
-        double step = log_ndtr((a + mean_p) * inv_tau, sqrt2, log_sqrt_2pi)
-                      - log_ndtr((a - mean_p) * inv_tau, sqrt2, log_sqrt_2pi);
-        if (!(0.0 < step && step < INFINITY)) {
-            if (step != 0.0) {
-                state[0] = a;
-                state[1] = carry;
-                state[2] = step;
-                return i;
-            }
-            values[i] = a;
-            continue;
-        }
-        double y = step - carry;
-        if (y < 0.0) {
-            carry = -y;
-            values[i] = a;
-            continue;
-        }
-        double s = a + y;
-        carry = (s - a) - y;
-        a = s;
-        values[i] = a;
+    Py_buffer out;
+    double *values = float64s(array, &out, PyBUF_WRITABLE);
+    if (values == NULL)
+        return NULL;
+    double a = state[0], carry = state[1], step = 0.0;
+    int64_t i = start;
+    for (; i < stop; i++) {
+        step = log_ndtr((a + mean_p) * inv_tau, sqrt2, log_sqrt_2pi)
+               - log_ndtr((a - mean_p) * inv_tau, sqrt2, log_sqrt_2pi);
+        if (!add_step(step, &a, &carry, values + i))
+            break;
     }
-    state[0] = a;
-    state[1] = carry;
-    return stop;
+    return hand_back(state, a, carry, i, stop, &out, i < stop ? PyFloat_FromDouble(step) : NULL);
+}
+
+/* The step at index i is given[i - start]; past its end it is a, as next(it, a)
+   returns once the Python replay's iterator is exhausted */
+PyObject *array_steps(PyObject *array, int64_t start, int64_t stop, double *state, PyObject *given)
+{
+    Py_buffer out, in;
+    double *values = float64s(array, &out, PyBUF_WRITABLE);
+    if (values == NULL)
+        return NULL;
+    const double *steps = float64s(given, &in, PyBUF_SIMPLE);
+    if (steps == NULL) {
+        PyBuffer_Release(&out);
+        return NULL;
+    }
+    double a = state[0], carry = state[1], step = 0.0;
+    int64_t n = in.len / (Py_ssize_t)sizeof(double), i = start;
+    for (; i < stop; i++) {
+        step = i - start < n ? steps[i - start] : a;
+        if (!add_step(step, &a, &carry, values + i))
+            break;
+    }
+    PyBuffer_Release(&in);
+    return hand_back(state, a, carry, i, stop, &out, i < stop ? PyFloat_FromDouble(step) : NULL);
+}
+
+/* The step at index i is increment(a); a return that is not an exact float is handed back */
+PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state,
+                     PyObject *increment)
+{
+    Py_buffer out;
+    double *values = float64s(array, &out, PyBUF_WRITABLE);
+    if (values == NULL)
+        return NULL;
+    double a = state[0], carry = state[1];
+    PyObject *handed = NULL;
+    int64_t i = start;
+    for (; i < stop; i++) {
+        PyObject *arg = PyFloat_FromDouble(a);
+        handed = arg == NULL ? NULL : PyObject_CallOneArg(increment, arg);
+        Py_XDECREF(arg);
+        if (handed == NULL || !PyFloat_CheckExact(handed)
+            || !add_step(PyFloat_AS_DOUBLE(handed), &a, &carry, values + i))
+            break;
+        Py_DECREF(handed);
+    }
+    return hand_back(state, a, carry, i, stop, &out, handed);
 }
 """
 
@@ -95,8 +163,10 @@ def _cache_dir() -> str:
 
 
 def _library_path(cache_dir: str) -> str:
-    key = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, *_LIBS)).encode()).hexdigest()
-    return os.path.join(cache_dir, f"gaussian_steps-{key[:16]}.so")
+    # the library links the C API, so the interpreter's ABI is part of its key
+    abi = sysconfig.get_config_var("SOABI") or ""
+    key = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, *_LIBS, abi)).encode()).hexdigest()
+    return os.path.join(cache_dir, f"compensated_steps-{key[:16]}.so")
 
 
 def _build(path: str) -> None:
@@ -104,11 +174,13 @@ def _build(path: str) -> None:
     cc = sysconfig.get_config_var("CC")
     if not cc:
         raise FileNotFoundError("the interpreter names no C compiler")
+    paths = sysconfig.get_paths()  # Python.h, and pyconfig.h where a distribution splits them
     fd, built = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
     os.close(fd)
     try:
         subprocess.run(
-            [*shlex.split(cc), *_FLAGS, "-x", "c", "-", "-o", built, *_LIBS],
+            [*shlex.split(cc), *_FLAGS, "-I", paths["include"], "-I", paths["platinclude"],
+             "-x", "c", "-", "-o", built, *_LIBS],
             input=_SOURCE, text=True, check=True, capture_output=True, timeout=120,
         )
         os.replace(built, path)
@@ -118,7 +190,7 @@ def _build(path: str) -> None:
 
 
 def _load(cache_dir: str):
-    """The ctypes ``gaussian_steps`` from ``cache_dir``, built there if missing; None on failure."""
+    """The ctypes library from ``cache_dir``, built there if missing; None on failure."""
     path = _library_path(cache_dir)
     try:
         os.makedirs(cache_dir, mode=0o700, exist_ok=True)
@@ -127,39 +199,29 @@ def _load(cache_dir: str):
             return None  # a library others could replace is not loaded
         if not os.path.exists(path):
             _build(path)
-        fn = ctypes.CDLL(path).gaussian_steps
+        lib = ctypes.PyDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None
-    c_double = ctypes.c_double
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(c_double),
-                   c_double, c_double, c_double, c_double]
-    fn.restype = ctypes.c_int64
-    return fn
+    head = [ctypes.py_object, ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
+    lib.gaussian_steps.argtypes = head + [ctypes.c_double] * 4
+    lib.array_steps.argtypes = lib.call_steps.argtypes = head + [ctypes.py_object]
+    lib.gaussian_steps.restype = lib.array_steps.restype = lib.call_steps.restype = ctypes.py_object
+    return lib
 
 
 @functools.cache
-def gaussian_steps() -> Callable | None:
-    """``(values, start, stop, a, carry, mean_p, inv_tau) -> (a, carry)``, or None.
+def library():
+    """The compiled loops, or None where they cannot be built or loaded; the first call builds."""
+    return _load(_cache_dir())
 
-    Fills ``values[start:stop]`` as ``asymptotics._compensated_steps`` does
-    with the Gaussian increment of mean ``mean_p`` and scale ``1 / inv_tau``,
-    raising the same NumericalFailure at the same step.  None where the
-    library cannot be built or loaded; the first call pays the build.
+
+def run(lib, name: str, values: np.ndarray, start: int, stop: int, a: float, carry: float, *extra):
+    """Fill ``values[start:i]`` by the C loop ``name`` from the pair ``a``, ``carry`` at start - 1.
+
+    Returns (i, a, carry, step); unless i == stop, the loop handed back the step at i.
     """
-    fn = _load(_cache_dir())
-    if fn is None:
-        return None
-
-    def steps(values: np.ndarray, start: int, stop: int, a: float, carry: float,
-              mean_p: float, inv_tau: float) -> tuple[float, float]:
-        if values.dtype != np.float64 or not values.flags.c_contiguous or not values.flags.writeable:
-            raise ValueError("values must be a writeable contiguous float64 array")
-        if not 0 <= start <= stop <= len(values):
-            raise ValueError(f"range [{start}, {stop}) outside values of length {len(values)}")
-        state = (ctypes.c_double * 3)(a, carry, 0.0)
-        i = fn(values.ctypes.data, start, stop, state, mean_p, inv_tau, _SQRT2, _LOG_SQRT_2PI)
-        if i < stop:
-            raise _invalid_step(state[2], state[0])
-        return state[0], state[1]
-
-    return steps
+    if not 0 <= start <= stop <= len(values):
+        raise ValueError(f"range [{start}, {stop}) outside values of length {len(values)}")
+    state = (ctypes.c_double * 3)(a, carry, start)
+    step = getattr(lib, name)(values, start, stop, state, *extra)
+    return int(state[2]), state[0], state[1], step

@@ -80,6 +80,8 @@ def solve_growth_ode(
     ``rate`` must be positive on the solution range so f is increasing.
     Raises NumericalFailure if the integrator cannot reach the horizon.
     """
+    for name, value in (("t0", t0), ("f0", f0), ("horizon", horizon)):
+        _check_finite(name, value)
     if not horizon > t0:
         raise ValueError("horizon must exceed t0")
 
@@ -114,6 +116,7 @@ def solve_belief_ode(
     model: SignalModel, t0: float, f0: float, horizon: float, **kwargs
 ) -> OdeSolution:
     """The belief-growth ODE f'(t) = G_minus(-f(t)) for a signal model."""
+    _check_finite("f0", f0)  # t0 and horizon are checked by solve_growth_ode
     if not f0 > 0.0:
         raise ValueError("f0 must be positive")
 
@@ -244,9 +247,24 @@ def _compensated_steps(
     ``a`` and ``carry`` are the value at ``start - 1`` and the running
     compensation there; the pair at ``stop - 1`` is returned, so a caller
     can resume the sequence.  The one compensated loop of the recurrence
-    iterators: a steps array is replayed through it as an increment that
-    ignores its argument.
+    iterators: where ``_native`` loads it runs in C, the loop an increment
+    names in ``c_loop`` or one that calls it, and ``_python_steps`` takes
+    any step the C loop hands back, and the rest of the range.
     """
+    from . import _native  # imported here: importing the package loads no library
+
+    lib = _native.library()
+    if lib is not None:
+        name, *extra = getattr(increment, "c_loop", ("call_steps", increment))
+        start, a, carry, step = _native.run(lib, name, values, start, stop, a, carry, *extra)
+        if start < stop:  # the Python loop raises at this step, or goes on from it
+            a, carry = _python_steps(lambda _: step, values, start, start + 1, a, carry)
+            start += 1
+    return _python_steps(increment, values, start, stop, a, carry)
+
+
+def _python_steps(increment, values, start, stop, a, carry) -> tuple[float, float]:
+    """``_compensated_steps`` in Python: the reference of the C loops, and their fallback."""
     out = memoryview(values)  # stores a Python float faster than ndarray item assignment
     inf = math.inf
     for i in range(start, stop):

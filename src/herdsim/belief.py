@@ -27,6 +27,8 @@ from .signal_models import (
     RateTargetSignalModel,
     SignalModel,
     StateOfWorld,
+    _LOG_SQRT_2PI,
+    _SQRT2,
     _as1d,
     _check_finite,
     _check_size,
@@ -221,20 +223,16 @@ class EllStarPath:
         return len(self.values)
 
 
-def _gaussian_constants(model: GaussianSignalModel) -> tuple[float, float]:
-    """The plus-state LLR mean and 1 / tau of the Gaussian increment's closed form."""
-    return 2.0 / (model.sigma * model.sigma), 1.0 / model.tau
-
-
 def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], float]:
     """A fast scalar x -> D_plus(x) for the tight path loops, and its d_plus stretch.
 
     The second value is the x below which the scalar increment is
     ``float(d_plus(model, x))`` itself: -inf for the Gaussian closed form,
-    40 for PolyTail, +inf for any other model.
+    40 for PolyTail, +inf for any other model.  The Gaussian one names its
+    loop in C, ``c_loop``, which fuses the same closed form into the loop.
     """
     if isinstance(model, GaussianSignalModel):
-        mean_p, inv_tau = _gaussian_constants(model)
+        mean_p, inv_tau = 2.0 / (model.sigma * model.sigma), 1.0 / model.tau
 
         def incr(x: float) -> float:
             # log sf(state, -x) = log_ndtr((x + mean_state) / tau)
@@ -242,6 +240,7 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
                 (x - mean_p) * inv_tau
             )
 
+        incr.c_loop = ("gaussian_steps", mean_p, inv_tau, _SQRT2, _LOG_SQRT_2PI)
         return incr, -math.inf
 
     if isinstance(model, PolyTailSignalModel):
@@ -294,7 +293,7 @@ def _solve_blocks(model, incr, below, values, a):
         new = values[i + 1:i + n]  # what the scan makes of x[1:]
         for _ in range(_MAX_SWEEPS):
             try:
-                steps = d_plus(model, x).tolist()
+                steps = d_plus(model, x)
                 end = _compensated_steps(_replay(steps), values, i + 1, i + 1 + n, a, carry)
             except (ArithmeticError, ValueError, NumericalFailure):
                 exact = 0  # the sequential loop below raises it again if the path meets it
@@ -324,13 +323,17 @@ def _solve_blocks(model, incr, below, values, a):
     return i, a, carry
 
 
-def _replay(steps: list) -> Callable[[float], float]:
+def _replay(steps: np.ndarray) -> Callable[[float], float]:
     """An increment that returns ``steps`` in turn, whatever its argument.
 
     ``next(it, a)`` returns the next step (``a`` would only be the default
-    of an exhausted iterator), with no Python frame per step.
+    of an exhausted iterator), with no Python frame per step; a memoryview
+    yields them as Python floats.  Its ``c_loop`` is the same replay in C.
     """
-    return functools.partial(next, iter(steps))
+    steps = np.ascontiguousarray(steps, dtype=float)
+    replay = functools.partial(next, iter(memoryview(steps)))
+    replay.c_loop = ("array_steps", steps)
+    return replay
 
 
 def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> EllStarPath:
@@ -340,9 +343,10 @@ def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> E
     even 1e7 steps of shrinking increments accurate; a step that underflows
     to exactly 0 holds the path.  Where the increment is d_plus itself the
     path is solved in blocks of steps (``_solve_blocks``; a rate-target path
-    throughout), and a Gaussian path runs in C (``_native``), both
-    bit-identical to the step-by-step loop.  A rate-target path from a prior
-    at or below -cut holds.  ``prior_llr`` must be finite.
+    throughout), bit-identical to the step-by-step loop, and every loop runs
+    in C where ``_native`` loads (a Gaussian path as one loop fused with its
+    closed-form increment).  A rate-target path from a prior at or below
+    -cut holds.  ``prior_llr`` must be finite.
     """
     _check_size("horizon", horizon)
     _check_finite("prior_llr", prior_llr)
@@ -351,13 +355,6 @@ def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> E
     if isinstance(model, RateTargetSignalModel) and a <= -model.support[-1]:
         values[1:] = a  # no signal makes an agent play +1 here (d_plus raises): the path holds
         return EllStarPath(values=values, prior_llr=a)
-    if isinstance(model, GaussianSignalModel):
-        from . import _native  # imported here: only a Gaussian path builds or loads the library
-
-        steps = _native.gaussian_steps()
-        if steps is not None:
-            steps(values, 1, horizon, a, 0.0, *_gaussian_constants(model))
-            return EllStarPath(values=values, prior_llr=float(prior_llr))
     incr, below = _scalar_increment(model)
     i, a, carry = _solve_blocks(model, incr, below, values, a)
     _compensated_steps(incr, values, i + 1, horizon, a, carry)

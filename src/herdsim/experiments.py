@@ -408,7 +408,8 @@ _RULES = {
     "model.sigma": (_number, "a number"),
     "model.k": (_number, "a number"),
     "model.q_table": (
-        lambda v, _: type(v) is list and all(_number(q) for q in v), "a list of numbers"
+        lambda v, _: type(v) is list and all(_number(q) and math.isfinite(q) for q in v),
+        "a list of finite numbers",
     ),
 }
 

@@ -676,6 +676,8 @@ def build_rate_target(q: Sequence[float], max_support: int = 10**5) -> RateTarge
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or len(q) < 2:
         raise ModelValidationError("q_table must contain Q(-1) and at least Q(0)")
+    if not np.all(np.isfinite(q)):
+        raise ModelValidationError("q_table entries must be finite")
     if np.any(q <= 0.0):
         raise ModelValidationError("q_table entries must be positive")
     if np.any(np.diff(q) >= 0.0):

@@ -156,6 +156,66 @@ class TestRecurrenceVsOde:
         assert abs(path.values[-1] / sol(1e4) - 1.0) < 0.03
 
 
+# criterion 04's increments: a_{t+1} = a_t + e^{-a_t} and the paired 2e^{-x}, e^{-x}(2 - 1/(1+x))
+CRITERION_04_INCREMENTS = {
+    "exp": lambda a: math.exp(-a),
+    "two_exp": lambda x: 2.0 * math.exp(-x),
+    "paired": lambda x: math.exp(-x) * (2.0 - 1.0 / (1.0 + x)),
+}
+
+
+def _recorded_run(ret, at):
+    """iterate_recurrence over an increment that returns ``ret`` at call ``at``, recording its calls.
+
+    Returns the outcome (the values, or the exception's type and message)
+    and every call's argument, by type and repr.
+    """
+    calls = []
+
+    def increment(a):
+        calls.append((type(a).__name__, repr(a)))
+        if len(calls) != at:
+            return 0.5 / (1.0 + a)
+        if ret is ZeroDivisionError:
+            return 1.0 / 0
+        return ret
+
+    try:
+        outcome = iterate_recurrence(increment, 0.25, 12).tobytes()
+    except Exception as exc:  # noqa: BLE001 (the outcome compared is whatever it raises)
+        outcome = (type(exc), str(exc))
+    return outcome, calls
+
+
+class TestCompiledRecurrence:
+    """iterate_recurrence calls a Python increment from C; its bytes and errors are the Python loop's."""
+
+    @pytest.mark.parametrize("name", sorted(CRITERION_04_INCREMENTS))
+    def test_criterion_04_increments_equal_the_python_loop(self, name, native_loop, python_loop):
+        increment = CRITERION_04_INCREMENTS[name]
+        compiled = iterate_recurrence(increment, 0.0, 10**5)
+        assert compiled.tobytes() == python_loop(iterate_recurrence, increment, 0.0, 10**5).tobytes()
+
+    @pytest.mark.parametrize("at", [1, 2, 7, 11])
+    @pytest.mark.parametrize(
+        "ret",
+        [np.float64(0.5), np.float64(-1.0), 1, "0.5", None, ZeroDivisionError,
+         -1.0, -1e-300, math.nan, math.inf, 0.0],
+        ids=["np.float64", "np.float64-negative", "int", "str", "None", "raises",
+             "negative", "tiny-negative", "nan", "inf", "zero"],
+    )
+    def test_other_returns_go_as_in_the_python_loop(self, ret, at, native_loop, python_loop):
+        # the same exception type and text, or the same values, and the same
+        # calls with the same argument types (np.float64 propagates into a)
+        compiled = _recorded_run(ret, at)
+        assert compiled == python_loop(_recorded_run, ret, at)
+        if isinstance(ret, np.float64) and ret > 0.0:
+            types = [name for name, _ in compiled[1]]
+            assert types == ["float"] * at + ["float64"] * (11 - at)
+        if isinstance(ret, np.float64) and ret < 0.0:
+            assert compiled[0][1].startswith("increment np.float64(-1.0) not finite")
+
+
 class TestGaussianEnvelopes:
     def test_tail_formula(self):
         env = GaussianEnvelope(eta=0.0, tau=2.0)
@@ -221,6 +281,12 @@ class TestNonFiniteParameters:
             ("c_shift", lambda v: gaussian_envelope_solutions(0.1, 2.0, v, 1e3)),
             ("tau", lambda v: GaussianEnvelope(0.1, v).solution(1e3)),
             ("c_shift", lambda v: GaussianEnvelope(0.1, 2.0, v).solution(1e3)),
+            ("t0", lambda v: solve_growth_ode(lambda x: 1.0, v, 1.0, 10.0)),
+            ("f0", lambda v: solve_growth_ode(lambda x: 1.0, 1.0, v, 10.0)),
+            ("horizon", lambda v: solve_growth_ode(lambda x: 1.0, 1.0, 1.0, v)),
+            ("t0", lambda v: solve_belief_ode(GaussianSignalModel(1.0), v, 1.0, 10.0)),
+            ("f0", lambda v: solve_belief_ode(GaussianSignalModel(1.0), 1.0, v, 10.0)),
+            ("horizon", lambda v: solve_belief_ode(GaussianSignalModel(1.0), 1.0, 1.0, v)),
         ],
     )
     def test_parameter_is_named(self, name, call, value):

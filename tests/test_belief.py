@@ -3,8 +3,6 @@
 import functools
 import math
 import os
-import shlex
-import shutil
 import subprocess
 import sys
 import sysconfig
@@ -423,44 +421,82 @@ class TestBlockSolve:
         assert "nan" in str(blocked.value)
 
 
-@pytest.fixture
-def native_loop():
-    """The compiled Gaussian loop; it must load wherever the interpreter's C compiler runs."""
-    loop = _native.gaussian_steps()
-    cc = sysconfig.get_config_var("CC")
-    if loop is None and not (cc and shutil.which(shlex.split(cc)[0])):
-        pytest.skip("no C compiler to build the Gaussian loop with")
-    assert loop is not None
-    return loop
-
-
-class TestNativeGaussianLoop:
-    """The Gaussian ell* path runs in C; its bytes are the Python loop's."""
+class TestNativeLoops:
+    """Every compensated loop runs in C where the library builds; the bytes are the Python loop's."""
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.0])
-    def test_paths_equal_the_sequential_loop(self, sigma, native_loop):
+    def test_paths_equal_the_sequential_loop(self, sigma, native_loop, python_loop):
         model = GaussianSignalModel(sigma=sigma)
         # -40: the deep-tail series branch; 700: the increment underflows and holds
         for prior in (-40.0, -3.0, 0.0, 0.1, 5.0, 700.0):
             for horizon in (1, 2, 10**5):
                 path = ell_star_path(model, horizon, prior).values
-                assert _bytes_equal(path, _sequential(model, horizon, prior)), (prior, horizon)
+                expected = python_loop(_sequential, model, horizon, prior)
+                assert _bytes_equal(path, expected), (prior, horizon)
 
-    def test_million_step_path_equals_the_sequential_loop(self, native_loop):
-        assert _bytes_equal(ell_star_path(G1, 10**6, 0.1).values, _sequential(G1, 10**6, 0.1))
+    def test_million_step_path_equals_the_sequential_loop(self, native_loop, python_loop):
+        expected = python_loop(_sequential, G1, 10**6, 0.1)
+        assert _bytes_equal(ell_star_path(G1, 10**6, 0.1).values, expected)
 
-    def test_invalid_step_raises_as_the_loop_does(self, native_loop):
+    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+    def test_polytail_paths_equal_the_python_loop(self, k, native_loop, python_loop):
+        model = PolyTailSignalModel(k=k)
+        crossing = 40.0 - 300.0 * float(d_plus(model, 40.0))  # crosses 40 inside a block
+        for prior in (0.0, 0.3, -2.0, 39.5, 41.0, crossing):
+            path = ell_star_path(model, 3000, prior).values
+            assert _bytes_equal(path, python_loop(ell_star_path, model, 3000, prior).values), prior
+            assert _bytes_equal(path, python_loop(_sequential, model, 3000, prior)), prior
+        assert 100 < np.argmax(ell_star_path(model, 3000, crossing).values >= 40.0) < 3000
+
+    @pytest.mark.parametrize(
+        "q, support",
+        [(lambda n: 1.0 / (n + 2.0), 5000), (lambda n: 1.0 / (n + 2.0), 30),
+         (lambda n: 1.0 / math.log(n + 2.0 + math.e), 200000)],
+        ids=["harmonic", "harmonic-cut30", "log"],
+    )
+    def test_rate_target_paths_equal_the_python_loop(self, q, support, native_loop, python_loop):
+        model = build_rate_target(q, max_support=support)
+        cut = float(model.support[-1])
+        for prior in (0.0, 0.3, 1.0, 2.0, -2.0, cut - 5.5, -cut + 0.5):
+            path = ell_star_path(model, 3000, prior).values
+            assert _bytes_equal(path, python_loop(ell_star_path, model, 3000, prior).values), prior
+
+    def test_generic_model_equals_the_python_loop(self, native_loop, python_loop):
+        model = LogisticModel()
+        for prior in (0.0, -2.0, 5.0):
+            path = ell_star_path(model, 2000, prior).values
+            assert _bytes_equal(path, python_loop(ell_star_path, model, 2000, prior).values)
+            assert _bytes_equal(path, python_loop(_sequential, model, 2000, prior))
+
+    def test_invalid_step_raises_as_the_loop_does(self, native_loop, python_loop):
         with pytest.raises(NumericalFailure) as sequential:
-            _sequential(G1, 10, -1e160)
+            python_loop(_sequential, G1, 10, -1e160)
         with pytest.raises(NumericalFailure) as compiled:
             ell_star_path(G1, 10, -1e160)
         assert str(compiled.value) == str(sequential.value)
         assert str(compiled.value) == "increment nan not finite and >= 0 at a=-1e+160"
 
-    def test_without_the_library_the_python_loop_gives_the_same_bytes(self, native_loop, monkeypatch):
-        compiled = ell_star_path(G2, 5000, -3.0).values
-        monkeypatch.setattr(_native, "gaussian_steps", lambda: None)
-        assert _bytes_equal(ell_star_path(G2, 5000, -3.0).values, compiled)
+    def test_invalid_replayed_step_raises_as_the_loop_does(self, native_loop, python_loop):
+        model = LogisticModel(bad_above=3.0)
+        with pytest.raises(NumericalFailure) as python:
+            python_loop(ell_star_path, model, 300)
+        with pytest.raises(NumericalFailure) as compiled:
+            ell_star_path(model, 300)
+        assert str(compiled.value) == str(python.value)
+
+    def test_exhausted_replay_steps_by_its_argument_as_the_python_loop(self, native_loop, python_loop):
+        # next(it, a) returns a once the steps run out; the C replay does the same
+        def replayed():
+            values = np.zeros(6)
+            end = belief._compensated_steps(belief._replay(np.array([0.5, 1e-17])), values, 1, 6, 0.25, 0.0)
+            return values.tobytes(), end
+
+        assert replayed() == python_loop(replayed)
+
+    def test_without_the_library_the_python_loop_gives_the_same_bytes(self, native_loop, python_loop):
+        for model in (G2, PT2, RT):
+            compiled = ell_star_path(model, 5000, -3.0).values
+            assert _bytes_equal(python_loop(ell_star_path, model, 5000, -3.0).values, compiled)
 
     def test_build_goes_to_a_private_cache_file_named_by_the_source(self, native_loop, tmp_path):
         cache = tmp_path / "herdsim"
@@ -471,6 +507,17 @@ class TestNativeGaussianLoop:
         built = os.stat(library).st_mtime_ns
         assert _native._load(str(cache)) is not None
         assert os.stat(library).st_mtime_ns == built  # loaded, not rebuilt
+
+    def test_library_path_is_keyed_by_the_interpreter_abi(self, monkeypatch, tmp_path):
+        # the library links the C API, so another interpreter ABI builds its own
+        here = _native._library_path(str(tmp_path))
+        config_var = sysconfig.get_config_var
+        monkeypatch.setattr(
+            _native.sysconfig, "get_config_var",
+            lambda name: "cpython-00-other" if name == "SOABI" else config_var(name),
+        )
+        other = _native._library_path(str(tmp_path))
+        assert other != here and os.path.dirname(other) == os.path.dirname(here)
 
     def test_no_compiler_or_shared_cache_dir_loads_nothing(self, monkeypatch, tmp_path):
         shared = tmp_path / "shared"

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -85,6 +86,10 @@ class TestParseConfig:
             ({"experiment": "rate-target", "model": dict(RATE, cutoff_mass=True)},
              "model.cutoff_mass"),
             ({"experiment": "rate-target", "model": dict(RATE, q_table=[1.0, True, 0.25])},
+             "model.q_table"),
+            ({"experiment": "rate-target", "model": dict(RATE, q_table=[1.0, math.nan, 0.25])},
+             "model.q_table"),
+            ({"experiment": "rate-target", "model": dict(RATE, q_table=[math.inf, 0.5, 0.25])},
              "model.q_table"),
             # no checkpoint at which the ratio is defined: ratio.csv would be empty
             ({"checkpoints": [1]}, "checkpoints"),
@@ -332,6 +337,18 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 77
         assert not (tmp_path / "ignored").exists()
+
+    def test_nan_in_q_table_exit_two(self, tmp_path, capsys):
+        # json.dump writes the NaN token, which json.loads reads back as nan
+        p = self._write(
+            tmp_path,
+            {"experiment": "rate-target", "model": dict(RATE, q_table=[1.0, math.nan, 0.25, 0.1]),
+             "horizon": 50, "output_dir": str(tmp_path / "out")},
+        )
+        assert "NaN" in open(p).read()
+        assert cli_main(["run", p]) == 2
+        assert "model.q_table" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_threads_exit_two(self, tmp_path, capsys):
         p = self._write(

@@ -242,6 +242,14 @@ class TestRateTargetModel:
         with pytest.raises(ModelValidationError):
             build_rate_target([1.0, -0.5])  # not positive
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_refused_by_name(self, bad):
+        # a NaN passes the positivity and monotonicity checks, and the model
+        # would have a NaN normalizer and NaN increments
+        for table in ([1.0, bad, 0.25, 0.1], [bad, 0.5, 0.25]):
+            with pytest.raises(ModelValidationError, match=r"^q_table entries must be finite"):
+                build_rate_target(table)
+
     def test_equality_is_identity(self):
         # the fields hold arrays, so field-wise == and hash cannot work
         other = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=2000)

@@ -6,7 +6,8 @@ which outputs a change moves:
     PYTHONPATH=<checkout>/src python3 tools/output_digests.py [--quick] > digests.txt
 
 The outputs are the ell* path and the first-mistake law of each model
-family at priors 0, 0.3 and 2; D+-, log D+- on a fixed grid; the
+family at priors 0, 0.3 and 2; D+-, log D+- on a fixed grid;
+``iterate_recurrence`` over criterion 04's three increments from 0; the
 ``run_trials`` aggregate of each family at theta = +-; and the CSV files
 of all eight CLI experiments (``manifest.json`` holds timestamps, so it is
 skipped).  ``--quick`` shrinks every size, for a smoke run.
@@ -20,13 +21,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from herdsim import belief, cli, montecarlo
+from herdsim import asymptotics, belief, cli, montecarlo
 from herdsim.signal_models import (
     GaussianSignalModel,
     PolyTailSignalModel,
@@ -37,10 +39,17 @@ from herdsim.signal_models import (
 PRIORS = (0.0, 0.3, 2.0)
 GRID = np.linspace(-60.0, 60.0, 241)
 
-# (ell* horizon, Monte Carlo trials and horizon, CLI horizon and trials)
+# (ell* horizon, recurrence steps, Monte Carlo trials and horizon, CLI horizon and trials)
 SIZES = {
-    "full": {"path": 10**4, "mc": (256, 2000), "cli": (2000, 400)},
-    "quick": {"path": 300, "mc": (16, 100), "cli": (200, 200)},
+    "full": {"path": 10**4, "recurrence": 10**5, "mc": (256, 2000), "cli": (2000, 400)},
+    "quick": {"path": 300, "recurrence": 300, "mc": (16, 100), "cli": (200, 200)},
+}
+
+# criterion 04: a_{t+1} = a_t + e^{-a_t}, and the paired 2e^{-x} against e^{-x}(2 - 1/(1+x))
+RECURRENCES = {
+    "exp_neg": lambda a: math.exp(-a),
+    "two_exp_neg": lambda x: 2.0 * math.exp(-x),
+    "exp_neg_paired": lambda x: math.exp(-x) * (2.0 - 1.0 / (1.0 + x)),
 }
 
 
@@ -82,6 +91,12 @@ def increment_digests(_size: dict):
     for family, model in models().items():
         for fn in (belief.d_plus, belief.d_minus, belief.log_d_plus, belief.log_d_minus):
             yield f"increment/{family}/{fn.__name__}", sha(np.asarray(fn(model, GRID)))
+
+
+def recurrence_digests(size: dict):
+    for name, increment in RECURRENCES.items():
+        values = asymptotics.iterate_recurrence(increment, 0.0, size["recurrence"])
+        yield f"recurrence/{name}", sha(values)
 
 
 def aggregate_digests(size: dict):
@@ -133,7 +148,8 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="smallest sizes, for a smoke run")
     args = parser.parse_args(argv)
     size = SIZES["quick" if args.quick else "full"]
-    for digests in (path_digests, increment_digests, aggregate_digests, cli_digests):
+    for digests in (path_digests, increment_digests, recurrence_digests, aggregate_digests,
+                    cli_digests):
         for name, digest in digests(size):
             print(name, digest)
     return 0
