@@ -1,8 +1,8 @@
 """Reproducible Monte Carlo and variance-reduced estimation.
 
 Every trial owns a counter-based random stream keyed by (master seed,
-trial index), so the same seed gives byte-identical results at any thread
-count.  The mistake probability is estimated two ways: the naive
+trial index), so the same seed gives byte-identical results at any batch
+size.  The mistake probability is estimated two ways: the naive
 indicator frequency and the Rao-Blackwellized average of min(mu, 1-mu),
 which has strictly smaller variance.  The upset count (action flips per
 trajectory) has a geometric tail, visible in a straight semilog fit.
@@ -22,10 +22,10 @@ from herdsim import (
 model = GaussianSignalModel(sigma=1.0)
 theta = StateOfWorld.PLUS
 
-agg = run_trials(model, theta, horizon=1000, trials=20000, master_seed=2718, threads=2)
-agg2 = run_trials(model, theta, horizon=1000, trials=20000, master_seed=2718, threads=1)
-assert agg.first_mistake_hist == agg2.first_mistake_hist, "thread count changed results?"
-print("20000 trials, horizon 1000 — identical at 1 and 2 threads")
+agg = run_trials(model, theta, horizon=1000, trials=20000, master_seed=2718)
+agg2 = run_trials(model, theta, horizon=1000, trials=20000, master_seed=2718, batch_size=5000)
+assert agg.first_mistake_hist == agg2.first_mistake_hist, "batch size changed results?"
+print("20000 trials, horizon 1000 — identical in batches of 2048 and of 5000")
 print()
 
 print("mistake probability of agent t (RB vs naive):")

@@ -5,7 +5,7 @@ model, and run parameters.  Running it writes deterministic CSV artifacts
 plus a manifest with SHA-256 checksums; the same config and seed always
 reproduce the same bytes.  The CLI wraps the same runner:
 
-    herdsim run config.json --seed 7 --output-dir out --threads 4
+    herdsim run config.json --seed 7 --output-dir out
 """
 
 import json

@@ -10,16 +10,20 @@ loop to raise at or go on from, so the bytes, errors and types are that
 loop's.  The library includes ``Python.h`` and is loaded with ``ctypes.PyDLL``
 (the GIL is held; an increment's exception propagates).  It is built once per
 source, flags and interpreter ABI with the interpreter's C compiler into
-``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``).  Where it cannot be
-built or loaded, ``library()`` is None and the Python loop runs.
+``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``) as
+``compensated_steps-<SOABI>-<key>.so``; a build removes the libraries it
+replaces there (``_remove_stale``).  Where it cannot be built or loaded,
+``library()`` is None and the Python loop runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sysconfig
@@ -163,10 +167,31 @@ def _cache_dir() -> str:
 
 
 def _library_path(cache_dir: str) -> str:
-    # the library links the C API, so the interpreter's ABI is part of its key
+    # the library links the C API, so the interpreter's ABI is part of its key and name
     abi = sysconfig.get_config_var("SOABI") or ""
     key = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, *_LIBS, abi)).encode()).hexdigest()
-    return os.path.join(cache_dir, f"compensated_steps-{key[:16]}.so")
+    return os.path.join(cache_dir, f"compensated_steps-{abi}-{key[:16]}.so")
+
+
+# A compensated-loop library; the ABI group is None in the retired names without one.
+_LIBRARY_NAME = re.compile(r"compensated_steps-(?:(.*)-)?[0-9a-f]{16}\.so")
+
+
+def _remove_stale(path: str) -> None:
+    """Delete the libraries that the one at ``path`` replaces in its directory.
+
+    They are this ABI's library under any other key and the retired names,
+    ``gaussian_steps-*.so`` and ``compensated_steps-<key>.so`` without an
+    ABI.  Other ABIs' libraries and other files stay.
+    """
+    cache_dir, own = os.path.split(path)
+    abi = sysconfig.get_config_var("SOABI") or ""
+    for name in os.listdir(cache_dir):
+        match = _LIBRARY_NAME.fullmatch(name)
+        retired = name.startswith("gaussian_steps-") and name.endswith(".so")
+        if name != own and (retired or match and match[1] in (None, abi)):
+            with contextlib.suppress(OSError):  # another process may have removed it
+                os.remove(os.path.join(cache_dir, name))
 
 
 def _build(path: str) -> None:
@@ -199,6 +224,7 @@ def _load(cache_dir: str):
             return None  # a library others could replace is not loaded
         if not os.path.exists(path):
             _build(path)
+            _remove_stale(path)
         lib = ctypes.PyDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None

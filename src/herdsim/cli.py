@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", default=None, help="override output directory")
     run.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (affects speed only, never results)",
+        help="override threads (validated; trials run in one thread, so it changes nothing)",
     )
     run.add_argument(
         "--dump-trajectories", action="store_true", default=None,

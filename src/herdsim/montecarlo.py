@@ -2,33 +2,32 @@
 
 Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so results are a pure function of the seed and trial index
-regardless of scheduling or thread count.  The key is numpy's
+regardless of batch size or the ``threads`` setting.  The key is numpy's
 ``SeedSequence(master_seed, spawn_key=(trial_index,))`` key, computed for a
 whole batch of trials in one vectorised pass of that algorithm; each
-``Philox`` is then built from its key alone.  Trials are simulated in
-lockstep batches around a leader: every trial whose actions have all been
-correct sits on the same deterministic path ell* and shares one belief, so
-the whole herd costs one comparison per step, against the step's extreme
-herd draw, found once per chunk of steps.  A trial leaves this herd at its
-first mistake and becomes a lane.  Lanes with equal (ell, carry, action)
-step identically, so they point into a small array of cohort states and
-the signed increment runs once per cohort (twice per step for the
-discrete rate-target model).  A herd exit and a lane flip are one switch:
-it forks the lanes' cohorts into ones with the other action and ends a
-run in each trial's run book; the horizon ends the last runs.
+``Philox`` is then built from its key and a shared zero counter array.
+Trials are simulated in lockstep batches around a leader: every trial whose
+actions have all been correct sits on the same deterministic path ell* and
+shares one belief, so the whole herd costs one comparison per step, against
+the step's extreme herd draw, found once per chunk of steps.  A trial
+leaves this herd at its first mistake and becomes a lane.  Lanes with equal
+(ell, carry, action) step identically, so they point into a small array of
+cohort states and the signed increment runs once per cohort (twice per step
+for the discrete rate-target model).  A herd exit and a lane flip are one
+switch: it forks the lanes' cohorts into ones with the other action and
+ends a run in each trial's run book; the horizon ends the last runs.
 Inversion-sampled models keep the herd's draws as uniforms and transform
-only the lanes' draws.  Checkpoint beliefs are summed after the last
-step, so the aggregates are bit-identical to stepping every trial.
+only the lanes' draws; Gaussian rows are standard normals, mapped to LLRs
+in place a whole chunk at a time.  Checkpoint beliefs are summed after the
+last step, so the aggregates are bit-identical to stepping every trial.
 The observed-signals baseline draws a batch's streams chunk by chunk
 through the same sampler and sums along time.  Batches are reduced into
 mergeable ``AggregateStats``; batch boundaries are fixed by the trial
-indices alone, and merges happen in batch order, so parallel and serial
-runs produce identical aggregates bit for bit.
+indices alone, and batches run one after another and merge in batch order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -37,6 +36,7 @@ import numpy as np
 
 from .belief import ActionLabel, d_minus, d_plus, rb_mistake_weight
 from .signal_models import (
+    GaussianSignalModel,
     InverseCdfSignalModel,
     SignalModel,
     StateOfWorld,
@@ -73,6 +73,10 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Every stream starts at counter 0.  Passed as an array, numpy copies it
+# into the generator as it is; the integer 0 would be converted each time.
+_ZERO_COUNTER = np.zeros(4, np.uint64)
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -146,7 +150,8 @@ def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> list[np.random
 
     Trial i's stream is ``Philox`` keyed by ``SeedSequence(master_seed,
     spawn_key=(i,))``, bit for bit; the keys of the whole batch are
-    derived in one vectorised pass.
+    derived in one vectorised pass, and every stream is built with the
+    shared ``_ZERO_COUNTER``, which gives the state of the default counter.
     """
     if not _is_int(master_seed) or master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
@@ -156,7 +161,10 @@ def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> list[np.random
     if idx.size and not (0 <= idx.min() and idx.max() <= _MASK32):
         raise ValueError(f"trial_indices must lie in [0, 2**32), got {idx.min()}..{idx.max()}")
     keys = _philox_keys(int(master_seed), idx.reshape(-1))
-    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
+    return [
+        np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
+        for key in keys
+    ]
 
 
 def _checkpoint_grid(checkpoint_times: Sequence[int] | None, horizon: int) -> tuple[int, ...]:
@@ -275,6 +283,9 @@ def _draw_chunk(model: SignalModel, theta: StateOfWorld, gens, chunk: int, in_he
     of trials outside the herd (``~in_herd``); a herd row stays uniform
     until its trial leaves the herd.  The transform is elementwise, so each
     transformed draw equals the per-stream ``sample_llr`` draw bit for bit.
+    Gaussian rows are standard normals z, mapped in place for the whole
+    chunk to mean + tau * z: that is ``rng.normal(mean, tau)``'s own
+    arithmetic, so they too equal the ``sample_llr`` draws bit for bit.
 
     ``edge[s]`` bounds the herd's LLRs at step s on the erring side: none
     lies below it under theta=+1, none above it under theta=-1.  It comes
@@ -284,13 +295,19 @@ def _draw_chunk(model: SignalModel, theta: StateOfWorld, gens, chunk: int, in_he
     """
     draws = np.empty((len(gens), chunk))
     inverse = isinstance(model, InverseCdfSignalModel)
+    gaussian = isinstance(model, GaussianSignalModel)
     for row, gen in zip(draws, gens):
         if inverse:
             gen.random(out=row)
+        elif gaussian:
+            gen.standard_normal(out=row)
         else:
             row[:] = model.sample_llr(theta, gen, size=chunk)
     if inverse:
         _to_llr(model, theta, draws, np.flatnonzero(~in_herd), 0)
+    elif gaussian:
+        draws *= model.tau
+        draws += model._mean(theta)
     if not in_herd.any():
         return draws, None
     herd = in_herd[:, None]
@@ -582,38 +599,26 @@ def run_trials(
 ):
     """Simulate ``trials`` independent trajectories and merge their aggregates.
 
-    Batches are fixed slices of the trial-index range, independent of the
-    thread count, and are merged in index order — thread count affects
-    speed only, never results.  When ``collect_actions`` is set, the raw
+    Batches are fixed slices of the trial-index range; they run one after
+    another and are merged in index order.  ``threads`` is validated and
+    kept for the config key and CLI flag, but it starts no worker: the
+    results never depend on it.  When ``collect_actions`` is set, the raw
     action matrices are returned alongside the aggregate.
     """
     _check_size("trials", trials)
     _check_size("batch_size", batch_size)
     _check_size("threads", threads)
     checkpoint_times = _checkpoint_grid(checkpoint_times, horizon)
-    batches = [
-        list(range(lo, min(lo + batch_size, trials)))
-        for lo in range(0, trials, batch_size)
-    ]
-
-    def work(idx_batch):
-        return _simulate_batch(
-            model, theta, horizon, master_seed, idx_batch, checkpoint_times,
-            collect_actions=collect_actions,
+    total, actions = None, []
+    for lo in range(0, trials, batch_size):
+        agg, _, acts, _ = _simulate_batch(
+            model, theta, horizon, master_seed, range(lo, min(lo + batch_size, trials)),
+            checkpoint_times, collect_actions=collect_actions,
         )
-
-    if threads <= 1 or len(batches) == 1:
-        results = [work(b) for b in batches]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, batches))
-
-    total = results[0][0]
-    for agg, _, _, _ in results[1:]:
-        total = merge_aggregates(total, agg)
+        total = agg if total is None else merge_aggregates(total, agg)
+        actions.append(acts)
     if collect_actions:
-        actions = np.concatenate([r[2] for r in results], axis=0)
-        return total, actions
+        return total, np.concatenate(actions, axis=0)
     return total
 
 

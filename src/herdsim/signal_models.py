@@ -585,34 +585,45 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         out[nz] = cdf[idx[nz] - 1]
         return _restore(out, scalar)
 
-    def _lookup_sf(self, sf, x):
-        x, scalar = _as1d(x)
-        idx = self._index_leq(x)
-        out = np.zeros(idx.shape, dtype=float)
-        inside = idx < len(self.support)
-        out[inside] = sf[idx[inside]]
-        return _restore(out, scalar)
-
     def llr_cdf(self, state, x):
         cdf = self._cdf_minus if state is StateOfWorld.MINUS else self._cdf_plus
         return self._lookup_cdf(cdf, x)
 
     def llr_log_cdf(self, state, x):
-        x, scalar = _as1d(x)
-        with np.errstate(divide="ignore"):
-            out = np.log(self.llr_cdf(state, x))
-        if state is StateOfWorld.PLUS and (out == -np.inf).any():  # L <= x is -L >= ceil(-x)
-            self._fill_far_tail(out, np.ceil(-x))
-        return _restore(out, scalar)
+        return self._log_probabilities(x, False, (state,))[0]
 
     def llr_log_sf(self, state, x):
-        x, scalar = _as1d(x)
-        sf = self._sf_minus if state is StateOfWorld.MINUS else self._sf_plus
-        with np.errstate(divide="ignore"):
-            out = np.log(self._lookup_sf(sf, x))
-        if state is StateOfWorld.MINUS and (out == -np.inf).any():  # L > x is L >= floor(x) + 1
-            self._fill_far_tail(out, np.floor(x) + 1.0)
-        return _restore(out, scalar)
+        return self._log_probabilities(x, True, (state,))[0]
+
+    def _log_probabilities(self, y, above: bool, states=(StateOfWorld.MINUS, StateOfWorld.PLUS)):
+        """log P(L > y) if ``above``, else log P(L <= y), under each of ``states``.
+
+        The points y are sorted into the support once for all the states.
+        Where the far state's plain sums underflow (theta = -1 above,
+        theta = +1 below), ``_fill_far_tail`` puts back the finite value.
+        """
+        y, scalar = _as1d(y)
+        idx = self._index_leq(y)
+        if above:  # P(L > y) = sf[idx]
+            hit = idx < len(self.support)
+            tables = {StateOfWorld.MINUS: self._sf_minus, StateOfWorld.PLUS: self._sf_plus}
+            far = StateOfWorld.MINUS
+        else:  # P(L <= y) = cdf[idx - 1]
+            hit = idx > 0
+            idx = idx - 1
+            tables = {StateOfWorld.MINUS: self._cdf_minus, StateOfWorld.PLUS: self._cdf_plus}
+            far = StateOfWorld.PLUS
+        out = []
+        for state in states:
+            p = np.zeros(idx.shape)
+            p[hit] = tables[state][idx[hit]]
+            with np.errstate(divide="ignore"):
+                log_p = np.log(p)
+            if state is far and (log_p == -np.inf).any():
+                # L > y is L >= floor(y) + 1; L <= y is -L >= ceil(-y)
+                self._fill_far_tail(log_p, np.floor(y) + 1.0 if above else np.ceil(-y))
+            out.append(_restore(log_p, scalar))
+        return out
 
     def _fill_far_tail(self, log_p, m):
         """Replace -inf in log_p by ``_log_far_tail[m]`` wherever m <= cut.
@@ -626,13 +637,13 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         log_p[lost] = self._log_far_tail[m[lost].astype(np.int64)]
 
     def log_action_probabilities(self, x, sign):
-        """As for every model, but raises where the action is impossible.
+        """As for every model, from one support lookup; raises where the action is impossible.
 
         Action +1 needs L > -x and -1 needs L <= -x.  At x <= -cut (for +1)
         or x > cut (for -1) no support point qualifies: the action has
         probability 0 under both states and the update after it is undefined.
         """
-        b_minus, b_plus = super().log_action_probabilities(x, sign)
+        b_minus, b_plus = self._log_probabilities(-x, sign > 0)
         far = b_minus if sign > 0 else b_plus  # the state whose masses can underflow
         lost = far == -np.inf
         if lost.any():  # no support point qualifies (or x is NaN)

@@ -519,6 +519,34 @@ class TestNativeLoops:
         other = _native._library_path(str(tmp_path))
         assert other != here and os.path.dirname(other) == os.path.dirname(here)
 
+    def test_a_build_removes_the_libraries_it_replaces(self, native_loop, monkeypatch, tmp_path):
+        cache = tmp_path / "herdsim"
+        cache.mkdir(mode=0o700)
+        abi = sysconfig.get_config_var("SOABI") or ""
+        removed = [
+            f"compensated_steps-{abi}-0123456789abcdef.so",  # this ABI, another key
+            "compensated_steps-0123456789abcdef.so",  # the retired name without an ABI
+            "gaussian_steps-0123456789abcdef.so",  # the retired Gaussian-only library
+        ]
+        kept = ["compensated_steps-cpython-00-other-0123456789abcdef.so", "notes.txt"]
+        for name in removed + kept:
+            (cache / name).write_bytes(b"")
+        config_var = sysconfig.get_config_var
+        with monkeypatch.context() as patch:  # a failed build removes nothing
+            patch.setattr(
+                _native.sysconfig, "get_config_var",
+                lambda name: "no-such-cc-herdsim" if name == "CC" else config_var(name),
+            )
+            assert _native._load(str(cache)) is None
+        assert sorted(os.listdir(cache)) == sorted(removed + kept)
+        assert _native._load(str(cache)) is not None
+        own = os.path.basename(_native._library_path(str(cache)))
+        assert own.startswith(f"compensated_steps-{abi}-")
+        assert sorted(os.listdir(cache)) == sorted(kept + [own])
+        (cache / removed[0]).write_bytes(b"")  # loading a built library removes nothing
+        assert _native._load(str(cache)) is not None
+        assert sorted(os.listdir(cache)) == sorted(kept + [own, removed[0]])
+
     def test_no_compiler_or_shared_cache_dir_loads_nothing(self, monkeypatch, tmp_path):
         shared = tmp_path / "shared"
         shared.mkdir(mode=0o777)

@@ -8,7 +8,8 @@ which outputs a change moves:
 The outputs are the ell* path and the first-mistake law of each model
 family at priors 0, 0.3 and 2; D+-, log D+- on a fixed grid;
 ``iterate_recurrence`` over criterion 04's three increments from 0; the
-``run_trials`` aggregate of each family at theta = +-; and the CSV files
+``run_trials`` aggregate of each family at theta = +-, and of a Gaussian
+at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; and the CSV files
 of all eight CLI experiments (``manifest.json`` holds timestamps, so it is
 skipped).  ``--quick`` shrinks every size, for a smoke run.
 """
@@ -101,7 +102,9 @@ def recurrence_digests(size: dict):
 
 def aggregate_digests(size: dict):
     trials, horizon = size["mc"]
-    for family, model in models().items():
+    # at sigma = 1 and 2 the scale 2/sigma is a power of two and scales draws exactly
+    mc_models = {**models(), "gaussian-sigma0.7": GaussianSignalModel(sigma=0.7)}
+    for family, model in mc_models.items():
         for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
             agg = montecarlo.run_trials(model, theta, horizon, trials, master_seed=20)
             parts = [x for f in dataclasses.fields(agg) for x in (f.name, getattr(agg, f.name))]
