@@ -23,7 +23,11 @@ last step, so the aggregates are bit-identical to stepping every trial.
 The observed-signals baseline draws a batch's streams chunk by chunk
 through the same sampler and sums along time.  Batches are reduced into
 mergeable ``AggregateStats``; batch boundaries are fixed by the trial
-indices alone, and batches run one after another and merge in batch order.
+indices alone.  A run's batches step together in lockstep passes of whole
+batches and bounded width, each pass drawing at most ``_DRAW_BUDGET``
+values at once; each batch is then summed on its own, and the batches
+merge in batch order.  So ``batch_size`` sets only how the aggregate is
+summed, which fixes its last bits, not which trials step together.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ __all__ = [
 
 DEFAULT_BATCH_SIZE = 2048
 _TIME_CHUNK = 1024
+_PASS_TRIALS = 8192  # trials stepped together in one lockstep pass, in whole batches
+_DRAW_BUDGET = DEFAULT_BATCH_SIZE * _TIME_CHUNK  # draws held at once by a pass
 _SAMPLE_BLOCK = 64  # rows transformed per block; bounds the transform's temporaries
 
 
@@ -385,7 +391,29 @@ def _simulate_batch(
     checkpoint_times: tuple[int, ...],
     collect_actions: bool = False,
 ):
-    """Leader-lane simulation of one batch of trials, stepped by cohort.
+    """One lockstep pass over ``trial_indices``, reduced as a single batch.
+
+    Returns (AggregateStats, per-trial stats arrays dict, actions or None,
+    per-trial checkpoint ell matrix).  Output depends only on
+    (model, theta, horizon, master_seed, trial_indices, checkpoint_times).
+    """
+    per_trial, naive, actions, ell_ckpt = _lockstep(
+        model, theta, horizon, master_seed, trial_indices, checkpoint_times, collect_actions
+    )
+    agg = _aggregate(horizon, checkpoint_times, per_trial, naive, ell_ckpt)
+    return agg, per_trial, actions, ell_ckpt.T
+
+
+def _lockstep(
+    model: SignalModel,
+    theta: StateOfWorld,
+    horizon: int,
+    master_seed: int,
+    trial_indices: Sequence[int],
+    checkpoint_times: tuple[int, ...],
+    collect_actions: bool,
+):
+    """Leader-lane simulation of a pass of trials, stepped by cohort.
 
     Every trial whose actions have all been correct shares one belief, the
     leader, and costs one comparison per step.  A trial leaves this herd at
@@ -394,17 +422,19 @@ def _simulate_batch(
     array of cohort states, and the increment runs once per cohort.  A
     switch of action, out of the herd or by a lane, forks the lanes'
     cohorts and ends a run in each trial's run book; cohorts no lane uses
-    any more are dropped at chunk boundaries.  The step loop records the
-    beliefs at checkpoints; their sums are taken after it.
+    any more are dropped at chunk boundaries.  A chunk holds at most
+    ``_DRAW_BUDGET`` draws; its length changes no value, since every
+    trial's stream and cohort states are its own.
 
-    Returns (AggregateStats, per-trial stats arrays dict, actions or None,
-    per-trial checkpoint ell matrix).  Output depends only on
-    (model, theta, horizon, master_seed, trial_indices, checkpoint_times).
+    Returns the per-trial stats arrays dict and, per checkpoint row and
+    trial column, whether the trial's last action was a mistake and its
+    belief, besides the actions matrix or None.
     """
     nb = len(trial_indices)
     gens = _trial_rng(master_seed, trial_indices)
     correct_plus = theta.sign > 0
     inverse = isinstance(model, InverseCdfSignalModel)
+    time_chunk = max(1, min(_TIME_CHUNK, _DRAW_BUDGET // max(nb, 1)))
 
     herd = np.arange(nb)
     # Cohort 0 is the leader.  Cohort c holds ell[c], carry[c] and the
@@ -419,14 +449,14 @@ def _simulate_batch(
     book["run_start"] = 1
 
     ckpt = np.asarray(checkpoint_times, dtype=np.int64)
-    agg = AggregateStats(horizon=horizon, checkpoint_times=tuple(checkpoint_times), trial_count=nb)
     ell_ckpt = np.zeros((len(ckpt), nb))  # row i: every trial's belief at ckpt[i]
+    naive = np.zeros((len(ckpt), nb), dtype=bool)  # row i: who erred just before ckpt[i]
     actions = np.full((nb, horizon), theta.sign, dtype=np.int8) if collect_actions else None
 
     next_ckpt = 0
     t = 1
     while t <= horizon:
-        chunk = min(_TIME_CHUNK, horizon - t + 1)
+        chunk = min(time_chunk, horizon - t + 1)
         in_herd = np.zeros(nb, dtype=bool)
         in_herd[herd] = True
         draws, edge = _draw_chunk(model, theta, gens, chunk, in_herd)
@@ -439,7 +469,7 @@ def _simulate_batch(
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
                 ell_ckpt[next_ckpt] = lead
                 ell_ckpt[next_ckpt, cols] = ell[coh]
-                agg.naive_sum[next_ckpt] += float(np.count_nonzero(sgn[coh] != theta.sign))
+                naive[next_ckpt, cols] = sgn[coh] != theta.sign
                 next_ckpt += 1
             row = draws[:, s]
 
@@ -483,7 +513,20 @@ def _simulate_batch(
     _close_runs(book, np.arange(nb), final_good, horizon + 1)
     per_trial = {name: book[name] for name in ("t_first", "t_last", "max_good", "max_bad")}
     per_trial.update(upsets=book["runs"] - 1, censored=~final_good)
+    return per_trial, naive, actions, ell_ckpt
 
+
+def _aggregate(horizon: int, checkpoint_times: tuple[int, ...], per_trial: dict,
+               naive: np.ndarray, ell_ckpt: np.ndarray) -> AggregateStats:
+    """The ``AggregateStats`` of one batch, from its trials' columns of a pass.
+
+    Sums run over the batch's own contiguous copy, so they round exactly
+    as they would if the batch had been stepped alone.
+    """
+    ell_ckpt = np.ascontiguousarray(ell_ckpt)
+    nb = ell_ckpt.shape[1]
+    agg = AggregateStats(horizon=horizon, checkpoint_times=tuple(checkpoint_times), trial_count=nb)
+    agg.naive_sum += np.count_nonzero(naive, axis=1)
     w = rb_mistake_weight(ell_ckpt)
     agg.rb_sum += np.sum(w, axis=1)
     agg.rb_sumsq += np.sum(w * w, axis=1)
@@ -491,13 +534,14 @@ def _simulate_batch(
     for name, hist in (("t_first", agg.first_mistake_hist), ("upsets", agg.upset_hist),
                        ("max_good", agg.max_good_run_hist), ("max_bad", agg.max_bad_run_hist)):
         _add_hist(hist, per_trial[name])
+    final_good = ~per_trial["censored"]
     agg.uncensored_count = int(np.count_nonzero(final_good))
     agg.censored_count = nb - agg.uncensored_count
     t_last = per_trial["t_last"]
     agg.last_mistake_sum = float(np.sum(t_last[final_good]))
     agg.last_mistake_sumsq = float(np.sum(t_last[final_good].astype(float) ** 2))
     agg.ttl_lower_bound_sum = float(np.sum(np.where(final_good, t_last + 1, horizon).astype(float)))
-    return agg, per_trial, actions, ell_ckpt.T
+    return agg
 
 
 def simulate_trajectory(
@@ -599,9 +643,12 @@ def run_trials(
 ):
     """Simulate ``trials`` independent trajectories and merge their aggregates.
 
-    Batches are fixed slices of the trial-index range; they run one after
-    another and are merged in index order.  ``threads`` is validated and
-    kept for the config key and CLI flag, but it starts no worker: the
+    Batches are fixed slices of the trial-index range.  Whole batches step
+    together in lockstep passes of bounded width; each batch is then
+    summed on its own, and the batches merge in index order.  So
+    ``batch_size`` sets only how the aggregate is summed, which fixes its
+    last bits, not which trials step together.  ``threads`` is validated
+    and kept for the config key and CLI flag, but it starts no worker: the
     results never depend on it.  When ``collect_actions`` is set, the raw
     action matrices are returned alongside the aggregate.
     """
@@ -610,16 +657,33 @@ def run_trials(
     _check_size("threads", threads)
     checkpoint_times = _checkpoint_grid(checkpoint_times, horizon)
     total, actions = None, []
-    for lo in range(0, trials, batch_size):
-        agg, _, acts, _ = _simulate_batch(
-            model, theta, horizon, master_seed, range(lo, min(lo + batch_size, trials)),
-            checkpoint_times, collect_actions=collect_actions,
+    for lo, hi in _passes(trials, batch_size):
+        per_trial, naive, acts, ell_ckpt = _lockstep(
+            model, theta, horizon, master_seed, range(lo, hi), checkpoint_times, collect_actions
         )
-        total = agg if total is None else merge_aggregates(total, agg)
+        for a in range(0, hi - lo, batch_size):
+            batch = slice(a, a + batch_size)
+            agg = _aggregate(
+                horizon, checkpoint_times, {k: v[batch] for k, v in per_trial.items()},
+                naive[:, batch], ell_ckpt[:, batch],
+            )
+            total = agg if total is None else merge_aggregates(total, agg)
         actions.append(acts)
     if collect_actions:
         return total, np.concatenate(actions, axis=0)
     return total
+
+
+def _passes(trials: int, batch_size: int) -> list[tuple[int, int]]:
+    """The trial ranges [lo, hi) of a run's lockstep passes.
+
+    A pass holds whole batches, at most ``_PASS_TRIALS`` trials unless one
+    batch is wider, and the passes hold about equal numbers of batches.
+    """
+    batches = -(-trials // batch_size)
+    passes = -(-batches // max(1, _PASS_TRIALS // batch_size))
+    ends = [min(trials, -(-batches * k // passes) * batch_size) for k in range(passes + 1)]
+    return list(zip(ends[:-1], ends[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +741,8 @@ def estimate_mistake_curve(agg: AggregateStats) -> list[tuple[int, float, float,
     p_naive is the plain indicator frequency.  The t=0 row is the prior.
     """
     n = agg.trial_count
+    if n < 1:
+        raise ValueError("empty aggregate")
     rows = []
     for i, ck in enumerate(agg.checkpoint_times):
         p_rb = agg.rb_sum[i] / n
@@ -701,6 +767,8 @@ class TimeToLearnReport:
 
 
 def estimate_time_to_learn(agg: AggregateStats) -> TimeToLearnReport:
+    if agg.trial_count < 1:
+        raise ValueError("empty aggregate")
     n_unc = agg.uncensored_count
     if n_unc > 0:
         mean_tl = agg.last_mistake_sum / n_unc + 1.0

@@ -297,6 +297,17 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_upset_tail(agg, min_count=1000)
 
+    @pytest.mark.parametrize(
+        "estimator", [estimate_mistake_curve, estimate_time_to_learn, estimate_upset_tail]
+    )
+    def test_empty_aggregate_is_named(self, estimator):
+        # no trials: a named error, not rows of NaN or a ZeroDivisionError
+        empty = AggregateStats(horizon=10, checkpoint_times=(1, 2, 5, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty aggregate"):
+                estimator(empty)
+
 
 class TestValidation:
     @pytest.mark.parametrize("trials", [0, 2.5, True])
@@ -600,6 +611,86 @@ def test_engine_equals_scalar_replay_property(model, theta, trials, batch_size, 
         assert np.array_equal(got_ells.view(np.int64), ells.view(np.int64))
         for name, values in per.items():
             assert np.array_equal(got_per[name], values), name
+
+
+def _same_aggregate(a, b):
+    for name in _AGG_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.array_equal(x, y) if isinstance(y, np.ndarray) else x == y, name
+
+
+class TestLockstepPasses:
+    # A run's batches step together in passes of whole batches, and a pass
+    # draws at most _DRAW_BUDGET values per chunk.  Neither the pass width
+    # nor the chunk length may change a bit: every trial's stream and
+    # cohort states are its own, and each batch is still summed alone.
+    TRIALS, BATCH, HORIZON = 50, 8, 1030  # 7 divides neither 1030 nor 50 - 48
+    # (pass cap, draw budget): one batch or all of them per pass, chunks of
+    # 1024 and of 7 steps
+    LAYOUTS = {
+        "batch-per-pass/chunk-1024": (BATCH, 1024 * BATCH),
+        "one-pass/chunk-1024": (TRIALS, 1024 * TRIALS),
+        "batch-per-pass/chunk-7": (BATCH, 7 * BATCH),
+        "one-pass/chunk-7": (TRIALS, 7 * TRIALS),
+    }
+
+    @pytest.mark.parametrize("model", [G07, PT2, RT], ids=lambda m: m.family)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_pass_layout_does_not_change_run_trials(self, model, theta, monkeypatch):
+        args = (model, theta, self.HORIZON, self.TRIALS, 41)
+        kw = dict(batch_size=self.BATCH, collect_actions=True)
+        ref, ref_actions = run_trials(*args, **kw)
+        assert len(montecarlo._passes(self.TRIALS, self.BATCH)) == 1
+        for layout, (cap, budget) in self.LAYOUTS.items():
+            monkeypatch.setattr(montecarlo, "_PASS_TRIALS", cap)
+            monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", budget)
+            agg, actions = run_trials(*args, **kw)
+            _same_aggregate(agg, ref)
+            assert np.array_equal(actions, ref_actions), layout
+        # lanes flip back and forth, so cohorts live across chunk boundaries
+        assert any(u >= 2 for u in ref.upset_hist) and ref.censored_count < self.TRIALS
+
+    @pytest.mark.parametrize("model", [G07, PT2, RT], ids=lambda m: m.family)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_pass_layout_does_not_change_per_trial_outputs(self, model, theta, monkeypatch):
+        ck = default_checkpoints(self.HORIZON)
+        whole = montecarlo._simulate_batch(model, theta, self.HORIZON, 41, range(self.TRIALS), ck, True)
+        for layout, (cap, budget) in self.LAYOUTS.items():
+            monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", budget)
+            parts = [
+                montecarlo._simulate_batch(
+                    model, theta, self.HORIZON, 41, range(lo, min(lo + cap, self.TRIALS)), ck, True
+                )
+                for lo in range(0, self.TRIALS, cap)
+            ]
+            for name, values in whole[1].items():
+                assert np.array_equal(np.concatenate([p[1][name] for p in parts]), values), layout
+            assert np.array_equal(np.concatenate([p[2] for p in parts]), whole[2]), layout
+            got_ells = np.concatenate([p[3] for p in parts])
+            assert np.array_equal(got_ells.view(np.int64), whole[3].view(np.int64)), layout
+
+    def test_passes_hold_whole_batches_of_about_equal_count(self, monkeypatch):
+        assert montecarlo._passes(10**4, 2048) == [(0, 6144), (6144, 10**4)]
+        assert montecarlo._passes(20000, 5000) == [(0, 5000), (5000, 10000), (10000, 15000), (15000, 20000)]
+        assert montecarlo._passes(5, 2048) == [(0, 5)]
+        monkeypatch.setattr(montecarlo, "_PASS_TRIALS", 8)
+        assert montecarlo._passes(50, 8) == [(lo, min(lo + 8, 50)) for lo in range(0, 50, 8)]
+
+    def test_draws_stay_within_the_budget(self, monkeypatch):
+        # A 5000-trial batch alone fills a pass; its chunks are shortened
+        # so that no draw buffer exceeds the 2048 x 1024 of a default batch.
+        sizes = []
+        draw_chunk = montecarlo._draw_chunk
+
+        def spy(model, theta, gens, chunk, in_herd):
+            sizes.append((len(gens), chunk))
+            return draw_chunk(model, theta, gens, chunk, in_herd)
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", spy)
+        run_trials(G1, PLUS, 450, 10000, master_seed=3, batch_size=5000)
+        assert max(n * chunk for n, chunk in sizes) <= montecarlo._DRAW_BUDGET == 2048 * 1024
+        assert {n for n, _ in sizes} == {5000}
+        assert sum(chunk for _, chunk in sizes) == 2 * 450 and len(sizes) == 4
 
 
 class TestCohortFork:

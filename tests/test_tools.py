@@ -31,8 +31,13 @@ def test_output_digests_smoke(tmp_path):
             assert f"first_mistake/{family}/prior={prior}/pmf" in names
         assert f"increment/{family}/log_d_minus" in names
         assert {f"run_trials/{family}/theta=+1", f"run_trials/{family}/theta=-1"} <= set(names)
-    # a Gaussian scale 2/sigma that rounds its draws
+        # a run of several batches, stepped in one pass
+        assert f"run_trials/{family}/multi-batch" in names
+    # a Gaussian scale 2/sigma that rounds its draws, seen by the aggregates
+    # only through actions and by the baseline sums in every bit
     assert {f"run_trials/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
+    assert "run_trials/gaussian-sigma0.7/multi-batch" in names
+    assert {f"baseline/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
     for name in ("exp_neg", "two_exp_neg", "exp_neg_paired"):  # criterion 04's increments
         assert f"recurrence/{name}" in names
     assert sorted({n.split("/")[1] for n in names if n.startswith("cli/")}) == sorted(EXPERIMENTS)

@@ -9,9 +9,13 @@ The outputs are the ell* path and the first-mistake law of each model
 family at priors 0, 0.3 and 2; D+-, log D+- on a fixed grid;
 ``iterate_recurrence`` over criterion 04's three increments from 0; the
 ``run_trials`` aggregate of each family at theta = +-, and of a Gaussian
-at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; and the CSV files
-of all eight CLI experiments (``manifest.json`` holds timestamps, so it is
-skipped).  ``--quick`` shrinks every size, for a smoke run.
+at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; the aggregate of
+a run of several batches and time chunks per family; the observed-signals
+sums of ``simulate_baseline_llr`` at sigma = 0.7, which see every last bit
+of the draws (the aggregates see a draw only through an action); and the
+CSV files of all eight CLI experiments (``manifest.json`` holds
+timestamps, so it is skipped).  ``--quick`` shrinks every size, for a
+smoke run.
 """
 
 from __future__ import annotations
@@ -40,10 +44,18 @@ from herdsim.signal_models import (
 PRIORS = (0.0, 0.3, 2.0)
 GRID = np.linspace(-60.0, 60.0, 241)
 
-# (ell* horizon, recurrence steps, Monte Carlo trials and horizon, CLI horizon and trials)
+# ell* horizon, recurrence steps, Monte Carlo trials and horizon, the same
+# with a batch size for a multi-batch run, baseline trials and horizon, and
+# CLI horizon and trials
 SIZES = {
-    "full": {"path": 10**4, "recurrence": 10**5, "mc": (256, 2000), "cli": (2000, 400)},
-    "quick": {"path": 300, "recurrence": 300, "mc": (16, 100), "cli": (200, 200)},
+    "full": {
+        "path": 10**4, "recurrence": 10**5, "mc": (256, 2000), "multi": (3000, 1500, 512),
+        "baseline": (64, 3000), "cli": (2000, 400),
+    },
+    "quick": {
+        "path": 300, "recurrence": 300, "mc": (16, 100), "multi": (40, 100, 16),
+        "baseline": (4, 300), "cli": (200, 200),
+    },
 }
 
 # criterion 04: a_{t+1} = a_t + e^{-a_t}, and the paired 2e^{-x} against e^{-x}(2 - 1/(1+x))
@@ -100,6 +112,10 @@ def recurrence_digests(size: dict):
         yield f"recurrence/{name}", sha(values)
 
 
+def aggregate_sha(agg) -> str:
+    return sha(*[x for f in dataclasses.fields(agg) for x in (f.name, getattr(agg, f.name))])
+
+
 def aggregate_digests(size: dict):
     trials, horizon = size["mc"]
     # at sigma = 1 and 2 the scale 2/sigma is a power of two and scales draws exactly
@@ -107,8 +123,23 @@ def aggregate_digests(size: dict):
     for family, model in mc_models.items():
         for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
             agg = montecarlo.run_trials(model, theta, horizon, trials, master_seed=20)
-            parts = [x for f in dataclasses.fields(agg) for x in (f.name, getattr(agg, f.name))]
-            yield f"run_trials/{family}/theta={theta.sign:+d}", sha(*parts)
+            yield f"run_trials/{family}/theta={theta.sign:+d}", aggregate_sha(agg)
+    trials, horizon, batch_size = size["multi"]
+    for family, model in mc_models.items():
+        agg = montecarlo.run_trials(
+            model, StateOfWorld.PLUS, horizon, trials, master_seed=21, batch_size=batch_size
+        )
+        yield f"run_trials/{family}/multi-batch", aggregate_sha(agg)
+
+
+def baseline_digests(size: dict):
+    trials, horizon = size["baseline"]
+    model = GaussianSignalModel(sigma=0.7)
+    for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
+        sums = [
+            montecarlo.simulate_baseline_llr(model, theta, horizon, 22, i) for i in range(trials)
+        ]
+        yield f"baseline/gaussian-sigma0.7/theta={theta.sign:+d}", sha(*sums)
 
 
 def _cli_configs(horizon: int, trials: int) -> dict:
@@ -152,7 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     size = SIZES["quick" if args.quick else "full"]
     for digests in (path_digests, increment_digests, recurrence_digests, aggregate_digests,
-                    cli_digests):
+                    baseline_digests, cli_digests):
         for name, digest in digests(size):
             print(name, digest)
     return 0
