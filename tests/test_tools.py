@@ -30,6 +30,10 @@ def test_output_digests_smoke(tmp_path):
             assert f"ell_star/{family}/prior={prior}" in names
             assert f"first_mistake/{family}/prior={prior}/pmf" in names
         assert f"increment/{family}/log_d_minus" in names
+        for theta in ("+1", "-1"):
+            for fn in ("llr_cdf", "llr_log_cdf", "llr_log_sf"):
+                assert f"model/{family}/{fn}/theta={theta}" in names
+            assert f"sample/{family}/theta={theta}" in names
         assert {f"run_trials/{family}/theta=+1", f"run_trials/{family}/theta=-1"} <= set(names)
         # a run of several batches, stepped in one pass
         assert f"run_trials/{family}/multi-batch" in names

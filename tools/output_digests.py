@@ -6,7 +6,10 @@ which outputs a change moves:
     PYTHONPATH=<checkout>/src python3 tools/output_digests.py [--quick] > digests.txt
 
 The outputs are the ell* path and the first-mistake law of each model
-family at priors 0, 0.3 and 2; D+-, log D+- on a fixed grid;
+family at priors 0, 0.3 and 2; each model's CDF, log-CDF and log-survival
+under both states and D+-, log D+- on a fixed grid; each model's draws
+under both states (``llr_from_uniform`` on a fixed grid of uniforms from 0
+to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
 ``iterate_recurrence`` over criterion 04's three increments from 0; the
 ``run_trials`` aggregate of each family at theta = +-, and of a Gaussian
 at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; the aggregate of
@@ -43,6 +46,10 @@ from herdsim.signal_models import (
 
 PRIORS = (0.0, 0.3, 2.0)
 GRID = np.linspace(-60.0, 60.0, 241)
+# both ends of [0, 1) and the values next to them, plus an even grid
+UNIFORMS = np.concatenate(
+    [[0.0, 2.0**-53, 1e-12], np.linspace(0.0, 1.0, 4097)[1:-1], [1.0 - 1e-12, 1.0 - 2.0**-53]]
+)
 
 # ell* horizon, recurrence steps, Monte Carlo trials and horizon, the same
 # with a batch size for a multi-batch run, baseline trials and horizon, and
@@ -98,6 +105,24 @@ def path_digests(size: dict):
             yield f"ell_star/{family}/prior={prior}", sha(law.ell_star.values)
             yield f"first_mistake/{family}/prior={prior}/pmf", sha(law.pmf)
             yield f"first_mistake/{family}/prior={prior}/survivor", sha(law.survivor)
+
+
+def model_digests(_size: dict):
+    for family, model in models().items():
+        for fn in (model.llr_cdf, model.llr_log_cdf, model.llr_log_sf):
+            for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
+                values = np.asarray(fn(theta, GRID))
+                yield f"model/{family}/{fn.__name__}/theta={theta.sign:+d}", sha(values)
+
+
+def sample_digests(_size: dict):
+    for family, model in models().items():
+        for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
+            if family == "gaussian":
+                draws = model.sample_llr(theta, np.random.Generator(np.random.Philox(23)), 4096)
+            else:
+                draws = model.llr_from_uniform(theta, UNIFORMS)
+            yield f"sample/{family}/theta={theta.sign:+d}", sha(draws)
 
 
 def increment_digests(_size: dict):
@@ -182,8 +207,8 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="smallest sizes, for a smoke run")
     args = parser.parse_args(argv)
     size = SIZES["quick" if args.quick else "full"]
-    for digests in (path_digests, increment_digests, recurrence_digests, aggregate_digests,
-                    baseline_digests, cli_digests):
+    for digests in (path_digests, model_digests, sample_digests, increment_digests,
+                    recurrence_digests, aggregate_digests, baseline_digests, cli_digests):
         for name, digest in digests(size):
             print(name, digest)
     return 0
