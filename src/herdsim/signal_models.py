@@ -525,14 +525,15 @@ class RateTargetSignalModel(InverseCdfSignalModel):
     Built so that the measure nu(n) = (Q(n-1) - Q(n))/e^n on the positive
     integers and nu(-n) = Q(n-1) - Q(n) on the negatives has the same total
     mass C under both conditionals, which keeps the LLR at support point n
-    equal to n exactly after renormalization.  Equality and hashing are by
-    identity, since the fields hold arrays.
+    equal to n exactly after renormalization.  The plus law is the mirror
+    of the minus law, P(L = n | +) = P(L = -n | -), so only the minus
+    masses are stored and the plus state reads them reversed.  Equality and
+    hashing are by identity, since the fields hold arrays.
     """
 
-    q_table: tuple  # Q(-1), Q(0), ..., Q(N), verbatim for serialization
-    support: np.ndarray = field(repr=False)  # integers -N'..N'
+    q_table: np.ndarray  # Q(-1), Q(0), ..., Q(N), verbatim for serialization
+    support: np.ndarray = field(repr=False)  # the integers -N'..N', as floats
     w_minus: np.ndarray = field(repr=False)  # unnormalized nu masses
-    w_plus: np.ndarray = field(repr=False)   # unnormalized nu(n) e^n masses
     normalizer: float
 
     family = "ratetarget"
@@ -541,13 +542,9 @@ class RateTargetSignalModel(InverseCdfSignalModel):
     def is_discrete(self):
         return True
 
-    @cached_property
+    @property
     def _p_minus(self):
         return self.w_minus / self.normalizer
-
-    @cached_property
-    def _p_plus(self):
-        return self.w_plus / self.normalizer
 
     @cached_property
     def _cdf_minus(self):
@@ -555,27 +552,13 @@ class RateTargetSignalModel(InverseCdfSignalModel):
 
     @cached_property
     def _cdf_plus(self):
-        return np.cumsum(self._p_plus)
-
-    @cached_property
-    def _sf_minus(self):
-        # Accumulate the survival from the far right so tiny tail masses
-        # are summed before the bulk.
-        return np.cumsum(self._p_minus[::-1])[::-1]
-
-    @cached_property
-    def _sf_plus(self):
-        return np.cumsum(self._p_plus[::-1])[::-1]
-
-    @cached_property
-    def _support_f(self):
-        # searchsorted of a float key on the int64 support would convert
-        # the whole support on every call; the float copy is exact.
-        return self.support.astype(float)
+        # P(L <= n | +) = P(L >= -n | -): the minus masses accumulated from
+        # the far right, so tiny tail masses are summed before the bulk.
+        return np.cumsum(self._p_minus[::-1])
 
     def _index_leq(self, x):
         """Number of support points <= x, elementwise."""
-        return np.searchsorted(self._support_f, np.floor(x), side="right")
+        return np.searchsorted(self.support, np.floor(x), side="right")
 
     def _lookup_cdf(self, cdf, x):
         x, scalar = _as1d(x)
@@ -604,9 +587,10 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         """
         y, scalar = _as1d(y)
         idx = self._index_leq(y)
-        if above:  # P(L > y) = sf[idx]
+        if above:  # P(L > y) = sf[idx]; each state's survival is the other's CDF reversed
             hit = idx < len(self.support)
-            tables = {StateOfWorld.MINUS: self._sf_minus, StateOfWorld.PLUS: self._sf_plus}
+            tables = {StateOfWorld.MINUS: self._cdf_plus[::-1],
+                      StateOfWorld.PLUS: self._cdf_minus[::-1]}
             far = StateOfWorld.MINUS
         else:  # P(L <= y) = cdf[idx - 1]
             hit = idx > 0
@@ -666,10 +650,10 @@ class RateTargetSignalModel(InverseCdfSignalModel):
     def llr_from_uniform(self, state, u):
         cdf = self._cdf_minus if state is StateOfWorld.MINUS else self._cdf_plus
         idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(self.support) - 1)
-        return self._support_f[idx]
+        return self.support[idx]
 
     def to_dict(self):
-        return {"family": "ratetarget", "q_table": list(self.q_table)}
+        return {"family": "ratetarget", "q_table": self.q_table.tolist()}
 
 
 def build_rate_target(q: Sequence[float], max_support: int = 10**5) -> RateTargetSignalModel:
@@ -684,7 +668,7 @@ def build_rate_target(q: Sequence[float], max_support: int = 10**5) -> RateTarge
     """
     if callable(q):
         q = [float(q(n)) for n in range(-1, max_support + 1)]
-    q = np.asarray(q, dtype=float)
+    q = np.array(q, dtype=float)  # a copy: the model must not alias a caller's array
     if q.ndim != 1 or len(q) < 2:
         raise ModelValidationError("q_table must contain Q(-1) and at least Q(0)")
     if not np.all(np.isfinite(q)):
@@ -702,59 +686,26 @@ def build_rate_target(q: Sequence[float], max_support: int = 10**5) -> RateTarge
         )
 
     n = np.arange(n_max + 1)
-    nu_pos = dq * np.exp(-n.astype(float))  # nu(n), n >= 0
-    nu_neg = dq.copy()                      # nu(-n), n >= 0 (n=0 coincides with nu_pos[0])
+    nu_pos = dq * np.exp(-n.astype(float))  # nu(n), n >= 0; nu(-n) = dq[n]
 
     # Residual mass beyond a symmetric cut at N': sum over n > N' of both sides.
-    resid = np.cumsum((nu_pos + nu_neg)[::-1])[::-1]
+    resid = np.cumsum((nu_pos + dq)[::-1])[::-1]
     cut = n_max
     below = np.nonzero(resid <= 1e-12)[0]
     if len(below) > 0:
         cut = max(int(below[0]) - 1, 0)
 
-    support = np.arange(-cut, cut + 1)
-    w_minus = np.empty(2 * cut + 1)
-    w_plus = np.empty(2 * cut + 1)
-    # ascending support: -cut .. -1, 0, 1 .. cut
-    w_minus[:cut] = nu_neg[cut:0:-1]
-    w_minus[cut] = dq[0]
-    w_minus[cut + 1:] = nu_pos[1:cut + 1]
-    # P(s=n|+) is proportional to nu(n) e^n: dq[n] at +n, dq[n] e^{-n} at -n.
-    w_plus[:cut] = nu_pos[cut:0:-1]
-    w_plus[cut] = dq[0]
-    w_plus[cut + 1:] = dq[1:cut + 1]
+    support = np.arange(-cut, cut + 1, dtype=float)
+    # ascending support -cut .. -1, 0, 1 .. cut; nu(0) = dq[0] = nu_pos[0]
+    w_minus = np.concatenate((dq[cut:0:-1], nu_pos[:cut + 1]))
 
     # The two total masses agree exactly in exact arithmetic; use a single
     # normalizer so LLR(n) = n survives renormalization bit-for-bit.
     normalizer = float(np.sum(w_minus))
 
-    model = RateTargetSignalModel(
-        q_table=tuple(float(v) for v in q),
-        support=support,
-        w_minus=w_minus,
-        w_plus=w_plus,
-        normalizer=normalizer,
+    return RateTargetSignalModel(
+        q_table=q, support=support, w_minus=w_minus, normalizer=normalizer
     )
-    _check_rate_target_antisymmetry(model)
-    return model
-
-
-def _check_rate_target_antisymmetry(model: RateTargetSignalModel, tol: float = 1e-9):
-    """Verify D_plus(x) = -D_minus(-x) on an integer grid at build time."""
-    half = (len(model.support) - 1) // 2
-    grid = model.support[max(0, half - 30):half + 30].astype(float) + 0.5
-    d_plus = model.llr_log_sf(StateOfWorld.PLUS, -grid) - model.llr_log_sf(
-        StateOfWorld.MINUS, -grid
-    )
-    d_minus = model.llr_log_cdf(StateOfWorld.PLUS, grid) - model.llr_log_cdf(
-        StateOfWorld.MINUS, grid
-    )
-    finite = np.isfinite(d_plus) & np.isfinite(d_minus)
-    err = np.max(np.abs(d_plus[finite] + d_minus[finite])) if np.any(finite) else 0.0
-    if err > tol:
-        raise NumericalFailure(
-            f"rate-target antisymmetry violated: max |D_+(x)+D_-(-x)| = {err:g}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +724,7 @@ def check_llr_identity(model: SignalModel, grid) -> float:
     if model.is_discrete:
         lhs = model.llr_cdf(StateOfWorld.PLUS, grid)
         pm = model._p_minus
-        sup = model.support.astype(float)
+        sup = model.support
         # exp(n) * p_minus(n) evaluated in log space so large positive
         # support points neither overflow nor poison the cumulative sum.
         weights = np.zeros_like(pm)

@@ -176,8 +176,8 @@ class TestDecisionAndUpdate:
 
     def test_rate_target_update_matches_mass_ratio(self):
         # [DERIVED] discrete-sum oracle for D_+(0)
-        p_p = RT._p_plus
         p_m = RT._p_minus
+        p_p = p_m[::-1]  # P(L = n | +) = P(L = -n | -)
         above = RT.support >= 1  # L > 0 given ell = 0 means support >= 1
         expected = math.log(np.sum(p_p[above])) - math.log(np.sum(p_m[above]))
         assert_allclose(float(d_plus(RT, 0.0)), expected, rtol=1e-12)

@@ -182,7 +182,8 @@ class TestRateTargetModel:
 
     def test_llr_is_exactly_the_support_point(self):
         m = self.model
-        p_m, p_p = m._p_minus, m._p_plus
+        p_m = m._p_minus
+        p_p = p_m[::-1]  # P(L = n | +) = P(L = -n | -)
         # exclude subnormal masses, where the stored ratio has lost bits
         pos = (p_m > 1e-300) & (p_p > 1e-300)
         llr = np.log(p_p[pos]) - np.log(p_m[pos])
