@@ -546,15 +546,18 @@ class RateTargetSignalModel(InverseCdfSignalModel):
     def _p_minus(self):
         return self.w_minus / self.normalizer
 
+    # Both sums round above 1 near the top of a long support; they are
+    # clamped there, so no probability exceeds 1 and no log-probability 0.
+
     @cached_property
     def _cdf_minus(self):
-        return np.cumsum(self._p_minus)
+        return np.minimum(np.cumsum(self._p_minus), 1.0)
 
     @cached_property
     def _cdf_plus(self):
         # P(L <= n | +) = P(L >= -n | -): the minus masses accumulated from
         # the far right, so tiny tail masses are summed before the bulk.
-        return np.cumsum(self._p_minus[::-1])
+        return np.minimum(np.cumsum(self._p_minus[::-1]), 1.0)
 
     def _index_leq(self, x):
         """Number of support points <= x, elementwise."""

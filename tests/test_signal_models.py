@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from herdsim.belief import d_plus, log_d_plus
+from herdsim.belief import d_plus, first_mistake_distribution, log_d_plus
 from herdsim.signal_models import (
     GaussianSignalModel,
     InverseCdfSignalModel,
@@ -224,6 +224,20 @@ class TestRateTargetModel:
         assert np.array_equal(m.llr_log_sf(MINUS, xs)[:2], [m.llr_log_sf(MINUS, x) for x in xs[:2]])
         assert m.llr_log_sf(MINUS, xs)[2:].tolist() == [-np.inf, -np.inf]
         assert float(m.llr_log_cdf(PLUS, -2000.5)) == -np.inf
+
+    def test_probabilities_stay_at_most_one_at_the_top(self):
+        # Summed over a long support the CDFs round above 1 (unclamped, at
+        # 4,971 entries of this model under theta = -1 and its top entry
+        # under +1), which gave positive log-probabilities and a
+        # first-mistake pmf[0] of 1 + 2.4e-15 from a prior that holds.
+        m = build_rate_target(lambda n: 1.0 / math.log(n + 2.0 + math.e), max_support=5000)
+        cut = float(m.support[-1])
+        top = np.arange(cut - 100.0, cut + 2.0)
+        for state in (MINUS, PLUS):
+            assert np.all(m.llr_cdf(state, top) <= 1.0)
+            assert np.all(m.llr_log_cdf(state, top) <= 0.0)
+            assert np.all(m.llr_log_sf(state, -top) <= 0.0)
+        assert first_mistake_distribution(m, 5, -cut).pmf[0] <= 1.0
 
     def test_sampling_matches_pmf(self):
         m = self.model
