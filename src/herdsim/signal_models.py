@@ -668,7 +668,10 @@ def build_rate_target(q: Sequence[float], max_support: int = 10**5) -> RateTarge
     If no such N' exists the full table is used.
 
     ``q`` may also be a callable Q; it is then tabulated on -1..max_support.
+    ``max_support`` must be an integer >= 0.
     """
+    if not _is_int(max_support) or max_support < 0:
+        raise ModelValidationError(f"max_support must be an integer >= 0, got {max_support!r}")
     if callable(q):
         q = [float(q(n)) for n in range(-1, max_support + 1)]
     q = np.array(q, dtype=float)  # a copy: the model must not alias a caller's array

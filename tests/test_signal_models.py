@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from herdsim.belief import d_plus, first_mistake_distribution, log_d_plus
+from herdsim.belief import d_minus, d_plus, first_mistake_distribution, log_d_plus
 from herdsim.signal_models import (
     GaussianSignalModel,
     InverseCdfSignalModel,
@@ -196,11 +196,50 @@ class TestRateTargetModel:
         assert_allclose(m._p_minus[i], 0.5 / m.normalizer, rtol=1e-14)
 
     def test_antisymmetry_of_increments(self):
-        m = self.model
-        grid = np.arange(-20, 20) + 0.5
-        d_p = m.llr_log_sf(PLUS, -grid) - m.llr_log_sf(MINUS, -grid)
-        d_m = m.llr_log_cdf(PLUS, grid) - m.llr_log_cdf(MINUS, grid)
-        assert np.max(np.abs(d_p + d_m)) < 1e-9
+        # D+(x) = -D-(-x) exactly: both read the same entries of the one
+        # stored law, the far-side logs included (past |x| ~ 734 for 1/log)
+        log_q = build_rate_target(lambda n: 1.0 / math.log(n + 2.0 + math.e), max_support=2000)
+        cut30 = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=30)
+        for m in (self.model, cut30, log_q):
+            cut = len(m.support) // 2
+            grid = np.arange(-cut, cut) + 0.5  # every cell inside the support
+            d_p = m.llr_log_sf(PLUS, -grid) - m.llr_log_sf(MINUS, -grid)
+            d_m = m.llr_log_cdf(PLUS, grid) - m.llr_log_cdf(MINUS, grid)
+            assert np.all(np.isfinite(d_p)) and np.array_equal(d_p, -d_m)
+
+    def test_the_law_is_stored_once(self):
+        # P(L = n | +) = P(L = -n | -): the model keeps the minus masses and
+        # two cumulative sums, and each state's survival is the other's CDF
+        # reversed, equal to a survival summed on its own.
+        q = np.array([1.0 / math.log(n + 2.0 + math.e) for n in range(-1, 2001)])
+        m = build_rate_target(q)
+        cut = len(m.support) // 2
+        x = np.arange(-cut, cut + 1) + 0.5  # the far side too, past |x| ~ 734
+        d = [d_plus(m, x), d_minus(m, -x)]
+        for state in (MINUS, PLUS):
+            m.sample_llr(state, np.random.default_rng(1), 1000)
+        arrays = {k: v for k, v in vars(m).items() if isinstance(v, np.ndarray)}
+        full = sorted(k for k, v in arrays.items() if v.size == m.support.size)
+        assert full == ["_cdf_minus", "_cdf_plus", "support", "w_minus"]
+        # the rest, q_table and the far-side logs, hold about half as many entries
+        assert all(v.size <= cut + 2 for k, v in arrays.items() if k not in full)
+
+        dq = -np.diff(q)
+        nu = dq * np.exp(-np.arange(cut + 1.0))
+        p_minus = np.concatenate((dq[:0:-1], nu)) / m.normalizer
+        p_plus = np.concatenate((nu[:0:-1], dq)) / m.normalizer  # nu(n) e^n, normalized
+        assert np.array_equal(m.w_minus / m.normalizer, p_minus)
+        assert np.array_equal(m._cdf_plus, np.minimum(np.cumsum(p_plus), 1.0))
+        for sf, p in ((m._cdf_plus[::-1], p_minus), (m._cdf_minus[::-1], p_plus)):
+            assert np.array_equal(sf, np.minimum(np.cumsum(p[::-1])[::-1], 1.0))
+
+        doc = m.to_dict()
+        q[:] = 0.5  # the model keeps a copy of the caller's table
+        assert m.to_dict() == doc and doc["q_table"][2] == 1.0 / math.log(1.0 + 2.0 + math.e)
+        clone = pickle.loads(pickle.dumps(m))
+        assert [a.tobytes() for a in (d_plus(clone, x), d_minus(clone, -x))] == [
+            a.tobytes() for a in d
+        ]
 
     def test_far_tails_stay_finite_past_underflow(self):
         # Past |x| ~ 734 the plain sums of dq(n) e^-n underflow to 0 while
@@ -264,6 +303,18 @@ class TestRateTargetModel:
         for table in ([1.0, bad, 0.25, 0.1], [bad, 0.5, 0.25]):
             with pytest.raises(ModelValidationError, match=r"^q_table entries must be finite"):
                 build_rate_target(table)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, math.nan, "10", True, None])
+    def test_max_support_is_refused_by_name(self, bad):
+        # -1 used to fail naming q_table, True built as 1 and the rest
+        # raised unnamed TypeErrors
+        for q in ([1.0, 0.5, 0.25], lambda n: 1.0 / (n + 2.0)):
+            with pytest.raises(ModelValidationError, match=r"^max_support must be an integer >= 0"):
+                build_rate_target(q, max_support=bad)
+
+    def test_max_support_zero_builds(self):
+        m = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=np.int64(0))
+        assert m.support.tolist() == [0.0] and m.q_table.tolist() == [1.0, 0.5]
 
     def test_equality_is_identity(self):
         # the fields hold arrays, so field-wise == and hash cannot work
