@@ -531,7 +531,7 @@ class RateTargetSignalModel(InverseCdfSignalModel):
     hashing are by identity, since the fields hold arrays.
     """
 
-    q_table: np.ndarray  # Q(-1), Q(0), ..., Q(N), verbatim for serialization
+    q_table: np.ndarray  # Q(-1), Q(0), ..., Q(N) as validated, for serialization
     support: np.ndarray = field(repr=False)  # the integers -N'..N', as floats
     w_minus: np.ndarray = field(repr=False)  # unnormalized nu masses
     normalizer: float
@@ -691,8 +691,7 @@ def build_rate_target(q: Sequence[float], max_support: int = 10**5) -> RateTarge
             f"q_table support {n_max} exceeds the hard cap {max_support}"
         )
 
-    n = np.arange(n_max + 1)
-    nu_pos = dq * np.exp(-n.astype(float))  # nu(n), n >= 0; nu(-n) = dq[n]
+    nu_pos = dq * np.exp(-np.arange(n_max + 1.0))  # nu(n), n >= 0; nu(-n) = dq[n]
 
     # Residual mass beyond a symmetric cut at N': sum over n > N' of both sides.
     resid = np.cumsum((nu_pos + dq)[::-1])[::-1]
