@@ -306,8 +306,8 @@ class TestRateTargetModel:
 
     @pytest.mark.parametrize("bad", [-1, 2.5, math.nan, "10", True, None])
     def test_max_support_is_refused_by_name(self, bad):
-        # -1 used to fail naming q_table, True built as 1 and the rest
-        # raised unnamed TypeErrors
+        # a bool is an int, and the others would fail later, inside numpy
+        # or range(), without naming the argument
         for q in ([1.0, 0.5, 0.25], lambda n: 1.0 / (n + 2.0)):
             with pytest.raises(ModelValidationError, match=r"^max_support must be an integer >= 0"):
                 build_rate_target(q, max_support=bad)
