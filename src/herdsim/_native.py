@@ -1,4 +1,4 @@
-"""The compensated recurrence loop in C, compiled on first use.
+"""The compensated recurrence loop and the Philox stream fill in C, compiled on first use.
 
 One compensated step, ``asymptotics._python_steps``' body in the same order
 of operations, serves three loops: ``gaussian_steps`` fused with the Gaussian
@@ -7,15 +7,21 @@ closed-form increment (``log_ndtr_scalar`` on the same libm functions),
 Python increment.  A loop hands back the first step it cannot add (an invalid
 one, or a return that is not an exact float) with its index, for the Python
 loop to raise at or go on from, so the bytes, errors and types are that
-loop's.  The library includes ``Python.h`` and is loaded with ``ctypes.PyDLL``
+loop's.  ``philox_fill`` fills each row of a draws array from one Monte Carlo
+stream, held as a row of numpy's ``philox_state`` words (``STATE_WORDS``):
+it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
+bumped before each block of four words) and draws through numpy's own
+uniform and ziggurat normal samplers, linked from the ``libnpyrandom.a``
+that numpy ships, so every draw equals ``Generator(Philox)``'s bit for bit.
+Where that archive or its headers are missing the library holds the loops
+only.  The library includes ``Python.h`` and is loaded with ``ctypes.PyDLL``
 (the GIL is held; an increment's exception propagates).  It is built once per
-source, flags and interpreter ABI with the interpreter's C compiler into
-``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``) as
+source, flags, interpreter ABI and numpy version with the interpreter's C
+compiler into ``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``) as
 ``compensated_steps-<SOABI>-<key>.so``; a build removes the libraries it
 replaces there (``_remove_stale``).  Where it cannot be built or loaded,
-``library()`` is None and the Python loop runs.
+``library()`` is None and the Python loops and fill run.
 """
-
 from __future__ import annotations
 
 import contextlib
@@ -155,6 +161,72 @@ PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state
 }
 """
 
+# Appended to _SOURCE where numpy ships its sampler library (see _sampler).
+_FILL_SOURCE = r"""
+#include <numpy/random/distributions.h>
+
+/* A stream's row of uint64 words: numpy's philox_state */
+enum { COUNTER = 0, KEY = 4, BUFFER = 6, BUFFER_POS = 10, HAS_UINT32 = 11, UINTEGER = 12, ROW = 13 };
+
+/* numpy's philox_next: the buffered words, then the counter bumped and a
+   block of four words from Philox4x64-10 */
+static uint64_t philox_next(void *st)
+{
+    uint64_t *s = st;
+    if (s[BUFFER_POS] < 4)
+        return s[BUFFER + s[BUFFER_POS]++];
+    uint64_t *c = s + COUNTER;
+    if (++c[0] == 0 && ++c[1] == 0 && ++c[2] == 0)
+        ++c[3];
+    uint64_t x0 = c[0], x1 = c[1], x2 = c[2], x3 = c[3], k0 = s[KEY], k1 = s[KEY + 1];
+    for (int round = 0; round < 10; round++) {
+        if (round > 0)
+            k0 += 0x9E3779B97F4A7C15ULL, k1 += 0xBB67AE8584CAA73BULL;
+        __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93ULL * x0;
+        __uint128_t p1 = (__uint128_t)0xCA5A826395121157ULL * x2;
+        x0 = (uint64_t)(p1 >> 64) ^ x1 ^ k0, x1 = (uint64_t)p1;
+        x2 = (uint64_t)(p0 >> 64) ^ x3 ^ k1, x3 = (uint64_t)p0;
+    }
+    s[BUFFER] = x0, s[BUFFER + 1] = x1, s[BUFFER + 2] = x2, s[BUFFER + 3] = x3;
+    s[BUFFER_POS] = 1;
+    return x0;
+}
+
+/* numpy's philox_next32: the high half of a word waits for the next call */
+static uint32_t philox_next32(void *st)
+{
+    uint64_t *s = st;
+    if (s[HAS_UINT32]) {
+        s[HAS_UINT32] = 0;
+        return (uint32_t)s[UINTEGER];
+    }
+    uint64_t next = philox_next(st);
+    s[HAS_UINT32] = 1, s[UINTEGER] = next >> 32;
+    return (uint32_t)next;
+}
+
+static double philox_next_double(void *st)
+{
+    return (philox_next(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Row i of out (rows x cols, C order) from stream i of states (rows x ROW) by numpy's
+   standard uniform (normal == 0) or standard normal (normal != 0) fill */
+void philox_fill(uint64_t *states, double *out, int64_t rows, int64_t cols, int normal)
+{
+    bitgen_t gen = {NULL, philox_next, philox_next32, philox_next_double, philox_next};
+    for (int64_t i = 0; i < rows; i++) {
+        gen.state = states + i * ROW;
+        if (normal)
+            random_standard_normal_fill(&gen, cols, out + i * cols);
+        else
+            random_standard_uniform_fill(&gen, cols, out + i * cols);
+    }
+}
+"""
+
+STATE_WORDS = 13  # ROW: the words of a stream's state in philox_fill
+
 # No -ffast-math or -march=native: either may reorder, contract or
 # vectorise the arithmetic and move the path's bits.
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -166,10 +238,24 @@ def _cache_dir() -> str:
     return os.path.join(base, "herdsim")
 
 
+def _sampler():
+    """numpy's include directory and ``libnpyrandom.a``, or None where either is missing."""
+    include = np.get_include()
+    archive = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
+    header = os.path.join(include, "numpy", "random", "distributions.h")
+    return (include, archive) if os.path.exists(header) and os.path.exists(archive) else None
+
+
+def _source() -> str:
+    return _SOURCE + _FILL_SOURCE if _sampler() else _SOURCE
+
+
 def _library_path(cache_dir: str) -> str:
-    # the library links the C API, so the interpreter's ABI is part of its key and name
+    # The library links the C API, so the interpreter's ABI is part of its key
+    # and name; it holds numpy's sampler code, so numpy's version is in its key.
     abi = sysconfig.get_config_var("SOABI") or ""
-    key = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, *_LIBS, abi)).encode()).hexdigest()
+    parts = (_source(), *_FLAGS, *_LIBS, abi, np.__version__)
+    key = hashlib.sha256("\0".join(parts).encode()).hexdigest()
     return os.path.join(cache_dir, f"compensated_steps-{abi}-{key[:16]}.so")
 
 
@@ -195,18 +281,23 @@ def _remove_stale(path: str) -> None:
 
 
 def _build(path: str) -> None:
-    """Compile ``_SOURCE`` to ``path`` through a temporary file in its directory."""
+    """Compile ``_source()`` to ``path`` through a temporary file in its directory."""
     cc = sysconfig.get_config_var("CC")
     if not cc:
         raise FileNotFoundError("the interpreter names no C compiler")
     paths = sysconfig.get_paths()  # Python.h, and pyconfig.h where a distribution splits them
+    includes, archive = ["-I", paths["include"], "-I", paths["platinclude"]], []
+    sampler = _sampler()
+    if sampler:
+        # -x none: the archive after the source read as C is linked, not parsed
+        includes += ["-I", sampler[0]]
+        archive = ["-x", "none", sampler[1]]
     fd, built = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
     os.close(fd)
     try:
         subprocess.run(
-            [*shlex.split(cc), *_FLAGS, "-I", paths["include"], "-I", paths["platinclude"],
-             "-x", "c", "-", "-o", built, *_LIBS],
-            input=_SOURCE, text=True, check=True, capture_output=True, timeout=120,
+            [*shlex.split(cc), *_FLAGS, *includes, "-x", "c", "-", *archive, "-o", built, *_LIBS],
+            input=_source(), text=True, check=True, capture_output=True, timeout=120,
         )
         os.replace(built, path)
     finally:
@@ -232,6 +323,10 @@ def _load(cache_dir: str):
     lib.gaussian_steps.argtypes = head + [ctypes.c_double] * 4
     lib.array_steps.argtypes = lib.call_steps.argtypes = head + [ctypes.py_object]
     lib.gaussian_steps.restype = lib.array_steps.restype = lib.call_steps.restype = ctypes.py_object
+    if hasattr(lib, "philox_fill"):
+        lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                                    ctypes.c_int64, ctypes.c_int]
+        lib.philox_fill.restype = None
     return lib
 
 
@@ -239,6 +334,20 @@ def _load(cache_dir: str):
 def library():
     """The compiled loops, or None where they cannot be built or loaded; the first call builds."""
     return _load(_cache_dir())
+
+
+def fill(lib, states: np.ndarray, out: np.ndarray, normal: bool) -> None:
+    """Fill row i of ``out`` from stream ``states[i]`` by ``philox_fill``, advancing the streams.
+
+    The rows are standard normals if ``normal``, else standard uniforms.
+    """
+    if not (states.dtype == np.uint64 and states.ndim == 2 and states.shape[1] == STATE_WORDS
+            and states.flags.c_contiguous and states.flags.writeable):
+        raise ValueError(f"states must be a writable C-contiguous (n, {STATE_WORDS}) uint64 array")
+    if not (out.dtype == np.float64 and out.ndim == 2 and len(out) == len(states)
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be a writable C-contiguous float64 array with a row per stream")
+    lib.philox_fill(states.ctypes.data, out.ctypes.data, out.shape[0], out.shape[1], int(normal))
 
 
 def run(lib, name: str, values: np.ndarray, start: int, stop: int, a: float, carry: float, *extra):

@@ -4,8 +4,13 @@ Each trial owns a counter-based random stream keyed by (master_seed,
 trial_index), so results are a pure function of the seed and trial index
 regardless of batch size or the ``threads`` setting.  The key is numpy's
 ``SeedSequence(master_seed, spawn_key=(trial_index,))`` key, computed for a
-whole batch of trials in one vectorised pass of that algorithm; each
-``Philox`` is then built from its key and a shared zero counter array.
+whole batch of trials in one vectorised pass of that algorithm.  Philox is
+counter-based, so a stream needs no Python object: a batch's streams are one
+array whose row j holds stream j's ``Philox`` state words, and one call of
+``_native``'s C fill steps them all for a chunk of draws, through numpy's own
+samplers, so each row equals ``Generator(Philox)``'s draws bit for bit.
+Where that library is missing, and for models that only define
+``sample_llr``, one ``Generator`` steps the rows in turn from their states.
 Trials are simulated in lockstep batches around a leader: every trial whose
 actions have all been correct sits on the same deterministic path ell* and
 shares one belief, so the whole herd costs one comparison per step, against
@@ -70,7 +75,7 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 2048
 _TIME_CHUNK = 1024
 _PASS_TRIALS = 8192  # trials stepped together in one lockstep pass, in whole batches
-_DRAW_BUDGET = DEFAULT_BATCH_SIZE * _TIME_CHUNK  # draws held at once by a pass
+_DRAW_BUDGET = DEFAULT_BATCH_SIZE * 256  # draws held at once by a pass or a baseline row block
 _SAMPLE_BLOCK = 64  # rows transformed per block; bounds the transform's temporaries
 
 
@@ -80,25 +85,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# Every stream starts at counter 0.  Passed as an array, numpy copies it
-# into the generator as it is; the integer 0 would be converted each time.
-_ZERO_COUNTER = np.zeros(4, np.uint64)
-
-
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """Hands ``Philox`` a precomputed 128-bit key as its seed sequence."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(
-                f"a Philox key is 2 uint64 words, asked for {n_words} {np.dtype(dtype)}"
-            )
-        return self.key
+# A stream's state row, numpy's ``philox_state`` as uint64 words (the row of
+# ``_native.philox_fill``): counter[4], key[2], buffer[4], buffer_pos,
+# has_uint32, uinteger.  A new stream has counter 0 and an empty buffer.
+_COUNTER, _KEY, _BUFFER = slice(0, 4), slice(4, 6), slice(6, 10)
+_BUFFER_POS, _HAS_UINT32, _UINTEGER, _STATE_WORDS = 10, 11, 12, 13
 
 
 def _philox_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
@@ -151,13 +142,12 @@ def _philox_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
     return np.stack((state[0] | state[1] << high, state[2] | state[3] << high), axis=1)
 
 
-def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> list[np.random.Generator]:
-    """The counter-based streams owned by a batch of trials, in order.
+def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> np.ndarray:
+    """The counter-based streams owned by a batch of trials, as state rows in order.
 
-    Trial i's stream is ``Philox`` keyed by ``SeedSequence(master_seed,
-    spawn_key=(i,))``, bit for bit; the keys of the whole batch are
-    derived in one vectorised pass, and every stream is built with the
-    shared ``_ZERO_COUNTER``, which gives the state of the default counter.
+    Row j is the state of ``Philox`` keyed by ``SeedSequence(master_seed,
+    spawn_key=(trial_indices[j],))``, bit for bit; the keys of the whole
+    batch are derived in one vectorised pass.
     """
     if not _is_int(master_seed) or master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
@@ -167,10 +157,52 @@ def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> list[np.random
     if idx.size and not (0 <= idx.min() and idx.max() <= _MASK32):
         raise ValueError(f"trial_indices must lie in [0, 2**32), got {idx.min()}..{idx.max()}")
     keys = _philox_keys(int(master_seed), idx.reshape(-1))
-    return [
-        np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
-        for key in keys
-    ]
+    streams = np.zeros((len(keys), _STATE_WORDS), np.uint64)
+    streams[:, _KEY] = keys
+    streams[:, _BUFFER_POS] = 4
+    return streams
+
+
+def _fill_streams(streams: np.ndarray, out: np.ndarray, normal: bool) -> None:
+    """Row j of ``out``: standard normals if ``normal``, else uniforms, from stream j.
+
+    The streams advance in place.  ``_native``'s C fill does all rows in
+    one call; without it each row is drawn by ``_python_fill``.
+    """
+    from . import _native  # imported here: importing the package loads no library
+
+    lib = _native.library()
+    if lib is not None and hasattr(lib, "philox_fill"):
+        _native.fill(lib, streams, out, normal)
+        return
+    name = "standard_normal" if normal else "random"
+    _python_fill(streams, out, lambda gen, row: getattr(gen, name)(out=row))
+
+
+def _python_fill(streams: np.ndarray, out: np.ndarray, draw) -> None:
+    """``draw(gen, row)`` for each row of ``out``, gen on its stream's state, which it advances.
+
+    One ``Generator`` serves every row: its ``Philox`` takes the row's
+    state, draws, and hands its new state back to the row.
+    """
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    for state, row in zip(streams, out):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": state[_COUNTER], "key": state[_KEY]},
+            "buffer": state[_BUFFER],
+            "buffer_pos": int(state[_BUFFER_POS]),
+            "has_uint32": int(state[_HAS_UINT32]),
+            "uinteger": int(state[_UINTEGER]),
+        }
+        draw(gen, row)
+        new = bits.state
+        state[_COUNTER] = new["state"]["counter"]
+        state[_BUFFER] = new["buffer"]
+        state[_BUFFER_POS] = new["buffer_pos"]
+        state[_HAS_UINT32] = new["has_uint32"]
+        state[_UINTEGER] = new["uinteger"]
 
 
 def _checkpoint_grid(checkpoint_times: Sequence[int] | None, horizon: int) -> tuple[int, ...]:
@@ -282,7 +314,8 @@ _BOOK = np.dtype(
 _HERD_MARGIN = 1e-9
 
 
-def _draw_chunk(model: SignalModel, theta: StateOfWorld, gens, chunk: int, in_herd: np.ndarray):
+def _draw_chunk(model: SignalModel, theta: StateOfWorld, streams: np.ndarray, chunk: int,
+                in_herd: np.ndarray):
     """Draws of shape (trials, chunk), row j from stream j, and the herd's edge.
 
     Inversion-sampled models draw uniforms and turn into LLRs only the rows
@@ -292,6 +325,7 @@ def _draw_chunk(model: SignalModel, theta: StateOfWorld, gens, chunk: int, in_he
     Gaussian rows are standard normals z, mapped in place for the whole
     chunk to mean + tau * z: that is ``rng.normal(mean, tau)``'s own
     arithmetic, so they too equal the ``sample_llr`` draws bit for bit.
+    Any other model draws each row by its ``sample_llr`` on the row's stream.
 
     ``edge[s]`` bounds the herd's LLRs at step s on the erring side: none
     lies below it under theta=+1, none above it under theta=-1.  It comes
@@ -299,16 +333,16 @@ def _draw_chunk(model: SignalModel, theta: StateOfWorld, gens, chunk: int, in_he
     direction of monotonicity is assumed, widened by ``_HERD_MARGIN``.
     ``edge`` is None when the herd is empty.
     """
-    draws = np.empty((len(gens), chunk))
+    draws = np.empty((len(streams), chunk))
     inverse = isinstance(model, InverseCdfSignalModel)
     gaussian = isinstance(model, GaussianSignalModel)
-    for row, gen in zip(draws, gens):
-        if inverse:
-            gen.random(out=row)
-        elif gaussian:
-            gen.standard_normal(out=row)
-        else:
+    if inverse or gaussian:
+        _fill_streams(streams, draws, normal=gaussian)
+    else:
+        def draw(gen, row):
             row[:] = model.sample_llr(theta, gen, size=chunk)
+
+        _python_fill(streams, draws, draw)
     if inverse:
         _to_llr(model, theta, draws, np.flatnonzero(~in_herd), 0)
     elif gaussian:
@@ -431,7 +465,7 @@ def _lockstep(
     belief, besides the actions matrix or None.
     """
     nb = len(trial_indices)
-    gens = _trial_rng(master_seed, trial_indices)
+    streams = _trial_rng(master_seed, trial_indices)
     correct_plus = theta.sign > 0
     inverse = isinstance(model, InverseCdfSignalModel)
     time_chunk = max(1, min(_TIME_CHUNK, _DRAW_BUDGET // max(nb, 1)))
@@ -459,7 +493,7 @@ def _lockstep(
         chunk = min(time_chunk, horizon - t + 1)
         in_herd = np.zeros(nb, dtype=bool)
         in_herd[herd] = True
-        draws, edge = _draw_chunk(model, theta, gens, chunk, in_herd)
+        draws, edge = _draw_chunk(model, theta, streams, chunk, in_herd)
         live, coh = np.unique(coh, return_inverse=True)  # drop cohorts without lanes
         keep = np.concatenate(([0], live))
         ell, carry, sgn = ell[keep], carry[keep], sgn[keep]
@@ -605,19 +639,31 @@ def _baseline_batch(
 ) -> np.ndarray:
     """The observed-signals baseline of a batch: row j holds trial j's sums at ``ckpt``.
 
-    Each chunk of draws is summed in place along time; the chunk totals
-    are added with a compensated (Kahan) carry per trial.
+    Blocks of rows are drawn and summed one after the other, which changes
+    no bit, since each row is summed on its own.  Each time chunk of draws
+    is summed in place along time; the chunk totals are added with a
+    compensated (Kahan) carry per trial.  The chunk length fixes the bits
+    of the sums.
     """
-    gens = _trial_rng(master_seed, trial_indices)
-    out = np.empty((len(gens), len(ckpt)))
-    total = np.zeros(len(gens))
-    carry = np.zeros(len(gens))
-    no_herd = np.zeros(len(gens), dtype=bool)
+    streams = _trial_rng(master_seed, trial_indices)
+    out = np.empty((len(streams), len(ckpt)))
+    rows = _DRAW_BUDGET // _TIME_CHUNK
+    for lo in range(0, len(streams), rows):
+        out[lo:lo + rows] = _baseline_rows(model, theta, horizon, streams[lo:lo + rows], ckpt)
+    return out
+
+
+def _baseline_rows(model, theta, horizon: int, streams: np.ndarray, ckpt: tuple[int, ...]):
+    """``_baseline_batch``'s sums for a block of streams."""
+    out = np.empty((len(streams), len(ckpt)))
+    total = np.zeros(len(streams))
+    carry = np.zeros(len(streams))
+    no_herd = np.zeros(len(streams), dtype=bool)
     next_i = 0
     t = 1
     while t <= horizon and next_i < len(ckpt):
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws, _ = _draw_chunk(model, theta, gens, chunk, no_herd)
+        draws, _ = _draw_chunk(model, theta, streams, chunk, no_herd)
         partial = np.cumsum(draws, axis=1, out=draws)
         while next_i < len(ckpt) and ckpt[next_i] < t + chunk:
             out[:, next_i] = total + partial[:, ckpt[next_i] - t]

@@ -519,6 +519,23 @@ class TestNativeLoops:
         other = _native._library_path(str(tmp_path))
         assert other != here and os.path.dirname(other) == os.path.dirname(here)
 
+    def test_library_path_is_keyed_by_the_numpy_version(self, monkeypatch, tmp_path):
+        # the library links numpy's sampler code, so a numpy upgrade builds anew
+        here = _native._library_path(str(tmp_path))
+        monkeypatch.setattr(_native.np, "__version__", "0.0.0-other")
+        other = _native._library_path(str(tmp_path))
+        assert other != here and os.path.dirname(other) == os.path.dirname(here)
+        assert _native._LIBRARY_NAME.fullmatch(os.path.basename(other))  # _remove_stale sees it
+
+    def test_without_numpys_sampler_library_the_loops_still_build(self, native_loop, monkeypatch,
+                                                                   tmp_path):
+        monkeypatch.setattr(_native, "_sampler", lambda: None)
+        lib = _native._load(str(tmp_path / "herdsim"))
+        assert lib is not None and not hasattr(lib, "philox_fill")
+        values = np.empty(5)
+        assert _native.run(lib, "array_steps", values, 0, 5, 0.0, 0.0, np.ones(5))[0] == 5
+        assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
     def test_a_build_removes_the_libraries_it_replaces(self, native_loop, monkeypatch, tmp_path):
         cache = tmp_path / "herdsim"
         cache.mkdir(mode=0o700)

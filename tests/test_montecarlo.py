@@ -3,6 +3,7 @@
 import functools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from herdsim import montecarlo
+from herdsim import _native, montecarlo
 from herdsim.belief import ActionLabel, d_minus, d_plus, ell_star_path, rb_mistake_weight
 from herdsim.montecarlo import (
     AggregateStats,
@@ -28,6 +29,7 @@ from herdsim.signal_models import (
     GaussianSignalModel,
     InverseCdfSignalModel,
     PolyTailSignalModel,
+    SignalModel,
     StateOfWorld,
     build_rate_target,
 )
@@ -154,11 +156,12 @@ def _rng_for(master_seed, trial_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _same_state(a, b):
-    """Bit-generator states equal entry by entry, arrays by value."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
+def _state_row(bit_generator):
+    """A ``Philox``'s state as a stream row: counter, key, buffer, buffer_pos, has_uint32, uinteger."""
+    state = bit_generator.state
+    words = [*state["state"]["counter"], *state["state"]["key"], *state["buffer"]]
+    words += [state["buffer_pos"], state["has_uint32"], state["uinteger"]]
+    return np.array(words, dtype=np.uint64)
 
 
 class TestStreamKeys:
@@ -169,17 +172,124 @@ class TestStreamKeys:
     )
     def test_batched_keys_equal_seed_sequence(self, seed, extra):
         # One vectorised pass must reproduce numpy's per-trial SeedSequence
-        # keys, and with them the streams, bit for bit.
+        # keys, and with them the streams' states, bit for bit.
         indices = [0, 2047, 2048, 2**32 - 1] + extra
-        for gen, i in zip(montecarlo._trial_rng(seed, indices), indices):
-            ref = _rng_for(seed, i)
-            # key, counter, buffer, buffer_pos, has_uint32 and uinteger
-            assert _same_state(gen.bit_generator.state, ref.bit_generator.state)
-            assert np.array_equal(gen.random(3), ref.random(3))
-            assert np.array_equal(gen.normal(size=3), ref.normal(size=3))
+        streams = montecarlo._trial_rng(seed, indices)
+        assert streams.dtype == np.uint64 and streams.shape == (len(indices), _native.STATE_WORDS)
+        for row, i in zip(streams, indices):
+            assert np.array_equal(row, _state_row(_rng_for(seed, i).bit_generator))
 
     def test_empty_batch(self):
-        assert montecarlo._trial_rng(3, []) == []
+        assert montecarlo._trial_rng(3, []).shape == (0, _native.STATE_WORDS)
+
+
+@pytest.fixture(params=["c", "python"])
+def fill_route(request, native_loop, python_loop):
+    """``montecarlo._fill_streams`` through the C fill, or with the library unavailable."""
+    if request.param == "python":
+        return functools.partial(python_loop, montecarlo._fill_streams)
+    if _native._sampler() is None:
+        pytest.skip("numpy ships no libnpyrandom.a or no sampler headers to link the C fill with")
+    assert hasattr(native_loop, "philox_fill")
+    return montecarlo._fill_streams
+
+
+class TestStreamFill:
+    # Both fills must continue each stream exactly as its Generator would,
+    # also where a fill stops inside a block of four Philox words.
+    SIZES = (1, 3, 257, 1024)
+
+    @pytest.mark.parametrize("normal", [False, True], ids=["random", "standard_normal"])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**200])
+    def test_fills_equal_the_generator(self, fill_route, seed, normal):
+        indices = [0, 2047, 2**32 - 1]
+        streams = montecarlo._trial_rng(seed, indices)
+        refs = [_rng_for(seed, i) for i in indices]
+        for size in self.SIZES:
+            out = np.empty((len(indices), size))
+            fill_route(streams, out, normal)
+            for row, state, ref in zip(out, streams, refs):
+                expected = ref.standard_normal(size) if normal else ref.random(size)
+                assert np.array_equal(row, expected), size
+                assert np.array_equal(state, _state_row(ref.bit_generator)), size
+
+    @pytest.mark.parametrize("normal", [False, True], ids=["random", "standard_normal"])
+    def test_counter_word_0_wraps_into_word_1(self, fill_route, normal):
+        ref = np.random.Generator(np.random.Philox(key=2**100 + 7, counter=2**64 - 1))
+        streams = _state_row(ref.bit_generator)[None].copy()
+        for size in self.SIZES:
+            out = np.empty((1, size))
+            fill_route(streams, out, normal)
+            assert np.array_equal(out[0], ref.standard_normal(size) if normal else ref.random(size))
+        assert streams[0, 0] < 2**10 and streams[0, 1] == 1  # the counter wrapped
+        assert np.array_equal(streams[0], _state_row(ref.bit_generator))
+
+    def test_c_fill_refuses_arrays_it_cannot_fill(self, native_loop):
+        if not hasattr(native_loop, "philox_fill"):
+            pytest.skip("the library holds no C fill")
+        streams = montecarlo._trial_rng(1, range(3))
+        with pytest.raises(ValueError, match="states"):
+            _native.fill(native_loop, streams[:, :-1].copy(), np.empty((3, 4)), False)
+        with pytest.raises(ValueError, match="out"):
+            _native.fill(native_loop, streams, np.empty((2, 4)), False)
+        with pytest.raises(ValueError, match="out"):
+            _native.fill(native_loop, streams, np.empty((4, 3)).T, False)
+
+
+@dataclass(frozen=True)
+class LogisticModel(SignalModel):
+    """A custom model that defines only ``sample_llr``, no quantile or Gaussian route.
+
+    The LLR is logistic around +-1 under theta = +-1.  Its draws use
+    32-bit uniforms, so a draw can leave half of a Philox word for the next.
+    """
+
+    family = "logistic"
+
+    def llr_log_sf(self, state, x):
+        return -np.logaddexp(0.0, np.asarray(x, dtype=float) - state.sign)
+
+    def llr_log_cdf(self, state, x):
+        return -np.logaddexp(0.0, state.sign - np.asarray(x, dtype=float))
+
+    def sample_llr(self, state, rng, size=None):
+        u = rng.random(size, dtype=np.float32).astype(float) + 2.0**-25  # in (0, 1)
+        return state.sign + np.log(u) - np.log1p(-u)
+
+
+class TestCustomSampler:
+    # A model without llr_from_uniform or a Gaussian law is drawn through its
+    # own sample_llr on each stream, chunk by chunk.
+    MODEL = LogisticModel()
+
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_run_trials_draws_as_per_stream_sample_llr(self, theta, monkeypatch):
+        trials, horizon, batch_size = 20, 60, 7
+        # chunks of 7 steps: an odd number of 32-bit draws per chunk
+        monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", 7 * trials)
+        agg, actions = run_trials(
+            self.MODEL, theta, horizon, trials, master_seed=5, batch_size=batch_size,
+            collect_actions=True,
+        )
+        # the replay checks every action against the per-stream sample_llr draws
+        ref, _ = _replay_aggregate(self.MODEL, theta, horizon, trials, 5, batch_size, actions)
+        _same_aggregate(agg, ref)
+        assert 0 < sum(c for t, c in agg.first_mistake_hist.items() if t) < trials
+
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_baseline_draws_as_per_stream_sample_llr(self, theta):
+        horizon, ckpt = 2100, (1, 1024, 1025, 2048, 2049, 2100)
+        for i in (0, 3):
+            base = simulate_baseline_llr(self.MODEL, theta, horizon, 8, i, ckpt)
+            gen, total, carry, ref = _rng_for(8, i), 0.0, 0.0, {}
+            for t in range(1, horizon + 1, montecarlo._TIME_CHUNK):
+                chunk = min(montecarlo._TIME_CHUNK, horizon - t + 1)
+                partial = np.cumsum(self.MODEL.sample_llr(theta, gen, size=chunk))
+                ref.update((c, total + float(partial[c - t])) for c in ckpt if t <= c < t + chunk)
+                y = float(partial[-1]) - carry
+                tot = total + y
+                carry, total = (tot - total) - y, tot
+            assert base == tuple((c, ref[c]) for c in ckpt)
 
 
 class TestBaselineBatch:
@@ -203,6 +313,16 @@ class TestBaselineBatch:
             assert row.tolist() == [ref[c] for c in ckpt]
             one = simulate_baseline_llr(model, theta, horizon, 9, i, ckpt)
             assert one == tuple(zip(ckpt, row.tolist()))
+
+    @pytest.mark.parametrize("model", [G07, PT2], ids=repr)
+    def test_row_blocks_change_no_bit(self, model, monkeypatch):
+        # A batch is drawn in blocks of _DRAW_BUDGET // _TIME_CHUNK rows; each
+        # row is summed on its own, so the block size moves no bit.
+        ckpt, indices = (1, 1024, 1500), range(11)
+        whole = montecarlo._baseline_batch(model, PLUS, 1500, 4, indices, ckpt)
+        monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", 3 * montecarlo._TIME_CHUNK)
+        blocks = montecarlo._baseline_batch(model, PLUS, 1500, 4, indices, ckpt)
+        assert whole.tobytes() == blocks.tobytes()
 
 
 class TestRunsAndUpsets:
@@ -422,7 +542,7 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
     def test_blocked_draws_equal_per_trial_sampling(self, model, theta):
         trials, chunk = 300, 257  # 200 non-herd rows: full transform blocks and a partial one
-        gens = montecarlo._trial_rng(5, range(trials))
+        streams = montecarlo._trial_rng(5, range(trials))
         in_herd = np.zeros(trials, dtype=bool)
         in_herd[::3] = True
         inverse = isinstance(model, InverseCdfSignalModel)
@@ -433,7 +553,7 @@ class TestBlockedSampling:
                 return model.llr_from_uniform(theta, draws[j].copy())
             return draws[j]
 
-        blocked, edge = montecarlo._draw_chunk(model, theta, gens, chunk, in_herd)
+        blocked, edge = montecarlo._draw_chunk(model, theta, streams, chunk, in_herd)
         for j in range(trials):
             ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
             assert np.array_equal(llr(blocked, j), ref[:chunk])
@@ -441,7 +561,7 @@ class TestBlockedSampling:
         herd = np.array([llr(blocked, j) for j in np.flatnonzero(in_herd)])
         assert np.all(theta.sign * (herd - edge) > 0.0)
         # the streams continue where the block left them
-        again, _ = montecarlo._draw_chunk(model, theta, gens, chunk, in_herd)
+        again, _ = montecarlo._draw_chunk(model, theta, streams, chunk, in_herd)
         for j in (0, 127, 128, 129, trials - 1):
             ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
             assert np.array_equal(llr(again, j), ref[chunk:])
@@ -678,19 +798,20 @@ class TestLockstepPasses:
 
     def test_draws_stay_within_the_budget(self, monkeypatch):
         # A 5000-trial batch alone fills a pass; its chunks are shortened
-        # so that no draw buffer exceeds the 2048 x 1024 of a default batch.
+        # so that no draw buffer exceeds the 2048 x 256 of a default batch.
         sizes = []
         draw_chunk = montecarlo._draw_chunk
 
-        def spy(model, theta, gens, chunk, in_herd):
-            sizes.append((len(gens), chunk))
-            return draw_chunk(model, theta, gens, chunk, in_herd)
+        def spy(model, theta, streams, chunk, in_herd):
+            sizes.append((len(streams), chunk))
+            return draw_chunk(model, theta, streams, chunk, in_herd)
 
         monkeypatch.setattr(montecarlo, "_draw_chunk", spy)
         run_trials(G1, PLUS, 450, 10000, master_seed=3, batch_size=5000)
-        assert max(n * chunk for n, chunk in sizes) <= montecarlo._DRAW_BUDGET == 2048 * 1024
+        assert max(n * chunk for n, chunk in sizes) <= montecarlo._DRAW_BUDGET == 2048 * 256
         assert {n for n, _ in sizes} == {5000}
-        assert sum(chunk for _, chunk in sizes) == 2 * 450 and len(sizes) == 4
+        # chunks of 2048 * 256 // 5000 = 104 steps: 5 per trial's 450 steps
+        assert sum(chunk for _, chunk in sizes) == 2 * 450 and len(sizes) == 2 * 5
 
 
 class TestCohortFork:

@@ -42,6 +42,9 @@ def test_output_digests_smoke(tmp_path):
     assert {f"run_trials/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
     assert "run_trials/gaussian-sigma0.7/multi-batch" in names
     assert {f"baseline/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
+    # inversion draws and the streams' continuation across time chunks, in every bit
+    for family in ("polytail", "ratetarget"):
+        assert {f"baseline/{family}/theta={s}" for s in ("+1", "-1")} <= set(names)
     for name in ("exp_neg", "two_exp_neg", "exp_neg_paired"):  # criterion 04's increments
         assert f"recurrence/{name}" in names
     assert sorted({n.split("/")[1] for n in names if n.startswith("cli/")}) == sorted(EXPERIMENTS)

@@ -14,8 +14,10 @@ to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
 ``run_trials`` aggregate of each family at theta = +-, and of a Gaussian
 at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; the aggregate of
 a run of several batches and time chunks per family; the observed-signals
-sums of ``simulate_baseline_llr`` at sigma = 0.7, which see every last bit
-of the draws (the aggregates see a draw only through an action); and the
+sums of ``simulate_baseline_llr`` at sigma = 0.7 and of the PolyTail k = 2
+and rate-target models at theta = +-, over at least two time chunks, which
+see every last bit of the draws and of the streams' continuation from one
+chunk to the next (the aggregates see a draw only through an action); and the
 CSV files of all eight CLI experiments (``manifest.json`` holds
 timestamps, so it is skipped).  ``--quick`` shrinks every size, for a
 smoke run.
@@ -52,16 +54,17 @@ UNIFORMS = np.concatenate(
 )
 
 # ell* horizon, recurrence steps, Monte Carlo trials and horizon, the same
-# with a batch size for a multi-batch run, baseline trials and horizon, and
-# CLI horizon and trials
+# with a batch size for a multi-batch run, baseline trials and horizon (the
+# inversion-sampled ones' horizon spans two time chunks or more), and CLI
+# horizon and trials
 SIZES = {
     "full": {
         "path": 10**4, "recurrence": 10**5, "mc": (256, 2000), "multi": (3000, 1500, 512),
-        "baseline": (64, 3000), "cli": (2000, 400),
+        "baseline": (64, 3000), "inverse_baseline": (64, 3000), "cli": (2000, 400),
     },
     "quick": {
         "path": 300, "recurrence": 300, "mc": (16, 100), "multi": (40, 100, 16),
-        "baseline": (4, 300), "cli": (200, 200),
+        "baseline": (4, 300), "inverse_baseline": (4, 2100), "cli": (200, 200),
     },
 }
 
@@ -165,6 +168,15 @@ def baseline_digests(size: dict):
             montecarlo.simulate_baseline_llr(model, theta, horizon, 22, i) for i in range(trials)
         ]
         yield f"baseline/gaussian-sigma0.7/theta={theta.sign:+d}", sha(*sums)
+    trials, horizon = size["inverse_baseline"]
+    for family in ("polytail", "ratetarget"):
+        model = models()[family]
+        for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
+            sums = [
+                montecarlo.simulate_baseline_llr(model, theta, horizon, 22, i)
+                for i in range(trials)
+            ]
+            yield f"baseline/{family}/theta={theta.sign:+d}", sha(*sums)
 
 
 def _cli_configs(horizon: int, trials: int) -> dict:
