@@ -653,7 +653,8 @@ def _baseline_batch(
     return out
 
 
-def _baseline_rows(model, theta, horizon: int, streams: np.ndarray, ckpt: tuple[int, ...]):
+def _baseline_rows(model: SignalModel, theta: StateOfWorld, horizon: int, streams: np.ndarray,
+                   ckpt: tuple[int, ...]) -> np.ndarray:
     """``_baseline_batch``'s sums for a block of streams."""
     out = np.empty((len(streams), len(ckpt)))
     total = np.zeros(len(streams))
