@@ -10,14 +10,22 @@ loop to raise at or go on from, so the bytes, errors and types are that
 loop's.  ``philox_fill`` fills each row of a draws array from one Monte Carlo
 stream, held as a row of numpy's ``philox_state`` words (``STATE_WORDS``):
 it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
-bumped before each block of four words) and draws through numpy's own
-uniform and ziggurat normal samplers, linked from the ``libnpyrandom.a``
-that numpy ships, so every draw equals ``Generator(Philox)``'s bit for bit.
-Where that archive or its headers are missing the library holds the loops
-only.  The library includes ``Python.h`` and is loaded with ``ctypes.PyDLL``
-(the GIL is held; an increment's exception propagates).  It is built once per
-source, flags, interpreter ABI and numpy version with the interpreter's C
-compiler into ``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``) as
+bumped before each block of four words) and draws as numpy does, so every
+draw equals ``Generator(Philox)``'s bit for bit.  A uniform is a word's top
+53 bits scaled by 2**-53, computed inline.  A normal runs numpy's ziggurat
+(Marsaglia & Tsang 2000) fast path inline, on numpy's tables read once per
+process through its public ``random_standard_normal``
+(``ziggurat_tables``); the rare word that misses the fast path (about 1.5%)
+goes back to its stream for that numpy sampler to draw from, so the wedge
+and tail paths are numpy's code, linked from the ``libnpyrandom.a`` that
+numpy ships.  At first use a fixed set of streams is filled both inline and
+by numpy's ``random_standard_normal_fill``; if a bit differs, every normal
+is drawn by the latter (``normals_checked``).  Where that archive or its
+headers are missing the library holds the loops only.  The library includes
+``Python.h`` and is loaded with ``ctypes.PyDLL`` (the GIL is held; an
+increment's exception propagates).  It is built once per source, flags,
+interpreter ABI and numpy version with the interpreter's C compiler into
+``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``) as
 ``compensated_steps-<SOABI>-<key>.so``; a build removes the libraries it
 replaces there (``_remove_stale``).  Where it cannot be built or loaded,
 ``library()`` is None and the Python loops and fill run.
@@ -34,6 +42,7 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
+import time
 
 import numpy as np
 
@@ -41,6 +50,7 @@ _SOURCE = r"""
 #include <Python.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* One step of asymptotics._python_steps: stores values[i] and returns 1, or
    returns 0 for a step that is negative or not finite. */
@@ -168,28 +178,35 @@ _FILL_SOURCE = r"""
 /* A stream's row of uint64 words: numpy's philox_state */
 enum { COUNTER = 0, KEY = 4, BUFFER = 6, BUFFER_POS = 10, HAS_UINT32 = 11, UINTEGER = 12, ROW = 13 };
 
-/* numpy's philox_next: the buffered words, then the counter bumped and a
-   block of four words from Philox4x64-10 */
-static uint64_t philox_next(void *st)
+/* Bump the counter and buffer the block of four words that Philox4x64-10 makes of it,
+   all marked as drawn (numpy's philox_next does this when its buffer is spent) */
+static inline void philox_block(uint64_t *s)
 {
-    uint64_t *s = st;
-    if (s[BUFFER_POS] < 4)
-        return s[BUFFER + s[BUFFER_POS]++];
     uint64_t *c = s + COUNTER;
     if (++c[0] == 0 && ++c[1] == 0 && ++c[2] == 0)
         ++c[3];
     uint64_t x0 = c[0], x1 = c[1], x2 = c[2], x3 = c[3], k0 = s[KEY], k1 = s[KEY + 1];
+#pragma GCC unroll 10
     for (int round = 0; round < 10; round++) {
-        if (round > 0)
-            k0 += 0x9E3779B97F4A7C15ULL, k1 += 0xBB67AE8584CAA73BULL;
         __uint128_t p0 = (__uint128_t)0xD2E7470EE14C6C93ULL * x0;
         __uint128_t p1 = (__uint128_t)0xCA5A826395121157ULL * x2;
         x0 = (uint64_t)(p1 >> 64) ^ x1 ^ k0, x1 = (uint64_t)p1;
         x2 = (uint64_t)(p0 >> 64) ^ x3 ^ k1, x3 = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15ULL, k1 += 0xBB67AE8584CAA73BULL;  /* the next round's key */
     }
     s[BUFFER] = x0, s[BUFFER + 1] = x1, s[BUFFER + 2] = x2, s[BUFFER + 3] = x3;
-    s[BUFFER_POS] = 1;
-    return x0;
+    s[BUFFER_POS] = 4;
+}
+
+/* numpy's philox_next: the buffered words, then a new block */
+static uint64_t philox_next(void *st)
+{
+    uint64_t *s = st;
+    if (s[BUFFER_POS] >= 4) {
+        philox_block(s);
+        s[BUFFER_POS] = 0;
+    }
+    return s[BUFFER + s[BUFFER_POS]++];
 }
 
 /* numpy's philox_next32: the high half of a word waits for the next call */
@@ -205,23 +222,177 @@ static uint32_t philox_next32(void *st)
     return (uint32_t)next;
 }
 
-static double philox_next_double(void *st)
+/* numpy's next_double: a word's top 53 bits times 2**-53 */
+static inline double to_double(uint64_t word)
 {
-    return (philox_next(st) >> 11) * (1.0 / 9007199254740992.0);
+    return (word >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Row i of out (rows x cols, C order) from stream i of states (rows x ROW) by numpy's
-   standard uniform (normal == 0) or standard normal (normal != 0) fill */
-void philox_fill(uint64_t *states, double *out, int64_t rows, int64_t cols, int normal)
+static double philox_next_double(void *st)
+{
+    return to_double(philox_next(st));
+}
+
+/* numpy's ziggurat tables for the standard normal, read by ziggurat_tables: a word
+   r = idx | sign << 8 | rabs << 9 (low to high) gives (-1)^sign * rabs * wi[idx] at
+   once if rabs < ki[idx]; every other word takes numpy's wedge or tail path */
+static double wi[256];
+static uint64_t ki[256];
+static int inline_normals = -1;  /* unknown until normals_checked() runs */
+
+/* A bitgen_t that gives one word, then words 2 (idx 2, rabs 0: a draw of 0 at
+   once) and doubles 0.5, counting what it hands out */
+typedef struct { uint64_t first; int used; } probe_t;
+
+static uint64_t probe_next(void *st)
+{
+    probe_t *p = st;
+    return p->used++ ? 2 : p->first;
+}
+
+static double probe_next_double(void *st)
+{
+    ((probe_t *)st)->used++;
+    return 0.5;
+}
+
+/* 1 if numpy's random_standard_normal draws from word alone (its fast path), with the
+   draw in *draw */
+static int one_word(uint64_t word, double *draw)
+{
+    probe_t p = {word, 0};
+    bitgen_t gen = {&p, probe_next, NULL, probe_next_double, probe_next};
+    *draw = random_standard_normal(&gen);
+    return p.used == 1;
+}
+
+/* wi[idx] is the draw of rabs 1; ki[idx] is the least rabs whose draw takes more than
+   one word, found by bisection (in a layer, the fast path takes the words below ki) */
+static void ziggurat_tables(void)
+{
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        if (!one_word(idx | 1ULL << 9, &wi[idx]))
+            wi[idx] = 0.0;  /* at most rabs 0 takes the fast path, and draws 0.0 */
+        uint64_t lo = 0, hi = 1ULL << 52;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            double draw;
+            if (one_word(idx | mid << 9, &draw))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        ki[idx] = lo;
+    }
+}
+
+/* The fast path's draw of word r in *x, or 0 where r misses it */
+static inline int fast_normal(uint64_t r, double *x)
+{
+    uint64_t idx = r & 0xff, rabs = r >> 9 & 0x000fffffffffffffULL;
+    if (rabs >= ki[idx])
+        return 0;
+    double draw = (double)rabs * wi[idx];
+    uint64_t bits;
+    memcpy(&bits, &draw, sizeof bits);
+    bits ^= (r & 0x100) << 55;  /* the sign bit, r >> 8 & 1 */
+    memcpy(x, &bits, sizeof bits);
+    return 1;
+}
+
+/* The rows below draw what numpy's fills draw.  Once the buffer is spent they take
+   whole blocks straight from the counter, which saves a branch and a store per word. */
+
+/* numpy's random_standard_uniform_fill */
+static void uniform_row(uint64_t *s, double *out, int64_t cols)
+{
+    int64_t j = 0;
+    for (; j < cols && s[BUFFER_POS] < 4; j++)
+        out[j] = to_double(philox_next(s));
+    for (; j + 4 <= cols; j += 4) {
+        philox_block(s);
+        for (int k = 0; k < 4; k++)
+            out[j + k] = to_double(s[BUFFER + k]);
+    }
+    for (; j < cols; j++)
+        out[j] = to_double(philox_next(s));
+}
+
+/* numpy's random_standard_normal_fill with its fast path inline: a word that misses it
+   goes back to the stream for numpy's own sampler (gen, on the same stream) to draw from */
+static void normal_row(uint64_t *s, double *out, int64_t cols, bitgen_t *gen)
+{
+    int64_t j = 0;
+    while (j < cols) {
+        if (s[BUFFER_POS] < 4 || cols - j < 4) {
+            if (!fast_normal(philox_next(s), out + j)) {
+                s[BUFFER_POS]--;  /* philox_next left it in 1..4: the word is still buffered */
+                out[j] = random_standard_normal(gen);
+            }
+            j++;
+            continue;
+        }
+        philox_block(s);
+        int k = 0;
+        while (k < 4 && fast_normal(s[BUFFER + k], out + j))
+            k++, j++;
+        if (k < 4) {
+            s[BUFFER_POS] = k;  /* word k is the next to draw */
+            out[j++] = random_standard_normal(gen);
+        }
+    }
+}
+
+/* Row i of out from stream i: uniforms, normals inline, or normals by numpy's fill */
+static void fill_rows(uint64_t *states, double *out, int64_t rows, int64_t cols, int normal,
+                      int inline_normal)
 {
     bitgen_t gen = {NULL, philox_next, philox_next32, philox_next_double, philox_next};
     for (int64_t i = 0; i < rows; i++) {
-        gen.state = states + i * ROW;
-        if (normal)
-            random_standard_normal_fill(&gen, cols, out + i * cols);
+        uint64_t *s = states + i * ROW;
+        double *row = out + i * cols;
+        gen.state = s;
+        if (!normal)
+            uniform_row(s, row, cols);
+        else if (inline_normal)
+            normal_row(s, row, cols, &gen);
         else
-            random_standard_uniform_fill(&gen, cols, out + i * cols);
+            random_standard_normal_fill(&gen, cols, row);
     }
+}
+
+/* 1 if the inline normals equal numpy's fill bit for bit on a fixed set of streams (which
+   start at every buffer position and cross a counter wrap), else 0; checked once */
+int normals_checked(void)
+{
+    enum { ROWS = 5, COLS = 1031 };
+    if (inline_normals >= 0)
+        return inline_normals;
+    ziggurat_tables();
+    static uint64_t states[2][ROWS * ROW];
+    static double out[2][ROWS * COLS];
+    for (int i = 0; i < ROWS; i++) {
+        uint64_t *s = states[0] + i * ROW;
+        memset(s, 0, ROW * sizeof *s);
+        s[COUNTER] = UINT64_MAX - (uint64_t)i * 60;  /* each row wraps into word 1 */
+        s[KEY] = 0x9E3779B97F4A7C15ULL * (i + 1), s[KEY + 1] = 0xD1B54A32D192ED03ULL * (i + 1);
+        for (int w = 0; w < 4; w++)
+            s[BUFFER + w] = 0xBF58476D1CE4E5B9ULL * (uint64_t)(4 * i + w + 1);
+        s[BUFFER_POS] = i;  /* 0..3 start inside the buffer, 4 in a new block */
+    }
+    memcpy(states[1], states[0], sizeof states[0]);
+    fill_rows(states[0], out[0], ROWS, COLS, 1, 0);
+    fill_rows(states[1], out[1], ROWS, COLS, 1, 1);
+    inline_normals = !memcmp(out[0], out[1], sizeof out[0])
+                     && !memcmp(states[0], states[1], sizeof states[0]);
+    return inline_normals;
+}
+
+/* Row i of out (rows x cols, C order) from stream i of states (rows x ROW): numpy's
+   standard uniforms (normal == 0) or standard normals (normal != 0), bit for bit */
+void philox_fill(uint64_t *states, double *out, int64_t rows, int64_t cols, int normal)
+{
+    fill_rows(states, out, rows, cols, normal, normal && normals_checked());
 }
 """
 
@@ -261,23 +432,31 @@ def _library_path(cache_dir: str) -> str:
 
 # A compensated-loop library; the ABI group is None in the retired names without one.
 _LIBRARY_NAME = re.compile(r"compensated_steps-(?:(.*)-)?[0-9a-f]{16}\.so")
+_STALE_AFTER_S = 7 * 24 * 3600
 
 
 def _remove_stale(path: str) -> None:
     """Delete the libraries that the one at ``path`` replaces in its directory.
 
-    They are this ABI's library under any other key and the retired names,
-    ``gaussian_steps-*.so`` and ``compensated_steps-<key>.so`` without an
-    ABI.  Other ABIs' libraries and other files stay.
+    They are the retired names, ``gaussian_steps-*.so`` and
+    ``compensated_steps-<key>.so`` without an ABI, and this ABI's library
+    under any other key once it was built more than ``_STALE_AFTER_S`` ago:
+    a newer one may belong to another checkout that shares the directory,
+    which would otherwise rebuild it whenever the two take turns.  Other
+    ABIs' libraries and other files stay.
     """
     cache_dir, own = os.path.split(path)
     abi = sysconfig.get_config_var("SOABI") or ""
+    built_before = time.time() - _STALE_AFTER_S
     for name in os.listdir(cache_dir):
         match = _LIBRARY_NAME.fullmatch(name)
         retired = name.startswith("gaussian_steps-") and name.endswith(".so")
-        if name != own and (retired or match and match[1] in (None, abi)):
-            with contextlib.suppress(OSError):  # another process may have removed it
-                os.remove(os.path.join(cache_dir, name))
+        retired = retired or bool(match) and match[1] is None
+        other_key = bool(match) and match[1] == abi and name != own
+        file = os.path.join(cache_dir, name)
+        with contextlib.suppress(OSError):  # another process may have removed it
+            if retired or other_key and os.stat(file).st_mtime < built_before:
+                os.remove(file)
 
 
 def _build(path: str) -> None:
@@ -327,6 +506,7 @@ def _load(cache_dir: str):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]
         lib.philox_fill.restype = None
+        lib.normals_checked.argtypes, lib.normals_checked.restype = [], ctypes.c_int
     return lib
 
 

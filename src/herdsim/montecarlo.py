@@ -7,8 +7,10 @@ regardless of batch size or the ``threads`` setting.  The key is numpy's
 whole batch of trials in one vectorised pass of that algorithm.  Philox is
 counter-based, so a stream needs no Python object: a batch's streams are one
 array whose row j holds stream j's ``Philox`` state words, and one call of
-``_native``'s C fill steps them all for a chunk of draws, through numpy's own
-samplers, so each row equals ``Generator(Philox)``'s draws bit for bit.
+``_native``'s C fill steps them all for a chunk of draws as numpy's samplers
+do: uniforms and the ziggurat's fast path inline, the rare wedge or tail
+word through numpy's own normal sampler, so each row equals
+``Generator(Philox)``'s draws bit for bit.
 Where that library is missing, and for models that only define
 ``sample_llr``, one ``Generator`` steps the rows in turn from their states.
 Trials are simulated in lockstep batches around a leader: every trial whose

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -541,13 +542,19 @@ class TestNativeLoops:
         cache.mkdir(mode=0o700)
         abi = sysconfig.get_config_var("SOABI") or ""
         removed = [
-            f"compensated_steps-{abi}-0123456789abcdef.so",  # this ABI, another key
+            f"compensated_steps-{abi}-0123456789abcdef.so",  # this ABI, another key, built long ago
             "compensated_steps-0123456789abcdef.so",  # the retired name without an ABI
             "gaussian_steps-0123456789abcdef.so",  # the retired Gaussian-only library
         ]
-        kept = ["compensated_steps-cpython-00-other-0123456789abcdef.so", "notes.txt"]
+        kept = [
+            f"compensated_steps-{abi}-fedcba9876543210.so",  # this ABI, another key, built lately
+            "compensated_steps-cpython-00-other-0123456789abcdef.so",
+            "notes.txt",
+        ]
         for name in removed + kept:
             (cache / name).write_bytes(b"")
+        old = time.time() - _native._STALE_AFTER_S - 60
+        os.utime(cache / removed[0], (old, old))
         config_var = sysconfig.get_config_var
         with monkeypatch.context() as patch:  # a failed build removes nothing
             patch.setattr(
@@ -560,9 +567,9 @@ class TestNativeLoops:
         own = os.path.basename(_native._library_path(str(cache)))
         assert own.startswith(f"compensated_steps-{abi}-")
         assert sorted(os.listdir(cache)) == sorted(kept + [own])
-        (cache / removed[0]).write_bytes(b"")  # loading a built library removes nothing
+        (cache / removed[1]).write_bytes(b"")  # loading a built library removes nothing
         assert _native._load(str(cache)) is not None
-        assert sorted(os.listdir(cache)) == sorted(kept + [own, removed[0]])
+        assert sorted(os.listdir(cache)) == sorted(kept + [own, removed[1]])
 
     def test_no_compiler_or_shared_cache_dir_loads_nothing(self, monkeypatch, tmp_path):
         shared = tmp_path / "shared"

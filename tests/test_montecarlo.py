@@ -236,6 +236,121 @@ class TestStreamFill:
             _native.fill(native_loop, streams, np.empty((4, 3)).T, False)
 
 
+def _one_word_normal(word):
+    """numpy's standard normal of ``word`` needs no other word: its ziggurat fast path takes it."""
+    bits = np.random.Philox(0)
+    state = bits.state
+    state["buffer"], state["buffer_pos"] = np.array([word, 0, 0, 0], np.uint64), 0
+    bits.state = state
+    np.random.Generator(bits).standard_normal()
+    after = bits.state
+    return after["buffer_pos"] == 1 and np.array_equal(after["state"]["counter"], [0, 0, 0, 0])
+
+
+def _slow_kind(word):
+    """'tail' or 'wedge' for a word off the ziggurat's fast path (layer 0 is the tail), or None."""
+    if _one_word_normal(word):
+        return None
+    return "tail" if int(word) & 0xFF == 0 else "wedge"
+
+
+class TestZigguratSlowPaths:
+    # The C fill takes a word's ziggurat fast path inline and hands every other
+    # word back to numpy's sampler.  These streams' next word is a slow one, at
+    # each buffer position and just after a counter wrap.
+    KEY = 2**70 + 5
+    KINDS = ("wedge", "tail")
+
+    @pytest.fixture(scope="class")
+    def slow_words(self):
+        """{(kind, buffer position): index of the first such slow word of Philox(key=KEY)}."""
+        words = np.random.Philox(key=self.KEY).random_raw(2**18)
+        layer0 = (words & 0xFF) == 0
+        found = {}
+        for kind, candidates in (("wedge", ~layer0), ("tail", layer0)):
+            positions = {}
+            for j in np.flatnonzero(candidates):
+                if j % 4 not in positions and not _one_word_normal(words[j]):
+                    positions[j % 4] = j
+                    if len(positions) == 4:
+                        break
+            found.update({(kind, pos): j for pos, j in positions.items()})
+        assert sorted(found) == [(kind, pos) for kind in sorted(self.KINDS) for pos in range(4)]
+        return found
+
+    @staticmethod
+    def _before_word(key, j):
+        """A ``Philox`` whose next word is word j of ``Philox(key=key)``, its block buffered."""
+        bits = np.random.Philox(key=key)
+        bits.random_raw(j // 4 * 4 + 4)
+        state = bits.state
+        state["buffer_pos"] = j % 4
+        bits.state = state
+        return bits
+
+    @pytest.mark.parametrize("size", [1, 2, 9])
+    def test_slow_words_at_every_buffer_position(self, fill_route, slow_words, size):
+        bits = [self._before_word(self.KEY, j) for j in slow_words.values()]
+        streams = np.array([_state_row(b) for b in bits])
+        assert sorted(streams[:, montecarlo._BUFFER_POS]) == [0, 0, 1, 1, 2, 2, 3, 3]
+        out = np.empty((len(bits), size))
+        fill_route(streams, out, True)
+        for row, state, b in zip(out, streams, bits):
+            assert row.tobytes() == np.random.Generator(b).standard_normal(size).tobytes()
+            assert np.array_equal(state, _state_row(b))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_slow_word_just_after_a_counter_wrap(self, fill_route, kind):
+        def wrapped(key):
+            return np.random.Philox(key=key, counter=2**64 - 1)
+
+        key = next(k for k in range(10**5) if kind in map(_slow_kind, wrapped(k).random_raw(4)))
+        ref = np.random.Generator(wrapped(key))
+        streams = _state_row(ref.bit_generator)[None].copy()
+        out = np.empty((1, 16))
+        fill_route(streams, out, True)
+        assert out[0].tobytes() == ref.standard_normal(16).tobytes()
+        assert streams[0, 0] < 16 and streams[0, 1] == 1  # the counter wrapped
+        assert np.array_equal(streams[0], _state_row(ref.bit_generator))
+
+    @pytest.mark.parametrize("layer", [0, 1, 2, 128, 255])
+    def test_words_at_the_edge_of_the_fast_path(self, fill_route, layer):
+        # the least rabs (bits 9-60) whose word misses the fast path, by bisection on numpy
+        lo, hi = 0, 2**52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if _one_word_normal(layer | mid << 9) else (lo, mid)
+        edge = [layer | rabs << 9 for rabs in (max(lo - 1, 0), lo)]
+        bits = np.random.Philox(key=self.KEY)
+        state = bits.state
+        state["buffer"] = np.array(edge + [word | 1 << 8 for word in edge], np.uint64)  # +-
+        state["buffer_pos"] = 0
+        bits.state = state
+        streams = _state_row(bits)[None].copy()
+        out = np.empty((1, 8))
+        fill_route(streams, out, True)
+        assert out[0].tobytes() == np.random.Generator(bits).standard_normal(8).tobytes()
+        assert np.array_equal(streams[0], _state_row(bits))
+
+    def test_many_streams_equal_the_generator(self, native_loop):
+        # about 1.5% of these 2**18 normals take a slow path
+        if not hasattr(native_loop, "philox_fill"):
+            pytest.skip("the library holds no C fill")
+        streams = montecarlo._trial_rng(16, range(64))
+        out = np.empty((64, 4096))
+        _native.fill(native_loop, streams, out, True)
+        for i, (row, state) in enumerate(zip(out, streams)):
+            ref = _rng_for(16, i)
+            assert row.tobytes() == ref.standard_normal(4096).tobytes(), i
+            assert np.array_equal(state, _state_row(ref.bit_generator)), i
+
+    def test_the_inline_fast_path_passes_its_self_check(self, native_loop):
+        # where it failed, the fill would draw every normal through numpy's own fill
+        if not hasattr(native_loop, "philox_fill"):
+            pytest.skip("the library holds no C fill")
+        assert native_loop.normals_checked() == 1
+
+
 @dataclass(frozen=True)
 class LogisticModel(SignalModel):
     """A custom model that defines only ``sample_llr``, no quantile or Gaussian route.

@@ -48,3 +48,4 @@ def test_output_digests_smoke(tmp_path):
     for name in ("exp_neg", "two_exp_neg", "exp_neg_paired"):  # criterion 04's increments
         assert f"recurrence/{name}" in names
     assert sorted({n.split("/")[1] for n in names if n.startswith("cli/")}) == sorted(EXPERIMENTS)
+    assert "cli/upset-tail/trajectories.csv" in names  # the dump's bytes

@@ -18,9 +18,9 @@ sums of ``simulate_baseline_llr`` at sigma = 0.7 and of the PolyTail k = 2
 and rate-target models at theta = +-, over at least two time chunks, which
 see every last bit of the draws and of the streams' continuation from one
 chunk to the next (the aggregates see a draw only through an action); and the
-CSV files of all eight CLI experiments (``manifest.json`` holds
-timestamps, so it is skipped).  ``--quick`` shrinks every size, for a
-smoke run.
+CSV files of all eight CLI experiments, with upset-tail's trajectory dump on
+(``manifest.json`` holds timestamps, so it is skipped).  ``--quick``
+shrinks every size, for a smoke run.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def _cli_configs(horizon: int, trials: int) -> dict:
         "gauss-rate": {"model": gauss},
         "first-mistake": {"model": gauss, "trials": trials},
         "time-to-learn": {"model": poly, "trials": trials},
-        "upset-tail": {"model": gauss, "trials": trials},
+        "upset-tail": {"model": gauss, "trials": trials, "dump_trajectories": True},
         "rate-target": {"model": rate, "prior": 0.3},
         "mistake-curve": {"model": poly, "trials": trials},
         "baseline-compare": {"model": gauss, "trials": trials},
