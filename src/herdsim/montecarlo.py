@@ -13,20 +13,22 @@ word through numpy's own normal sampler, so each row equals
 ``Generator(Philox)``'s draws bit for bit.
 Where that library is missing, and for models that only define
 ``sample_llr``, one ``Generator`` steps the rows in turn from their states.
-Trials are simulated in lockstep batches around a leader: every trial whose
-actions have all been correct sits on the same deterministic path ell* and
-shares one belief, so the whole herd costs one comparison per step, against
-the step's extreme herd draw, found once per chunk of steps.  A trial
-leaves this herd at its first mistake and becomes a lane.  Lanes with equal
-(ell, carry, action) step identically, so they point into a small array of
-cohort states and the signed increment runs once per cohort (twice per step
-for the discrete rate-target model).  A herd exit and a lane flip are one
-switch: it forks the lanes' cohorts into ones with the other action and
-ends a run in each trial's run book; the horizon ends the last runs.
-Inversion-sampled models keep the herd's draws as uniforms and transform
-only the lanes' draws; Gaussian rows are standard normals, mapped to LLRs
-in place a whole chunk at a time.  Checkpoint beliefs are summed after the
-last step, so the aggregates are bit-identical to stepping every trial.
+Trials are simulated in lockstep, stepped by cohort: trials with equal
+(ell, carry, action) step identically, so each trial points into a small
+array of cohort states and the signed increment runs once per cohort (twice
+per step for the discrete rate-target model).  Every trial starts in
+cohort 0, on the deterministic path ell*.  Each chunk of steps orders the
+streams by cohort and bounds every cohort's draws per step by its extreme
+draws; a cohort whose bound on its erring side keeps its action costs one
+comparison, and only the rows of a cohort that the bound could flip are
+read exactly.  A switch forks the switching trials' cohort into one with the
+other action, which reads its source's bound on the other side, and ends a
+run in each trial's run book; the horizon ends the last runs.
+Inversion-sampled models keep their draws as uniforms and transform only
+the bounds and the draws read exactly; Gaussian rows are standard normals,
+mapped to LLRs in place a whole chunk at a time.  Checkpoint beliefs are
+summed after the last step, so the aggregates are bit-identical to stepping
+every trial.
 The observed-signals baseline draws a batch's streams chunk by chunk
 through the same sampler and sums along time.  Batches are reduced into
 mergeable ``AggregateStats``; batch boundaries are fixed by the trial
@@ -77,8 +79,8 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 2048
 _TIME_CHUNK = 1024
 _PASS_TRIALS = 8192  # trials stepped together in one lockstep pass, in whole batches
-_DRAW_BUDGET = DEFAULT_BATCH_SIZE * 256  # draws held at once by a pass or a baseline row block
-_SAMPLE_BLOCK = 64  # rows transformed per block; bounds the transform's temporaries
+_DRAW_BUDGET = DEFAULT_BATCH_SIZE * 256  # draws held at once by a lockstep pass
+_BASELINE_ROWS = 64  # streams a baseline block draws at once; bounds its transform's temporaries
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -310,64 +312,63 @@ _BOOK = np.dtype(
     ]
 )
 
-# Relative slack on the herd's edge.  It covers transforms that are
+# Relative slack on the cohorts' bounds.  It covers transforms that are
 # monotone only to within a few ulps (spline and power evaluations), so a
-# step is cleared from its extreme uniforms only when no herd draw can err.
+# step is cleared from a cohort's extreme uniforms only when none of its
+# draws can flip it.
 _HERD_MARGIN = 1e-9
 
 
-def _draw_chunk(model: SignalModel, theta: StateOfWorld, streams: np.ndarray, chunk: int,
-                in_herd: np.ndarray):
-    """Draws of shape (trials, chunk), row j from stream j, and the herd's edge.
+def _draw_chunk(model: SignalModel, theta: StateOfWorld, streams: np.ndarray, chunk: int):
+    """Raw draws of shape (trials, chunk), row j from stream j.
 
-    Inversion-sampled models draw uniforms and turn into LLRs only the rows
-    of trials outside the herd (``~in_herd``); a herd row stays uniform
-    until its trial leaves the herd.  The transform is elementwise, so each
-    transformed draw equals the per-stream ``sample_llr`` draw bit for bit.
-    Gaussian rows are standard normals z, mapped in place for the whole
-    chunk to mean + tau * z: that is ``rng.normal(mean, tau)``'s own
-    arithmetic, so they too equal the ``sample_llr`` draws bit for bit.
-    Any other model draws each row by its ``sample_llr`` on the row's stream.
-
-    ``edge[s]`` bounds the herd's LLRs at step s on the erring side: none
-    lies below it under theta=+1, none above it under theta=-1.  It comes
-    from the step's two extreme herd values, both transformed, so no
-    direction of monotonicity is assumed, widened by ``_HERD_MARGIN``.
-    ``edge`` is None when the herd is empty.
+    Inversion-sampled models draw uniforms, which ``llr_from_uniform``
+    turns into LLRs elementwise, so each transformed draw equals the
+    per-stream ``sample_llr`` draw bit for bit; the caller transforms only
+    the draws it reads.  Gaussian rows are standard normals z, mapped in
+    place for the whole chunk to mean + tau * z: that is
+    ``rng.normal(mean, tau)``'s own arithmetic, so they too equal the
+    ``sample_llr`` draws bit for bit.  Any other model draws each row by its
+    ``sample_llr`` on the row's stream.
     """
     draws = np.empty((len(streams), chunk))
-    inverse = isinstance(model, InverseCdfSignalModel)
     gaussian = isinstance(model, GaussianSignalModel)
-    if inverse or gaussian:
+    if gaussian or isinstance(model, InverseCdfSignalModel):
         _fill_streams(streams, draws, normal=gaussian)
     else:
         def draw(gen, row):
             row[:] = model.sample_llr(theta, gen, size=chunk)
 
         _python_fill(streams, draws, draw)
-    if inverse:
-        _to_llr(model, theta, draws, np.flatnonzero(~in_herd), 0)
-    elif gaussian:
+    if gaussian:
         draws *= model.tau
         draws += model._mean(theta)
-    if not in_herd.any():
-        return draws, None
-    herd = in_herd[:, None]
-    ends = np.stack((
-        draws.min(axis=0, where=herd, initial=np.inf),
-        draws.max(axis=0, where=herd, initial=-np.inf),
-    ))
-    if inverse:
-        ends = model.llr_from_uniform(theta, ends)
-    edge = ends.min(axis=0) if theta.sign > 0 else ends.max(axis=0)
-    return draws, edge - theta.sign * _HERD_MARGIN * (1.0 + np.abs(edge))
+    return draws
 
 
-def _to_llr(model: InverseCdfSignalModel, theta, draws: np.ndarray, rows: np.ndarray, start: int):
-    """Turn the uniforms draws[rows, start:] into LLRs in place, in blocks of rows."""
-    for lo in range(0, len(rows), _SAMPLE_BLOCK):
-        block = rows[lo:lo + _SAMPLE_BLOCK]
-        draws[block, start:] = model.llr_from_uniform(theta, draws[block, start:])
+def _bounds(model: SignalModel, theta: StateOfWorld, draws: np.ndarray, start: np.ndarray):
+    """Per step, bounds on the LLRs of each cohort's rows of raw ``draws``.
+
+    Cohort c holds the rows ``start[c]:start[c + 1]``.  Row s of the result
+    holds, at step s, a value at or below all of cohort c's LLRs in column
+    2c and one at or above them in column 2c + 1.  They come from the step's
+    two extreme raw values, both transformed, so no direction of
+    monotonicity is assumed, and are widened by ``_HERD_MARGIN``.
+    """
+    ends = np.empty((2, len(start) - 1, draws.shape[1]))
+    one = np.diff(start) == 1
+    ends[:, one] = draws[start[:-1][one]]  # a single row is both of its extremes
+    for c in np.flatnonzero(~one):
+        rows = draws[start[c]:start[c + 1]]
+        rows.min(axis=0, out=ends[0, c])
+        rows.max(axis=0, out=ends[1, c])
+    if isinstance(model, InverseCdfSignalModel):
+        x = model.llr_from_uniform(theta, ends)
+        np.minimum(x[0], x[1], out=ends[0])
+        np.maximum(x[0], x[1], out=ends[1])
+    ends[0] -= _HERD_MARGIN * (1.0 + np.abs(ends[0]))
+    ends[1] += _HERD_MARGIN * (1.0 + np.abs(ends[1]))
+    return ends.transpose(2, 1, 0).reshape(draws.shape[1], -1)
 
 
 def _increment(model: SignalModel, ell: np.ndarray, sgn: np.ndarray) -> np.ndarray:
@@ -393,7 +394,7 @@ def _increment(model: SignalModel, ell: np.ndarray, sgn: np.ndarray) -> np.ndarr
 def _close_runs(book: np.ndarray, trials: np.ndarray, ended_good, t: int) -> None:
     """``trials`` switch action at step t, ending the run over [run_start, t).
 
-    Lane flips, herd exits and the horizon (t = horizon + 1) all end runs
+    Switches of action and the horizon (t = horizon + 1) both end runs
     here.  Only a non-empty run counts, so a trial's upsets are its runs - 1.
     """
     rec = book[trials]
@@ -408,10 +409,10 @@ def _close_runs(book: np.ndarray, trials: np.ndarray, ended_good, t: int) -> Non
 
 
 def _fork(ell: np.ndarray, carry: np.ndarray, sgn: np.ndarray, source: np.ndarray):
-    """New cohorts for lanes that switch action out of cohorts ``source``.
+    """New cohorts for trials that switch action out of cohorts ``source``.
 
     Each source gets one new cohort with its ell and carry and the other
-    action.  Returns the lanes' new cohorts and the extended (ell, carry, sgn).
+    action.  Returns the trials' new cohorts and the extended (ell, carry, sgn).
     """
     src, new = np.unique(source, return_inverse=True)
     new += len(ell)
@@ -449,18 +450,18 @@ def _lockstep(
     checkpoint_times: tuple[int, ...],
     collect_actions: bool,
 ):
-    """Leader-lane simulation of a pass of trials, stepped by cohort.
+    """Simulation of a pass of trials, stepped by cohort.
 
-    Every trial whose actions have all been correct shares one belief, the
-    leader, and costs one comparison per step.  A trial leaves this herd at
-    its first mistake and becomes a lane.  Trials with equal (ell, carry,
-    action) step identically, so a lane holds only an index into a small
-    array of cohort states, and the increment runs once per cohort.  A
-    switch of action, out of the herd or by a lane, forks the lanes'
-    cohorts and ends a run in each trial's run book; cohorts no lane uses
-    any more are dropped at chunk boundaries.  A chunk holds at most
-    ``_DRAW_BUDGET`` draws; its length changes no value, since every
-    trial's stream and cohort states are its own.
+    Trials with equal (ell, carry, action) step identically, so a trial
+    holds an index into a small array of cohort states, and the increment
+    runs once per cohort; every trial starts in cohort 0.  Each chunk drops
+    the unused cohorts, orders the streams by cohort and bounds each
+    cohort's draws per step (``_bounds``).  A step reads exactly only the
+    rows of cohorts whose bound on the erring side could switch them.  A
+    switch forks the switching trials' cohorts, whose rows the source's
+    bounds still cover, and ends a run in each trial's run book.  A chunk
+    holds at most ``_DRAW_BUDGET`` draws; its length changes no value,
+    since every trial's stream and cohort states are its own.
 
     Returns the per-trial stats arrays dict and, per checkpoint row and
     trial column, whether the trial's last action was a mistake and its
@@ -468,19 +469,17 @@ def _lockstep(
     """
     nb = len(trial_indices)
     streams = _trial_rng(master_seed, trial_indices)
-    correct_plus = theta.sign > 0
     inverse = isinstance(model, InverseCdfSignalModel)
     time_chunk = max(1, min(_TIME_CHUNK, _DRAW_BUDGET // max(nb, 1)))
 
-    herd = np.arange(nb)
-    # Cohort 0 is the leader.  Cohort c holds ell[c], carry[c] and the
-    # latest action sgn[c] as +-1.0; lane i is trial cols[i] in cohort
-    # coh[i].  book[j] is trial j's run bookkeeping.
+    # Cohort c holds ell[c], carry[c] and the latest action sgn[c] as +-1.0.
+    # Row r of the streams and draws is trial trial[r], in cohort coh[r];
+    # book[j] is trial j's run bookkeeping.
     ell = np.zeros(1)
     carry = np.zeros(1)
     sgn = np.full(1, float(theta.sign))
-    cols = np.zeros(0, dtype=np.int64)
-    coh = np.zeros(0, dtype=np.int64)
+    trial = np.arange(nb)
+    coh = np.zeros(nb, dtype=np.int64)
     book = np.zeros(nb, dtype=_BOOK)
     book["run_start"] = 1
 
@@ -493,50 +492,46 @@ def _lockstep(
     t = 1
     while t <= horizon:
         chunk = min(time_chunk, horizon - t + 1)
-        in_herd = np.zeros(nb, dtype=bool)
-        in_herd[herd] = True
-        draws, edge = _draw_chunk(model, theta, streams, chunk, in_herd)
-        live, coh = np.unique(coh, return_inverse=True)  # drop cohorts without lanes
-        keep = np.concatenate(([0], live))
-        ell, carry, sgn = ell[keep], carry[keep], sgn[keep]
-        coh += 1
+        live, coh = np.unique(coh, return_inverse=True)
+        ell, carry, sgn = ell[live], carry[live], sgn[live]
+        order = np.argsort(coh, kind="stable")
+        coh, trial, streams = coh[order], trial[order], streams[order]
+        start = np.searchsorted(coh, np.arange(len(live) + 1))
+        draws = None  # the last chunk's draws go before the next are drawn
+        draws = _draw_chunk(model, theta, streams, chunk)
+        bounds = _bounds(model, theta, draws, start)
+        # Cohort c reads column side[c] of bounds; a fork reads its source's
+        # other side.
+        side = 2 * np.arange(len(live)) + (sgn < 0.0)
         for s in range(chunk):
-            lead = ell[0]
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
-                ell_ckpt[next_ckpt] = lead
-                ell_ckpt[next_ckpt, cols] = ell[coh]
-                naive[next_ckpt, cols] = sgn[coh] != theta.sign
+                ell_ckpt[next_ckpt, trial] = ell[coh]
+                naive[next_ckpt, trial] = sgn[coh] != theta.sign
                 next_ckpt += 1
-            row = draws[:, s]
 
-            if len(cols):
-                lane_sgn = sgn[coh]
-                flipped = (ell[coh] + row[cols] > 0.0) != (lane_sgn > 0.0)
-                if flipped.any():
-                    lane = np.flatnonzero(flipped)
-                    _close_runs(book, cols[lane], lane_sgn[lane] == theta.sign, t)
-                    coh[lane], ell, carry, sgn = _fork(ell, carry, sgn, coh[lane])
-
-            # fl(lead + x) is monotone in x: a step whose edge does not err
-            # holds no erring herd member.
-            if len(herd) and (lead + edge[s] > 0.0) != correct_plus:
-                h = row[herd]
+            # fl(ell + x) is monotone in x: a cohort whose bound keeps its
+            # action holds no row that switches.
+            flag = (ell + bounds[s, side] > 0.0) != (sgn > 0.0)
+            if flag.any():
+                rows = np.flatnonzero(flag[coh])
+                c = coh[rows]
+                x = draws[rows, s]
                 if inverse:
-                    h = model.llr_from_uniform(theta, h)
-                err = (lead + h > 0.0) != correct_plus
-                if err.any():
-                    out = herd[err]
-                    _close_runs(book, out, True, t)
-                    book["t_first"][out] = t
-                    new, ell, carry, sgn = _fork(ell, carry, sgn, np.zeros_like(out))
-                    cols = np.concatenate((cols, out))
-                    coh = np.concatenate((coh, new))
-                    if inverse:
-                        _to_llr(model, theta, draws, out, s + 1)
-                    herd = herd[~err]
+                    x = model.llr_from_uniform(theta, x)
+                flip = (ell[c] + x > 0.0) != (sgn[c] > 0.0)
+                if flip.any():
+                    rows, c = rows[flip], c[flip]
+                    switched = trial[rows]
+                    _close_runs(book, switched, sgn[c] == theta.sign, t)
+                    t_first = book["t_first"]  # a trial's first switch is its first mistake
+                    t_first[switched[t_first[switched] == 0]] = t
+                    n = len(ell)
+                    coh[rows], ell, carry, sgn = _fork(ell, carry, sgn, c)
+                    side = np.append(side, np.empty(len(ell) - n, dtype=side.dtype))
+                    side[coh[rows]] = side[c] ^ 1
 
             if actions is not None:
-                actions[cols, t - 1] = sgn[coh]
+                actions[trial, t - 1] = sgn[coh]
             y = _increment(model, ell, sgn) - carry
             s2 = ell + y
             carry = (s2 - ell) - y
@@ -544,8 +539,8 @@ def _lockstep(
             t += 1
 
     # A trial whose last run is wrong at the horizon is censored.
-    final_good = np.ones(nb, dtype=bool)
-    final_good[cols] = sgn[coh] == theta.sign
+    final_good = np.empty(nb, dtype=bool)
+    final_good[trial] = sgn[coh] == theta.sign
     _close_runs(book, np.arange(nb), final_good, horizon + 1)
     per_trial = {name: book[name] for name in ("t_first", "t_last", "max_good", "max_bad")}
     per_trial.update(upsets=book["runs"] - 1, censored=~final_good)
@@ -649,24 +644,25 @@ def _baseline_batch(
     """
     streams = _trial_rng(master_seed, trial_indices)
     out = np.empty((len(streams), len(ckpt)))
-    rows = _DRAW_BUDGET // _TIME_CHUNK
-    for lo in range(0, len(streams), rows):
-        out[lo:lo + rows] = _baseline_rows(model, theta, horizon, streams[lo:lo + rows], ckpt)
+    for lo in range(0, len(streams), _BASELINE_ROWS):
+        block = streams[lo:lo + _BASELINE_ROWS]
+        out[lo:lo + _BASELINE_ROWS] = _baseline_rows(model, theta, horizon, block, ckpt)
     return out
 
 
 def _baseline_rows(model: SignalModel, theta: StateOfWorld, horizon: int, streams: np.ndarray,
                    ckpt: tuple[int, ...]) -> np.ndarray:
-    """``_baseline_batch``'s sums for a block of streams."""
+    """``_baseline_batch``'s sums for a block of streams; every draw is read as an LLR."""
     out = np.empty((len(streams), len(ckpt)))
     total = np.zeros(len(streams))
     carry = np.zeros(len(streams))
-    no_herd = np.zeros(len(streams), dtype=bool)
     next_i = 0
     t = 1
     while t <= horizon and next_i < len(ckpt):
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws, _ = _draw_chunk(model, theta, streams, chunk, no_herd)
+        draws = _draw_chunk(model, theta, streams, chunk)
+        if isinstance(model, InverseCdfSignalModel):
+            draws = model.llr_from_uniform(theta, draws)
         partial = np.cumsum(draws, axis=1, out=draws)
         while next_i < len(ckpt) and ckpt[next_i] < t + chunk:
             out[:, next_i] = total + partial[:, ckpt[next_i] - t]

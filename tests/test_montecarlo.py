@@ -40,6 +40,7 @@ G2 = GaussianSignalModel(sigma=2.0)
 G07 = GaussianSignalModel(sigma=0.7)  # tau = 2/sigma is no power of two: scaling z rounds
 PT2 = PolyTailSignalModel(k=2.0)
 RT = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=500)
+FIVE_MODELS = [G1, G07, PT2, PolyTailSignalModel(k=0.5), RT]
 
 
 class TestCheckpoints:
@@ -431,11 +432,11 @@ class TestBaselineBatch:
 
     @pytest.mark.parametrize("model", [G07, PT2], ids=repr)
     def test_row_blocks_change_no_bit(self, model, monkeypatch):
-        # A batch is drawn in blocks of _DRAW_BUDGET // _TIME_CHUNK rows; each
-        # row is summed on its own, so the block size moves no bit.
+        # A batch is drawn in blocks of _BASELINE_ROWS rows; each row is
+        # summed on its own, so the block size moves no bit.
         ckpt, indices = (1, 1024, 1500), range(11)
         whole = montecarlo._baseline_batch(model, PLUS, 1500, 4, indices, ckpt)
-        monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", 3 * montecarlo._TIME_CHUNK)
+        monkeypatch.setattr(montecarlo, "_BASELINE_ROWS", 3)
         blocks = montecarlo._baseline_batch(model, PLUS, 1500, 4, indices, ckpt)
         assert whole.tobytes() == blocks.tobytes()
 
@@ -620,7 +621,7 @@ class TestCascade:
 
 
 # ---------------------------------------------------------------------------
-# The leader-lane engine against scalar references
+# The cohort engine against scalar references
 # ---------------------------------------------------------------------------
 
 _CONTINUOUS = [GaussianSignalModel(sigma=s) for s in (0.3, 1.0, 2.0, 5.0)] + [
@@ -637,7 +638,7 @@ _MIRROR_GRID = np.concatenate(
 class TestSignedIncrement:
     @pytest.mark.parametrize("model", _CONTINUOUS, ids=repr)
     def test_d_minus_is_mirrored_d_plus_exactly(self, model):
-        # The engine steps all lanes with one call sgn * d_plus(sgn * ell);
+        # The engine steps all cohorts with one call sgn * d_plus(sgn * ell);
         # that is exact only if D_-(x) == -D_+(-x) to the last bit.
         x = _MIRROR_GRID
         with np.errstate(divide="ignore"):  # log1p(-1) where the tail form underflows
@@ -653,33 +654,46 @@ class TestSignedIncrement:
 
 
 class TestBlockedSampling:
-    @pytest.mark.parametrize("model", [G1, G07, PT2, PolyTailSignalModel(k=0.5), RT], ids=repr)
+    @pytest.mark.parametrize("model", FIVE_MODELS, ids=repr)
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
     def test_blocked_draws_equal_per_trial_sampling(self, model, theta):
-        trials, chunk = 300, 257  # 200 non-herd rows: full transform blocks and a partial one
+        trials, chunk = 300, 257
         streams = montecarlo._trial_rng(5, range(trials))
-        in_herd = np.zeros(trials, dtype=bool)
-        in_herd[::3] = True
-        inverse = isinstance(model, InverseCdfSignalModel)
 
         def llr(draws, j):
-            # herd rows of inversion-sampled models are left as uniforms
-            if inverse and in_herd[j]:
+            # inversion-sampled models' rows are left as uniforms
+            if isinstance(model, InverseCdfSignalModel):
                 return model.llr_from_uniform(theta, draws[j].copy())
             return draws[j]
 
-        blocked, edge = montecarlo._draw_chunk(model, theta, streams, chunk, in_herd)
+        blocked = montecarlo._draw_chunk(model, theta, streams, chunk)
         for j in range(trials):
             ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
             assert np.array_equal(llr(blocked, j), ref[:chunk])
-        # the edge bounds every herd draw from the erring side
-        herd = np.array([llr(blocked, j) for j in np.flatnonzero(in_herd)])
-        assert np.all(theta.sign * (herd - edge) > 0.0)
         # the streams continue where the block left them
-        again, _ = montecarlo._draw_chunk(model, theta, streams, chunk, in_herd)
+        again = montecarlo._draw_chunk(model, theta, streams, chunk)
         for j in (0, 127, 128, 129, trials - 1):
             ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
             assert np.array_equal(llr(again, j), ref[chunk:])
+
+    @pytest.mark.parametrize("model", FIVE_MODELS, ids=repr)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_bounds_hold_every_row_of_their_cohort(self, model, theta):
+        # cohorts of one row, a few rows and many rows, in one chunk
+        sizes = [1, 3, 1, 250, 5, 40, 1]
+        start = np.concatenate(([0], np.cumsum(sizes)))
+        streams = montecarlo._trial_rng(6, range(start[-1]))
+        draws = montecarlo._draw_chunk(model, theta, streams, 97)
+        bounds = montecarlo._bounds(model, theta, draws, start)
+        assert bounds.shape == (97, 2 * len(sizes))
+        if isinstance(model, InverseCdfSignalModel):
+            draws = model.llr_from_uniform(theta, draws)
+        for c, (lo, hi) in enumerate(zip(start[:-1], start[1:])):
+            below, above = bounds[:, 2 * c], bounds[:, 2 * c + 1]
+            assert np.all(below <= draws[lo:hi]) and np.all(draws[lo:hi] <= above), c
+            # the margin is the only slack: the extremes are the cohort's own
+            assert_allclose(below, draws[lo:hi].min(axis=0), rtol=1e-8, atol=1e-8)
+            assert_allclose(above, draws[lo:hi].max(axis=0), rtol=1e-8, atol=1e-8)
 
     @pytest.mark.parametrize("model", [PT2, RT], ids=repr)
     def test_uniform_transform_is_elementwise(self, model):
@@ -917,9 +931,9 @@ class TestLockstepPasses:
         sizes = []
         draw_chunk = montecarlo._draw_chunk
 
-        def spy(model, theta, streams, chunk, in_herd):
+        def spy(model, theta, streams, chunk):
             sizes.append((len(streams), chunk))
-            return draw_chunk(model, theta, streams, chunk, in_herd)
+            return draw_chunk(model, theta, streams, chunk)
 
         monkeypatch.setattr(montecarlo, "_draw_chunk", spy)
         run_trials(G1, PLUS, 450, 10000, master_seed=3, batch_size=5000)
@@ -949,6 +963,36 @@ class TestCohortFork:
         new, ell, carry, sgn = montecarlo._fork(self.ELL, self.CARRY, self.SGN, leader)
         assert new.tolist() == [3, 3]
         assert (ell[3], carry[3], sgn[3]) == (4.75, 3.5e-16, -1.0)
+
+
+class TestInheritedBounds:
+    # A cohort forked mid-chunk has no bounds of its own: it reads its
+    # source's bound on the other side.  An infinite margin reads every row
+    # at every step, so the bounds must change no output.
+    TRIALS, HORIZON, CHUNK = 300, 1000, 100
+
+    @pytest.mark.parametrize("model", [G07, PT2, RT], ids=lambda m: m.family)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_forked_cohorts_need_no_bounds_of_their_own(self, model, theta, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", self.CHUNK * self.TRIALS)
+        args = (model, theta, self.HORIZON, 8, range(self.TRIALS),
+                default_checkpoints(self.HORIZON), True)
+        fast = montecarlo._simulate_batch(*args)
+        monkeypatch.setattr(montecarlo, "_HERD_MARGIN", math.inf)
+        exact = montecarlo._simulate_batch(*args)
+        _same_aggregate(fast[0], exact[0])
+        for name in fast[1]:
+            assert np.array_equal(fast[1][name], exact[1][name]), name
+        assert np.array_equal(fast[2], exact[2])
+        assert np.array_equal(fast[3].view(np.int64), exact[3].view(np.int64))
+        # some trial switches twice in one chunk: a cohort born mid-chunk
+        # switched again on its inherited bound
+        actions = fast[2]
+        before = np.concatenate((np.full((self.TRIALS, 1), theta.sign), actions[:, :-1]), axis=1)
+        trial, t = np.nonzero(actions != before)
+        chunk = t // self.CHUNK
+        pairs = set(zip(trial.tolist(), chunk.tolist()))
+        assert len(pairs) < len(trial)
 
 
 class TestHerdEdge:

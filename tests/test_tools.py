@@ -37,6 +37,8 @@ def test_output_digests_smoke(tmp_path):
         assert {f"run_trials/{family}/theta=+1", f"run_trials/{family}/theta=-1"} <= set(names)
         # a run of several batches, stepped in one pass
         assert f"run_trials/{family}/multi-batch" in names
+        # every action of that run, over several time chunks
+        assert {f"run_trials/{family}/actions/theta={s}" for s in ("+1", "-1")} <= set(names)
     # a Gaussian scale 2/sigma that rounds its draws, seen by the aggregates
     # only through actions and by the baseline sums in every bit
     assert {f"run_trials/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)

@@ -13,7 +13,9 @@ to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
 ``iterate_recurrence`` over criterion 04's three increments from 0; the
 ``run_trials`` aggregate of each family at theta = +-, and of a Gaussian
 at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; the aggregate of
-a run of several batches and time chunks per family; the observed-signals
+a run of several batches and time chunks per family, and that run's
+action matrix under both states, which sees every switch of every trial;
+the observed-signals
 sums of ``simulate_baseline_llr`` at sigma = 0.7 and of the PolyTail k = 2
 and rate-target models at theta = +-, over at least two time chunks, which
 see every last bit of the draws and of the streams' continuation from one
@@ -158,6 +160,13 @@ def aggregate_digests(size: dict):
             model, StateOfWorld.PLUS, horizon, trials, master_seed=21, batch_size=batch_size
         )
         yield f"run_trials/{family}/multi-batch", aggregate_sha(agg)
+    for family, model in mc_models.items():
+        for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
+            _, actions = montecarlo.run_trials(
+                model, theta, horizon, trials, master_seed=21, batch_size=batch_size,
+                collect_actions=True,
+            )
+            yield f"run_trials/{family}/actions/theta={theta.sign:+d}", sha(actions)
 
 
 def baseline_digests(size: dict):
