@@ -1,10 +1,10 @@
 """The compensated recurrence loop and the Philox stream fill in C, compiled on first use.
 
 One compensated step, ``asymptotics._python_steps``' body in the same order
-of operations, serves three loops: ``gaussian_steps`` fused with the Gaussian
-closed-form increment (``log_ndtr_scalar`` on the same libm functions),
-``array_steps`` over a block-solve steps array and ``call_steps`` over a
-Python increment.  A loop hands back the first step it cannot add (an invalid
+of operations, serves two loops: ``gaussian_steps`` fused with the Gaussian
+closed-form increment (``log_ndtr_scalar`` on the same libm functions) and
+``call_steps`` over a Python increment (a rate-target table lookup, a block
+solve's replay).  A loop hands back the first step it cannot add (an invalid
 one, or a return that is not an exact float) with its index, for the Python
 loop to raise at or go on from, so the bytes, errors and types are that
 loop's.  ``philox_fill`` fills each row of a draws array from one Monte Carlo
@@ -71,10 +71,10 @@ static inline int add_step(double step, double *a, double *carry, double *value)
     return 1;
 }
 
-/* The data of a C-contiguous float64 array, or NULL with an error set */
-static double *float64s(PyObject *array, Py_buffer *view, int flags)
+/* The data of a writable C-contiguous float64 array, or NULL with an error set */
+static double *float64s(PyObject *array, Py_buffer *view)
 {
-    if (PyObject_GetBuffer(array, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+    if (PyObject_GetBuffer(array, view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return NULL;
     if (strcmp(view->format, "d") == 0)
         return view->buf;
@@ -109,7 +109,7 @@ PyObject *gaussian_steps(PyObject *array, int64_t start, int64_t stop, double *s
                          double mean_p, double inv_tau, double sqrt2, double log_sqrt_2pi)
 {
     Py_buffer out;
-    double *values = float64s(array, &out, PyBUF_WRITABLE);
+    double *values = float64s(array, &out);
     if (values == NULL)
         return NULL;
     double a = state[0], carry = state[1], step = 0.0;
@@ -123,36 +123,12 @@ PyObject *gaussian_steps(PyObject *array, int64_t start, int64_t stop, double *s
     return hand_back(state, a, carry, i, stop, &out, i < stop ? PyFloat_FromDouble(step) : NULL);
 }
 
-/* The step at index i is given[i - start]; past its end it is a, as next(it, a)
-   returns once the Python replay's iterator is exhausted */
-PyObject *array_steps(PyObject *array, int64_t start, int64_t stop, double *state, PyObject *given)
-{
-    Py_buffer out, in;
-    double *values = float64s(array, &out, PyBUF_WRITABLE);
-    if (values == NULL)
-        return NULL;
-    const double *steps = float64s(given, &in, PyBUF_SIMPLE);
-    if (steps == NULL) {
-        PyBuffer_Release(&out);
-        return NULL;
-    }
-    double a = state[0], carry = state[1], step = 0.0;
-    int64_t n = in.len / (Py_ssize_t)sizeof(double), i = start;
-    for (; i < stop; i++) {
-        step = i - start < n ? steps[i - start] : a;
-        if (!add_step(step, &a, &carry, values + i))
-            break;
-    }
-    PyBuffer_Release(&in);
-    return hand_back(state, a, carry, i, stop, &out, i < stop ? PyFloat_FromDouble(step) : NULL);
-}
-
 /* The step at index i is increment(a); a return that is not an exact float is handed back */
 PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state,
                      PyObject *increment)
 {
     Py_buffer out;
-    double *values = float64s(array, &out, PyBUF_WRITABLE);
+    double *values = float64s(array, &out);
     if (values == NULL)
         return NULL;
     double a = state[0], carry = state[1];
@@ -500,8 +476,8 @@ def _load(cache_dir: str):
         return None
     head = [ctypes.py_object, ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
     lib.gaussian_steps.argtypes = head + [ctypes.c_double] * 4
-    lib.array_steps.argtypes = lib.call_steps.argtypes = head + [ctypes.py_object]
-    lib.gaussian_steps.restype = lib.array_steps.restype = lib.call_steps.restype = ctypes.py_object
+    lib.call_steps.argtypes = head + [ctypes.py_object]
+    lib.gaussian_steps.restype = lib.call_steps.restype = ctypes.py_object
     if hasattr(lib, "philox_fill"):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]

@@ -7,13 +7,14 @@ module also provides the deterministic all-correct path ell*, the exact
 distribution of the first mistake along it, and a few diagnostics used by
 the asymptotic analysis.
 
-All functions are pure; d_plus / d_minus accept scalars or arrays.
+All functions are pure; d_plus / d_minus accept scalars or arrays, not NaN.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -138,24 +139,49 @@ def _log_signed_increment(model: SignalModel, x, sign: int):
     return _restore(out, scalar)
 
 
+def _not_nan(x, name: str = "x"):
+    if np.isnan(x).any():  # no increment is defined at a NaN belief
+        raise ValueError(f"{name} must not be NaN")
+    return x
+
+
 def d_plus(model: SignalModel, x):
     """Increment of ell when action +1 is observed at public LLR x; >= 0."""
-    return _signed_increment(model, x, +1)
+    return _signed_increment(model, _not_nan(x), +1)
 
 
 def d_minus(model: SignalModel, x):
     """Increment of ell when action -1 is observed at public LLR x; <= 0."""
-    return _signed_increment(model, x, -1)
+    return _signed_increment(model, _not_nan(x), -1)
 
 
 def log_d_plus(model: SignalModel, x):
     """log D_plus(x), usable far beyond the underflow point of d_plus."""
-    return _log_signed_increment(model, x, +1)
+    return _log_signed_increment(model, _not_nan(x), +1)
 
 
 def log_d_minus(model: SignalModel, x):
     """log(-D_minus(x)), the mirrored companion of log_d_plus."""
-    return _log_signed_increment(model, x, -1)
+    return _log_signed_increment(model, _not_nan(x), -1)
+
+
+_RATE_TABLES = weakref.WeakKeyDictionary()  # the model stores only its law
+_TABLE_SLICE = 8192  # cells per kernel call of a table build; bounds its temporaries
+
+
+def _rate_table(model: RateTargetSignalModel) -> np.ndarray:
+    """D_plus on the cells (k - 1, k], k = -cut..cut + 1, at index k + cut; built once.
+
+    The LLR lives on the integers, so D_plus(x) depends on x only through ceil(x): the
+    table is exact.  Cell -cut, where no agent plays +1, holds 0; D_minus(x) = -table[1 - ceil x].
+    """
+    if model not in _RATE_TABLES:
+        table = np.zeros(len(model.support) + 1)
+        for lo in range(0, len(model.support), _TABLE_SLICE):
+            ends = model.support[lo:lo + _TABLE_SLICE] + 1.0  # cells above -cut, by right ends
+            table[lo + 1:lo + 1 + len(ends)] = _signed_increment(model, ends, +1)
+        _RATE_TABLES[model] = table
+    return _RATE_TABLES[model]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +196,7 @@ def decide(ell: float, llr: float) -> ActionLabel:
 
 def update(model: SignalModel, state: BeliefState, action: ActionLabel) -> BeliefState:
     """Public belief after observing one action."""
-    incr = float(_signed_increment(model, state.ell, action.sign))
+    incr = float(_signed_increment(model, _not_nan(state.ell, "state.ell"), action.sign))
     return BeliefState(ell=state.ell + incr, t=state.t + 1)
 
 
@@ -224,12 +250,12 @@ class EllStarPath:
 
 
 def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], float]:
-    """A fast scalar x -> D_plus(x) for the tight path loops, and its d_plus stretch.
+    """A fast scalar x -> D_plus(x) for the tight path loops, and its kernel stretch.
 
-    The second value is the x below which the scalar increment is
-    ``float(d_plus(model, x))`` itself: -inf for the Gaussian closed form,
-    40 for PolyTail, +inf for any other model.  The Gaussian one names its
-    loop in C, ``c_loop``, which fuses the same closed form into the loop.
+    The second value is the x below which the scalar increment is the kernel
+    itself: -inf for the Gaussian closed form and the rate-target table, 40
+    for PolyTail, +inf for any other model.  The Gaussian one names its loop
+    in C, ``c_loop``, which fuses the same closed form into the loop.
     """
     if isinstance(model, GaussianSignalModel):
         mean_p, inv_tau = 2.0 / (model.sigma * model.sigma), 1.0 / model.tau
@@ -243,13 +269,22 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
         incr.c_loop = ("gaussian_steps", mean_p, inv_tau, _SQRT2, _LOG_SQRT_2PI)
         return incr, -math.inf
 
+    if isinstance(model, RateTargetSignalModel):
+        table, cut, top = memoryview(_rate_table(model)), len(model.support) // 2, len(model.support)
+
+        def rate(x: float, ceil=math.ceil) -> float:
+            k = ceil(x) + cut  # clamped by comparisons: min and max calls cost thrice as much
+            return table[k if 0 <= k <= top else (0 if k < 0 else top)]
+
+        return rate, -math.inf
+
     if isinstance(model, PolyTailSignalModel):
         c, k = model.c, model.k
         a = c / k
 
         def poly(x: float) -> float:
             if x < 40.0:
-                return float(d_plus(model, x))
+                return _signed_increment(model, x, +1)
             # both tails are closed forms here: the minus-state left tail is
             # a x^-k and the plus-state one is c T(x) with T(x) ~ e^-x x^-k-1,
             # smaller by a factor ~ e^-x x^k+1, i.e. < 1e-15 of the result
@@ -258,7 +293,7 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
         return poly, 40.0
 
     def generic(x: float) -> float:
-        return float(d_plus(model, x))
+        return _signed_increment(model, x, +1)
 
     return generic, math.inf
 
@@ -272,8 +307,8 @@ _MAX_SWEEPS = 24
 def _solve_blocks(model, incr, below, values, a):
     """Fill ``values[1:]`` from ``values[0] = a`` while the path lies below ``below``.
 
-    While x < ``below`` the path's increment is d_plus itself, so a block of
-    steps is the fixed point of "evaluate d_plus at guessed positions in one
+    While x < ``below`` the path's increment is the kernel itself, so a block of
+    steps is the fixed point of "evaluate the kernel at guessed positions in one
     call, rerun the compensated scan over those steps": each sweep fixes at
     least one more position, and only the sequential path returns its input
     bit for bit.  A block that has not converged within ``_MAX_SWEEPS``
@@ -293,7 +328,7 @@ def _solve_blocks(model, incr, below, values, a):
         new = values[i + 1:i + n]  # what the scan makes of x[1:]
         for _ in range(_MAX_SWEEPS):
             try:
-                steps = d_plus(model, x)
+                steps = _signed_increment(model, x, +1)
                 end = _compensated_steps(_replay(steps), values, i + 1, i + 1 + n, a, carry)
             except (ArithmeticError, ValueError, NumericalFailure):
                 exact = 0  # the sequential loop below raises it again if the path meets it
@@ -328,12 +363,10 @@ def _replay(steps: np.ndarray) -> Callable[[float], float]:
 
     ``next(it, a)`` returns the next step (``a`` would only be the default
     of an exhausted iterator), with no Python frame per step; a memoryview
-    yields them as Python floats.  Its ``c_loop`` is the same replay in C.
+    yields them as Python floats.
     """
     steps = np.ascontiguousarray(steps, dtype=float)
-    replay = functools.partial(next, iter(memoryview(steps)))
-    replay.c_loop = ("array_steps", steps)
-    return replay
+    return functools.partial(next, iter(memoryview(steps)))
 
 
 def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> EllStarPath:
@@ -341,20 +374,17 @@ def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> E
 
     Compensated summation (``asymptotics.iterate_recurrence``'s loop) keeps
     even 1e7 steps of shrinking increments accurate; a step that underflows
-    to exactly 0 holds the path.  Where the increment is d_plus itself the
-    path is solved in blocks of steps (``_solve_blocks``; a rate-target path
-    throughout), bit-identical to the step-by-step loop, and every loop runs
-    in C where ``_native`` loads (a Gaussian path as one loop fused with its
-    closed-form increment).  A rate-target path from a prior at or below
-    -cut holds.  ``prior_llr`` must be finite.
+    to exactly 0 holds the path (a rate-target one from a prior at or below
+    -cut).  Where the increment is the kernel itself (PolyTail below 40,
+    custom models) the path is solved in blocks of steps (``_solve_blocks``),
+    bit-identical to the step-by-step loop, and every loop runs in C where
+    ``_native`` loads (a Gaussian path as one loop fused with its
+    closed-form increment).  ``prior_llr`` must be finite.
     """
     _check_size("horizon", horizon)
     _check_finite("prior_llr", prior_llr)
     values = np.empty(horizon, dtype=float)
     values[0] = a = float(prior_llr)
-    if isinstance(model, RateTargetSignalModel) and a <= -model.support[-1]:
-        values[1:] = a  # no signal makes an agent play +1 here (d_plus raises): the path holds
-        return EllStarPath(values=values, prior_llr=a)
     incr, below = _scalar_increment(model)
     i, a, carry = _solve_blocks(model, incr, below, values, a)
     _compensated_steps(incr, values, i + 1, horizon, a, carry)

@@ -15,8 +15,8 @@ Where that library is missing, and for models that only define
 ``sample_llr``, one ``Generator`` steps the rows in turn from their states.
 Trials are simulated in lockstep, stepped by cohort: trials with equal
 (ell, carry, action) step identically, so each trial points into a small
-array of cohort states and the signed increment runs once per cohort (twice
-per step for the discrete rate-target model).  Every trial starts in
+array of cohort states and the signed increment runs once per cohort (a
+lookup in a per-cell table for rate-target models).  Every trial starts in
 cohort 0, on the deterministic path ell*.  Each chunk of steps orders the
 streams by cohort and bounds every cohort's draws per step by its extreme
 draws; a cohort whose bound on its erring side keeps its action costs one
@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .belief import ActionLabel, d_minus, d_plus, rb_mistake_weight
+from .belief import ActionLabel, _rate_table, _signed_increment, rb_mistake_weight
 from .signal_models import (
     GaussianSignalModel,
     InverseCdfSignalModel,
@@ -363,9 +363,9 @@ def _bounds(model: SignalModel, theta: StateOfWorld, draws: np.ndarray, start: n
         rows.min(axis=0, out=ends[0, c])
         rows.max(axis=0, out=ends[1, c])
     if isinstance(model, InverseCdfSignalModel):
-        x = model.llr_from_uniform(theta, ends)
-        np.minimum(x[0], x[1], out=ends[0])
-        np.maximum(x[0], x[1], out=ends[1])
+        ends[:, one] = model.llr_from_uniform(theta, ends[0, one])  # a single row's, once
+        x = model.llr_from_uniform(theta, ends[:, ~one])
+        ends[0, ~one], ends[1, ~one] = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
     ends[0] -= _HERD_MARGIN * (1.0 + np.abs(ends[0]))
     ends[1] += _HERD_MARGIN * (1.0 + np.abs(ends[1]))
     return ends.transpose(2, 1, 0).reshape(draws.shape[1], -1)
@@ -376,19 +376,13 @@ def _increment(model: SignalModel, ell: np.ndarray, sgn: np.ndarray) -> np.ndarr
 
     For continuous families D_minus(x) = -D_plus(-x) holds bit for bit, so
     one signed call serves both actions.  The discrete rate-target model
-    breaks that identity at its integer atoms and keeps the split calls.
+    breaks that identity at its integer atoms; both read its ``_rate_table``.
     """
-    if not model.is_discrete:
-        return sgn * d_plus(model, sgn * ell)
-    plus = sgn > 0.0
-    if plus.all():
-        return d_plus(model, ell)
-    if not plus.any():
-        return d_minus(model, ell)
-    step = np.empty(len(ell))
-    step[plus] = d_plus(model, ell[plus])
-    step[~plus] = d_minus(model, ell[~plus])
-    return step
+    if model.is_discrete:  # D_plus at cell ceil(ell), D_minus at 1 - ceil(ell); index cell + cut
+        k, cut = np.ceil(ell), len(model.support) // 2
+        index = np.clip(np.where(sgn > 0.0, k, 1.0 - k) + cut, 0, 2 * cut + 1)
+        return sgn * _rate_table(model)[index.astype(np.int64)]
+    return sgn * _signed_increment(model, sgn * ell, +1)
 
 
 def _close_runs(book: np.ndarray, trials: np.ndarray, ended_good, t: int) -> None:

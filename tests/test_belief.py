@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from herdsim import _native, belief
+from herdsim import _native, belief, montecarlo
 from herdsim.asymptotics import iterate_recurrence
 from herdsim.belief import (
     ActionLabel,
@@ -158,6 +158,28 @@ class TestIncrements:
         # lim_x D_+(x) = 0
         assert float(d_plus(G1, 30.0)) < 1e-40
         assert float(d_plus(PT2, 1e6)) < 1e-11
+
+
+# The public increments, each called at a belief x
+INCREMENTS = {
+    "d_plus": d_plus,
+    "d_minus": d_minus,
+    "log_d_plus": log_d_plus,
+    "log_d_minus": log_d_minus,
+    "update": lambda model, x: update(model, BeliefState(ell=x), ActionLabel.PLUS),
+}
+
+
+@pytest.mark.parametrize("name", list(INCREMENTS))
+@pytest.mark.parametrize("model", [G1, PT2, RT], ids=lambda m: m.family)
+def test_a_nan_belief_is_refused(model, name):
+    # unchecked, a NaN would fall into some piece of the increment (PolyTail's
+    # gap (-1, 1)) or come back as a value; it is no belief
+    with pytest.raises(ValueError, match="must not be NaN"):
+        INCREMENTS[name](model, math.nan)
+    if name != "update":
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            INCREMENTS[name](model, np.array([0.0, math.nan]))
 
 
 class TestDecisionAndUpdate:
@@ -422,6 +444,85 @@ class TestBlockSolve:
         assert "nan" in str(blocked.value)
 
 
+RATE_TARGETS = pytest.mark.parametrize(
+    "q, support",
+    [(lambda n: 1.0 / (n + 2.0), 5000), (lambda n: 1.0 / (n + 2.0), 30),
+     (lambda n: 1.0 / math.log(n + 2.0 + math.e), 200000)],
+    ids=["harmonic", "harmonic-cut30", "log"],
+)
+
+
+class TestRateTable:
+    """A rate-target model's D+ per integer cell is exact: every reader of it gets the kernel's bytes."""
+
+    @staticmethod
+    def _points(model):
+        """Every integer cell end, the floats on either side of it, and 1e5 uniform beliefs."""
+        cut = float(model.support[-1])
+        ends = np.arange(-cut - 2.0, cut + 3.0)
+        uniform = np.random.default_rng(18).uniform(-cut - 2.0, cut + 2.0, 10**5)
+        x = np.concatenate((ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf), uniform))
+        return cut, x
+
+    @RATE_TARGETS
+    def test_path_increment_is_d_plus(self, q, support):
+        model = build_rate_target(q, max_support=support)
+        cut, x = self._points(model)
+        incr, below = belief._scalar_increment(model)
+        steps = np.array([incr(v) for v in x])
+        plus = x > -cut  # at x <= -cut no agent plays +1 and d_plus raises
+        assert _bytes_equal(steps[plus], d_plus(model, x[plus]))
+        assert not steps[~plus].any()  # those x read cell -cut, which holds
+        assert below == -math.inf  # no stretch is block-solved
+
+    @RATE_TARGETS
+    def test_lockstep_increments_are_the_kernels(self, q, support):
+        # D+ reads the table at cell ceil x, D- its mirror at 1 - ceil x
+        model = build_rate_target(q, max_support=support)
+        cut, x = self._points(model)
+        ones = np.ones(len(x))
+        plus, minus = x > -cut, x <= cut  # where each action is possible
+        up = montecarlo._increment(model, x, ones)
+        down = montecarlo._increment(model, x, -ones)
+        assert _bytes_equal(up[plus], d_plus(model, x[plus]))
+        assert _bytes_equal(down[minus], d_minus(model, x[minus]))
+
+    @RATE_TARGETS
+    def test_lockstep_increment_equals_the_split_calls(self, q, support):
+        model = build_rate_target(q, max_support=support)
+        cut = float(model.support[-1])
+        rng = np.random.default_rng(19)
+        ell = np.concatenate(
+            ([0.0, 1.0, -1.0, cut - 0.5, 0.5 - cut], rng.uniform(0.5 - cut, cut - 0.5, 2000))
+        )
+        for sgn in (np.ones(len(ell)), -np.ones(len(ell)), rng.choice([-1.0, 1.0], len(ell))):
+            plus = sgn > 0.0
+            split = np.empty(len(ell))
+            split[plus] = d_plus(model, ell[plus])
+            split[~plus] = d_minus(model, ell[~plus])
+            assert _bytes_equal(montecarlo._increment(model, ell, sgn), split)
+
+    def test_a_path_calls_the_kernel_only_to_build_the_table(self, monkeypatch):
+        model = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=30000)
+        cut = int(model.support[-1])
+        calls, kernel = [], belief._signed_increment
+
+        def spy(model, x, sign):
+            calls.append(np.size(x))
+            return kernel(model, x, sign)
+
+        monkeypatch.setattr(belief, "_signed_increment", spy)
+        expected = iterate_recurrence(lambda x: float(d_plus(model, x)), 0.3, 5000)
+        calls.clear()
+        assert _bytes_equal(ell_star_path(model, 5000, 0.3).values, expected)
+        # one sliced pass over the cells above -cut
+        assert sum(calls) == 2 * cut + 1 and max(calls) <= belief._TABLE_SLICE < 2 * cut + 1
+        calls.clear()
+        ell_star_path(model, 5000, -2.0)
+        first_mistake_distribution(model, 5000)
+        assert calls == []
+
+
 class TestNativeLoops:
     """Every compensated loop runs in C where the library builds; the bytes are the Python loop's."""
 
@@ -486,7 +587,7 @@ class TestNativeLoops:
         assert str(compiled.value) == str(python.value)
 
     def test_exhausted_replay_steps_by_its_argument_as_the_python_loop(self, native_loop, python_loop):
-        # next(it, a) returns a once the steps run out; the C replay does the same
+        # next(it, a) returns a once the steps run out, also called from the C loop
         def replayed():
             values = np.zeros(6)
             end = belief._compensated_steps(belief._replay(np.array([0.5, 1e-17])), values, 1, 6, 0.25, 0.0)
@@ -534,7 +635,7 @@ class TestNativeLoops:
         lib = _native._load(str(tmp_path / "herdsim"))
         assert lib is not None and not hasattr(lib, "philox_fill")
         values = np.empty(5)
-        assert _native.run(lib, "array_steps", values, 0, 5, 0.0, 0.0, np.ones(5))[0] == 5
+        assert _native.run(lib, "call_steps", values, 0, 5, 0.0, 0.0, lambda a: 1.0)[0] == 5
         assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_a_build_removes_the_libraries_it_replaces(self, native_loop, monkeypatch, tmp_path):

@@ -636,6 +636,15 @@ _MIRROR_GRID = np.concatenate(
 
 
 class TestSignedIncrement:
+    def test_a_rate_target_model_without_information_herds_at_once(self):
+        # cut 0: every signal is L = 0, so every agent plays -1 and no belief
+        # moves; the emptied first cohort (+1 at ell = 0 = -cut) steps by 0
+        model = build_rate_target([1.0, 0.5])
+        assert len(model.support) == 1
+        agg = run_trials(model, PLUS, 20, 8, master_seed=1)
+        assert agg.first_mistake_hist == {1: 8} and agg.censored_count == 8
+        assert not agg.ell_sum.any()
+
     @pytest.mark.parametrize("model", _CONTINUOUS, ids=repr)
     def test_d_minus_is_mirrored_d_plus_exactly(self, model):
         # The engine steps all cohorts with one call sgn * d_plus(sgn * ell);

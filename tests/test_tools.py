@@ -39,6 +39,9 @@ def test_output_digests_smoke(tmp_path):
         assert f"run_trials/{family}/multi-batch" in names
         # every action of that run, over several time chunks
         assert {f"run_trials/{family}/actions/theta={s}" for s in ("+1", "-1")} <= set(names)
+    # the rate-target path held in cell -cut, started in the cell above it, and a long one
+    assert {"ell_star/ratetarget/prior=-5000.0", "ell_star/ratetarget/prior=-4999.5",
+            "ell_star/ratetarget/long"} <= set(names)
     # a Gaussian scale 2/sigma that rounds its draws, seen by the aggregates
     # only through actions and by the baseline sums in every bit
     assert {f"run_trials/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)

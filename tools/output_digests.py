@@ -6,7 +6,9 @@ which outputs a change moves:
     PYTHONPATH=<checkout>/src python3 tools/output_digests.py [--quick] > digests.txt
 
 The outputs are the ell* path and the first-mistake law of each model
-family at priors 0, 0.3 and 2; each model's CDF, log-CDF and log-survival
+family at priors 0, 0.3 and 2; the rate-target ell* from -cut, where it
+holds, and from -cut + 0.5, and its long path of criterion 06, whose
+increments stay in one integer cell for many steps; each model's CDF, log-CDF and log-survival
 under both states and D+-, log D+- on a fixed grid; each model's draws
 under both states (``llr_from_uniform`` on a fixed grid of uniforms from 0
 to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
@@ -55,17 +57,17 @@ UNIFORMS = np.concatenate(
     [[0.0, 2.0**-53, 1e-12], np.linspace(0.0, 1.0, 4097)[1:-1], [1.0 - 1e-12, 1.0 - 2.0**-53]]
 )
 
-# ell* horizon, recurrence steps, Monte Carlo trials and horizon, the same
+# ell* horizon, the long rate-target path's horizon, recurrence steps, Monte Carlo trials and horizon, the same
 # with a batch size for a multi-batch run, baseline trials and horizon (the
 # inversion-sampled ones' horizon spans two time chunks or more), and CLI
 # horizon and trials
 SIZES = {
     "full": {
-        "path": 10**4, "recurrence": 10**5, "mc": (256, 2000), "multi": (3000, 1500, 512),
+        "path": 10**4, "long_path": 10**5, "recurrence": 10**5, "mc": (256, 2000), "multi": (3000, 1500, 512),
         "baseline": (64, 3000), "inverse_baseline": (64, 3000), "cli": (2000, 400),
     },
     "quick": {
-        "path": 300, "recurrence": 300, "mc": (16, 100), "multi": (40, 100, 16),
+        "path": 300, "long_path": 3000, "recurrence": 300, "mc": (16, 100), "multi": (40, 100, 16),
         "baseline": (4, 300), "inverse_baseline": (4, 2100), "cli": (200, 200),
     },
 }
@@ -110,6 +112,13 @@ def path_digests(size: dict):
             yield f"ell_star/{family}/prior={prior}", sha(law.ell_star.values)
             yield f"first_mistake/{family}/prior={prior}/pmf", sha(law.pmf)
             yield f"first_mistake/{family}/prior={prior}/survivor", sha(law.survivor)
+    model = models()["ratetarget"]
+    cut = float(model.support[-1])
+    for prior in (-cut, 0.5 - cut):  # the hold in cell -cut, and the cell above it
+        path = belief.ell_star_path(model, size["path"], prior)
+        yield f"ell_star/ratetarget/prior={prior}", sha(path.values)
+    path = belief.ell_star_path(model, size["long_path"])
+    yield "ell_star/ratetarget/long", sha(path.values)
 
 
 def model_digests(_size: dict):
