@@ -7,8 +7,13 @@ closed-form increment (``log_ndtr_scalar`` on the same libm functions) and
 solve's replay).  A loop hands back the first step it cannot add (an invalid
 one, or a return that is not an exact float) with its index, for the Python
 loop to raise at or go on from, so the bytes, errors and types are that
-loop's.  ``philox_fill`` fills each row of a draws array from one Monte Carlo
-stream, held as a row of numpy's ``philox_state`` words (``STATE_WORDS``):
+loop's.  ``cohort_steps`` runs the Monte Carlo engine's quiet lockstep steps
+(each cohort's bound test, increment and compensated update) up to the first
+flagged step; its Gaussian increment calls scipy's ``ndtr`` and numpy's
+``log`` ufuncs from C, so the bits are theirs, and any other increment is
+the engine's Python ``_increment``, called from C.  ``philox_fill`` fills
+each row of a draws array from one Monte Carlo stream, held as a row of
+numpy's ``philox_state`` words (``STATE_WORDS``):
 it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
 bumped before each block of four words) and draws as numpy does, so every
 draw equals ``Generator(Philox)``'s bit for bit.  A uniform is a word's top
@@ -45,6 +50,7 @@ import tempfile
 import time
 
 import numpy as np
+from scipy import special
 
 _SOURCE = r"""
 #include <Python.h>
@@ -71,15 +77,16 @@ static inline int add_step(double step, double *a, double *carry, double *value)
     return 1;
 }
 
-/* The data of a writable C-contiguous float64 array, or NULL with an error set */
-static double *float64s(PyObject *array, Py_buffer *view)
+/* The data of a writable C-contiguous float64 array of size bytes (any if size < 0), or NULL
+   with an error set */
+static double *float64s(PyObject *array, Py_buffer *view, Py_ssize_t size)
 {
     if (PyObject_GetBuffer(array, view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return NULL;
-    if (strcmp(view->format, "d") == 0)
+    if (strcmp(view->format, "d") == 0 && (size < 0 || view->len == size))
         return view->buf;
     PyBuffer_Release(view);
-    PyErr_SetString(PyExc_TypeError, "a float64 array is required");
+    PyErr_SetString(PyExc_TypeError, "a C-contiguous float64 array of the right length is required");
     return NULL;
 }
 
@@ -109,7 +116,7 @@ PyObject *gaussian_steps(PyObject *array, int64_t start, int64_t stop, double *s
                          double mean_p, double inv_tau, double sqrt2, double log_sqrt_2pi)
 {
     Py_buffer out;
-    double *values = float64s(array, &out);
+    double *values = float64s(array, &out, -1);
     if (values == NULL)
         return NULL;
     double a = state[0], carry = state[1], step = 0.0;
@@ -128,7 +135,7 @@ PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state
                      PyObject *increment)
 {
     Py_buffer out;
-    double *values = float64s(array, &out);
+    double *values = float64s(array, &out, -1);
     if (values == NULL)
         return NULL;
     double a = state[0], carry = state[1];
@@ -144,6 +151,78 @@ PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state
         Py_DECREF(handed);
     }
     return hand_back(state, a, carry, i, stop, &out, handed);
+}
+
+/* The Gaussian increment of belief._signed_increment at x = sgn * ell, in z[0:n] of work's data
+   z (2 x n): z = (x + means) / tau, then scipy's ndtr and numpy's log in place.  Returns 1, 0 at
+   the deep or tail branch (any p < 1e-300 or b- > -1e-8), or -1 with an error set. */
+static int gaussian_increment(PyObject *work, double *z, const double *ell, const double *sgn,
+                              Py_ssize_t n, PyObject *funcs, const double *means, double tau)
+{
+    for (Py_ssize_t c = 0; c < n; c++) {
+        double x = sgn[c] * ell[c];
+        z[c] = (x + means[0]) / tau, z[n + c] = (x + means[1]) / tau;
+    }
+    for (int f = 0; f < 2; f++) {
+        PyObject *done = PyObject_CallFunctionObjArgs(PyTuple_GET_ITEM(funcs, f), work, work, NULL);
+        if (done == NULL)
+            return -1;
+        Py_DECREF(done);
+        for (Py_ssize_t i = 0; i < (f ? n : 2 * n); i++)
+            if (f ? z[i] > -1e-8 : z[i] < 1e-300)
+                return 0;
+    }
+    for (Py_ssize_t c = 0; c < n; c++)
+        z[c] = sgn[c] * (z[n + c] - z[c]);
+    return 1;
+}
+
+/* montecarlo._lockstep's steps s..stop-1 of a chunk, in place on the cohorts' ell and carry:
+   returns the first step at which cohort c's bound bounds[step * width + side[c]] could flip
+   its action sgn[c], else stop, or -1 with an error set.  A step adds increment(model, ell, sgn)
+   by the engine's compensated update; where funcs is (ndtr, log), gaussian_increment serves
+   first, on work. */
+int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
+                     const double *bounds, int64_t width, const int64_t *side, int64_t s,
+                     int64_t stop, PyObject *increment, PyObject *model, PyObject *funcs,
+                     double mean_minus, double mean_plus, double tau)
+{
+    PyObject *arrays[4] = {ell_a, carry_a, sgn_a, work};
+    Py_buffer views[4], view;
+    double *data[4] = {NULL}, means[2] = {mean_minus, mean_plus};
+    int got = 0, gaussian = funcs != Py_None;
+    while (got < 3 + gaussian && (data[got] = float64s(arrays[got], views + got,
+                                                       got ? (got < 3 ? 1 : 2) * views[0].len : -1)))
+        got++;
+    Py_ssize_t n = got ? views[0].len / (Py_ssize_t)sizeof(double) : 0;
+    double *ell = data[0], *carry = data[1], *sgn = data[2];
+    for (; got == 3 + gaussian && s < stop; s++) {
+        int flagged = 0;
+        for (Py_ssize_t c = 0; c < n && !flagged; c++)
+            flagged = (ell[c] + bounds[s * width + side[c]] > 0.0) != (sgn[c] > 0.0);
+        int fused = gaussian && !flagged ? gaussian_increment(work, data[3], ell, sgn, n, funcs,
+                                                              means, tau) : 0;
+        PyObject *called = NULL;
+        double *inc = fused ? data[3] : NULL;
+        if (!flagged && !fused && (called = PyObject_CallFunctionObjArgs(increment, model, ell_a,
+                                                                          sgn_a, NULL)))
+            inc = float64s(called, &view, views[0].len);
+        if (flagged || fused < 0 || inc == NULL) {
+            Py_XDECREF(called);
+            break;
+        }
+        for (Py_ssize_t c = 0; c < n; c++) {
+            double y = inc[c] - carry[c], s2 = ell[c] + y;
+            carry[c] = (s2 - ell[c]) - y, ell[c] = s2;
+        }
+        if (called) {
+            PyBuffer_Release(&view);
+            Py_DECREF(called);
+        }
+    }
+    while (got-- > 0)
+        PyBuffer_Release(views + got);
+    return PyErr_Occurred() ? -1 : s;
 }
 """
 
@@ -478,6 +557,9 @@ def _load(cache_dir: str):
     lib.gaussian_steps.argtypes = head + [ctypes.c_double] * 4
     lib.call_steps.argtypes = head + [ctypes.py_object]
     lib.gaussian_steps.restype = lib.call_steps.restype = ctypes.py_object
+    obj, ptr, i64, f64 = ctypes.py_object, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.cohort_steps.argtypes = [obj] * 4 + [ptr, i64, ptr, i64, i64] + [obj] * 3 + [f64] * 3
+    lib.cohort_steps.restype = i64
     if hasattr(lib, "philox_fill"):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]
@@ -516,3 +598,23 @@ def run(lib, name: str, values: np.ndarray, start: int, stop: int, a: float, car
     state = (ctypes.c_double * 3)(a, carry, start)
     step = getattr(lib, name)(values, start, stop, state, *extra)
     return int(state[2]), state[0], state[1], step
+
+
+def cohort_steps(lib, cohorts, bounds: np.ndarray, side: np.ndarray, s: int, stop: int,
+                 increment, model, gaussian=None) -> int:
+    """Run a lockstep chunk's steps s..stop-1 by ``cohort_steps``, in place on ``cohorts``.
+
+    ``cohorts`` is (ell, carry, sgn), and cohort c reads column ``side[c]``
+    of the chunk's ``bounds``.  A step adds ``increment(model, ell, sgn)``,
+    or for ``gaussian`` = (the two state means, tau) the Gaussian increment
+    computed in C.  Returns the first step that a bound flags, else stop.
+    """
+    if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
+            and side.dtype == np.int64 and side.shape == cohorts[0].shape and side.flags.c_contiguous
+            and 0 <= side.min() and side.max() < bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
+        raise ValueError("bounds must be C-contiguous float64 rows that each side and step index")
+    funcs, work, (means, tau) = None, None, gaussian or ((0.0, 0.0), 0.0)
+    if gaussian:
+        funcs, work = (special.ndtr, np.log), np.empty((2, len(side)))
+    return lib.cohort_steps(*cohorts, work, bounds.ctypes.data, bounds.shape[1], side.ctypes.data,
+                            s, stop, increment, model, funcs, *means, tau)

@@ -426,11 +426,12 @@ _PAIRED = {
 
 def _dump_trajectories(config: ExperimentConfig, model) -> dict:
     _, actions = _run_aggregate(config, model, min(config.trials, 100), collect_actions=True)
-    lines = ["trial,t,action"]
-    for trial, row in enumerate(actions):
-        for t, a in enumerate(row, start=1):
-            lines.append(f"{trial},{t},{int(a)}")
-    return {"trajectories.csv": "\n".join(lines) + "\n"}
+    # A trial's lines are its number joined by the line tails ",t,a\n" that its actions pick.
+    steps = np.arange(actions.shape[1])
+    tails = np.array([[f",{t + 1},{a}\n" for t in steps] for a in (-1, 1)], dtype=object)
+    picked = tails[(actions > 0).astype(np.intp), steps]
+    return {"trajectories.csv": "trial,t,action\n"
+            + "".join(f"{trial}" + f"{trial}".join(row) for trial, row in enumerate(picked))}
 
 
 def emit_outputs(files: dict, output_dir: str) -> dict:

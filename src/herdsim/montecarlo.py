@@ -23,7 +23,9 @@ draws; a cohort whose bound on its erring side keeps its action costs one
 comparison, and only the rows of a cohort that the bound could flip are
 read exactly.  A switch forks the switching trials' cohort into one with the
 other action, which reads its source's bound on the other side, and ends a
-run in each trial's run book; the horizon ends the last runs.
+run in each trial's run book; the horizon ends the last runs.  Where
+``_native`` loads, the quiet steps between flagged ones run in one C loop,
+with the Gaussian increment computed by numpy's and scipy's own ufuncs.
 Inversion-sampled models keep their draws as uniforms and transform only
 the bounds and the draws read exactly; Gaussian rows are standard normals,
 mapped to LLRs in place a whole chunk at a time.  Checkpoint beliefs are
@@ -207,6 +209,11 @@ def _python_fill(streams: np.ndarray, out: np.ndarray, draw) -> None:
         state[_BUFFER_POS] = new["buffer_pos"]
         state[_HAS_UINT32] = new["has_uint32"]
         state[_UINTEGER] = new["uinteger"]
+
+
+def _check_theta(theta) -> None:
+    if not isinstance(theta, StateOfWorld):  # a bare +-1 would be read as a sign, or fail late
+        raise ValueError(f"theta must be a StateOfWorld, got {theta!r}")
 
 
 def _checkpoint_grid(checkpoint_times: Sequence[int] | None, horizon: int) -> tuple[int, ...]:
@@ -455,7 +462,10 @@ def _lockstep(
     switch forks the switching trials' cohorts, whose rows the source's
     bounds still cover, and ends a run in each trial's run book.  A chunk
     holds at most ``_DRAW_BUDGET`` draws; its length changes no value,
-    since every trial's stream and cohort states are its own.
+    since every trial's stream and cohort states are its own.  Where
+    ``_native`` loads, ``cohort_steps`` runs each stretch of steps up to the
+    next flagged step or checkpoint in C, bit for bit as the Python step
+    below; that takes the flagged steps, and every step without the library.
 
     Returns the per-trial stats arrays dict and, per checkpoint row and
     trial column, whether the trial's last action was a mistake and its
@@ -482,6 +492,10 @@ def _lockstep(
     naive = np.zeros((len(ckpt), nb), dtype=bool)  # row i: who erred just before ckpt[i]
     actions = np.full((nb, horizon), theta.sign, dtype=np.int8) if collect_actions else None
 
+    from . import _native  # imported here: importing the package loads no library
+
+    lib = _native.library()
+    gaussian = (model._state_means[:, 0], model.tau) if type(model) is GaussianSignalModel else None
     next_ckpt = 0
     t = 1
     while t <= horizon:
@@ -493,15 +507,25 @@ def _lockstep(
         start = np.searchsorted(coh, np.arange(len(live) + 1))
         draws = None  # the last chunk's draws go before the next are drawn
         draws = _draw_chunk(model, theta, streams, chunk)
-        bounds = _bounds(model, theta, draws, start)
+        bounds = np.ascontiguousarray(_bounds(model, theta, draws, start))
         # Cohort c reads column side[c] of bounds; a fork reads its source's
         # other side.
         side = 2 * np.arange(len(live)) + (sgn < 0.0)
-        for s in range(chunk):
+        s = 0
+        while s < chunk:
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
                 ell_ckpt[next_ckpt, trial] = ell[coh]
                 naive[next_ckpt, trial] = sgn[coh] != theta.sign
                 next_ckpt += 1
+            if lib is not None:  # the quiet steps before the next flag or checkpoint, in C
+                stop = min(chunk, s + int(ckpt[next_ckpt]) - t) if next_ckpt < len(ckpt) else chunk
+                quiet = _native.cohort_steps(lib, (ell, carry, sgn), bounds, side, s, stop,
+                                             _increment, model, gaussian) - s
+                if actions is not None:
+                    actions[trial, t - 1:t - 1 + quiet] = sgn[coh, None]
+                s, t = s + quiet, t + quiet
+                if s == stop:
+                    continue
 
             # fl(ell + x) is monotone in x: a cohort whose bound keeps its
             # action holds no row that switches.
@@ -530,6 +554,7 @@ def _lockstep(
             s2 = ell + y
             carry = (s2 - ell) - y
             ell = s2
+            s += 1
             t += 1
 
     # A trial whose last run is wrong at the horizon is censored.
@@ -578,6 +603,7 @@ def simulate_trajectory(
     checkpoint_times: Sequence[int] | None = None,
 ) -> tuple[Trajectory, TrajectoryStats]:
     """Simulate one full trajectory with stored actions and checkpoints."""
+    _check_theta(theta)
     checkpoint_times = _checkpoint_grid(checkpoint_times, horizon)
     _, per, actions, ell_ckpt = _simulate_batch(
         model, theta, horizon, master_seed, [trial_index], checkpoint_times,
@@ -615,6 +641,7 @@ def simulate_baseline_llr(
     Uses the same per-trial stream as simulate_trajectory, so the baseline
     and the herding run see identical signal sequences.
     """
+    _check_theta(theta)
     ckpt = _checkpoint_grid(checkpoint_times, horizon)
     row = _baseline_batch(model, theta, horizon, master_seed, [trial_index], ckpt)[0]
     return tuple((t, float(v)) for t, v in zip(ckpt, row))
@@ -691,6 +718,7 @@ def run_trials(
     results never depend on it.  When ``collect_actions`` is set, the raw
     action matrices are returned alongside the aggregate.
     """
+    _check_theta(theta)
     _check_size("trials", trials)
     _check_size("batch_size", batch_size)
     _check_size("threads", threads)

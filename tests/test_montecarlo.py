@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -597,6 +598,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="trial_indices"):
             simulate_baseline_llr(G1, PLUS, 10, 1, indices[-1])
 
+    @pytest.mark.parametrize("theta", [1, -1, 1.0, "PLUS", ActionLabel.PLUS], ids=repr)
+    def test_run_trials_names_a_theta_that_is_no_state(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            run_trials(G1, theta, 10, 1, master_seed=0)
+
+    @pytest.mark.parametrize("theta", [1, -1, 1.0, "PLUS", ActionLabel.PLUS], ids=repr)
+    def test_simulate_trajectory_names_a_theta_that_is_no_state(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            simulate_trajectory(G1, theta, 10, master_seed=0, trial_index=0)
+
+    @pytest.mark.parametrize("theta", [1, -1, 1.0, "PLUS", ActionLabel.PLUS], ids=repr)
+    def test_simulate_baseline_llr_names_a_theta_that_is_no_state(self, theta):
+        # a bare 1 once summed the theta = -1 draws without a word
+        with pytest.raises(ValueError, match="theta"):
+            simulate_baseline_llr(PT2, theta, 10, master_seed=0, trial_index=0)
+
     def test_checkpoints_at_both_ends_are_accepted(self):
         agg = run_trials(G1, PLUS, 100, 10, master_seed=1, checkpoint_times=[100, 1])
         assert agg.checkpoint_times == (1, 100)
@@ -1060,3 +1077,117 @@ class TestHerdEdge:
         slack = montecarlo._HERD_MARGIN * (1.0 + np.abs(x))
         assert np.all(x >= np.maximum.accumulate(x) - slack)
         assert np.all(x <= np.minimum.accumulate(x[::-1])[::-1] + slack)
+
+
+class TestCohortLoop:
+    # The lockstep engine's quiet steps run in _native's cohort_steps, which
+    # stops at every step that a cohort's bound flags; the Python step loop
+    # is the reference.
+    @pytest.mark.parametrize("model", [G1, G07, PT2, RT, LogisticModel()],
+                             ids=["gaussian", "gaussian-sigma0.7", "polytail", "ratetarget", "logistic"])
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_run_trials_equals_the_python_loop(self, model, theta, native_loop, python_loop,
+                                               monkeypatch):
+        # chunks of 50 steps; checkpoints inside quiet stretches and at chunk edges
+        monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", 50 * 60)
+        args = (model, theta, 700, 60, 13, [1, 3, 49, 50, 51, 120, 333, 699, 700])
+        kw = dict(batch_size=16, collect_actions=True)
+        agg, actions = run_trials(*args, **kw)
+        ref, ref_actions = python_loop(functools.partial(run_trials, **kw), *args)
+        _same_aggregate(agg, ref)
+        assert np.array_equal(actions, ref_actions)
+        assert sum(c for t, c in ref.first_mistake_hist.items() if t) > 0
+
+    @staticmethod
+    def _python_steps(model, ell, carry, sgn, steps):
+        for _ in range(steps):
+            y = montecarlo._increment(model, ell, sgn) - carry
+            s2 = ell + y
+            ell, carry = s2, (s2 - ell) - y
+        return ell, carry
+
+    @staticmethod
+    def _cohorts(case, model):
+        """Bulk beliefs; beliefs just past the tail switch, where a Gaussian
+        step calls _increment throughout; or beliefs below the deep switch
+        (ndtr < 1e-300), which the first step leaves."""
+        # x = sgn * ell = 5.75 tau + 2 / sigma^2 puts b- = log ndtr(5.75) at
+        # -4.5e-9, just above -1e-8: x = 13.5 at sigma = 1 (20.5 at 0.7)
+        edge = 5.75 * getattr(model, "tau", 2.0) + 2.0 / getattr(model, "sigma", 1.0) ** 2
+        return {
+            "bulk": ([0.3, -2.5, 4.0, -0.1], [1.0, -1.0, 1.0, 1.0]),
+            "tail": ([0.3, edge, -edge - 0.1], [1.0, 1.0, -1.0]),
+            "deep": ([0.3, -80.0, 150.0], [1.0, 1.0, -1.0]),
+        }[case]
+
+    @pytest.mark.parametrize("case", ["bulk", "tail", "deep"])
+    @pytest.mark.parametrize("model", [G1, G07, PT2], ids=lambda m: m.family)
+    def test_direct_call_stops_at_a_flag_and_at_the_limit(self, case, model, native_loop):
+        ell0, sgn = (np.array(v) for v in self._cohorts(case, model))
+        carry0 = np.full(len(ell0), 1e-17)
+        # no bound ever flips: +inf on the plus side, -inf on the minus side
+        bounds = np.tile(np.where(sgn > 0.0, np.inf, -np.inf).repeat(2), (40, 1))
+        side = 2 * np.arange(len(ell0)) + (sgn < 0.0)
+        gaussian = (model._state_means[:, 0], model.tau) if model.family == "gaussian" else None
+        calls = []
+
+        def increment(*args):
+            calls.append(1)
+            return montecarlo._increment(*args)
+
+        ell, carry = ell0.copy(), carry0.copy()
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 3, 30,
+                                   increment, model, gaussian)
+        ref = self._python_steps(model, ell0, carry0, sgn, 27)
+        assert got == 30
+        assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
+        assert len(calls) == ({"bulk": 0, "tail": 27, "deep": 1}[case] if gaussian else 27)
+        # a bound that flips cohort 1 at step 17 stops the loop there
+        bounds[17, side[1]] = -sgn[1] * np.inf
+        ell, carry = ell0.copy(), carry0.copy()
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 3, 30,
+                                   increment, model, gaussian)
+        ref = self._python_steps(model, ell0, carry0, sgn, 14)
+        assert got == 17
+        assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
+        assert _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 17, 30,
+                                    increment, model, gaussian) == 17
+
+    def test_direct_call_refuses_what_it_cannot_read(self, native_loop):
+        ell, carry, sgn = np.zeros(2), np.zeros(2), np.ones(2)
+        side, bounds = np.array([0, 2]), np.full((5, 4), np.inf)  # no step is flagged
+        call = functools.partial(_native.cohort_steps, native_loop, increment=montecarlo._increment,
+                                 model=PT2)
+        with pytest.raises(ValueError, match="bounds"):
+            call((ell, carry, sgn), np.zeros((5, 2)), side, 0, 5)  # side 2 past the width
+        with pytest.raises(ValueError, match="bounds"):
+            call((ell, carry, sgn), bounds, side, 0, 6)  # past the chunk
+        with pytest.raises(TypeError, match="float64"):
+            call((ell, carry[:1], sgn), bounds, side, 0, 5)
+        with pytest.raises(TypeError, match="float64"):
+            call((ell, carry, sgn), bounds, side, 0, 5, increment=lambda m, e, s: e[:1])
+        with pytest.raises(ZeroDivisionError):
+            call((ell, carry, sgn), bounds, side, 0, 5, increment=lambda m, e, s: 1 / 0)
+
+    def test_python_increment_runs_only_on_flagged_steps(self, native_loop, monkeypatch):
+        # A Gaussian run's quiet steps take the increment fused in C; the
+        # Python _increment runs once per step at which the loop stopped on a
+        # flag, and never from inside the loop (a silent fallback).
+        callers, stops = [], []
+        increment, steps = montecarlo._increment, _native.cohort_steps
+
+        def spy_increment(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return increment(*args)
+
+        def spy_steps(lib, cohorts, bounds, side, s, stop, *args):
+            stops.append((steps(lib, cohorts, bounds, side, s, stop, *args), stop))
+            return stops[-1][0]
+
+        monkeypatch.setattr(montecarlo, "_increment", spy_increment)
+        monkeypatch.setattr(_native, "cohort_steps", spy_steps)
+        agg = run_trials(G1, PLUS, 3000, 2048, master_seed=0)
+        flagged = sum(got < stop for got, stop in stops)
+        assert set(callers) == {"_lockstep"}
+        assert len(callers) == flagged < 3000 // 5
+        assert sum(c for t, c in agg.first_mistake_hist.items() if t) > 0

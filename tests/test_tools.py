@@ -46,6 +46,7 @@ def test_output_digests_smoke(tmp_path):
     # only through actions and by the baseline sums in every bit
     assert {f"run_trials/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
     assert "run_trials/gaussian-sigma0.7/multi-batch" in names
+    assert "run_trials/gaussian/long" in names  # many quiet chunks, checkpoints inside them
     assert {f"baseline/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
     # inversion draws and the streams' continuation across time chunks, in every bit
     for family in ("polytail", "ratetarget"):

@@ -17,7 +17,8 @@ to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
 at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; the aggregate of
 a run of several batches and time chunks per family, and that run's
 action matrix under both states, which sees every switch of every trial;
-the observed-signals
+a long Gaussian run, which steps through many quiet chunks and the default
+checkpoints inside them; the observed-signals
 sums of ``simulate_baseline_llr`` at sigma = 0.7 and of the PolyTail k = 2
 and rate-target models at theta = +-, over at least two time chunks, which
 see every last bit of the draws and of the streams' continuation from one
@@ -58,17 +59,17 @@ UNIFORMS = np.concatenate(
 )
 
 # ell* horizon, the long rate-target path's horizon, recurrence steps, Monte Carlo trials and horizon, the same
-# with a batch size for a multi-batch run, baseline trials and horizon (the
+# with a batch size for a multi-batch run, a long run's trials and horizon, baseline trials and horizon (the
 # inversion-sampled ones' horizon spans two time chunks or more), and CLI
 # horizon and trials
 SIZES = {
     "full": {
         "path": 10**4, "long_path": 10**5, "recurrence": 10**5, "mc": (256, 2000), "multi": (3000, 1500, 512),
-        "baseline": (64, 3000), "inverse_baseline": (64, 3000), "cli": (2000, 400),
+        "long": (2048, 20000), "baseline": (64, 3000), "inverse_baseline": (64, 3000), "cli": (2000, 400),
     },
     "quick": {
         "path": 300, "long_path": 3000, "recurrence": 300, "mc": (16, 100), "multi": (40, 100, 16),
-        "baseline": (4, 300), "inverse_baseline": (4, 2100), "cli": (200, 200),
+        "long": (64, 2000), "baseline": (4, 300), "inverse_baseline": (4, 2100), "cli": (200, 200),
     },
 }
 
@@ -176,6 +177,9 @@ def aggregate_digests(size: dict):
                 collect_actions=True,
             )
             yield f"run_trials/{family}/actions/theta={theta.sign:+d}", sha(actions)
+    trials, horizon = size["long"]
+    agg = montecarlo.run_trials(models()["gaussian"], StateOfWorld.PLUS, horizon, trials, 24)
+    yield "run_trials/gaussian/long", aggregate_sha(agg)
 
 
 def baseline_digests(size: dict):
