@@ -9,9 +9,12 @@ one, or a return that is not an exact float) with its index, for the Python
 loop to raise at or go on from, so the bytes, errors and types are that
 loop's.  ``cohort_steps`` runs the Monte Carlo engine's quiet lockstep steps
 (each cohort's bound test, increment and compensated update) up to the first
-flagged step; its Gaussian increment calls scipy's ``ndtr`` and numpy's
-``log`` ufuncs from C, so the bits are theirs, and any other increment is
-the engine's Python ``_increment``, called from C.  ``philox_fill`` fills
+flagged step.  Its Gaussian increment calls scipy's ``ndtr`` and numpy's
+``log`` ufuncs from C; its PolyTail increment evaluates the log-T spline as
+scipy's ``PPoly`` does (``log_tail_spline``, checked against scipy once per
+spline by ``checked_spline``) and calls numpy's ``power``, ``exp`` and
+``log1p``; so the bits are theirs.  Their other branches, and every other
+model, call the engine's Python ``_increment`` from C.  ``philox_fill`` fills
 each row of a draws array from one Monte Carlo stream, held as a row of
 numpy's ``philox_state`` words (``STATE_WORDS``):
 it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
@@ -48,6 +51,7 @@ import subprocess
 import sysconfig
 import tempfile
 import time
+import weakref
 
 import numpy as np
 from scipy import special
@@ -153,57 +157,114 @@ PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state
     return hand_back(state, a, carry, i, stop, &out, handed);
 }
 
-/* The Gaussian increment of belief._signed_increment at x = sgn * ell, in z[0:n] of work's data
-   z (2 x n): z = (x + means) / tau, then scipy's ndtr and numpy's log in place.  Returns 1, 0 at
-   the deep or tail branch (any p < 1e-300 or b- > -1e-8), or -1 with an error set. */
-static int gaussian_increment(PyObject *work, double *z, const double *ell, const double *sgn,
-                              Py_ssize_t n, PyObject *funcs, const double *means, double tau)
+/* The ufunc func on the array on in place, func(on, on) or with arg func(on, arg, on):
+   returns 0, or -1 with an error set */
+static int in_place(PyObject *func, PyObject *on, PyObject *arg)
+{
+    PyObject *done = arg ? PyObject_CallFunctionObjArgs(func, on, arg, on, NULL)
+                         : PyObject_CallFunctionObjArgs(func, on, on, NULL);
+    Py_XDECREF(done);
+    return done ? 0 : -1;
+}
+
+/* The Gaussian log action probabilities (b-, b+) of belief._signed_increment at x = sgn * ell,
+   in work's data z (2 x n): z = (x + means) / tau, then scipy's ndtr and numpy's log in place.
+   Returns 1, 0 at the deep branch (any p < 1e-300), or -1 with an error set. */
+static int gaussian_logs(PyObject *work, double *z, const double *ell, const double *sgn,
+                         Py_ssize_t n, PyObject *funcs, const double *means, double tau)
 {
     for (Py_ssize_t c = 0; c < n; c++) {
         double x = sgn[c] * ell[c];
         z[c] = (x + means[0]) / tau, z[n + c] = (x + means[1]) / tau;
     }
-    for (int f = 0; f < 2; f++) {
-        PyObject *done = PyObject_CallFunctionObjArgs(PyTuple_GET_ITEM(funcs, f), work, work, NULL);
-        if (done == NULL)
-            return -1;
-        Py_DECREF(done);
-        for (Py_ssize_t i = 0; i < (f ? n : 2 * n); i++)
-            if (f ? z[i] > -1e-8 : z[i] < 1e-300)
-                return 0;
+    if (in_place(PyTuple_GET_ITEM(funcs, 0), work, NULL) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < 2 * n; i++)
+        if (z[i] < 1e-300)
+            return 0;
+    return in_place(PyTuple_GET_ITEM(funcs, 1), work, NULL) < 0 ? -1 : 1;
+}
+
+/* scipy's PPoly evaluation of a cubic spline on knots x[0..n-1] (coefs (4, n - 1) in C order)
+   at each a[j] in [x[0], x[n-1]], in its order of operations: the interval is the i with x[i] <=
+   a < x[i+1] (n - 2 at the last knot), guessed from even knots and corrected by comparisons */
+void log_tail_spline(const double *x, const double *coefs, int64_t n, const double *a,
+                     double *out, int64_t m)
+{
+    for (int64_t j = 0; j < m; j++) {
+        int64_t i = (int64_t)((a[j] - x[0]) / (x[n - 1] - x[0]) * (double)(n - 1));
+        i = i < 0 ? 0 : i > n - 2 ? n - 2 : i;
+        while (i > 0 && a[j] < x[i])
+            i--;
+        while (i < n - 2 && a[j] >= x[i + 1])
+            i++;
+        double s = a[j] - x[i], res = 0.0, z = 1.0;
+        for (int kp = 0; kp < 4; kp++) {
+            res = res + coefs[(3 - kp) * (n - 1) + i] * z;
+            if (kp < 3)
+                z *= s;
+        }
+        out[j] = res;
     }
+}
+
+/* PolyTail's (b-, b+) at a = sgn * ell as PolyTailSignalModel.log_action_probabilities takes
+   them where every a is in [1, 60], in work's data z (2 x n): z = (a, log T(a)); numpy's
+   power(z[0], -k) and exp(z[1]) in place, scaled by scale = (-c / k, -c); numpy's log1p.
+   funcs is (power, exp, log1p, -k, row 0, row 1).  Returns 1, 0 where an a is outside [1, 60]
+   or NaN, or -1 with an error set. */
+static int polytail_logs(PyObject *work, double *z, const double *ell, const double *sgn,
+                         Py_ssize_t n, PyObject *funcs, const double *scale,
+                         const double *knots, const double *coefs, int64_t nknots)
+{
     for (Py_ssize_t c = 0; c < n; c++)
-        z[c] = sgn[c] * (z[n + c] - z[c]);
-    return 1;
+        if (!((z[c] = sgn[c] * ell[c]) >= 1.0 && z[c] <= 60.0))
+            return 0;
+    log_tail_spline(knots, coefs, nknots, z, z + n, n);
+    PyObject *row0 = PyTuple_GET_ITEM(funcs, 4), *row1 = PyTuple_GET_ITEM(funcs, 5);
+    if (in_place(PyTuple_GET_ITEM(funcs, 0), row0, PyTuple_GET_ITEM(funcs, 3)) < 0
+        || in_place(PyTuple_GET_ITEM(funcs, 1), row1, NULL) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < 2 * n; i++)
+        z[i] *= scale[i >= n];
+    return in_place(PyTuple_GET_ITEM(funcs, 2), work, NULL) < 0 ? -1 : 1;
 }
 
 /* montecarlo._lockstep's steps s..stop-1 of a chunk, in place on the cohorts' ell and carry:
    returns the first step at which cohort c's bound bounds[step * width + side[c]] could flip
    its action sgn[c], else stop, or -1 with an error set.  A step adds increment(model, ell, sgn)
-   by the engine's compensated update; where funcs is (ndtr, log), gaussian_increment serves
-   first, on work. */
+   by the engine's compensated update.  For family 1 (funcs = (ndtr, log), consts = the two
+   state means and tau) or 2 (the PolyTail funcs, consts = scale, and the spline) the
+   increment sgn * (b+ - b-) is computed in C, on work, unless b- > -1e-8 (the tail branch). */
 int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
                      const double *bounds, int64_t width, const int64_t *side, int64_t s,
-                     int64_t stop, PyObject *increment, PyObject *model, PyObject *funcs,
-                     double mean_minus, double mean_plus, double tau)
+                     int64_t stop, PyObject *increment, PyObject *model, int64_t family,
+                     PyObject *funcs, const double *consts, const double *knots,
+                     const double *coefs, int64_t nknots)
 {
     PyObject *arrays[4] = {ell_a, carry_a, sgn_a, work};
     Py_buffer views[4], view;
-    double *data[4] = {NULL}, means[2] = {mean_minus, mean_plus};
-    int got = 0, gaussian = funcs != Py_None;
-    while (got < 3 + gaussian && (data[got] = float64s(arrays[got], views + got,
-                                                       got ? (got < 3 ? 1 : 2) * views[0].len : -1)))
+    double *data[4] = {NULL};
+    int got = 0, fusing = family != 0;
+    while (got < 3 + fusing && (data[got] = float64s(arrays[got], views + got,
+                                                     got ? (got < 3 ? 1 : 2) * views[0].len : -1)))
         got++;
     Py_ssize_t n = got ? views[0].len / (Py_ssize_t)sizeof(double) : 0;
     double *ell = data[0], *carry = data[1], *sgn = data[2];
-    for (; got == 3 + gaussian && s < stop; s++) {
+    for (; got == 3 + fusing && s < stop; s++) {
         int flagged = 0;
         for (Py_ssize_t c = 0; c < n && !flagged; c++)
             flagged = (ell[c] + bounds[s * width + side[c]] > 0.0) != (sgn[c] > 0.0);
-        int fused = gaussian && !flagged ? gaussian_increment(work, data[3], ell, sgn, n, funcs,
-                                                              means, tau) : 0;
+        double *z = data[3];
+        int fused = flagged || !family ? 0
+                    : family == 1 ? gaussian_logs(work, z, ell, sgn, n, funcs, consts, consts[2])
+                    : polytail_logs(work, z, ell, sgn, n, funcs, consts, knots, coefs, nknots);
+        for (Py_ssize_t c = 0; fused > 0 && c < n; c++)
+            fused = !(z[c] > -1e-8);
+        for (Py_ssize_t c = 0; fused > 0 && c < n; c++)
+            z[c] = sgn[c] * (z[n + c] - z[c]);
         PyObject *called = NULL;
-        double *inc = fused ? data[3] : NULL;
+        double *inc = fused ? z : NULL;
         if (!flagged && !fused && (called = PyObject_CallFunctionObjArgs(increment, model, ell_a,
                                                                           sgn_a, NULL)))
             inc = float64s(called, &view, views[0].len);
@@ -558,8 +619,10 @@ def _load(cache_dir: str):
     lib.call_steps.argtypes = head + [ctypes.py_object]
     lib.gaussian_steps.restype = lib.call_steps.restype = ctypes.py_object
     obj, ptr, i64, f64 = ctypes.py_object, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.cohort_steps.argtypes = [obj] * 4 + [ptr, i64, ptr, i64, i64] + [obj] * 3 + [f64] * 3
+    lib.cohort_steps.argtypes = [obj] * 4 + [ptr, i64, ptr, i64, i64, obj, obj, i64, obj] + [ptr] * 3 + [i64]
     lib.cohort_steps.restype = i64
+    lib.log_tail_spline.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
+    lib.log_tail_spline.restype = None
     if hasattr(lib, "philox_fill"):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]
@@ -600,21 +663,62 @@ def run(lib, name: str, values: np.ndarray, start: int, stop: int, a: float, car
     return int(state[2]), state[0], state[1], step
 
 
+def log_tail_spline(lib, spline, x: np.ndarray) -> np.ndarray:
+    """PolyTail's log-T ``spline`` at each x in [1, 60] by the C evaluation that ``cohort_steps`` runs."""
+    knots, coefs = (np.ascontiguousarray(v, dtype=np.float64) for v in (spline.x, spline.c))
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if not (coefs.shape == (4, len(knots) - 1) and knots[0] <= 1.0 and 60.0 <= knots[-1]
+            and (x.size == 0 or 1.0 <= x.min() <= x.max() <= 60.0)):
+        raise ValueError("x must lie in [1, 60], inside the knots of a cubic spline")
+    out = np.empty_like(x)
+    lib.log_tail_spline(knots.ctypes.data, coefs.ctypes.data, len(knots), x.ctypes.data,
+                        out.ctypes.data, x.size)
+    return out
+
+
+_checked_splines = weakref.WeakKeyDictionary()  # a spline -> checked_spline's return
+
+
+def checked_spline(lib, spline):
+    """``spline``'s (knots, coefficients) if ``log_tail_spline`` equals it bit for bit, else None.
+
+    Checked once per spline, as ``normals_checked`` is, at every knot in
+    [1, 60], both neighbours of every 64th, 1, 60 and 10**4 uniform points.
+    """
+    if spline not in _checked_splines:
+        knots, coefs = (np.ascontiguousarray(v, dtype=np.float64) for v in (spline.x, spline.c))
+        inside = knots[(1.0 <= knots) & (knots <= 60.0)]
+        x = np.concatenate([inside, np.nextafter(inside[::64], 0.0), np.nextafter(inside[::64], 99.0),
+                            [1.0, 60.0], np.random.Generator(np.random.Philox(20)).uniform(1.0, 60.0, 10**4)])
+        x = np.sort(x[(1.0 <= x) & (x <= 60.0)])  # in order, scipy's interval search is quick
+        same = log_tail_spline(lib, spline, x).tobytes() == spline(x).tobytes()
+        _checked_splines[spline] = (knots, coefs) if same else None
+    return _checked_splines[spline]
+
+
 def cohort_steps(lib, cohorts, bounds: np.ndarray, side: np.ndarray, s: int, stop: int,
-                 increment, model, gaussian=None) -> int:
+                 increment, model, gaussian=None, polytail=None) -> int:
     """Run a lockstep chunk's steps s..stop-1 by ``cohort_steps``, in place on ``cohorts``.
 
     ``cohorts`` is (ell, carry, sgn), and cohort c reads column ``side[c]``
     of the chunk's ``bounds``.  A step adds ``increment(model, ell, sgn)``,
-    or for ``gaussian`` = (the two state means, tau) the Gaussian increment
-    computed in C.  Returns the first step that a bound flags, else stop.
+    or the increment computed in C: for ``gaussian`` = (the two state means,
+    tau) the Gaussian one, and for ``polytail`` = (its log-T spline, k, c)
+    the PolyTail one, where ``checked_spline`` passes the spline.  Returns
+    the first step that a bound flags, else stop.
     """
     if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
             and side.dtype == np.int64 and side.shape == cohorts[0].shape and side.flags.c_contiguous
             and 0 <= side.min() and side.max() < bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
         raise ValueError("bounds must be C-contiguous float64 rows that each side and step index")
-    funcs, work, (means, tau) = None, None, gaussian or ((0.0, 0.0), 0.0)
+    family, funcs, work, consts, spline = 0, None, None, (), (None, None, 0)
     if gaussian:
-        funcs, work = (special.ndtr, np.log), np.empty((2, len(side)))
+        (means, tau), work = gaussian, np.empty((2, len(side)))
+        family, funcs, consts = 1, (special.ndtr, np.log), (*means, tau)
+    elif polytail and (arrays := checked_spline(lib, polytail[0])):
+        (_, k, c), work = polytail, np.empty((2, len(side)))
+        family, funcs, consts = 2, (np.power, np.exp, np.log1p, -k, work[0], work[1]), (-(c / k), -c)
+        spline = (arrays[0].ctypes.data, arrays[1].ctypes.data, len(arrays[0]))
     return lib.cohort_steps(*cohorts, work, bounds.ctypes.data, bounds.shape[1], side.ctypes.data,
-                            s, stop, increment, model, funcs, *means, tau)
+                            s, stop, increment, model, family, funcs, (ctypes.c_double * 3)(*consts),
+                            *spline)

@@ -202,25 +202,25 @@ def update(model: SignalModel, state: BeliefState, action: ActionLabel) -> Belie
 
 def public_belief(ell):
     """mu = e^ell / (e^ell + 1), overflow-safe for |ell| up to 1e4 and beyond."""
-    ell = np.asarray(ell, dtype=float)
+    ell = _not_nan(np.asarray(ell, dtype=float), "ell")
     with np.errstate(over="ignore"):
         return np.where(ell >= 0, 1.0 / (1.0 + np.exp(-ell)), np.exp(ell) / (1.0 + np.exp(ell)))
 
 
 def action_probability(model: SignalModel, ell, state: StateOfWorld):
     """P(a = +1 | ell, theta) = 1 - G_theta(-ell), evaluated via log-survival."""
-    return np.exp(model.llr_log_sf(state, -np.asarray(ell, dtype=float)))
+    return np.exp(model.llr_log_sf(state, -_not_nan(np.asarray(ell, dtype=float), "ell")))
 
 
 def rb_mistake_weight(ell):
     """Conditional mistake probability min(mu, 1-mu) = 1/(e^|ell| + 1)."""
-    ell = np.asarray(ell, dtype=float)
+    ell = _not_nan(np.asarray(ell, dtype=float), "ell")
     return 1.0 / (np.exp(np.abs(ell)) + 1.0)
 
 
 def martingale_residual(model: SignalModel, ell: float) -> float:
     """One-step martingale defect of the public belief; zero in exact arithmetic."""
-    mu = float(public_belief(ell))
+    mu = float(public_belief(ell))  # refuses a NaN ell by name
     p_plus_given_plus = float(action_probability(model, ell, StateOfWorld.PLUS))
     p_plus_given_minus = float(action_probability(model, ell, StateOfWorld.MINUS))
     p_plus = mu * p_plus_given_plus + (1.0 - mu) * p_plus_given_minus

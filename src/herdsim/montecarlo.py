@@ -25,7 +25,8 @@ read exactly.  A switch forks the switching trials' cohort into one with the
 other action, which reads its source's bound on the other side, and ends a
 run in each trial's run book; the horizon ends the last runs.  Where
 ``_native`` loads, the quiet steps between flagged ones run in one C loop,
-with the Gaussian increment computed by numpy's and scipy's own ufuncs.
+with the Gaussian and PolyTail increments computed by numpy's and scipy's
+own ufuncs and, for PolyTail, scipy's spline evaluation redone in C.
 Inversion-sampled models keep their draws as uniforms and transform only
 the bounds and the draws read exactly; Gaussian rows are standard normals,
 mapped to LLRs in place a whole chunk at a time.  Checkpoint beliefs are
@@ -53,6 +54,7 @@ from .belief import ActionLabel, _rate_table, _signed_increment, rb_mistake_weig
 from .signal_models import (
     GaussianSignalModel,
     InverseCdfSignalModel,
+    PolyTailSignalModel,
     SignalModel,
     StateOfWorld,
     _check_size,
@@ -465,7 +467,8 @@ def _lockstep(
     since every trial's stream and cohort states are its own.  Where
     ``_native`` loads, ``cohort_steps`` runs each stretch of steps up to the
     next flagged step or checkpoint in C, bit for bit as the Python step
-    below; that takes the flagged steps, and every step without the library.
+    below, with a Gaussian or PolyTail model's increment computed in C; the
+    Python step takes the flagged steps, and every step without the library.
 
     Returns the per-trial stats arrays dict and, per checkpoint row and
     trial column, whether the trial's last action was a mistake and its
@@ -496,6 +499,9 @@ def _lockstep(
 
     lib = _native.library()
     gaussian = (model._state_means[:, 0], model.tau) if type(model) is GaussianSignalModel else None
+    polytail = None
+    if type(model) is PolyTailSignalModel:
+        polytail = (model._log_tail_spline, model.k, model.c)
     next_ckpt = 0
     t = 1
     while t <= horizon:
@@ -520,7 +526,7 @@ def _lockstep(
             if lib is not None:  # the quiet steps before the next flag or checkpoint, in C
                 stop = min(chunk, s + int(ckpt[next_ckpt]) - t) if next_ckpt < len(ckpt) else chunk
                 quiet = _native.cohort_steps(lib, (ell, carry, sgn), bounds, side, s, stop,
-                                             _increment, model, gaussian) - s
+                                             _increment, model, gaussian, polytail) - s
                 if actions is not None:
                     actions[trial, t - 1:t - 1 + quiet] = sgn[coh, None]
                 s, t = s + quiet, t + quiet

@@ -182,6 +182,28 @@ def test_a_nan_belief_is_refused(model, name):
             INCREMENTS[name](model, np.array([0.0, math.nan]))
 
 
+# The public functions of a belief ell besides the increments
+OF_BELIEF = {
+    "public_belief": lambda model, ell: public_belief(ell),
+    "rb_mistake_weight": lambda model, ell: rb_mistake_weight(ell),
+    "action_probability": lambda model, ell: action_probability(model, ell, PLUS),
+    "martingale_residual": martingale_residual,
+}
+
+
+@pytest.mark.parametrize("name", list(OF_BELIEF))
+@pytest.mark.parametrize("model", [G1, PT2, RT], ids=lambda m: m.family)
+def test_a_nan_belief_is_refused_by_name(model, name):
+    # unchecked, a NaN came back as NaN, or as a value from some piece of the
+    # law (0.82 from PolyTail's gap (-1, 1), 0.0 from a rate-target model)
+    with pytest.raises(ValueError, match="^ell must not be NaN$"):
+        OF_BELIEF[name](model, math.nan)
+    if name != "martingale_residual":  # a scalar function
+        with pytest.raises(ValueError, match="^ell must not be NaN$"):
+            OF_BELIEF[name](model, np.array([0.0, math.nan]))
+        assert np.all(np.isfinite(OF_BELIEF[name](model, np.array([0.0, -3.0, 40.0]))))
+
+
 class TestDecisionAndUpdate:
     def test_decide_tie_break(self):
         assert decide(0.5, -0.5) is ActionLabel.MINUS  # ties break to minus

@@ -1120,21 +1120,34 @@ class TestCohortLoop:
             "deep": ([0.3, -80.0, 150.0], [1.0, 1.0, -1.0]),
         }[case]
 
+    @staticmethod
+    def _no_flag(sgn, steps):
+        """Bounds that flag no cohort at any of ``steps`` steps (+inf on the plus side,
+        -inf on the minus side), and each cohort's side."""
+        bounds = np.tile(np.where(sgn > 0.0, np.inf, -np.inf).repeat(2), (steps, 1))
+        return bounds, 2 * np.arange(len(sgn)) + (sgn < 0.0)
+
+    @staticmethod
+    def _counted(calls):
+        def increment(*args):
+            calls.append(1)
+            return montecarlo._increment(*args)
+
+        return increment
+
+    @staticmethod
+    def _polytail(model):
+        return model._log_tail_spline, model.k, model.c
+
     @pytest.mark.parametrize("case", ["bulk", "tail", "deep"])
     @pytest.mark.parametrize("model", [G1, G07, PT2], ids=lambda m: m.family)
     def test_direct_call_stops_at_a_flag_and_at_the_limit(self, case, model, native_loop):
         ell0, sgn = (np.array(v) for v in self._cohorts(case, model))
         carry0 = np.full(len(ell0), 1e-17)
-        # no bound ever flips: +inf on the plus side, -inf on the minus side
-        bounds = np.tile(np.where(sgn > 0.0, np.inf, -np.inf).repeat(2), (40, 1))
-        side = 2 * np.arange(len(ell0)) + (sgn < 0.0)
+        bounds, side = self._no_flag(sgn, 40)
         gaussian = (model._state_means[:, 0], model.tau) if model.family == "gaussian" else None
         calls = []
-
-        def increment(*args):
-            calls.append(1)
-            return montecarlo._increment(*args)
-
+        increment = self._counted(calls)
         ell, carry = ell0.copy(), carry0.copy()
         got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 3, 30,
                                    increment, model, gaussian)
@@ -1169,10 +1182,87 @@ class TestCohortLoop:
         with pytest.raises(ZeroDivisionError):
             call((ell, carry, sgn), bounds, side, 0, 5, increment=lambda m, e, s: 1 / 0)
 
-    def test_python_increment_runs_only_on_flagged_steps(self, native_loop, monkeypatch):
-        # A Gaussian run's quiet steps take the increment fused in C; the
-        # Python _increment runs once per step at which the loop stopped on a
-        # flag, and never from inside the loop (a silent fallback).
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 7.3])
+    def test_fused_polytail_step_equals_the_increment(self, k, sign, native_loop):
+        # A step at a = sgn * ell on knots, next to knots, at 1 and at 60 (11.5
+        # at k = 7.3, whose tail branch starts near 12) is fused: no Python call
+        model = PolyTailSignalModel(k)
+        top = 60.0 if k < 7.0 else 11.5
+        knots = model._tail_nodes[0]
+        sample = knots[knots <= top][::37]
+        a = np.concatenate([sample, np.nextafter(sample, 0.0), np.nextafter(sample, 99.0), [1.0, top]])
+        a = a[(1.0 <= a) & (a <= top)]
+        sgn = np.full(len(a), sign)
+        ell0, carry0 = sign * a, np.linspace(-3e-16, 3e-16, len(a))
+        bounds, side = self._no_flag(sgn, 1)
+        calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 0, 1,
+                                   self._counted(calls), model, None, self._polytail(model))
+        ref = self._python_steps(model, ell0, carry0, sgn, 1)
+        assert got == 1 and calls == []
+        assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("case, a, steps", [
+        ("gap", -0.5, 1),  # D+ > 1 in the gap (-1, 1): a leaves it at once
+        ("past-60", 61.0, 4),  # a = sgn * ell never falls
+        ("nan", math.nan, 4),
+        ("tail", 30.0, 4),  # b- > -1e-8 at k = 7.3
+    ])
+    def test_polytail_steps_in_another_branch_call_the_increment(self, case, a, steps,
+                                                                  native_loop):
+        model = PolyTailSignalModel(7.3 if case == "tail" else 2.0)
+        sgn = np.array([1.0, -1.0, -1.0])
+        ell0, carry0 = np.array([3.0, -5.0, -a]), np.full(3, 1e-17)
+        bounds, side = self._no_flag(sgn, steps)
+        calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 0, steps,
+                                   self._counted(calls), model, None, self._polytail(model))
+        ref = self._python_steps(model, ell0, carry0, sgn, steps)
+        assert got == steps and len(calls) == steps
+        assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 7.3])
+    def test_c_spline_equals_scipy_bit_for_bit(self, k, native_loop):
+        spline = PolyTailSignalModel(k)._log_tail_spline
+        knots = spline.x
+        x = np.concatenate([
+            np.random.default_rng(5).uniform(1.0, 60.0, 10**5), knots,
+            np.nextafter(knots[1:], 0.0), np.nextafter(knots[:-1], 99.0), [1.0, 60.0],
+        ])
+        assert _native.log_tail_spline(native_loop, spline, x).tobytes() == spline(x).tobytes()
+        assert _native.checked_spline(native_loop, spline) is not None
+        for outside in ([np.nextafter(1.0, 0.0)], [60.5], [math.nan]):
+            with pytest.raises(ValueError, match=r"\[1, 60\]"):
+                _native.log_tail_spline(native_loop, spline, np.array(outside))
+
+    def test_a_spline_that_fails_its_check_leaves_every_step_to_python(self, native_loop,
+                                                                       monkeypatch):
+        model = PolyTailSignalModel(2.0)  # a spline of its own, not checked yet
+        spline_at = _native.log_tail_spline
+        monkeypatch.setattr(_native, "log_tail_spline",
+                            lambda *args: np.nextafter(spline_at(*args), 0.0))
+        callers, increment = [], montecarlo._increment
+
+        def spy_increment(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return increment(*args)
+
+        monkeypatch.setattr(montecarlo, "_increment", spy_increment)
+        agg, actions = run_trials(model, PLUS, 600, 64, 7, collect_actions=True)
+        assert _native.checked_spline(native_loop, model._log_tail_spline) is None
+        # each of the 600 steps calls it once: a quiet one from C, a flagged one from Python
+        assert len(callers) == 600 and callers.count("cohort_steps") > 0
+        monkeypatch.undo()
+        ref, ref_actions = run_trials(PT2, PLUS, 600, 64, 7, collect_actions=True)
+        _same_aggregate(agg, ref)
+        assert np.array_equal(actions, ref_actions)
+
+    @pytest.mark.parametrize("model", [G1, PT2], ids=lambda m: m.family)
+    def test_python_increment_runs_only_on_flagged_steps(self, model, native_loop, monkeypatch):
+        # A Gaussian or PolyTail run's quiet steps take the increment fused in
+        # C; the Python _increment runs once per step at which the loop
+        # stopped on a flag, and never from inside the loop (a silent fallback).
         callers, stops = [], []
         increment, steps = montecarlo._increment, _native.cohort_steps
 
@@ -1186,7 +1276,7 @@ class TestCohortLoop:
 
         monkeypatch.setattr(montecarlo, "_increment", spy_increment)
         monkeypatch.setattr(_native, "cohort_steps", spy_steps)
-        agg = run_trials(G1, PLUS, 3000, 2048, master_seed=0)
+        agg = run_trials(model, PLUS, 3000, 2048, master_seed=0)
         flagged = sum(got < stop for got, stop in stops)
         assert set(callers) == {"_lockstep"}
         assert len(callers) == flagged < 3000 // 5

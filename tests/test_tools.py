@@ -1,5 +1,8 @@
-"""tools/output_digests.py runs against the package in src/ and names every output once."""
+"""tools/output_digests.py runs against the package in src/ and names every output once;
+tools/bench_pairs.py summarises benchmark pairs and parses criterion lines."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -46,7 +49,8 @@ def test_output_digests_smoke(tmp_path):
     # only through actions and by the baseline sums in every bit
     assert {f"run_trials/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
     assert "run_trials/gaussian-sigma0.7/multi-batch" in names
-    assert "run_trials/gaussian/long" in names  # many quiet chunks, checkpoints inside them
+    # many quiet chunks, checkpoints inside them
+    assert {"run_trials/gaussian/long", "run_trials/polytail/long"} <= set(names)
     assert {f"baseline/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
     # inversion draws and the streams' continuation across time chunks, in every bit
     for family in ("polytail", "ratetarget"):
@@ -55,3 +59,56 @@ def test_output_digests_smoke(tmp_path):
         assert f"recurrence/{name}" in names
     assert sorted({n.split("/")[1] for n in names if n.startswith("cli/")}) == sorted(EXPERIMENTS)
     assert "cli/upset-tail/trajectories.csv" in names  # the dump's bytes
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(wall, rss, failed=0):
+    return {"correct": failed == 0, "attempted": 14, "failed": failed,
+            "metrics": {"wall_ref_s": {"value": wall, "unit": "s"},
+                        "peak_rss_mib": {"value": rss, "unit": "MiB"}}}
+
+
+def test_bench_pairs_summarizes_pairs_in_the_bench_layout():
+    bench = _bench_pairs()
+    stdout = 'perfbench noise\n{"environment": {}}\n' + json.dumps(_result(0.5, 100.0)) + "\n"
+    assert bench.result_line(stdout) == _result(0.5, 100.0)
+    parent = [0.50, 0.52, 0.48, 0.51, 0.49, 0.53]
+    change = [0.40, 0.41, 0.50, 0.39, 0.42, 0.40]
+    pairs = [(_result(p, 100.0 + i), _result(c, 100.0, failed=i == 2))
+             for i, (p, c) in enumerate(zip(parent, change))]
+    got = bench.summarize(pairs, {"wall_ref_s": "lower", "peak_rss_mib": "lower"})
+    assert got["pairs"] == 6 and got["failed"] == {"parent": 0, "change": 1}
+    wall = got["wall_ref_s"]
+    assert wall["parent"] == parent and wall["change"] == change
+    assert wall["median_parent"] == 0.505 and wall["median_change"] == 0.405
+    assert wall["change_better_pairs"] == 5  # 0.50 against 0.48 is the one loss
+    assert wall["parent_iqr"] == 0.035  # statistics.quantiles' exclusive quartiles, 0.4875 and 0.5225
+    assert wall["rel"] == round(0.405 / 0.505 - 1.0, 4)
+    assert got["peak_rss_mib"]["change_better_pairs"] == 5  # equal in pair 0 is no win
+    higher = bench.summarize(pairs, {"wall_ref_s": "higher"})["wall_ref_s"]
+    assert higher["change_better_pairs"] == 1
+    assert bench.claim_result(got, "wall_ref_s").startswith("not met")  # 5 of 6 pairs
+    pairs[2] = (_result(0.48, 100.0), _result(0.47, 100.0))
+    assert bench.claim_result(bench.summarize(pairs, {"wall_ref_s": "lower"}),
+                              "wall_ref_s").startswith("met: median 0.505 -> 0.405")
+
+
+def test_bench_pairs_parses_criterion_lines():
+    log = "\n".join([
+        "tests/test_acceptance.py criterion 05: FAIL (1.2s) final ratio 1.1237",
+        "criterion 08: FAIL (80.4s) pt change 0.0000, gauss growth 0.000",
+        "criterion 12: PASS (3.0s)",
+        "criterion 9: PASS (1.0s)",  # not two digits: no criterion line
+        "4 failed, 600 passed",
+    ])
+    assert _bench_pairs().parse_criteria(log) == {
+        "05": {"verdict": "FAIL", "s": 1.2, "detail": "final ratio 1.1237"},
+        "08": {"verdict": "FAIL", "s": 80.4, "detail": "pt change 0.0000, gauss growth 0.000"},
+        "12": {"verdict": "PASS", "s": 3.0, "detail": ""},
+    }

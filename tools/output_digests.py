@@ -17,8 +17,8 @@ to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
 at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; the aggregate of
 a run of several batches and time chunks per family, and that run's
 action matrix under both states, which sees every switch of every trial;
-a long Gaussian run, which steps through many quiet chunks and the default
-checkpoints inside them; the observed-signals
+a long Gaussian run and a long PolyTail run, each of which steps through
+many quiet chunks and the default checkpoints inside them; the observed-signals
 sums of ``simulate_baseline_llr`` at sigma = 0.7 and of the PolyTail k = 2
 and rate-target models at theta = +-, over at least two time chunks, which
 see every last bit of the draws and of the streams' continuation from one
@@ -178,8 +178,9 @@ def aggregate_digests(size: dict):
             )
             yield f"run_trials/{family}/actions/theta={theta.sign:+d}", sha(actions)
     trials, horizon = size["long"]
-    agg = montecarlo.run_trials(models()["gaussian"], StateOfWorld.PLUS, horizon, trials, 24)
-    yield "run_trials/gaussian/long", aggregate_sha(agg)
+    for family in ("gaussian", "polytail"):
+        agg = montecarlo.run_trials(models()[family], StateOfWorld.PLUS, horizon, trials, 24)
+        yield f"run_trials/{family}/long", aggregate_sha(agg)
 
 
 def baseline_digests(size: dict):
