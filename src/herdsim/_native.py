@@ -231,13 +231,13 @@ static int polytail_logs(PyObject *work, double *z, const double *ell, const dou
 }
 
 /* montecarlo._lockstep's steps s..stop-1 of a chunk, in place on the cohorts' ell and carry:
-   returns the first step at which cohort c's bound bounds[step * width + side[c]] could flip
+   returns the first step at which cohort c's bound bounds[step * width + c] could flip
    its action sgn[c], else stop, or -1 with an error set.  A step adds increment(model, ell, sgn)
    by the engine's compensated update.  For family 1 (funcs = (ndtr, log), consts = the two
    state means and tau) or 2 (the PolyTail funcs, consts = scale, and the spline) the
    increment sgn * (b+ - b-) is computed in C, on work, unless b- > -1e-8 (the tail branch). */
 int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
-                     const double *bounds, int64_t width, const int64_t *side, int64_t s,
+                     const double *bounds, int64_t width, int64_t s,
                      int64_t stop, PyObject *increment, PyObject *model, int64_t family,
                      PyObject *funcs, const double *consts, const double *knots,
                      const double *coefs, int64_t nknots)
@@ -254,7 +254,7 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
     for (; got == 3 + fusing && s < stop; s++) {
         int flagged = 0;
         for (Py_ssize_t c = 0; c < n && !flagged; c++)
-            flagged = (ell[c] + bounds[s * width + side[c]] > 0.0) != (sgn[c] > 0.0);
+            flagged = (ell[c] + bounds[s * width + c] > 0.0) != (sgn[c] > 0.0);
         double *z = data[3];
         int fused = flagged || !family ? 0
                     : family == 1 ? gaussian_logs(work, z, ell, sgn, n, funcs, consts, consts[2])
@@ -619,7 +619,7 @@ def _load(cache_dir: str):
     lib.call_steps.argtypes = head + [ctypes.py_object]
     lib.gaussian_steps.restype = lib.call_steps.restype = ctypes.py_object
     obj, ptr, i64, f64 = ctypes.py_object, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.cohort_steps.argtypes = [obj] * 4 + [ptr, i64, ptr, i64, i64, obj, obj, i64, obj] + [ptr] * 3 + [i64]
+    lib.cohort_steps.argtypes = [obj] * 4 + [ptr, i64, i64, i64, obj, obj, i64, obj] + [ptr] * 3 + [i64]
     lib.cohort_steps.restype = i64
     lib.log_tail_spline.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
     lib.log_tail_spline.restype = None
@@ -696,29 +696,27 @@ def checked_spline(lib, spline):
     return _checked_splines[spline]
 
 
-def cohort_steps(lib, cohorts, bounds: np.ndarray, side: np.ndarray, s: int, stop: int,
+def cohort_steps(lib, cohorts, bounds: np.ndarray, s: int, stop: int,
                  increment, model, gaussian=None, polytail=None) -> int:
     """Run a lockstep chunk's steps s..stop-1 by ``cohort_steps``, in place on ``cohorts``.
 
-    ``cohorts`` is (ell, carry, sgn), and cohort c reads column ``side[c]``
-    of the chunk's ``bounds``.  A step adds ``increment(model, ell, sgn)``,
-    or the increment computed in C: for ``gaussian`` = (the two state means,
+    ``cohorts`` is (ell, carry, sgn), and cohort c reads column c of the
+    chunk's ``bounds``.  A step adds ``increment(model, ell, sgn)``, or the
+    increment computed in C: for ``gaussian`` = (the two state means,
     tau) the Gaussian one, and for ``polytail`` = (its log-T spline, k, c)
     the PolyTail one, where ``checked_spline`` passes the spline.  Returns
     the first step that a bound flags, else stop.
     """
     if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
-            and side.dtype == np.int64 and side.shape == cohorts[0].shape and side.flags.c_contiguous
-            and 0 <= side.min() and side.max() < bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
-        raise ValueError("bounds must be C-contiguous float64 rows that each side and step index")
+            and len(cohorts[0]) <= bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
+        raise ValueError("bounds must be C-contiguous float64 rows with a column per cohort and step")
     family, funcs, work, consts, spline = 0, None, None, (), (None, None, 0)
     if gaussian:
-        (means, tau), work = gaussian, np.empty((2, len(side)))
+        (means, tau), work = gaussian, np.empty((2, len(cohorts[0])))
         family, funcs, consts = 1, (special.ndtr, np.log), (*means, tau)
     elif polytail and (arrays := checked_spline(lib, polytail[0])):
-        (_, k, c), work = polytail, np.empty((2, len(side)))
+        (_, k, c), work = polytail, np.empty((2, len(cohorts[0])))
         family, funcs, consts = 2, (np.power, np.exp, np.log1p, -k, work[0], work[1]), (-(c / k), -c)
         spline = (arrays[0].ctypes.data, arrays[1].ctypes.data, len(arrays[0]))
-    return lib.cohort_steps(*cohorts, work, bounds.ctypes.data, bounds.shape[1], side.ctypes.data,
-                            s, stop, increment, model, family, funcs, (ctypes.c_double * 3)(*consts),
-                            *spline)
+    return lib.cohort_steps(*cohorts, work, bounds.ctypes.data, bounds.shape[1], s, stop, increment,
+                            model, family, funcs, (ctypes.c_double * 3)(*consts), *spline)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .signal_models import (
     NumericalFailure,
@@ -87,6 +86,8 @@ def solve_growth_ode(
 
     def rhs(_t, y):
         return [rate(float(y[0]))]
+
+    from scipy.integrate import solve_ivp  # imported here: it pulls in most of scipy
 
     sol = solve_ivp(
         rhs,

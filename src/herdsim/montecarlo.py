@@ -18,15 +18,18 @@ Trials are simulated in lockstep, stepped by cohort: trials with equal
 array of cohort states and the signed increment runs once per cohort (a
 lookup in a per-cell table for rate-target models).  Every trial starts in
 cohort 0, on the deterministic path ell*.  Each chunk of steps orders the
-streams by cohort and bounds every cohort's draws per step by its extreme
-draws; a cohort whose bound on its erring side keeps its action costs one
-comparison, and only the rows of a cohort that the bound could flip are
-read exactly.  A switch forks the switching trials' cohort into one with the
-other action, which reads its source's bound on the other side, and ends a
-run in each trial's run book; the horizon ends the last runs.  Where
-``_native`` loads, the quiet steps between flagged ones run in one C loop,
-with the Gaussian and PolyTail increments computed by numpy's and scipy's
-own ufuncs and, for PolyTail, scipy's spline evaluation redone in C.
+streams by cohort and bounds every cohort's draws on its erring side: a
+cohort whose belief keeps its action against its extreme draw over the
+whole chunk is cleared for the chunk, the others are bounded per step; a
+cohort whose bound keeps its action costs one comparison, and only the
+rows of a cohort that the bound could flip are read exactly.  A switch
+forks the switching trials' cohort into one with the other action and ends
+a run in each trial's run book; the horizon ends the last runs.  A fork is
+flagged at every step until one at which no trial switches; there every
+flagged cohort is bounded by its own remaining rows.  Where ``_native``
+loads, the quiet steps between flagged ones run in one C loop, with the
+Gaussian and PolyTail increments computed by numpy's and scipy's own ufuncs
+and, for PolyTail, scipy's spline evaluation redone in C.
 Inversion-sampled models keep their draws as uniforms and transform only
 the bounds and the draws read exactly; Gaussian rows are standard normals,
 mapped to LLRs in place a whole chunk at a time.  Checkpoint beliefs are
@@ -355,29 +358,46 @@ def _draw_chunk(model: SignalModel, theta: StateOfWorld, streams: np.ndarray, ch
     return draws
 
 
-def _bounds(model: SignalModel, theta: StateOfWorld, draws: np.ndarray, start: np.ndarray):
-    """Per step, bounds on the LLRs of each cohort's rows of raw ``draws``.
+def _bounds(model: SignalModel, theta: StateOfWorld, draws: np.ndarray, start: np.ndarray,
+            ell: np.ndarray, sgn: np.ndarray) -> np.ndarray:
+    """Per step, a bound on the LLRs of each cohort's rows of raw ``draws``, on its erring side.
 
-    Cohort c holds the rows ``start[c]:start[c + 1]``.  Row s of the result
-    holds, at step s, a value at or below all of cohort c's LLRs in column
-    2c and one at or above them in column 2c + 1.  They come from the step's
-    two extreme raw values, both transformed, so no direction of
-    monotonicity is assumed, and are widened by ``_HERD_MARGIN``.
+    Cohort c holds the rows ``start[c]:start[c + 1]`` and plays sgn[c] at
+    belief ell[c].  Column c of the result holds, at each step, a value at
+    or below all of its LLRs if sgn[c] is +1 and one at or above them if it
+    is -1: the side on which a draw could switch it.  The cohort's extreme
+    raw value over all steps is transformed first; if ell[c] keeps its
+    action against it, the column is that one value, and the cohort is
+    cleared for these steps.  That is sound because rows only leave a
+    cohort, and within a run its belief only moves away from its switch: no
+    family rounds sgn * increment below 0, so the margin needs no share for
+    that, and the compensated update can step back by no more than about an
+    ulp of the belief, far inside the margin.  Otherwise each step's extreme
+    is transformed.  Inversion-sampled models take the raw side that the
+    transform's two ends map to the erring side.  Every value is widened by
+    ``_HERD_MARGIN``; a cohort with no rows gets a value that never flags.
     """
-    ends = np.empty((2, len(start) - 1, draws.shape[1]))
-    one = np.diff(start) == 1
-    ends[:, one] = draws[start[:-1][one]]  # a single row is both of its extremes
-    for c in np.flatnonzero(~one):
-        rows = draws[start[c]:start[c + 1]]
-        rows.min(axis=0, out=ends[0, c])
-        rows.max(axis=0, out=ends[1, c])
-    if isinstance(model, InverseCdfSignalModel):
-        ends[:, one] = model.llr_from_uniform(theta, ends[0, one])  # a single row's, once
-        x = model.llr_from_uniform(theta, ends[:, ~one])
-        ends[0, ~one], ends[1, ~one] = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
-    ends[0] -= _HERD_MARGIN * (1.0 + np.abs(ends[0]))
-    ends[1] += _HERD_MARGIN * (1.0 + np.abs(ends[1]))
-    return ends.transpose(2, 1, 0).reshape(draws.shape[1], -1)
+    low = sgn > 0.0
+    inverse = isinstance(model, InverseCdfSignalModel)
+    if inverse:
+        ends = model.llr_from_uniform(theta, np.array([0.0, 1.0 - 2.0**-53]))
+        low = low != (ends[0] > ends[1])
+
+    def widen(raw, sgn):
+        x = model.llr_from_uniform(theta, raw) if inverse else raw
+        return x - sgn * _HERD_MARGIN * (1.0 + np.abs(x))
+
+    size = np.diff(start)
+    ext = np.zeros((len(size), draws.shape[1]))
+    ext[size == 1] = draws[start[:-1][size == 1]]  # a single row is its own extreme
+    for c in np.flatnonzero(size > 1):
+        (np.minimum if low[c] else np.maximum).reduce(draws[start[c]:start[c + 1]], axis=0, out=ext[c])
+    whole = widen(np.where(low, ext.min(axis=1), ext.max(axis=1)), sgn)
+    whole[size == 0] = sgn[size == 0] * np.inf  # no rows: a value that never flags
+    out = np.tile(whole, (draws.shape[1], 1))
+    stepped = np.flatnonzero((ell + whole > 0.0) != (sgn > 0.0))
+    out[:, stepped] = widen(ext[stepped], sgn[stepped, None]).T
+    return out
 
 
 def _increment(model: SignalModel, ell: np.ndarray, sgn: np.ndarray) -> np.ndarray:
@@ -459,10 +479,13 @@ def _lockstep(
     holds an index into a small array of cohort states, and the increment
     runs once per cohort; every trial starts in cohort 0.  Each chunk drops
     the unused cohorts, orders the streams by cohort and bounds each
-    cohort's draws per step (``_bounds``).  A step reads exactly only the
-    rows of cohorts whose bound on the erring side could switch them.  A
-    switch forks the switching trials' cohorts, whose rows the source's
-    bounds still cover, and ends a run in each trial's run book.  A chunk
+    cohort's draws on its erring side (``_bounds``), for the whole chunk or
+    per step.  A step reads exactly only the rows of cohorts whose bound
+    could switch them.  A switch forks the switching trials' cohorts, whose
+    bound flags them at every step, and ends a run in each trial's run
+    book.  At a flagged step at which no trial switches, every flagged
+    cohort is bounded by its own remaining rows for the rest of the chunk,
+    or by a value that never flags if none are left.  A chunk
     holds at most ``_DRAW_BUDGET`` draws; its length changes no value,
     since every trial's stream and cohort states are its own.  Where
     ``_native`` loads, ``cohort_steps`` runs each stretch of steps up to the
@@ -513,10 +536,7 @@ def _lockstep(
         start = np.searchsorted(coh, np.arange(len(live) + 1))
         draws = None  # the last chunk's draws go before the next are drawn
         draws = _draw_chunk(model, theta, streams, chunk)
-        bounds = np.ascontiguousarray(_bounds(model, theta, draws, start))
-        # Cohort c reads column side[c] of bounds; a fork reads its source's
-        # other side.
-        side = 2 * np.arange(len(live)) + (sgn < 0.0)
+        bounds = _bounds(model, theta, draws, start, ell, sgn)  # column c: cohort c
         s = 0
         while s < chunk:
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
@@ -525,7 +545,7 @@ def _lockstep(
                 next_ckpt += 1
             if lib is not None:  # the quiet steps before the next flag or checkpoint, in C
                 stop = min(chunk, s + int(ckpt[next_ckpt]) - t) if next_ckpt < len(ckpt) else chunk
-                quiet = _native.cohort_steps(lib, (ell, carry, sgn), bounds, side, s, stop,
+                quiet = _native.cohort_steps(lib, (ell, carry, sgn), bounds, s, stop,
                                              _increment, model, gaussian, polytail) - s
                 if actions is not None:
                     actions[trial, t - 1:t - 1 + quiet] = sgn[coh, None]
@@ -535,7 +555,7 @@ def _lockstep(
 
             # fl(ell + x) is monotone in x: a cohort whose bound keeps its
             # action holds no row that switches.
-            flag = (ell + bounds[s, side] > 0.0) != (sgn > 0.0)
+            flag = (ell + bounds[s, :len(ell)] > 0.0) != (sgn > 0.0)
             if flag.any():
                 rows = np.flatnonzero(flag[coh])
                 c = coh[rows]
@@ -551,8 +571,14 @@ def _lockstep(
                     t_first[switched[t_first[switched] == 0]] = t
                     n = len(ell)
                     coh[rows], ell, carry, sgn = _fork(ell, carry, sgn, c)
-                    side = np.append(side, np.empty(len(ell) - n, dtype=side.dtype))
-                    side[coh[rows]] = side[c] ^ 1
+                    if len(ell) > bounds.shape[1]:
+                        bounds = np.concatenate((bounds, np.empty((chunk, len(ell)))), axis=1)
+                    bounds[s + 1:, n:len(ell)] = -sgn[n:] * np.inf  # flagged until an idle step
+                elif s + 1 < chunk:  # idle: each flagged cohort is bounded by its own rows
+                    flagged, order = np.flatnonzero(flag), np.argsort(c, kind="stable")
+                    own = np.searchsorted(c[order], np.append(flagged, len(ell)))
+                    bounds[s + 1:, flagged] = _bounds(model, theta, draws[rows[order], s + 1:], own,
+                                                      ell[flagged], sgn[flagged])
 
             if actions is not None:
                 actions[trial, t - 1] = sgn[coh]

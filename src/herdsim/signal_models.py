@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import special
 
 __all__ = [
     "StateOfWorld",
@@ -374,7 +374,9 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         the spline (plus the asymptotic series beyond x=60) reproduces it to
         near machine precision at vector speed.
         """
-        return interpolate.CubicSpline(*self._tail_nodes)
+        from scipy.interpolate import CubicSpline  # imported here: it pulls in most of scipy
+
+        return CubicSpline(*self._tail_nodes)
 
     def _log_T(self, x):
         """log T(x) for x >= 1, elementwise and fast."""
@@ -482,8 +484,10 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         """
         x_nodes, log_t = self._tail_nodes
         w_nodes = np.log(self.c) + log_t
+        from scipy.interpolate import CubicSpline
+
         # w decreases in x; CubicSpline wants increasing abscissae.
-        return interpolate.CubicSpline(w_nodes[::-1], x_nodes[::-1])
+        return CubicSpline(w_nodes[::-1], x_nodes[::-1])
 
     def _ppf_minus(self, u):
         """Quantile function of G_minus for u in [0,1), elementwise.
@@ -739,6 +743,8 @@ def check_llr_identity(model: SignalModel, grid) -> float:
         rhs = model._lookup_cdf(cum, grid)
         return float(np.max(np.abs(lhs - rhs)))
 
+    from scipy.integrate import quad  # imported here: it pulls in most of scipy
+
     def integrand(z):
         return math.exp(z) * float(model.llr_pdf(StateOfWorld.MINUS, z))
 
@@ -751,7 +757,7 @@ def check_llr_identity(model: SignalModel, grid) -> float:
         pieces.append(float(x))
         total = 0.0
         for a, b in zip(pieces[:-1], pieces[1:]):
-            val, err = integrate.quad(integrand, a, b, limit=200)
+            val, err = quad(integrand, a, b, limit=200)
             if not math.isfinite(val):
                 raise NumericalFailure(f"identity quadrature failed on [{a}, {b}]")
             total += val

@@ -678,6 +678,18 @@ class TestSignedIncrement:
         assert np.any(lsm > -1e-8) and np.any(lsm <= -1e-8)
         assert np.any(lcp > -1e-8) and np.any(lcp <= -1e-8)
 
+    @pytest.mark.parametrize("model", [G1, G07, PolyTailSignalModel(k=0.5), PT2, RT], ids=repr)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_run_only_moves_away_from_its_switch(self, model, sign):
+        # _bounds clears a cohort for a whole chunk from its belief at the
+        # chunk's start; that is sound only if no step, as rounded, moves a
+        # belief back toward the action's switch.
+        ell = np.concatenate((_MIRROR_GRID, np.geomspace(1e-300, 1e150, 3001),
+                              -np.geomspace(1e-300, 1e150, 3001), [0.0]))
+        with np.errstate(divide="ignore"):
+            step = sign * montecarlo._increment(model, ell, np.full(len(ell), sign))
+        assert np.all(step >= 0.0)
+
 
 class TestBlockedSampling:
     @pytest.mark.parametrize("model", FIVE_MODELS, ids=repr)
@@ -705,21 +717,37 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("model", FIVE_MODELS, ids=repr)
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
     def test_bounds_hold_every_row_of_their_cohort(self, model, theta):
-        # cohorts of one row, a few rows and many rows, in one chunk
+        # cohorts of one row, a few rows and many rows, in one chunk, each
+        # bounded on its erring side: below for +1, above for -1
         sizes = [1, 3, 1, 250, 5, 40, 1]
         start = np.concatenate(([0], np.cumsum(sizes)))
+        sgn = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
         streams = montecarlo._trial_rng(6, range(start[-1]))
         draws = montecarlo._draw_chunk(model, theta, streams, 97)
-        bounds = montecarlo._bounds(model, theta, draws, start)
-        assert bounds.shape == (97, 2 * len(sizes))
-        if isinstance(model, InverseCdfSignalModel):
-            draws = model.llr_from_uniform(theta, draws)
-        for c, (lo, hi) in enumerate(zip(start[:-1], start[1:])):
-            below, above = bounds[:, 2 * c], bounds[:, 2 * c + 1]
-            assert np.all(below <= draws[lo:hi]) and np.all(draws[lo:hi] <= above), c
-            # the margin is the only slack: the extremes are the cohort's own
-            assert_allclose(below, draws[lo:hi].min(axis=0), rtol=1e-8, atol=1e-8)
-            assert_allclose(above, draws[lo:hi].max(axis=0), rtol=1e-8, atol=1e-8)
+        llr = model.llr_from_uniform(theta, draws) if isinstance(model, InverseCdfSignalModel) else draws
+        lowest = np.array([llr[lo:hi].min() for lo, hi in zip(start[:-1], start[1:])])
+        highest = np.array([llr[lo:hi].max() for lo, hi in zip(start[:-1], start[1:])])
+        # a belief at the switch clears no cohort; one far past it clears every one
+        far = sgn * (1.0 + np.abs(lowest) + np.abs(highest))
+        for ell, cleared in ((np.zeros(len(sizes)), False), (far, True)):
+            bounds = montecarlo._bounds(model, theta, draws, start, ell, sgn)
+            assert bounds.shape == (97, len(sizes)) and bounds.flags.c_contiguous
+            for c, (lo, hi) in enumerate(zip(start[:-1], start[1:])):
+                rows, b = llr[lo:hi], bounds[:, c]
+                assert np.all(sgn[c] * (rows - b) >= 0.0), c
+                # the margin is the only slack
+                ext = rows.min(axis=0) if sgn[c] > 0.0 else rows.max(axis=0)
+                if cleared:  # one value for the chunk: the extreme over every row and step
+                    assert np.all(b == b[0]), c
+                    ext = ext.min() if sgn[c] > 0.0 else ext.max()
+                assert_allclose(b, ext, rtol=1e-8, atol=1e-8)
+                assert np.all((ell[c] + b > 0.0) == (sgn[c] > 0.0)) == cleared, c
+        # a cohort whose rows have all left gets a value that never flags,
+        # and the others keep their bounds
+        empty = montecarlo._bounds(model, theta, draws, np.insert(start, 3, start[3]),
+                                   np.insert(ell, 3, 0.0), np.insert(sgn, 3, -1.0))
+        assert np.all(empty[:, 3] == -np.inf)
+        assert np.array_equal(np.delete(empty, 3, axis=1), bounds)
 
     @pytest.mark.parametrize("model", [PT2, RT], ids=repr)
     def test_uniform_transform_is_elementwise(self, model):
@@ -992,9 +1020,10 @@ class TestCohortFork:
 
 
 class TestInheritedBounds:
-    # A cohort forked mid-chunk has no bounds of its own: it reads its
-    # source's bound on the other side.  An infinite margin reads every row
-    # at every step, so the bounds must change no output.
+    # A cohort forked mid-chunk starts with a bound that always flags it; at
+    # the first step at which no trial switches, it and every other flagged
+    # cohort are bounded by their own remaining rows.  An infinite margin
+    # reads every row at every step, so the bounds must change no output.
     TRIALS, HORIZON, CHUNK = 300, 1000, 100
 
     @pytest.mark.parametrize("model", [G07, PT2, RT], ids=lambda m: m.family)
@@ -1012,7 +1041,7 @@ class TestInheritedBounds:
         assert np.array_equal(fast[2], exact[2])
         assert np.array_equal(fast[3].view(np.int64), exact[3].view(np.int64))
         # some trial switches twice in one chunk: a cohort born mid-chunk
-        # switched again on its inherited bound
+        # switched again
         actions = fast[2]
         before = np.concatenate((np.full((self.TRIALS, 1), theta.sign), actions[:, :-1]), axis=1)
         trial, t = np.nonzero(actions != before)
@@ -1122,10 +1151,9 @@ class TestCohortLoop:
 
     @staticmethod
     def _no_flag(sgn, steps):
-        """Bounds that flag no cohort at any of ``steps`` steps (+inf on the plus side,
-        -inf on the minus side), and each cohort's side."""
-        bounds = np.tile(np.where(sgn > 0.0, np.inf, -np.inf).repeat(2), (steps, 1))
-        return bounds, 2 * np.arange(len(sgn)) + (sgn < 0.0)
+        """Bounds that flag no cohort at any of ``steps`` steps: +inf for a cohort
+        playing +1, -inf for one playing -1."""
+        return np.tile(np.where(sgn > 0.0, np.inf, -np.inf), (steps, 1))
 
     @staticmethod
     def _counted(calls):
@@ -1144,43 +1172,43 @@ class TestCohortLoop:
     def test_direct_call_stops_at_a_flag_and_at_the_limit(self, case, model, native_loop):
         ell0, sgn = (np.array(v) for v in self._cohorts(case, model))
         carry0 = np.full(len(ell0), 1e-17)
-        bounds, side = self._no_flag(sgn, 40)
+        bounds = self._no_flag(sgn, 40)
         gaussian = (model._state_means[:, 0], model.tau) if model.family == "gaussian" else None
         calls = []
         increment = self._counted(calls)
         ell, carry = ell0.copy(), carry0.copy()
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 3, 30,
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 3, 30,
                                    increment, model, gaussian)
         ref = self._python_steps(model, ell0, carry0, sgn, 27)
         assert got == 30
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
         assert len(calls) == ({"bulk": 0, "tail": 27, "deep": 1}[case] if gaussian else 27)
         # a bound that flips cohort 1 at step 17 stops the loop there
-        bounds[17, side[1]] = -sgn[1] * np.inf
+        bounds[17, 1] = -sgn[1] * np.inf
         ell, carry = ell0.copy(), carry0.copy()
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 3, 30,
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 3, 30,
                                    increment, model, gaussian)
         ref = self._python_steps(model, ell0, carry0, sgn, 14)
         assert got == 17
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
-        assert _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 17, 30,
+        assert _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 17, 30,
                                     increment, model, gaussian) == 17
 
     def test_direct_call_refuses_what_it_cannot_read(self, native_loop):
         ell, carry, sgn = np.zeros(2), np.zeros(2), np.ones(2)
-        side, bounds = np.array([0, 2]), np.full((5, 4), np.inf)  # no step is flagged
+        bounds = np.full((5, 2), np.inf)  # no step is flagged
         call = functools.partial(_native.cohort_steps, native_loop, increment=montecarlo._increment,
                                  model=PT2)
         with pytest.raises(ValueError, match="bounds"):
-            call((ell, carry, sgn), np.zeros((5, 2)), side, 0, 5)  # side 2 past the width
+            call((ell, carry, sgn), np.zeros((5, 1)), 0, 5)  # no column for cohort 1
         with pytest.raises(ValueError, match="bounds"):
-            call((ell, carry, sgn), bounds, side, 0, 6)  # past the chunk
+            call((ell, carry, sgn), bounds, 0, 6)  # past the chunk
         with pytest.raises(TypeError, match="float64"):
-            call((ell, carry[:1], sgn), bounds, side, 0, 5)
+            call((ell, carry[:1], sgn), bounds, 0, 5)
         with pytest.raises(TypeError, match="float64"):
-            call((ell, carry, sgn), bounds, side, 0, 5, increment=lambda m, e, s: e[:1])
+            call((ell, carry, sgn), bounds, 0, 5, increment=lambda m, e, s: e[:1])
         with pytest.raises(ZeroDivisionError):
-            call((ell, carry, sgn), bounds, side, 0, 5, increment=lambda m, e, s: 1 / 0)
+            call((ell, carry, sgn), bounds, 0, 5, increment=lambda m, e, s: 1 / 0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("k", [0.5, 2.0, 7.3])
@@ -1195,9 +1223,9 @@ class TestCohortLoop:
         a = a[(1.0 <= a) & (a <= top)]
         sgn = np.full(len(a), sign)
         ell0, carry0 = sign * a, np.linspace(-3e-16, 3e-16, len(a))
-        bounds, side = self._no_flag(sgn, 1)
+        bounds = self._no_flag(sgn, 1)
         calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 0, 1,
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 0, 1,
                                    self._counted(calls), model, None, self._polytail(model))
         ref = self._python_steps(model, ell0, carry0, sgn, 1)
         assert got == 1 and calls == []
@@ -1214,9 +1242,9 @@ class TestCohortLoop:
         model = PolyTailSignalModel(7.3 if case == "tail" else 2.0)
         sgn = np.array([1.0, -1.0, -1.0])
         ell0, carry0 = np.array([3.0, -5.0, -a]), np.full(3, 1e-17)
-        bounds, side = self._no_flag(sgn, steps)
+        bounds = self._no_flag(sgn, steps)
         calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, side, 0, steps,
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 0, steps,
                                    self._counted(calls), model, None, self._polytail(model))
         ref = self._python_steps(model, ell0, carry0, sgn, steps)
         assert got == steps and len(calls) == steps
@@ -1263,6 +1291,9 @@ class TestCohortLoop:
         # A Gaussian or PolyTail run's quiet steps take the increment fused in
         # C; the Python _increment runs once per step at which the loop
         # stopped on a flag, and never from inside the loop (a silent fallback).
+        # Bounds on the erring side, cleared cohorts and idle forks' own bounds
+        # keep the flagged steps to at most twice the steps at which some
+        # trial switches.
         callers, stops = [], []
         increment, steps = montecarlo._increment, _native.cohort_steps
 
@@ -1270,14 +1301,16 @@ class TestCohortLoop:
             callers.append(sys._getframe(1).f_code.co_name)
             return increment(*args)
 
-        def spy_steps(lib, cohorts, bounds, side, s, stop, *args):
-            stops.append((steps(lib, cohorts, bounds, side, s, stop, *args), stop))
+        def spy_steps(lib, cohorts, bounds, s, stop, *args):
+            stops.append((steps(lib, cohorts, bounds, s, stop, *args), stop))
             return stops[-1][0]
 
         monkeypatch.setattr(montecarlo, "_increment", spy_increment)
         monkeypatch.setattr(_native, "cohort_steps", spy_steps)
-        agg = run_trials(model, PLUS, 3000, 2048, master_seed=0)
+        agg, actions = run_trials(model, PLUS, 3000, 2048, master_seed=0, collect_actions=True)
         flagged = sum(got < stop for got, stop in stops)
+        before = np.concatenate((np.full((2048, 1), PLUS.sign), actions[:, :-1]), axis=1)
+        switching = np.count_nonzero((actions != before).any(axis=0))
         assert set(callers) == {"_lockstep"}
-        assert len(callers) == flagged < 3000 // 5
+        assert len(callers) == flagged <= 2 * switching
         assert sum(c for t, c in agg.first_mistake_hist.items() if t) > 0
