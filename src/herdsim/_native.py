@@ -28,10 +28,14 @@ goes back to its stream for that numpy sampler to draw from, so the wedge
 and tail paths are numpy's code, linked from the ``libnpyrandom.a`` that
 numpy ships.  At first use a fixed set of streams is filled both inline and
 by numpy's ``random_standard_normal_fill``; if a bit differs, every normal
-is drawn by the latter (``normals_checked``).  Where that archive or its
-headers are missing the library holds the loops only.  The library includes
-``Python.h`` and is loaded with ``ctypes.PyDLL`` (the GIL is held; an
-increment's exception propagates).  It is built once per source, flags,
+is drawn by the latter (``normals_checked``).  ``philox_fill_extremes``
+fills the same rows, whose streams are sorted by lockstep cohort, and folds
+each row, while it is in cache, into its cohort's per-column min or max
+(``montecarlo._extremes`` is its reference); the fold is a compare and
+select, which gives each element's bits whether or not it is vectorised.
+Where that archive or its headers are missing the library holds the loops
+only.  The library includes ``Python.h`` and is loaded with
+``ctypes.PyDLL`` (the GIL is held; an increment's exception propagates).  It is built once per source, flags,
 interpreter ABI and numpy version with the interpreter's C compiler into
 ``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``) as
 ``compensated_steps-<SOABI>-<key>.so``; a build removes the libraries it
@@ -510,6 +514,37 @@ void philox_fill(uint64_t *states, double *out, int64_t rows, int64_t cols, int 
 {
     fill_rows(states, out, rows, cols, normal, normal && normals_checked());
 }
+
+/* e[j] = row[j] < e[j] ? row[j] : e[j] where low, else the same with >; the two rows do not
+   overlap.  Vectorised at -O2 too: a vector compare and select gives each element's bits. */
+__attribute__((optimize("tree-vectorize", "vect-cost-model=dynamic")))
+static void fold_row(double *restrict e, const double *restrict row, int64_t cols, int low)
+{
+    if (low)
+        for (int64_t j = 0; j < cols; j++)
+            e[j] = row[j] < e[j] ? row[j] : e[j];
+    else
+        for (int64_t j = 0; j < cols; j++)
+            e[j] = row[j] > e[j] ? row[j] : e[j];
+}
+
+/* philox_fill, and each row folded into its cohort's row of ext (cohorts x cols, C order) while
+   it is in cache: cohort c holds rows start[c]..start[c + 1] - 1, and ext[c] is their per-column
+   min where low[c], else their max; +inf or -inf for a cohort with no rows */
+void philox_fill_extremes(uint64_t *states, double *out, int64_t cols, int normal,
+                          const int64_t *start, const uint8_t *low, double *ext, int64_t cohorts)
+{
+    int inline_normal = normal && normals_checked();
+    for (int64_t c = 0; c < cohorts; c++) {
+        double *e = ext + c * cols;
+        for (int64_t j = 0; j < cols; j++)
+            e[j] = low[c] ? INFINITY : -INFINITY;
+        for (int64_t i = start[c]; i < start[c + 1]; i++) {
+            fill_rows(states + i * ROW, out + i * cols, 1, cols, normal, inline_normal);
+            fold_row(e, out + i * cols, cols, low[c]);
+        }
+    }
+}
 """
 
 STATE_WORDS = 13  # ROW: the words of a stream's state in philox_fill
@@ -627,6 +662,8 @@ def _load(cache_dir: str):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]
         lib.philox_fill.restype = None
+        lib.philox_fill_extremes.argtypes = [ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr, i64]
+        lib.philox_fill_extremes.restype = None
         lib.normals_checked.argtypes, lib.normals_checked.restype = [], ctypes.c_int
     return lib
 
@@ -637,18 +674,44 @@ def library():
     return _load(_cache_dir())
 
 
-def fill(lib, states: np.ndarray, out: np.ndarray, normal: bool) -> None:
-    """Fill row i of ``out`` from stream ``states[i]`` by ``philox_fill``, advancing the streams.
-
-    The rows are standard normals if ``normal``, else standard uniforms.
-    """
+def _check_fill(states: np.ndarray, out: np.ndarray) -> None:
     if not (states.dtype == np.uint64 and states.ndim == 2 and states.shape[1] == STATE_WORDS
             and states.flags.c_contiguous and states.flags.writeable):
         raise ValueError(f"states must be a writable C-contiguous (n, {STATE_WORDS}) uint64 array")
     if not (out.dtype == np.float64 and out.ndim == 2 and len(out) == len(states)
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError("out must be a writable C-contiguous float64 array with a row per stream")
+
+
+def fill(lib, states: np.ndarray, out: np.ndarray, normal: bool) -> None:
+    """Fill row i of ``out`` from stream ``states[i]`` by ``philox_fill``, advancing the streams.
+
+    The rows are standard normals if ``normal``, else standard uniforms.
+    """
+    _check_fill(states, out)
     lib.philox_fill(states.ctypes.data, out.ctypes.data, out.shape[0], out.shape[1], int(normal))
+
+
+def fill_extremes(lib, states: np.ndarray, out: np.ndarray, normal: bool, start: np.ndarray,
+                  low: np.ndarray, ext: np.ndarray) -> None:
+    """``fill`` by ``philox_fill_extremes``, with each cohort's per-column extreme in ``ext``.
+
+    Cohort c holds the rows ``start[c]:start[c + 1]`` of ``out``; row c of
+    ``ext`` gets their min where ``low[c]``, else their max, as
+    ``montecarlo._extremes`` takes it.
+    """
+    _check_fill(states, out)
+    if not (start.dtype == np.int64 and start.ndim == 1 and start.flags.c_contiguous
+            and len(start) and start[0] == 0 and start[-1] == len(out)
+            and np.all(start[1:] >= start[:-1])):
+        raise ValueError("start must be C-contiguous int64 from 0 to the rows, never decreasing")
+    if not (low.dtype == np.bool_ and low.shape == (len(start) - 1,) and low.flags.c_contiguous):
+        raise ValueError("low must be a C-contiguous bool array with a flag per cohort")
+    if not (ext.dtype == np.float64 and ext.shape == (len(low), out.shape[1])
+            and ext.flags.c_contiguous and ext.flags.writeable):
+        raise ValueError("ext must be a writable C-contiguous float64 array with a row per cohort")
+    lib.philox_fill_extremes(states.ctypes.data, out.ctypes.data, out.shape[1], int(normal),
+                             start.ctypes.data, low.ctypes.data, ext.ctypes.data, len(low))
 
 
 def run(lib, name: str, values: np.ndarray, start: int, stop: int, a: float, carry: float, *extra):

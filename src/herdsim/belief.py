@@ -145,24 +145,37 @@ def _not_nan(x, name: str = "x"):
     return x
 
 
+def _defined(out, x, name: str = "x"):
+    """``out``, the increments at beliefs x, unless one is NaN: that belief is refused by name.
+
+    A Gaussian's D+ is NaN past about -3.9e154 (D- past +3.9e154), where
+    both action log-probabilities are -inf.
+    """
+    undefined = np.isnan(out)
+    if np.any(undefined):
+        at = float(np.ravel(x)[np.argmax(np.ravel(undefined))])
+        raise ValueError(f"no increment at {name} = {at!r}: both action log-probabilities are -inf")
+    return out
+
+
 def d_plus(model: SignalModel, x):
     """Increment of ell when action +1 is observed at public LLR x; >= 0."""
-    return _signed_increment(model, _not_nan(x), +1)
+    return _defined(_signed_increment(model, _not_nan(x), +1), x)
 
 
 def d_minus(model: SignalModel, x):
     """Increment of ell when action -1 is observed at public LLR x; <= 0."""
-    return _signed_increment(model, _not_nan(x), -1)
+    return _defined(_signed_increment(model, _not_nan(x), -1), x)
 
 
 def log_d_plus(model: SignalModel, x):
     """log D_plus(x), usable far beyond the underflow point of d_plus."""
-    return _log_signed_increment(model, _not_nan(x), +1)
+    return _defined(_log_signed_increment(model, _not_nan(x), +1), x)
 
 
 def log_d_minus(model: SignalModel, x):
     """log(-D_minus(x)), the mirrored companion of log_d_plus."""
-    return _log_signed_increment(model, _not_nan(x), -1)
+    return _defined(_log_signed_increment(model, _not_nan(x), -1), x)
 
 
 _RATE_TABLES = weakref.WeakKeyDictionary()  # the model stores only its law
@@ -196,7 +209,8 @@ def decide(ell: float, llr: float) -> ActionLabel:
 
 def update(model: SignalModel, state: BeliefState, action: ActionLabel) -> BeliefState:
     """Public belief after observing one action."""
-    incr = float(_signed_increment(model, _not_nan(state.ell, "state.ell"), action.sign))
+    ell = _not_nan(state.ell, "state.ell")
+    incr = float(_defined(_signed_increment(model, ell, action.sign), ell, "state.ell"))
     return BeliefState(ell=state.ell + incr, t=state.t + 1)
 
 

@@ -18,23 +18,24 @@ Trials are simulated in lockstep, stepped by cohort: trials with equal
 array of cohort states and the signed increment runs once per cohort (a
 lookup in a per-cell table for rate-target models).  Every trial starts in
 cohort 0, on the deterministic path ell*.  Each chunk of steps orders the
-streams by cohort and bounds every cohort's draws on its erring side: a
-cohort whose belief keeps its action against its extreme draw over the
-whole chunk is cleared for the chunk, the others are bounded per step; a
-cohort whose bound keeps its action costs one comparison, and only the
-rows of a cohort that the bound could flip are read exactly.  A switch
-forks the switching trials' cohort into one with the other action and ends
-a run in each trial's run book; the horizon ends the last runs.  A fork is
-flagged at every step until one at which no trial switches; there every
-flagged cohort is bounded by its own remaining rows.  Where ``_native``
-loads, the quiet steps between flagged ones run in one C loop, with the
-Gaussian and PolyTail increments computed by numpy's and scipy's own ufuncs
-and, for PolyTail, scipy's spline evaluation redone in C.
-Inversion-sampled models keep their draws as uniforms and transform only
-the bounds and the draws read exactly; Gaussian rows are standard normals,
-mapped to LLRs in place a whole chunk at a time.  Checkpoint beliefs are
-summed after the last step, so the aggregates are bit-identical to stepping
-every trial.
+streams by cohort, and the C fill folds each row, while it is in cache,
+into its cohort's per-step extreme on the erring side.  From these
+extremes every cohort is bounded: a cohort whose belief keeps its action
+against its extreme draw over the whole chunk is cleared for the chunk,
+the others are bounded per step; a cohort whose bound keeps its action
+costs one comparison, and only the rows of a cohort that the bound could
+flip are read exactly.  A switch forks the switching trials' cohort into
+one with the other action and ends a run in each trial's run book; the
+horizon ends the last runs.  A fork is flagged at every step until one at
+which no trial switches; there every flagged cohort is bounded by its own
+remaining rows.  Where ``_native`` loads, the quiet steps between flagged
+ones run in one C loop, with the Gaussian and PolyTail increments computed
+by numpy's and scipy's own ufuncs and, for PolyTail, scipy's spline
+evaluation redone in C.  Draws stay raw, uniforms for inversion-sampled
+models and standard normals for Gaussian ones; only the bounds and the
+draws read exactly are mapped to LLRs (``_llr``), each map monotone, so a
+mapped extreme is the extreme LLR.  Checkpoint beliefs are summed after
+the last step, so the aggregates are bit-identical to stepping every trial.
 The observed-signals baseline draws a batch's streams chunk by chunk
 through the same sampler and sums along time.  Batches are reduced into
 mergeable ``AggregateStats``; batch boundaries are fixed by the trial
@@ -174,20 +175,27 @@ def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> np.ndarray:
     return streams
 
 
-def _fill_streams(streams: np.ndarray, out: np.ndarray, normal: bool) -> None:
+def _fill_streams(streams: np.ndarray, out: np.ndarray, normal: bool, cohorts=None) -> None:
     """Row j of ``out``: standard normals if ``normal``, else uniforms, from stream j.
 
     The streams advance in place.  ``_native``'s C fill does all rows in
-    one call; without it each row is drawn by ``_python_fill``.
+    one call; without it each row is drawn by ``_python_fill``.  Given
+    ``cohorts`` = (start, low, ext), ext gets ``_extremes(out, *cohorts)``,
+    which the C fill takes while each row is in cache.
     """
     from . import _native  # imported here: importing the package loads no library
 
     lib = _native.library()
     if lib is not None and hasattr(lib, "philox_fill"):
-        _native.fill(lib, streams, out, normal)
+        if cohorts is None:
+            _native.fill(lib, streams, out, normal)
+        else:
+            _native.fill_extremes(lib, streams, out, normal, *cohorts)
         return
     name = "standard_normal" if normal else "random"
     _python_fill(streams, out, lambda gen, row: getattr(gen, name)(out=row))
+    if cohorts is not None:
+        _extremes(out, *cohorts)
 
 
 def _python_fill(streams: np.ndarray, out: np.ndarray, draw) -> None:
@@ -331,70 +339,106 @@ _BOOK = np.dtype(
 _HERD_MARGIN = 1e-9
 
 
-def _draw_chunk(model: SignalModel, theta: StateOfWorld, streams: np.ndarray, chunk: int):
-    """Raw draws of shape (trials, chunk), row j from stream j.
+def _draw_chunk(model: SignalModel, theta: StateOfWorld, streams: np.ndarray,
+                draws: np.ndarray, cohorts=None) -> np.ndarray:
+    """Raw draws in ``draws`` (trials x chunk), row j from stream j, which ``_llr`` maps to LLRs.
 
-    Inversion-sampled models draw uniforms, which ``llr_from_uniform``
-    turns into LLRs elementwise, so each transformed draw equals the
-    per-stream ``sample_llr`` draw bit for bit; the caller transforms only
-    the draws it reads.  Gaussian rows are standard normals z, mapped in
-    place for the whole chunk to mean + tau * z: that is
-    ``rng.normal(mean, tau)``'s own arithmetic, so they too equal the
-    ``sample_llr`` draws bit for bit.  Any other model draws each row by its
-    ``sample_llr`` on the row's stream.
+    Inversion-sampled models draw uniforms and Gaussian models standard
+    normals; ``_llr`` maps each raw draw to the per-stream ``sample_llr``
+    draw bit for bit, so the caller transforms only the draws it reads.  Any
+    other model draws each row by its ``sample_llr`` on the row's stream.
+    Given ``cohorts`` = (start, low, ext), ext gets the cohorts' raw
+    extremes, ``_extremes(draws, *cohorts)``; the C fill takes them while
+    each row is in cache.  Returns ``draws``.
     """
-    draws = np.empty((len(streams), chunk))
     gaussian = isinstance(model, GaussianSignalModel)
     if gaussian or isinstance(model, InverseCdfSignalModel):
-        _fill_streams(streams, draws, normal=gaussian)
-    else:
-        def draw(gen, row):
-            row[:] = model.sample_llr(theta, gen, size=chunk)
+        _fill_streams(streams, draws, gaussian, cohorts)
+        return draws
 
-        _python_fill(streams, draws, draw)
-    if gaussian:
-        draws *= model.tau
-        draws += model._mean(theta)
+    def draw(gen, row):
+        row[:] = model.sample_llr(theta, gen, size=draws.shape[1])
+
+    _python_fill(streams, draws, draw)
+    if cohorts is not None:
+        _extremes(draws, *cohorts)
     return draws
 
 
-def _bounds(model: SignalModel, theta: StateOfWorld, draws: np.ndarray, start: np.ndarray,
-            ell: np.ndarray, sgn: np.ndarray) -> np.ndarray:
-    """Per step, a bound on the LLRs of each cohort's rows of raw ``draws``, on its erring side.
+def _llr(model: SignalModel, theta: StateOfWorld, raw):
+    """The LLRs of raw draws of ``_draw_chunk``.
 
-    Cohort c holds the rows ``start[c]:start[c + 1]`` and plays sgn[c] at
-    belief ell[c].  Column c of the result holds, at each step, a value at
-    or below all of its LLRs if sgn[c] is +1 and one at or above them if it
-    is -1: the side on which a draw could switch it.  The cohort's extreme
-    raw value over all steps is transformed first; if ell[c] keeps its
-    action against it, the column is that one value, and the cohort is
-    cleared for these steps.  That is sound because rows only leave a
-    cohort, and within a run its belief only moves away from its switch: no
-    family rounds sgn * increment below 0, so the margin needs no share for
-    that, and the compensated update can step back by no more than about an
-    ulp of the belief, far inside the margin.  Otherwise each step's extreme
-    is transformed.  Inversion-sampled models take the raw side that the
-    transform's two ends map to the erring side.  Every value is widened by
-    ``_HERD_MARGIN``; a cohort with no rows gets a value that never flags.
+    A Gaussian's standard normal z maps to z * tau + mean, which is
+    ``rng.normal(mean, tau)``'s own arithmetic; a uniform maps through
+    ``llr_from_uniform``; any other model's draws are LLRs already.
     """
-    low = sgn > 0.0
-    inverse = isinstance(model, InverseCdfSignalModel)
-    if inverse:
-        ends = model.llr_from_uniform(theta, np.array([0.0, 1.0 - 2.0**-53]))
-        low = low != (ends[0] > ends[1])
+    if isinstance(model, GaussianSignalModel):
+        return raw * model.tau + model._mean(theta)
+    if isinstance(model, InverseCdfSignalModel):
+        return model.llr_from_uniform(theta, raw)
+    return raw
 
-    def widen(raw, sgn):
-        x = model.llr_from_uniform(theta, raw) if inverse else raw
-        return x - sgn * _HERD_MARGIN * (1.0 + np.abs(x))
 
+def _decreasing(model: SignalModel, theta: StateOfWorld) -> bool:
+    """Whether ``_llr`` maps larger raw draws to smaller LLRs, read off the ends of [0, 1).
+
+    Only an inversion map can: PolyTail's is decreasing in u under theta =
+    +, rate-target's increasing; the others are increasing.
+    """
+    if not isinstance(model, InverseCdfSignalModel):
+        return False
+    ends = model.llr_from_uniform(theta, np.array([0.0, 1.0 - 2.0**-53]))
+    return bool(ends[0] > ends[1])
+
+
+def _extremes(draws: np.ndarray, start: np.ndarray, low: np.ndarray, out=None) -> np.ndarray:
+    """Row c: per step, the min of rows ``draws[start[c]:start[c + 1]]`` if low[c], else the max.
+
+    A cohort with no rows gets +inf where low[c], else -inf.  The rows go
+    into ``out`` if given.  This is the reference of the C fill's
+    ``philox_fill_extremes``.
+    """
     size = np.diff(start)
-    ext = np.zeros((len(size), draws.shape[1]))
+    ext = np.empty((len(size), draws.shape[1])) if out is None else out
     ext[size == 1] = draws[start[:-1][size == 1]]  # a single row is its own extreme
     for c in np.flatnonzero(size > 1):
         (np.minimum if low[c] else np.maximum).reduce(draws[start[c]:start[c + 1]], axis=0, out=ext[c])
-    whole = widen(np.where(low, ext.min(axis=1), ext.max(axis=1)), sgn)
-    whole[size == 0] = sgn[size == 0] * np.inf  # no rows: a value that never flags
-    out = np.tile(whole, (draws.shape[1], 1))
+    empty = size == 0
+    ext[empty] = np.where(low[empty], np.inf, -np.inf)[:, None]
+    return ext
+
+
+def _bounds(model: SignalModel, theta: StateOfWorld, ext: np.ndarray, start: np.ndarray,
+            ell: np.ndarray, sgn: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Per step, a bound on the LLRs of each cohort's rows on its erring side, from raw extremes.
+
+    Cohort c holds the rows ``start[c]:start[c + 1]`` and plays sgn[c] at
+    belief ell[c]; row c of ``ext`` holds, per step, the min of its raw
+    draws where low[c], else the max (``_extremes``).  ``low`` is the raw
+    side that ``_llr`` maps to the erring side: sgn > 0, flipped where the
+    map is ``_decreasing``.  Column c of the result holds, at each step, a
+    value at or below all of its LLRs if sgn[c] is +1 and one at or above
+    them if it is -1: the side on which a draw could switch it.  The
+    cohort's extreme raw value over all steps is transformed first; if
+    ell[c] keeps its action against it, the column is that one value, and
+    the cohort is cleared for these steps.  That is sound because rows only
+    leave a cohort, and within a run its belief only moves away from its
+    switch: no family rounds sgn * increment below 0, so the margin needs
+    no share for that, and the compensated update can step back by no more
+    than about an ulp of the belief, far inside the margin.  Otherwise each
+    step's extreme is transformed.  The map is monotone, so a transformed
+    extreme is the extreme LLR, exactly for a Gaussian.  Every value is
+    widened by ``_HERD_MARGIN``; a cohort with no rows gets a value that
+    never flags.
+    """
+    def widen(raw, sgn):
+        x = _llr(model, theta, raw)
+        return x - sgn * _HERD_MARGIN * (1.0 + np.abs(x))
+
+    some = start[1:] > start[:-1]
+    whole = sgn * np.inf  # no rows: a value that never flags
+    whole[some] = widen(np.where(low, ext.min(axis=1), ext.max(axis=1))[some], sgn[some])
+    out = np.tile(whole, (ext.shape[1], 1))
     stepped = np.flatnonzero((ell + whole > 0.0) != (sgn > 0.0))
     out[:, stepped] = widen(ext[stepped], sgn[stepped, None]).T
     return out
@@ -478,15 +522,17 @@ def _lockstep(
     Trials with equal (ell, carry, action) step identically, so a trial
     holds an index into a small array of cohort states, and the increment
     runs once per cohort; every trial starts in cohort 0.  Each chunk drops
-    the unused cohorts, orders the streams by cohort and bounds each
-    cohort's draws on its erring side (``_bounds``), for the whole chunk or
-    per step.  A step reads exactly only the rows of cohorts whose bound
-    could switch them.  A switch forks the switching trials' cohorts, whose
-    bound flags them at every step, and ends a run in each trial's run
-    book.  At a flagged step at which no trial switches, every flagged
-    cohort is bounded by its own remaining rows for the rest of the chunk,
-    or by a value that never flags if none are left.  A chunk
-    holds at most ``_DRAW_BUDGET`` draws; its length changes no value,
+    the unused cohorts, orders the streams by cohort, draws them with each
+    cohort's raw extremes on its erring side (``_draw_chunk``), and bounds
+    each cohort's draws from those (``_bounds``), for the whole chunk or
+    per step; the raw-to-LLR map's direction is read once per pass
+    (``_decreasing``).  A step reads exactly only the rows of cohorts whose
+    bound could switch them.  A switch forks the switching trials' cohorts,
+    whose bound flags them at every step, and ends a run in each trial's
+    run book.  At a flagged step at which no trial switches, every flagged
+    cohort is bounded by its own remaining rows for the rest of the chunk
+    (``_extremes``), or by a value that never flags if none are left.  A
+    chunk holds at most ``_DRAW_BUDGET`` draws; its length changes no value,
     since every trial's stream and cohort states are its own.  Where
     ``_native`` loads, ``cohort_steps`` runs each stretch of steps up to the
     next flagged step or checkpoint in C, bit for bit as the Python step
@@ -499,8 +545,11 @@ def _lockstep(
     """
     nb = len(trial_indices)
     streams = _trial_rng(master_seed, trial_indices)
-    inverse = isinstance(model, InverseCdfSignalModel)
+    decreasing = _decreasing(model, theta)
     time_chunk = max(1, min(_TIME_CHUNK, _DRAW_BUDGET // max(nb, 1)))
+    # every chunk's draws, in its first values: a buffer allocated afresh per
+    # chunk may be mapped afresh, at a page fault per page
+    buffer = np.empty(nb * min(time_chunk, horizon))
 
     # Cohort c holds ell[c], carry[c] and the latest action sgn[c] as +-1.0.
     # Row r of the streams and draws is trial trial[r], in cohort coh[r];
@@ -534,9 +583,10 @@ def _lockstep(
         order = np.argsort(coh, kind="stable")
         coh, trial, streams = coh[order], trial[order], streams[order]
         start = np.searchsorted(coh, np.arange(len(live) + 1))
-        draws = None  # the last chunk's draws go before the next are drawn
-        draws = _draw_chunk(model, theta, streams, chunk)
-        bounds = _bounds(model, theta, draws, start, ell, sgn)  # column c: cohort c
+        low, ext = (sgn > 0.0) != decreasing, np.empty((len(live), chunk))
+        draws = _draw_chunk(model, theta, streams, buffer[:nb * chunk].reshape(nb, chunk),
+                            (start, low, ext))
+        bounds = _bounds(model, theta, ext, start, ell, sgn, low)  # column c: cohort c
         s = 0
         while s < chunk:
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
@@ -559,9 +609,7 @@ def _lockstep(
             if flag.any():
                 rows = np.flatnonzero(flag[coh])
                 c = coh[rows]
-                x = draws[rows, s]
-                if inverse:
-                    x = model.llr_from_uniform(theta, x)
+                x = _llr(model, theta, draws[rows, s])
                 flip = (ell[c] + x > 0.0) != (sgn[c] > 0.0)
                 if flip.any():
                     rows, c = rows[flip], c[flip]
@@ -577,8 +625,10 @@ def _lockstep(
                 elif s + 1 < chunk:  # idle: each flagged cohort is bounded by its own rows
                     flagged, order = np.flatnonzero(flag), np.argsort(c, kind="stable")
                     own = np.searchsorted(c[order], np.append(flagged, len(ell)))
-                    bounds[s + 1:, flagged] = _bounds(model, theta, draws[rows[order], s + 1:], own,
-                                                      ell[flagged], sgn[flagged])
+                    low = (sgn[flagged] > 0.0) != decreasing
+                    ext = _extremes(draws[rows[order], s + 1:], own, low)
+                    bounds[s + 1:, flagged] = _bounds(model, theta, ext, own, ell[flagged],
+                                                      sgn[flagged], low)
 
             if actions is not None:
                 actions[trial, t - 1] = sgn[coh]
@@ -713,9 +763,8 @@ def _baseline_rows(model: SignalModel, theta: StateOfWorld, horizon: int, stream
     t = 1
     while t <= horizon and next_i < len(ckpt):
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws = _draw_chunk(model, theta, streams, chunk)
-        if isinstance(model, InverseCdfSignalModel):
-            draws = model.llr_from_uniform(theta, draws)
+        draws = _draw_chunk(model, theta, streams, np.empty((len(streams), chunk)))
+        draws = _llr(model, theta, draws)
         partial = np.cumsum(draws, axis=1, out=draws)
         while next_i < len(ckpt) and ckpt[next_i] < t + chunk:
             out[:, next_i] = total + partial[:, ckpt[next_i] - t]

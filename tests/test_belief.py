@@ -182,6 +182,37 @@ def test_a_nan_belief_is_refused(model, name):
             INCREMENTS[name](model, np.array([0.0, math.nan]))
 
 
+@pytest.mark.parametrize("name", list(INCREMENTS))
+def test_a_gaussian_increment_that_is_nan_is_refused_by_name(name):
+    # Past about 3.9e154 on the erring side both Gaussian action
+    # log-probabilities are -inf, and their difference was a silent NaN
+    x = -4e154 if name in ("d_plus", "log_d_plus", "update") else 4e154
+    label = "state.ell" if name == "update" else "x"
+    message = f"no increment at {label} = {x!r}: both action log-probabilities are -inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own, on the way to the NaN
+        with pytest.raises(ValueError) as refused:
+            INCREMENTS[name](G1, x)
+        assert str(refused.value) == message
+        if name != "update":
+            with pytest.raises(ValueError) as refused:
+                INCREMENTS[name](G1, np.array([0.0, 1e3, x, -x]))
+            assert str(refused.value) == message
+    # the values at +-1e3 are unchanged
+    pinned = {
+        "d_plus": (1000.0039999733563, 0.0),
+        "d_minus": (-0.0, -1000.0039999733563),
+        "log_d_plus": (6.907759278947493, -124507.63154864496),
+        "log_d_minus": (-124507.63154864496, 6.907759278947493),
+        "update": (-1e3 + 1000.0039999733563, 1e3),
+    }[name]
+    got = [INCREMENTS[name](G1, v) for v in (-1e3, 1e3)]
+    got = [g.ell if name == "update" else float(g) for g in got]
+    assert [repr(g) for g in got] == [repr(p) for p in pinned]
+    if name != "update":
+        assert np.array_equal(INCREMENTS[name](G1, np.array([-1e3, 1e3])), pinned)
+
+
 # The public functions of a belief ell besides the increments
 OF_BELIEF = {
     "public_belief": lambda model, ell: public_belief(ell),

@@ -28,7 +28,6 @@ from herdsim.montecarlo import (
 )
 from herdsim.signal_models import (
     GaussianSignalModel,
-    InverseCdfSignalModel,
     PolyTailSignalModel,
     SignalModel,
     StateOfWorld,
@@ -236,6 +235,71 @@ class TestStreamFill:
             _native.fill(native_loop, streams, np.empty((2, 4)), False)
         with pytest.raises(ValueError, match="out"):
             _native.fill(native_loop, streams, np.empty((4, 3)).T, False)
+
+
+class TestFusedExtremes:
+    # The C fill folds each row into its cohort's per-step extreme while the
+    # row is in cache.  Its rows must be philox_fill's and its extremes
+    # _extremes', bit for bit, from any buffer position and at any chunk
+    # length, for cohorts of no rows, one row and many rows, on both sides.
+    SIZES = [2, 0, 1, 250, 3, 0, 1, 40]
+    CASES = {"middle": SIZES, "empty-ends": [0, *SIZES, 0]}  # empty cohorts first and last too
+
+    @staticmethod
+    def _cohorts(sizes):
+        start = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        low = np.arange(len(sizes)) % 3 != 1  # mixed sides, both at empty cohorts
+        return start, low
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("normal", [False, True], ids=["random", "standard_normal"])
+    def test_rows_and_extremes_equal_the_plain_fill(self, fill_route, normal, case):
+        start, low = self._cohorts(self.CASES[case])
+        streams = montecarlo._trial_rng(9, range(start[-1]))
+        for lead in (0, 1, 2, 3):  # buffer positions 0..3 inside a block, then each chunk
+            ref_streams = streams.copy()
+            for cols in (lead or 4, 1, 3, 97, 258):
+                out, ext = np.empty((len(streams), cols)), np.full((len(low), cols), np.nan)
+                fill_route(streams, out, normal, (start, low, ext))
+                ref = np.empty_like(out)
+                montecarlo._fill_streams(ref_streams, ref, normal)
+                assert out.tobytes() == ref.tobytes(), (lead, cols)
+                assert np.array_equal(streams, ref_streams), (lead, cols)
+                expected = montecarlo._extremes(ref, start, low)
+                assert np.array_equal(ext, expected), (lead, cols)
+                sizes = np.diff(start)
+                assert np.all(ext[(sizes == 0) & low] == np.inf)
+                assert np.all(ext[(sizes == 0) & ~low] == -np.inf)
+                for c in np.flatnonzero(sizes):  # the reference takes the side it is told
+                    rows = ref[start[c]:start[c + 1]]
+                    assert np.array_equal(ext[c], rows.min(axis=0) if low[c] else rows.max(axis=0))
+            streams = montecarlo._trial_rng(9 + lead + 1, range(start[-1]))
+
+    def test_c_fill_refuses_cohorts_it_cannot_read(self, native_loop):
+        if not hasattr(native_loop, "philox_fill_extremes"):
+            pytest.skip("the library holds no C fill")
+        start, low = self._cohorts([2, 0, 3])
+        streams, out = montecarlo._trial_rng(1, range(5)), np.empty((5, 4))
+        ext = np.empty((3, 4))
+        call = functools.partial(_native.fill_extremes, native_loop, streams, out, False)
+        for bad in ([1, 2, 2, 5], [0, 2, 2, 4], [0, 3, 2, 5], [0, 2, 2, 6]):  # not 0 to 5 rising
+            with pytest.raises(ValueError, match="start"):
+                call(np.array(bad, dtype=np.int64), low, ext)
+        with pytest.raises(ValueError, match="start"):
+            call(start.astype(np.int32), low, ext)
+        with pytest.raises(ValueError, match="low"):
+            call(start, low[:2], ext)
+        with pytest.raises(ValueError, match="low"):
+            call(start, low.astype(np.int64), ext)
+        with pytest.raises(ValueError, match="ext"):
+            call(start, low, np.empty((3, 3)))
+        with pytest.raises(ValueError, match="ext"):
+            call(start, low, np.empty((3, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="ext"):
+            call(start, low, np.empty((4, 3)).T)
+        with pytest.raises(ValueError, match="states"):
+            _native.fill_extremes(native_loop, streams[:, :-1].copy(), out, False, start, low, ext)
+        assert np.array_equal(streams, montecarlo._trial_rng(1, range(5)))  # nothing was drawn
 
 
 def _one_word_normal(word):
@@ -699,17 +763,16 @@ class TestBlockedSampling:
         streams = montecarlo._trial_rng(5, range(trials))
 
         def llr(draws, j):
-            # inversion-sampled models' rows are left as uniforms
-            if isinstance(model, InverseCdfSignalModel):
-                return model.llr_from_uniform(theta, draws[j].copy())
-            return draws[j]
+            # inversion-sampled models' rows are left as uniforms, Gaussian
+            # rows as standard normals
+            return montecarlo._llr(model, theta, draws[j].copy())
 
-        blocked = montecarlo._draw_chunk(model, theta, streams, chunk)
+        blocked = montecarlo._draw_chunk(model, theta, streams, np.empty((trials, chunk)))
         for j in range(trials):
             ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
             assert np.array_equal(llr(blocked, j), ref[:chunk])
         # the streams continue where the block left them
-        again = montecarlo._draw_chunk(model, theta, streams, chunk)
+        again = montecarlo._draw_chunk(model, theta, streams, np.empty((trials, chunk)))
         for j in (0, 127, 128, 129, trials - 1):
             ref = model.sample_llr(theta, _rng_for(5, j), size=2 * chunk)
             assert np.array_equal(llr(again, j), ref[chunk:])
@@ -723,14 +786,16 @@ class TestBlockedSampling:
         start = np.concatenate(([0], np.cumsum(sizes)))
         sgn = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
         streams = montecarlo._trial_rng(6, range(start[-1]))
-        draws = montecarlo._draw_chunk(model, theta, streams, 97)
-        llr = model.llr_from_uniform(theta, draws) if isinstance(model, InverseCdfSignalModel) else draws
+        draws = montecarlo._draw_chunk(model, theta, streams, np.empty((start[-1], 97)))
+        llr = montecarlo._llr(model, theta, draws)
+        low = (sgn > 0.0) != montecarlo._decreasing(model, theta)
+        extremes = montecarlo._extremes(draws, start, low)
         lowest = np.array([llr[lo:hi].min() for lo, hi in zip(start[:-1], start[1:])])
         highest = np.array([llr[lo:hi].max() for lo, hi in zip(start[:-1], start[1:])])
         # a belief at the switch clears no cohort; one far past it clears every one
         far = sgn * (1.0 + np.abs(lowest) + np.abs(highest))
         for ell, cleared in ((np.zeros(len(sizes)), False), (far, True)):
-            bounds = montecarlo._bounds(model, theta, draws, start, ell, sgn)
+            bounds = montecarlo._bounds(model, theta, extremes, start, ell, sgn, low)
             assert bounds.shape == (97, len(sizes)) and bounds.flags.c_contiguous
             for c, (lo, hi) in enumerate(zip(start[:-1], start[1:])):
                 rows, b = llr[lo:hi], bounds[:, c]
@@ -744,8 +809,10 @@ class TestBlockedSampling:
                 assert np.all((ell[c] + b > 0.0) == (sgn[c] > 0.0)) == cleared, c
         # a cohort whose rows have all left gets a value that never flags,
         # and the others keep their bounds
-        empty = montecarlo._bounds(model, theta, draws, np.insert(start, 3, start[3]),
-                                   np.insert(ell, 3, 0.0), np.insert(sgn, 3, -1.0))
+        start, sgn = np.insert(start, 3, start[3]), np.insert(sgn, 3, -1.0)
+        low = (sgn > 0.0) != montecarlo._decreasing(model, theta)
+        empty = montecarlo._bounds(model, theta, montecarlo._extremes(draws, start, low), start,
+                                   np.insert(ell, 3, 0.0), sgn, low)
         assert np.all(empty[:, 3] == -np.inf)
         assert np.array_equal(np.delete(empty, 3, axis=1), bounds)
 
@@ -985,9 +1052,9 @@ class TestLockstepPasses:
         sizes = []
         draw_chunk = montecarlo._draw_chunk
 
-        def spy(model, theta, streams, chunk):
-            sizes.append((len(streams), chunk))
-            return draw_chunk(model, theta, streams, chunk)
+        def spy(model, theta, streams, draws, *cohorts):
+            sizes.append(draws.shape)
+            return draw_chunk(model, theta, streams, draws, *cohorts)
 
         monkeypatch.setattr(montecarlo, "_draw_chunk", spy)
         run_trials(G1, PLUS, 450, 10000, master_seed=3, batch_size=5000)

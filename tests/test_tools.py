@@ -1,5 +1,6 @@
-"""tools/output_digests.py runs against the package in src/ and names every output once;
-tools/bench_pairs.py summarises benchmark pairs and parses criterion lines."""
+"""tools/output_digests.py runs against the package in src/, names every output once and
+prints the same lines without the compiled library; tools/bench_pairs.py summarises
+benchmark pairs and parses criterion lines."""
 
 import importlib.util
 import json
@@ -9,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENTS = [
     "gauss-rate", "first-mistake", "time-to-learn", "upset-tail",
@@ -16,14 +19,28 @@ EXPERIMENTS = [
 ]
 
 
-def test_output_digests_smoke(tmp_path):
+def _quick_digests(cwd, *flags):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "output_digests.py"), "--quick"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+        [sys.executable, str(ROOT / "tools" / "output_digests.py"), "--quick", *flags],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    lines = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def quick_lines(tmp_path_factory):
+    return _quick_digests(tmp_path_factory.mktemp("digests"))
+
+
+def test_output_digests_without_the_library_are_the_same(quick_lines, tmp_path):
+    # --no-native takes every Python loop and fill, the reference of the C ones
+    assert _quick_digests(tmp_path, "--no-native") == quick_lines
+
+
+def test_output_digests_smoke(quick_lines):
+    lines = quick_lines
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), lines
     names = [line.split()[0] for line in lines]
     assert len(names) == len(set(names))

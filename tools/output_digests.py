@@ -3,7 +3,7 @@
 Run against any checkout of the package and diff two runs to see exactly
 which outputs a change moves:
 
-    PYTHONPATH=<checkout>/src python3 tools/output_digests.py [--quick] > digests.txt
+    PYTHONPATH=<checkout>/src python3 tools/output_digests.py [--quick] [--no-native] > digests.txt
 
 The outputs are the ell* path and the first-mistake law of each model
 family at priors 0, 0.3 and 2; the rate-target ell* from -cut, where it
@@ -25,7 +25,9 @@ see every last bit of the draws and of the streams' continuation from one
 chunk to the next (the aggregates see a draw only through an action); and the
 CSV files of all eight CLI experiments, with upset-tail's trajectory dump on
 (``manifest.json`` holds timestamps, so it is skipped).  ``--quick``
-shrinks every size, for a smoke run.
+shrinks every size, for a smoke run.  ``--no-native`` runs without the
+compiled library (``herdsim._native.library`` returns None), so every loop
+and fill takes its Python path; its lines must equal those of a run with it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import tempfile
 
 import numpy as np
 
-from herdsim import asymptotics, belief, cli, montecarlo
+from herdsim import _native, asymptotics, belief, cli, montecarlo
 from herdsim.signal_models import (
     GaussianSignalModel,
     PolyTailSignalModel,
@@ -240,7 +242,11 @@ def cli_digests(size: dict):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smallest sizes, for a smoke run")
+    parser.add_argument("--no-native", action="store_true",
+                        help="run without the compiled library: the Python loops and fill")
     args = parser.parse_args(argv)
+    if args.no_native:
+        _native.library = lambda: None
     size = SIZES["quick" if args.quick else "full"]
     for digests in (path_digests, model_digests, sample_digests, increment_digests,
                     recurrence_digests, aggregate_digests, baseline_digests, cli_digests):
