@@ -28,10 +28,10 @@ flip are read exactly.  A switch forks the switching trials' cohort into
 one with the other action and ends a run in each trial's run book; the
 horizon ends the last runs.  A fork is flagged at every step until one at
 which no trial switches; there every flagged cohort is bounded by its own
-remaining rows.  Where ``_native`` loads, the quiet steps between flagged
-ones run in one C loop, with the Gaussian and PolyTail increments computed
-by numpy's and scipy's own ufuncs and, for PolyTail, scipy's spline
-evaluation redone in C.  Draws stay raw, uniforms for inversion-sampled
+remaining rows.  Where ``_native`` loads, Python only settles the switches
+of flagged steps, and every step's increment runs in one C loop, the
+Gaussian and PolyTail ones computed by numpy's and scipy's own ufuncs and,
+for PolyTail, scipy's spline evaluation redone in C.  Draws stay raw, uniforms for inversion-sampled
 models and standard normals for Gaussian ones; only the bounds and the
 draws read exactly are mapped to LLRs (``_llr``), each map monotone, so a
 mapped extreme is the extreme LLR.  Checkpoint beliefs are summed after
@@ -536,8 +536,11 @@ def _lockstep(
     since every trial's stream and cohort states are its own.  Where
     ``_native`` loads, ``cohort_steps`` runs each stretch of steps up to the
     next flagged step or checkpoint in C, bit for bit as the Python step
-    below, with a Gaussian or PolyTail model's increment computed in C; the
-    Python step takes the flagged steps, and every step without the library.
+    below, with a Gaussian or PolyTail model's increment computed in C.  At
+    a flagged step Python settles the switches, then gives the step a bound
+    that flags nothing and hands it back to C.  A step that C flags again,
+    which only a NaN belief can make it do, is settled once more and takes
+    the Python step, as every step does without the library.
 
     Returns the per-trial stats arrays dict and, per checkpoint row and
     trial column, whether the trial's last action was a mistake and its
@@ -575,7 +578,7 @@ def _lockstep(
     if type(model) is PolyTailSignalModel:
         polytail = (model._log_tail_spline, model.k, model.c)
     next_ckpt = 0
-    t = 1
+    t, settled = 1, 0  # settled: the last step whose flags were settled and handed back to C
     while t <= horizon:
         chunk = min(time_chunk, horizon - t + 1)
         live, coh = np.unique(coh, return_inverse=True)
@@ -630,6 +633,9 @@ def _lockstep(
                     bounds[s + 1:, flagged] = _bounds(model, theta, ext, own, ell[flagged],
                                                       sgn[flagged], low)
 
+            if lib is not None and settled < t:  # no value flags now: C runs this step too
+                settled, bounds[s, :len(ell)] = t, sgn * np.inf
+                continue
             if actions is not None:
                 actions[trial, t - 1] = sgn[coh]
             y = _increment(model, ell, sgn) - carry

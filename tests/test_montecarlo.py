@@ -1355,12 +1355,15 @@ class TestCohortLoop:
 
     @pytest.mark.parametrize("model", [G1, PT2], ids=lambda m: m.family)
     def test_python_increment_runs_only_on_flagged_steps(self, model, native_loop, monkeypatch):
-        # A Gaussian or PolyTail run's quiet steps take the increment fused in
-        # C; the Python _increment runs once per step at which the loop
-        # stopped on a flag, and never from inside the loop (a silent fallback).
-        # Bounds on the erring side, cleared cohorts and idle forks' own bounds
-        # keep the flagged steps to at most twice the steps at which some
-        # trial switches.
+        # A Gaussian or PolyTail run takes its increments fused in C, a
+        # flagged step's too: once Python has settled its switches, the C
+        # loop resumes at that step.  The Python _increment runs only from C,
+        # at most once per resumed flagged step (a PolyTail step at which a
+        # fork and its source hold a = sgn * ell <= 0), and never in a quiet
+        # stretch (a silent fallback); a Gaussian run never calls it.
+        # Bounds on the erring side, cleared cohorts and idle forks' own
+        # bounds keep the flagged steps to at most twice the steps at which
+        # some trial switches.
         callers, stops = [], []
         increment, steps = montecarlo._increment, _native.cohort_steps
 
@@ -1369,15 +1372,21 @@ class TestCohortLoop:
             return increment(*args)
 
         def spy_steps(lib, cohorts, bounds, s, stop, *args):
-            stops.append((steps(lib, cohorts, bounds, s, stop, *args), stop))
-            return stops[-1][0]
+            called = len(callers)
+            got = steps(lib, cohorts, bounds, s, stop, *args)
+            stops.append((s, got, stop, len(callers) - called))
+            return got
 
         monkeypatch.setattr(montecarlo, "_increment", spy_increment)
         monkeypatch.setattr(_native, "cohort_steps", spy_steps)
         agg, actions = run_trials(model, PLUS, 3000, 2048, master_seed=0, collect_actions=True)
-        flagged = sum(got < stop for got, stop in stops)
+        flagged = sum(got < stop for _, got, stop, _ in stops)
         before = np.concatenate((np.full((2048, 1), PLUS.sign), actions[:, :-1]), axis=1)
         switching = np.count_nonzero((actions != before).any(axis=0))
-        assert set(callers) == {"_lockstep"}
-        assert len(callers) == flagged <= 2 * switching
+        assert 0 < flagged <= 2 * switching
+        resumed = [(prev[1] < prev[2] and call[0] == prev[1]) for prev, call in zip(stops, stops[1:])]
+        assert sum(resumed) == flagged  # each flagged step's increment ran in C
+        assert all(i > 0 and resumed[i - 1] and n == 1 for i, (_, _, _, n) in enumerate(stops) if n)
+        assert set(callers) <= {"cohort_steps"}
+        assert callers == [] if model is G1 else 0 < len(callers) < flagged
         assert sum(c for t, c in agg.first_mistake_hist.items() if t) > 0
