@@ -10,11 +10,18 @@ loop to raise at or go on from, so the bytes, errors and types are that
 loop's.  ``cohort_steps`` runs the Monte Carlo engine's quiet lockstep steps
 (each cohort's bound test, increment and compensated update) up to the first
 flagged step.  Its Gaussian increment calls scipy's ``ndtr`` and numpy's
-``log`` ufuncs from C; its PolyTail increment evaluates the log-T spline as
-scipy's ``PPoly`` does (``log_tail_spline``, checked against scipy once per
-spline by ``checked_spline``) and calls numpy's ``power``, ``exp`` and
-``log1p``; so the bits are theirs.  Their other branches, and every other
-model, call the engine's Python ``_increment`` from C.  ``philox_fill`` fills
+``log`` ufuncs from C.  Its PolyTail increment takes each cohort's branch as
+``belief._signed_increment`` does: the log-T spline on [1, 60], evaluated as
+scipy's ``PPoly`` does (``spline_values``, checked against scipy once per
+spline by ``checked_spline``), ``_log_T``'s asymptotic series past 60 and
+the closed forms below 1; each branch's values are gathered for numpy's
+``power``, ``exp``, ``log`` and ``log1p``, so the bits are theirs.  The
+Gaussian tail and deep branches, PolyTail's tail branch and a NaN belief,
+and every other model, call the engine's Python ``_increment`` from C.
+``polytail_llr`` is PolyTail's quantile transform (``llr_from_uniform``)
+the same way: numpy's ``power`` and ``log``, and the quantile spline on its
+uneven knots by the same evaluation; ``checked_transform`` compares it with
+the Python transform bit for bit once per model.  ``philox_fill`` fills
 each row of a draws array from one Monte Carlo stream, held as a row of
 numpy's ``philox_state`` words (``STATE_WORDS``):
 it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
@@ -48,6 +55,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import re
 import shlex
@@ -171,11 +179,25 @@ static int in_place(PyObject *func, PyObject *on, PyObject *arg)
     return done ? 0 : -1;
 }
 
-/* The Gaussian log action probabilities (b-, b+) of belief._signed_increment at x = sgn * ell,
-   in work's data z (2 x n): z = (x + means) / tau, then scipy's ndtr and numpy's log in place.
-   Returns 1, 0 at the deep branch (any p < 1e-300), or -1 with an error set. */
-static int gaussian_logs(PyObject *work, double *z, const double *ell, const double *sgn,
-                         Py_ssize_t n, PyObject *funcs, const double *means, double tau)
+/* in_place on the slice work[lo:hi] of a 1-d array, or on view where the caller holds that slice;
+   an empty slice calls nothing */
+static int in_slice(PyObject *func, PyObject *work, Py_ssize_t lo, Py_ssize_t hi, PyObject *arg,
+                    PyObject *view)
+{
+    if (lo >= hi)
+        return 0;
+    PyObject *on = view ? Py_NewRef(view) : PySequence_GetSlice(work, lo, hi);
+    int done = on ? in_place(func, on, arg) : -1;
+    Py_XDECREF(on);
+    return done;
+}
+
+/* The Gaussian increments sgn * (b+ - b-) of belief._signed_increment at x = sgn * ell, in work's
+   data z (2 x n): z = (x + means) / tau, then scipy's ndtr and numpy's log in place give (b-, b+).
+   Returns 1 with the increments in z[0..n), 0 at the deep branch (any p < 1e-300) or the tail
+   branch (b- > -1e-8), or -1 with an error set. */
+static int gaussian_increments(PyObject *work, double *z, const double *ell, const double *sgn,
+                               Py_ssize_t n, PyObject *funcs, const double *means, double tau)
 {
     for (Py_ssize_t c = 0; c < n; c++) {
         double x = sgn[c] * ell[c];
@@ -186,60 +208,197 @@ static int gaussian_logs(PyObject *work, double *z, const double *ell, const dou
     for (Py_ssize_t i = 0; i < 2 * n; i++)
         if (z[i] < 1e-300)
             return 0;
-    return in_place(PyTuple_GET_ITEM(funcs, 1), work, NULL) < 0 ? -1 : 1;
+    if (in_place(PyTuple_GET_ITEM(funcs, 1), work, NULL) < 0)
+        return -1;
+    for (Py_ssize_t c = 0; c < n; c++)
+        if (z[c] > -1e-8)
+            return 0;
+    for (Py_ssize_t c = 0; c < n; c++)
+        z[c] = sgn[c] * (z[n + c] - z[c]);
+    return 1;
 }
 
-/* scipy's PPoly evaluation of a cubic spline on knots x[0..n-1] (coefs (4, n - 1) in C order)
-   at each a[j] in [x[0], x[n-1]], in its order of operations: the interval is the i with x[i] <=
-   a < x[i+1] (n - 2 at the last knot), guessed from even knots and corrected by comparisons */
-void log_tail_spline(const double *x, const double *coefs, int64_t n, const double *a,
-                     double *out, int64_t m)
+/* scipy's PPoly evaluation of a cubic spline on increasing knots x[0..n-1] (coefs (4, n - 1) in C
+   order) at v, in its order of operations.  The interval is the i with x[i] <= v < x[i+1], 0 below
+   the knots and n - 2 from the last knot up: guessed as if the knots were even, then corrected
+   by bisection.  NaN gives NaN. */
+static inline double spline_at(const double *x, const double *coefs, int64_t n, double v)
 {
-    for (int64_t j = 0; j < m; j++) {
-        int64_t i = (int64_t)((a[j] - x[0]) / (x[n - 1] - x[0]) * (double)(n - 1));
-        i = i < 0 ? 0 : i > n - 2 ? n - 2 : i;
-        while (i > 0 && a[j] < x[i])
-            i--;
-        while (i < n - 2 && a[j] >= x[i + 1])
-            i++;
-        double s = a[j] - x[i], res = 0.0, z = 1.0;
-        for (int kp = 0; kp < 4; kp++) {
-            res = res + coefs[(3 - kp) * (n - 1) + i] * z;
-            if (kp < 3)
-                z *= s;
+    if (v != v)
+        return NAN;
+    int64_t i = 0;
+    if (v >= x[n - 1]) {
+        i = n - 2;
+    } else if (v > x[0]) {
+        double guess = (v - x[0]) / (x[n - 1] - x[0]) * (double)(n - 1);
+        int64_t lo = guess < (double)(n - 2) ? (int64_t)guess : n - 2, hi = lo;
+        if (v < x[lo])
+            hi = lo - 1, lo = 0;
+        else if (v >= x[lo + 1])
+            lo = lo + 1, hi = n - 2;
+        while (lo < hi) {  /* the last i in [lo, hi] with x[i] <= v */
+            int64_t mid = lo + (hi - lo + 1) / 2;
+            if (v >= x[mid])
+                lo = mid;
+            else
+                hi = mid - 1;
         }
-        out[j] = res;
+        i = lo;
+    }
+    double s = v - x[i], res = 0.0, z = 1.0;
+    for (int kp = 0; kp < 4; kp++) {
+        res = res + coefs[(3 - kp) * (n - 1) + i] * z;
+        if (kp < 3)
+            z *= s;
+    }
+    return res;
+}
+
+/* spline_at at each of the m values a, into out */
+void spline_values(const double *x, const double *coefs, int64_t n, const double *a, double *out,
+                   int64_t m)
+{
+    for (int64_t j = 0; j < m; j++)
+        out[j] = spline_at(x, coefs, n, a[j]);
+}
+
+/* The sums 1 - (k+1)/x + (k+1)(k+2)/x**2 - ... of _log_exp_poly_tail_asymptotic's series at the m
+   values x at once, into total (term is scratch): as there, the loop stops once every term is
+   below 1e-17 */
+static void tail_series(const double *x, double *total, double *term, Py_ssize_t m, double k)
+{
+    for (Py_ssize_t i = 0; i < m; i++)
+        total[i] = term[i] = 1.0;
+    for (int j = 1; j < 40 && m > 0; j++) {
+        int small = 1;
+        for (Py_ssize_t i = 0; i < m; i++) {
+            term[i] = term[i] * (-(k + j) / x[i]);
+            total[i] += term[i];
+            small &= fabs(term[i]) < 1e-17;
+        }
+        if (small)
+            break;
     }
 }
 
-/* PolyTail's (b-, b+) at a = sgn * ell as PolyTailSignalModel.log_action_probabilities takes
-   them where every a is in [1, 60], in work's data z (2 x n): z = (a, log T(a)); numpy's
-   power(z[0], -k) and exp(z[1]) in place, scaled by scale = (-c / k, -c); numpy's log1p.
-   funcs is (power, exp, log1p, -k, row 0, row 1).  Returns 1, 0 where an a is outside [1, 60]
-   or NaN, or -1 with an error set. */
-static int polytail_logs(PyObject *work, double *z, const double *ell, const double *sgn,
-                         Py_ssize_t n, PyObject *funcs, const double *scale,
-                         const double *knots, const double *coefs, int64_t nknots)
+/* log T(x) past 60 from numpy's log of x and of its series sum */
+static inline double series_log_t(double x, double log_x, double log_total, double k)
 {
-    for (Py_ssize_t c = 0; c < n; c++)
-        if (!((z[c] = sgn[c] * ell[c]) >= 1.0 && z[c] <= 60.0))
-            return 0;
-    log_tail_spline(knots, coefs, nknots, z, z + n, n);
-    PyObject *row0 = PyTuple_GET_ITEM(funcs, 4), *row1 = PyTuple_GET_ITEM(funcs, 5);
-    if (in_place(PyTuple_GET_ITEM(funcs, 0), row0, PyTuple_GET_ITEM(funcs, 3)) < 0
-        || in_place(PyTuple_GET_ITEM(funcs, 1), row1, NULL) < 0)
+    return -x - (k + 1.0) * log_x + log_total;
+}
+
+/* polytail_increments' branches other than 1 <= a <= 60, given its counts of a >= 1, a > 60,
+   a <= -1 and a < -60: log T(a) past 60 into w[p + i] for the i-th a >= 1, and the increments
+   where a < 1 into inc = w + 4n.  From l = w + 2n, for numpy's log: |a| where a > 60, where
+   a < -60 and where -60 <= a <= -1, then the series sums where a > 60 and where a < -60; inc
+   holds the series' scratch until the increments.  Returns 1, 0 in the tail branch, or -1 with
+   an error set. */
+static int polytail_far(PyObject *work, double *w, const double *ell, const double *sgn,
+                        Py_ssize_t n, Py_ssize_t p, Py_ssize_t p60, Py_ssize_t nn, Py_ssize_t n60,
+                        PyObject *funcs, const double *consts, const double *knots,
+                        const double *coefs, int64_t nknots)
+{
+    double k = consts[2], *l = w + 2 * n, *sums = l + p60 + nn, *inc = w + 4 * n;
+    Py_ssize_t ip = 0, jp = 0, jn = 0, jm = 0;
+    for (Py_ssize_t c = 0; c < n; c++) {
+        double a = sgn[c] * ell[c];
+        if (a > 60.0)
+            l[jp++] = a;
+        else if (a < -60.0)
+            l[p60 + jn++] = -a;
+        else if (a <= -1.0)
+            l[p60 + n60 + jm++] = -a;
+    }
+    tail_series(l, sums, inc, p60, k);
+    tail_series(l + p60, sums + p60, inc, n60, k);
+    if (in_slice(PyTuple_GET_ITEM(funcs, 3), work, 2 * n, 2 * n + 2 * p60 + nn + n60, NULL, NULL) < 0)
         return -1;
-    for (Py_ssize_t i = 0; i < 2 * n; i++)
-        z[i] *= scale[i >= n];
-    return in_place(PyTuple_GET_ITEM(funcs, 2), work, NULL) < 0 ? -1 : 1;
+    jp = jn = jm = 0;
+    for (Py_ssize_t c = 0; c < n; c++) {
+        double a = sgn[c] * ell[c], b_minus = consts[3], b_plus = consts[4];
+        if (a >= 1.0) {
+            if (a > 60.0)
+                w[p + ip] = series_log_t(a, l[jp], sums[jp], k), jp++;
+            ip++;
+            continue;
+        }
+        if (a < -60.0) {
+            b_minus = consts[5] + series_log_t(-a, l[p60 + jn], sums[p60 + jn], k);
+            b_plus = consts[4] - k * l[p60 + jn++];
+        } else if (a <= -1.0) {
+            b_minus = consts[5] + spline_at(knots, coefs, nknots, -a);
+            b_plus = consts[4] - k * l[p60 + n60 + jm++];
+        }
+        if (b_minus > -1e-8)
+            return 0;
+        inc[c] = sgn[c] * (b_plus - b_minus);
+    }
+    return 1;
+}
+
+/* PolyTail's increments sgn * (b+ - b-) at a = sgn * ell, into w[4n..5n) (w is work's data, 5n
+   values), each (b-, b+) as belief._signed_increment(model, a, +1) takes it on a's branch:
+   a >= 1: log1p(-c/k * a**-k) and log1p(-c * T(a)); -1 < a < 1: log1p(-c/k) and log(c/k);
+   a <= -1: log c + log T(-a) and log(c/k) - k * log(-a).  log T is the spline on [1, 60] and
+   _log_exp_poly_tail_asymptotic's series past 60, which _log_T runs over all a > 60 at once and
+   over all a < -60 at once.  Each branch's values are gathered into work for numpy's power, exp,
+   log1p and log: funcs = (power, exp, log1p, log, -k, work[:n], work[n:2n], work[:2n]), consts =
+   (-c/k, -c, k, log1p(-c/k), log(c/k), log c) with the logs taken by Python's math.  Returns 1,
+   0 at a NaN a or in the tail branch (b- > -1e-8), or -1 with an error set. */
+static int polytail_increments(PyObject *work, double *w, const double *ell, const double *sgn,
+                               Py_ssize_t n, PyObject *funcs, const double *consts,
+                               const double *knots, const double *coefs, int64_t nknots)
+{
+    Py_ssize_t p = 0, p60 = 0, nn = 0, n60 = 0;
+    for (Py_ssize_t c = 0; c < n; c++) {  /* w[0:p]: a >= 1; w[n:n+p]: log T(a) where a <= 60 */
+        double a = sgn[c] * ell[c];
+        if (a != a)
+            return 0;
+        if (a >= 1.0) {
+            if (a <= 60.0)
+                w[n + p] = spline_at(knots, coefs, nknots, a);
+            p60 += a > 60.0;
+            w[p++] = a;
+        } else if (a <= -1.0) {
+            nn++, n60 += a < -60.0;
+        }
+    }
+    if (p < n)  /* log T(a) next to a, for one log1p over both */
+        memmove(w + p, w + n, p * sizeof *w);
+    int done = p < n || p60 ? polytail_far(work, w, ell, sgn, n, p, p60, nn, n60, funcs, consts,
+                                           knots, coefs, nknots)
+                            : 1;
+    if (done < 1)
+        return done;
+    int full = p == n;  /* the slices are the ones funcs holds */
+    if (in_slice(PyTuple_GET_ITEM(funcs, 0), work, 0, p, PyTuple_GET_ITEM(funcs, 4),
+                 full ? PyTuple_GET_ITEM(funcs, 5) : NULL) < 0
+        || in_slice(PyTuple_GET_ITEM(funcs, 1), work, p, 2 * p, NULL,
+                    full ? PyTuple_GET_ITEM(funcs, 6) : NULL) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < 2 * p; i++)
+        w[i] *= consts[i >= p];
+    if (in_slice(PyTuple_GET_ITEM(funcs, 2), work, 0, 2 * p, NULL,
+                 full ? PyTuple_GET_ITEM(funcs, 7) : NULL) < 0)
+        return -1;
+    double *inc = w + 4 * n;
+    for (Py_ssize_t c = 0, ip = 0; c < n; c++) {
+        if (!(sgn[c] * ell[c] >= 1.0))
+            continue;
+        if (w[ip] > -1e-8)
+            return 0;
+        inc[c] = sgn[c] * (w[p + ip] - w[ip]);
+        ip++;
+    }
+    return 1;
 }
 
 /* montecarlo._lockstep's steps s..stop-1 of a chunk, in place on the cohorts' ell and carry:
    returns the first step at which cohort c's bound bounds[step * width + c] could flip
    its action sgn[c], else stop, or -1 with an error set.  A step adds increment(model, ell, sgn)
    by the engine's compensated update.  For family 1 (funcs = (ndtr, log), consts = the two
-   state means and tau) or 2 (the PolyTail funcs, consts = scale, and the spline) the
-   increment sgn * (b+ - b-) is computed in C, on work, unless b- > -1e-8 (the tail branch). */
+   state means and tau, work 2 x n) or 2 (the PolyTail funcs, consts and spline, work 5n values)
+   the increment is computed in C, on work, unless the model's branch leaves it to Python. */
 int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
                      const double *bounds, int64_t width, int64_t s,
                      int64_t stop, PyObject *increment, PyObject *model, int64_t family,
@@ -249,9 +408,9 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
     PyObject *arrays[4] = {ell_a, carry_a, sgn_a, work};
     Py_buffer views[4], view;
     double *data[4] = {NULL};
-    int got = 0, fusing = family != 0;
+    int got = 0, fusing = family != 0, rows = family == 2 ? 5 : 2;
     while (got < 3 + fusing && (data[got] = float64s(arrays[got], views + got,
-                                                     got ? (got < 3 ? 1 : 2) * views[0].len : -1)))
+                                                     got ? (got < 3 ? 1 : rows) * views[0].len : -1)))
         got++;
     Py_ssize_t n = got ? views[0].len / (Py_ssize_t)sizeof(double) : 0;
     double *ell = data[0], *carry = data[1], *sgn = data[2];
@@ -261,14 +420,10 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
             flagged = (ell[c] + bounds[s * width + c] > 0.0) != (sgn[c] > 0.0);
         double *z = data[3];
         int fused = flagged || !family ? 0
-                    : family == 1 ? gaussian_logs(work, z, ell, sgn, n, funcs, consts, consts[2])
-                    : polytail_logs(work, z, ell, sgn, n, funcs, consts, knots, coefs, nknots);
-        for (Py_ssize_t c = 0; fused > 0 && c < n; c++)
-            fused = !(z[c] > -1e-8);
-        for (Py_ssize_t c = 0; fused > 0 && c < n; c++)
-            z[c] = sgn[c] * (z[n + c] - z[c]);
+                    : family == 1 ? gaussian_increments(work, z, ell, sgn, n, funcs, consts, consts[2])
+                    : polytail_increments(work, z, ell, sgn, n, funcs, consts, knots, coefs, nknots);
         PyObject *called = NULL;
-        double *inc = fused ? z : NULL;
+        double *inc = fused > 0 ? z + (family == 2 ? 4 * n : 0) : NULL;
         if (!flagged && !fused && (called = PyObject_CallFunctionObjArgs(increment, model, ell_a,
                                                                           sgn_a, NULL)))
             inc = float64s(called, &view, views[0].len);
@@ -288,6 +443,52 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
     while (got-- > 0)
         PyBuffer_Release(views + got);
     return PyErr_Occurred() ? -1 : s;
+}
+
+/* PolyTailSignalModel.llr_from_uniform(theta, u) in place on the uniforms u: sign * x for theta's
+   sign, with x = _ppf_minus(u) in its order of operations.  Where u <= c/k,
+   x = -power(k * max(u, 2**-53) / c, -1/k); elsewhere x is the quantile spline (knots, coefs) at
+   log(1 - u) clipped to its knots as numpy's clip does.  Each branch's values are gathered into
+   work (as long as u) for numpy's power and log: funcs = (power, log, -1/k), ck = c/k.
+   Returns 0, or -1 with an error set. */
+int polytail_llr(PyObject *u_a, PyObject *work, PyObject *funcs, double ck, double k, double c,
+                 double sign, const double *knots, const double *coefs, int64_t nknots)
+{
+    Py_buffer views[2];
+    double *u = float64s(u_a, views, -1), *w = u ? float64s(work, views + 1, views[0].len) : NULL;
+    if (w == NULL) {
+        if (u)
+            PyBuffer_Release(views);
+        return -1;
+    }
+    double lo = knots[0], hi = knots[nknots - 1];
+    Py_ssize_t m = views[0].len / (Py_ssize_t)sizeof(double), below = 0;
+    for (Py_ssize_t j = 0; j < m; j++)
+        below += u[j] <= ck;
+    for (Py_ssize_t j = 0, jlo = 0, jhi = below; j < m; j++) {
+        if (u[j] <= ck)
+            w[jlo++] = k * (u[j] >= 0x1p-53 ? u[j] : 0x1p-53) / c;
+        else
+            w[jhi++] = 1.0 - u[j];
+    }
+    int done = in_slice(PyTuple_GET_ITEM(funcs, 0), work, 0, below, PyTuple_GET_ITEM(funcs, 2), NULL);
+    if (done == 0)
+        done = in_slice(PyTuple_GET_ITEM(funcs, 1), work, below, m, NULL, NULL);
+    for (Py_ssize_t j = 0, jlo = 0, jhi = below; done == 0 && j < m; j++) {
+        double x, v;
+        if (u[j] <= ck) {
+            x = -w[jlo++];
+        } else {
+            v = w[jhi++];
+            v = v != v || v > lo ? v : lo;
+            v = v != v || v < hi ? v : hi;
+            x = spline_at(knots, coefs, nknots, v);
+        }
+        u[j] = sign > 0.0 ? -x : x;
+    }
+    PyBuffer_Release(views);
+    PyBuffer_Release(views + 1);
+    return done;
 }
 """
 
@@ -656,8 +857,10 @@ def _load(cache_dir: str):
     obj, ptr, i64, f64 = ctypes.py_object, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.cohort_steps.argtypes = [obj] * 4 + [ptr, i64, i64, i64, obj, obj, i64, obj] + [ptr] * 3 + [i64]
     lib.cohort_steps.restype = i64
-    lib.log_tail_spline.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
-    lib.log_tail_spline.restype = None
+    lib.spline_values.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
+    lib.spline_values.restype = None
+    lib.polytail_llr.argtypes = [obj] * 3 + [f64] * 4 + [ptr, ptr, i64]
+    lib.polytail_llr.restype = ctypes.c_int
     if hasattr(lib, "philox_fill"):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]
@@ -726,16 +929,22 @@ def run(lib, name: str, values: np.ndarray, start: int, stop: int, a: float, car
     return int(state[2]), state[0], state[1], step
 
 
-def log_tail_spline(lib, spline, x: np.ndarray) -> np.ndarray:
-    """PolyTail's log-T ``spline`` at each x in [1, 60] by the C evaluation that ``cohort_steps`` runs."""
+def _spline_args(spline) -> tuple:
+    """``spline``'s C arguments (its knots' and coefficients' data, the knot count), then those arrays."""
     knots, coefs = (np.ascontiguousarray(v, dtype=np.float64) for v in (spline.x, spline.c))
+    return knots.ctypes.data, coefs.ctypes.data, len(knots), knots, coefs
+
+
+def spline_values(lib, spline, x: np.ndarray) -> np.ndarray:
+    """The cubic ``spline`` at each x within its knots, by the C evaluation that ``cohort_steps`` runs."""
+    args = _spline_args(spline)
+    knots, coefs = args[3:]
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if not (coefs.shape == (4, len(knots) - 1) and knots[0] <= 1.0 and 60.0 <= knots[-1]
-            and (x.size == 0 or 1.0 <= x.min() <= x.max() <= 60.0)):
-        raise ValueError("x must lie in [1, 60], inside the knots of a cubic spline")
+    if not (coefs.shape == (4, len(knots) - 1)
+            and (x.size == 0 or knots[0] <= x.min() <= x.max() <= knots[-1])):
+        raise ValueError(f"x must lie in [{knots[0]:g}, {knots[-1]:g}], the knots of a cubic spline")
     out = np.empty_like(x)
-    lib.log_tail_spline(knots.ctypes.data, coefs.ctypes.data, len(knots), x.ctypes.data,
-                        out.ctypes.data, x.size)
+    lib.spline_values(*args[:3], x.ctypes.data, out.ctypes.data, x.size)
     return out
 
 
@@ -743,20 +952,70 @@ _checked_splines = weakref.WeakKeyDictionary()  # a spline -> checked_spline's r
 
 
 def checked_spline(lib, spline):
-    """``spline``'s (knots, coefficients) if ``log_tail_spline`` equals it bit for bit, else None.
+    """``spline``'s ``_spline_args`` if ``spline_values`` equals it bit for bit, else None.
 
-    Checked once per spline, as ``normals_checked`` is, at every knot in
-    [1, 60], both neighbours of every 64th, 1, 60 and 10**4 uniform points.
+    Checked once per spline, as ``normals_checked`` is, at every knot, both
+    neighbours of every 64th, both ends and 10**4 uniform points between them.
     """
     if spline not in _checked_splines:
-        knots, coefs = (np.ascontiguousarray(v, dtype=np.float64) for v in (spline.x, spline.c))
-        inside = knots[(1.0 <= knots) & (knots <= 60.0)]
-        x = np.concatenate([inside, np.nextafter(inside[::64], 0.0), np.nextafter(inside[::64], 99.0),
-                            [1.0, 60.0], np.random.Generator(np.random.Philox(20)).uniform(1.0, 60.0, 10**4)])
-        x = np.sort(x[(1.0 <= x) & (x <= 60.0)])  # in order, scipy's interval search is quick
-        same = log_tail_spline(lib, spline, x).tobytes() == spline(x).tobytes()
-        _checked_splines[spline] = (knots, coefs) if same else None
+        args = _spline_args(spline)
+        knots = args[3]
+        lo, hi = knots[0], knots[-1]
+        x = np.concatenate([knots, np.nextafter(knots[::64], -np.inf), np.nextafter(knots[::64], np.inf),
+                            [lo, hi], np.random.Generator(np.random.Philox(20)).uniform(lo, hi, 10**4)])
+        x = np.sort(x[(lo <= x) & (x <= hi)])  # in order, scipy's interval search is quick
+        same = spline_values(lib, spline, x).tobytes() == spline(x).tobytes()
+        _checked_splines[spline] = args if same else None
     return _checked_splines[spline]
+
+
+def polytail_llr(lib, model, sign: float, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``model.llr_from_uniform`` at the uniforms ``u`` under the state of ``sign``, by the C transform.
+
+    The values go into ``out`` (a new array if None), which may be ``u``.
+    ``checked_transform`` tells whether they equal the Python transform's.
+    """
+    if not (isinstance(u, np.ndarray) and u.dtype == np.float64 and u.flags.c_contiguous):
+        raise ValueError("u must be a C-contiguous float64 array")
+    if out is None:
+        out = u.copy()
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == u.shape
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be a writable C-contiguous float64 array of the shape of u")
+    elif out is not u:
+        np.copyto(out, u)
+    spline = model._pos_branch_ppf
+    args = checked_spline(lib, spline) or _spline_args(spline)
+    lib.polytail_llr(out, np.empty(u.size), (np.power, np.log, -1.0 / model.k),
+                     model.c / model.k, model.k, model.c, sign, *args[:3])
+    return out
+
+
+_checked_transforms = weakref.WeakKeyDictionary()  # a quantile spline -> checked_transform's return
+
+
+def checked_transform(lib, model) -> bool:
+    """Whether ``polytail_llr`` equals ``model.llr_from_uniform`` bit for bit.
+
+    Checked once per model (per its quantile spline ``_pos_branch_ppf``), as
+    ``normals_checked`` is: the spline must pass ``checked_spline``, and the
+    transforms must agree under both states at u = 0, 2**-53, c/k and its
+    neighbours, 1 - 2**-53, the u below 1 at which log(1 - u) is every 64th
+    knot of the spline and their neighbours, and 10**4 uniform points.
+    """
+    spline = model._pos_branch_ppf
+    if spline not in _checked_transforms:
+        ck = model.c / model.k
+        at = -np.expm1(spline.x[::64])
+        fixed = [0.0, 2.0**-53, ck, np.nextafter(ck, 0.0), np.nextafter(ck, 1.0), 1.0 - 2.0**-53]
+        u = np.concatenate([fixed, at, np.nextafter(at, 0.0), np.nextafter(at, 1.0),
+                            np.random.Generator(np.random.Philox(23)).random(10**4)])
+        u = u[u < 1.0]
+        x = model._ppf_minus(u)
+        _checked_transforms[spline] = checked_spline(lib, spline) is not None and all(
+            polytail_llr(lib, model, sign, u).tobytes() == (-x if sign > 0 else x).tobytes()
+            for sign in (-1.0, 1.0))
+    return _checked_transforms[spline]
 
 
 def cohort_steps(lib, cohorts, bounds: np.ndarray, s: int, stop: int,
@@ -765,21 +1024,26 @@ def cohort_steps(lib, cohorts, bounds: np.ndarray, s: int, stop: int,
 
     ``cohorts`` is (ell, carry, sgn), and cohort c reads column c of the
     chunk's ``bounds``.  A step adds ``increment(model, ell, sgn)``, or the
-    increment computed in C: for ``gaussian`` = (the two state means,
-    tau) the Gaussian one, and for ``polytail`` = (its log-T spline, k, c)
-    the PolyTail one, where ``checked_spline`` passes the spline.  Returns
-    the first step that a bound flags, else stop.
+    increment computed in C: for ``gaussian`` = (the two state means, tau)
+    the Gaussian one outside its tail and deep branches, and for
+    ``polytail`` = (its log-T spline, k, c) the PolyTail one on every branch
+    but its tail, where ``checked_spline`` passes the spline.  A NaN belief
+    leaves a PolyTail step to ``increment``.  Returns the first step that a
+    bound flags, else stop.
     """
     if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
             and len(cohorts[0]) <= bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
         raise ValueError("bounds must be C-contiguous float64 rows with a column per cohort and step")
+    n = len(cohorts[0])
     family, funcs, work, consts, spline = 0, None, None, (), (None, None, 0)
     if gaussian:
-        (means, tau), work = gaussian, np.empty((2, len(cohorts[0])))
+        (means, tau), work = gaussian, np.empty((2, n))
         family, funcs, consts = 1, (special.ndtr, np.log), (*means, tau)
     elif polytail and (arrays := checked_spline(lib, polytail[0])):
-        (_, k, c), work = polytail, np.empty((2, len(cohorts[0])))
-        family, funcs, consts = 2, (np.power, np.exp, np.log1p, -k, work[0], work[1]), (-(c / k), -c)
-        spline = (arrays[0].ctypes.data, arrays[1].ctypes.data, len(arrays[0]))
+        (_, k, c), work = polytail, np.empty(5 * n)
+        views = (work[:n], work[n:2 * n], work[:2 * n])  # the slices of a step with every a >= 1
+        family, funcs, ck = 2, (np.power, np.exp, np.log1p, np.log, -k, *views), c / k
+        consts = (-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c))
+        spline = arrays[:3]
     return lib.cohort_steps(*cohorts, work, bounds.ctypes.data, bounds.shape[1], s, stop, increment,
-                            model, family, funcs, (ctypes.c_double * 3)(*consts), *spline)
+                            model, family, funcs, (ctypes.c_double * 6)(*consts), *spline)

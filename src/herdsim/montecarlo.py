@@ -31,10 +31,11 @@ which no trial switches; there every flagged cohort is bounded by its own
 remaining rows.  Where ``_native`` loads, Python only settles the switches
 of flagged steps, and every step's increment runs in one C loop, the
 Gaussian and PolyTail ones computed by numpy's and scipy's own ufuncs and,
-for PolyTail, scipy's spline evaluation redone in C.  Draws stay raw, uniforms for inversion-sampled
-models and standard normals for Gaussian ones; only the bounds and the
-draws read exactly are mapped to LLRs (``_llr``), each map monotone, so a
-mapped extreme is the extreme LLR.  Checkpoint beliefs are summed after
+for PolyTail, scipy's spline evaluation redone in C.  Draws stay raw,
+uniforms for inversion-sampled models and standard normals for Gaussian
+ones; only the bounds and the draws read exactly are mapped to LLRs
+(``_llr``, for PolyTail by the same ufuncs and spline from C), each map
+monotone, so a mapped extreme is the extreme LLR.  Checkpoint beliefs are summed after
 the last step, so the aggregates are bit-identical to stepping every trial.
 The observed-signals baseline draws a batch's streams chunk by chunk
 through the same sampler and sums along time.  Batches are reduced into
@@ -370,10 +371,18 @@ def _llr(model: SignalModel, theta: StateOfWorld, raw):
 
     A Gaussian's standard normal z maps to z * tau + mean, which is
     ``rng.normal(mean, tau)``'s own arithmetic; a uniform maps through
-    ``llr_from_uniform``; any other model's draws are LLRs already.
+    ``llr_from_uniform``, a PolyTail one by ``_native``'s C transform
+    ``polytail_llr`` wherever ``checked_transform`` has found it equal to
+    that bit for bit; any other model's draws are LLRs already.
     """
     if isinstance(model, GaussianSignalModel):
         return raw * model.tau + model._mean(theta)
+    if type(model) is PolyTailSignalModel:
+        from . import _native  # imported here: importing the package loads no library
+
+        lib = _native.library()
+        if lib is not None and _native.checked_transform(lib, model):
+            return _native.polytail_llr(lib, model, theta.sign, np.asarray(raw, dtype=float, order="C"))
     if isinstance(model, InverseCdfSignalModel):
         return model.llr_from_uniform(theta, raw)
     return raw

@@ -1306,6 +1306,8 @@ class TestCohortLoop:
     ])
     def test_polytail_steps_in_another_branch_call_the_increment(self, case, a, steps,
                                                                   native_loop):
+        # Only a NaN belief and the tail branch leave a PolyTail step to Python
+        calls_per_step = 1 if case in ("nan", "tail") else 0
         model = PolyTailSignalModel(7.3 if case == "tail" else 2.0)
         sgn = np.array([1.0, -1.0, -1.0])
         ell0, carry0 = np.array([3.0, -5.0, -a]), np.full(3, 1e-17)
@@ -1314,28 +1316,50 @@ class TestCohortLoop:
         got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 0, steps,
                                    self._counted(calls), model, None, self._polytail(model))
         ref = self._python_steps(model, ell0, carry0, sgn, steps)
-        assert got == steps and len(calls) == steps
+        assert got == steps and len(calls) == calls_per_step * steps
+        assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_every_polytail_branch_in_one_step(self, k, native_loop):
+        # Cohorts on every branch of a = sgn * ell at once: a <= -1 with the
+        # spline and past -60 with the series, the gap, a >= 1 with the spline
+        # and past 60 with the series; 61 and 75 share one series loop, whose
+        # stop depends on both, and so do -61 and -75.
+        model = PolyTailSignalModel(k)
+        a = np.array([-75.0, -61.0, -30.0, -1.0, -0.5, 0.5, 1.0, 30.0, 60.0, 61.0, 75.0])
+        sgn = np.repeat([1.0, -1.0], len(a))
+        ell0, carry0 = sgn * np.tile(a, 2), np.linspace(-3e-16, 3e-16, 2 * len(a))
+        steps = 6
+        calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
+        got = _native.cohort_steps(native_loop, (ell, carry, sgn), self._no_flag(sgn, steps), 0,
+                                   steps, self._counted(calls), model, None, self._polytail(model))
+        ref = self._python_steps(model, ell0, carry0, sgn, steps)
+        assert got == steps and calls == []
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
 
     @pytest.mark.parametrize("k", [0.5, 2.0, 7.3])
     def test_c_spline_equals_scipy_bit_for_bit(self, k, native_loop):
-        spline = PolyTailSignalModel(k)._log_tail_spline
-        knots = spline.x
-        x = np.concatenate([
-            np.random.default_rng(5).uniform(1.0, 60.0, 10**5), knots,
-            np.nextafter(knots[1:], 0.0), np.nextafter(knots[:-1], 99.0), [1.0, 60.0],
-        ])
-        assert _native.log_tail_spline(native_loop, spline, x).tobytes() == spline(x).tobytes()
-        assert _native.checked_spline(native_loop, spline) is not None
-        for outside in ([np.nextafter(1.0, 0.0)], [60.5], [math.nan]):
-            with pytest.raises(ValueError, match=r"\[1, 60\]"):
-                _native.log_tail_spline(native_loop, spline, np.array(outside))
+        # the log-T spline on even knots, and the quantile spline on uneven ones
+        model = PolyTailSignalModel(k)
+        for spline in (model._log_tail_spline, model._pos_branch_ppf):
+            knots = spline.x
+            x = np.concatenate([
+                np.random.default_rng(5).uniform(knots[0], knots[-1], 10**5), knots,
+                np.nextafter(knots[1:], -np.inf), np.nextafter(knots[:-1], np.inf),
+            ])
+            assert _native.spline_values(native_loop, spline, x).tobytes() == spline(x).tobytes()
+            assert _native.checked_spline(native_loop, spline) is not None
+            for outside in ([np.nextafter(knots[0], -np.inf)], [knots[-1] + 0.5], [math.nan]):
+                with pytest.raises(ValueError, match=r"x must lie in \[.*\], the knots"):
+                    _native.spline_values(native_loop, spline, np.array(outside))
+        with pytest.raises(ValueError, match=r"\[1, 60\]"):
+            _native.spline_values(native_loop, model._log_tail_spline, np.array([60.5]))
 
     def test_a_spline_that_fails_its_check_leaves_every_step_to_python(self, native_loop,
                                                                        monkeypatch):
         model = PolyTailSignalModel(2.0)  # a spline of its own, not checked yet
-        spline_at = _native.log_tail_spline
-        monkeypatch.setattr(_native, "log_tail_spline",
+        spline_at = _native.spline_values
+        monkeypatch.setattr(_native, "spline_values",
                             lambda *args: np.nextafter(spline_at(*args), 0.0))
         callers, increment = [], montecarlo._increment
 
@@ -1357,10 +1381,9 @@ class TestCohortLoop:
     def test_python_increment_runs_only_on_flagged_steps(self, model, native_loop, monkeypatch):
         # A Gaussian or PolyTail run takes its increments fused in C, a
         # flagged step's too: once Python has settled its switches, the C
-        # loop resumes at that step.  The Python _increment runs only from C,
-        # at most once per resumed flagged step (a PolyTail step at which a
-        # fork and its source hold a = sgn * ell <= 0), and never in a quiet
-        # stretch (a silent fallback); a Gaussian run never calls it.
+        # loop resumes at that step, also for a PolyTail step at which a fork
+        # and its source hold a = sgn * ell <= 0.  So neither run calls the
+        # Python _increment.
         # Bounds on the erring side, cleared cohorts and idle forks' own
         # bounds keep the flagged steps to at most twice the steps at which
         # some trial switches.
@@ -1372,21 +1395,88 @@ class TestCohortLoop:
             return increment(*args)
 
         def spy_steps(lib, cohorts, bounds, s, stop, *args):
-            called = len(callers)
             got = steps(lib, cohorts, bounds, s, stop, *args)
-            stops.append((s, got, stop, len(callers) - called))
+            stops.append((s, got, stop))
             return got
 
         monkeypatch.setattr(montecarlo, "_increment", spy_increment)
         monkeypatch.setattr(_native, "cohort_steps", spy_steps)
         agg, actions = run_trials(model, PLUS, 3000, 2048, master_seed=0, collect_actions=True)
-        flagged = sum(got < stop for _, got, stop, _ in stops)
+        flagged = sum(got < stop for _, got, stop in stops)
         before = np.concatenate((np.full((2048, 1), PLUS.sign), actions[:, :-1]), axis=1)
         switching = np.count_nonzero((actions != before).any(axis=0))
         assert 0 < flagged <= 2 * switching
         resumed = [(prev[1] < prev[2] and call[0] == prev[1]) for prev, call in zip(stops, stops[1:])]
         assert sum(resumed) == flagged  # each flagged step's increment ran in C
-        assert all(i > 0 and resumed[i - 1] and n == 1 for i, (_, _, _, n) in enumerate(stops) if n)
-        assert set(callers) <= {"cohort_steps"}
-        assert callers == [] if model is G1 else 0 < len(callers) < flagged
+        assert callers == []
         assert sum(c for t, c in agg.first_mistake_hist.items() if t) > 0
+
+
+class TestPolyTailTransform:
+    # _llr maps a PolyTail model's uniforms by _native's C transform, which
+    # must equal llr_from_uniform (_ppf_minus) bit for bit; a transform that
+    # fails its once-per-model check leaves every draw to Python.
+    @staticmethod
+    def _uniforms(model):
+        """0, 2**-53 and 1 - 2**-53, c/k and its neighbours, the u at which log(1 - u) is
+        each knot of the quantile spline and their neighbours, and 10**5 random values."""
+        ck = model.c / model.k
+        at = -np.expm1(model._pos_branch_ppf.x)
+        u = np.concatenate([[0.0, 2.0**-53, ck, np.nextafter(ck, 0.0), np.nextafter(ck, 1.0),
+                             1.0 - 2.0**-53], at, np.nextafter(at, 0.0), np.nextafter(at, 1.0),
+                            np.random.default_rng(11).random(10**5)])
+        return u[u < 1.0]
+
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    @pytest.mark.parametrize("k", [0.5, 2.0, 7.3])
+    def test_c_transform_equals_python_bit_for_bit(self, k, theta, native_loop):
+        model = PolyTailSignalModel(k)
+        u = self._uniforms(model)
+        ref = model.llr_from_uniform(theta, u)
+        got = _native.polytail_llr(native_loop, model, theta.sign, u)
+        assert got.tobytes() == ref.tobytes()
+        assert _native.checked_transform(native_loop, model)
+        rows = u[:4 * 1000].reshape(4, 1000)  # a block of rows, as the baseline maps them
+        assert montecarlo._llr(model, theta, rows).tobytes() == ref[:4000].reshape(4, 1000).tobytes()
+        in_place = u.copy()
+        assert _native.polytail_llr(native_loop, model, theta.sign, in_place, in_place) is in_place
+        assert in_place.tobytes() == ref.tobytes()
+
+    def test_c_transform_refuses_arrays_it_cannot_read(self, native_loop):
+        call = functools.partial(_native.polytail_llr, native_loop, PT2, 1.0)
+        u = np.linspace(0.0, 0.9, 12)
+        for bad in (u.astype(np.float32), u.reshape(3, 4).T, u[::2], list(u)):
+            with pytest.raises(ValueError, match="u must"):
+                call(bad)
+        readonly = np.empty(12)
+        readonly.flags.writeable = False
+        for bad in (np.empty(11), np.empty((3, 4)), np.empty(12, dtype=np.float32),
+                    np.empty(24)[::2], readonly):
+            with pytest.raises(ValueError, match="out must"):
+                call(u, bad)
+
+    def test_a_transform_that_fails_its_check_leaves_every_draw_to_python(self, native_loop,
+                                                                          monkeypatch):
+        model = PolyTailSignalModel(2.0)  # a transform of its own, not checked yet
+        callers, transform, llr_from_uniform = [], _native.polytail_llr, model.llr_from_uniform
+
+        def spy_transform(*args):
+            callers.append(("C", sys._getframe(1).f_code.co_name))
+            return np.nextafter(transform(*args), 0.0)
+
+        def spy_llr(self, theta, u):
+            callers.append(("Python", sys._getframe(1).f_code.co_name))
+            return llr_from_uniform(theta, u)
+
+        monkeypatch.setattr(_native, "polytail_llr", spy_transform)
+        monkeypatch.setattr(PolyTailSignalModel, "llr_from_uniform", spy_llr)
+        agg, actions = run_trials(model, PLUS, 600, 64, 7, collect_actions=True)
+        assert not _native.checked_transform(native_loop, model)
+        # the C transform ran in the check only; the bounds and the rows read took Python's
+        assert ("C", "_llr") not in callers and ("Python", "_llr") in callers
+        assert any(side == "C" for side, _ in callers)
+        monkeypatch.undo()
+        ref, ref_actions = run_trials(PT2, PLUS, 600, 64, 7, collect_actions=True)
+        assert _native.checked_transform(native_loop, PT2)
+        _same_aggregate(agg, ref)
+        assert np.array_equal(actions, ref_actions)
