@@ -42,7 +42,13 @@ each row, while it is in cache, into its cohort's per-column min or max
 select, which gives each element's bits whether or not it is vectorised.
 Where that archive or its headers are missing the library holds the loops
 only.  The library includes ``Python.h`` and is loaded with
-``ctypes.PyDLL`` (the GIL is held; an increment's exception propagates).  It is built once per source, flags,
+``ctypes.PyDLL``, so a call holds the GIL and an increment's exception
+propagates.  Only ``gaussian_steps`` releases the GIL, around its loop:
+the loop reads and writes nothing but the values buffer it took a view of
+(which keeps the array alive) and calls only libm, so no Python object is
+touched while other threads run; ``belief.first_mistake_distribution``
+turns the final part of a path into the law meanwhile.  ``call_steps``
+calls Python at every step and keeps the GIL.  It is built once per source, flags,
 interpreter ABI and numpy version with the interpreter's C compiler into
 ``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``) as
 ``compensated_steps-<SOABI>-<key>.so``; a build removes the libraries it
@@ -137,12 +143,15 @@ PyObject *gaussian_steps(PyObject *array, int64_t start, int64_t stop, double *s
         return NULL;
     double a = state[0], carry = state[1], step = 0.0;
     int64_t i = start;
+    /* the loop reads and writes only values and calls only libm: other threads may run Python */
+    Py_BEGIN_ALLOW_THREADS
     for (; i < stop; i++) {
         step = log_ndtr((a + mean_p) * inv_tau, sqrt2, log_sqrt_2pi)
                - log_ndtr((a - mean_p) * inv_tau, sqrt2, log_sqrt_2pi);
         if (!add_step(step, &a, &carry, values + i))
             break;
     }
+    Py_END_ALLOW_THREADS
     return hand_back(state, a, carry, i, stop, &out, i < stop ? PyFloat_FromDouble(step) : NULL);
 }
 
@@ -984,11 +993,27 @@ def polytail_llr(lib, model, sign: float, u: np.ndarray, out: np.ndarray | None 
         raise ValueError("out must be a writable C-contiguous float64 array of the shape of u")
     elif out is not u:
         np.copyto(out, u)
+    return polytail_transform(lib, model, sign)(out)
+
+
+def polytail_transform(lib, model, sign: float):
+    """``polytail_llr`` in place and unchecked: a map of uniforms to LLRs, its arguments built once.
+
+    The map writes the LLRs of a C-contiguous float64 array's uniforms over
+    them and returns it; it checks nothing, so its caller passes only such
+    arrays of its own.  A lockstep pass maps many small arrays with one.
+    """
     spline = model._pos_branch_ppf
     args = checked_spline(lib, spline) or _spline_args(spline)
-    lib.polytail_llr(out, np.empty(u.size), (np.power, np.log, -1.0 / model.k),
-                     model.c / model.k, model.k, model.c, sign, *args[:3])
-    return out
+    head = ((np.power, np.log, -1.0 / model.k), model.c / model.k, model.k, model.c, sign, *args[:3])
+    call = lib.polytail_llr
+
+    def transform(u: np.ndarray) -> np.ndarray:
+        call(u, np.empty(u.size), *head)
+        return u
+
+    transform.arrays = args[3:]  # the knots and coefficients that head points into
+    return transform
 
 
 _checked_transforms = weakref.WeakKeyDictionary()  # a quantile spline -> checked_transform's return

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
+import queue
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -90,7 +92,8 @@ def _log_tail_gap(near, far):
         out = np.full_like(near, -np.inf)
         out[~empty] = _log_tail_gap(near[~empty], far[~empty])
         return out
-    return near + np.log1p(-np.exp(far - near))
+    with np.errstate(divide="ignore"):  # far == near: log1p(-1) is the -inf of an empty gap
+        return near + np.log1p(-np.exp(far - near))
 
 
 def _signed_increment(model: SignalModel, x, sign: int):
@@ -383,7 +386,18 @@ def _replay(steps: np.ndarray) -> Callable[[float], float]:
     return functools.partial(next, iter(memoryview(steps)))
 
 
-def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> EllStarPath:
+# Steps per resume of the path loop after the block solve: the unit in which
+# ``first_mistake_distribution`` reads the path while the rest is computed.
+_CHUNK = 2**16
+
+
+def ell_star_path(
+    model: SignalModel,
+    horizon: int,
+    prior_llr: float = 0.0,
+    *,
+    on_chunk: Callable[[np.ndarray, int], None] | None = None,
+) -> EllStarPath:
     """Iterate ell' = ell + D_plus(ell) for ``horizon`` agents.
 
     Compensated summation (``asymptotics.iterate_recurrence``'s loop) keeps
@@ -393,7 +407,12 @@ def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> E
     custom models) the path is solved in blocks of steps (``_solve_blocks``),
     bit-identical to the step-by-step loop, and every loop runs in C where
     ``_native`` loads (a Gaussian path as one loop fused with its
-    closed-form increment).  ``prior_llr`` must be finite.
+    closed-form increment).  The loop then runs in chunks of ``_CHUNK``
+    steps, each resumed from the (a, carry) the last one returned, so the
+    bytes are those of one loop.  After the block solve and after each
+    chunk, ``on_chunk(values, stop)`` (if given) sees the path's array,
+    final up to ``stop``; an exception it raises ends the path.
+    ``prior_llr`` must be finite.
     """
     _check_size("horizon", horizon)
     _check_finite("prior_llr", prior_llr)
@@ -401,8 +420,19 @@ def ell_star_path(model: SignalModel, horizon: int, prior_llr: float = 0.0) -> E
     values[0] = a = float(prior_llr)
     incr, below = _scalar_increment(model)
     i, a, carry = _solve_blocks(model, incr, below, values, a)
-    _compensated_steps(incr, values, i + 1, horizon, a, carry)
+    start = i + 1
+    if on_chunk is not None:
+        on_chunk(values, start)
+    for stop in [*range(start + _CHUNK, horizon, _CHUNK), horizon]:
+        a, carry = _compensated_steps(incr, values, start, stop, a, carry)
+        start = stop
+        if on_chunk is not None:
+            on_chunk(values, stop)
     return EllStarPath(values=values, prior_llr=float(prior_llr))
+
+
+class _Stopped(Exception):
+    """Raised to a path's ``on_chunk`` caller once its reader has stopped."""
 
 
 @dataclass(frozen=True)
@@ -433,14 +463,65 @@ def first_mistake_distribution(
 
     Products are accumulated as sums of log-survivals, so horizons of 1e6+
     lose no accuracy even when the per-step mistake probability is tiny.
+    One helper thread runs ``ell_star_path``, which hands over each chunk
+    of final values (``on_chunk``) while this thread turns it into the law,
+    at most ``_CHUNK`` steps at a time: their mistake and survival logs,
+    then ``np.cumsum`` started from the running log-survival total, which
+    adds in the order of one cumsum over the whole path.  So the bytes are
+    those of the whole-path computation, and besides the path, ``pmf`` and
+    ``survivor`` the law holds only one chunk's temporaries.  The Gaussian
+    path loop runs in C without the GIL, so on a second CPU the two
+    overlap; a loop that calls Python overlaps less.  An error of the path
+    is raised here as ``ell_star_path`` raises it; an error here stops the
+    helper after its current chunk.  Either way the helper has ended when
+    this returns.
     """
-    path = ell_star_path(model, horizon, prior_llr)
-    neg = -path.values
-    log_mistake = np.asarray(model.llr_log_cdf(StateOfWorld.PLUS, neg), dtype=float)
-    log_correct = np.asarray(model.llr_log_sf(StateOfWorld.PLUS, neg), dtype=float)
-    cum = np.concatenate(([0.0], np.cumsum(log_correct)))
-    pmf = np.exp(log_mistake + cum[:-1])
-    return FirstMistakeDistribution(pmf=pmf, survivor=np.exp(cum[1:]), ell_star=path)
+    _check_size("horizon", horizon)
+    _check_finite("prior_llr", prior_llr)
+    pmf, survivor = np.empty(horizon), np.empty(horizon)
+    ready, stopped = queue.SimpleQueue(), threading.Event()
+
+    def hand_over(values, stop):
+        ready.put((values, stop))
+        if stopped.is_set():
+            raise _Stopped
+
+    def produce():
+        try:
+            ready.put(ell_star_path(model, horizon, prior_llr, on_chunk=hand_over))
+        except _Stopped:
+            pass
+        except BaseException as exc:  # handed to the caller, which raises it
+            ready.put(exc)
+
+    helper = threading.Thread(target=produce, name="ell-star-path")
+    helper.start()
+    try:
+        done, total, path = 0, 0.0, None
+        while path is None:
+            item = ready.get()
+            if isinstance(item, BaseException):
+                raise item
+            if isinstance(item, tuple):
+                values, final = item
+            else:  # the path, after its last chunk
+                path, values, final = item, item.values, horizon
+            for lo in range(done, final, _CHUNK):
+                hi = min(lo + _CHUNK, final)
+                neg = -values[lo:hi]
+                log_mistake = np.asarray(model.llr_log_cdf(StateOfWorld.PLUS, neg), dtype=float)
+                cum = np.empty(hi - lo + 1)
+                cum[0] = total
+                cum[1:] = model.llr_log_sf(StateOfWorld.PLUS, neg)
+                np.cumsum(cum, out=cum)
+                np.exp(log_mistake + cum[:-1], out=pmf[lo:hi])
+                np.exp(cum[1:], out=survivor[lo:hi])
+                total = cum[-1]
+            done = final
+    finally:
+        stopped.set()
+        helper.join()
+    return FirstMistakeDistribution(pmf=pmf, survivor=survivor, ell_star=path)
 
 
 def u_plus_monotone_threshold(

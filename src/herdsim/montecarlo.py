@@ -49,9 +49,10 @@ summed, which fixes its last bits, not which trials step together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -388,6 +389,23 @@ def _llr(model: SignalModel, theta: StateOfWorld, raw):
     return raw
 
 
+def _llr_map(model: SignalModel, theta: StateOfWorld, lib) -> Callable[[np.ndarray], np.ndarray]:
+    """``_llr`` of ``model`` under ``theta`` as a map of raw draws, its lookups made once per pass.
+
+    ``lib`` is ``_native.library()``.  The map may write the LLRs over its
+    argument, so a lockstep pass hands it only fresh C-contiguous float64
+    arrays of its own (extremes and flagged rows): a PolyTail model whose C
+    transform passed ``checked_transform`` maps them in place by
+    ``_native.polytail_transform``, without ``polytail_llr``'s checks.
+    """
+    if lib is not None and type(model) is PolyTailSignalModel:
+        from . import _native  # imported here: importing the package loads no library
+
+        if _native.checked_transform(lib, model):
+            return _native.polytail_transform(lib, model, theta.sign)
+    return functools.partial(_llr, model, theta)
+
+
 def _decreasing(model: SignalModel, theta: StateOfWorld) -> bool:
     """Whether ``_llr`` maps larger raw draws to smaller LLRs, read off the ends of [0, 1).
 
@@ -417,17 +435,18 @@ def _extremes(draws: np.ndarray, start: np.ndarray, low: np.ndarray, out=None) -
     return ext
 
 
-def _bounds(model: SignalModel, theta: StateOfWorld, ext: np.ndarray, start: np.ndarray,
+def _bounds(llr: Callable[[np.ndarray], np.ndarray], ext: np.ndarray, start: np.ndarray,
             ell: np.ndarray, sgn: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Per step, a bound on the LLRs of each cohort's rows on its erring side, from raw extremes.
 
     Cohort c holds the rows ``start[c]:start[c + 1]`` and plays sgn[c] at
     belief ell[c]; row c of ``ext`` holds, per step, the min of its raw
-    draws where low[c], else the max (``_extremes``).  ``low`` is the raw
-    side that ``_llr`` maps to the erring side: sgn > 0, flipped where the
-    map is ``_decreasing``.  Column c of the result holds, at each step, a
-    value at or below all of its LLRs if sgn[c] is +1 and one at or above
-    them if it is -1: the side on which a draw could switch it.  The
+    draws where low[c], else the max (``_extremes``).  ``llr`` is the
+    pass's ``_llr_map``, and ``low`` the raw side that it maps to the erring
+    side: sgn > 0, flipped where the map is ``_decreasing``.  Column c of
+    the result holds, at each step, a value at or below all of its LLRs if
+    sgn[c] is +1 and one at or above them if it is -1: the side on which a
+    draw could switch it.  The
     cohort's extreme raw value over all steps is transformed first; if
     ell[c] keeps its action against it, the column is that one value, and
     the cohort is cleared for these steps.  That is sound because rows only
@@ -441,7 +460,7 @@ def _bounds(model: SignalModel, theta: StateOfWorld, ext: np.ndarray, start: np.
     never flags.
     """
     def widen(raw, sgn):
-        x = _llr(model, theta, raw)
+        x = llr(raw)
         return x - sgn * _HERD_MARGIN * (1.0 + np.abs(x))
 
     some = start[1:] > start[:-1]
@@ -534,9 +553,9 @@ def _lockstep(
     the unused cohorts, orders the streams by cohort, draws them with each
     cohort's raw extremes on its erring side (``_draw_chunk``), and bounds
     each cohort's draws from those (``_bounds``), for the whole chunk or
-    per step; the raw-to-LLR map's direction is read once per pass
-    (``_decreasing``).  A step reads exactly only the rows of cohorts whose
-    bound could switch them.  A switch forks the switching trials' cohorts,
+    per step; the raw-to-LLR map (``_llr_map``) and its direction
+    (``_decreasing``) are set up once per pass.  A step reads exactly only
+    the rows of cohorts whose bound could switch them.  A switch forks the switching trials' cohorts,
     whose bound flags them at every step, and ends a run in each trial's
     run book.  At a flagged step at which no trial switches, every flagged
     cohort is bounded by its own remaining rows for the rest of the chunk
@@ -582,6 +601,7 @@ def _lockstep(
     from . import _native  # imported here: importing the package loads no library
 
     lib = _native.library()
+    llr = _llr_map(model, theta, lib)
     gaussian = (model._state_means[:, 0], model.tau) if type(model) is GaussianSignalModel else None
     polytail = None
     if type(model) is PolyTailSignalModel:
@@ -598,7 +618,7 @@ def _lockstep(
         low, ext = (sgn > 0.0) != decreasing, np.empty((len(live), chunk))
         draws = _draw_chunk(model, theta, streams, buffer[:nb * chunk].reshape(nb, chunk),
                             (start, low, ext))
-        bounds = _bounds(model, theta, ext, start, ell, sgn, low)  # column c: cohort c
+        bounds = _bounds(llr, ext, start, ell, sgn, low)  # column c: cohort c
         s = 0
         while s < chunk:
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
@@ -621,7 +641,7 @@ def _lockstep(
             if flag.any():
                 rows = np.flatnonzero(flag[coh])
                 c = coh[rows]
-                x = _llr(model, theta, draws[rows, s])
+                x = llr(draws[rows, s])
                 flip = (ell[c] + x > 0.0) != (sgn[c] > 0.0)
                 if flip.any():
                     rows, c = rows[flip], c[flip]
@@ -639,8 +659,7 @@ def _lockstep(
                     own = np.searchsorted(c[order], np.append(flagged, len(ell)))
                     low = (sgn[flagged] > 0.0) != decreasing
                     ext = _extremes(draws[rows[order], s + 1:], own, low)
-                    bounds[s + 1:, flagged] = _bounds(model, theta, ext, own, ell[flagged],
-                                                      sgn[flagged], low)
+                    bounds[s + 1:, flagged] = _bounds(llr, ext, own, ell[flagged], sgn[flagged], low)
 
             if lib is not None and settled < t:  # no value flags now: C runs this step too
                 settled, bounds[s, :len(ell)] = t, sgn * np.inf

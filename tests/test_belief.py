@@ -1,11 +1,13 @@
 """Public-belief dynamics: increments, martingale identity, ell*, first mistake."""
 
+import concurrent.futures
 import functools
 import math
 import os
 import subprocess
 import sys
 import sysconfig
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -211,6 +213,18 @@ def test_a_gaussian_increment_that_is_nan_is_refused_by_name(name):
     assert [repr(g) for g in got] == [repr(p) for p in pinned]
     if name != "update":
         assert np.array_equal(INCREMENTS[name](G1, np.array([-1e3, 1e3])), pinned)
+
+
+def test_an_empty_tail_gap_is_zero_without_a_warning():
+    # far past the switch a Gaussian's two tail logs are equal: the gap is
+    # log1p(-1) = -inf, and D is 0.0 without numpy's divide-by-zero warning
+    x = np.array([30.0, 1e3, 1e154, 3e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(float(d_plus(G1, 3e154))) == "0.0"
+        assert repr(float(d_minus(G1, -3e154))) == "-0.0"
+        assert d_plus(G1, x).tolist() == [7.793536819192108e-45, 0.0, 0.0, 0.0]
+        assert _bytes_equal(d_minus(G1, -x), -d_plus(G1, x))
 
 
 # The public functions of a belief ell besides the increments
@@ -776,6 +790,132 @@ class TestFirstMistake:
         # P(T1 > t-1) = P(T1 = t) + P(T1 > t), all terms positive, so no cancellation
         assert_allclose(dist.pmf[1:] + dist.survivor[1:], dist.survivor[:-1], rtol=1e-12)
         assert dist.pmf[0] + dist.survivor[0] == pytest.approx(1.0, rel=1e-15)
+
+
+def _one_pass_law(model, horizon, prior):
+    """ell*, pmf and survivor as computed in one pass each: the reference of the streamed law.
+
+    The path is the block solve and then one compensated loop over the rest;
+    the law is one log-probability pass and one cumsum over the whole path.
+    """
+    values = np.empty(horizon)
+    values[0] = float(prior)
+    incr, below = belief._scalar_increment(model)
+    i, a, carry = belief._solve_blocks(model, incr, below, values, values[0])
+    belief._compensated_steps(incr, values, i + 1, horizon, a, carry)
+    neg = -values
+    log_mistake = np.asarray(model.llr_log_cdf(PLUS, neg), dtype=float)
+    cum = np.concatenate(([0.0], np.cumsum(np.asarray(model.llr_log_sf(PLUS, neg), dtype=float))))
+    return values, np.exp(log_mistake + cum[:-1]), np.exp(cum[1:])
+
+
+RT5000 = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=5000)
+CHUNK = belief._CHUNK
+
+
+class _LawFailed(Exception):
+    pass
+
+
+class TestStreamedLaw:
+    """The first-mistake law reads ell* chunk by chunk from a helper thread; the bytes are one pass's."""
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "python"])
+    @pytest.mark.parametrize(
+        "model, prior",
+        [(G1, 0.0), (PT2, 0.0), (RT5000, 0.3), (RT5000, -float(RT5000.support[-1]))],
+        ids=["gaussian", "polytail", "ratetarget", "ratetarget-held"],
+    )
+    def test_law_equals_the_one_pass_law(self, model, prior, native, request, monkeypatch):
+        if native:
+            request.getfixturevalue("native_loop")
+        else:
+            monkeypatch.setattr(_native, "library", lambda: None)
+        threads = threading.active_count()
+        for horizon in (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
+            values, pmf, survivor = _one_pass_law(model, horizon, prior)
+            law = first_mistake_distribution(model, horizon, prior)
+            assert threading.active_count() == threads
+            assert _bytes_equal(law.ell_star.values, values), horizon
+            assert _bytes_equal(law.pmf, pmf) and _bytes_equal(law.survivor, survivor), horizon
+        if prior < -5000.0:  # at -cut the path holds on every step and agent 1 errs
+            assert np.all(values == prior) and law.pmf[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_concurrent_laws_keep_their_bytes_under_fast_thread_switches(self, monkeypatch):
+        # six callers, each with a helper thread, on fewer CPUs; short chunks hand over often
+        monkeypatch.setattr(belief, "_CHUNK", 512)
+        cases = [(model, prior) for model in (G1, PT2, RT5000) for prior in (0.0, 0.3)]
+        expected = [_one_pass_law(model, 5000, prior) for model, prior in cases]
+        threads, switch = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(len(cases)) as pool:
+                futures = [pool.submit(first_mistake_distribution, model, 5000, prior)
+                           for model, prior in cases]
+                laws = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert threading.active_count() == threads
+        for law, (values, pmf, survivor) in zip(laws, expected):
+            assert _bytes_equal(law.ell_star.values, values)
+            assert _bytes_equal(law.pmf, pmf) and _bytes_equal(law.survivor, survivor)
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "python"])
+    def test_a_path_error_in_the_second_chunk_is_raised_as_ell_star_path_raises_it(
+        self, native, request, monkeypatch
+    ):
+        if native:
+            request.getfixturevalue("native_loop")
+        else:
+            monkeypatch.setattr(_native, "library", lambda: None)
+        horizon = CHUNK + 100
+        at = float(ell_star_path(G1, horizon).values[CHUNK + 50])  # in the second resume
+        incr, below = belief._scalar_increment(G1)
+
+        def failing(model):
+            return (lambda x: math.nan if x >= at else incr(x)), below
+
+        monkeypatch.setattr(belief, "_scalar_increment", failing)
+        threads = threading.active_count()
+        with pytest.raises(NumericalFailure) as path:
+            ell_star_path(G1, horizon)
+        with pytest.raises(NumericalFailure) as law:
+            first_mistake_distribution(G1, horizon)
+        assert str(law.value) == str(path.value)
+        assert str(law.value) == f"increment nan not finite and >= 0 at a={at!r}"
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("native", [True, False], ids=["native", "python"])
+    def test_an_error_of_the_law_stops_the_path(self, native, request, monkeypatch):
+        if native:
+            request.getfixturevalue("native_loop")
+        else:
+            monkeypatch.setattr(_native, "library", lambda: None)
+        resumes, raised, scan = [], threading.Event(), belief._compensated_steps
+        log_sf, calls = GaussianSignalModel.llr_log_sf, []
+
+        def spy_scan(increment, values, start, stop, a, carry):
+            resumes.append(start)
+            if len(resumes) > 1:  # the second resume starts once the law has failed, and ends
+                assert raised.wait(timeout=60)  # long after the failure stopped the helper
+                time.sleep(0.2)
+            return scan(increment, values, start, stop, a, carry)
+
+        def failing_log_sf(self, state, x):
+            calls.append(len(x))
+            if len(calls) == 2:  # the first resume's chunk
+                raised.set()
+                raise _LawFailed("log-survival failed")
+            return log_sf(self, state, x)
+
+        monkeypatch.setattr(belief, "_compensated_steps", spy_scan)
+        monkeypatch.setattr(GaussianSignalModel, "llr_log_sf", failing_log_sf)
+        threads = threading.active_count()
+        with pytest.raises(_LawFailed, match="log-survival failed"):
+            first_mistake_distribution(G1, 8 * CHUNK)
+        assert threading.active_count() == threads
+        # of the path's 8 resumes, the helper ran the one under way when the law failed
+        assert calls == [1, CHUNK] and resumes == [1, 1 + CHUNK]
 
 
 class TestUPlusMonotone:

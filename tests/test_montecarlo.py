@@ -790,12 +790,13 @@ class TestBlockedSampling:
         llr = montecarlo._llr(model, theta, draws)
         low = (sgn > 0.0) != montecarlo._decreasing(model, theta)
         extremes = montecarlo._extremes(draws, start, low)
+        llr_map = montecarlo._llr_map(model, theta, _native.library())
         lowest = np.array([llr[lo:hi].min() for lo, hi in zip(start[:-1], start[1:])])
         highest = np.array([llr[lo:hi].max() for lo, hi in zip(start[:-1], start[1:])])
         # a belief at the switch clears no cohort; one far past it clears every one
         far = sgn * (1.0 + np.abs(lowest) + np.abs(highest))
         for ell, cleared in ((np.zeros(len(sizes)), False), (far, True)):
-            bounds = montecarlo._bounds(model, theta, extremes, start, ell, sgn, low)
+            bounds = montecarlo._bounds(llr_map, extremes, start, ell, sgn, low)
             assert bounds.shape == (97, len(sizes)) and bounds.flags.c_contiguous
             for c, (lo, hi) in enumerate(zip(start[:-1], start[1:])):
                 rows, b = llr[lo:hi], bounds[:, c]
@@ -811,7 +812,7 @@ class TestBlockedSampling:
         # and the others keep their bounds
         start, sgn = np.insert(start, 3, start[3]), np.insert(sgn, 3, -1.0)
         low = (sgn > 0.0) != montecarlo._decreasing(model, theta)
-        empty = montecarlo._bounds(model, theta, montecarlo._extremes(draws, start, low), start,
+        empty = montecarlo._bounds(llr_map, montecarlo._extremes(draws, start, low), start,
                                    np.insert(ell, 3, 0.0), sgn, low)
         assert np.all(empty[:, 3] == -np.inf)
         assert np.array_equal(np.delete(empty, 3, axis=1), bounds)
@@ -1441,6 +1442,27 @@ class TestPolyTailTransform:
         in_place = u.copy()
         assert _native.polytail_llr(native_loop, model, theta.sign, in_place, in_place) is in_place
         assert in_place.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_a_pass_maps_in_place_with_its_lookups_made_once(self, theta, native_loop, monkeypatch):
+        u = self._uniforms(PT2)
+        ref = PT2.llr_from_uniform(theta, u)
+        rows = u.copy()
+        llr = montecarlo._llr_map(PT2, theta, native_loop)
+        assert llr(rows) is rows and rows.tobytes() == ref.tobytes()
+        for model, lib in ((PT2, None), (G1, native_loop), (RT, native_loop)):  # these map by _llr
+            assert montecarlo._llr_map(model, theta, lib).func is montecarlo._llr
+        # a pass checks the transform once and calls no checked polytail_llr, however often it maps
+        checks, checked, transforms = [], _native.checked_transform, []
+        monkeypatch.setattr(_native, "checked_transform",
+                            lambda lib, model: checks.append(model) or checked(lib, model))
+        monkeypatch.setattr(_native, "polytail_llr", lambda *args: transforms.append(args))
+        agg = run_trials(PT2, theta, 600, 64, 7)
+        assert checks == [PT2] and transforms == []
+        monkeypatch.undo()  # the same run, each array mapped by _llr
+        monkeypatch.setattr(montecarlo, "_llr_map",
+                            lambda model, theta, lib: functools.partial(montecarlo._llr, model, theta))
+        _same_aggregate(agg, run_trials(PT2, theta, 600, 64, 7))
 
     def test_c_transform_refuses_arrays_it_cannot_read(self, native_loop):
         call = functools.partial(_native.polytail_llr, native_loop, PT2, 1.0)

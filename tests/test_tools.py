@@ -49,6 +49,8 @@ def test_output_digests_smoke(quick_lines):
         for prior in ("0.0", "0.3", "2.0"):
             assert f"ell_star/{family}/prior={prior}" in names
             assert f"first_mistake/{family}/prior={prior}/pmf" in names
+        # the law at the long horizon, computed over a chunk boundary in the full run
+        assert {f"first_mistake/{family}/long/{part}" for part in ("pmf", "survivor")} <= set(names)
         assert f"increment/{family}/log_d_minus" in names
         for theta in ("+1", "-1"):
             for fn in ("llr_cdf", "llr_log_cdf", "llr_log_sf"):

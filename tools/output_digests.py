@@ -8,7 +8,8 @@ which outputs a change moves:
 The outputs are the ell* path and the first-mistake law of each model
 family at priors 0, 0.3 and 2; the rate-target ell* from -cut, where it
 holds, and from -cut + 0.5, and its long path of criterion 06, whose
-increments stay in one integer cell for many steps; each model's CDF, log-CDF and log-survival
+increments stay in one integer cell for many steps; each family's law at
+that long horizon, which the law computes in more than one chunk; each model's CDF, log-CDF and log-survival
 under both states and D+-, log D+- on a fixed grid; each model's draws
 under both states (``llr_from_uniform`` on a fixed grid of uniforms from 0
 to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
@@ -122,6 +123,10 @@ def path_digests(size: dict):
         yield f"ell_star/ratetarget/prior={prior}", sha(path.values)
     path = belief.ell_star_path(model, size["long_path"])
     yield "ell_star/ratetarget/long", sha(path.values)
+    for family, model in models().items():  # in the full run, over a chunk boundary of the law
+        law = belief.first_mistake_distribution(model, size["long_path"])
+        yield f"first_mistake/{family}/long/pmf", sha(law.pmf)
+        yield f"first_mistake/{family}/long/survivor", sha(law.survivor)
 
 
 def model_digests(_size: dict):
