@@ -9,8 +9,10 @@ one, or a return that is not an exact float) with its index, for the Python
 loop to raise at or go on from, so the bytes, errors and types are that
 loop's.  ``cohort_steps`` runs the Monte Carlo engine's quiet lockstep steps
 (each cohort's bound test, increment and compensated update) up to the first
-flagged step.  Its Gaussian increment calls scipy's ``ndtr`` and numpy's
-``log`` ufuncs from C.  Its PolyTail increment takes each cohort's branch as
+flagged step; a pass runs it through the stepper that ``cohort_stepper``
+builds once, the model's family, ufuncs, constants and spline resolved.
+Its Gaussian increment calls scipy's ``ndtr`` and numpy's ``log`` ufuncs
+from C.  Its PolyTail increment takes each cohort's branch as
 ``belief._signed_increment`` does: the log-T spline on [1, 60], evaluated as
 scipy's ``PPoly`` does (``spline_values``, checked against scipy once per
 spline by ``checked_spline``), ``_log_T``'s asymptotic series past 60 and
@@ -21,7 +23,10 @@ and every other model, call the engine's Python ``_increment`` from C.
 ``polytail_llr`` is PolyTail's quantile transform (``llr_from_uniform``)
 the same way: numpy's ``power`` and ``log``, and the quantile spline on its
 uneven knots by the same evaluation; ``checked_transform`` compares it with
-the Python transform bit for bit once per model.  ``philox_fill`` fills
+the Python transform bit for bit once per model, and ``llr_transform``
+hands a pass the checked map, else None.  These two builders make every
+choice of kernel of a Monte Carlo pass, by the model's exact type, since a
+subclass may change the law.  ``philox_fill`` fills
 each row of a draws array from one Monte Carlo stream, held as a row of
 numpy's ``philox_state`` words (``STATE_WORDS``):
 it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
@@ -73,6 +78,8 @@ import weakref
 
 import numpy as np
 from scipy import special
+
+from .signal_models import GaussianSignalModel, PolyTailSignalModel
 
 _SOURCE = r"""
 #include <Python.h>
@@ -791,32 +798,26 @@ def _library_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, f"compensated_steps-{abi}-{key[:16]}.so")
 
 
-# A compensated-loop library; the ABI group is None in the retired names without one.
-_LIBRARY_NAME = re.compile(r"compensated_steps-(?:(.*)-)?[0-9a-f]{16}\.so")
+_LIBRARY_NAME = re.compile(r"compensated_steps-(.*)-[0-9a-f]{16}\.so")  # group 1: the ABI
 _STALE_AFTER_S = 7 * 24 * 3600
 
 
 def _remove_stale(path: str) -> None:
     """Delete the libraries that the one at ``path`` replaces in its directory.
 
-    They are the retired names, ``gaussian_steps-*.so`` and
-    ``compensated_steps-<key>.so`` without an ABI, and this ABI's library
-    under any other key once it was built more than ``_STALE_AFTER_S`` ago:
-    a newer one may belong to another checkout that shares the directory,
-    which would otherwise rebuild it whenever the two take turns.  Other
-    ABIs' libraries and other files stay.
+    They are this ABI's library under any other key once it was built more
+    than ``_STALE_AFTER_S`` ago: a newer one may belong to another checkout
+    that shares the directory, which would otherwise rebuild it whenever the
+    two take turns.  Other ABIs' libraries and other files stay.
     """
     cache_dir, own = os.path.split(path)
     abi = sysconfig.get_config_var("SOABI") or ""
     built_before = time.time() - _STALE_AFTER_S
     for name in os.listdir(cache_dir):
         match = _LIBRARY_NAME.fullmatch(name)
-        retired = name.startswith("gaussian_steps-") and name.endswith(".so")
-        retired = retired or bool(match) and match[1] is None
-        other_key = bool(match) and match[1] == abi and name != own
         file = os.path.join(cache_dir, name)
         with contextlib.suppress(OSError):  # another process may have removed it
-            if retired or other_key and os.stat(file).st_mtime < built_before:
+            if match and match[1] == abi and name != own and os.stat(file).st_mtime < built_before:
                 os.remove(file)
 
 
@@ -978,33 +979,15 @@ def checked_spline(lib, spline):
     return _checked_splines[spline]
 
 
-def polytail_llr(lib, model, sign: float, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``model.llr_from_uniform`` at the uniforms ``u`` under the state of ``sign``, by the C transform.
-
-    The values go into ``out`` (a new array if None), which may be ``u``.
-    ``checked_transform`` tells whether they equal the Python transform's.
-    """
-    if not (isinstance(u, np.ndarray) and u.dtype == np.float64 and u.flags.c_contiguous):
-        raise ValueError("u must be a C-contiguous float64 array")
-    if out is None:
-        out = u.copy()
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == u.shape
-              and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("out must be a writable C-contiguous float64 array of the shape of u")
-    elif out is not u:
-        np.copyto(out, u)
-    return polytail_transform(lib, model, sign)(out)
-
-
 def polytail_transform(lib, model, sign: float):
-    """``polytail_llr`` in place and unchecked: a map of uniforms to LLRs, its arguments built once.
+    """C's ``polytail_llr`` as a map of uniforms to LLRs in place, its arguments built once.
 
     The map writes the LLRs of a C-contiguous float64 array's uniforms over
-    them and returns it; it checks nothing, so its caller passes only such
-    arrays of its own.  A lockstep pass maps many small arrays with one.
+    them and returns it.  A lockstep pass maps many small arrays with one.
+    The model's quantile spline must have passed ``checked_spline``.
     """
     spline = model._pos_branch_ppf
-    args = checked_spline(lib, spline) or _spline_args(spline)
+    args = checked_spline(lib, spline)
     head = ((np.power, np.log, -1.0 / model.k), model.c / model.k, model.k, model.c, sign, *args[:3])
     call = lib.polytail_llr
 
@@ -1020,7 +1003,7 @@ _checked_transforms = weakref.WeakKeyDictionary()  # a quantile spline -> checke
 
 
 def checked_transform(lib, model) -> bool:
-    """Whether ``polytail_llr`` equals ``model.llr_from_uniform`` bit for bit.
+    """Whether ``polytail_transform`` equals ``model.llr_from_uniform`` bit for bit.
 
     Checked once per model (per its quantile spline ``_pos_branch_ppf``), as
     ``normals_checked`` is: the spline must pass ``checked_spline``, and the
@@ -1038,37 +1021,55 @@ def checked_transform(lib, model) -> bool:
         u = u[u < 1.0]
         x = model._ppf_minus(u)
         _checked_transforms[spline] = checked_spline(lib, spline) is not None and all(
-            polytail_llr(lib, model, sign, u).tobytes() == (-x if sign > 0 else x).tobytes()
-            for sign in (-1.0, 1.0))
+            polytail_transform(lib, model, sign)(u.copy()).tobytes()
+            == (-x if sign > 0 else x).tobytes() for sign in (-1.0, 1.0))
     return _checked_transforms[spline]
 
 
-def cohort_steps(lib, cohorts, bounds: np.ndarray, s: int, stop: int,
-                 increment, model, gaussian=None, polytail=None) -> int:
-    """Run a lockstep chunk's steps s..stop-1 by ``cohort_steps``, in place on ``cohorts``.
+def llr_transform(lib, model, sign: float):
+    """A pass's in-place map of ``model``'s uniforms to LLRs under the state of ``sign``, or None.
 
-    ``cohorts`` is (ell, carry, sgn), and cohort c reads column c of the
-    chunk's ``bounds``.  A step adds ``increment(model, ell, sgn)``, or the
-    increment computed in C: for ``gaussian`` = (the two state means, tau)
-    the Gaussian one outside its tail and deep branches, and for
-    ``polytail`` = (its log-T spline, k, c) the PolyTail one on every branch
-    but its tail, where ``checked_spline`` passes the spline.  A NaN belief
-    leaves a PolyTail step to ``increment``.  Returns the first step that a
-    bound flags, else stop.
+    The map is ``polytail_transform`` for a ``PolyTailSignalModel`` (the
+    exact type) that passed ``checked_transform``, where ``lib`` is not
+    None.  C refuses an array that is not writable, C-contiguous float64.
     """
-    if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
-            and len(cohorts[0]) <= bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
-        raise ValueError("bounds must be C-contiguous float64 rows with a column per cohort and step")
-    n = len(cohorts[0])
-    family, funcs, work, consts, spline = 0, None, None, (), (None, None, 0)
-    if gaussian:
-        (means, tau), work = gaussian, np.empty((2, n))
-        family, funcs, consts = 1, (special.ndtr, np.log), (*means, tau)
-    elif polytail and (arrays := checked_spline(lib, polytail[0])):
-        (_, k, c), work = polytail, np.empty(5 * n)
-        views = (work[:n], work[n:2 * n], work[:2 * n])  # the slices of a step with every a >= 1
-        family, funcs, ck = 2, (np.power, np.exp, np.log1p, np.log, -k, *views), c / k
+    if lib is not None and type(model) is PolyTailSignalModel and checked_transform(lib, model):
+        return polytail_transform(lib, model, sign)
+    return None
+
+
+def cohort_stepper(lib, model, increment):
+    """A pass's ``steps(cohorts, bounds, s, stop)``, which runs C's ``cohort_steps``.
+
+    ``steps`` runs a lockstep chunk's steps s..stop-1 in place on
+    ``cohorts`` = (ell, carry, sgn), cohort c reading column c of
+    ``bounds``, and returns the first step that a bound flags, else stop.
+    A step adds ``increment(model, ell, sgn)``, or computes it in C: for a
+    ``GaussianSignalModel`` outside its tail and deep branches, and for a
+    ``PolyTailSignalModel`` whose log-T spline passes ``checked_spline`` on
+    every branch but its tail and a NaN belief (the exact types).
+    """
+    family, funcs, consts, spline = 0, None, (), (None, None, 0)
+    if type(model) is GaussianSignalModel:
+        family, funcs, consts = 1, (special.ndtr, np.log), (*model._state_means[:, 0], model.tau)
+    elif type(model) is PolyTailSignalModel and (args := checked_spline(lib, model._log_tail_spline)):
+        k, c = model.k, model.c
+        family, funcs, spline, ck = 2, (np.power, np.exp, np.log1p, np.log, -k), args[:3], c / k
         consts = (-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c))
-        spline = arrays[:3]
-    return lib.cohort_steps(*cohorts, work, bounds.ctypes.data, bounds.shape[1], s, stop, increment,
-                            model, family, funcs, (ctypes.c_double * 6)(*consts), *spline)
+    consts, call = (ctypes.c_double * 6)(*consts), lib.cohort_steps
+
+    def steps(cohorts, bounds: np.ndarray, s: int, stop: int) -> int:
+        n = len(cohorts[0])
+        if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
+                and n <= bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
+            raise ValueError("bounds must be C-contiguous float64, a column per cohort, a row per step")
+        work, args = None, funcs
+        if family == 1:
+            work = np.empty((2, n))
+        elif family == 2:
+            work = np.empty(5 * n)  # with the slices of a step with every a >= 1
+            args = (*funcs, work[:n], work[n:2 * n], work[:2 * n])
+        return call(*cohorts, work, bounds.ctypes.data, bounds.shape[1], s, stop, increment, model,
+                    family, args, consts, *spline)
+
+    return steps

@@ -162,22 +162,38 @@ def _defined(out, x, name: str = "x"):
 
 
 def d_plus(model: SignalModel, x):
-    """Increment of ell when action +1 is observed at public LLR x; >= 0."""
+    """Increment of ell when action +1 is observed at public LLR x; >= 0.
+
+    For a Gaussian model it reads 0 from about x = -2**53 * 2/sigma**2 down
+    (-1.8e16 at sigma = 1), where x +- 2/sigma**2 rounds to x and both
+    action log-probabilities coincide; no run reaches such a belief.
+    """
     return _defined(_signed_increment(model, _not_nan(x), +1), x)
 
 
 def d_minus(model: SignalModel, x):
-    """Increment of ell when action -1 is observed at public LLR x; <= 0."""
+    """Increment of ell when action -1 is observed at public LLR x; <= 0.
+
+    It mirrors ``d_plus``: 0 for a Gaussian model from about x = 2**53 * 2/sigma**2 up.
+    """
     return _defined(_signed_increment(model, _not_nan(x), -1), x)
 
 
 def log_d_plus(model: SignalModel, x):
-    """log D_plus(x), usable far beyond the underflow point of d_plus."""
+    """log D_plus(x), usable far beyond the underflow point of d_plus.
+
+    For a Gaussian model it is -inf where ``d_plus`` reads 0, from about
+    x = -2**53 * 2/sigma**2 down.
+    """
     return _defined(_log_signed_increment(model, _not_nan(x), +1), x)
 
 
 def log_d_minus(model: SignalModel, x):
-    """log(-D_minus(x)), the mirrored companion of log_d_plus."""
+    """log(-D_minus(x)), the mirrored companion of log_d_plus.
+
+    For a Gaussian model it is -inf where ``d_minus`` reads 0, from about
+    x = 2**53 * 2/sigma**2 up.
+    """
     return _defined(_log_signed_increment(model, _not_nan(x), -1), x)
 
 

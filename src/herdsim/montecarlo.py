@@ -28,17 +28,20 @@ flip are read exactly.  A switch forks the switching trials' cohort into
 one with the other action and ends a run in each trial's run book; the
 horizon ends the last runs.  A fork is flagged at every step until one at
 which no trial switches; there every flagged cohort is bounded by its own
-remaining rows.  Where ``_native`` loads, Python only settles the switches
-of flagged steps, and every step's increment runs in one C loop, the
-Gaussian and PolyTail ones computed by numpy's and scipy's own ufuncs and,
-for PolyTail, scipy's spline evaluation redone in C.  Draws stay raw,
-uniforms for inversion-sampled models and standard normals for Gaussian
-ones; only the bounds and the draws read exactly are mapped to LLRs
-(``_llr``, for PolyTail by the same ufuncs and spline from C), each map
-monotone, so a mapped extreme is the extreme LLR.  Checkpoint beliefs are summed after
-the last step, so the aggregates are bit-identical to stepping every trial.
-The observed-signals baseline draws a batch's streams chunk by chunk
-through the same sampler and sums along time.  Batches are reduced into
+remaining rows.  Draws stay raw, uniforms for inversion-sampled models
+and standard normals for Gaussian ones; only the bounds and the draws read
+exactly are mapped to LLRs, each map monotone, so a mapped extreme is the
+extreme LLR.  Which C kernel serves a model is ``_native``'s choice, made
+once per pass by two builders: ``llr_transform`` gives the raw-to-LLR map
+(PolyTail's C quantile transform, else None and ``_llr`` in Python), and
+``cohort_stepper`` the loop that runs every quiet step in C, Python only
+settling the switches of flagged steps; its Gaussian and PolyTail
+increments are computed by numpy's and scipy's own ufuncs and, for
+PolyTail, scipy's spline evaluation redone in C.  Checkpoint beliefs are
+summed after the last step, so the aggregates are bit-identical to
+stepping every trial.  The observed-signals baseline draws a batch's
+streams chunk by chunk through the same sampler, maps them by the same
+``_llr_map`` and sums along time.  Batches are reduced into
 mergeable ``AggregateStats``; batch boundaries are fixed by the trial
 indices alone.  A run's batches step together in lockstep passes of whole
 batches and bounded width, each pass drawing at most ``_DRAW_BUDGET``
@@ -60,7 +63,6 @@ from .belief import ActionLabel, _rate_table, _signed_increment, rb_mistake_weig
 from .signal_models import (
     GaussianSignalModel,
     InverseCdfSignalModel,
-    PolyTailSignalModel,
     SignalModel,
     StateOfWorld,
     _check_size,
@@ -368,54 +370,29 @@ def _draw_chunk(model: SignalModel, theta: StateOfWorld, streams: np.ndarray,
 
 
 def _llr(model: SignalModel, theta: StateOfWorld, raw):
-    """The LLRs of raw draws of ``_draw_chunk``.
+    """The LLRs of raw draws of ``_draw_chunk``, in Python.
 
     A Gaussian's standard normal z maps to z * tau + mean, which is
     ``rng.normal(mean, tau)``'s own arithmetic; a uniform maps through
-    ``llr_from_uniform``, a PolyTail one by ``_native``'s C transform
-    ``polytail_llr`` wherever ``checked_transform`` has found it equal to
-    that bit for bit; any other model's draws are LLRs already.
+    ``llr_from_uniform``; any other model's draws are LLRs already.
     """
     if isinstance(model, GaussianSignalModel):
         return raw * model.tau + model._mean(theta)
-    if type(model) is PolyTailSignalModel:
-        from . import _native  # imported here: importing the package loads no library
-
-        lib = _native.library()
-        if lib is not None and _native.checked_transform(lib, model):
-            return _native.polytail_llr(lib, model, theta.sign, np.asarray(raw, dtype=float, order="C"))
     if isinstance(model, InverseCdfSignalModel):
         return model.llr_from_uniform(theta, raw)
     return raw
 
 
 def _llr_map(model: SignalModel, theta: StateOfWorld, lib) -> Callable[[np.ndarray], np.ndarray]:
-    """``_llr`` of ``model`` under ``theta`` as a map of raw draws, its lookups made once per pass.
+    """A pass's map of raw draws to LLRs: ``_native.llr_transform``'s C map, else ``_llr``.
 
     ``lib`` is ``_native.library()``.  The map may write the LLRs over its
-    argument, so a lockstep pass hands it only fresh C-contiguous float64
-    arrays of its own (extremes and flagged rows): a PolyTail model whose C
-    transform passed ``checked_transform`` maps them in place by
-    ``_native.polytail_transform``, without ``polytail_llr``'s checks.
+    argument, so a pass hands it only fresh C-contiguous float64 arrays of
+    its own (extremes, flagged rows, baseline chunks).
     """
-    if lib is not None and type(model) is PolyTailSignalModel:
-        from . import _native  # imported here: importing the package loads no library
+    from . import _native  # imported here: importing the package loads no library
 
-        if _native.checked_transform(lib, model):
-            return _native.polytail_transform(lib, model, theta.sign)
-    return functools.partial(_llr, model, theta)
-
-
-def _decreasing(model: SignalModel, theta: StateOfWorld) -> bool:
-    """Whether ``_llr`` maps larger raw draws to smaller LLRs, read off the ends of [0, 1).
-
-    Only an inversion map can: PolyTail's is decreasing in u under theta =
-    +, rate-target's increasing; the others are increasing.
-    """
-    if not isinstance(model, InverseCdfSignalModel):
-        return False
-    ends = model.llr_from_uniform(theta, np.array([0.0, 1.0 - 2.0**-53]))
-    return bool(ends[0] > ends[1])
+    return _native.llr_transform(lib, model, theta.sign) or functools.partial(_llr, model, theta)
 
 
 def _extremes(draws: np.ndarray, start: np.ndarray, low: np.ndarray, out=None) -> np.ndarray:
@@ -443,7 +420,7 @@ def _bounds(llr: Callable[[np.ndarray], np.ndarray], ext: np.ndarray, start: np.
     belief ell[c]; row c of ``ext`` holds, per step, the min of its raw
     draws where low[c], else the max (``_extremes``).  ``llr`` is the
     pass's ``_llr_map``, and ``low`` the raw side that it maps to the erring
-    side: sgn > 0, flipped where the map is ``_decreasing``.  Column c of
+    side: sgn > 0, flipped where the map is decreasing.  Column c of
     the result holds, at each step, a value at or below all of its LLRs if
     sgn[c] is +1 and one at or above them if it is -1: the side on which a
     draw could switch it.  The
@@ -553,19 +530,20 @@ def _lockstep(
     the unused cohorts, orders the streams by cohort, draws them with each
     cohort's raw extremes on its erring side (``_draw_chunk``), and bounds
     each cohort's draws from those (``_bounds``), for the whole chunk or
-    per step; the raw-to-LLR map (``_llr_map``) and its direction
-    (``_decreasing``) are set up once per pass.  A step reads exactly only
-    the rows of cohorts whose bound could switch them.  A switch forks the switching trials' cohorts,
-    whose bound flags them at every step, and ends a run in each trial's
-    run book.  At a flagged step at which no trial switches, every flagged
-    cohort is bounded by its own remaining rows for the rest of the chunk
-    (``_extremes``), or by a value that never flags if none are left.  A
-    chunk holds at most ``_DRAW_BUDGET`` draws; its length changes no value,
-    since every trial's stream and cohort states are its own.  Where
-    ``_native`` loads, ``cohort_steps`` runs each stretch of steps up to the
-    next flagged step or checkpoint in C, bit for bit as the Python step
-    below, with a Gaussian or PolyTail model's increment computed in C.  At
-    a flagged step Python settles the switches, then gives the step a bound
+    per step.  The raw-to-LLR map (``_llr_map``) is set up once per pass,
+    and its direction is read off it.  A step reads exactly only the rows
+    of cohorts whose bound could switch them.  A switch forks the switching
+    trials' cohorts, whose bound flags them at every step, and ends a run
+    in each trial's run book.  At a flagged step at which no trial
+    switches, every flagged cohort is bounded by its own remaining rows for
+    the rest of the chunk (``_extremes``), or by a value that never flags
+    if none are left.  A chunk holds at most ``_DRAW_BUDGET`` draws; its
+    length changes no value, since every trial's stream and cohort states
+    are its own.  Where ``_native`` loads, the pass's stepper
+    (``_native.cohort_stepper``) runs each stretch of steps up to the next
+    flagged step or checkpoint in C, bit for bit as the Python step below,
+    with a Gaussian or PolyTail model's increment computed in C.  At a
+    flagged step Python settles the switches, then gives the step a bound
     that flags nothing and hands it back to C.  A step that C flags again,
     which only a NaN belief can make it do, is settled once more and takes
     the Python step, as every step does without the library.
@@ -576,7 +554,6 @@ def _lockstep(
     """
     nb = len(trial_indices)
     streams = _trial_rng(master_seed, trial_indices)
-    decreasing = _decreasing(model, theta)
     time_chunk = max(1, min(_TIME_CHUNK, _DRAW_BUDGET // max(nb, 1)))
     # every chunk's draws, in its first values: a buffer allocated afresh per
     # chunk may be mapped afresh, at a page fault per page
@@ -602,10 +579,9 @@ def _lockstep(
 
     lib = _native.library()
     llr = _llr_map(model, theta, lib)
-    gaussian = (model._state_means[:, 0], model.tau) if type(model) is GaussianSignalModel else None
-    polytail = None
-    if type(model) is PolyTailSignalModel:
-        polytail = (model._log_tail_spline, model.k, model.c)
+    ends = llr(np.array([0.0, 1.0 - 2.0**-53]))  # PolyTail's map falls in u under theta = +
+    decreasing = bool(ends[0] > ends[1])
+    steps = None if lib is None else _native.cohort_stepper(lib, model, _increment)
     next_ckpt = 0
     t, settled = 1, 0  # settled: the last step whose flags were settled and handed back to C
     while t <= horizon:
@@ -625,10 +601,9 @@ def _lockstep(
                 ell_ckpt[next_ckpt, trial] = ell[coh]
                 naive[next_ckpt, trial] = sgn[coh] != theta.sign
                 next_ckpt += 1
-            if lib is not None:  # the quiet steps before the next flag or checkpoint, in C
+            if steps is not None:  # the quiet steps before the next flag or checkpoint, in C
                 stop = min(chunk, s + int(ckpt[next_ckpt]) - t) if next_ckpt < len(ckpt) else chunk
-                quiet = _native.cohort_steps(lib, (ell, carry, sgn), bounds, s, stop,
-                                             _increment, model, gaussian, polytail) - s
+                quiet = steps((ell, carry, sgn), bounds, s, stop) - s
                 if actions is not None:
                     actions[trial, t - 1:t - 1 + quiet] = sgn[coh, None]
                 s, t = s + quiet, t + quiet
@@ -661,7 +636,7 @@ def _lockstep(
                     ext = _extremes(draws[rows[order], s + 1:], own, low)
                     bounds[s + 1:, flagged] = _bounds(llr, ext, own, ell[flagged], sgn[flagged], low)
 
-            if lib is not None and settled < t:  # no value flags now: C runs this step too
+            if steps is not None and settled < t:  # no value flags now: C runs this step too
                 settled, bounds[s, :len(ell)] = t, sgn * np.inf
                 continue
             if actions is not None:
@@ -779,17 +754,20 @@ def _baseline_batch(
     compensated (Kahan) carry per trial.  The chunk length fixes the bits
     of the sums.
     """
+    from . import _native  # imported here: importing the package loads no library
+
     streams = _trial_rng(master_seed, trial_indices)
+    llr = _llr_map(model, theta, _native.library())
     out = np.empty((len(streams), len(ckpt)))
     for lo in range(0, len(streams), _BASELINE_ROWS):
         block = streams[lo:lo + _BASELINE_ROWS]
-        out[lo:lo + _BASELINE_ROWS] = _baseline_rows(model, theta, horizon, block, ckpt)
+        out[lo:lo + _BASELINE_ROWS] = _baseline_rows(model, theta, llr, horizon, block, ckpt)
     return out
 
 
-def _baseline_rows(model: SignalModel, theta: StateOfWorld, horizon: int, streams: np.ndarray,
+def _baseline_rows(model: SignalModel, theta: StateOfWorld, llr, horizon: int, streams: np.ndarray,
                    ckpt: tuple[int, ...]) -> np.ndarray:
-    """``_baseline_batch``'s sums for a block of streams; every draw is read as an LLR."""
+    """``_baseline_batch``'s sums for a block of streams; ``llr`` (``_llr_map``) reads each draw."""
     out = np.empty((len(streams), len(ckpt)))
     total = np.zeros(len(streams))
     carry = np.zeros(len(streams))
@@ -797,8 +775,7 @@ def _baseline_rows(model: SignalModel, theta: StateOfWorld, horizon: int, stream
     t = 1
     while t <= horizon and next_i < len(ckpt):
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws = _draw_chunk(model, theta, streams, np.empty((len(streams), chunk)))
-        draws = _llr(model, theta, draws)
+        draws = llr(_draw_chunk(model, theta, streams, np.empty((len(streams), chunk))))
         partial = np.cumsum(draws, axis=1, out=draws)
         while next_i < len(ckpt) and ckpt[next_i] < t + chunk:
             out[:, next_i] = total + partial[:, ckpt[next_i] - t]

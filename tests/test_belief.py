@@ -4,6 +4,8 @@ import concurrent.futures
 import functools
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import sysconfig
@@ -705,24 +707,44 @@ class TestNativeLoops:
         assert _native.run(lib, "call_steps", values, 0, 5, 0.0, 0.0, lambda a: 1.0)[0] == 5
         assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
+    def test_the_c_source_compiles_with_warnings_as_errors(self, native_loop):
+        paths, sampler = sysconfig.get_paths(), _native._sampler()
+        includes = ["-I", paths["include"], "-I", paths["platinclude"]]
+        includes += ["-I", sampler[0]] if sampler else []
+        cc = shlex.split(sysconfig.get_config_var("CC"))
+        done = subprocess.run([*cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *includes,
+                               "-x", "c", "-"], input=_native._source(), text=True,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_every_exported_c_function_is_registered(self, native_loop):
+        # a function that is not static is an entry point: _load gives it argtypes,
+        # so a dead or unregistered entry shows here
+        exported = set(re.findall(r"^(?!static\b)\w+[ *]+(\w+)\(", _native._source(), re.M))
+        registered = {name for name, f in vars(native_loop).items()
+                      if isinstance(f, native_loop._FuncPtr) and f.argtypes is not None}
+        assert {"gaussian_steps", "call_steps", "cohort_steps"} <= exported
+        assert exported == registered
+
     def test_a_build_removes_the_libraries_it_replaces(self, native_loop, monkeypatch, tmp_path):
         cache = tmp_path / "herdsim"
         cache.mkdir(mode=0o700)
         abi = sysconfig.get_config_var("SOABI") or ""
         removed = [
             f"compensated_steps-{abi}-0123456789abcdef.so",  # this ABI, another key, built long ago
-            "compensated_steps-0123456789abcdef.so",  # the retired name without an ABI
-            "gaussian_steps-0123456789abcdef.so",  # the retired Gaussian-only library
         ]
         kept = [
             f"compensated_steps-{abi}-fedcba9876543210.so",  # this ABI, another key, built lately
             "compensated_steps-cpython-00-other-0123456789abcdef.so",
+            "compensated_steps-0123456789abcdef.so",  # no ABI: not a name a build gives
+            "gaussian_steps-0123456789abcdef.so",
             "notes.txt",
         ]
         for name in removed + kept:
             (cache / name).write_bytes(b"")
         old = time.time() - _native._STALE_AFTER_S - 60
-        os.utime(cache / removed[0], (old, old))
+        for name in removed + kept[2:]:  # built long ago, but only this ABI's library goes
+            os.utime(cache / name, (old, old))
         config_var = sysconfig.get_config_var
         with monkeypatch.context() as patch:  # a failed build removes nothing
             patch.setattr(
@@ -735,9 +757,10 @@ class TestNativeLoops:
         own = os.path.basename(_native._library_path(str(cache)))
         assert own.startswith(f"compensated_steps-{abi}-")
         assert sorted(os.listdir(cache)) == sorted(kept + [own])
-        (cache / removed[1]).write_bytes(b"")  # loading a built library removes nothing
+        (cache / removed[0]).write_bytes(b"")  # loading a built library removes nothing
+        os.utime(cache / removed[0], (old, old))
         assert _native._load(str(cache)) is not None
-        assert sorted(os.listdir(cache)) == sorted(kept + [own, removed[1]])
+        assert sorted(os.listdir(cache)) == sorted(kept + [own, removed[0]])
 
     def test_no_compiler_or_shared_cache_dir_loads_nothing(self, monkeypatch, tmp_path):
         shared = tmp_path / "shared"

@@ -3,6 +3,7 @@
 import functools
 import math
 import sys
+import traceback
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,14 @@ G07 = GaussianSignalModel(sigma=0.7)  # tau = 2/sigma is no power of two: scalin
 PT2 = PolyTailSignalModel(k=2.0)
 RT = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=500)
 FIVE_MODELS = [G1, G07, PT2, PolyTailSignalModel(k=0.5), RT]
+
+
+class SubGaussian(GaussianSignalModel):
+    """The base's law in a subclass, to which _native gives no C kernel of the base."""
+
+
+class SubPolyTail(PolyTailSignalModel):
+    """The base's law in a subclass, to which _native gives no C kernel of the base."""
 
 
 class TestCheckpoints:
@@ -788,9 +797,13 @@ class TestBlockedSampling:
         streams = montecarlo._trial_rng(6, range(start[-1]))
         draws = montecarlo._draw_chunk(model, theta, streams, np.empty((start[-1], 97)))
         llr = montecarlo._llr(model, theta, draws)
-        low = (sgn > 0.0) != montecarlo._decreasing(model, theta)
-        extremes = montecarlo._extremes(draws, start, low)
         llr_map = montecarlo._llr_map(model, theta, _native.library())
+        # the pass reads the map's direction off its ends: only PolyTail's falls, under theta = +
+        ends = llr_map(np.array([0.0, 1.0 - 2.0**-53]))
+        decreasing = bool(ends[0] > ends[1])
+        assert decreasing == (model.family == "polytail" and theta is PLUS)
+        low = (sgn > 0.0) != decreasing
+        extremes = montecarlo._extremes(draws, start, low)
         lowest = np.array([llr[lo:hi].min() for lo, hi in zip(start[:-1], start[1:])])
         highest = np.array([llr[lo:hi].max() for lo, hi in zip(start[:-1], start[1:])])
         # a belief at the switch clears no cohort; one far past it clears every one
@@ -811,7 +824,7 @@ class TestBlockedSampling:
         # a cohort whose rows have all left gets a value that never flags,
         # and the others keep their bounds
         start, sgn = np.insert(start, 3, start[3]), np.insert(sgn, 3, -1.0)
-        low = (sgn > 0.0) != montecarlo._decreasing(model, theta)
+        low = (sgn > 0.0) != decreasing
         empty = montecarlo._bounds(llr_map, montecarlo._extremes(draws, start, low), start,
                                    np.insert(ell, 3, 0.0), sgn, low)
         assert np.all(empty[:, 3] == -np.inf)
@@ -1177,9 +1190,9 @@ class TestHerdEdge:
 
 
 class TestCohortLoop:
-    # The lockstep engine's quiet steps run in _native's cohort_steps, which
-    # stops at every step that a cohort's bound flags; the Python step loop
-    # is the reference.
+    # The lockstep engine's quiet steps run in C's cohort_steps, through the
+    # pass's _native.cohort_stepper, which stops at every step that a
+    # cohort's bound flags; the Python step loop is the reference.
     @pytest.mark.parametrize("model", [G1, G07, PT2, RT, LogisticModel()],
                              ids=["gaussian", "gaussian-sigma0.7", "polytail", "ratetarget", "logistic"])
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
@@ -1231,22 +1244,18 @@ class TestCohortLoop:
 
         return increment
 
-    @staticmethod
-    def _polytail(model):
-        return model._log_tail_spline, model.k, model.c
-
+    # SubPolyTail fuses no increment: every step of it calls the increment from C
     @pytest.mark.parametrize("case", ["bulk", "tail", "deep"])
-    @pytest.mark.parametrize("model", [G1, G07, PT2], ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", [G1, G07, SubPolyTail(2.0)], ids=lambda m: m.family)
     def test_direct_call_stops_at_a_flag_and_at_the_limit(self, case, model, native_loop):
         ell0, sgn = (np.array(v) for v in self._cohorts(case, model))
         carry0 = np.full(len(ell0), 1e-17)
         bounds = self._no_flag(sgn, 40)
-        gaussian = (model._state_means[:, 0], model.tau) if model.family == "gaussian" else None
+        gaussian = model.family == "gaussian"
         calls = []
-        increment = self._counted(calls)
+        steps = _native.cohort_stepper(native_loop, model, self._counted(calls))
         ell, carry = ell0.copy(), carry0.copy()
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 3, 30,
-                                   increment, model, gaussian)
+        got = steps((ell, carry, sgn), bounds, 3, 30)
         ref = self._python_steps(model, ell0, carry0, sgn, 27)
         assert got == 30
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
@@ -1254,19 +1263,20 @@ class TestCohortLoop:
         # a bound that flips cohort 1 at step 17 stops the loop there
         bounds[17, 1] = -sgn[1] * np.inf
         ell, carry = ell0.copy(), carry0.copy()
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 3, 30,
-                                   increment, model, gaussian)
+        got = steps((ell, carry, sgn), bounds, 3, 30)
         ref = self._python_steps(model, ell0, carry0, sgn, 14)
         assert got == 17
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
-        assert _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 17, 30,
-                                    increment, model, gaussian) == 17
+        assert steps((ell, carry, sgn), bounds, 17, 30) == 17
 
     def test_direct_call_refuses_what_it_cannot_read(self, native_loop):
         ell, carry, sgn = np.zeros(2), np.zeros(2), np.ones(2)
         bounds = np.full((5, 2), np.inf)  # no step is flagged
-        call = functools.partial(_native.cohort_steps, native_loop, increment=montecarlo._increment,
-                                 model=PT2)
+        model = SubPolyTail(2.0)  # every step calls the increment
+
+        def call(cohorts, bounds, s, stop, increment=montecarlo._increment):
+            return _native.cohort_stepper(native_loop, model, increment)(cohorts, bounds, s, stop)
+
         with pytest.raises(ValueError, match="bounds"):
             call((ell, carry, sgn), np.zeros((5, 1)), 0, 5)  # no column for cohort 1
         with pytest.raises(ValueError, match="bounds"):
@@ -1293,8 +1303,8 @@ class TestCohortLoop:
         ell0, carry0 = sign * a, np.linspace(-3e-16, 3e-16, len(a))
         bounds = self._no_flag(sgn, 1)
         calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 0, 1,
-                                   self._counted(calls), model, None, self._polytail(model))
+        got = _native.cohort_stepper(native_loop, model, self._counted(calls))((ell, carry, sgn),
+                                                                               bounds, 0, 1)
         ref = self._python_steps(model, ell0, carry0, sgn, 1)
         assert got == 1 and calls == []
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
@@ -1314,8 +1324,8 @@ class TestCohortLoop:
         ell0, carry0 = np.array([3.0, -5.0, -a]), np.full(3, 1e-17)
         bounds = self._no_flag(sgn, steps)
         calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), bounds, 0, steps,
-                                   self._counted(calls), model, None, self._polytail(model))
+        got = _native.cohort_stepper(native_loop, model, self._counted(calls))((ell, carry, sgn),
+                                                                               bounds, 0, steps)
         ref = self._python_steps(model, ell0, carry0, sgn, steps)
         assert got == steps and len(calls) == calls_per_step * steps
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
@@ -1332,8 +1342,8 @@ class TestCohortLoop:
         ell0, carry0 = sgn * np.tile(a, 2), np.linspace(-3e-16, 3e-16, 2 * len(a))
         steps = 6
         calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
-        got = _native.cohort_steps(native_loop, (ell, carry, sgn), self._no_flag(sgn, steps), 0,
-                                   steps, self._counted(calls), model, None, self._polytail(model))
+        got = _native.cohort_stepper(native_loop, model, self._counted(calls))(
+            (ell, carry, sgn), self._no_flag(sgn, steps), 0, steps)
         ref = self._python_steps(model, ell0, carry0, sgn, steps)
         assert got == steps and calls == []
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
@@ -1371,8 +1381,9 @@ class TestCohortLoop:
         monkeypatch.setattr(montecarlo, "_increment", spy_increment)
         agg, actions = run_trials(model, PLUS, 600, 64, 7, collect_actions=True)
         assert _native.checked_spline(native_loop, model._log_tail_spline) is None
-        # each of the 600 steps calls it once: a quiet one from C, a flagged one from Python
-        assert len(callers) == 600 and callers.count("cohort_steps") > 0
+        # each of the 600 steps calls it once: a quiet one from C (under the pass's
+        # stepper, steps), a flagged one from Python
+        assert len(callers) == 600 and callers.count("steps") > 0
         monkeypatch.undo()
         ref, ref_actions = run_trials(PT2, PLUS, 600, 64, 7, collect_actions=True)
         _same_aggregate(agg, ref)
@@ -1388,21 +1399,28 @@ class TestCohortLoop:
         # Bounds on the erring side, cleared cohorts and idle forks' own
         # bounds keep the flagged steps to at most twice the steps at which
         # some trial switches.
-        callers, stops = [], []
-        increment, steps = montecarlo._increment, _native.cohort_steps
+        callers, stops, built = [], [], []
+        increment, stepper = montecarlo._increment, _native.cohort_stepper
 
         def spy_increment(*args):
             callers.append(sys._getframe(1).f_code.co_name)
             return increment(*args)
 
-        def spy_steps(lib, cohorts, bounds, s, stop, *args):
-            got = steps(lib, cohorts, bounds, s, stop, *args)
-            stops.append((s, got, stop))
-            return got
+        def spy_stepper(lib, model, increment):
+            steps = stepper(lib, model, increment)
+            built.append(model)
+
+            def spy_steps(cohorts, bounds, s, stop):
+                got = steps(cohorts, bounds, s, stop)
+                stops.append((s, got, stop))
+                return got
+
+            return spy_steps
 
         monkeypatch.setattr(montecarlo, "_increment", spy_increment)
-        monkeypatch.setattr(_native, "cohort_steps", spy_steps)
+        monkeypatch.setattr(_native, "cohort_stepper", spy_stepper)
         agg, actions = run_trials(model, PLUS, 3000, 2048, master_seed=0, collect_actions=True)
+        assert built == [model]  # one pass, one stepper
         flagged = sum(got < stop for _, got, stop in stops)
         before = np.concatenate((np.full((2048, 1), PLUS.sign), actions[:, :-1]), axis=1)
         switching = np.count_nonzero((actions != before).any(axis=0))
@@ -1414,9 +1432,10 @@ class TestCohortLoop:
 
 
 class TestPolyTailTransform:
-    # _llr maps a PolyTail model's uniforms by _native's C transform, which
-    # must equal llr_from_uniform (_ppf_minus) bit for bit; a transform that
-    # fails its once-per-model check leaves every draw to Python.
+    # A pass maps a PolyTail model's uniforms by the C transform that
+    # _native.llr_transform hands it, which must equal llr_from_uniform
+    # (_ppf_minus) bit for bit; a transform that fails its once-per-model
+    # check leaves every draw to Python.
     @staticmethod
     def _uniforms(model):
         """0, 2**-53 and 1 - 2**-53, c/k and its neighbours, the u at which log(1 - u) is
@@ -1434,14 +1453,14 @@ class TestPolyTailTransform:
         model = PolyTailSignalModel(k)
         u = self._uniforms(model)
         ref = model.llr_from_uniform(theta, u)
-        got = _native.polytail_llr(native_loop, model, theta.sign, u)
-        assert got.tobytes() == ref.tobytes()
-        assert _native.checked_transform(native_loop, model)
-        rows = u[:4 * 1000].reshape(4, 1000)  # a block of rows, as the baseline maps them
-        assert montecarlo._llr(model, theta, rows).tobytes() == ref[:4000].reshape(4, 1000).tobytes()
+        transform = _native.llr_transform(native_loop, model, theta.sign)
         in_place = u.copy()
-        assert _native.polytail_llr(native_loop, model, theta.sign, in_place, in_place) is in_place
+        assert transform(in_place) is in_place
         assert in_place.tobytes() == ref.tobytes()
+        assert _native.checked_transform(native_loop, model)
+        rows = u[:4 * 1000].reshape(4, 1000).copy()  # a block of rows, as the baseline maps them
+        llr = montecarlo._llr_map(model, theta, native_loop)
+        assert llr(rows).tobytes() == ref[:4000].reshape(4, 1000).tobytes()
 
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
     def test_a_pass_maps_in_place_with_its_lookups_made_once(self, theta, native_loop, monkeypatch):
@@ -1452,53 +1471,103 @@ class TestPolyTailTransform:
         assert llr(rows) is rows and rows.tobytes() == ref.tobytes()
         for model, lib in ((PT2, None), (G1, native_loop), (RT, native_loop)):  # these map by _llr
             assert montecarlo._llr_map(model, theta, lib).func is montecarlo._llr
-        # a pass checks the transform once and calls no checked polytail_llr, however often it maps
-        checks, checked, transforms = [], _native.checked_transform, []
+        # a pass checks the transform once and builds one map, however often it maps
+        checks, checked, maps, transform = [], _native.checked_transform, [], _native.llr_transform
         monkeypatch.setattr(_native, "checked_transform",
                             lambda lib, model: checks.append(model) or checked(lib, model))
-        monkeypatch.setattr(_native, "polytail_llr", lambda *args: transforms.append(args))
+        monkeypatch.setattr(_native, "llr_transform", lambda lib, model, sign: maps.append(
+            (model, sign)) or transform(lib, model, sign))
         agg = run_trials(PT2, theta, 600, 64, 7)
-        assert checks == [PT2] and transforms == []
+        assert checks == [PT2] and maps == [(PT2, theta.sign)]
         monkeypatch.undo()  # the same run, each array mapped by _llr
         monkeypatch.setattr(montecarlo, "_llr_map",
                             lambda model, theta, lib: functools.partial(montecarlo._llr, model, theta))
         _same_aggregate(agg, run_trials(PT2, theta, 600, 64, 7))
 
     def test_c_transform_refuses_arrays_it_cannot_read(self, native_loop):
-        call = functools.partial(_native.polytail_llr, native_loop, PT2, 1.0)
+        # the map writes in place: C takes only writable C-contiguous float64 arrays
+        transform = _native.llr_transform(native_loop, PT2, 1.0)
         u = np.linspace(0.0, 0.9, 12)
-        for bad in (u.astype(np.float32), u.reshape(3, 4).T, u[::2], list(u)):
-            with pytest.raises(ValueError, match="u must"):
-                call(bad)
-        readonly = np.empty(12)
+        readonly = u.copy()
         readonly.flags.writeable = False
-        for bad in (np.empty(11), np.empty((3, 4)), np.empty(12, dtype=np.float32),
-                    np.empty(24)[::2], readonly):
-            with pytest.raises(ValueError, match="out must"):
-                call(u, bad)
+        for bad, error, match in ((u.astype(np.float32), TypeError, "float64"),
+                                  (u.reshape(3, 4).T, ValueError, "contiguous"),
+                                  (np.linspace(0.0, 0.9, 24)[::2], ValueError, "contiguous"),
+                                  (readonly, ValueError, "read-only")):
+            before = bad.copy()
+            with pytest.raises(error, match=match):
+                transform(bad)
+            assert bad.tobytes() == before.tobytes()
 
     def test_a_transform_that_fails_its_check_leaves_every_draw_to_python(self, native_loop,
                                                                           monkeypatch):
         model = PolyTailSignalModel(2.0)  # a transform of its own, not checked yet
-        callers, transform, llr_from_uniform = [], _native.polytail_llr, model.llr_from_uniform
+        stacks, callers = [], []
+        transform, llr_from_uniform = _native.polytail_transform, model.llr_from_uniform
 
         def spy_transform(*args):
-            callers.append(("C", sys._getframe(1).f_code.co_name))
-            return np.nextafter(transform(*args), 0.0)
+            mapped = transform(*args)
+
+            def off_by_an_ulp(u):
+                stacks.append({frame.name for frame in traceback.extract_stack()})
+                return np.nextafter(mapped(u), 0.0)
+
+            return off_by_an_ulp
 
         def spy_llr(self, theta, u):
-            callers.append(("Python", sys._getframe(1).f_code.co_name))
+            callers.append(sys._getframe(1).f_code.co_name)
             return llr_from_uniform(theta, u)
 
-        monkeypatch.setattr(_native, "polytail_llr", spy_transform)
+        monkeypatch.setattr(_native, "polytail_transform", spy_transform)
         monkeypatch.setattr(PolyTailSignalModel, "llr_from_uniform", spy_llr)
         agg, actions = run_trials(model, PLUS, 600, 64, 7, collect_actions=True)
         assert not _native.checked_transform(native_loop, model)
+        assert _native.llr_transform(native_loop, model, 1.0) is None
         # the C transform ran in the check only; the bounds and the rows read took Python's
-        assert ("C", "_llr") not in callers and ("Python", "_llr") in callers
-        assert any(side == "C" for side, _ in callers)
+        assert stacks and all("checked_transform" in names for names in stacks)
+        assert "_llr" in callers
         monkeypatch.undo()
         ref, ref_actions = run_trials(PT2, PLUS, 600, 64, 7, collect_actions=True)
         assert _native.checked_transform(native_loop, PT2)
         _same_aggregate(agg, ref)
         assert np.array_equal(actions, ref_actions)
+
+
+class TestExactTypes:
+    # _native chooses a model's C kernels by its exact type, since a subclass
+    # may change the law.  These subclasses keep their base's law, so they
+    # take the Python map and the Python increment and give the base's bits.
+    SUBCLASSES = [(SubGaussian(1.0), G1), (SubPolyTail(2.0), PT2)]
+
+    @pytest.mark.parametrize("sub, base", SUBCLASSES, ids=["gaussian", "polytail"])
+    def test_a_subclass_takes_no_c_kernel(self, sub, base, native_loop):
+        for theta in (PLUS, MINUS):
+            assert _native.llr_transform(native_loop, sub, theta.sign) is None
+            assert montecarlo._llr_map(sub, theta, native_loop).func is montecarlo._llr
+        # bulk beliefs, whose increments the base computes in C
+        ell0, sgn = np.array([0.5, -3.0, 4.0, 1.5]), np.array([1.0, 1.0, -1.0, -1.0])
+        carry0, steps = np.full(4, 1e-17), 25
+        bounds = TestCohortLoop._no_flag(sgn, steps)
+        out = {}
+        for model in (sub, base):
+            calls, ell, carry = [], ell0.copy(), carry0.copy()
+            stepper = _native.cohort_stepper(native_loop, model, TestCohortLoop._counted(calls))
+            assert stepper((ell, carry, sgn), bounds, 0, steps) == steps
+            out[model] = ell.tobytes() + carry.tobytes(), len(calls)
+        assert out[sub] == (out[base][0], steps) and out[base][1] == 0
+
+    @pytest.mark.parametrize("sub, base", SUBCLASSES, ids=["gaussian", "polytail"])
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_a_subclass_runs_as_its_base(self, sub, base, theta, native_loop, python_loop):
+        args = (theta, 600, 64, 7)
+        run = functools.partial(run_trials, collect_actions=True)
+        ref, ref_actions = run(base, *args)
+        assert sum(c for t, c in ref.first_mistake_hist.items() if t) > 0
+        for agg, actions in (run(sub, *args), python_loop(run, sub, *args)):
+            _same_aggregate(agg, ref)
+            assert np.array_equal(actions, ref_actions)
+        ckpt = default_checkpoints(600)
+        baseline = montecarlo._baseline_batch(base, theta, 600, 7, range(8), ckpt)
+        for fn in (montecarlo._baseline_batch,
+                   functools.partial(python_loop, montecarlo._baseline_batch)):
+            assert fn(sub, theta, 600, 7, range(8), ckpt).tobytes() == baseline.tobytes()
