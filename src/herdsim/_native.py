@@ -25,10 +25,10 @@ the same way: numpy's ``power`` and ``log``, and the quantile spline on its
 uneven knots by the same evaluation; ``checked_transform`` compares it with
 the Python transform bit for bit once per model, and ``llr_transform``
 hands a pass the checked map, else None.  These two builders make every
-choice of kernel of a Monte Carlo pass, by the model's exact type, since a
-subclass may change the law.  ``philox_fill`` fills
-each row of a draws array from one Monte Carlo stream, held as a row of
-numpy's ``philox_state`` words (``STATE_WORDS``):
+choice of kernel of a Monte Carlo pass, and ``path_steps`` the choice of an
+exact path's loop, by the model's exact type, since a subclass may change
+the law.  ``philox_fill`` fills each row of a draws array from one Monte
+Carlo stream, held as a row of numpy's ``philox_state`` words (``STATE_WORDS``):
 it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
 bumped before each block of four words) and draws as numpy does, so every
 draw equals ``Generator(Philox)``'s bit for bit.  A uniform is a word's top
@@ -79,7 +79,7 @@ import weakref
 import numpy as np
 from scipy import special
 
-from .signal_models import GaussianSignalModel, PolyTailSignalModel
+from .signal_models import _LOG_SQRT_2PI, _SQRT2, GaussianSignalModel, PolyTailSignalModel
 
 _SOURCE = r"""
 #include <Python.h>
@@ -927,15 +927,18 @@ def fill_extremes(lib, states: np.ndarray, out: np.ndarray, normal: bool, start:
                              start.ctypes.data, low.ctypes.data, ext.ctypes.data, len(low))
 
 
-def run(lib, name: str, values: np.ndarray, start: int, stop: int, a: float, carry: float, *extra):
-    """Fill ``values[start:i]`` by the C loop ``name`` from the pair ``a``, ``carry`` at start - 1.
+def path_steps(lib, model, increment, values: np.ndarray, start: int, stop: int, a: float, carry: float):
+    """Fill ``values[start:i]`` from ``a``, ``carry`` at start - 1 by ``model``'s loop over ``increment``.
 
     Returns (i, a, carry, step); unless i == stop, the loop handed back the step at i.
     """
     if not 0 <= start <= stop <= len(values):
         raise ValueError(f"range [{start}, {stop}) outside values of length {len(values)}")
     state = (ctypes.c_double * 3)(a, carry, start)
-    step = getattr(lib, name)(values, start, stop, state, *extra)
+    loop, args = lib.call_steps, (increment,)
+    if type(model) is GaussianSignalModel:  # increment, the model's D+, fused into the loop
+        loop, args = lib.gaussian_steps, (model._state_means[1, 0], 1.0 / model.tau, _SQRT2, _LOG_SQRT_2PI)
+    step = loop(values, start, stop, state, *args)
     return int(state[2]), state[0], state[1], step
 
 

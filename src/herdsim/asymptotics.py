@@ -242,22 +242,22 @@ def _compensated_steps(
     stop: int,
     a: float,
     carry: float,
+    model: SignalModel | None = None,
 ) -> tuple[float, float]:
     """Fill ``values[start:stop]`` with a <- a + increment(a), Kahan-compensated.
 
     ``a`` and ``carry`` are the value at ``start - 1`` and the running
     compensation there; the pair at ``stop - 1`` is returned, so a caller
     can resume the sequence.  The one compensated loop of the recurrence
-    iterators: where ``_native`` loads it runs in C, the loop an increment
-    names in ``c_loop`` or one that calls it, and ``_python_steps`` takes
-    any step the C loop hands back, and the rest of the range.
+    iterators: where ``_native`` loads it runs in C, in the loop that
+    ``_native.path_steps`` picks for ``model`` (``increment``'s, or None),
+    and ``_python_steps`` takes any step C hands back and the rest of the range.
     """
     from . import _native  # imported here: importing the package loads no library
 
     lib = _native.library()
     if lib is not None:
-        name, *extra = getattr(increment, "c_loop", ("call_steps", increment))
-        start, a, carry, step = _native.run(lib, name, values, start, stop, a, carry, *extra)
+        start, a, carry, step = _native.path_steps(lib, model, increment, values, start, stop, a, carry)
         if start < stop:  # the Python loop raises at this step, or goes on from it
             a, carry = _python_steps(lambda _: step, values, start, start + 1, a, carry)
             start += 1

@@ -30,8 +30,6 @@ from .signal_models import (
     RateTargetSignalModel,
     SignalModel,
     StateOfWorld,
-    _LOG_SQRT_2PI,
-    _SQRT2,
     _as1d,
     _check_finite,
     _check_size,
@@ -222,8 +220,9 @@ def _rate_table(model: RateTargetSignalModel) -> np.ndarray:
 
 
 def decide(ell: float, llr: float) -> ActionLabel:
-    """Optimal action given public LLR and the agent's private LLR; ties pick -1."""
-    return ActionLabel.PLUS if ell + llr > 0.0 else ActionLabel.MINUS
+    """Optimal action given public LLR and the agent's private LLR; ties pick -1; NaN is refused."""
+    total = _not_nan(_not_nan(ell, "ell") + _not_nan(llr, "llr"), "ell + llr")  # inf - inf is NaN
+    return ActionLabel.PLUS if total > 0.0 else ActionLabel.MINUS
 
 
 def update(model: SignalModel, state: BeliefState, action: ActionLabel) -> BeliefState:
@@ -287,8 +286,7 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
 
     The second value is the x below which the scalar increment is the kernel
     itself: -inf for the Gaussian closed form and the rate-target table, 40
-    for PolyTail, +inf for any other model.  The Gaussian one names its loop
-    in C, ``c_loop``, which fuses the same closed form into the loop.
+    for PolyTail, +inf for any other model (a subclass counts as its base).
     """
     if isinstance(model, GaussianSignalModel):
         mean_p, inv_tau = 2.0 / (model.sigma * model.sigma), 1.0 / model.tau
@@ -299,7 +297,6 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
                 (x - mean_p) * inv_tau
             )
 
-        incr.c_loop = ("gaussian_steps", mean_p, inv_tau, _SQRT2, _LOG_SQRT_2PI)
         return incr, -math.inf
 
     if isinstance(model, RateTargetSignalModel):
@@ -422,13 +419,13 @@ def ell_star_path(
     -cut).  Where the increment is the kernel itself (PolyTail below 40,
     custom models) the path is solved in blocks of steps (``_solve_blocks``),
     bit-identical to the step-by-step loop, and every loop runs in C where
-    ``_native`` loads (a Gaussian path as one loop fused with its
-    closed-form increment).  The loop then runs in chunks of ``_CHUNK``
-    steps, each resumed from the (a, carry) the last one returned, so the
-    bytes are those of one loop.  After the block solve and after each
-    chunk, ``on_chunk(values, stop)`` (if given) sees the path's array,
-    final up to ``stop``; an exception it raises ends the path.
-    ``prior_llr`` must be finite.
+    ``_native`` loads: the one ``_native.path_steps`` picks for ``model``,
+    fused with the closed-form increment for an exact-type Gaussian.  The
+    loop then runs in chunks of ``_CHUNK`` steps, each resumed from the
+    (a, carry) the last one returned, so the bytes are those of one loop.
+    After the block solve and after each chunk, ``on_chunk(values, stop)``
+    (if given) sees the path's array, final up to ``stop``; an exception it
+    raises ends the path.  ``prior_llr`` must be finite.
     """
     _check_size("horizon", horizon)
     _check_finite("prior_llr", prior_llr)
@@ -440,7 +437,7 @@ def ell_star_path(
     if on_chunk is not None:
         on_chunk(values, start)
     for stop in [*range(start + _CHUNK, horizon, _CHUNK), horizon]:
-        a, carry = _compensated_steps(incr, values, start, stop, a, carry)
+        a, carry = _compensated_steps(incr, values, start, stop, a, carry, model)
         start = stop
         if on_chunk is not None:
             on_chunk(values, stop)

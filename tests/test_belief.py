@@ -59,6 +59,10 @@ RT = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=2000)
 ALL = [G1, G2, PT1, PT2, RT]
 
 
+class SubGaussian(GaussianSignalModel):
+    """The base's law in a subclass, to which _native gives no C loop of the base."""
+
+
 class TestIncrements:
     def test_gaussian_d_plus_at_zero(self):
         # [DERIVED] mpmath: ln(Phi(1/2)/Phi(-1/2)) = 0.806965346304962216
@@ -256,6 +260,17 @@ class TestDecisionAndUpdate:
         assert decide(0.5, -0.5) is ActionLabel.MINUS  # ties break to minus
         assert decide(0.5, -0.4) is ActionLabel.PLUS
         assert decide(-1.0, 0.5) is ActionLabel.MINUS
+        assert decide(math.inf, -1e308) is ActionLabel.PLUS  # one infinity decides
+        assert decide(-math.inf, 1e308) is ActionLabel.MINUS
+
+    @pytest.mark.parametrize("ell, llr, name", [
+        (math.nan, 1.0, "ell"), (0.0, math.nan, "llr"), (math.nan, math.nan, "ell"),
+        (math.inf, -math.inf, "ell + llr"), (-math.inf, math.inf, "ell + llr"),
+    ])
+    def test_decide_refuses_nan_by_name(self, ell, llr, name):
+        # a NaN compares false, so it would silently pick -1
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must not be NaN$"):
+            decide(ell, llr)
 
     def test_update_round_trip(self):
         # [TRIVIAL] plus-then-minus from 0 lands strictly below d_plus(0)
@@ -463,11 +478,11 @@ class TestBlockSolve:
         """Record the (start, stop) of every scan: over the model's own increment, and replays."""
         sequential, replayed, scan = [], [], belief._compensated_steps
 
-        def spy(increment, values, start, stop, a, carry):
+        def spy(increment, values, start, stop, a, carry, model=None):
             # a replay of solved steps is a partial; anything else steps the model
             replay = isinstance(increment, functools.partial)
             (replayed if replay else sequential).append((start, stop))
-            return scan(increment, values, start, stop, a, carry)
+            return scan(increment, values, start, stop, a, carry, model)
 
         monkeypatch.setattr(belief, "_compensated_steps", spy)
         return sequential, replayed
@@ -704,7 +719,7 @@ class TestNativeLoops:
         lib = _native._load(str(tmp_path / "herdsim"))
         assert lib is not None and not hasattr(lib, "philox_fill")
         values = np.empty(5)
-        assert _native.run(lib, "call_steps", values, 0, 5, 0.0, 0.0, lambda a: 1.0)[0] == 5
+        assert _native.path_steps(lib, PT2, lambda a: 1.0, values, 0, 5, 0.0, 0.0)[0] == 5
         assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_the_c_source_compiles_with_warnings_as_errors(self, native_loop):
@@ -891,9 +906,10 @@ class TestStreamedLaw:
             request.getfixturevalue("native_loop")
         else:
             monkeypatch.setattr(_native, "library", lambda: None)
-        horizon = CHUNK + 100
-        at = float(ell_star_path(G1, horizon).values[CHUNK + 50])  # in the second resume
-        incr, below = belief._scalar_increment(G1)
+        # a subclass, whose C loop calls the scalar increment at every step
+        model, horizon = SubGaussian(1.0), CHUNK + 100
+        at = float(ell_star_path(model, horizon).values[CHUNK + 50])  # in the second resume
+        incr, below = belief._scalar_increment(model)
 
         def failing(model):
             return (lambda x: math.nan if x >= at else incr(x)), below
@@ -901,9 +917,9 @@ class TestStreamedLaw:
         monkeypatch.setattr(belief, "_scalar_increment", failing)
         threads = threading.active_count()
         with pytest.raises(NumericalFailure) as path:
-            ell_star_path(G1, horizon)
+            ell_star_path(model, horizon)
         with pytest.raises(NumericalFailure) as law:
-            first_mistake_distribution(G1, horizon)
+            first_mistake_distribution(model, horizon)
         assert str(law.value) == str(path.value)
         assert str(law.value) == f"increment nan not finite and >= 0 at a={at!r}"
         assert threading.active_count() == threads
@@ -917,12 +933,12 @@ class TestStreamedLaw:
         resumes, raised, scan = [], threading.Event(), belief._compensated_steps
         log_sf, calls = GaussianSignalModel.llr_log_sf, []
 
-        def spy_scan(increment, values, start, stop, a, carry):
+        def spy_scan(increment, values, start, stop, a, carry, model=None):
             resumes.append(start)
             if len(resumes) > 1:  # the second resume starts once the law has failed, and ends
                 assert raised.wait(timeout=60)  # long after the failure stopped the helper
                 time.sleep(0.2)
-            return scan(increment, values, start, stop, a, carry)
+            return scan(increment, values, start, stop, a, carry, model)
 
         def failing_log_sf(self, state, x):
             calls.append(len(x))
@@ -939,6 +955,47 @@ class TestStreamedLaw:
         assert threading.active_count() == threads
         # of the path's 8 resumes, the helper ran the one under way when the law failed
         assert calls == [1, CHUNK] and resumes == [1, 1 + CHUNK]
+
+
+class TestExactType:
+    # _native.path_steps fuses the Gaussian closed form into C for the exact
+    # type only, since a subclass may change the law.  SubGaussian keeps its
+    # base's law, so C calls its scalar increment and gives the base's bytes.
+
+    def test_a_subclass_gives_the_base_bytes(self, native_loop, python_loop):
+        horizon = CHUNK + 3  # the law reads two chunks
+        for sigma, prior in ((1.0, 0.0), (0.7, 0.3), (1.0, -80.0)):
+            sub, base = SubGaussian(sigma), GaussianSignalModel(sigma)
+            ref = first_mistake_distribution(base, horizon, prior)
+            for law in (first_mistake_distribution(sub, horizon, prior),
+                        python_loop(first_mistake_distribution, sub, horizon, prior)):
+                assert _bytes_equal(law.ell_star.values, ref.ell_star.values), (sigma, prior)
+                assert _bytes_equal(law.pmf, ref.pmf) and _bytes_equal(law.survivor, ref.survivor)
+            for path in (ell_star_path(sub, horizon, prior),
+                         python_loop(ell_star_path, sub, horizon, prior)):
+                assert _bytes_equal(path.values, ref.ell_star.values), (sigma, prior)
+
+    def test_only_the_exact_type_runs_the_fused_loop(self, native_loop, monkeypatch):
+        # the fused loop calls no increment, and the law's path reaches it
+        incr, _ = belief._scalar_increment(G1)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return incr(x)
+
+        monkeypatch.setattr(belief, "_scalar_increment", lambda model: (counted, -math.inf))
+        out = []
+        for model in (SubGaussian(1.0), G1):
+            calls.clear()
+            values = np.zeros(1000)
+            end = _native.path_steps(native_loop, model, counted, values, 1, 1000, 0.0, 0.0)
+            direct = len(calls)
+            law = first_mistake_distribution(model, 1000)
+            out.append((values.tobytes(), end, law.ell_star.values.tobytes(), direct, len(calls) - direct))
+        sub, base = out
+        assert sub[:3] == base[:3] and sub[0] == sub[2] and sub[1][0] == 1000
+        assert sub[3:] == (999, 999) and base[3:] == (0, 0)
 
 
 class TestUPlusMonotone:

@@ -61,6 +61,10 @@ def test_output_digests_smoke(quick_lines):
         assert f"run_trials/{family}/multi-batch" in names
         # every action of that run, over several time chunks
         assert {f"run_trials/{family}/actions/theta={s}" for s in ("+1", "-1")} <= set(names)
+    # rounded constants of the fused Gaussian loop, its deep-tail series, and PolyTail past 40
+    assert {"ell_star/gaussian-sigma0.7/prior=0.0", "first_mistake/gaussian-sigma0.7/prior=0.0/pmf",
+            "first_mistake/gaussian-sigma0.7/prior=0.0/survivor", "ell_star/gaussian/prior=-80.0",
+            "ell_star/polytail/prior=41.0"} <= set(names)
     # the rate-target path held in cell -cut, started in the cell above it, and a long one
     assert {"ell_star/ratetarget/prior=-5000.0", "ell_star/ratetarget/prior=-4999.5",
             "ell_star/ratetarget/long"} <= set(names)

@@ -6,7 +6,11 @@ which outputs a change moves:
     PYTHONPATH=<checkout>/src python3 tools/output_digests.py [--quick] [--no-native] > digests.txt
 
 The outputs are the ell* path and the first-mistake law of each model
-family at priors 0, 0.3 and 2; the rate-target ell* from -cut, where it
+family at priors 0, 0.3 and 2, and of a Gaussian at sigma = 0.7, whose
+constants 2/sigma^2 and sigma/2 in the fused C loop are rounded; the
+Gaussian ell* from -80, which starts in the deep-tail series of
+``log_ndtr`` (argument below -37), and the PolyTail ell* from 41, which
+steps past 40 from the start; the rate-target ell* from -cut, where it
 holds, and from -cut + 0.5, and its long path of criterion 06, whose
 increments stay in one integer cell for many steps; each family's law at
 that long horizon, which the law computes in more than one chunk; each model's CDF, log-CDF and log-survival
@@ -116,6 +120,13 @@ def path_digests(size: dict):
             yield f"ell_star/{family}/prior={prior}", sha(law.ell_star.values)
             yield f"first_mistake/{family}/prior={prior}/pmf", sha(law.pmf)
             yield f"first_mistake/{family}/prior={prior}/survivor", sha(law.survivor)
+    law = belief.first_mistake_distribution(GaussianSignalModel(sigma=0.7), size["path"])
+    yield "ell_star/gaussian-sigma0.7/prior=0.0", sha(law.ell_star.values)
+    yield "first_mistake/gaussian-sigma0.7/prior=0.0/pmf", sha(law.pmf)
+    yield "first_mistake/gaussian-sigma0.7/prior=0.0/survivor", sha(law.survivor)
+    for family, prior in (("gaussian", -80.0), ("polytail", 41.0)):
+        path = belief.ell_star_path(models()[family], size["path"], prior)
+        yield f"ell_star/{family}/prior={prior}", sha(path.values)
     model = models()["ratetarget"]
     cut = float(model.support[-1])
     for prior in (-cut, 0.5 - cut):  # the hold in cell -cut, and the cell above it
