@@ -14,8 +14,9 @@ builds once, the model's family, ufuncs, constants and spline resolved.
 Its Gaussian increment calls scipy's ``ndtr`` and numpy's ``log`` ufuncs
 from C.  Its PolyTail increment takes each cohort's branch as
 ``belief._signed_increment`` does: the log-T spline on [1, 60], evaluated as
-scipy's ``PPoly`` does (``spline_values``, checked against scipy once per
-spline by ``checked_spline``), ``_log_T``'s asymptotic series past 60 and
+the spline's numpy ``reference`` does (``spline_values``, checked against it
+once per spline by ``checked_spline``; the spline's own call then runs it,
+``spline_call``), ``_log_T``'s asymptotic series past 60 and
 the closed forms below 1; each branch's values are gathered for numpy's
 ``power``, ``exp``, ``log`` and ``log1p``, so the bits are theirs.  The
 Gaussian tail and deep branches, PolyTail's tail branch and a NaN belief,
@@ -234,10 +235,10 @@ static int gaussian_increments(PyObject *work, double *z, const double *ell, con
     return 1;
 }
 
-/* scipy's PPoly evaluation of a cubic spline on increasing knots x[0..n-1] (coefs (4, n - 1) in C
-   order) at v, in its order of operations.  The interval is the i with x[i] <= v < x[i+1], 0 below
-   the knots and n - 2 from the last knot up: guessed as if the knots were even, then corrected
-   by bisection.  NaN gives NaN. */
+/* A cubic spline on increasing knots x[0..n-1] (coefs (4, n - 1) in C order) at v, in the order of
+   operations of signal_models._CubicSpline.reference (which is scipy's PPoly's).  The interval is the
+   i with x[i] <= v < x[i+1], 0 below the knots and n - 2 from the last knot up: guessed as if the
+   knots were even, then corrected by bisection.  NaN gives NaN. */
 static inline double spline_at(const double *x, const double *coefs, int64_t n, double v)
 {
     if (v != v)
@@ -949,13 +950,12 @@ def _spline_args(spline) -> tuple:
 
 
 def spline_values(lib, spline, x: np.ndarray) -> np.ndarray:
-    """The cubic ``spline`` at each x within its knots, by the C evaluation that ``cohort_steps`` runs."""
+    """The cubic ``spline`` at each x by ``spline_at``, the C evaluation that ``cohort_steps`` runs.
+
+    Past the end knots it extrapolates, and NaN gives NaN, as ``spline.reference`` does.
+    """
     args = _spline_args(spline)
-    knots, coefs = args[3:]
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if not (coefs.shape == (4, len(knots) - 1)
-            and (x.size == 0 or knots[0] <= x.min() <= x.max() <= knots[-1])):
-        raise ValueError(f"x must lie in [{knots[0]:g}, {knots[-1]:g}], the knots of a cubic spline")
     out = np.empty_like(x)
     lib.spline_values(*args[:3], x.ctypes.data, out.ctypes.data, x.size)
     return out
@@ -965,21 +965,47 @@ _checked_splines = weakref.WeakKeyDictionary()  # a spline -> checked_spline's r
 
 
 def checked_spline(lib, spline):
-    """``spline``'s ``_spline_args`` if ``spline_values`` equals it bit for bit, else None.
+    """``spline``'s ``_spline_args`` if ``spline_values`` equals ``spline.reference`` bit for bit, else None.
 
     Checked once per spline, as ``normals_checked`` is, at every knot, both
-    neighbours of every 64th, both ends and 10**4 uniform points between them.
+    neighbours of every 64th, both ends, 10**4 uniform points between them,
+    a point below and a point above the knots and NaN.
     """
     if spline not in _checked_splines:
         args = _spline_args(spline)
         knots = args[3]
         lo, hi = knots[0], knots[-1]
         x = np.concatenate([knots, np.nextafter(knots[::64], -np.inf), np.nextafter(knots[::64], np.inf),
-                            [lo, hi], np.random.Generator(np.random.Philox(20)).uniform(lo, hi, 10**4)])
-        x = np.sort(x[(lo <= x) & (x <= hi)])  # in order, scipy's interval search is quick
-        same = spline_values(lib, spline, x).tobytes() == spline(x).tobytes()
+                            [lo - 1.0, hi + 1.0, np.nan],
+                            np.random.Generator(np.random.Philox(20)).uniform(lo, hi, 10**4)])
+        x.sort()  # in order, both interval searches are quicker
+        same = spline_values(lib, spline, x).tobytes() == spline.reference(x).tobytes()
         _checked_splines[spline] = args if same else None
     return _checked_splines[spline]
+
+
+def spline_call(spline):
+    """``spline``'s evaluation by ``spline_values`` on its checked arguments, or None.
+
+    None where the library cannot be built or loaded, or ``spline`` fails
+    ``checked_spline``.  The knots and coefficients are converted once.
+    """
+    lib = library()
+    args = None if lib is None else checked_spline(lib, spline)
+    if args is None:
+        return None
+    call, head = lib.spline_values, args[:3]
+
+    def values(x):
+        x = np.asarray(x, dtype=np.float64)
+        if not x.flags.c_contiguous:
+            x = x.copy()
+        out = np.empty_like(x)
+        call(*head, x.ctypes.data, out.ctypes.data, x.size)
+        return out
+
+    values.arrays = args[3:]  # the knots and coefficients that head points into
+    return values
 
 
 def polytail_transform(lib, model, sign: float):

@@ -295,12 +295,14 @@ def _invalid_step(step: float, a: float) -> NumericalFailure:
 def ratio_curve(
     seq_a: Sequence[float], seq_b: Sequence[float], sample_times: Sequence[int]
 ) -> list[tuple[int, float]]:
-    """Elementwise ratios a_t / b_t at the given 1-based times."""
+    """Elementwise ratios a_t / b_t at the given 1-based times; a NaN element is refused."""
     a = np.asarray(seq_a, dtype=float)
     b = np.asarray(seq_b, dtype=float)
     out = []
     for t in sample_times:
         if not (1 <= t <= len(a) and t <= len(b)):
             raise ValueError(f"sample time {t} outside the sequences")
+        if math.isnan(a[t - 1]) or math.isnan(b[t - 1]):
+            raise ValueError(f"NaN element at sample time {t}: a_t = {a[t - 1]:g}, b_t = {b[t - 1]:g}")
         out.append((int(t), float(a[t - 1] / b[t - 1])))
     return out

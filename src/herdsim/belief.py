@@ -233,10 +233,15 @@ def update(model: SignalModel, state: BeliefState, action: ActionLabel) -> Belie
 
 
 def public_belief(ell):
-    """mu = e^ell / (e^ell + 1), overflow-safe for |ell| up to 1e4 and beyond."""
+    """mu = e^ell / (e^ell + 1), overflow-safe for every ell, infinite ones too.
+
+    Both branches of the ``where`` share e = exp(-|ell|) <= 1, so neither
+    overflows; -|ell| is -ell or ell exactly, so each branch's bits are those
+    of 1/(1 + e^-ell) and e^ell/(1 + e^ell).
+    """
     ell = _not_nan(np.asarray(ell, dtype=float), "ell")
-    with np.errstate(over="ignore"):
-        return np.where(ell >= 0, 1.0 / (1.0 + np.exp(-ell)), np.exp(ell) / (1.0 + np.exp(ell)))
+    e = np.exp(-np.abs(ell))
+    return np.where(ell >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def action_probability(model: SignalModel, ell, state: StateOfWorld):

@@ -336,6 +336,64 @@ def poly_tail_normalizer(k: float) -> float:
     return 1.0 / (val + 1.0 / k)
 
 
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), x increasing, with scipy's ``CubicSpline``'s bits.
+
+    The slopes at the knots solve ``CubicSpline``'s tridiagonal system (scipy
+    1.17, more than three knots, not-a-knot at both ends), built in its order
+    of operations and solved by the same ``solve_banded`` call; the
+    coefficients ``c`` (4 x n-1, highest power first) are then formed as
+    ``CubicHermiteSpline`` forms them.  ``reference`` evaluates as scipy's
+    ``PPoly`` does, extrapolating past the end knots.  A call runs C's
+    ``spline_values`` once ``_native.checked_spline`` has found it equal to
+    ``reference`` bit for bit, else ``reference``.  Hashed by identity.
+    """
+
+    __slots__ = ("x", "c", "_call", "__weakref__")
+
+    def __init__(self, x, y):
+        from scipy.linalg import solve_banded  # imported here: scipy.linalg costs ~30 ms at import
+
+        x, y = np.ascontiguousarray(x, dtype=float), np.asarray(y, dtype=float)
+        n, dx = len(x), np.diff(x)
+        slope = np.diff(y) / dx
+        a = np.zeros((3, n))  # rows: the upper, main and lower diagonals
+        b = np.empty(n)
+        a[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        a[0, 2:] = dx[:-1]
+        a[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        a[1, 0] = dx[1]
+        a[0, 1] = d = x[2] - x[0]
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        a[1, -1] = dx[-2]
+        a[-1, -2] = d = x[-1] - x[-3]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), a, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True,
+                         check_finite=False).reshape(n)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        self._call = None  # C's checked evaluation, or False for reference; resolved at first call
+
+    def reference(self, v):
+        """The spline at v in ``PPoly``'s order of operations; NaN gives NaN."""
+        v = np.asarray(v, dtype=float)
+        i = np.clip(np.searchsorted(self.x, v, "right") - 1, 0, len(self.x) - 2)
+        c0, c1, c2, c3 = (row.take(i) for row in self.c)
+        s = v - self.x.take(i)
+        s2 = s * s
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+
+    def __call__(self, v):
+        call = self._call
+        if call is None:
+            from . import _native  # imported here: _native imports this module
+
+            call = self._call = _native.spline_call(self) or False
+        return call(v) if call else self.reference(v)
+
+
 @dataclass(frozen=True)
 class PolyTailSignalModel(InverseCdfSignalModel):
     """Piecewise density with polynomial left tail and e^{-x} x^{-k-1} right tail.
@@ -360,23 +418,21 @@ class PolyTailSignalModel(InverseCdfSignalModel):
     def _tail_nodes(self):
         """(x, log T(x)) on 20001 even nodes of [1, 60], shared by both splines.
 
-        The confluent-hypergeometric evaluation of T costs microseconds per
-        point (about 20 ms for the whole table at k=2), so it runs once.
+        The Legendre continued fraction for T costs about 11 ms for the whole
+        table at k=2, so it runs once.
         """
         x_nodes = np.linspace(1.0, 60.0, 20001)
         return x_nodes, _log_exp_poly_upper_tail(x_nodes, self.k)
 
     @cached_property
     def _log_tail_spline(self):
-        """Dense cubic spline of log T on [1, 60]; max error ~1e-13.
+        """Dense not-a-knot cubic spline of log T on [1, 60]; max error ~1e-13.
 
         Exact evaluation of T is far too slow for the simulation hot path;
         the spline (plus the asymptotic series beyond x=60) reproduces it to
         near machine precision at vector speed.
         """
-        from scipy.interpolate import CubicSpline  # imported here: it pulls in most of scipy
-
-        return CubicSpline(*self._tail_nodes)
+        return _CubicSpline(*self._tail_nodes)
 
     def _log_T(self, x):
         """log T(x) for x >= 1, elementwise and fast."""
@@ -484,10 +540,8 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         """
         x_nodes, log_t = self._tail_nodes
         w_nodes = np.log(self.c) + log_t
-        from scipy.interpolate import CubicSpline
-
-        # w decreases in x; CubicSpline wants increasing abscissae.
-        return CubicSpline(w_nodes[::-1], x_nodes[::-1])
+        # w decreases in x; the spline wants increasing abscissae.
+        return _CubicSpline(w_nodes[::-1], x_nodes[::-1])
 
     def _ppf_minus(self, u):
         """Quantile function of G_minus for u in [0,1), elementwise.

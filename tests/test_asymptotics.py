@@ -318,6 +318,13 @@ class TestRatioCurveAndExport:
         with pytest.raises(ValueError):
             ratio_curve(a, b, [4])
 
+    @pytest.mark.parametrize("a, b", [([math.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [math.nan, 1.0])])
+    def test_ratio_curve_refuses_a_nan_element_by_its_time(self, a, b):
+        with pytest.raises(ValueError, match="sample time 1"):
+            ratio_curve(a, b, [1, 2])
+        with pytest.raises(ValueError, match="sample time 2"):
+            ratio_curve(a[::-1], b[::-1], [1, 2])
+
 
 class TestGaussianRateAgainstPath:
     def test_sigma_scaling(self):

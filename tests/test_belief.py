@@ -300,6 +300,22 @@ class TestDecisionAndUpdate:
         assert_allclose(public_belief(math.log(3.0)), 0.75, rtol=1e-15)
         assert float(public_belief(-1e4)) == pytest.approx(0.0, abs=1e-300)
 
+    def test_public_belief_is_silent_past_overflow(self):
+        # exp(ell) overflows past ell ~ 709; no branch may warn, so -W error holds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = public_belief(np.array([800.0, 1e4, math.inf, -800.0, -1e4, -math.inf]))
+            assert got.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+            assert float(public_belief(800.0)) == 1.0
+            assert martingale_residual(G2, 800.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_public_belief_keeps_the_bits_of_the_two_branch_formula(self):
+        ell = np.concatenate([np.linspace(-700.0, 700.0, 20001), [0.0, -0.0, 5e-324, -5e-324],
+                              np.random.default_rng(3).normal(0.0, 30.0, 10**4)])
+        ell = ell[np.abs(ell) <= 700.0]
+        old = np.where(ell >= 0, 1.0 / (1.0 + np.exp(-ell)), np.exp(ell) / (1.0 + np.exp(ell)))
+        assert public_belief(ell).tobytes() == old.tobytes()
+
     def test_rb_mistake_weight(self):
         # [TRIVIAL] 1/(e^|l|+1)
         assert rb_mistake_weight(0.0) == 0.5

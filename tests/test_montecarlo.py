@@ -1350,21 +1350,34 @@ class TestCohortLoop:
 
     @pytest.mark.parametrize("k", [0.5, 2.0, 7.3])
     def test_c_spline_equals_scipy_bit_for_bit(self, k, native_loop):
-        # the log-T spline on even knots, and the quantile spline on uneven ones
+        # The log-T spline on even knots and the quantile spline on uneven ones,
+        # against scipy's CubicSpline through the same nodes: the coefficients,
+        # the numpy reference (also past the knots and at NaN) and C's
+        # evaluation, both by spline_values and by the spline's own call
+        from scipy.interpolate import CubicSpline
+
         model = PolyTailSignalModel(k)
-        for spline in (model._log_tail_spline, model._pos_branch_ppf):
+        x_nodes, log_t = model._tail_nodes
+        w_nodes = np.log(model.c) + log_t
+        pairs = [(model._log_tail_spline, CubicSpline(x_nodes, log_t)),
+                 (model._pos_branch_ppf, CubicSpline(w_nodes[::-1], x_nodes[::-1]))]
+        for spline, scipy_spline in pairs:
+            assert spline.x.tobytes() == scipy_spline.x.tobytes()
+            assert spline.c.tobytes() == scipy_spline.c.tobytes()
             knots = spline.x
             x = np.concatenate([
-                np.random.default_rng(5).uniform(knots[0], knots[-1], 10**5), knots,
-                np.nextafter(knots[1:], -np.inf), np.nextafter(knots[:-1], np.inf),
+                knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                np.random.default_rng(5).uniform(knots[0], knots[-1], 10**5),
             ])
-            assert _native.spline_values(native_loop, spline, x).tobytes() == spline(x).tobytes()
+            outside = np.array([knots[0] - 3.0, knots[0] - 1e-9, knots[-1] + 1e-9, knots[-1] + 0.5, math.nan])
+            for v in (x, outside):
+                want = scipy_spline(v).tobytes()
+                assert spline.reference(v).tobytes() == want
+                assert _native.spline_values(native_loop, spline, v).tobytes() == want
+            assert np.isnan(spline.reference(outside)).tolist() == [False] * 4 + [True]
             assert _native.checked_spline(native_loop, spline) is not None
-            for outside in ([np.nextafter(knots[0], -np.inf)], [knots[-1] + 0.5], [math.nan]):
-                with pytest.raises(ValueError, match=r"x must lie in \[.*\], the knots"):
-                    _native.spline_values(native_loop, spline, np.array(outside))
-        with pytest.raises(ValueError, match=r"\[1, 60\]"):
-            _native.spline_values(native_loop, model._log_tail_spline, np.array([60.5]))
+            assert spline(x).tobytes() == scipy_spline(x).tobytes()
+            assert spline._call  # the call ran C's checked evaluation
 
     def test_a_spline_that_fails_its_check_leaves_every_step_to_python(self, native_loop,
                                                                        monkeypatch):
@@ -1381,6 +1394,7 @@ class TestCohortLoop:
         monkeypatch.setattr(montecarlo, "_increment", spy_increment)
         agg, actions = run_trials(model, PLUS, 600, 64, 7, collect_actions=True)
         assert _native.checked_spline(native_loop, model._log_tail_spline) is None
+        assert model._log_tail_spline._call is False  # the spline's own calls take its reference
         # each of the 600 steps calls it once: a quiet one from C (under the pass's
         # stepper, steps), a flagged one from Python
         assert len(callers) == 600 and callers.count("steps") > 0

@@ -5,7 +5,10 @@ quadrature and noted inline; property tests use hypothesis where natural.
 """
 
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +177,28 @@ class TestPolyTailModel:
     def test_invalid_k(self):
         with pytest.raises(ModelValidationError):
             PolyTailSignalModel(k=0.0)
+
+    def test_a_cold_polytail_run_loads_neither_interpolate_nor_optimize(self):
+        # The splines need scipy.linalg only: a fresh process that builds the
+        # model, evaluates its tails, runs an exact path and a Monte Carlo run
+        # never imports scipy.interpolate or scipy.optimize, which cost about
+        # 0.15 s at import.
+        code = (
+            "import sys, numpy as np, herdsim\n"
+            "from herdsim import PolyTailSignalModel, StateOfWorld, ell_star_path, run_trials\n"
+            "m = PolyTailSignalModel(2.0)\n"
+            "grid = np.linspace(-80.0, 80.0, 641)\n"
+            "for state in StateOfWorld:\n"
+            "    m.llr_log_cdf(state, grid), m.llr_log_sf(state, grid)\n"
+            "ell_star_path(m, 1000)\n"
+            "run_trials(m, StateOfWorld.PLUS, 300, 64, 1)\n"
+            "print(sorted(n for n in ('scipy.interpolate', 'scipy.optimize') if n in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "[]"
 
 
 class TestRateTargetModel:
