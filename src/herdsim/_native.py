@@ -969,7 +969,8 @@ def checked_spline(lib, spline):
 
     Checked once per spline, as ``normals_checked`` is, at every knot, both
     neighbours of every 64th, both ends, 10**4 uniform points between them,
-    a point below and a point above the knots and NaN.
+    a point below and a point above the knots and NaN.  The PolyTail models
+    of one k share their splines, so each of theirs is checked once per k.
     """
     if spline not in _checked_splines:
         args = _spline_args(spline)
@@ -1034,11 +1035,12 @@ _checked_transforms = weakref.WeakKeyDictionary()  # a quantile spline -> checke
 def checked_transform(lib, model) -> bool:
     """Whether ``polytail_transform`` equals ``model.llr_from_uniform`` bit for bit.
 
-    Checked once per model (per its quantile spline ``_pos_branch_ppf``), as
-    ``normals_checked`` is: the spline must pass ``checked_spline``, and the
-    transforms must agree under both states at u = 0, 2**-53, c/k and its
-    neighbours, 1 - 2**-53, the u below 1 at which log(1 - u) is every 64th
-    knot of the spline and their neighbours, and 10**4 uniform points.
+    Checked once per quantile spline ``_pos_branch_ppf``, which the models
+    of one k share, so once per k, as ``normals_checked`` is: the spline
+    must pass ``checked_spline``, and the transforms must agree under both
+    states at u = 0, 2**-53, c/k and its neighbours, 1 - 2**-53, the u below
+    1 at which log(1 - u) is every 64th knot of the spline and their
+    neighbours, and 10**4 uniform points.
     """
     spline = model._pos_branch_ppf
     if spline not in _checked_transforms:

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -377,13 +377,14 @@ class _CubicSpline:
         self._call = None  # C's checked evaluation, or False for reference; resolved at first call
 
     def reference(self, v):
-        """The spline at v in ``PPoly``'s order of operations; NaN gives NaN."""
+        """The spline at v in ``PPoly``'s order of operations; NaN gives NaN, and +-inf PPoly's value."""
         v = np.asarray(v, dtype=float)
         i = np.clip(np.searchsorted(self.x, v, "right") - 1, 0, len(self.x) - 2)
         c0, c1, c2, c3 = (row.take(i) for row in self.c)
         s = v - self.x.take(i)
-        s2 = s * s
-        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+        with np.errstate(over="ignore", invalid="ignore"):  # far out, and inf - inf at +-inf: PPoly is silent
+            s2 = s * s
+            return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
     def __call__(self, v):
         call = self._call
@@ -394,6 +395,72 @@ class _CubicSpline:
         return call(v) if call else self.reference(v)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class _PolyTailTables:
+    """The tables of the PolyTail models of one k: the normalizer, then each other at first use.
+
+    They are pure functions of k, so ``_poly_tail_tables`` shares one holder
+    among all the models of a k.  Its arrays are read-only, so no model can
+    change another's tables.
+    """
+
+    def __init__(self, k):
+        self.c = poly_tail_normalizer(k)  # validates k
+        self.k = k
+
+    # T in the notation of PolyTailSignalModel
+    @cached_property
+    def tail_nodes(self):
+        """(x, log T(x)) on 20001 even nodes of [1, 60], shared by both splines.
+
+        The Legendre continued fraction for T costs about 11 ms for the whole
+        table at k=2, so it runs once per k per process.
+        """
+        x_nodes = np.linspace(1.0, 60.0, 20001)
+        log_t = _log_exp_poly_upper_tail(x_nodes, self.k)
+        _read_only(x_nodes, log_t)
+        return x_nodes, log_t
+
+    @cached_property
+    def log_tail_spline(self):
+        """Dense not-a-knot cubic spline of log T on [1, 60]; max error ~1e-13.
+
+        Exact evaluation of T is far too slow for the simulation hot path;
+        the spline (plus the asymptotic series beyond x=60) reproduces it to
+        near machine precision at vector speed.
+        """
+        spline = _CubicSpline(*self.tail_nodes)
+        _read_only(spline.x, spline.c)
+        return spline
+
+    @cached_property
+    def pos_branch_ppf(self):
+        """Inverse of s = c*T(x) on x in [1, 60], as a cubic spline in log s.
+
+        The map log s -> x is close to linear, so a dense spline reproduces
+        the exact inverse to ~1e-13 in probability.  Every draw lands inside
+        it: for u in [0, 1), s = 1 - u >= 2**-53, so log s >= -36.74, while
+        the spline reaches down to log(c*T(60)), about -71.8 for k=2 and
+        lower for every k.
+        """
+        x_nodes, log_t = self.tail_nodes
+        w_nodes = np.log(self.c) + log_t
+        # w decreases in x; the spline wants increasing abscissae.
+        spline = _CubicSpline(w_nodes[::-1], x_nodes[::-1])
+        _read_only(spline.x, spline.c)
+        return spline
+
+
+@lru_cache(maxsize=8, typed=True)  # about 2 MiB per k once a model of it has sampled
+def _poly_tail_tables(k) -> _PolyTailTables:
+    """The tables of tail exponent k, one holder per k (and type of k) per process."""
+    return _PolyTailTables(k)
+
+
 @dataclass(frozen=True)
 class PolyTailSignalModel(InverseCdfSignalModel):
     """Piecewise density with polynomial left tail and e^{-x} x^{-k-1} right tail.
@@ -402,7 +469,9 @@ class PolyTailSignalModel(InverseCdfSignalModel):
     (-1, 1) and c*(-x)^{-k-1} for x <= -1; under theta=+1 it is mirrored.
     The construction makes the LLR of a sample equal to the sample itself,
     and gives the exact closed tails G_minus(-x) = 1 - G_plus(x) = (c/k) x^{-k}
-    for x > 1.
+    for x > 1.  The normalizer, the table of log T and both splines are
+    shared with every other model of the same k (``_PolyTailTables``); a
+    model keeps its own references to them.
     """
 
     k: float
@@ -411,28 +480,19 @@ class PolyTailSignalModel(InverseCdfSignalModel):
     family = "polytail"
 
     def __post_init__(self):  # the normalizer also validates k
-        object.__setattr__(self, "c", poly_tail_normalizer(self.k))
+        object.__setattr__(self, "c", self._tables.c)
 
-    # T in the notation above
+    @cached_property
+    def _tables(self):
+        return _poly_tail_tables(self.k)
+
     @cached_property
     def _tail_nodes(self):
-        """(x, log T(x)) on 20001 even nodes of [1, 60], shared by both splines.
-
-        The Legendre continued fraction for T costs about 11 ms for the whole
-        table at k=2, so it runs once.
-        """
-        x_nodes = np.linspace(1.0, 60.0, 20001)
-        return x_nodes, _log_exp_poly_upper_tail(x_nodes, self.k)
+        return self._tables.tail_nodes
 
     @cached_property
     def _log_tail_spline(self):
-        """Dense not-a-knot cubic spline of log T on [1, 60]; max error ~1e-13.
-
-        Exact evaluation of T is far too slow for the simulation hot path;
-        the spline (plus the asymptotic series beyond x=60) reproduces it to
-        near machine precision at vector speed.
-        """
-        return _CubicSpline(*self._tail_nodes)
+        return self._tables.log_tail_spline
 
     def _log_T(self, x):
         """log T(x) for x >= 1, elementwise and fast."""
@@ -455,10 +515,10 @@ class PolyTailSignalModel(InverseCdfSignalModel):
     def _cdf_minus(self, x):
         x, scalar = _as1d(x)
         ck = self.c / self.k
-        out = np.empty_like(x)
+        out = np.full_like(x, np.nan)  # NaN stays NaN: it fails every mask
         left = x <= -1.0
         right = x >= 1.0
-        mid = ~(left | right)
+        mid = (-1.0 < x) & (x < 1.0)
         out[left] = ck * np.power(-x[left], -self.k)
         out[mid] = ck
         out[right] = 1.0 - self.c * self._T(x[right])
@@ -467,10 +527,10 @@ class PolyTailSignalModel(InverseCdfSignalModel):
     def _log_cdf_minus(self, x):
         x, scalar = _as1d(x)
         ck = self.c / self.k
-        out = np.empty_like(x)
+        out = np.full_like(x, np.nan)
         left = x <= -1.0
         right = x >= 1.0
-        mid = ~(left | right)
+        mid = (-1.0 < x) & (x < 1.0)
         out[left] = math.log(ck) - self.k * np.log(-x[left])
         out[mid] = math.log(ck)
         out[right] = np.log1p(-self.c * self._T(x[right]))
@@ -479,10 +539,10 @@ class PolyTailSignalModel(InverseCdfSignalModel):
     def _log_sf_minus(self, x):
         x, scalar = _as1d(x)
         ck = self.c / self.k
-        out = np.empty_like(x)
+        out = np.full_like(x, np.nan)
         left = x <= -1.0
         right = x >= 1.0
-        mid = ~(left | right)
+        mid = (-1.0 < x) & (x < 1.0)
         out[left] = np.log1p(-ck * np.power(-x[left], -self.k))
         out[mid] = math.log1p(-ck)
         out[right] = math.log(self.c) + self._log_T(x[right])
@@ -519,9 +579,10 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         x, scalar = _as1d(x)
         if state is StateOfWorld.PLUS:
             x = -x
-        out = np.zeros_like(x)
+        out = np.full_like(x, np.nan)  # NaN stays NaN: it fails every mask
         right = x >= 1.0
         left = x <= -1.0
+        out[(-1.0 < x) & (x < 1.0)] = 0.0
         out[right] = self.c * np.exp(-x[right]) * np.power(x[right], -self.k - 1.0)
         out[left] = self.c * np.power(-x[left], -self.k - 1.0)
         return _restore(out, scalar)
@@ -530,18 +591,7 @@ class PolyTailSignalModel(InverseCdfSignalModel):
 
     @cached_property
     def _pos_branch_ppf(self):
-        """Inverse of s = c*T(x) on x in [1, 60], as a cubic spline in log s.
-
-        The map log s -> x is close to linear, so a dense spline reproduces
-        the exact inverse to ~1e-13 in probability.  Every draw lands inside
-        it: for u in [0, 1), s = 1 - u >= 2**-53, so log s >= -36.74, while
-        the spline reaches down to log(c*T(60)), about -71.8 for k=2 and
-        lower for every k.
-        """
-        x_nodes, log_t = self._tail_nodes
-        w_nodes = np.log(self.c) + log_t
-        # w decreases in x; the spline wants increasing abscissae.
-        return _CubicSpline(w_nodes[::-1], x_nodes[::-1])
+        return self._tables.pos_branch_ppf
 
     def _ppf_minus(self, u):
         """Quantile function of G_minus for u in [0,1), elementwise.
@@ -568,7 +618,7 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         return {"family": "polytail", "k": self.k}
 
     def __getstate__(self):
-        return {"k": self.k, "c": self.c}  # the cached tables are rebuilt lazily after unpickling
+        return {"k": self.k, "c": self.c}  # the shared tables are looked up lazily after unpickling
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +674,10 @@ class RateTargetSignalModel(InverseCdfSignalModel):
     def _lookup_cdf(self, cdf, x):
         x, scalar = _as1d(x)
         idx = self._index_leq(x)
-        out = np.zeros(idx.shape, dtype=float)
-        nz = idx > 0
-        out[nz] = cdf[idx[nz] - 1]
+        out = np.full_like(x, np.nan)  # NaN sorts past the support but fails both masks
+        out[x < self.support[0]] = 0.0
+        hit = x >= self.support[0]  # idx > 0
+        out[hit] = cdf[idx[hit] - 1]
         return _restore(out, scalar)
 
     def llr_cdf(self, state, x):
@@ -645,22 +696,25 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         The points y are sorted into the support once for all the states.
         Where the far state's plain sums underflow (theta = -1 above,
         theta = +1 below), ``_fill_far_tail`` puts back the finite value.
+        A NaN y, which sorts past the support, fails both ``hit`` and
+        ``miss`` and gives NaN.
         """
         y, scalar = _as1d(y)
         idx = self._index_leq(y)
         if above:  # P(L > y) = sf[idx]; each state's survival is the other's CDF reversed
-            hit = idx < len(self.support)
+            hit, miss = idx < len(self.support), y >= self.support[-1]
             tables = {StateOfWorld.MINUS: self._cdf_plus[::-1],
                       StateOfWorld.PLUS: self._cdf_minus[::-1]}
             far = StateOfWorld.MINUS
         else:  # P(L <= y) = cdf[idx - 1]
-            hit = idx > 0
+            hit, miss = y >= self.support[0], y < self.support[0]  # hit: idx > 0
             idx = idx - 1
             tables = {StateOfWorld.MINUS: self._cdf_minus, StateOfWorld.PLUS: self._cdf_plus}
             far = StateOfWorld.PLUS
         out = []
         for state in states:
-            p = np.zeros(idx.shape)
+            p = np.full(idx.shape, np.nan)
+            p[miss] = 0.0
             p[hit] = tables[state][idx[hit]]
             with np.errstate(divide="ignore"):
                 log_p = np.log(p)
@@ -690,8 +744,8 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         """
         b_minus, b_plus = self._log_probabilities(-x, sign > 0)
         far = b_minus if sign > 0 else b_plus  # the state whose masses can underflow
-        lost = far == -np.inf
-        if lost.any():  # no support point qualifies (or x is NaN)
+        lost = ~(far > -np.inf)
+        if lost.any():  # no support point qualifies (-inf), or x is NaN
             raise ValueError(
                 f"action {sign:+d} has probability 0 under both states at x = "
                 f"{float(x[lost][0])!r}: the support is cut at +-{len(self.support) // 2}"

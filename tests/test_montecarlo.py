@@ -32,6 +32,7 @@ from herdsim.signal_models import (
     PolyTailSignalModel,
     SignalModel,
     StateOfWorld,
+    _poly_tail_tables,
     build_rate_target,
 )
 
@@ -50,6 +51,18 @@ class SubGaussian(GaussianSignalModel):
 
 class SubPolyTail(PolyTailSignalModel):
     """The base's law in a subclass, to which _native gives no C kernel of the base."""
+
+
+@pytest.fixture
+def own_tables():
+    """Evicts the shared PolyTail tables before and after the test.
+
+    A model the test builds then has splines of its own, and a spline that
+    fails its check under the test's patches is not handed to later models.
+    """
+    _poly_tail_tables.cache_clear()
+    yield
+    _poly_tail_tables.cache_clear()
 
 
 class TestCheckpoints:
@@ -1352,7 +1365,7 @@ class TestCohortLoop:
     def test_c_spline_equals_scipy_bit_for_bit(self, k, native_loop):
         # The log-T spline on even knots and the quantile spline on uneven ones,
         # against scipy's CubicSpline through the same nodes: the coefficients,
-        # the numpy reference (also past the knots and at NaN) and C's
+        # the numpy reference (also past the knots, at +-inf and at NaN) and C's
         # evaluation, both by spline_values and by the spline's own call
         from scipy.interpolate import CubicSpline
 
@@ -1375,12 +1388,16 @@ class TestCohortLoop:
                 assert spline.reference(v).tobytes() == want
                 assert _native.spline_values(native_loop, spline, v).tobytes() == want
             assert np.isnan(spline.reference(outside)).tolist() == [False] * 4 + [True]
+            far = np.array([-np.inf, np.inf, -1e300, 1e300])  # inf - inf and overflow, silent in PPoly
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert spline.reference(far).tobytes() == scipy_spline(far).tobytes()
             assert _native.checked_spline(native_loop, spline) is not None
             assert spline(x).tobytes() == scipy_spline(x).tobytes()
             assert spline._call  # the call ran C's checked evaluation
 
     def test_a_spline_that_fails_its_check_leaves_every_step_to_python(self, native_loop,
-                                                                       monkeypatch):
+                                                                       monkeypatch, own_tables):
         model = PolyTailSignalModel(2.0)  # a spline of its own, not checked yet
         spline_at = _native.spline_values
         monkeypatch.setattr(_native, "spline_values",
@@ -1514,7 +1531,7 @@ class TestPolyTailTransform:
             assert bad.tobytes() == before.tobytes()
 
     def test_a_transform_that_fails_its_check_leaves_every_draw_to_python(self, native_loop,
-                                                                          monkeypatch):
+                                                                          monkeypatch, own_tables):
         model = PolyTailSignalModel(2.0)  # a transform of its own, not checked yet
         stacks, callers = [], []
         transform, llr_from_uniform = _native.polytail_transform, model.llr_from_uniform

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from herdsim.belief import d_minus, d_plus, first_mistake_distribution, log_d_plus
+from herdsim import _native, signal_models
+from herdsim.belief import d_minus, d_plus, ell_star_path, first_mistake_distribution, log_d_plus
+from herdsim.montecarlo import run_trials
 from herdsim.signal_models import (
     GaussianSignalModel,
     InverseCdfSignalModel,
@@ -25,6 +27,7 @@ from herdsim.signal_models import (
     PolyTailSignalModel,
     RateTargetSignalModel,
     StateOfWorld,
+    _poly_tail_tables,
     build_rate_target,
     check_llr_identity,
     log_ndtr_scalar,
@@ -182,23 +185,127 @@ class TestPolyTailModel:
         # The splines need scipy.linalg only: a fresh process that builds the
         # model, evaluates its tails, runs an exact path and a Monte Carlo run
         # never imports scipy.interpolate or scipy.optimize, which cost about
-        # 0.15 s at import.
+        # 0.15 s at import.  It runs silent under -W error, and a second model
+        # of the same k builds no second table of log T.
         code = (
             "import sys, numpy as np, herdsim\n"
             "from herdsim import PolyTailSignalModel, StateOfWorld, ell_star_path, run_trials\n"
-            "m = PolyTailSignalModel(2.0)\n"
-            "grid = np.linspace(-80.0, 80.0, 641)\n"
-            "for state in StateOfWorld:\n"
-            "    m.llr_log_cdf(state, grid), m.llr_log_sf(state, grid)\n"
-            "ell_star_path(m, 1000)\n"
-            "run_trials(m, StateOfWorld.PLUS, 300, 64, 1)\n"
+            "from herdsim import signal_models\n"
+            "tail, tables = signal_models._log_exp_poly_upper_tail, []\n"
+            "def counted(x, k):\n"
+            "    tables.append(np.size(x))\n"
+            "    return tail(x, k)\n"
+            "signal_models._log_exp_poly_upper_tail = counted\n"
+            "for m in (PolyTailSignalModel(2.0), PolyTailSignalModel(2.0)):\n"
+            "    grid = np.linspace(-80.0, 80.0, 641)\n"
+            "    for state in StateOfWorld:\n"
+            "        m.llr_log_cdf(state, grid), m.llr_log_sf(state, grid)\n"
+            "    ell_star_path(m, 1000)\n"
+            "    run_trials(m, StateOfWorld.PLUS, 300, 64, 1)\n"
             "print(sorted(n for n in ('scipy.interpolate', 'scipy.optimize') if n in sys.modules))\n"
+            "print(sum(n > 1 for n in tables))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              timeout=300)
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
         assert done.returncode == 0, done.stderr[-2000:]
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "1"]
+
+
+def _table_arrays(model):
+    """The arrays of ``model``'s shared tables: the nodes of log T and both splines' knots and coefficients."""
+    return [*model._tail_nodes, model._log_tail_spline.x, model._log_tail_spline.c,
+            model._pos_branch_ppf.x, model._pos_branch_ppf.c]
+
+
+def _outputs(model):
+    """Bytes of a model's exact path and law, tails, draws and a Monte Carlo run with its actions."""
+    grid = np.linspace(-80.0, 80.0, 641)
+    law = first_mistake_distribution(model, 3000)
+    agg, actions = run_trials(model, PLUS, 400, 64, 5, collect_actions=True)
+    arrays = [ell_star_path(model, 3000).values, law.pmf, law.survivor, actions,
+              *(f(state, grid) for f in (model.llr_log_cdf, model.llr_log_sf) for state in (MINUS, PLUS)),
+              *(model.sample_llr(state, np.random.default_rng(3), 5000) for state in (MINUS, PLUS))]
+    return [a.tobytes() for a in arrays] + [repr(vars(agg))]
+
+
+class TestSharedPolyTailTables:
+    # The tables of a PolyTail model are pure functions of k: the models of
+    # one k share them, read-only, and each k has its own.
+    def test_a_second_model_of_a_k_builds_and_checks_nothing(self, native_loop, monkeypatch):
+        first = PolyTailSignalModel(3.5)
+        run_trials(first, PLUS, 200, 32, 1)  # builds both splines and runs both checks
+        first.sample_llr(MINUS, np.random.default_rng(0), 100)
+        splines, transforms = set(_native._checked_splines), set(_native._checked_transforms)
+        assert {first._log_tail_spline, first._pos_branch_ppf} <= splines
+        calls = []
+        tail = signal_models._log_exp_poly_upper_tail
+        monkeypatch.setattr(signal_models, "_log_exp_poly_upper_tail",
+                            lambda *args: calls.append(args) or tail(*args))
+        second = PolyTailSignalModel(3.5)
+        run_trials(second, PLUS, 200, 32, 1)
+        second.sample_llr(MINUS, np.random.default_rng(0), 100)
+        second.llr_log_sf(PLUS, np.linspace(-80.0, 80.0, 33))
+        assert calls == []
+        assert second.c == first.c
+        assert second._tail_nodes is first._tail_nodes
+        assert second._log_tail_spline is first._log_tail_spline
+        assert second._pos_branch_ppf is first._pos_branch_ppf
+        assert set(_native._checked_splines) <= splines
+        assert set(_native._checked_transforms) <= transforms
+
+    def test_the_shared_arrays_are_read_only(self):
+        model = PolyTailSignalModel(2.0)
+        for array in _table_arrays(model):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_models_of_different_k_share_nothing(self):
+        a, b = PolyTailSignalModel(2.0), PolyTailSignalModel(3.0)
+        assert a._tables is not b._tables and a.c != b.c
+        for x in _table_arrays(a):
+            assert not any(np.shares_memory(x, y) for y in _table_arrays(b))
+        # the key is typed: an int k has tables of its own
+        assert PolyTailSignalModel(2)._tables is not a._tables
+
+    def test_a_shared_model_gives_the_bytes_of_one_built_alone(self):
+        first = PolyTailSignalModel(2.0)
+        shared = PolyTailSignalModel(2.0)
+        assert shared._tables is first._tables
+        want = _outputs(shared)
+        _poly_tail_tables.cache_clear()
+        alone = PolyTailSignalModel(2.0)
+        assert alone._tables is not shared._tables
+        assert alone._log_tail_spline is not shared._log_tail_spline
+        assert _outputs(alone) == want
+        # an eviction leaves the tables of the models built before it
+        assert shared._tables is first._tables
+
+
+@pytest.mark.parametrize("name", ["llr_cdf", "llr_log_cdf", "llr_log_sf", "llr_pdf"])
+@pytest.mark.parametrize("state", [MINUS, PLUS], ids=str)
+@pytest.mark.parametrize("model", [GaussianSignalModel(sigma=1.0), PolyTailSignalModel(k=2.0),
+                                   build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=500)],
+                         ids=lambda m: m.family)
+def test_a_nan_point_gives_nan(model, state, name):
+    # PolyTail's NaN fell into the gap and rate-target's sorted past the
+    # support, each giving a finite value; the point beside it keeps its bits
+    fn = getattr(model, name)
+    got = fn(state, np.array([math.nan, 0.5]))
+    if model.is_discrete and name == "llr_pdf":
+        assert got is None
+        return
+    assert math.isnan(got[0]) and math.isnan(fn(state, math.nan))
+    assert got[1:].tobytes() == np.asarray(fn(state, np.array([0.5]))).tobytes()
+    assert got[1] == fn(state, 0.5)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_rate_target_action_at_a_nan_belief_is_refused(sign):
+    model = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=500)
+    with pytest.raises(ValueError, match="x = nan"):
+        model.log_action_probabilities(np.array([0.0, math.nan]), sign)
 
 
 class TestRateTargetModel:
