@@ -7,10 +7,19 @@ closed-form increment (``log_ndtr_scalar`` on the same libm functions) and
 solve's replay).  A loop hands back the first step it cannot add (an invalid
 one, or a return that is not an exact float) with its index, for the Python
 loop to raise at or go on from, so the bytes, errors and types are that
-loop's.  ``cohort_steps`` runs the Monte Carlo engine's quiet lockstep steps
-(each cohort's bound test, increment and compensated update) up to the first
-flagged step; a pass runs it through the stepper that ``cohort_stepper``
-builds once, the model's family, ufuncs, constants and spline resolved.
+loop's.  ``cohort_steps`` runs the Monte Carlo engine's lockstep steps (each
+cohort's bound test, increment and compensated update); a pass runs it
+through the stepper that ``cohort_stepper`` builds once, the model's family,
+ufuncs, constants, spline and raw-to-LLR map resolved.  Given the pass's run
+book and a chunk's draws (``Runs``) it settles the flagged steps as the
+Python step does: it reads only the flagged cohorts' rows, maps them (a
+Gaussian's ``raw * tau + mean``, PolyTail's ``polytail_map`` on a gathered
+array), ends the runs of the rows that switch, forks one cohort per source
+into spare columns, and at a step with no switch rebounds the flagged
+cohorts by their own rows; it writes the actions and ends every run at the
+horizon.  It hands a step back only for a model with no C map, a flagged NaN
+belief, too few spare columns, or an error; without a run book it stops at
+every flagged step.
 Its Gaussian increment calls scipy's ``ndtr`` and numpy's ``log`` ufuncs
 from C.  Its PolyTail increment takes each cohort's branch as
 ``belief._signed_increment`` does: the log-T spline on [1, 60], evaluated as
@@ -21,11 +30,12 @@ the closed forms below 1; each branch's values are gathered for numpy's
 ``power``, ``exp``, ``log`` and ``log1p``, so the bits are theirs.  The
 Gaussian tail and deep branches, PolyTail's tail branch and a NaN belief,
 and every other model, call the engine's Python ``_increment`` from C.
-``polytail_llr`` is PolyTail's quantile transform (``llr_from_uniform``)
-the same way: numpy's ``power`` and ``log``, and the quantile spline on its
-uneven knots by the same evaluation; ``checked_transform`` compares it with
-the Python transform bit for bit once per model, and ``llr_transform``
-hands a pass the checked map, else None.  These two builders make every
+``polytail_llr`` (``polytail_map`` on an array) is PolyTail's quantile
+transform (``llr_from_uniform``) the same way: numpy's ``power`` and
+``log``, and the quantile spline on its uneven knots by the same
+evaluation; ``checked_transform`` compares it with the Python transform bit
+for bit once per model, and ``llr_transform`` hands a pass the checked map,
+else None.  These two builders make every
 choice of kernel of a Monte Carlo pass, and ``path_steps`` the choice of an
 exact path's loop, by the model's exact type, since a subclass may change
 the law.  ``philox_fill`` fills each row of a draws array from one Monte
@@ -80,7 +90,13 @@ import weakref
 import numpy as np
 from scipy import special
 
-from .signal_models import _LOG_SQRT_2PI, _SQRT2, GaussianSignalModel, PolyTailSignalModel
+from .signal_models import (
+    _LOG_SQRT_2PI,
+    _SQRT2,
+    GaussianSignalModel,
+    PolyTailSignalModel,
+    StateOfWorld,
+)
 
 _SOURCE = r"""
 #include <Python.h>
@@ -359,11 +375,11 @@ static int polytail_far(PyObject *work, double *w, const double *ell, const doub
    a <= -1: log c + log T(-a) and log(c/k) - k * log(-a).  log T is the spline on [1, 60] and
    _log_exp_poly_tail_asymptotic's series past 60, which _log_T runs over all a > 60 at once and
    over all a < -60 at once.  Each branch's values are gathered into work for numpy's power, exp,
-   log1p and log: funcs = (power, exp, log1p, log, -k, work[:n], work[n:2n], work[:2n]), consts =
-   (-c/k, -c, k, log1p(-c/k), log(c/k), log c) with the logs taken by Python's math.  Returns 1,
-   0 at a NaN a or in the tail branch (b- > -1e-8), or -1 with an error set. */
-static int polytail_increments(PyObject *work, double *w, const double *ell, const double *sgn,
-                               Py_ssize_t n, PyObject *funcs, const double *consts,
+   log1p and log: funcs = (power, exp, log1p, log, -k), views = (work[:n], work[n:2n], work[:2n]),
+   consts = (-c/k, -c, k, log1p(-c/k), log(c/k), log c) with the logs taken by Python's math.
+   Returns 1, 0 at a NaN a or in the tail branch (b- > -1e-8), or -1 with an error set. */
+static int polytail_increments(PyObject *work, PyObject *const *views, double *w, const double *ell,
+                               const double *sgn, Py_ssize_t n, PyObject *funcs, const double *consts,
                                const double *knots, const double *coefs, int64_t nknots)
 {
     Py_ssize_t p = 0, p60 = 0, nn = 0, n60 = 0;
@@ -389,14 +405,12 @@ static int polytail_increments(PyObject *work, double *w, const double *ell, con
         return done;
     int full = p == n;  /* the slices are the ones funcs holds */
     if (in_slice(PyTuple_GET_ITEM(funcs, 0), work, 0, p, PyTuple_GET_ITEM(funcs, 4),
-                 full ? PyTuple_GET_ITEM(funcs, 5) : NULL) < 0
-        || in_slice(PyTuple_GET_ITEM(funcs, 1), work, p, 2 * p, NULL,
-                    full ? PyTuple_GET_ITEM(funcs, 6) : NULL) < 0)
+                 full ? views[0] : NULL) < 0
+        || in_slice(PyTuple_GET_ITEM(funcs, 1), work, p, 2 * p, NULL, full ? views[1] : NULL) < 0)
         return -1;
     for (Py_ssize_t i = 0; i < 2 * p; i++)
         w[i] *= consts[i >= p];
-    if (in_slice(PyTuple_GET_ITEM(funcs, 2), work, 0, 2 * p, NULL,
-                 full ? PyTuple_GET_ITEM(funcs, 7) : NULL) < 0)
+    if (in_slice(PyTuple_GET_ITEM(funcs, 2), work, 0, 2 * p, NULL, full ? views[2] : NULL) < 0)
         return -1;
     double *inc = w + 4 * n;
     for (Py_ssize_t c = 0, ip = 0; c < n; c++) {
@@ -410,76 +424,18 @@ static int polytail_increments(PyObject *work, double *w, const double *ell, con
     return 1;
 }
 
-/* montecarlo._lockstep's steps s..stop-1 of a chunk, in place on the cohorts' ell and carry:
-   returns the first step at which cohort c's bound bounds[step * width + c] could flip
-   its action sgn[c], else stop, or -1 with an error set.  A step adds increment(model, ell, sgn)
-   by the engine's compensated update.  For family 1 (funcs = (ndtr, log), consts = the two
-   state means and tau, work 2 x n) or 2 (the PolyTail funcs, consts and spline, work 5n values)
-   the increment is computed in C, on work, unless the model's branch leaves it to Python. */
-int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
-                     const double *bounds, int64_t width, int64_t s,
-                     int64_t stop, PyObject *increment, PyObject *model, int64_t family,
-                     PyObject *funcs, const double *consts, const double *knots,
-                     const double *coefs, int64_t nknots)
-{
-    PyObject *arrays[4] = {ell_a, carry_a, sgn_a, work};
-    Py_buffer views[4], view;
-    double *data[4] = {NULL};
-    int got = 0, fusing = family != 0, rows = family == 2 ? 5 : 2;
-    while (got < 3 + fusing && (data[got] = float64s(arrays[got], views + got,
-                                                     got ? (got < 3 ? 1 : rows) * views[0].len : -1)))
-        got++;
-    Py_ssize_t n = got ? views[0].len / (Py_ssize_t)sizeof(double) : 0;
-    double *ell = data[0], *carry = data[1], *sgn = data[2];
-    for (; got == 3 + fusing && s < stop; s++) {
-        int flagged = 0;
-        for (Py_ssize_t c = 0; c < n && !flagged; c++)
-            flagged = (ell[c] + bounds[s * width + c] > 0.0) != (sgn[c] > 0.0);
-        double *z = data[3];
-        int fused = flagged || !family ? 0
-                    : family == 1 ? gaussian_increments(work, z, ell, sgn, n, funcs, consts, consts[2])
-                    : polytail_increments(work, z, ell, sgn, n, funcs, consts, knots, coefs, nknots);
-        PyObject *called = NULL;
-        double *inc = fused > 0 ? z + (family == 2 ? 4 * n : 0) : NULL;
-        if (!flagged && !fused && (called = PyObject_CallFunctionObjArgs(increment, model, ell_a,
-                                                                          sgn_a, NULL)))
-            inc = float64s(called, &view, views[0].len);
-        if (flagged || fused < 0 || inc == NULL) {
-            Py_XDECREF(called);
-            break;
-        }
-        for (Py_ssize_t c = 0; c < n; c++) {
-            double y = inc[c] - carry[c], s2 = ell[c] + y;
-            carry[c] = (s2 - ell[c]) - y, ell[c] = s2;
-        }
-        if (called) {
-            PyBuffer_Release(&view);
-            Py_DECREF(called);
-        }
-    }
-    while (got-- > 0)
-        PyBuffer_Release(views + got);
-    return PyErr_Occurred() ? -1 : s;
-}
-
-/* PolyTailSignalModel.llr_from_uniform(theta, u) in place on the uniforms u: sign * x for theta's
+/* PolyTailSignalModel.llr_from_uniform(theta, u) in place on the m uniforms u: sign * x for theta's
    sign, with x = _ppf_minus(u) in its order of operations.  Where u <= c/k,
    x = -power(k * max(u, 2**-53) / c, -1/k); elsewhere x is the quantile spline (knots, coefs) at
    log(1 - u) clipped to its knots as numpy's clip does.  Each branch's values are gathered into
-   work (as long as u) for numpy's power and log: funcs = (power, log, -1/k), ck = c/k.
-   Returns 0, or -1 with an error set. */
-int polytail_llr(PyObject *u_a, PyObject *work, PyObject *funcs, double ck, double k, double c,
-                 double sign, const double *knots, const double *coefs, int64_t nknots)
+   work (a 1-d float64 array of at least m values, w its data) for numpy's power and log:
+   funcs = (power, log, -1/k), ck = c/k.  Returns 0, or -1 with an error set. */
+static int polytail_map(double *u, Py_ssize_t m, PyObject *work, double *w, PyObject *funcs,
+                        double ck, double k, double c, double sign, const double *knots,
+                        const double *coefs, int64_t nknots)
 {
-    Py_buffer views[2];
-    double *u = float64s(u_a, views, -1), *w = u ? float64s(work, views + 1, views[0].len) : NULL;
-    if (w == NULL) {
-        if (u)
-            PyBuffer_Release(views);
-        return -1;
-    }
     double lo = knots[0], hi = knots[nknots - 1];
-    Py_ssize_t m = views[0].len / (Py_ssize_t)sizeof(double), below = 0;
+    Py_ssize_t below = 0;
     for (Py_ssize_t j = 0; j < m; j++)
         below += u[j] <= ck;
     for (Py_ssize_t j = 0, jlo = 0, jhi = below; j < m; j++) {
@@ -503,9 +459,327 @@ int polytail_llr(PyObject *u_a, PyObject *work, PyObject *funcs, double ck, doub
         }
         u[j] = sign > 0.0 ? -x : x;
     }
+    return done;
+}
+
+/* polytail_map on the uniforms of the array u_a, work as long as u_a */
+int polytail_llr(PyObject *u_a, PyObject *work, PyObject *funcs, double ck, double k, double c,
+                 double sign, const double *knots, const double *coefs, int64_t nknots)
+{
+    Py_buffer views[2];
+    double *u = float64s(u_a, views, -1), *w = u ? float64s(work, views + 1, views[0].len) : NULL;
+    if (w == NULL) {
+        if (u)
+            PyBuffer_Release(views);
+        return -1;
+    }
+    int done = polytail_map(u, views[0].len / (Py_ssize_t)sizeof(double), work, w, funcs, ck, k, c,
+                            sign, knots, coefs, nknots);
     PyBuffer_Release(views);
     PyBuffer_Release(views + 1);
     return done;
+}
+
+/* e[j] = row[j] < e[j] ? row[j] : e[j] where low, else the same with >; the two rows do not
+   overlap.  Vectorised at -O2 too: a vector compare and select gives each element's bits. */
+__attribute__((optimize("tree-vectorize", "vect-cost-model=dynamic")))
+static void fold_row(double *restrict e, const double *restrict row, int64_t cols, int low)
+{
+    if (low)
+        for (int64_t j = 0; j < cols; j++)
+            e[j] = row[j] < e[j] ? row[j] : e[j];
+    else
+        for (int64_t j = 0; j < cols; j++)
+            e[j] = row[j] > e[j] ? row[j] : e[j];
+}
+
+/* What cohort_steps reads and writes to settle a lockstep pass's flagged steps (_native.Runs):
+   - the raw-to-LLR map: 1 is raw * tau + mean, 2 polytail_map with funcs on work (a 1-d float64
+     array of at least max(rows, cols) values), 0 none (every flagged step is handed back);
+   - theta's sign, the bounds' margin, and whether the map falls (a cohort playing +1 then errs
+     on its raw maximum);
+   - the run book (the rows T_FIRST.. of trials int64 values each) and the actions (trials x
+     horizon int8, or NULL);
+   - the chunk's raw draws (rows x cols), each row's cohort and trial, and the time of its step 0;
+   - the live cohorts, which settling updates, and the cohorts that a step handed back for want
+     of spare ones needs room for, else 0. */
+typedef struct {
+    int64_t map;
+    double tau, mean;
+    PyObject *funcs, *work;
+    double ck, k, c, llr_sign;
+    const double *knots, *coefs;
+    int64_t nknots;
+    double sign, margin;
+    int64_t decreasing;
+    int64_t *book;
+    int64_t trials, horizon;
+    int8_t *actions;
+    const double *draws;
+    int64_t rows, cols;
+    int64_t *coh;
+    const int64_t *trial;
+    int64_t t0, n, room;
+} runs_t;
+
+/* The rows of a run book, montecarlo._BOOK's order */
+enum { T_FIRST, T_LAST, RUNS, MAX_GOOD, MAX_BAD, RUN_START };
+
+/* montecarlo._close_runs for trial j, whose run ends at step t, good or bad */
+static void close_run(runs_t *p, int64_t j, int good, int64_t t)
+{
+    int64_t *b = p->book + j, stride = p->trials, length = t - b[RUN_START * stride];
+    b[RUNS * stride] += length > 0;
+    if (good) {
+        if (length > b[MAX_GOOD * stride])
+            b[MAX_GOOD * stride] = length;
+    } else {
+        if (length > b[MAX_BAD * stride])
+            b[MAX_BAD * stride] = length;
+        b[T_LAST * stride] = t - 1;
+    }
+    b[RUN_START * stride] = t;
+}
+
+/* Each row's actions at the chunk's steps from..to-1, its cohort's sgn */
+static void write_actions(runs_t *p, const double *sgn, int64_t from, int64_t to)
+{
+    if (p->actions == NULL || from >= to)
+        return;
+    for (int64_t r = 0; r < p->rows; r++)
+        memset(p->actions + p->trial[r] * p->horizon + p->t0 + from - 1,
+               sgn[p->coh[r]] > 0.0 ? 1 : -1, (size_t)(to - from));
+}
+
+/* The pass's raw-to-LLR map in place on v[0..m) (w: work's data): 0, or -1 with an error set */
+static int map_llr(runs_t *p, double *w, double *v, Py_ssize_t m)
+{
+    if (p->map == 1) {
+        for (Py_ssize_t i = 0; i < m; i++)
+            v[i] = v[i] * p->tau + p->mean;
+        return 0;
+    }
+    return polytail_map(v, m, p->work, w, p->funcs, p->ck, p->k, p->c, p->llr_sign, p->knots,
+                        p->coefs, p->nknots);
+}
+
+/* montecarlo._bounds' widening of an LLR x on the erring side of sgn */
+static inline double widen(double x, double sgn, double margin)
+{
+    return x - sgn * margin * (1.0 + fabs(x));
+}
+
+/* Scratch of a pass's cohort_steps: each cohort's flag and fork (cap each), the rows read and
+   their values (rows each), one cohort's extremes (cols) */
+typedef struct {
+    uint8_t *flag;
+    int64_t *fork, *idx;
+    double *u, *e;
+} scratch_t;
+
+/* Rebounds each flagged cohort c by its own read rows idx[0..m) over the steps after s, as
+   montecarlo._bounds takes _extremes: the extreme of each step on its erring side, mapped and
+   widened, unless the widened extreme over all those steps keeps its action, which then bounds
+   every step; a cohort with no rows gets sgn[c] * inf.  Returns 0, or -1 with an error set. */
+static int rebound(runs_t *p, double *w, scratch_t *x, Py_ssize_t m, const double *ell,
+                   const double *sgn, Py_ssize_t n, double *bounds, int64_t width, int64_t s)
+{
+    int64_t left = p->cols - s - 1;
+    double *e = x->e;
+    for (Py_ssize_t c = 0; c < n; c++) {
+        if (!x->flag[c])
+            continue;
+        int low = (sgn[c] > 0.0) != (p->decreasing != 0), some = 0;
+        for (int64_t j = 0; j < left; j++)
+            e[j] = low ? INFINITY : -INFINITY;
+        for (Py_ssize_t i = 0; i < m; i++)
+            if (p->coh[x->idx[i]] == c)
+                fold_row(e, p->draws + x->idx[i] * p->cols + s + 1, left, low), some = 1;
+        double whole = sgn[c] * INFINITY, raw = e[0];
+        for (int64_t j = 1; j < left; j++)
+            raw = low ? (e[j] < raw ? e[j] : raw) : (e[j] > raw ? e[j] : raw);
+        if (some) {
+            if (map_llr(p, w, &raw, 1) < 0)
+                return -1;
+            whole = widen(raw, sgn[c], p->margin);
+        }
+        double *col = bounds + (s + 1) * width + c;
+        int stepped = some && (ell[c] + whole > 0.0) != (sgn[c] > 0.0);
+        if (stepped && map_llr(p, w, e, left) < 0)
+            return -1;
+        for (int64_t j = 0; j < left; j++)
+            col[j * width] = stepped ? widen(e[j], sgn[c], p->margin) : whole;
+    }
+    return 0;
+}
+
+/* Settles the flagged step s of a pass as montecarlo._lockstep's Python step does, bit for bit:
+   the flagged cohorts' rows are read and mapped; rows that flip end their runs (and set t_first),
+   and move to one new cohort per source cohort, in increasing source order, with the source's ell
+   and carry, the other action and the bound -sgn * inf for the chunk's other steps.  Where no row
+   flips, rebound.  The actions up to s are written first (from *seg, which moves to s).  Returns 1,
+   0 to hand the step back unchanged (no map, a flagged NaN belief, or fewer than the new cohorts
+   spare of cap, with p->room the cohorts it needs), or -1 with an error set. */
+static int settle(runs_t *p, double *w, scratch_t *x, double *ell, double *carry, double *sgn,
+                  Py_ssize_t cap, double *bounds, int64_t width, int64_t s, int64_t *seg)
+{
+    Py_ssize_t n = p->n, m = 0, flips = 0, forks = 0;
+    if (p->map == 0)
+        return 0;
+    for (Py_ssize_t c = 0; c < n; c++) {
+        x->flag[c] = (ell[c] + bounds[s * width + c] > 0.0) != (sgn[c] > 0.0);
+        if (x->flag[c] && ell[c] != ell[c])
+            return 0;
+    }
+    for (int64_t r = 0; r < p->rows; r++)
+        if (x->flag[p->coh[r]])
+            x->idx[m] = r, x->u[m++] = p->draws[r * p->cols + s];
+    if (map_llr(p, w, x->u, m) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        int64_t c = p->coh[x->idx[i]];
+        if ((ell[c] + x->u[i] > 0.0) != (sgn[c] > 0.0))
+            x->idx[flips++] = x->idx[i];
+    }
+    if (flips == 0)  /* an idle step: the flagged cohorts are rebounded for the rest of the chunk */
+        return s + 1 < p->cols && rebound(p, w, x, m, ell, sgn, n, bounds, width, s) < 0 ? -1 : 1;
+    memset(x->fork, 0, n * sizeof *x->fork);
+    for (Py_ssize_t i = 0; i < flips; i++) {
+        int64_t c = p->coh[x->idx[i]];
+        forks += !x->fork[c], x->fork[c] = 1;
+    }
+    if (n + forks > cap) {
+        p->room = n + forks;
+        return 0;
+    }
+    write_actions(p, sgn, *seg, s);
+    *seg = s;
+    int64_t t = p->t0 + s, *t_first = p->book + T_FIRST * p->trials;
+    for (Py_ssize_t i = 0; i < flips; i++) {
+        int64_t r = x->idx[i], j = p->trial[r];
+        close_run(p, j, sgn[p->coh[r]] == p->sign, t);
+        if (t_first[j] == 0)  /* a trial's first switch is its first mistake */
+            t_first[j] = t;
+    }
+    for (Py_ssize_t c = 0, next = n; c < n; c++)
+        if (x->fork[c]) {
+            ell[next] = ell[c], carry[next] = carry[c], sgn[next] = -sgn[c];
+            x->fork[c] = next++;
+        }
+    for (Py_ssize_t i = 0; i < flips; i++)
+        p->coh[x->idx[i]] = x->fork[p->coh[x->idx[i]]];
+    for (int64_t j = s + 1; j < p->cols; j++)
+        for (Py_ssize_t c = n; c < n + forks; c++)
+            bounds[j * width + c] = -sgn[c] * INFINITY;  /* flagged until a step with no switch */
+    p->n = n + forks;
+    return 1;
+}
+
+/* The views of n live cohorts of capacity arrays: ell[:n] and sgn[:n] for the Python increment,
+   work[:rows * n], and for family 2 work[:n], work[n:2n] and work[:2n].  0, or -1 with an error set */
+static int live_views(PyObject **live, PyObject *ell_a, PyObject *sgn_a, PyObject *work,
+                      int64_t family, Py_ssize_t n)
+{
+    for (int i = 0; i < 6; i++)
+        Py_CLEAR(live[i]);
+    Py_ssize_t ends[6][2] = {{0, n}, {0, n}, {0, (family == 2 ? 5 : 2) * n}, {0, n}, {n, 2 * n},
+                             {0, 2 * n}};
+    int views = family == 2 ? 6 : family ? 3 : 2;
+    for (int i = 0; i < views; i++)
+        if (!(live[i] = PySequence_GetSlice(i == 0 ? ell_a : i == 1 ? sgn_a : work, ends[i][0],
+                                            ends[i][1])))
+            return -1;
+    return 0;
+}
+
+/* montecarlo._lockstep's steps s..stop-1 of a chunk, in place on the cohorts' ell, carry and sgn,
+   whose first n values are live.  A step adds increment(model, ell, sgn) by the engine's compensated
+   update.  For family 1 (funcs = (ndtr, log), consts = the two state means and tau, work 2n values)
+   or 2 (the PolyTail funcs, consts and spline, work 5n) the increment is computed in C, on work,
+   unless the model's branch leaves it to Python; work is as long as ell, times 2 or 5.  At a step
+   at which cohort c's bound bounds[step * width + c] could flip its action sgn[c], the loop stops
+   if runs is NULL (n is then every cohort), else settles the step and goes on.  Returns the step it
+   stopped at (stop, or a flagged step that it hands back, with runs->n the live cohorts), or -1
+   with an error set.  A pass's last step closes every run. */
+int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
+                     double *bounds, int64_t width, int64_t s, int64_t stop,
+                     PyObject *increment, PyObject *model, int64_t family,
+                     PyObject *funcs, const double *consts, const double *knots,
+                     const double *coefs, int64_t nknots, runs_t *runs)
+{
+    PyObject *arrays[4] = {ell_a, carry_a, sgn_a, work}, *live[6] = {NULL};
+    Py_buffer views[4], view, llr_view;
+    double *data[4] = {NULL}, *llr_work = NULL;
+    int got = 0, fusing = family != 0, rows = family == 2 ? 5 : 2;
+    while (got < 3 + fusing && (data[got] = float64s(arrays[got], views + got,
+                                                     got ? (got < 3 ? 1 : rows) * views[0].len : -1)))
+        got++;
+    Py_ssize_t cap = got ? views[0].len / (Py_ssize_t)sizeof(double) : 0, n = runs ? runs->n : cap;
+    double *ell = data[0], *carry = data[1], *sgn = data[2];
+    int64_t seg = s;
+    scratch_t x = {NULL, NULL, NULL, NULL, NULL};
+    int ready = got == 3 + fusing && live_views(live, ell_a, sgn_a, work, family, n) == 0;
+    if (ready && runs) {
+        runs->room = 0;
+        x.flag = PyMem_Malloc(cap + 1), x.fork = PyMem_Malloc((cap + 1) * sizeof *x.fork);
+        x.idx = PyMem_Malloc((runs->rows + 1) * sizeof *x.idx);
+        x.u = PyMem_Malloc((runs->rows + 1) * sizeof *x.u);
+        x.e = PyMem_Malloc((runs->cols + 1) * sizeof *x.e);
+        if (!(x.flag && x.fork && x.idx && x.u && x.e))
+            ready = 0, PyErr_NoMemory();
+        else if (runs->map == 2 && !(llr_work = float64s(runs->work, &llr_view, -1)))
+            ready = 0;
+    }
+    for (; ready && s < stop; s++) {
+        int flagged = 0;
+        for (Py_ssize_t c = 0; c < n && !flagged; c++)
+            flagged = (ell[c] + bounds[s * width + c] > 0.0) != (sgn[c] > 0.0);
+        if (flagged) {
+            if (!runs || settle(runs, llr_work, &x, ell, carry, sgn, cap, bounds, width, s, &seg) < 1)
+                break;
+            if (runs->n != n) {
+                n = runs->n;
+                if (live_views(live, ell_a, sgn_a, work, family, n) < 0)
+                    break;
+            }
+        }
+        double *z = data[3];
+        int fused = !family ? 0
+                    : family == 1 ? gaussian_increments(live[2], z, ell, sgn, n, funcs, consts,
+                                                        consts[2])
+                    : polytail_increments(live[2], live + 3, z, ell, sgn, n, funcs, consts, knots,
+                                          coefs, nknots);
+        PyObject *called = NULL;
+        double *inc = fused > 0 ? z + (family == 2 ? 4 * n : 0) : NULL;
+        if (!fused && (called = PyObject_CallFunctionObjArgs(increment, model, live[0], live[1], NULL)))
+            inc = float64s(called, &view, n * (Py_ssize_t)sizeof(double));
+        if (fused < 0 || inc == NULL) {
+            Py_XDECREF(called);
+            break;
+        }
+        for (Py_ssize_t c = 0; c < n; c++) {
+            double y = inc[c] - carry[c], s2 = ell[c] + y;
+            carry[c] = (s2 - ell[c]) - y, ell[c] = s2;
+        }
+        if (called) {
+            PyBuffer_Release(&view);
+            Py_DECREF(called);
+        }
+    }
+    if (ready && runs && !PyErr_Occurred()) {
+        write_actions(runs, sgn, seg, s);
+        if (runs->t0 + s == runs->horizon + 1)  /* the pass's last step: the horizon ends every run */
+            for (int64_t r = 0; r < runs->rows; r++)
+                close_run(runs, runs->trial[r], sgn[runs->coh[r]] == runs->sign, runs->horizon + 1);
+    }
+    if (llr_work)
+        PyBuffer_Release(&llr_view);
+    PyMem_Free(x.flag), PyMem_Free(x.fork), PyMem_Free(x.idx), PyMem_Free(x.u), PyMem_Free(x.e);
+    for (int i = 0; i < 6; i++)
+        Py_XDECREF(live[i]);
+    while (got-- > 0)
+        PyBuffer_Release(views + got);
+    return PyErr_Occurred() ? -1 : s;
 }
 """
 
@@ -733,19 +1007,6 @@ void philox_fill(uint64_t *states, double *out, int64_t rows, int64_t cols, int 
     fill_rows(states, out, rows, cols, normal, normal && normals_checked());
 }
 
-/* e[j] = row[j] < e[j] ? row[j] : e[j] where low, else the same with >; the two rows do not
-   overlap.  Vectorised at -O2 too: a vector compare and select gives each element's bits. */
-__attribute__((optimize("tree-vectorize", "vect-cost-model=dynamic")))
-static void fold_row(double *restrict e, const double *restrict row, int64_t cols, int low)
-{
-    if (low)
-        for (int64_t j = 0; j < cols; j++)
-            e[j] = row[j] < e[j] ? row[j] : e[j];
-    else
-        for (int64_t j = 0; j < cols; j++)
-            e[j] = row[j] > e[j] ? row[j] : e[j];
-}
-
 /* philox_fill, and each row folded into its cohort's row of ext (cohorts x cols, C order) while
    it is in cache: cohort c holds rows start[c]..start[c + 1] - 1, and ext[c] is their per-column
    min where low[c], else their max; +inf or -inf for a cohort with no rows */
@@ -866,7 +1127,8 @@ def _load(cache_dir: str):
     lib.call_steps.argtypes = head + [ctypes.py_object]
     lib.gaussian_steps.restype = lib.call_steps.restype = ctypes.py_object
     obj, ptr, i64, f64 = ctypes.py_object, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.cohort_steps.argtypes = [obj] * 4 + [ptr, i64, i64, i64, obj, obj, i64, obj] + [ptr] * 3 + [i64]
+    lib.cohort_steps.argtypes = ([obj] * 4 + [ptr, i64, i64, i64, obj, obj, i64, obj] + [ptr] * 3
+                                 + [i64, ctypes.POINTER(Runs)])
     lib.cohort_steps.restype = i64
     lib.spline_values.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
     lib.spline_values.restype = None
@@ -1025,6 +1287,7 @@ def polytail_transform(lib, model, sign: float):
         call(u, np.empty(u.size), *head)
         return u
 
+    transform.head = head  # C's polytail_map takes these arguments too (cohort_stepper)
     transform.arrays = args[3:]  # the knots and coefficients that head points into
     return transform
 
@@ -1069,16 +1332,79 @@ def llr_transform(lib, model, sign: float):
     return None
 
 
-def cohort_stepper(lib, model, increment):
-    """A pass's ``steps(cohorts, bounds, s, stop)``, which runs C's ``cohort_steps``.
+class Runs(ctypes.Structure):
+    """C's ``runs_t``: what ``cohort_steps`` reads and writes to settle a pass's flagged steps."""
+
+    _fields_ = [
+        ("map", ctypes.c_int64), ("tau", ctypes.c_double), ("mean", ctypes.c_double),
+        ("funcs", ctypes.py_object), ("work", ctypes.py_object),
+        *((name, ctypes.c_double) for name in ("ck", "k", "c", "llr_sign")),
+        ("knots", ctypes.c_void_p), ("coefs", ctypes.c_void_p), ("nknots", ctypes.c_int64),
+        ("sign", ctypes.c_double), ("margin", ctypes.c_double), ("decreasing", ctypes.c_int64),
+        ("book", ctypes.c_void_p), ("trials", ctypes.c_int64), ("horizon", ctypes.c_int64),
+        ("actions", ctypes.c_void_p), ("draws", ctypes.c_void_p),
+        ("rows", ctypes.c_int64), ("cols", ctypes.c_int64),
+        ("coh", ctypes.c_void_p), ("trial", ctypes.c_void_p),
+        ("t0", ctypes.c_int64), ("n", ctypes.c_int64), ("room", ctypes.c_int64),
+    ]
+
+
+def _runs(model, llr, book: np.ndarray, actions, horizon: int, sign: float, decreasing: bool,
+          margin: float) -> Runs:
+    """A pass's ``Runs``, its map chosen by the model's exact type and the pass's map ``llr``.
+
+    A ``GaussianSignalModel`` maps raw z to z * tau + mean, ``montecarlo._llr``'s
+    arithmetic; a PolyTail pass whose ``llr`` is ``polytail_transform``'s runs
+    ``polytail_map`` on the same arguments; any other leaves its flagged steps
+    to Python.
+    """
+    runs = Runs(sign=sign, margin=margin, decreasing=decreasing, horizon=horizon, funcs=None, work=None)
+    if type(model) is GaussianSignalModel:
+        runs.map, runs.tau, runs.mean = 1, model.tau, model._mean(StateOfWorld(int(sign)))
+    elif head := getattr(llr, "head", None):
+        runs.map, runs.funcs, runs.work = 2, head[0], np.empty(0)
+        runs.ck, runs.k, runs.c, runs.llr_sign, runs.knots, runs.coefs, runs.nknots = head[1:]
+    if not (book.dtype == np.int64 and book.ndim == 2 and len(book) == 6 and book.flags.c_contiguous):
+        raise ValueError("book must be a C-contiguous (6, trials) int64 array")
+    runs.book, runs.trials = book.ctypes.data, book.shape[1]
+    if actions is not None:
+        if not (actions.dtype == np.int8 and actions.ndim == 2 and len(actions) == book.shape[1]
+                and actions.flags.c_contiguous):
+            raise ValueError("actions must be a C-contiguous int8 array with a row per trial")
+        if actions.shape[1] != horizon:
+            raise ValueError("actions must have a column per step of the horizon")
+        runs.actions = actions.ctypes.data
+    return runs
+
+
+def cohort_stepper(lib, model, increment, llr=None, book=None, actions=None, horizon: int = 0,
+                   sign: float = 1.0, decreasing: bool = False, margin: float = 0.0):
+    """A pass's ``steps(cohorts, bounds, s, stop, chunk=None)``, which runs C's ``cohort_steps``.
 
     ``steps`` runs a lockstep chunk's steps s..stop-1 in place on
     ``cohorts`` = (ell, carry, sgn), cohort c reading column c of
-    ``bounds``, and returns the first step that a bound flags, else stop.
-    A step adds ``increment(model, ell, sgn)``, or computes it in C: for a
-    ``GaussianSignalModel`` outside its tail and deep branches, and for a
-    ``PolyTailSignalModel`` whose log-T spline passes ``checked_spline`` on
-    every branch but its tail and a NaN belief (the exact types).
+    ``bounds``.  A step adds ``increment(model, ell, sgn)``, or computes it
+    in C: for a ``GaussianSignalModel`` outside its tail and deep branches,
+    and for a ``PolyTailSignalModel`` whose log-T spline passes
+    ``checked_spline`` on every branch but its tail and a NaN belief (the
+    exact types).  Without ``chunk`` it returns the first step that a bound
+    flags, else stop.
+
+    Given the pass's run ``book`` (``montecarlo._BOOK``'s rows), its
+    ``actions`` or None, ``horizon``, theta's ``sign``, its map ``llr``,
+    whether that map is ``decreasing`` and the bounds' ``margin``, ``steps``
+    also takes ``chunk`` = (draws, coh, trial, t0, n): the chunk's raw draws,
+    each row's cohort and trial, the time of step 0 and the live cohorts,
+    the first n of capacity arrays ``cohorts`` and of the columns of
+    ``bounds``.  It then settles each flagged step as the pass's Python step
+    does, bit for bit: it reads the flagged cohorts' rows, maps them (in C
+    for the models ``_runs`` names), ends the runs of the rows that switch,
+    forks their cohorts into the spare columns and rebounds a step at which
+    none switches; it writes the actions, and at the horizon ends every run.
+    It returns (s, n, room): it hands a flagged step s back with nothing
+    changed for a model with no C map, a flagged NaN belief, or too few
+    spare columns (room is then the columns that s needs, else 0); else s
+    is stop.
     """
     family, funcs, consts, spline = 0, None, (), (None, None, 0)
     if type(model) is GaussianSignalModel:
@@ -1087,20 +1413,31 @@ def cohort_stepper(lib, model, increment):
         k, c = model.k, model.c
         family, funcs, spline, ck = 2, (np.power, np.exp, np.log1p, np.log, -k), args[:3], c / k
         consts = (-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c))
-    consts, call = (ctypes.c_double * 6)(*consts), lib.cohort_steps
+    consts, call, rows = (ctypes.c_double * 6)(*consts), lib.cohort_steps, (0, 2, 5)[family]
+    runs = None if book is None else _runs(model, llr, book, actions, horizon, sign, decreasing, margin)
 
-    def steps(cohorts, bounds: np.ndarray, s: int, stop: int) -> int:
-        n = len(cohorts[0])
+    def steps(cohorts, bounds: np.ndarray, s: int, stop: int, chunk=None):
+        cap = len(cohorts[0])
+        if chunk is not None:
+            draws, coh, trial, runs.t0, runs.n = chunk
+            if not (draws.dtype == np.float64 and draws.ndim == 2 and draws.flags.c_contiguous
+                    and coh.dtype == trial.dtype == np.int64 and coh.flags.c_contiguous
+                    and trial.flags.c_contiguous and len(coh) == len(trial) == len(draws) > 0
+                    and len(bounds) == draws.shape[1] and 0 <= runs.n <= cap
+                    and 0 <= coh.min() and coh.max() < runs.n
+                    and 0 <= trial.min() and trial.max() < runs.trials):
+                raise ValueError("chunk must hold C-contiguous draws, and a live cohort and a trial "
+                                 "of the book per row")
+            runs.draws, runs.coh, runs.trial = draws.ctypes.data, coh.ctypes.data, trial.ctypes.data
+            runs.rows, runs.cols = draws.shape
+            if runs.map == 2 and runs.work.size < max(draws.shape):
+                runs.work = np.empty(max(draws.shape))
         if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
-                and n <= bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
+                and cap <= bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
             raise ValueError("bounds must be C-contiguous float64, a column per cohort, a row per step")
-        work, args = None, funcs
-        if family == 1:
-            work = np.empty((2, n))
-        elif family == 2:
-            work = np.empty(5 * n)  # with the slices of a step with every a >= 1
-            args = (*funcs, work[:n], work[n:2 * n], work[:2 * n])
-        return call(*cohorts, work, bounds.ctypes.data, bounds.shape[1], s, stop, increment, model,
-                    family, args, consts, *spline)
+        work = np.empty(rows * cap) if family else None
+        got = call(*cohorts, work, bounds.ctypes.data, bounds.shape[1], s, stop, increment, model,
+                   family, funcs, consts, *spline, None if chunk is None else ctypes.byref(runs))
+        return got if chunk is None else (got, runs.n, runs.room)
 
     return steps

@@ -85,7 +85,9 @@ class RunManifest:
     summary: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
+        # The fields hold only JSON values, so no deep copy (dataclasses.asdict) is needed
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:

@@ -34,10 +34,13 @@ exactly are mapped to LLRs, each map monotone, so a mapped extreme is the
 extreme LLR.  Which C kernel serves a model is ``_native``'s choice, made
 once per pass by two builders: ``llr_transform`` gives the raw-to-LLR map
 (PolyTail's C quantile transform, else None and ``_llr`` in Python), and
-``cohort_stepper`` the loop that runs every quiet step in C, Python only
-settling the switches of flagged steps; its Gaussian and PolyTail
-increments are computed by numpy's and scipy's own ufuncs and, for
-PolyTail, scipy's spline evaluation redone in C.  Checkpoint beliefs are
+``cohort_stepper`` the loop that runs the steps in C, flagged ones too for
+a Gaussian or PolyTail model: it reads and maps the flagged rows, ends
+runs, forks cohorts and rebounds idle ones, and hands a step back to the
+Python step only for a model with no C map, a NaN belief or too few spare
+cohort columns.  Its Gaussian and PolyTail increments are computed by
+numpy's and scipy's own ufuncs and, for PolyTail, scipy's spline
+evaluation redone in C.  Checkpoint beliefs are
 summed after the last step, so the aggregates are bit-identical to
 stepping every trial.  The observed-signals baseline draws a batch's
 streams chunk by chunk through the same sampler, maps them by the same
@@ -323,18 +326,13 @@ def _add_hist(hist: dict, values: np.ndarray) -> None:
         hist[int(v)] = hist.get(int(v), 0) + int(c)
 
 
-# Run bookkeeping of one trial, changed only when it switches action: its
-# current run started at ``run_start``; ``runs`` counts finished ones.
-_BOOK = np.dtype(
-    [
-        ("t_first", np.int64),
-        ("t_last", np.int64),
-        ("runs", np.int64),
-        ("max_good", np.int64),
-        ("max_bad", np.int64),
-        ("run_start", np.int64),
-    ]
-)
+# A pass's run book: one int64 row per field, one column per trial, changed
+# only when a trial switches action: its current run started at ``run_start``;
+# ``runs`` counts finished ones.
+_BOOK = ("t_first", "t_last", "runs", "max_good", "max_bad", "run_start")
+
+# Spare cohort columns of a chunk, for the cohorts that its switches fork.
+_SPARE_COHORTS = 32
 
 # Relative slack on the cohorts' bounds.  It covers transforms that are
 # monotone only to within a few ulps (spline and power evaluations), so a
@@ -468,16 +466,16 @@ def _close_runs(book: np.ndarray, trials: np.ndarray, ended_good, t: int) -> Non
 
     Switches of action and the horizon (t = horizon + 1) both end runs
     here.  Only a non-empty run counts, so a trial's upsets are its runs - 1.
+    ``trials`` holds no trial twice.
     """
-    rec = book[trials]
-    length = t - rec["run_start"]
+    _, t_last, runs, max_good, max_bad, run_start = book
+    length = t - run_start[trials]
     ended_bad = np.logical_not(ended_good)
-    rec["runs"] += length > 0
-    rec["max_good"] = np.where(ended_good, np.maximum(rec["max_good"], length), rec["max_good"])
-    rec["max_bad"] = np.where(ended_bad, np.maximum(rec["max_bad"], length), rec["max_bad"])
-    rec["t_last"] = np.where(ended_bad, t - 1, rec["t_last"])
-    rec["run_start"] = t
-    book[trials] = rec
+    runs[trials] += length > 0
+    max_good[trials] = np.where(ended_good, np.maximum(max_good[trials], length), max_good[trials])
+    max_bad[trials] = np.where(ended_bad, np.maximum(max_bad[trials], length), max_bad[trials])
+    t_last[trials] = np.where(ended_bad, t - 1, t_last[trials])
+    run_start[trials] = t
 
 
 def _fork(ell: np.ndarray, carry: np.ndarray, sgn: np.ndarray, source: np.ndarray):
@@ -539,14 +537,20 @@ def _lockstep(
     the rest of the chunk (``_extremes``), or by a value that never flags
     if none are left.  A chunk holds at most ``_DRAW_BUDGET`` draws; its
     length changes no value, since every trial's stream and cohort states
-    are its own.  Where ``_native`` loads, the pass's stepper
-    (``_native.cohort_stepper``) runs each stretch of steps up to the next
-    flagged step or checkpoint in C, bit for bit as the Python step below,
-    with a Gaussian or PolyTail model's increment computed in C.  At a
-    flagged step Python settles the switches, then gives the step a bound
-    that flags nothing and hands it back to C.  A step that C flags again,
-    which only a NaN belief can make it do, is settled once more and takes
-    the Python step, as every step does without the library.
+    are its own.  The cohorts live in the first n columns of arrays with
+    spare ones (``_SPARE_COHORTS`` per chunk), into which forks go; a fork
+    past them widens the arrays.  Where ``_native`` loads, the pass's
+    stepper (``_native.cohort_stepper``) runs each stretch of steps up to
+    the next checkpoint in C, bit for bit as the Python step below, with a
+    Gaussian or PolyTail model's increment computed in C.  It writes the
+    actions and, at the horizon, ends the runs; for a Gaussian or PolyTail
+    model it settles the flagged steps too.  It hands a flagged step back
+    to Python for a model with no C map, a NaN belief, or forks past the
+    spare columns, which Python widens for C to settle the step in.
+    Otherwise Python settles the switches, then gives the step a bound that
+    flags nothing and hands it back to C.  A step that C flags again, which
+    only a NaN belief can make it do, is settled once more and takes the
+    Python step, as every step does without the library.
 
     Returns the per-trial stats arrays dict and, per checkpoint row and
     trial column, whether the trial's last action was a mistake and its
@@ -559,16 +563,15 @@ def _lockstep(
     # chunk may be mapped afresh, at a page fault per page
     buffer = np.empty(nb * min(time_chunk, horizon))
 
-    # Cohort c holds ell[c], carry[c] and the latest action sgn[c] as +-1.0.
+    # Cohort c holds ell[c], carry[c] and the latest action sgn[c] as +-1.0,
+    # the rows of the first n columns of ``cohorts``; the others are spare.
     # Row r of the streams and draws is trial trial[r], in cohort coh[r];
-    # book[j] is trial j's run bookkeeping.
-    ell = np.zeros(1)
-    carry = np.zeros(1)
-    sgn = np.full(1, float(theta.sign))
+    # column j of the rows of ``book`` (``_BOOK``) is trial j's run bookkeeping.
+    cohorts = np.array([[0.0], [0.0], [float(theta.sign)]])
     trial = np.arange(nb)
     coh = np.zeros(nb, dtype=np.int64)
-    book = np.zeros(nb, dtype=_BOOK)
-    book["run_start"] = 1
+    book = np.zeros((len(_BOOK), nb), dtype=np.int64)
+    book[-1] = 1  # run_start
 
     ckpt = np.asarray(checkpoint_times, dtype=np.int64)
     ell_ckpt = np.zeros((len(ckpt), nb))  # row i: every trial's belief at ckpt[i]
@@ -581,38 +584,47 @@ def _lockstep(
     llr = _llr_map(model, theta, lib)
     ends = llr(np.array([0.0, 1.0 - 2.0**-53]))  # PolyTail's map falls in u under theta = +
     decreasing = bool(ends[0] > ends[1])
-    steps = None if lib is None else _native.cohort_stepper(lib, model, _increment)
+    steps = None if lib is None else _native.cohort_stepper(
+        lib, model, _increment, llr, book, actions, horizon, float(theta.sign), decreasing,
+        _HERD_MARGIN)
     next_ckpt = 0
     t, settled = 1, 0  # settled: the last step whose flags were settled and handed back to C
+    closed = False  # whether C ended the runs at the horizon
     while t <= horizon:
         chunk = min(time_chunk, horizon - t + 1)
         live, coh = np.unique(coh, return_inverse=True)
-        ell, carry, sgn = ell[live], carry[live], sgn[live]
+        n = len(live)
+        cohorts = _widened(cohorts[:, live], n + _SPARE_COHORTS)
+        ell, carry, sgn = cohorts[:, :n]
         order = np.argsort(coh, kind="stable")
         coh, trial, streams = coh[order], trial[order], streams[order]
-        start = np.searchsorted(coh, np.arange(len(live) + 1))
-        low, ext = (sgn > 0.0) != decreasing, np.empty((len(live), chunk))
+        start = np.searchsorted(coh, np.arange(n + 1))
+        low, ext = (sgn > 0.0) != decreasing, np.empty((n, chunk))
         draws = _draw_chunk(model, theta, streams, buffer[:nb * chunk].reshape(nb, chunk),
                             (start, low, ext))
-        bounds = _bounds(llr, ext, start, ell, sgn, low)  # column c: cohort c
+        bounds = np.empty((chunk, cohorts.shape[1]))  # column c: cohort c
+        bounds[:, :n] = _bounds(llr, ext, start, ell, sgn, low)
         s = 0
         while s < chunk:
             if next_ckpt < len(ckpt) and t == ckpt[next_ckpt]:
                 ell_ckpt[next_ckpt, trial] = ell[coh]
                 naive[next_ckpt, trial] = sgn[coh] != theta.sign
                 next_ckpt += 1
-            if steps is not None:  # the quiet steps before the next flag or checkpoint, in C
+            if steps is not None:  # the steps before the next checkpoint, in C
                 stop = min(chunk, s + int(ckpt[next_ckpt]) - t) if next_ckpt < len(ckpt) else chunk
-                quiet = steps((ell, carry, sgn), bounds, s, stop) - s
-                if actions is not None:
-                    actions[trial, t - 1:t - 1 + quiet] = sgn[coh, None]
-                s, t = s + quiet, t + quiet
+                got, n, room = steps(cohorts, bounds, s, stop, (draws, coh, trial, t - s, n))
+                s, t = got, t + got - s
+                ell, carry, sgn = cohorts[:, :n]
+                closed = t > horizon
                 if s == stop:
+                    continue
+                if room:  # step s forks past the spare columns: C settles it in wider ones
+                    cohorts, bounds = (_widened(a, 2 * room) for a in (cohorts, bounds))
                     continue
 
             # fl(ell + x) is monotone in x: a cohort whose bound keeps its
             # action holds no row that switches.
-            flag = (ell + bounds[s, :len(ell)] > 0.0) != (sgn > 0.0)
+            flag = (ell + bounds[s, :n] > 0.0) != (sgn > 0.0)
             if flag.any():
                 rows = np.flatnonzero(flag[coh])
                 c = coh[rows]
@@ -622,39 +634,50 @@ def _lockstep(
                     rows, c = rows[flip], c[flip]
                     switched = trial[rows]
                     _close_runs(book, switched, sgn[c] == theta.sign, t)
-                    t_first = book["t_first"]  # a trial's first switch is its first mistake
+                    t_first = book[0]  # a trial's first switch is its first mistake
                     t_first[switched[t_first[switched] == 0]] = t
-                    n = len(ell)
-                    coh[rows], ell, carry, sgn = _fork(ell, carry, sgn, c)
-                    if len(ell) > bounds.shape[1]:
-                        bounds = np.concatenate((bounds, np.empty((chunk, len(ell)))), axis=1)
-                    bounds[s + 1:, n:len(ell)] = -sgn[n:] * np.inf  # flagged until an idle step
+                    coh[rows], *forked = _fork(ell, carry, sgn, c)
+                    n, n0 = len(forked[0]), n
+                    if n > cohorts.shape[1]:
+                        cohorts, bounds = (_widened(a, 2 * n) for a in (cohorts, bounds))
+                    cohorts[:, :n] = forked
+                    ell, carry, sgn = cohorts[:, :n]
+                    bounds[s + 1:, n0:n] = -sgn[n0:] * np.inf  # flagged until an idle step
                 elif s + 1 < chunk:  # idle: each flagged cohort is bounded by its own rows
                     flagged, order = np.flatnonzero(flag), np.argsort(c, kind="stable")
-                    own = np.searchsorted(c[order], np.append(flagged, len(ell)))
+                    own = np.searchsorted(c[order], np.append(flagged, n))
                     low = (sgn[flagged] > 0.0) != decreasing
                     ext = _extremes(draws[rows[order], s + 1:], own, low)
                     bounds[s + 1:, flagged] = _bounds(llr, ext, own, ell[flagged], sgn[flagged], low)
 
             if steps is not None and settled < t:  # no value flags now: C runs this step too
-                settled, bounds[s, :len(ell)] = t, sgn * np.inf
+                settled, bounds[s, :n] = t, sgn * np.inf
                 continue
             if actions is not None:
                 actions[trial, t - 1] = sgn[coh]
             y = _increment(model, ell, sgn) - carry
             s2 = ell + y
-            carry = (s2 - ell) - y
-            ell = s2
+            carry[:] = (s2 - ell) - y
+            ell[:] = s2
             s += 1
             t += 1
 
     # A trial whose last run is wrong at the horizon is censored.
     final_good = np.empty(nb, dtype=bool)
     final_good[trial] = sgn[coh] == theta.sign
-    _close_runs(book, np.arange(nb), final_good, horizon + 1)
-    per_trial = {name: book[name] for name in ("t_first", "t_last", "max_good", "max_bad")}
-    per_trial.update(upsets=book["runs"] - 1, censored=~final_good)
+    if not closed:
+        _close_runs(book, np.arange(nb), final_good, horizon + 1)
+    t_first, t_last, runs, max_good, max_bad, _ = book
+    per_trial = dict(t_first=t_first, t_last=t_last, max_good=max_good, max_bad=max_bad,
+                     upsets=runs - 1, censored=~final_good)
     return per_trial, naive, actions, ell_ckpt
+
+
+def _widened(a: np.ndarray, cols: int) -> np.ndarray:
+    """A C-contiguous copy of the 2-d ``a`` with ``cols`` columns, ``a``'s first; the others unset."""
+    out = np.empty((len(a), cols))
+    out[:, :a.shape[1]] = a
+    return out
 
 
 def _aggregate(horizon: int, checkpoint_times: tuple[int, ...], per_trial: dict,

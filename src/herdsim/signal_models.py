@@ -741,11 +741,14 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         Action +1 needs L > -x and -1 needs L <= -x.  At x <= -cut (for +1)
         or x > cut (for -1) no support point qualifies: the action has
         probability 0 under both states and the update after it is undefined.
+        A NaN x is refused first, as ``belief`` refuses it.
         """
+        if np.isnan(x).any():
+            raise ValueError("x must not be NaN")
         b_minus, b_plus = self._log_probabilities(-x, sign > 0)
         far = b_minus if sign > 0 else b_plus  # the state whose masses can underflow
         lost = ~(far > -np.inf)
-        if lost.any():  # no support point qualifies (-inf), or x is NaN
+        if lost.any():  # no support point qualifies
             raise ValueError(
                 f"action {sign:+d} has probability 0 under both states at x = "
                 f"{float(x[lost][0])!r}: the support is cut at +-{len(self.support) // 2}"

@@ -1,6 +1,7 @@
 """Config parsing, experiment artifacts, reproducibility, and CLI exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -180,6 +181,17 @@ class TestExperiments:
         assert (out / "manifest.json").exists()
         rows = read_csv(out / self.EXPECTED_FILES[name][0])
         assert len(rows) >= 2  # header + data
+
+    def test_manifest_json_is_the_deep_copy_form(self, tmp_path):
+        # to_json reads the fields without dataclasses.asdict's deep copy of
+        # the config (here a q_table of 2002 entries); the bytes are the same
+        q_table = [1.0 / (n + 2.0) for n in range(-1, 2001)]
+        manifest = run_experiment(_cfg(tmp_path, "rate-target", horizon=40, trials=8,
+                                       model={"family": "ratetarget", "q_table": q_table}))
+        deep = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n"
+        assert manifest.to_json() == deep
+        assert (tmp_path / "rate-target" / "manifest.json").read_text() == deep
+        assert len(manifest.config["model"]["q_table"]) == 2002
 
     def test_gauss_rate_rejects_other_models(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1422,44 +1422,143 @@ class TestCohortLoop:
 
     @pytest.mark.parametrize("model", [G1, PT2], ids=lambda m: m.family)
     def test_python_increment_runs_only_on_flagged_steps(self, model, native_loop, monkeypatch):
-        # A Gaussian or PolyTail run takes its increments fused in C, a
-        # flagged step's too: once Python has settled its switches, the C
-        # loop resumes at that step, also for a PolyTail step at which a fork
-        # and its source hold a = sgn * ell <= 0.  So neither run calls the
-        # Python _increment.
-        # Bounds on the erring side, cleared cohorts and idle forks' own
-        # bounds keep the flagged steps to at most twice the steps at which
-        # some trial switches.
-        callers, stops, built = [], [], []
-        increment, stepper = montecarlo._increment, _native.cohort_stepper
+        # It runs on no step of a Gaussian or PolyTail pass, flagged ones
+        # included: C settles those, reading and mapping the flagged rows,
+        # ending the runs of those that switch, forking their cohorts and
+        # rebounding idle ones; it ends every run at the horizon and adds each
+        # step's increment fused.  So the pass calls none of the Python step's
+        # helpers, yet its trials switch.
+        calls, built = _spy_calls(monkeypatch, "_fork", "_close_runs", "_increment"), []
+        stepper = _native.cohort_stepper
+        monkeypatch.setattr(_native, "cohort_stepper",
+                            lambda lib, model, *args: built.append(model) or stepper(lib, model, *args))
+        agg = run_trials(model, PLUS, 3000, 2048, master_seed=0)
+        assert built == [model]  # one pass, one stepper
+        assert calls == []
+        assert sum(c for t, c in agg.first_mistake_hist.items() if t) > 0
+        assert sum(c for u, c in agg.upset_hist.items() if u > 1) > 0  # switches back and forth
 
-        def spy_increment(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return increment(*args)
+    def test_a_rate_target_pass_settles_its_flagged_steps_in_python(self, native_loop, monkeypatch):
+        # C has no map of its uniforms, so it hands each flagged step back
+        calls = _spy_calls(monkeypatch, "_fork", "_close_runs")
+        run_trials(RT, PLUS, 3000, 2048, master_seed=0)
+        assert calls.count("_fork") > 0 and calls.count("_close_runs") == calls.count("_fork")
 
-        def spy_stepper(lib, model, increment):
-            steps = stepper(lib, model, increment)
-            built.append(model)
 
-            def spy_steps(cohorts, bounds, s, stop):
-                got = steps(cohorts, bounds, s, stop)
-                stops.append((s, got, stop))
+def _spy_calls(monkeypatch, *names):
+    """The names of montecarlo's functions ``names`` in the order they are called, a list."""
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _f=getattr(montecarlo, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(montecarlo, name, spy)
+    return calls
+
+
+class TestFlaggedStepsInC:
+    # A pass's stepper settles its flagged steps in C; the Python step, which
+    # takes every step without the library, is its reference bit for bit.
+    TRIALS, HORIZON, CHUNK = 300, 1000, 100
+    CKPT = (1, 2, 50, 99, 100, 101, 250, 333, 999, 1000)  # inside chunks and at their edges
+
+    @classmethod
+    def _args(cls, model, theta):
+        return model, theta, cls.HORIZON, 8, range(cls.TRIALS), cls.CKPT, True
+
+    @staticmethod
+    def _same(got, ref):
+        """_lockstep's outputs, C's and the Python step's, bit for bit."""
+        assert got[0].keys() == ref[0].keys()
+        for name in ref[0]:
+            assert np.array_equal(got[0][name], ref[0][name]), name
+        assert np.array_equal(got[1], ref[1])  # naive
+        assert np.array_equal(got[2], ref[2])  # actions
+        assert np.array_equal(got[3].view(np.int64), ref[3].view(np.int64))
+
+    @pytest.mark.parametrize("model", [G07, PT2, RT], ids=lambda m: m.family)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_c_settles_as_the_python_step(self, model, theta, native_loop, python_loop,
+                                          monkeypatch):
+        monkeypatch.setattr(montecarlo, "_DRAW_BUDGET", self.CHUNK * self.TRIALS)
+        args = self._args(model, theta)
+        got = montecarlo._lockstep(*args)
+        self._same(got, python_loop(montecarlo._lockstep, *args))
+        actions = got[2]
+        # forks mid-chunk, and a cohort born mid-chunk switched again
+        before = np.concatenate((np.full((self.TRIALS, 1), theta.sign), actions[:, :-1]), axis=1)
+        trial, t = np.nonzero(actions != before)
+        assert np.any(t % self.CHUNK > 0)
+        assert len(set(zip(trial.tolist(), (t // self.CHUNK).tolist()))) < len(trial)
+
+    @pytest.mark.parametrize("model", [G2, PT2], ids=lambda m: m.family)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_the_horizon_ends_wrong_runs_as_the_python_step(self, model, theta, native_loop,
+                                                            python_loop):
+        # C ends every run at the pass's last step; at a short horizon some
+        # trials' last runs are wrong
+        args = (model, theta, 12, 8, range(self.TRIALS), (1, 5, 12), True)
+        got = montecarlo._lockstep(*args)
+        self._same(got, python_loop(montecarlo._lockstep, *args))
+        assert got[0]["censored"].any() and (got[0]["max_bad"] > 0).any()
+
+    @pytest.mark.parametrize("model", [G07, PT2], ids=lambda m: m.family)
+    def test_cohorts_past_the_spare_columns_widen_them(self, model, native_loop, python_loop,
+                                                       monkeypatch):
+        # Each chunk starts with one spare cohort column, which the first fork
+        # of more than one cohort outgrows: C hands the step back with the
+        # columns it needs, and settles it once Python has widened the arrays.
+        monkeypatch.setattr(montecarlo, "_SPARE_COHORTS", 1)
+        rooms, stepper = [], _native.cohort_stepper
+
+        def spy_stepper(*args):
+            steps = stepper(*args)
+
+            def spy_steps(*call):
+                got = steps(*call)
+                rooms.append(got[2])
                 return got
 
             return spy_steps
 
-        monkeypatch.setattr(montecarlo, "_increment", spy_increment)
         monkeypatch.setattr(_native, "cohort_stepper", spy_stepper)
-        agg, actions = run_trials(model, PLUS, 3000, 2048, master_seed=0, collect_actions=True)
-        assert built == [model]  # one pass, one stepper
-        flagged = sum(got < stop for _, got, stop in stops)
-        before = np.concatenate((np.full((2048, 1), PLUS.sign), actions[:, :-1]), axis=1)
-        switching = np.count_nonzero((actions != before).any(axis=0))
-        assert 0 < flagged <= 2 * switching
-        resumed = [(prev[1] < prev[2] and call[0] == prev[1]) for prev, call in zip(stops, stops[1:])]
-        assert sum(resumed) == flagged  # each flagged step's increment ran in C
-        assert callers == []
-        assert sum(c for t, c in agg.first_mistake_hist.items() if t) > 0
+        calls = _spy_calls(monkeypatch, "_fork", "_close_runs")
+        args = self._args(model, PLUS)
+        got = montecarlo._lockstep(*args)
+        assert sum(room > 0 for room in rooms) > 1 and calls == []
+        self._same(got, python_loop(montecarlo._lockstep, *args))
+
+    def test_steps_it_cannot_settle_are_handed_back_unchanged(self, native_loop):
+        # Cohort 0 plays +1 at a NaN belief, and every bound flags: the step is
+        # handed back.  So is a step whose forks need more columns than there are.
+        book = np.zeros((6, 4), dtype=np.int64)
+        steps = _native.cohort_stepper(native_loop, G1, montecarlo._increment, None, book, None,
+                                       10, 1.0, False, 0.0)
+        # rows 0 and 1 in cohort 0 draw LLR -16, rows 2 and 3 in cohort 1 LLR 20
+        draws = np.repeat([[-9.0], [9.0]], 2, axis=0) * np.ones(5)
+        coh, trial = np.array([0, 0, 1, 1]), np.arange(4)
+        for ell0, cap, room in ((math.nan, 3, 0), (0.5, 3, 4), (0.5, 4, 0)):
+            cohorts = np.zeros((3, cap))
+            cohorts[:, :2] = [[ell0, -0.25], [0.125, -0.0625], [1.0, -1.0]]
+            before = cohorts.copy()
+            bounds = np.tile([-np.inf, np.inf] + [0.0] * (cap - 2), (5, 1))  # flags both cohorts
+            got = steps(cohorts, bounds, 0, 1, (draws, coh.copy(), trial, 1, 2))
+            if cap == 4:  # room for both forks: every row switches at step 1, into a cohort
+                # with its source's ell and carry, and the step adds their increments
+                assert got == (1, 4, 0) and book[0].tolist() == [1] * 4
+                ell, carry, sgn = montecarlo._fork(*before[:, :2], np.array([0, 1]))[1:]
+                y = montecarlo._increment(G1, ell, sgn) - carry
+                ref = np.array([ell + y, (ell + y - ell) - y, sgn])
+                assert cohorts.tobytes() == ref.tobytes()
+                continue
+            assert got == (0, 2, room)
+            assert cohorts.tobytes() == before.tobytes() and not book.any()
+        for bad in (np.array([0, 0, 1, 2]), np.array([0, -1, 1, 1])):  # cohorts 0 and 1 are live
+            with pytest.raises(ValueError, match="live cohort"):
+                steps(cohorts, bounds, 0, 1, (draws, bad, trial, 1, 2))
+        with pytest.raises(ValueError, match="trial of the book"):
+            steps(cohorts, bounds, 0, 1, (draws, coh, np.array([0, 1, 2, 4]), 1, 2))
 
 
 class TestPolyTailTransform:

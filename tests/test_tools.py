@@ -120,6 +120,16 @@ def test_bench_pairs_summarizes_pairs_in_the_bench_layout():
     pairs[2] = (_result(0.48, 100.0), _result(0.47, 100.0))
     assert bench.claim_result(bench.summarize(pairs, {"wall_ref_s": "lower"}),
                               "wall_ref_s").startswith("met: median 0.505 -> 0.405")
+    # each run's record adds the median unscaled repetition time and the failed
+    # fraction of the environment line, and rep_wall_s is summarised as a metric
+    env = {"environment": {"rep_wall_s": [0.61, 0.58, 0.7, 0.6], "failed_frac": 0.25}}
+    record = bench.run_record(f"perfbench noise\n{json.dumps(env)}\n{json.dumps(_result(0.5, 100.0))}\n")
+    assert record == {**_result(0.5, 100.0), "rep_wall_s": 0.605, "failed_frac": 0.25}
+    records = [({**p, "rep_wall_s": 0.6}, {**c, "rep_wall_s": 0.7 - 0.2 * (i != 2)})
+               for i, (p, c) in enumerate(pairs)]
+    reps = bench.summarize(records, {"rep_wall_s": "lower"})["rep_wall_s"]
+    assert reps["parent"] == [0.6] * 6 and reps["change"] == [0.5, 0.5, 0.7, 0.5, 0.5, 0.5]
+    assert reps["change_better_pairs"] == 5 and reps["median_change"] == 0.5
 
 
 def test_bench_pairs_parses_criterion_lines():

@@ -8,10 +8,13 @@ Pair i of a workload runs ``perfbench/run.py --workload W --seed <seed + i>
 --seconds S --trace 0`` once in each checkout; the side that runs first
 alternates from pair to pair.  Each checkout gets its own ``XDG_CACHE_HOME``
 in a temporary directory, so neither side's compiled library replaces the
-other's.  The file records the machine, every run's result line, and per
-workload and end-to-end metric both sides' values, their medians, the
-parent's interquartile range and in how many pairs the change was better,
-plus the failed operations of each side.  ``--criteria-log`` parses the
+other's.  The file records the machine, every run's result line with the
+median unscaled repetition wall time (``rep_wall_s``, which the calibration
+scaling of ``wall_ref_s`` cannot hide a helper thread's time from) and the
+failed fraction of the environment line before it, and per workload and
+end-to-end metric, and for ``rep_wall_s``, both sides' values, their
+medians, the parent's interquartile range and in how many pairs the change
+was better, plus the failed operations of each side.  ``--criteria-log`` parses the
 ``criterion NN: PASS|FAIL (X.Xs) ...`` lines of saved tier-1 logs, and
 ``--note`` adds a top-level text field.
 """
@@ -49,6 +52,19 @@ def result_line(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def run_record(stdout: str) -> dict:
+    """The result line, with ``rep_wall_s`` (the median of the repetitions' unscaled wall
+    times) and ``failed_frac`` from the environment line before it."""
+    env = json.loads(stdout.strip().splitlines()[-2])["environment"]
+    return {**result_line(stdout), "rep_wall_s": round(statistics.median(env["rep_wall_s"]), 4),
+            "failed_frac": env["failed_frac"]}
+
+
+def value(result: dict, name: str) -> float:
+    """A run's end-to-end metric ``name``, or its record's own field (``rep_wall_s``)."""
+    return result[name] if name in result else result["metrics"][name]["value"]
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     """Per metric, both sides' values in pair order, medians, the parent's IQR and wins.
 
@@ -58,7 +74,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     out = {"pairs": len(pairs),
            "failed": {side: sum(p[i]["failed"] for p in pairs) for i, side in enumerate(SIDES)}}
     for name, direction in better.items():
-        got = {side: [round(p[i]["metrics"][name]["value"], 4) for p in pairs]
+        got = {side: [round(value(p[i], name), 4) for p in pairs]
                for i, side in enumerate(SIDES)}
         sign = 1.0 if direction == "lower" else -1.0
         quart = statistics.quantiles(got["parent"], n=4) if len(pairs) > 1 else [0.0, 0.0, 0.0]
@@ -99,7 +115,7 @@ def run_side(checkout: str, cache: str, workload: str, seed: int, seconds: float
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
-    return result_line(done.stdout)
+    return run_record(done.stdout)
 
 
 def main(argv=None) -> int:
@@ -133,7 +149,7 @@ def main(argv=None) -> int:
                 pairs.append((got["parent"], got["change"]))
                 doc["runs"].append({"workload": workload, "seed": args.seed + i, "first": order[0], **got})
                 print(workload, i, [got[s]["metrics"]["wall_ref_s"]["value"] for s in SIDES], file=sys.stderr)
-            doc["pairs"][workload] = summarize(pairs, better)
+            doc["pairs"][workload] = summarize(pairs, {**better, "rep_wall_s": "lower"})
     if args.claim:
         workload, metric = args.claim.split(":")
         doc["claim"], doc["claim_result"] = args.claim, claim_result(doc["pairs"][workload], metric)
