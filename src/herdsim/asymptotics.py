@@ -2,7 +2,9 @@
 
 The discrete recurrence ell_{t+1} = ell_t + D_plus(ell_t) is asymptotically
 equivalent to the autonomous differential equation f'(t) = G_minus(-f(t)).
-This module integrates that equation for any signal model or synthetic tail,
+This module integrates that equation for any signal model or synthetic tail
+by Dormand-Prince RK45 (Dormand & Prince 1980), with the arithmetic of
+scipy's ``solve_ivp`` reproduced bit for bit (see ``solve_growth_ode``),
 provides the closed forms for exponential and polynomial tails, the Gaussian
 sqrt(log t) rate with its envelope solutions, and a generic compensated
 recurrence iterator for recurrence-vs-ODE comparisons.
@@ -50,20 +52,75 @@ class OdeSolution:
     f_values: np.ndarray
     t0: float
     f0: float
-    _dense: Callable[[np.ndarray], np.ndarray]
+    _q: tuple  # per step, the coefficients (1 x 4) of its quartic interpolant
     _rate: Callable[[float], float]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise ValueError("query times must be a scalar or a 1-D array")
+        if np.isnan(t).any():
+            raise ValueError("query time t must not be NaN")
         if np.any(t < self.t_grid[0]) or np.any(t > self.t_grid[-1]):
             raise ValueError("query time outside the integrated range")
-        out = np.atleast_2d(self._dense(np.atleast_1d(t)))[0]
+        out = self._dense(np.atleast_1d(t))
         return float(out[0]) if t.ndim == 0 else out
 
     def derivative(self, t):
         f = np.atleast_1d(self(t))
         out = np.array([self._rate(float(v)) for v in f])
         return float(out[0]) if np.asarray(t).ndim == 0 else out
+
+    def _dense(self, t: np.ndarray) -> np.ndarray:
+        # scipy's OdeSolution.__call__: the points in increasing order, each
+        # run that falls in one step evaluated by one call of that step's quartic
+        order = np.argsort(t)
+        t_sorted = t[order]
+        steps = np.searchsorted(self.t_grid, t_sorted, side="left") - 1
+        steps = np.clip(steps, 0, len(self._q) - 1)
+        starts = np.flatnonzero(np.diff(steps, prepend=-1))
+        out = np.empty(len(t))
+        for start, end in zip(starts, [*starts[1:], len(t)]):
+            i = steps[start]
+            t_old = self.t_grid[i]
+            h = self.t_grid[i + 1] - t_old
+            x = (t_sorted[start:end] - t_old) / h
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            y = h * np.dot(self._q[i], p)
+            y += self.f_values[i]
+            out[order[start:end]] = y[0]
+        return out
+
+
+# Dormand & Prince's 5(4) pair with Shampine's quartic dense output (the
+# optimum c6), as scipy's RK45 holds them, and its step control.  The stage
+# times C = (0, 1/5, 3/10, 4/5, 8/9, 1) do not enter: the rate reads f alone.
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
 
 
 def solve_growth_ode(
@@ -74,41 +131,100 @@ def solve_growth_ode(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> OdeSolution:
-    """Integrate f' = rate(f) with an adaptive explicit embedded pair.
+    """Integrate f' = rate(f) by Dormand-Prince RK45 with quartic dense output.
+
+    The arithmetic is scipy 1.17's ``solve_ivp(..., method="RK45",
+    dense_output=True)`` for one equation, bit for bit: the same tableau,
+    initial step, step control and RMS norm, and the same numpy calls on
+    arrays of the same shapes (the stages K are 7 x 1, f is 1-D), since a
+    ``np.dot`` over other shapes may sum in another order.  The dense output
+    keeps scipy's grouping too: a query evaluates each run of its sorted
+    points that falls in one step by one call, because a BLAS product over a
+    group of one point may round differently from one over many.  Doing it
+    here spares a run the import of ``scipy.integrate``, which loads most of
+    scipy.
 
     ``rate`` must be positive on the solution range so f is increasing.
-    Raises NumericalFailure if the integrator cannot reach the horizon.
+    Raises NumericalFailure if rate returns NaN (naming the f) or the
+    integrator cannot reach the horizon.
     """
-    for name, value in (("t0", t0), ("f0", f0), ("horizon", horizon)):
+    for name, value in (("t0", t0), ("f0", f0), ("horizon", horizon), ("rtol", rtol), ("atol", atol)):
         _check_finite(name, value)
     if not horizon > t0:
         raise ValueError("horizon must exceed t0")
+    if atol < 0.0:
+        raise ValueError("atol must be non-negative")
+    rtol = max(rtol, 100 * np.finfo(float).eps)
 
-    def rhs(_t, y):
-        return [rate(float(y[0]))]
+    def fun(y):
+        x = float(y[0])
+        out = np.asarray([rate(x)], dtype=float)
+        if out[0] != out[0]:  # it would make every step size NaN, and steps would never end
+            raise NumericalFailure(f"growth ODE rate is NaN at f = {x!r}")
+        return out
 
-    from scipy.integrate import solve_ivp  # imported here: it pulls in most of scipy
+    t, horizon = float(t0), float(horizon)
+    y = np.asarray([f0], dtype=float)
+    f = fun(y)
 
-    sol = solve_ivp(
-        rhs,
-        (t0, horizon),
-        [f0],
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise NumericalFailure(f"growth ODE integration failed: {sol.message}")
-    f_values = sol.y[0]
+    # scipy's select_initial_step (Hairer, Norsett & Wanner, sec. II.4)
+    interval_length = horizon - t
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval_length)
+
+    # solve_ivp's loop.  It drops a step whose time repeats the last one, which
+    # cannot happen here: every step advances t by at least min_step.
+    K = np.empty((7, 1))
+    ts, fs, qs = [t], [f0], []
+    while t < horizon:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN too: it would never shrink
+                raise NumericalFailure(f"growth ODE integration failed: {_TOO_SMALL_STEP}")
+            t_new = min(t + h_abs, horizon)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = fun(y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        qs.append(K.T.dot(_P))
+        ts.append(t_new)
+        fs.append(y_new[0])
+        t, y, f = t_new, y_new, f_new
+
+    f_values = np.array(fs, dtype=float)
     if np.any(np.diff(f_values) < 0.0):
         raise NumericalFailure("growth ODE produced a non-monotone solution")
     return OdeSolution(
-        t_grid=sol.t,
+        t_grid=np.array(ts),
         f_values=f_values,
         t0=float(t0),
         f0=float(f0),
-        _dense=sol.sol,
+        _q=tuple(qs),
         _rate=rate,
     )
 

@@ -1,6 +1,9 @@
 """ODE growth predictions: closed forms, recurrence agreement, envelopes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from herdsim.signal_models import (
     NumericalFailure,
     PolyTailSignalModel,
     StateOfWorld,
+    build_rate_target,
 )
 
 
@@ -101,6 +105,104 @@ class TestSolver:
         const = 2.0**3 - 3.0 * a * 1.0
         ts = np.logspace(0.1, 4.9, 30)
         assert_allclose(sol(ts), (3.0 * a * ts + const) ** (1.0 / 3.0), rtol=1e-6)
+
+    def test_a_nan_rate_is_refused_by_its_f(self):
+        # scipy's first step would be NaN, and max(0.2, nan) keeps every later one NaN
+        with pytest.raises(NumericalFailure, match=r"^growth ODE rate is NaN at f = 1\.0$"):
+            solve_growth_ode(lambda f: math.nan, 1.0, 1.0, 10.0)
+        with pytest.raises(NumericalFailure, match=r"^growth ODE rate is NaN at f = 2\.\d+$"):
+            solve_growth_ode(lambda f: 1.0 if f <= 2.0 else math.nan, 1.0, 1.0, 10.0)
+
+    @pytest.mark.parametrize("t", [math.nan, np.array([math.nan, 2.0]), [2.0, math.nan]])
+    def test_a_nan_query_time_is_refused(self, t):
+        sol = solve_growth_ode(lambda f: 1.0, 1.0, 1.0, 10.0)
+        with pytest.raises(ValueError, match="^query time t must not be NaN$"):
+            sol(t)
+        with pytest.raises(ValueError, match="^query time t must not be NaN$"):
+            sol.derivative(t)
+
+
+def _belief_rate(model):
+    return lambda x: float(np.exp(model.llr_log_cdf(StateOfWorld.MINUS, -x)))
+
+
+# The equations the package solves: the belief ODE of four models from (1, 1),
+# and ode-check's synthetic tails from 0 (their rates and starts).
+PARITY_CASES = {
+    "gaussian": lambda: (_belief_rate(GaussianSignalModel(1.0)), 1.0, 1.0),
+    "gaussian-sigma0.7": lambda: (_belief_rate(GaussianSignalModel(0.7)), 1.0, 1.0),
+    "polytail": lambda: (_belief_rate(PolyTailSignalModel(2.0)), 1.0, 1.0),
+    "ratetarget": lambda: (
+        _belief_rate(build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=2000)), 1.0, 1.0),
+    "exponential-tail": lambda: (lambda x: math.exp(-x), 0.0, 0.0),
+    "polynomial-tail": lambda: (
+        lambda x: x ** -2.0 if x > 1e-12 else 1e12, 0.0, closed_form_polynomial_tail(2.0, 1.0, 0.0)),
+}
+
+
+def _scipy_solution(rate, t0, f0, horizon):
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(lambda _t, y: [rate(float(y[0]))], (t0, horizon), [f0], method="RK45",
+                     rtol=1e-9, atol=1e-12, dense_output=True)
+
+
+class TestScipyParity:
+    """The solver is scipy's RK45 with dense output, bit for bit."""
+
+    @pytest.mark.parametrize("horizon", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_grid_values_and_dense_output_equal_scipy(self, case, horizon):
+        rate, t0, f0 = PARITY_CASES[case]()
+        want = _scipy_solution(rate, t0, f0, horizon)
+        sol = solve_growth_ode(rate, t0, f0, horizon)
+        assert sol.t_grid.tobytes() == want.t.tobytes()
+        assert sol.f_values.tobytes() == want.y[0].tobytes()
+
+        def dense(t):  # how the solver's callers queried scipy's interpolant
+            return np.atleast_2d(want.sol(np.atleast_1d(t)))[0]
+
+        grid = want.t
+        points = [grid, np.nextafter(grid[1:], -np.inf), np.nextafter(grid[:-1], np.inf),
+                  np.random.default_rng(7).uniform(grid[0], grid[-1], 10**3)]
+        for t in points:
+            assert sol(t).tobytes() == dense(t).tobytes()
+        # one point per call is evaluated alone, which can round differently
+        t = np.concatenate(points)
+        single = np.array([sol(float(v)) for v in t])
+        assert single.tobytes() == np.array([dense(v)[0] for v in t]).tobytes()
+
+    def test_an_infinite_rate_fails_with_scipys_message(self):
+        with np.errstate(invalid="ignore"):  # inf - inf in both
+            want = _scipy_solution(lambda f: math.inf, 1.0, 1.0, 10.0)
+            with pytest.raises(NumericalFailure) as err:
+                solve_growth_ode(lambda f: math.inf, 1.0, 1.0, 10.0)
+        assert not want.success
+        assert str(err.value) == f"growth ODE integration failed: {want.message}"
+
+    def test_a_cold_ode_run_loads_no_scipy_integrate(self):
+        # scipy.integrate pulls in scipy.sparse, optimize, spatial, fft and
+        # constants: about 0.18 s and 16 MiB
+        code = (
+            "import contextlib, io, json, os, sys, tempfile\n"
+            "from herdsim import GaussianSignalModel, cli, solve_belief_ode\n"
+            "solve_belief_ode(GaussianSignalModel(1.0), 1.0, 1.0, 1e4)\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    for i, model in enumerate(({'family': 'polytail', 'k': 2.0},\n"
+            "                               {'family': 'synthetic', 'tail': 'exponential'})):\n"
+            "        path = os.path.join(tmp, f'{i}.json')\n"
+            "        with open(path, 'w') as fh:\n"
+            "            json.dump({'experiment': 'ode-check', 'horizon': 1000, 'model': model,\n"
+            "                       'output_dir': os.path.join(tmp, str(i))}, fh)\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert cli.main(['run', path]) == 0\n"
+            "print(sorted(n for n in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if n in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.split() == ["[]"]
 
 
 class TestRecurrenceVsOde:

@@ -1362,7 +1362,7 @@ class TestCohortLoop:
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
 
     @pytest.mark.parametrize("k", [0.5, 2.0, 7.3])
-    def test_c_spline_equals_scipy_bit_for_bit(self, k, native_loop):
+    def test_c_spline_equals_scipy_bit_for_bit(self, k, native_loop, own_tables):
         # The log-T spline on even knots and the quantile spline on uneven ones,
         # against scipy's CubicSpline through the same nodes: the coefficients,
         # the numpy reference (also past the knots, at +-inf and at NaN) and C's

@@ -78,6 +78,9 @@ def test_output_digests_smoke(quick_lines):
     # inversion draws and the streams' continuation across time chunks, in every bit
     for family in ("polytail", "ratetarget"):
         assert {f"baseline/{family}/theta={s}" for s in ("+1", "-1")} <= set(names)
+    # the growth ODE's steps, values and dense output, by one call and by a call per point
+    assert {f"ode/{eq}/{part}" for eq in ("gaussian", "exponential-tail", "polynomial-tail")
+            for part in ("t_grid", "f_values", "dense/one-call", "dense/call-per-point")} <= set(names)
     for name in ("exp_neg", "two_exp_neg", "exp_neg_paired"):  # criterion 04's increments
         assert f"recurrence/{name}" in names
     assert sorted({n.split("/")[1] for n in names if n.startswith("cli/")}) == sorted(EXPERIMENTS)

@@ -18,6 +18,11 @@ under both states and D+-, log D+- on a fixed grid; each model's draws
 under both states (``llr_from_uniform`` on a fixed grid of uniforms from 0
 to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
 ``iterate_recurrence`` over criterion 04's three increments from 0; the
+growth ODE of the Gaussian at sigma = 1 from (1, 1) and of ode-check's
+exponential and polynomial (k = 2) tails from 0: the step grid, the values
+and the dense output at every grid point, both neighbours of each and an
+even grid, by one call per point and by one call for all (each call groups
+its points by step, and the grouping can move the last bit); the
 ``run_trials`` aggregate of each family at theta = +-, and of a Gaussian
 at sigma = 0.7, whose LLR scale 2/sigma rounds its draws; the aggregate of
 a run of several batches and time chunks per family, and that run's
@@ -68,15 +73,17 @@ UNIFORMS = np.concatenate(
 # ell* horizon, the long rate-target path's horizon, recurrence steps, Monte Carlo trials and horizon, the same
 # with a batch size for a multi-batch run, a long run's trials and horizon, baseline trials and horizon (the
 # inversion-sampled ones' horizon spans two time chunks or more), and CLI
-# horizon and trials
+# horizon and trials, and the growth ODE's horizon
 SIZES = {
     "full": {
         "path": 10**4, "long_path": 10**5, "recurrence": 10**5, "mc": (256, 2000), "multi": (3000, 1500, 512),
         "long": (2048, 20000), "baseline": (64, 3000), "inverse_baseline": (64, 3000), "cli": (2000, 400),
+        "ode": 10**6,
     },
     "quick": {
         "path": 300, "long_path": 3000, "recurrence": 300, "mc": (16, 100), "multi": (40, 100, 16),
         "long": (64, 2000), "baseline": (4, 300), "inverse_baseline": (4, 2100), "cli": (200, 200),
+        "ode": 10**4,
     },
 }
 
@@ -168,6 +175,30 @@ def recurrence_digests(size: dict):
     for name, increment in RECURRENCES.items():
         values = asymptotics.iterate_recurrence(increment, 0.0, size["recurrence"])
         yield f"recurrence/{name}", sha(values)
+
+
+def _ode_solutions(horizon: float) -> dict:
+    """The belief ODE of a Gaussian and ode-check's two synthetic tails (its rates and starts)."""
+    poly_start = asymptotics.closed_form_polynomial_tail(2.0, 1.0, 0.0)
+    return {
+        "gaussian": lambda: asymptotics.solve_belief_ode(models()["gaussian"], 1.0, 1.0, horizon),
+        "exponential-tail": lambda: asymptotics.solve_growth_ode(lambda x: math.exp(-x), 0.0, 0.0, horizon),
+        "polynomial-tail": lambda: asymptotics.solve_growth_ode(
+            lambda x: x ** -2.0 if x > 1e-12 else 1e12, 0.0, poly_start, horizon),
+    }
+
+
+def ode_digests(size: dict):
+    horizon = float(size["ode"])
+    for name, solve in _ode_solutions(horizon).items():
+        sol = solve()
+        grid = sol.t_grid
+        t = np.concatenate([grid, np.nextafter(grid[1:], -np.inf), np.nextafter(grid[:-1], np.inf),
+                            np.linspace(grid[0], grid[-1], 1001)])
+        yield f"ode/{name}/t_grid", sha(grid)
+        yield f"ode/{name}/f_values", sha(sol.f_values)
+        yield f"ode/{name}/dense/one-call", sha(sol(t))
+        yield f"ode/{name}/dense/call-per-point", sha(np.array([sol(float(v)) for v in t]))
 
 
 def aggregate_sha(agg) -> str:
@@ -265,7 +296,7 @@ def main(argv=None) -> int:
         _native.library = lambda: None
     size = SIZES["quick" if args.quick else "full"]
     for digests in (path_digests, model_digests, sample_digests, increment_digests,
-                    recurrence_digests, aggregate_digests, baseline_digests, cli_digests):
+                    recurrence_digests, ode_digests, aggregate_digests, baseline_digests, cli_digests):
         for name, digest in digests(size):
             print(name, digest)
     return 0
