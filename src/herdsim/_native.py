@@ -1,4 +1,4 @@
-"""The compensated recurrence loop and the Philox stream fill in C, compiled on first use.
+"""The compensated loops, the Philox stream fill and the Monte Carlo kernels in C, compiled on first use.
 
 One compensated step, ``asymptotics._python_steps``' body in the same order
 of operations, serves two loops: ``gaussian_steps`` fused with the Gaussian
@@ -25,7 +25,9 @@ from C.  Its PolyTail increment takes each cohort's branch as
 ``belief._signed_increment`` does: the log-T spline on [1, 60], evaluated as
 the spline's numpy ``reference`` does (``spline_values``, checked against it
 once per spline by ``checked_spline``; the spline's own call then runs it,
-``spline_call``), ``_log_T``'s asymptotic series past 60 and
+``spline_call``; the interval comes from a guess as if the knots were even,
+else from the spline's table of knot indices, ``_spline_table``),
+``_log_T``'s asymptotic series past 60 and
 the closed forms below 1; each branch's values are gathered for numpy's
 ``power``, ``exp``, ``log`` and ``log1p``, so the bits are theirs.  The
 Gaussian tail and deep branches, PolyTail's tail branch and a NaN belief,
@@ -36,11 +38,15 @@ transform (``llr_from_uniform``) the same way: numpy's ``power`` and
 evaluation; ``checked_transform`` compares it with the Python transform bit
 for bit once per model, and ``llr_transform`` hands a pass the checked map,
 else None.  These two builders make every
-choice of kernel of a Monte Carlo pass, and ``path_steps`` the choice of an
-exact path's loop, by the model's exact type, since a subclass may change
-the law.  ``philox_fill`` fills each row of a draws array from one Monte
-Carlo stream, held as a row of numpy's ``philox_state`` words (``STATE_WORDS``):
-it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
+choice of kernel of a Monte Carlo pass, ``baseline_sums`` that of the
+observed-signals baseline, and ``path_steps`` the choice of an exact path's
+loop, by the model's exact type, since a subclass may change the law.
+``baseline_chunk`` runs the baseline's sums over a chunk of draws: each row
+in ``np.cumsum``'s order, four rows at a time as independent chains, the
+sums at the chunk's checkpoints and the compensated add of the chunk's sum,
+a Gaussian's ``raw * tau + mean`` inline.  ``philox_fill`` fills each row
+of a draws array from one Monte Carlo stream, held as a row of numpy's
+``philox_state`` words (``STATE_WORDS``): it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
 bumped before each block of four words) and draws as numpy does, so every
 draw equals ``Generator(Philox)``'s bit for bit.  A uniform is a word's top
 53 bits scaled by 2**-53, computed inline.  A normal runs numpy's ziggurat
@@ -251,24 +257,57 @@ static int gaussian_increments(PyObject *work, double *z, const double *ell, con
     return 1;
 }
 
-/* A cubic spline on increasing knots x[0..n-1] (coefs (4, n - 1) in C order) at v, in the order of
-   operations of signal_models._CubicSpline.reference (which is scipy's PPoly's).  The interval is the
-   i with x[i] <= v < x[i+1], 0 below the knots and n - 2 from the last knot up: guessed as if the
-   knots were even, then corrected by bisection.  NaN gives NaN. */
-static inline double spline_at(const double *x, const double *coefs, int64_t n, double v)
+/* A cubic spline on increasing knots x[0..n-1], coefs (4, n - 1) in C order, and its table of knot
+   indices tab[0..n-1] (spline_table): a value v inside the knots is in bucket b = bucket(x, n, v),
+   and its interval lies in [tab[b], tab[b + 1]] */
+typedef struct {
+    const double *x, *coefs;
+    const int32_t *tab;
+    int64_t n;
+} spline_t;
+
+/* The bucket of v in (x[0], x[n-1]): the n - 1 buckets split the knots' span evenly, as a guess as
+   if the knots were even splits it into intervals */
+static inline int64_t bucket(const double *x, int64_t n, double v)
+{
+    double guess = (v - x[0]) / (x[n - 1] - x[0]) * (double)(n - 1);
+    return guess < (double)(n - 2) ? (int64_t)guess : n - 2;
+}
+
+/* spline_t's table of the n increasing knots x: tab[b] is the last interval that starts in a bucket
+   before b, else 0.  The buckets of the knots never decrease, so a value in bucket b lies in an
+   interval from tab[b] to tab[b + 1]. */
+void spline_table(const double *x, int64_t n, int32_t *tab)
+{
+    int64_t b = 0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t bi = bucket(x, n, x[i]); b <= bi; b++)
+            tab[b] = (int32_t)(i > 0 ? i - 1 : 0);
+    for (; b < n; b++)
+        tab[b] = (int32_t)(n - 2);
+}
+
+/* The spline sp at v, in the order of operations of signal_models._CubicSpline.reference (which is
+   scipy's PPoly's).  The interval is the i with x[i] <= v < x[i+1], 0 below the knots and n - 2 from
+   the last knot up: guessed as if the knots were even; where that misses, bisected between the
+   bounds that the table gives v's bucket (or beyond them, should v fall outside).  NaN gives NaN. */
+static inline double spline_at(const spline_t *sp, double v)
 {
     if (v != v)
         return NAN;
-    int64_t i = 0;
+    const double *x = sp->x;
+    int64_t i = 0, n = sp->n;
     if (v >= x[n - 1]) {
         i = n - 2;
     } else if (v > x[0]) {
-        double guess = (v - x[0]) / (x[n - 1] - x[0]) * (double)(n - 1);
-        int64_t lo = guess < (double)(n - 2) ? (int64_t)guess : n - 2, hi = lo;
-        if (v < x[lo])
-            hi = lo - 1, lo = 0;
-        else if (v >= x[lo + 1])
-            lo = lo + 1, hi = n - 2;
+        int64_t b = bucket(x, n, v), lo = b, hi = b;
+        if (v < x[b] || v >= x[b + 1]) {  /* not interval b, as on even knots: the table's bounds */
+            lo = sp->tab[b], hi = sp->tab[b + 1];
+            if (v < x[lo])
+                hi = lo - 1, lo = 0;
+            else if (hi < n - 2 && v >= x[hi + 1])
+                lo = hi + 1, hi = n - 2;
+        }
         while (lo < hi) {  /* the last i in [lo, hi] with x[i] <= v */
             int64_t mid = lo + (hi - lo + 1) / 2;
             if (v >= x[mid])
@@ -280,7 +319,7 @@ static inline double spline_at(const double *x, const double *coefs, int64_t n, 
     }
     double s = v - x[i], res = 0.0, z = 1.0;
     for (int kp = 0; kp < 4; kp++) {
-        res = res + coefs[(3 - kp) * (n - 1) + i] * z;
+        res = res + sp->coefs[(3 - kp) * (n - 1) + i] * z;
         if (kp < 3)
             z *= s;
     }
@@ -288,11 +327,10 @@ static inline double spline_at(const double *x, const double *coefs, int64_t n, 
 }
 
 /* spline_at at each of the m values a, into out */
-void spline_values(const double *x, const double *coefs, int64_t n, const double *a, double *out,
-                   int64_t m)
+void spline_values(const spline_t *sp, const double *a, double *out, int64_t m)
 {
     for (int64_t j = 0; j < m; j++)
-        out[j] = spline_at(x, coefs, n, a[j]);
+        out[j] = spline_at(sp, a[j]);
 }
 
 /* The sums 1 - (k+1)/x + (k+1)(k+2)/x**2 - ... of _log_exp_poly_tail_asymptotic's series at the m
@@ -328,8 +366,7 @@ static inline double series_log_t(double x, double log_x, double log_total, doub
    an error set. */
 static int polytail_far(PyObject *work, double *w, const double *ell, const double *sgn,
                         Py_ssize_t n, Py_ssize_t p, Py_ssize_t p60, Py_ssize_t nn, Py_ssize_t n60,
-                        PyObject *funcs, const double *consts, const double *knots,
-                        const double *coefs, int64_t nknots)
+                        PyObject *funcs, const double *consts, const spline_t *sp)
 {
     double k = consts[2], *l = w + 2 * n, *sums = l + p60 + nn, *inc = w + 4 * n;
     Py_ssize_t ip = 0, jp = 0, jn = 0, jm = 0;
@@ -359,7 +396,7 @@ static int polytail_far(PyObject *work, double *w, const double *ell, const doub
             b_minus = consts[5] + series_log_t(-a, l[p60 + jn], sums[p60 + jn], k);
             b_plus = consts[4] - k * l[p60 + jn++];
         } else if (a <= -1.0) {
-            b_minus = consts[5] + spline_at(knots, coefs, nknots, -a);
+            b_minus = consts[5] + spline_at(sp, -a);
             b_plus = consts[4] - k * l[p60 + n60 + jm++];
         }
         if (b_minus > -1e-8)
@@ -380,7 +417,7 @@ static int polytail_far(PyObject *work, double *w, const double *ell, const doub
    Returns 1, 0 at a NaN a or in the tail branch (b- > -1e-8), or -1 with an error set. */
 static int polytail_increments(PyObject *work, PyObject *const *views, double *w, const double *ell,
                                const double *sgn, Py_ssize_t n, PyObject *funcs, const double *consts,
-                               const double *knots, const double *coefs, int64_t nknots)
+                               const spline_t *sp)
 {
     Py_ssize_t p = 0, p60 = 0, nn = 0, n60 = 0;
     for (Py_ssize_t c = 0; c < n; c++) {  /* w[0:p]: a >= 1; w[n:n+p]: log T(a) where a <= 60 */
@@ -389,7 +426,7 @@ static int polytail_increments(PyObject *work, PyObject *const *views, double *w
             return 0;
         if (a >= 1.0) {
             if (a <= 60.0)
-                w[n + p] = spline_at(knots, coefs, nknots, a);
+                w[n + p] = spline_at(sp, a);
             p60 += a > 60.0;
             w[p++] = a;
         } else if (a <= -1.0) {
@@ -398,8 +435,7 @@ static int polytail_increments(PyObject *work, PyObject *const *views, double *w
     }
     if (p < n)  /* log T(a) next to a, for one log1p over both */
         memmove(w + p, w + n, p * sizeof *w);
-    int done = p < n || p60 ? polytail_far(work, w, ell, sgn, n, p, p60, nn, n60, funcs, consts,
-                                           knots, coefs, nknots)
+    int done = p < n || p60 ? polytail_far(work, w, ell, sgn, n, p, p60, nn, n60, funcs, consts, sp)
                             : 1;
     if (done < 1)
         return done;
@@ -426,15 +462,14 @@ static int polytail_increments(PyObject *work, PyObject *const *views, double *w
 
 /* PolyTailSignalModel.llr_from_uniform(theta, u) in place on the m uniforms u: sign * x for theta's
    sign, with x = _ppf_minus(u) in its order of operations.  Where u <= c/k,
-   x = -power(k * max(u, 2**-53) / c, -1/k); elsewhere x is the quantile spline (knots, coefs) at
+   x = -power(k * max(u, 2**-53) / c, -1/k); elsewhere x is the quantile spline sp at
    log(1 - u) clipped to its knots as numpy's clip does.  Each branch's values are gathered into
    work (a 1-d float64 array of at least m values, w its data) for numpy's power and log:
    funcs = (power, log, -1/k), ck = c/k.  Returns 0, or -1 with an error set. */
 static int polytail_map(double *u, Py_ssize_t m, PyObject *work, double *w, PyObject *funcs,
-                        double ck, double k, double c, double sign, const double *knots,
-                        const double *coefs, int64_t nknots)
+                        double ck, double k, double c, double sign, const spline_t *sp)
 {
-    double lo = knots[0], hi = knots[nknots - 1];
+    double lo = sp->x[0], hi = sp->x[sp->n - 1];
     Py_ssize_t below = 0;
     for (Py_ssize_t j = 0; j < m; j++)
         below += u[j] <= ck;
@@ -455,7 +490,7 @@ static int polytail_map(double *u, Py_ssize_t m, PyObject *work, double *w, PyOb
             v = w[jhi++];
             v = v != v || v > lo ? v : lo;
             v = v != v || v < hi ? v : hi;
-            x = spline_at(knots, coefs, nknots, v);
+            x = spline_at(sp, v);
         }
         u[j] = sign > 0.0 ? -x : x;
     }
@@ -464,7 +499,7 @@ static int polytail_map(double *u, Py_ssize_t m, PyObject *work, double *w, PyOb
 
 /* polytail_map on the uniforms of the array u_a, work as long as u_a */
 int polytail_llr(PyObject *u_a, PyObject *work, PyObject *funcs, double ck, double k, double c,
-                 double sign, const double *knots, const double *coefs, int64_t nknots)
+                 double sign, const spline_t *sp)
 {
     Py_buffer views[2];
     double *u = float64s(u_a, views, -1), *w = u ? float64s(work, views + 1, views[0].len) : NULL;
@@ -474,7 +509,7 @@ int polytail_llr(PyObject *u_a, PyObject *work, PyObject *funcs, double ck, doub
         return -1;
     }
     int done = polytail_map(u, views[0].len / (Py_ssize_t)sizeof(double), work, w, funcs, ck, k, c,
-                            sign, knots, coefs, nknots);
+                            sign, sp);
     PyBuffer_Release(views);
     PyBuffer_Release(views + 1);
     return done;
@@ -508,8 +543,7 @@ typedef struct {
     double tau, mean;
     PyObject *funcs, *work;
     double ck, k, c, llr_sign;
-    const double *knots, *coefs;
-    int64_t nknots;
+    const spline_t *spline;
     double sign, margin;
     int64_t decreasing;
     int64_t *book;
@@ -559,8 +593,7 @@ static int map_llr(runs_t *p, double *w, double *v, Py_ssize_t m)
             v[i] = v[i] * p->tau + p->mean;
         return 0;
     }
-    return polytail_map(v, m, p->work, w, p->funcs, p->ck, p->k, p->c, p->llr_sign, p->knots,
-                        p->coefs, p->nknots);
+    return polytail_map(v, m, p->work, w, p->funcs, p->ck, p->k, p->c, p->llr_sign, p->spline);
 }
 
 /* montecarlo._bounds' widening of an LLR x on the erring side of sgn */
@@ -704,8 +737,7 @@ static int live_views(PyObject **live, PyObject *ell_a, PyObject *sgn_a, PyObjec
 int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
                      double *bounds, int64_t width, int64_t s, int64_t stop,
                      PyObject *increment, PyObject *model, int64_t family,
-                     PyObject *funcs, const double *consts, const double *knots,
-                     const double *coefs, int64_t nknots, runs_t *runs)
+                     PyObject *funcs, const double *consts, const spline_t *spline, runs_t *runs)
 {
     PyObject *arrays[4] = {ell_a, carry_a, sgn_a, work}, *live[6] = {NULL};
     Py_buffer views[4], view, llr_view;
@@ -747,8 +779,7 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
         int fused = !family ? 0
                     : family == 1 ? gaussian_increments(live[2], z, ell, sgn, n, funcs, consts,
                                                         consts[2])
-                    : polytail_increments(live[2], live + 3, z, ell, sgn, n, funcs, consts, knots,
-                                          coefs, nknots);
+                    : polytail_increments(live[2], live + 3, z, ell, sgn, n, funcs, consts, spline);
         PyObject *called = NULL;
         double *inc = fused > 0 ? z + (family == 2 ? 4 * n : 0) : NULL;
         if (!fused && (called = PyObject_CallFunctionObjArgs(increment, model, live[0], live[1], NULL)))
@@ -780,6 +811,52 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
     while (got-- > 0)
         PyBuffer_Release(views + got);
     return PyErr_Occurred() ? -1 : s;
+}
+
+/* baseline_chunk on the rows x[0..chains) of a chunk (cols each) as independent chains: with map,
+   a raw z is the LLR z * tau + mean; row k's sum at column at[i] goes to out[k * width + i] */
+static inline __attribute__((always_inline)) void baseline_chains(
+    const double *x, int chains, int64_t cols, int map, double tau, double mean, const int64_t *at,
+    int64_t m, double *out, int64_t width, double *total, double *carry)
+{
+    double p[4];
+    for (int k = 0; k < chains; k++)
+        p[k] = map ? x[k * cols] * tau + mean : x[k * cols];
+    int64_t j = 1;
+    for (int64_t i = 0; i <= m; i++) {
+        for (int64_t end = i < m ? at[i] + 1 : cols; j < end; j++)
+            for (int k = 0; k < chains; k++)
+                p[k] = p[k] + (map ? x[k * cols + j] * tau + mean : x[k * cols + j]);
+        if (i < m)
+            for (int k = 0; k < chains; k++)
+                out[k * width + i] = total[k] + p[k];
+    }
+    for (int k = 0; k < chains; k++) {
+        double y = p[k] - carry[k], tot = total[k] + y;
+        carry[k] = (tot - total[k]) - y, total[k] = tot;
+    }
+}
+
+/* One time chunk of montecarlo._baseline_rows on a block of rows x cols draws (raw normals mapped
+   to z * tau + mean if map, else LLRs): each row is summed in np.cumsum's order, p = x[0] then
+   p = p + x[j]; at the m increasing chunk columns at[i], out[r * width + i] gets total[r] + p; at the
+   chunk's end total and carry take the compensated step of the row's sum.  A row's sum is one chain
+   of dependent adds, so four rows run at once. */
+void baseline_chunk(const double *draws, int64_t rows, int64_t cols, int64_t map, double tau,
+                    double mean, const int64_t *at, int64_t m, double *out, int64_t width,
+                    double *total, double *carry)
+{
+    int64_t r = 0;
+    for (; r + 4 <= rows; r += 4)
+        if (map)
+            baseline_chains(draws + r * cols, 4, cols, 1, tau, mean, at, m, out + r * width, width,
+                            total + r, carry + r);
+        else
+            baseline_chains(draws + r * cols, 4, cols, 0, tau, mean, at, m, out + r * width, width,
+                            total + r, carry + r);
+    for (; r < rows; r++)
+        baseline_chains(draws + r * cols, 1, cols, map != 0, tau, mean, at, m, out + r * width,
+                        width, total + r, carry + r);
 }
 """
 
@@ -1127,13 +1204,17 @@ def _load(cache_dir: str):
     lib.call_steps.argtypes = head + [ctypes.py_object]
     lib.gaussian_steps.restype = lib.call_steps.restype = ctypes.py_object
     obj, ptr, i64, f64 = ctypes.py_object, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.cohort_steps.argtypes = ([obj] * 4 + [ptr, i64, i64, i64, obj, obj, i64, obj] + [ptr] * 3
-                                 + [i64, ctypes.POINTER(Runs)])
+    spline = ctypes.POINTER(Spline)
+    lib.cohort_steps.argtypes = ([obj] * 4 + [ptr, i64, i64, i64, obj, obj, i64, obj, ptr, spline]
+                                 + [ctypes.POINTER(Runs)])
     lib.cohort_steps.restype = i64
-    lib.spline_values.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
+    lib.spline_values.argtypes = [spline, ptr, ptr, i64]
     lib.spline_values.restype = None
-    lib.polytail_llr.argtypes = [obj] * 3 + [f64] * 4 + [ptr, ptr, i64]
+    lib.spline_table.argtypes, lib.spline_table.restype = [ptr, i64, ptr], None
+    lib.polytail_llr.argtypes = [obj] * 3 + [f64] * 4 + [spline]
     lib.polytail_llr.restype = ctypes.c_int
+    lib.baseline_chunk.argtypes = [ptr, i64, i64, i64, f64, f64, ptr, i64, ptr, i64, ptr, ptr]
+    lib.baseline_chunk.restype = None
     if hasattr(lib, "philox_fill"):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]
@@ -1190,6 +1271,47 @@ def fill_extremes(lib, states: np.ndarray, out: np.ndarray, normal: bool, start:
                              start.ctypes.data, low.ctypes.data, ext.ctypes.data, len(low))
 
 
+def baseline_sums(lib, model, sign: float, llr):
+    """``montecarlo._baseline_rows``' chunk step by C's ``baseline_chunk``, or None where ``lib`` is None.
+
+    ``sums(draws, at, out, first, total, carry)`` sums each row of a chunk's
+    raw ``draws`` along time as ``np.cumsum`` does.  A ``GaussianSignalModel``'s
+    (the exact type) standard normals map to z * tau + mean in C, which is
+    ``montecarlo._llr``'s arithmetic and ``_runs``' choice; any other model's
+    draws are mapped by the pass's map ``llr`` first.  Row r's sum up to the
+    chunk's column ``at[i]``, plus ``total[r]``, goes to ``out[r, first + i]``,
+    and the chunk's sum is added to ``total`` with the compensated ``carry``.
+    """
+    if lib is None:
+        return None
+    gaussian = type(model) is GaussianSignalModel
+    tau, mean = (model.tau, model._mean(StateOfWorld(int(sign)))) if gaussian else (0.0, 0.0)
+    call = lib.baseline_chunk
+
+    def sums(draws, at, out, first, total, carry):
+        if not gaussian:
+            draws = llr(draws)
+        if not (draws.dtype == np.float64 and draws.ndim == 2 and draws.shape[1] > 0
+                and draws.flags.c_contiguous):
+            raise ValueError("draws must be a C-contiguous float64 array with a column per step")
+        rows, cols = draws.shape
+        if not (at.dtype == np.int64 and at.ndim == 1 and at.flags.c_contiguous
+                and (not at.size or 0 <= at[0] and at[-1] < cols) and np.all(at[1:] >= at[:-1])):
+            raise ValueError("at must be C-contiguous int64 columns of the draws, never decreasing")
+        if not (out.dtype == np.float64 and out.ndim == 2 and len(out) == rows and out.flags.c_contiguous
+                and out.flags.writeable and 0 <= first <= out.shape[1] - len(at)):
+            raise ValueError("out must be a writable C-contiguous float64 array with a row per draws row "
+                             "and a column per at from first")
+        for name, v in (("total", total), ("carry", carry)):
+            if not (v.dtype == np.float64 and v.shape == (rows,) and v.flags.c_contiguous
+                    and v.flags.writeable):
+                raise ValueError(f"{name} must be a writable C-contiguous float64 array with a value per row")
+        call(draws.ctypes.data, rows, cols, int(gaussian), tau, mean, at.ctypes.data, len(at),
+             out.ctypes.data + first * out.itemsize, out.shape[1], total.ctypes.data, carry.ctypes.data)
+
+    return sums
+
+
 def path_steps(lib, model, increment, values: np.ndarray, start: int, stop: int, a: float, carry: float):
     """Fill ``values[start:i]`` from ``a``, ``carry`` at start - 1 by ``model``'s loop over ``increment``.
 
@@ -1205,10 +1327,27 @@ def path_steps(lib, model, increment, values: np.ndarray, start: int, stop: int,
     return int(state[2]), state[0], state[1], step
 
 
-def _spline_args(spline) -> tuple:
-    """``spline``'s C arguments (its knots' and coefficients' data, the knot count), then those arrays."""
+class Spline(ctypes.Structure):
+    """C's ``spline_t``: a spline's knots, coefficients, table of knot indices and knot count."""
+
+    _fields_ = [("x", ctypes.c_void_p), ("coefs", ctypes.c_void_p), ("tab", ctypes.c_void_p),
+                ("n", ctypes.c_int64)]
+
+
+def _spline_table(lib, knots: np.ndarray) -> np.ndarray:
+    """C's ``spline_table`` of a spline's C-contiguous float64 ``knots``, increasing, fewer than 2**31."""
+    tab = np.empty(len(knots), np.int32)
+    lib.spline_table(knots.ctypes.data, len(knots), tab.ctypes.data)
+    return tab
+
+
+def _spline_args(lib, spline) -> Spline:
+    """``spline``'s C ``Spline``; its ``arrays`` hold the knots, coefficients and table it points into."""
     knots, coefs = (np.ascontiguousarray(v, dtype=np.float64) for v in (spline.x, spline.c))
-    return knots.ctypes.data, coefs.ctypes.data, len(knots), knots, coefs
+    tab = _spline_table(lib, knots)
+    args = Spline(knots.ctypes.data, coefs.ctypes.data, tab.ctypes.data, len(knots))
+    args.arrays = knots, coefs, tab
+    return args
 
 
 def spline_values(lib, spline, x: np.ndarray) -> np.ndarray:
@@ -1216,10 +1355,10 @@ def spline_values(lib, spline, x: np.ndarray) -> np.ndarray:
 
     Past the end knots it extrapolates, and NaN gives NaN, as ``spline.reference`` does.
     """
-    args = _spline_args(spline)
+    args = _spline_args(lib, spline)
     x = np.ascontiguousarray(x, dtype=np.float64)
     out = np.empty_like(x)
-    lib.spline_values(*args[:3], x.ctypes.data, out.ctypes.data, x.size)
+    lib.spline_values(args, x.ctypes.data, out.ctypes.data, x.size)
     return out
 
 
@@ -1235,8 +1374,8 @@ def checked_spline(lib, spline):
     of one k share their splines, so each of theirs is checked once per k.
     """
     if spline not in _checked_splines:
-        args = _spline_args(spline)
-        knots = args[3]
+        args = _spline_args(lib, spline)
+        knots = args.arrays[0]
         lo, hi = knots[0], knots[-1]
         x = np.concatenate([knots, np.nextafter(knots[::64], -np.inf), np.nextafter(knots[::64], np.inf),
                             [lo - 1.0, hi + 1.0, np.nan],
@@ -1257,17 +1396,16 @@ def spline_call(spline):
     args = None if lib is None else checked_spline(lib, spline)
     if args is None:
         return None
-    call, head = lib.spline_values, args[:3]
+    call, head = lib.spline_values, ctypes.pointer(args)
 
     def values(x):
         x = np.asarray(x, dtype=np.float64)
         if not x.flags.c_contiguous:
             x = x.copy()
         out = np.empty_like(x)
-        call(*head, x.ctypes.data, out.ctypes.data, x.size)
+        call(head, x.ctypes.data, out.ctypes.data, x.size)
         return out
 
-    values.arrays = args[3:]  # the knots and coefficients that head points into
     return values
 
 
@@ -1280,7 +1418,8 @@ def polytail_transform(lib, model, sign: float):
     """
     spline = model._pos_branch_ppf
     args = checked_spline(lib, spline)
-    head = ((np.power, np.log, -1.0 / model.k), model.c / model.k, model.k, model.c, sign, *args[:3])
+    head = ((np.power, np.log, -1.0 / model.k), model.c / model.k, model.k, model.c, sign,
+            ctypes.pointer(args))
     call = lib.polytail_llr
 
     def transform(u: np.ndarray) -> np.ndarray:
@@ -1288,7 +1427,6 @@ def polytail_transform(lib, model, sign: float):
         return u
 
     transform.head = head  # C's polytail_map takes these arguments too (cohort_stepper)
-    transform.arrays = args[3:]  # the knots and coefficients that head points into
     return transform
 
 
@@ -1339,7 +1477,7 @@ class Runs(ctypes.Structure):
         ("map", ctypes.c_int64), ("tau", ctypes.c_double), ("mean", ctypes.c_double),
         ("funcs", ctypes.py_object), ("work", ctypes.py_object),
         *((name, ctypes.c_double) for name in ("ck", "k", "c", "llr_sign")),
-        ("knots", ctypes.c_void_p), ("coefs", ctypes.c_void_p), ("nknots", ctypes.c_int64),
+        ("spline", ctypes.POINTER(Spline)),
         ("sign", ctypes.c_double), ("margin", ctypes.c_double), ("decreasing", ctypes.c_int64),
         ("book", ctypes.c_void_p), ("trials", ctypes.c_int64), ("horizon", ctypes.c_int64),
         ("actions", ctypes.c_void_p), ("draws", ctypes.c_void_p),
@@ -1363,7 +1501,7 @@ def _runs(model, llr, book: np.ndarray, actions, horizon: int, sign: float, decr
         runs.map, runs.tau, runs.mean = 1, model.tau, model._mean(StateOfWorld(int(sign)))
     elif head := getattr(llr, "head", None):
         runs.map, runs.funcs, runs.work = 2, head[0], np.empty(0)
-        runs.ck, runs.k, runs.c, runs.llr_sign, runs.knots, runs.coefs, runs.nknots = head[1:]
+        runs.ck, runs.k, runs.c, runs.llr_sign, runs.spline = head[1:]
     if not (book.dtype == np.int64 and book.ndim == 2 and len(book) == 6 and book.flags.c_contiguous):
         raise ValueError("book must be a C-contiguous (6, trials) int64 array")
     runs.book, runs.trials = book.ctypes.data, book.shape[1]
@@ -1406,12 +1544,13 @@ def cohort_stepper(lib, model, increment, llr=None, book=None, actions=None, hor
     spare columns (room is then the columns that s needs, else 0); else s
     is stop.
     """
-    family, funcs, consts, spline = 0, None, (), (None, None, 0)
+    family, funcs, consts, spline = 0, None, (), None
     if type(model) is GaussianSignalModel:
         family, funcs, consts = 1, (special.ndtr, np.log), (*model._state_means[:, 0], model.tau)
     elif type(model) is PolyTailSignalModel and (args := checked_spline(lib, model._log_tail_spline)):
         k, c = model.k, model.c
-        family, funcs, spline, ck = 2, (np.power, np.exp, np.log1p, np.log, -k), args[:3], c / k
+        family, funcs, ck = 2, (np.power, np.exp, np.log1p, np.log, -k), c / k
+        spline = ctypes.pointer(args)
         consts = (-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c))
     consts, call, rows = (ctypes.c_double * 6)(*consts), lib.cohort_steps, (0, 2, 5)[family]
     runs = None if book is None else _runs(model, llr, book, actions, horizon, sign, decreasing, margin)
@@ -1437,7 +1576,7 @@ def cohort_stepper(lib, model, increment, llr=None, book=None, actions=None, hor
             raise ValueError("bounds must be C-contiguous float64, a column per cohort, a row per step")
         work = np.empty(rows * cap) if family else None
         got = call(*cohorts, work, bounds.ctypes.data, bounds.shape[1], s, stop, increment, model,
-                   family, funcs, consts, *spline, None if chunk is None else ctypes.byref(runs))
+                   family, funcs, consts, spline, None if chunk is None else ctypes.byref(runs))
         return got if chunk is None else (got, runs.n, runs.room)
 
     return steps

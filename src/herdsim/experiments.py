@@ -317,10 +317,11 @@ def _exp_baseline_compare(config: ExperimentConfig, model):
     sums = np.zeros(len(ckpt))
     for lo in range(0, config.trials, montecarlo.DEFAULT_BATCH_SIZE):
         batch = range(lo, min(lo + montecarlo.DEFAULT_BATCH_SIZE, config.trials))
-        for row in montecarlo._baseline_batch(
+        trial_sums = montecarlo._baseline_batch(
             model, StateOfWorld.PLUS, config.horizon, config.master_seed, batch, ckpt
-        ):
-            sums += row  # in trial order, as one trial at a time
+        )
+        # in trial order, as one trial at a time: accumulate adds row by row
+        sums = np.add.accumulate(np.vstack((sums, trial_sums)), axis=0)[-1]
     means = sums / config.trials
     rows = [(t, means[i], means[i] / t) for i, t in enumerate(ckpt)]
     files = {
@@ -356,7 +357,8 @@ def _exp_ode_check(config: ExperimentConfig, model):
     rows = []
     for t in ts:
         ti = int(t)
-        rows.append((ti, path.values[ti - 1], sol(float(ti)), path.values[ti - 1] / sol(float(ti))))
+        f_ode = sol(float(ti))
+        rows.append((ti, path.values[ti - 1], f_ode, path.values[ti - 1] / f_ode))
     files = {"ode_check.csv": _csv_text(["t", "recurrence", "f_ode", "ratio"], rows)}
     return files, {"final_ratio": rows[-1][3]}
 

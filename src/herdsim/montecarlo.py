@@ -44,17 +44,19 @@ evaluation redone in C.  Checkpoint beliefs are
 summed after the last step, so the aggregates are bit-identical to
 stepping every trial.  The observed-signals baseline draws a batch's
 streams chunk by chunk through the same sampler, maps them by the same
-``_llr_map`` and sums along time.  Batches are reduced into
-mergeable ``AggregateStats``; batch boundaries are fixed by the trial
-indices alone.  A run's batches step together in lockstep passes of whole
-batches and bounded width, each pass drawing at most ``_DRAW_BUDGET``
-values at once; each batch is then summed on its own, and the batches
-merge in batch order.  So ``batch_size`` sets only how the aggregate is
+``_llr_map`` (a Gaussian's map runs inline in C) and sums along time in
+C's ``baseline_chunk`` where the library loads, else in numpy.  Batches
+are reduced into mergeable ``AggregateStats``; batch boundaries are fixed
+by the trial indices alone.  A run's batches step together in lockstep
+passes of whole batches and bounded width, each pass drawing at most
+``_DRAW_BUDGET`` values at once; each batch is then summed on its own, and
+the batches merge in batch order.  So ``batch_size`` sets only how the aggregate is
 summed, which fixes its last bits, not which trials step together.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field, fields
@@ -780,17 +782,24 @@ def _baseline_batch(
     from . import _native  # imported here: importing the package loads no library
 
     streams = _trial_rng(master_seed, trial_indices)
-    llr = _llr_map(model, theta, _native.library())
+    lib = _native.library()
+    llr = _llr_map(model, theta, lib)
+    sums = _native.baseline_sums(lib, model, theta.sign, llr)
     out = np.empty((len(streams), len(ckpt)))
     for lo in range(0, len(streams), _BASELINE_ROWS):
         block = streams[lo:lo + _BASELINE_ROWS]
-        out[lo:lo + _BASELINE_ROWS] = _baseline_rows(model, theta, llr, horizon, block, ckpt)
+        out[lo:lo + _BASELINE_ROWS] = _baseline_rows(model, theta, llr, sums, horizon, block, ckpt)
     return out
 
 
-def _baseline_rows(model: SignalModel, theta: StateOfWorld, llr, horizon: int, streams: np.ndarray,
-                   ckpt: tuple[int, ...]) -> np.ndarray:
-    """``_baseline_batch``'s sums for a block of streams; ``llr`` (``_llr_map``) reads each draw."""
+def _baseline_rows(model: SignalModel, theta: StateOfWorld, llr, sums, horizon: int,
+                   streams: np.ndarray, ckpt: tuple[int, ...]) -> np.ndarray:
+    """``_baseline_batch``'s sums for a block of streams; ``llr`` (``_llr_map``) reads each draw.
+
+    Each chunk's step runs in C, ``sums`` (``_native.baseline_sums``), where
+    the library loads: it sums four rows at a time, in this body's order of
+    operations.  Without it this body runs, the reference.
+    """
     out = np.empty((len(streams), len(ckpt)))
     total = np.zeros(len(streams))
     carry = np.zeros(len(streams))
@@ -798,15 +807,20 @@ def _baseline_rows(model: SignalModel, theta: StateOfWorld, llr, horizon: int, s
     t = 1
     while t <= horizon and next_i < len(ckpt):
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws = llr(_draw_chunk(model, theta, streams, np.empty((len(streams), chunk))))
-        partial = np.cumsum(draws, axis=1, out=draws)
-        while next_i < len(ckpt) and ckpt[next_i] < t + chunk:
-            out[:, next_i] = total + partial[:, ckpt[next_i] - t]
-            next_i += 1
-        y = partial[:, -1] - carry
-        tot = total + y
-        carry = (tot - total) - y
-        total = tot
+        draws = _draw_chunk(model, theta, streams, np.empty((len(streams), chunk)))
+        if sums is not None:
+            stop = bisect.bisect_left(ckpt, t + chunk, next_i)
+            sums(draws, np.array(ckpt[next_i:stop], dtype=np.int64) - t, out, next_i, total, carry)
+            next_i = stop
+        else:
+            partial = np.cumsum(llr(draws), axis=1, out=draws)
+            while next_i < len(ckpt) and ckpt[next_i] < t + chunk:
+                out[:, next_i] = total + partial[:, ckpt[next_i] - t]
+                next_i += 1
+            y = partial[:, -1] - carry
+            tot = total + y
+            carry = (tot - total) - y
+            total = tot
         t += chunk
     return out
 

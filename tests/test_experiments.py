@@ -11,7 +11,7 @@ import pytest
 
 from herdsim import experiments, montecarlo
 from herdsim.cli import main as cli_main
-from herdsim.signal_models import NumericalFailure
+from herdsim.signal_models import NumericalFailure, StateOfWorld
 from herdsim.experiments import (
     EXPERIMENT_NAMES,
     ConfigError,
@@ -24,6 +24,7 @@ GAUSS = {"family": "gaussian", "sigma": 2.0}
 POLY = {"family": "polytail", "k": 2.0}
 Q_TABLE = [1.0 / (n + 2.0) for n in range(-1, 41)]
 RATE = {"family": "ratetarget", "q_table": Q_TABLE}
+PLUS = StateOfWorld.PLUS
 
 
 def make_config(**over):
@@ -192,6 +193,21 @@ class TestExperiments:
         assert manifest.to_json() == deep
         assert (tmp_path / "rate-target" / "manifest.json").read_text() == deep
         assert len(manifest.config["model"]["q_table"]) == 2002
+
+    def test_baseline_compare_adds_the_trials_in_order(self, tmp_path):
+        # two whole batches and three trials: one accumulate per batch from the
+        # running sums gives the bits of adding one trial at a time
+        cfg = _cfg(tmp_path, "baseline-compare", trials=2 * montecarlo.DEFAULT_BATCH_SIZE + 3)
+        ckpt, model = cfg.checkpoint_times(), experiments.model_from_dict(GAUSS)
+        rows = montecarlo._baseline_batch(model, PLUS, cfg.horizon, cfg.master_seed, range(cfg.trials), ckpt)
+        sums = [0.0] * len(ckpt)
+        for row in rows:
+            sums = [s + float(v) for s, v in zip(sums, row)]
+        means = [s / cfg.trials for s in sums]
+        want = experiments._csv_text(["t", "mean_ell_tilde", "mean_per_step"],
+                                     [(t, m, m / t) for t, m in zip(ckpt, means)])
+        run_experiment(cfg)
+        assert (tmp_path / "baseline-compare" / "baseline.csv").read_text() == want
 
     def test_gauss_rate_rejects_other_models(self, tmp_path):
         with pytest.raises(ConfigError):

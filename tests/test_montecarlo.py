@@ -527,6 +527,62 @@ class TestBaselineBatch:
         blocks = montecarlo._baseline_batch(model, PLUS, 1500, 4, indices, ckpt)
         assert whole.tobytes() == blocks.tobytes()
 
+    @pytest.mark.parametrize("model", [G07, PT2, RT], ids=repr)
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_c_sums_equal_the_numpy_body(self, model, theta, native_loop, python_loop, monkeypatch):
+        # C sums four rows at a time, then row by row: blocks of 1, 3, 4, 5 and
+        # 67 (64 and 3) rows.  Checkpoints at step 1, at the last step of the
+        # first chunk, the first and last of the second, none in the third, the
+        # first of the fourth and one inside it; the horizon runs two chunks on.
+        horizon, ckpt = 5000, (1, 1024, 1025, 2048, 3073, 3100)
+        calls, baseline_sums = [], _native.baseline_sums
+
+        def spy_sums(*args):
+            sums = baseline_sums(*args)
+            return sums and (lambda *a: calls.append(len(a[0])) or sums(*a))
+
+        monkeypatch.setattr(_native, "baseline_sums", spy_sums)
+        for rows in (1, 3, 4, 5, 67):
+            got = montecarlo._baseline_batch(model, theta, horizon, 11, range(rows), ckpt)
+            ref = python_loop(montecarlo._baseline_batch, model, theta, horizon, 11, range(rows), ckpt)
+            assert got.tobytes() == ref.tobytes()
+        # the library run summed every drawn chunk in C: four per block, none past 3100
+        assert calls == [1] * 4 + [3] * 4 + [4] * 4 + [5] * 4 + [64] * 4 + [3] * 4
+
+    def test_c_sums_refuse_bad_arrays_by_name(self, native_loop):
+        sums = _native.baseline_sums(native_loop, G07, 1.0, None)
+        good = {"draws": np.zeros((3, 8)), "at": np.array([0, 7]), "out": np.zeros((3, 2)), "first": 0,
+                "total": np.zeros(3), "carry": np.zeros(3)}
+        frozen = np.zeros((3, 2))
+        frozen.flags.writeable = False
+        bad = [
+            ("draws", {"draws": np.zeros((3, 8), np.float32)}),
+            ("draws", {"draws": np.zeros((8, 3)).T}),
+            ("draws", {"draws": np.zeros((3, 0))}),
+            ("at", {"at": np.array([0, 8])}),
+            ("at", {"at": np.array([-1, 0])}),
+            ("at", {"at": np.array([3, 2])}),
+            ("at", {"at": np.array([0, 7], np.int32)}),
+            ("out", {"out": np.zeros((2, 2))}),
+            ("out", {"out": np.zeros((2, 3)).T}),
+            ("out", {"out": frozen}),
+            ("out", {"first": 1}),
+            ("out", {"first": -1}),
+            ("total", {"total": np.zeros(2)}),
+            ("total", {"total": np.zeros(3, np.float32)}),
+            ("carry", {"carry": np.zeros((3, 1))}),
+        ]
+        for name, change in bad:
+            args = {**good, **change}
+            before = {k: v.copy() for k, v in args.items() if isinstance(v, np.ndarray)}
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                sums(*args.values())
+            assert all(np.array_equal(args[k], v) for k, v in before.items())  # nothing written
+        sums(*good.values())
+        ref = np.cumsum(montecarlo._llr(G07, PLUS, good["draws"][0]))
+        assert good["out"].tolist() == [[ref[0], ref[7]]] * 3
+        assert good["total"].tolist() == [ref[7]] * 3
+
 
 class TestRunsAndUpsets:
     def test_blocks(self):
@@ -1395,6 +1451,38 @@ class TestCohortLoop:
             assert _native.checked_spline(native_loop, spline) is not None
             assert spline(x).tobytes() == scipy_spline(x).tobytes()
             assert spline._call  # the call ran C's checked evaluation
+
+    @staticmethod
+    def _inside(knots):
+        # every knot, both neighbours of each, and 10**4 uniform points, strictly inside the knots
+        v = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                            np.random.default_rng(6).uniform(knots[0], knots[-1], 10**4)])
+        return v[(knots[0] < v) & (v < knots[-1])]
+
+    def test_the_spline_table_bounds_each_interval(self, native_loop):
+        # C's bucket of a value inside the knots, (v - x0) / (x[-1] - x0) * (n - 1) cut
+        # to n - 2, holds its interval between table entries b and b + 1, which on the
+        # even log-T knots and on the uneven quantile knots are at most 2 apart
+        for spline in (PT2._log_tail_spline, PT2._pos_branch_ppf):
+            knots = spline.x
+            n, tab = len(knots), _native._spline_table(native_loop, np.ascontiguousarray(knots))
+            v = self._inside(knots)
+            guess = (v - knots[0]) / (knots[-1] - knots[0]) * float(n - 1)
+            b = np.where(guess < n - 2, guess, n - 2).astype(np.int64)
+            interval = np.searchsorted(knots, v, side="right") - 1
+            assert np.all(tab[b] <= interval) and np.all(interval <= tab[b + 1])
+            assert tab[0] == 0 and tab[-1] == n - 2 and 0 <= np.diff(tab).min() <= np.diff(tab).max() <= 2
+
+    @pytest.mark.parametrize("entry", ["first", "last"])
+    def test_a_spline_table_that_misses_still_finds_the_interval(self, entry, native_loop, monkeypatch):
+        # The table only narrows the search: with every entry at the first interval
+        # (or the last) a value past (or before) them is bisected beyond, same bits
+        spline = PT2._pos_branch_ppf
+        n = len(spline.x)
+        monkeypatch.setattr(_native, "_spline_table",
+                            lambda lib, knots: np.full(n, 0 if entry == "first" else n - 2, np.int32))
+        v = self._inside(spline.x)
+        assert _native.spline_values(native_loop, spline, v).tobytes() == spline.reference(v).tobytes()
 
     def test_a_spline_that_fails_its_check_leaves_every_step_to_python(self, native_loop,
                                                                        monkeypatch, own_tables):

@@ -32,7 +32,10 @@ many quiet chunks and the default checkpoints inside them; the observed-signals
 sums of ``simulate_baseline_llr`` at sigma = 0.7 and of the PolyTail k = 2
 and rate-target models at theta = +-, over at least two time chunks, which
 see every last bit of the draws and of the streams' continuation from one
-chunk to the next (the aggregates see a draw only through an action); and the
+chunk to the next (the aggregates see a draw only through an action); the
+sums of one 13-row ``_baseline_batch`` block of each family at theta = +-,
+over two time chunks with checkpoints at both ends of the first, which C
+sums in chains of four rows and a last row alone; and the
 CSV files of all eight CLI experiments, with upset-tail's trajectory dump on
 (``manifest.json`` holds timestamps, so it is skipped).  ``--quick``
 shrinks every size, for a smoke run.  ``--no-native`` runs without the
@@ -69,6 +72,9 @@ GRID = np.linspace(-60.0, 60.0, 241)
 UNIFORMS = np.concatenate(
     [[0.0, 2.0**-53, 1e-12], np.linspace(0.0, 1.0, 4097)[1:-1], [1.0 - 1e-12, 1.0 - 2.0**-53]]
 )
+
+# the checkpoints of the baseline block: step 1, both ends of the first time chunk, one inside the second
+BASELINE_CKPT = (1, 2, 1023, 1024, 1025, 1600)
 
 # ell* horizon, the long rate-target path's horizon, recurrence steps, Monte Carlo trials and horizon, the same
 # with a batch size for a multi-batch run, a long run's trials and horizon, baseline trials and horizon (the
@@ -249,6 +255,11 @@ def baseline_digests(size: dict):
                 for i in range(trials)
             ]
             yield f"baseline/{family}/theta={theta.sign:+d}", sha(*sums)
+    # one 13-row block over two time chunks
+    for family, model in {**models(), "gaussian-sigma0.7": GaussianSignalModel(sigma=0.7)}.items():
+        for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
+            sums = montecarlo._baseline_batch(model, theta, 1600, 25, range(13), BASELINE_CKPT)
+            yield f"baseline_batch/{family}/theta={theta.sign:+d}", sha(sums)
 
 
 def _cli_configs(horizon: int, trials: int) -> dict:
