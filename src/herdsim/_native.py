@@ -7,19 +7,18 @@ closed-form increment (``log_ndtr_scalar`` on the same libm functions) and
 solve's replay).  A loop hands back the first step it cannot add (an invalid
 one, or a return that is not an exact float) with its index, for the Python
 loop to raise at or go on from, so the bytes, errors and types are that
-loop's.  ``cohort_steps`` runs the Monte Carlo engine's lockstep steps (each
-cohort's bound test, increment and compensated update); a pass runs it
-through the stepper that ``cohort_stepper`` builds once, the model's family,
-ufuncs, constants, spline and raw-to-LLR map resolved.  Given the pass's run
-book and a chunk's draws (``Runs``) it settles the flagged steps as the
-Python step does: it reads only the flagged cohorts' rows, maps them (a
-Gaussian's ``raw * tau + mean``, PolyTail's ``polytail_map`` on a gathered
-array), ends the runs of the rows that switch, forks one cohort per source
-into spare columns, and at a step with no switch rebounds the flagged
-cohorts by their own rows; it writes the actions and ends every run at the
-horizon.  It hands a step back only for a model with no C map, a flagged NaN
-belief, too few spare columns, or an error; without a run book it stops at
-every flagged step.
+loop's.  ``cohort_steps`` runs every step of a Gaussian or PolyTail
+lockstep pass (each cohort's bound test, increment and compensated update)
+through the stepper that ``cohort_stepper`` builds once per pass, the
+model's family, ufuncs, constants, splines and raw-to-LLR map resolved; any
+other model's pass takes the Python step.  Given the pass's run book and a
+chunk's draws (``Runs``) it settles the flagged steps as the Python step
+does: it reads only the flagged cohorts' rows, maps them (a Gaussian's
+``raw * tau + mean``, PolyTail's ``polytail_map`` on a gathered array), ends
+the runs of the rows that switch, forks one cohort per source into spare
+columns, and at a step with no switch rebounds the flagged cohorts by their
+own rows; it writes the actions and ends every run at the horizon.  It
+stops early only before a step whose forks outgrow the spare columns.
 Its Gaussian increment calls scipy's ``ndtr`` and numpy's ``log`` ufuncs
 from C.  Its PolyTail increment takes each cohort's branch as
 ``belief._signed_increment`` does: the log-T spline on [1, 60], evaluated as
@@ -30,8 +29,8 @@ else from the spline's table of knot indices, ``_spline_table``),
 ``_log_T``'s asymptotic series past 60 and
 the closed forms below 1; each branch's values are gathered for numpy's
 ``power``, ``exp``, ``log`` and ``log1p``, so the bits are theirs.  The
-Gaussian tail and deep branches, PolyTail's tail branch and a NaN belief,
-and every other model, call the engine's Python ``_increment`` from C.
+Gaussian tail and deep branches, and PolyTail's tail branch and a NaN
+belief, call the engine's Python ``_increment`` from C.
 ``polytail_llr`` (``polytail_map`` on an array) is PolyTail's quantile
 transform (``llr_from_uniform``) the same way: numpy's ``power`` and
 ``log``, and the quantile spline on its uneven knots by the same
@@ -529,8 +528,8 @@ static void fold_row(double *restrict e, const double *restrict row, int64_t col
 }
 
 /* What cohort_steps reads and writes to settle a lockstep pass's flagged steps (_native.Runs):
-   - the raw-to-LLR map: 1 is raw * tau + mean, 2 polytail_map with funcs on work (a 1-d float64
-     array of at least max(rows, cols) values), 0 none (every flagged step is handed back);
+   - the family, whose raw-to-LLR map C runs: 1 (Gaussian) is raw * tau + mean, 2 (PolyTail)
+     polytail_map with funcs on work (a 1-d float64 array of at least max(rows, cols) values);
    - theta's sign, the bounds' margin, and whether the map falls (a cohort playing +1 then errs
      on its raw maximum);
    - the run book (the rows T_FIRST.. of trials int64 values each) and the actions (trials x
@@ -539,7 +538,7 @@ static void fold_row(double *restrict e, const double *restrict row, int64_t col
    - the live cohorts, which settling updates, and the cohorts that a step handed back for want
      of spare ones needs room for, else 0. */
 typedef struct {
-    int64_t map;
+    int64_t family;
     double tau, mean;
     PyObject *funcs, *work;
     double ck, k, c, llr_sign;
@@ -588,7 +587,7 @@ static void write_actions(runs_t *p, const double *sgn, int64_t from, int64_t to
 /* The pass's raw-to-LLR map in place on v[0..m) (w: work's data): 0, or -1 with an error set */
 static int map_llr(runs_t *p, double *w, double *v, Py_ssize_t m)
 {
-    if (p->map == 1) {
+    if (p->family == 1) {
         for (Py_ssize_t i = 0; i < m; i++)
             v[i] = v[i] * p->tau + p->mean;
         return 0;
@@ -650,20 +649,15 @@ static int rebound(runs_t *p, double *w, scratch_t *x, Py_ssize_t m, const doubl
    the flagged cohorts' rows are read and mapped; rows that flip end their runs (and set t_first),
    and move to one new cohort per source cohort, in increasing source order, with the source's ell
    and carry, the other action and the bound -sgn * inf for the chunk's other steps.  Where no row
-   flips, rebound.  The actions up to s are written first (from *seg, which moves to s).  Returns 1,
-   0 to hand the step back unchanged (no map, a flagged NaN belief, or fewer than the new cohorts
-   spare of cap, with p->room the cohorts it needs), or -1 with an error set. */
+   flips, rebound.  The actions up to s are written first (from *seg, which moves to s).  Where
+   fewer than the new cohorts are spare of cap, it changes nothing and sets p->room to the cohorts
+   the step needs.  Returns 1, or -1 with an error set. */
 static int settle(runs_t *p, double *w, scratch_t *x, double *ell, double *carry, double *sgn,
                   Py_ssize_t cap, double *bounds, int64_t width, int64_t s, int64_t *seg)
 {
     Py_ssize_t n = p->n, m = 0, flips = 0, forks = 0;
-    if (p->map == 0)
-        return 0;
-    for (Py_ssize_t c = 0; c < n; c++) {
+    for (Py_ssize_t c = 0; c < n; c++)
         x->flag[c] = (ell[c] + bounds[s * width + c] > 0.0) != (sgn[c] > 0.0);
-        if (x->flag[c] && ell[c] != ell[c])
-            return 0;
-    }
     for (int64_t r = 0; r < p->rows; r++)
         if (x->flag[p->coh[r]])
             x->idx[m] = r, x->u[m++] = p->draws[r * p->cols + s];
@@ -683,7 +677,7 @@ static int settle(runs_t *p, double *w, scratch_t *x, double *ell, double *carry
     }
     if (n + forks > cap) {
         p->room = n + forks;
-        return 0;
+        return 1;
     }
     write_actions(p, sgn, *seg, s);
     *seg = s;
@@ -717,49 +711,49 @@ static int live_views(PyObject **live, PyObject *ell_a, PyObject *sgn_a, PyObjec
         Py_CLEAR(live[i]);
     Py_ssize_t ends[6][2] = {{0, n}, {0, n}, {0, (family == 2 ? 5 : 2) * n}, {0, n}, {n, 2 * n},
                              {0, 2 * n}};
-    int views = family == 2 ? 6 : family ? 3 : 2;
-    for (int i = 0; i < views; i++)
+    for (int i = 0; i < (family == 2 ? 6 : 3); i++)
         if (!(live[i] = PySequence_GetSlice(i == 0 ? ell_a : i == 1 ? sgn_a : work, ends[i][0],
                                             ends[i][1])))
             return -1;
     return 0;
 }
 
-/* montecarlo._lockstep's steps s..stop-1 of a chunk, in place on the cohorts' ell, carry and sgn,
-   whose first n values are live.  A step adds increment(model, ell, sgn) by the engine's compensated
-   update.  For family 1 (funcs = (ndtr, log), consts = the two state means and tau, work 2n values)
-   or 2 (the PolyTail funcs, consts and spline, work 5n) the increment is computed in C, on work,
-   unless the model's branch leaves it to Python; work is as long as ell, times 2 or 5.  At a step
-   at which cohort c's bound bounds[step * width + c] could flip its action sgn[c], the loop stops
-   if runs is NULL (n is then every cohort), else settles the step and goes on.  Returns the step it
-   stopped at (stop, or a flagged step that it hands back, with runs->n the live cohorts), or -1
-   with an error set.  A pass's last step closes every run. */
+/* montecarlo's Python step over steps s..stop-1 of a chunk, in place on the cohorts' ell, carry and
+   sgn, whose first runs->n values are live.  A step adds increment(model, ell, sgn) by the engine's
+   compensated update.  For family 1 (funcs = (ndtr, log), consts = the two state means and tau,
+   work 2n values) or 2 (the PolyTail funcs, consts and spline, work 5n) the increment is computed
+   in C, on work, unless the model's branch leaves it to Python; work is as long as ell, times 2 or
+   5.  A step at which cohort c's bound bounds[step * width + c] could flip its action sgn[c] is
+   settled first.  Returns the step it stopped at (stop, or a flagged step whose forks need
+   runs->room columns, which it leaves unchanged), with runs->n the live cohorts, or -1 with an
+   error set.  A pass's last step closes every run. */
 int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
                      double *bounds, int64_t width, int64_t s, int64_t stop,
-                     PyObject *increment, PyObject *model, int64_t family,
+                     PyObject *increment, PyObject *model,
                      PyObject *funcs, const double *consts, const spline_t *spline, runs_t *runs)
 {
     PyObject *arrays[4] = {ell_a, carry_a, sgn_a, work}, *live[6] = {NULL};
     Py_buffer views[4], view, llr_view;
     double *data[4] = {NULL}, *llr_work = NULL;
-    int got = 0, fusing = family != 0, rows = family == 2 ? 5 : 2;
-    while (got < 3 + fusing && (data[got] = float64s(arrays[got], views + got,
-                                                     got ? (got < 3 ? 1 : rows) * views[0].len : -1)))
+    int64_t family = runs->family;
+    int got = 0, rows = family == 2 ? 5 : 2;
+    while (got < 4 && (data[got] = float64s(arrays[got], views + got,
+                                            got ? (got < 3 ? 1 : rows) * views[0].len : -1)))
         got++;
-    Py_ssize_t cap = got ? views[0].len / (Py_ssize_t)sizeof(double) : 0, n = runs ? runs->n : cap;
+    Py_ssize_t cap = got ? views[0].len / (Py_ssize_t)sizeof(double) : 0, n = runs->n;
     double *ell = data[0], *carry = data[1], *sgn = data[2];
     int64_t seg = s;
     scratch_t x = {NULL, NULL, NULL, NULL, NULL};
-    int ready = got == 3 + fusing && live_views(live, ell_a, sgn_a, work, family, n) == 0;
-    if (ready && runs) {
-        runs->room = 0;
+    int ready = got == 4 && live_views(live, ell_a, sgn_a, work, family, n) == 0;
+    runs->room = 0;
+    if (ready) {
         x.flag = PyMem_Malloc(cap + 1), x.fork = PyMem_Malloc((cap + 1) * sizeof *x.fork);
         x.idx = PyMem_Malloc((runs->rows + 1) * sizeof *x.idx);
         x.u = PyMem_Malloc((runs->rows + 1) * sizeof *x.u);
         x.e = PyMem_Malloc((runs->cols + 1) * sizeof *x.e);
         if (!(x.flag && x.fork && x.idx && x.u && x.e))
             ready = 0, PyErr_NoMemory();
-        else if (runs->map == 2 && !(llr_work = float64s(runs->work, &llr_view, -1)))
+        else if (family == 2 && !(llr_work = float64s(runs->work, &llr_view, -1)))
             ready = 0;
     }
     for (; ready && s < stop; s++) {
@@ -767,18 +761,16 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
         for (Py_ssize_t c = 0; c < n && !flagged; c++)
             flagged = (ell[c] + bounds[s * width + c] > 0.0) != (sgn[c] > 0.0);
         if (flagged) {
-            if (!runs || settle(runs, llr_work, &x, ell, carry, sgn, cap, bounds, width, s, &seg) < 1)
+            if (settle(runs, llr_work, &x, ell, carry, sgn, cap, bounds, width, s, &seg) < 0
+                || runs->room)
                 break;
-            if (runs->n != n) {
-                n = runs->n;
-                if (live_views(live, ell_a, sgn_a, work, family, n) < 0)
-                    break;
-            }
+            if (runs->n != n && live_views(live, ell_a, sgn_a, work, family, runs->n) < 0)
+                break;
+            n = runs->n;
         }
         double *z = data[3];
-        int fused = !family ? 0
-                    : family == 1 ? gaussian_increments(live[2], z, ell, sgn, n, funcs, consts,
-                                                        consts[2])
+        int fused = family == 1
+                    ? gaussian_increments(live[2], z, ell, sgn, n, funcs, consts, consts[2])
                     : polytail_increments(live[2], live + 3, z, ell, sgn, n, funcs, consts, spline);
         PyObject *called = NULL;
         double *inc = fused > 0 ? z + (family == 2 ? 4 * n : 0) : NULL;
@@ -797,7 +789,7 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
             Py_DECREF(called);
         }
     }
-    if (ready && runs && !PyErr_Occurred()) {
+    if (ready && !PyErr_Occurred()) {
         write_actions(runs, sgn, seg, s);
         if (runs->t0 + s == runs->horizon + 1)  /* the pass's last step: the horizon ends every run */
             for (int64_t r = 0; r < runs->rows; r++)
@@ -1205,7 +1197,7 @@ def _load(cache_dir: str):
     lib.gaussian_steps.restype = lib.call_steps.restype = ctypes.py_object
     obj, ptr, i64, f64 = ctypes.py_object, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     spline = ctypes.POINTER(Spline)
-    lib.cohort_steps.argtypes = ([obj] * 4 + [ptr, i64, i64, i64, obj, obj, i64, obj, ptr, spline]
+    lib.cohort_steps.argtypes = ([obj] * 4 + [ptr, i64, i64, i64, obj, obj, obj, ptr, spline]
                                  + [ctypes.POINTER(Runs)])
     lib.cohort_steps.restype = i64
     lib.spline_values.argtypes = [spline, ptr, ptr, i64]
@@ -1474,7 +1466,7 @@ class Runs(ctypes.Structure):
     """C's ``runs_t``: what ``cohort_steps`` reads and writes to settle a pass's flagged steps."""
 
     _fields_ = [
-        ("map", ctypes.c_int64), ("tau", ctypes.c_double), ("mean", ctypes.c_double),
+        ("family", ctypes.c_int64), ("tau", ctypes.c_double), ("mean", ctypes.c_double),
         ("funcs", ctypes.py_object), ("work", ctypes.py_object),
         *((name, ctypes.c_double) for name in ("ck", "k", "c", "llr_sign")),
         ("spline", ctypes.POINTER(Spline)),
@@ -1487,21 +1479,41 @@ class Runs(ctypes.Structure):
     ]
 
 
-def _runs(model, llr, book: np.ndarray, actions, horizon: int, sign: float, decreasing: bool,
-          margin: float) -> Runs:
-    """A pass's ``Runs``, its map chosen by the model's exact type and the pass's map ``llr``.
+def cohort_stepper(lib, model, increment, llr, book: np.ndarray, actions, horizon: int, sign: float,
+                   decreasing: bool, margin: float):
+    """A pass's ``steps(cohorts, bounds, s, stop, chunk)`` by C's ``cohort_steps``, or None.
 
-    A ``GaussianSignalModel`` maps raw z to z * tau + mean, ``montecarlo._llr``'s
-    arithmetic; a PolyTail pass whose ``llr`` is ``polytail_transform``'s runs
-    ``polytail_map`` on the same arguments; any other leaves its flagged steps
-    to Python.
+    C takes every step of a pass whose model it can map and step, by exact
+    type: a ``GaussianSignalModel``, or a ``PolyTailSignalModel`` whose
+    log-T spline passes ``checked_spline`` and whose map ``llr`` is
+    ``polytail_transform``'s, which ``llr_transform`` hands a pass only
+    once ``checked_transform`` passes.  For any other model this returns
+    None, and the pass takes ``montecarlo._python_stepper``, whose steps
+    these equal bit for bit and whose interface they share.
+
+    A step adds ``increment(model, ell, sgn)``, computed in C but in a
+    Gaussian's tail and deep branches and in PolyTail's tail branch and at
+    a NaN belief, where C calls it.  A flagged step is settled first: C
+    reads the flagged cohorts' rows, maps them, ends the runs of the rows
+    that switch in ``book`` (``montecarlo._BOOK``'s rows), forks their
+    cohorts into the spare columns and rebounds a step at which none
+    switches by theta's ``sign``, the map's direction (``decreasing``) and
+    the bounds' ``margin``.  It writes ``actions`` unless None, and at
+    ``horizon`` ends every run.
     """
     runs = Runs(sign=sign, margin=margin, decreasing=decreasing, horizon=horizon, funcs=None, work=None)
-    if type(model) is GaussianSignalModel:
-        runs.map, runs.tau, runs.mean = 1, model.tau, model._mean(StateOfWorld(int(sign)))
-    elif head := getattr(llr, "head", None):
-        runs.map, runs.funcs, runs.work = 2, head[0], np.empty(0)
+    if type(model) is GaussianSignalModel:  # its map is montecarlo._llr's z * tau + mean
+        runs.family, runs.tau, runs.mean = 1, model.tau, model._mean(StateOfWorld(int(sign)))
+        funcs, consts, spline = (special.ndtr, np.log), (*model._state_means[:, 0], model.tau), None
+    elif (type(model) is PolyTailSignalModel and (head := getattr(llr, "head", None))
+          and (args := checked_spline(lib, model._log_tail_spline))):
+        runs.family, runs.funcs, runs.work = 2, head[0], np.empty(0)  # polytail_map on llr's arguments
         runs.ck, runs.k, runs.c, runs.llr_sign, runs.spline = head[1:]
+        k, c = model.k, model.c
+        funcs, ck, spline = (np.power, np.exp, np.log1p, np.log, -k), c / k, ctypes.pointer(args)
+        consts = (-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c))
+    else:
+        return None
     if not (book.dtype == np.int64 and book.ndim == 2 and len(book) == 6 and book.flags.c_contiguous):
         raise ValueError("book must be a C-contiguous (6, trials) int64 array")
     runs.book, runs.trials = book.ctypes.data, book.shape[1]
@@ -1512,71 +1524,28 @@ def _runs(model, llr, book: np.ndarray, actions, horizon: int, sign: float, decr
         if actions.shape[1] != horizon:
             raise ValueError("actions must have a column per step of the horizon")
         runs.actions = actions.ctypes.data
-    return runs
+    consts, call, rows = (ctypes.c_double * 6)(*consts), lib.cohort_steps, 2 if runs.family == 1 else 5
 
-
-def cohort_stepper(lib, model, increment, llr=None, book=None, actions=None, horizon: int = 0,
-                   sign: float = 1.0, decreasing: bool = False, margin: float = 0.0):
-    """A pass's ``steps(cohorts, bounds, s, stop, chunk=None)``, which runs C's ``cohort_steps``.
-
-    ``steps`` runs a lockstep chunk's steps s..stop-1 in place on
-    ``cohorts`` = (ell, carry, sgn), cohort c reading column c of
-    ``bounds``.  A step adds ``increment(model, ell, sgn)``, or computes it
-    in C: for a ``GaussianSignalModel`` outside its tail and deep branches,
-    and for a ``PolyTailSignalModel`` whose log-T spline passes
-    ``checked_spline`` on every branch but its tail and a NaN belief (the
-    exact types).  Without ``chunk`` it returns the first step that a bound
-    flags, else stop.
-
-    Given the pass's run ``book`` (``montecarlo._BOOK``'s rows), its
-    ``actions`` or None, ``horizon``, theta's ``sign``, its map ``llr``,
-    whether that map is ``decreasing`` and the bounds' ``margin``, ``steps``
-    also takes ``chunk`` = (draws, coh, trial, t0, n): the chunk's raw draws,
-    each row's cohort and trial, the time of step 0 and the live cohorts,
-    the first n of capacity arrays ``cohorts`` and of the columns of
-    ``bounds``.  It then settles each flagged step as the pass's Python step
-    does, bit for bit: it reads the flagged cohorts' rows, maps them (in C
-    for the models ``_runs`` names), ends the runs of the rows that switch,
-    forks their cohorts into the spare columns and rebounds a step at which
-    none switches; it writes the actions, and at the horizon ends every run.
-    It returns (s, n, room): it hands a flagged step s back with nothing
-    changed for a model with no C map, a flagged NaN belief, or too few
-    spare columns (room is then the columns that s needs, else 0); else s
-    is stop.
-    """
-    family, funcs, consts, spline = 0, None, (), None
-    if type(model) is GaussianSignalModel:
-        family, funcs, consts = 1, (special.ndtr, np.log), (*model._state_means[:, 0], model.tau)
-    elif type(model) is PolyTailSignalModel and (args := checked_spline(lib, model._log_tail_spline)):
-        k, c = model.k, model.c
-        family, funcs, ck = 2, (np.power, np.exp, np.log1p, np.log, -k), c / k
-        spline = ctypes.pointer(args)
-        consts = (-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c))
-    consts, call, rows = (ctypes.c_double * 6)(*consts), lib.cohort_steps, (0, 2, 5)[family]
-    runs = None if book is None else _runs(model, llr, book, actions, horizon, sign, decreasing, margin)
-
-    def steps(cohorts, bounds: np.ndarray, s: int, stop: int, chunk=None):
+    def steps(cohorts, bounds: np.ndarray, s: int, stop: int, chunk):
         cap = len(cohorts[0])
-        if chunk is not None:
-            draws, coh, trial, runs.t0, runs.n = chunk
-            if not (draws.dtype == np.float64 and draws.ndim == 2 and draws.flags.c_contiguous
-                    and coh.dtype == trial.dtype == np.int64 and coh.flags.c_contiguous
-                    and trial.flags.c_contiguous and len(coh) == len(trial) == len(draws) > 0
-                    and len(bounds) == draws.shape[1] and 0 <= runs.n <= cap
-                    and 0 <= coh.min() and coh.max() < runs.n
-                    and 0 <= trial.min() and trial.max() < runs.trials):
-                raise ValueError("chunk must hold C-contiguous draws, and a live cohort and a trial "
-                                 "of the book per row")
-            runs.draws, runs.coh, runs.trial = draws.ctypes.data, coh.ctypes.data, trial.ctypes.data
-            runs.rows, runs.cols = draws.shape
-            if runs.map == 2 and runs.work.size < max(draws.shape):
-                runs.work = np.empty(max(draws.shape))
+        draws, coh, trial, runs.t0, runs.n = chunk
+        if not (draws.dtype == np.float64 and draws.ndim == 2 and draws.flags.c_contiguous
+                and coh.dtype == trial.dtype == np.int64 and coh.flags.c_contiguous
+                and trial.flags.c_contiguous and len(coh) == len(trial) == len(draws) > 0
+                and len(bounds) == draws.shape[1] and 0 <= runs.n <= cap
+                and 0 <= coh.min() and coh.max() < runs.n
+                and 0 <= trial.min() and trial.max() < runs.trials):
+            raise ValueError("chunk must hold C-contiguous draws, and a live cohort and a trial "
+                             "of the book per row")
+        runs.draws, runs.coh, runs.trial = draws.ctypes.data, coh.ctypes.data, trial.ctypes.data
+        runs.rows, runs.cols = draws.shape
+        if runs.family == 2 and runs.work.size < max(draws.shape):
+            runs.work = np.empty(max(draws.shape))
         if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
                 and cap <= bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
             raise ValueError("bounds must be C-contiguous float64, a column per cohort, a row per step")
-        work = np.empty(rows * cap) if family else None
-        got = call(*cohorts, work, bounds.ctypes.data, bounds.shape[1], s, stop, increment, model,
-                   family, funcs, consts, spline, None if chunk is None else ctypes.byref(runs))
-        return got if chunk is None else (got, runs.n, runs.room)
+        got = call(*cohorts, np.empty(rows * cap), bounds.ctypes.data, bounds.shape[1], s, stop,
+                   increment, model, funcs, consts, spline, ctypes.byref(runs))
+        return got, runs.n, runs.room
 
     return steps

@@ -34,13 +34,14 @@ exactly are mapped to LLRs, each map monotone, so a mapped extreme is the
 extreme LLR.  Which C kernel serves a model is ``_native``'s choice, made
 once per pass by two builders: ``llr_transform`` gives the raw-to-LLR map
 (PolyTail's C quantile transform, else None and ``_llr`` in Python), and
-``cohort_stepper`` the loop that runs the steps in C, flagged ones too for
-a Gaussian or PolyTail model: it reads and maps the flagged rows, ends
-runs, forks cohorts and rebounds idle ones, and hands a step back to the
-Python step only for a model with no C map, a NaN belief or too few spare
-cohort columns.  Its Gaussian and PolyTail increments are computed by
-numpy's and scipy's own ufuncs and, for PolyTail, scipy's spline
-evaluation redone in C.  Checkpoint beliefs are
+``cohort_stepper`` the stepper.  One engine steps a whole pass: C for a
+Gaussian model, or a PolyTail one whose C spline and transform pass their
+checks, where the library loads; its stepper settles the flagged steps too
+(it reads and maps the flagged rows, ends runs, forks cohorts and
+rebounds idle ones) and computes the increments by numpy's and scipy's
+own ufuncs and, for PolyTail, the spline evaluation redone in C; the
+Python step (``_python_stepper``), its reference, for every other model
+and without the library.  Checkpoint beliefs are
 summed after the last step, so the aggregates are bit-identical to
 stepping every trial.  The observed-signals baseline draws a batch's
 streams chunk by chunk through the same sampler, maps them by the same
@@ -540,19 +541,13 @@ def _lockstep(
     if none are left.  A chunk holds at most ``_DRAW_BUDGET`` draws; its
     length changes no value, since every trial's stream and cohort states
     are its own.  The cohorts live in the first n columns of arrays with
-    spare ones (``_SPARE_COHORTS`` per chunk), into which forks go; a fork
-    past them widens the arrays.  Where ``_native`` loads, the pass's
-    stepper (``_native.cohort_stepper``) runs each stretch of steps up to
-    the next checkpoint in C, bit for bit as the Python step below, with a
-    Gaussian or PolyTail model's increment computed in C.  It writes the
-    actions and, at the horizon, ends the runs; for a Gaussian or PolyTail
-    model it settles the flagged steps too.  It hands a flagged step back
-    to Python for a model with no C map, a NaN belief, or forks past the
-    spare columns, which Python widens for C to settle the step in.
-    Otherwise Python settles the switches, then gives the step a bound that
-    flags nothing and hands it back to C.  A step that C flags again, which
-    only a NaN belief can make it do, is settled once more and takes the
-    Python step, as every step does without the library.
+    spare ones (``_SPARE_COHORTS`` per chunk), into which forks go.  One
+    stepper runs each stretch of steps up to the next checkpoint: C's
+    (``_native.cohort_stepper``) where it can map and step the model, else
+    the Python step (``_python_stepper``), its reference bit for bit.  It
+    writes the actions and, at the horizon, ends the runs.  It stops
+    before a step whose forks outgrow the spare columns; the arrays are
+    widened, and the step is taken again.
 
     Returns the per-trial stats arrays dict and, per checkpoint row and
     trial column, whether the trial's last action was a mistake and its
@@ -586,12 +581,12 @@ def _lockstep(
     llr = _llr_map(model, theta, lib)
     ends = llr(np.array([0.0, 1.0 - 2.0**-53]))  # PolyTail's map falls in u under theta = +
     decreasing = bool(ends[0] > ends[1])
-    steps = None if lib is None else _native.cohort_stepper(
-        lib, model, _increment, llr, book, actions, horizon, float(theta.sign), decreasing,
-        _HERD_MARGIN)
+    pass_args = (llr, book, actions, horizon, float(theta.sign), decreasing)
+    steps = None if lib is None else _native.cohort_stepper(lib, model, _increment, *pass_args,
+                                                            _HERD_MARGIN)
+    steps = steps or _python_stepper(model, *pass_args)
     next_ckpt = 0
-    t, settled = 1, 0  # settled: the last step whose flags were settled and handed back to C
-    closed = False  # whether C ended the runs at the horizon
+    t = 1
     while t <= horizon:
         chunk = min(time_chunk, horizon - t + 1)
         live, coh = np.unique(coh, return_inverse=True)
@@ -612,18 +607,42 @@ def _lockstep(
                 ell_ckpt[next_ckpt, trial] = ell[coh]
                 naive[next_ckpt, trial] = sgn[coh] != theta.sign
                 next_ckpt += 1
-            if steps is not None:  # the steps before the next checkpoint, in C
-                stop = min(chunk, s + int(ckpt[next_ckpt]) - t) if next_ckpt < len(ckpt) else chunk
-                got, n, room = steps(cohorts, bounds, s, stop, (draws, coh, trial, t - s, n))
-                s, t = got, t + got - s
-                ell, carry, sgn = cohorts[:, :n]
-                closed = t > horizon
-                if s == stop:
-                    continue
-                if room:  # step s forks past the spare columns: C settles it in wider ones
-                    cohorts, bounds = (_widened(a, 2 * room) for a in (cohorts, bounds))
-                    continue
+            stop = min(chunk, s + int(ckpt[next_ckpt]) - t) if next_ckpt < len(ckpt) else chunk
+            got, n, room = steps(cohorts, bounds, s, stop, (draws, coh, trial, t - s, n))
+            s, t = got, t + got - s
+            if room:  # step s forks past the spare columns: it is stepped again in wider ones
+                cohorts, bounds = (_widened(a, 2 * room) for a in (cohorts, bounds))
+            ell, carry, sgn = cohorts[:, :n]
 
+    # A trial whose last run is wrong at the horizon is censored.
+    final_good = np.empty(nb, dtype=bool)
+    final_good[trial] = sgn[coh] == theta.sign
+    t_first, t_last, runs, max_good, max_bad, _ = book
+    per_trial = dict(t_first=t_first, t_last=t_last, max_good=max_good, max_bad=max_bad,
+                     upsets=runs - 1, censored=~final_good)
+    return per_trial, naive, actions, ell_ckpt
+
+
+def _python_stepper(model: SignalModel, llr, book: np.ndarray, actions, horizon: int, sign: float,
+                    decreasing: bool):
+    """A pass's ``steps(cohorts, bounds, s, stop, chunk)`` in Python: C's reference, and its fallback.
+
+    ``steps`` runs a chunk's steps s..stop-1 in place on ``cohorts`` =
+    (ell, carry, sgn), cohort c reading column c of ``bounds``, given
+    ``chunk`` = (draws, coh, trial, t0, n): the chunk's raw draws, each
+    row's cohort and trial, the time of step 0 and the live cohorts, the
+    first n of capacity arrays ``cohorts`` and of the columns of
+    ``bounds``.  It writes ``actions`` unless None, records the switches in
+    ``book`` (``_BOOK``'s rows) and at ``horizon`` ends every run.  It
+    returns (s, n, room): s is stop, or a step whose forks need room
+    columns, more than ``cohorts`` has (room is 0 otherwise), which it
+    leaves unchanged for the caller to widen the arrays and go on.
+    """
+    def python_steps(cohorts, bounds, s, stop, chunk):
+        draws, coh, trial, t0, n = chunk
+        ell, carry, sgn = cohorts[:, :n]
+        for s in range(s, stop):
+            t = t0 + s
             # fl(ell + x) is monotone in x: a cohort whose bound keeps its
             # action holds no row that switches.
             flag = (ell + bounds[s, :n] > 0.0) != (sgn > 0.0)
@@ -634,45 +653,35 @@ def _lockstep(
                 flip = (ell[c] + x > 0.0) != (sgn[c] > 0.0)
                 if flip.any():
                     rows, c = rows[flip], c[flip]
+                    new, *forked = _fork(ell, carry, sgn, c)
+                    if len(forked[0]) > cohorts.shape[1]:
+                        return s, n, len(forked[0])
                     switched = trial[rows]
-                    _close_runs(book, switched, sgn[c] == theta.sign, t)
+                    _close_runs(book, switched, sgn[c] == sign, t)
                     t_first = book[0]  # a trial's first switch is its first mistake
                     t_first[switched[t_first[switched] == 0]] = t
-                    coh[rows], *forked = _fork(ell, carry, sgn, c)
+                    coh[rows] = new
                     n, n0 = len(forked[0]), n
-                    if n > cohorts.shape[1]:
-                        cohorts, bounds = (_widened(a, 2 * n) for a in (cohorts, bounds))
                     cohorts[:, :n] = forked
                     ell, carry, sgn = cohorts[:, :n]
                     bounds[s + 1:, n0:n] = -sgn[n0:] * np.inf  # flagged until an idle step
-                elif s + 1 < chunk:  # idle: each flagged cohort is bounded by its own rows
+                elif s + 1 < len(bounds):  # idle: each flagged cohort is bounded by its own rows
                     flagged, order = np.flatnonzero(flag), np.argsort(c, kind="stable")
                     own = np.searchsorted(c[order], np.append(flagged, n))
                     low = (sgn[flagged] > 0.0) != decreasing
                     ext = _extremes(draws[rows[order], s + 1:], own, low)
                     bounds[s + 1:, flagged] = _bounds(llr, ext, own, ell[flagged], sgn[flagged], low)
-
-            if steps is not None and settled < t:  # no value flags now: C runs this step too
-                settled, bounds[s, :n] = t, sgn * np.inf
-                continue
             if actions is not None:
                 actions[trial, t - 1] = sgn[coh]
             y = _increment(model, ell, sgn) - carry
             s2 = ell + y
             carry[:] = (s2 - ell) - y
             ell[:] = s2
-            s += 1
-            t += 1
+        if t0 + stop == horizon + 1:  # the pass's last step: the horizon ends every run
+            _close_runs(book, trial, sgn[coh] == sign, horizon + 1)
+        return stop, n, 0
 
-    # A trial whose last run is wrong at the horizon is censored.
-    final_good = np.empty(nb, dtype=bool)
-    final_good[trial] = sgn[coh] == theta.sign
-    if not closed:
-        _close_runs(book, np.arange(nb), final_good, horizon + 1)
-    t_first, t_last, runs, max_good, max_bad, _ = book
-    per_trial = dict(t_first=t_first, t_last=t_last, max_good=max_good, max_bad=max_bad,
-                     upsets=runs - 1, censored=~final_good)
-    return per_trial, naive, actions, ell_ckpt
+    return python_steps
 
 
 def _widened(a: np.ndarray, cols: int) -> np.ndarray:

@@ -1,0 +1,43 @@
+"""Tests that show, from exact laws, what the paper's results predict.
+
+The paper's dichotomy: the left tail of the private signals decides whether
+the expected time until agents stop erring is finite.  A rate-target model
+with Q(n) = e^{-n/c} puts ell*_t near c log t, so P(T1 = t) falls like
+t^{-c-1} and E[T1; T1 <= t] grows like the sum of s^{-c} over s <= t: like
+t^{1-c} for c < 1, like log t at c = 1, and to a finite limit for c > 1.
+"""
+
+import math
+
+import numpy as np
+
+from herdsim.belief import first_mistake_distribution
+from herdsim.signal_models import build_rate_target
+
+DECADES = (10**4, 10**5, 10**6)
+
+
+def _partial_means(c: float) -> list[float]:
+    """E[T1; T1 <= t] at each t of DECADES, from the exact first-mistake law to 10**6."""
+    model = build_rate_target(lambda n: math.exp(-n / c), max_support=200)
+    law = first_mistake_distribution(model, DECADES[-1])
+    partial = np.cumsum(np.arange(1, DECADES[-1] + 1) * law.pmf)  # pmf[i] is P(T1 = i + 1)
+    return [float(partial[t - 1]) for t in DECADES]
+
+
+def test_rate_target_boundary():
+    # c = 0.8: a power law, t^0.2 per decade is x1.585; c = 1: log t, a constant
+    # increment per decade; c = 1.25: increments shrinking by about 10^-0.25 = 0.562
+    below = _partial_means(0.8)
+    for lo, hi in zip(below, below[1:]):
+        ratio = hi / lo
+        assert 1.5 <= ratio <= 1.7, (
+            f"c = 0.8: E[T1; T1 <= t] grows x{ratio:.4f} per decade, not in [1.5, 1.7]")
+    at = _partial_means(1.0)
+    for lo, hi in zip(at, at[1:]):
+        step = hi - lo
+        assert 0.5 <= step <= 0.7, f"c = 1: E[T1; T1 <= t] grows by {step:.4f} per decade, not in [0.5, 0.7]"
+    above = _partial_means(1.25)
+    shrink = (above[2] - above[1]) / (above[1] - above[0])
+    assert 0.5 <= shrink <= 0.65, (
+        f"c = 1.25: the increment of E[T1; T1 <= t] per decade shrinks x{shrink:.4f}, not in [0.5, 0.65]")

@@ -1259,9 +1259,9 @@ class TestHerdEdge:
 
 
 class TestCohortLoop:
-    # The lockstep engine's quiet steps run in C's cohort_steps, through the
-    # pass's _native.cohort_stepper, which stops at every step that a
-    # cohort's bound flags; the Python step loop is the reference.
+    # A Gaussian or PolyTail pass runs every step in C's cohort_steps, through
+    # the pass's _native.cohort_stepper; every other pass runs the Python step
+    # (montecarlo._python_stepper), which is the reference.
     @pytest.mark.parametrize("model", [G1, G07, PT2, RT, LogisticModel()],
                              ids=["gaussian", "gaussian-sigma0.7", "polytail", "ratetarget", "logistic"])
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
@@ -1313,41 +1313,51 @@ class TestCohortLoop:
 
         return increment
 
-    # SubPolyTail fuses no increment: every step of it calls the increment from C
+    @staticmethod
+    def _stepper(lib, model, increment):
+        """A pass's C stepper for ``model`` as ``steps(cohorts, bounds, s, stop)``, every cohort live.
+
+        Its chunk holds one row, which the steps read only if a bound flags
+        it, so ``bounds`` must flag nothing (``_no_flag``); a step that
+        forked or ended a run would fail the call.
+        """
+        book = np.zeros((6, 1), dtype=np.int64)
+        llr = _native.llr_transform(lib, model, 1.0)
+        stepper = _native.cohort_stepper(lib, model, increment, llr, book, None, 10**9, 1.0, False, 0.0)
+        one = np.zeros(1, dtype=np.int64)
+
+        def steps(cohorts, bounds, s, stop):
+            cohort_count = len(cohorts[0])
+            got, n, room = stepper(cohorts, bounds, s, stop,
+                                   (np.zeros((1, len(bounds))), one, one, 1, cohort_count))
+            assert (n, room) == (cohort_count, 0) and not book.any()
+            return got
+
+        return steps
+
     @pytest.mark.parametrize("case", ["bulk", "tail", "deep"])
-    @pytest.mark.parametrize("model", [G1, G07, SubPolyTail(2.0)], ids=lambda m: m.family)
-    def test_direct_call_stops_at_a_flag_and_at_the_limit(self, case, model, native_loop):
+    @pytest.mark.parametrize("model", [G1, G07], ids=["sigma1", "sigma0.7"])
+    def test_direct_call_stops_at_the_limit(self, case, model, native_loop):
         ell0, sgn = (np.array(v) for v in self._cohorts(case, model))
         carry0 = np.full(len(ell0), 1e-17)
-        bounds = self._no_flag(sgn, 40)
-        gaussian = model.family == "gaussian"
-        calls = []
-        steps = _native.cohort_stepper(native_loop, model, self._counted(calls))
-        ell, carry = ell0.copy(), carry0.copy()
-        got = steps((ell, carry, sgn), bounds, 3, 30)
+        calls, ell, carry = [], ell0.copy(), carry0.copy()
+        got = self._stepper(native_loop, model, self._counted(calls))((ell, carry, sgn),
+                                                                      self._no_flag(sgn, 40), 3, 30)
         ref = self._python_steps(model, ell0, carry0, sgn, 27)
         assert got == 30
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
-        assert len(calls) == ({"bulk": 0, "tail": 27, "deep": 1}[case] if gaussian else 27)
-        # a bound that flips cohort 1 at step 17 stops the loop there
-        bounds[17, 1] = -sgn[1] * np.inf
-        ell, carry = ell0.copy(), carry0.copy()
-        got = steps((ell, carry, sgn), bounds, 3, 30)
-        ref = self._python_steps(model, ell0, carry0, sgn, 14)
-        assert got == 17
-        assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
-        assert steps((ell, carry, sgn), bounds, 17, 30) == 17
+        assert len(calls) == {"bulk": 0, "tail": 27, "deep": 1}[case]
 
     def test_direct_call_refuses_what_it_cannot_read(self, native_loop):
-        ell, carry, sgn = np.zeros(2), np.zeros(2), np.ones(2)
-        bounds = np.full((5, 2), np.inf)  # no step is flagged
-        model = SubPolyTail(2.0)  # every step calls the increment
+        ell, sgn = (np.array(v) for v in self._cohorts("tail", G1))  # every step calls the increment
+        carry = np.zeros(len(ell))
+        bounds = self._no_flag(sgn, 5)
 
         def call(cohorts, bounds, s, stop, increment=montecarlo._increment):
-            return _native.cohort_stepper(native_loop, model, increment)(cohorts, bounds, s, stop)
+            return self._stepper(native_loop, G1, increment)(cohorts, bounds, s, stop)
 
         with pytest.raises(ValueError, match="bounds"):
-            call((ell, carry, sgn), np.zeros((5, 1)), 0, 5)  # no column for cohort 1
+            call((ell, carry, sgn), np.zeros((5, 2)), 0, 5)  # no column for cohort 2
         with pytest.raises(ValueError, match="bounds"):
             call((ell, carry, sgn), bounds, 0, 6)  # past the chunk
         with pytest.raises(TypeError, match="float64"):
@@ -1372,8 +1382,7 @@ class TestCohortLoop:
         ell0, carry0 = sign * a, np.linspace(-3e-16, 3e-16, len(a))
         bounds = self._no_flag(sgn, 1)
         calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
-        got = _native.cohort_stepper(native_loop, model, self._counted(calls))((ell, carry, sgn),
-                                                                               bounds, 0, 1)
+        got = self._stepper(native_loop, model, self._counted(calls))((ell, carry, sgn), bounds, 0, 1)
         ref = self._python_steps(model, ell0, carry0, sgn, 1)
         assert got == 1 and calls == []
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
@@ -1393,8 +1402,8 @@ class TestCohortLoop:
         ell0, carry0 = np.array([3.0, -5.0, -a]), np.full(3, 1e-17)
         bounds = self._no_flag(sgn, steps)
         calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
-        got = _native.cohort_stepper(native_loop, model, self._counted(calls))((ell, carry, sgn),
-                                                                               bounds, 0, steps)
+        got = self._stepper(native_loop, model, self._counted(calls))((ell, carry, sgn), bounds, 0,
+                                                                      steps)
         ref = self._python_steps(model, ell0, carry0, sgn, steps)
         assert got == steps and len(calls) == calls_per_step * steps
         assert ell.tobytes() == ref[0].tobytes() and carry.tobytes() == ref[1].tobytes()
@@ -1411,7 +1420,7 @@ class TestCohortLoop:
         ell0, carry0 = sgn * np.tile(a, 2), np.linspace(-3e-16, 3e-16, 2 * len(a))
         steps = 6
         calls, (ell, carry) = [], (ell0.copy(), carry0.copy())
-        got = _native.cohort_stepper(native_loop, model, self._counted(calls))(
+        got = self._stepper(native_loop, model, self._counted(calls))(
             (ell, carry, sgn), self._no_flag(sgn, steps), 0, steps)
         ref = self._python_steps(model, ell0, carry0, sgn, steps)
         assert got == steps and calls == []
@@ -1500,9 +1509,8 @@ class TestCohortLoop:
         agg, actions = run_trials(model, PLUS, 600, 64, 7, collect_actions=True)
         assert _native.checked_spline(native_loop, model._log_tail_spline) is None
         assert model._log_tail_spline._call is False  # the spline's own calls take its reference
-        # each of the 600 steps calls it once: a quiet one from C (under the pass's
-        # stepper, steps), a flagged one from Python
-        assert len(callers) == 600 and callers.count("steps") > 0
+        # C steps no step of the pass: each of the 600 calls it once from the Python step
+        assert callers == ["python_steps"] * 600
         monkeypatch.undo()
         ref, ref_actions = run_trials(PT2, PLUS, 600, 64, 7, collect_actions=True)
         _same_aggregate(agg, ref)
@@ -1526,11 +1534,27 @@ class TestCohortLoop:
         assert sum(c for t, c in agg.first_mistake_hist.items() if t) > 0
         assert sum(c for u, c in agg.upset_hist.items() if u > 1) > 0  # switches back and forth
 
-    def test_a_rate_target_pass_settles_its_flagged_steps_in_python(self, native_loop, monkeypatch):
-        # C has no map of its uniforms, so it hands each flagged step back
+    @pytest.mark.parametrize("model", [RT, LogisticModel(), SubGaussian(1.0), SubPolyTail(2.0),
+                                       "polytail-failed-spline"],
+                             ids=["ratetarget", "logistic", "gaussian-subclass", "polytail-subclass",
+                                  "polytail-failed-spline"])
+    def test_a_pass_c_cannot_step_runs_the_python_step(self, model, native_loop, monkeypatch,
+                                                        own_tables):
+        # A model that C cannot map and step gets no C stepper: the whole pass,
+        # quiet steps included, runs the Python step, and cohort_steps is never entered
+        if model == "polytail-failed-spline":
+            model = PolyTailSignalModel(2.0)  # a spline of its own, which fails its check
+            spline_at = _native.spline_values
+            monkeypatch.setattr(_native, "spline_values",
+                                lambda *args: np.nextafter(spline_at(*args), 0.0))
+        built, entered, stepper = [], [], _native.cohort_stepper
+        monkeypatch.setattr(_native, "cohort_stepper",
+                            lambda *args: built.append(stepper(*args)) or built[-1])
+        monkeypatch.setattr(native_loop, "cohort_steps", lambda *args: entered.append(args))
         calls = _spy_calls(monkeypatch, "_fork", "_close_runs")
-        run_trials(RT, PLUS, 3000, 2048, master_seed=0)
-        assert calls.count("_fork") > 0 and calls.count("_close_runs") == calls.count("_fork")
+        run_trials(model, PLUS, 600, 64, 7)
+        assert built == [None] and entered == []
+        assert calls.count("_fork") > 0  # the Python step settled the switches
 
 
 def _spy_calls(monkeypatch, *names):
@@ -1617,36 +1641,59 @@ class TestFlaggedStepsInC:
         assert sum(room > 0 for room in rooms) > 1 and calls == []
         self._same(got, python_loop(montecarlo._lockstep, *args))
 
-    def test_steps_it_cannot_settle_are_handed_back_unchanged(self, native_loop):
-        # Cohort 0 plays +1 at a NaN belief, and every bound flags: the step is
-        # handed back.  So is a step whose forks need more columns than there are.
+    @staticmethod
+    def _flagged_step(ell0, cap):
+        """Cohort 0 plays +1 at ell0 and cohort 1 -1 at -0.25, in cap columns, and both bounds
+        flag: rows 0 and 1 in cohort 0 draw LLR -16, rows 2 and 3 in cohort 1 LLR 20, so every
+        row switches at step 1."""
+        draws = np.repeat([[-9.0], [9.0]], 2, axis=0) * np.ones(5)
+        cohorts = np.zeros((3, cap))
+        cohorts[:, :2] = [[ell0, -0.25], [0.125, -0.0625], [1.0, -1.0]]
+        bounds = np.tile([-np.inf, np.inf] + [0.0] * (cap - 2), (5, 1))
+        return cohorts, bounds, draws, np.array([0, 0, 1, 1]), np.arange(4)
+
+    def test_a_step_past_the_spare_columns_is_handed_back_unchanged(self, native_loop):
         book = np.zeros((6, 4), dtype=np.int64)
         steps = _native.cohort_stepper(native_loop, G1, montecarlo._increment, None, book, None,
                                        10, 1.0, False, 0.0)
-        # rows 0 and 1 in cohort 0 draw LLR -16, rows 2 and 3 in cohort 1 LLR 20
-        draws = np.repeat([[-9.0], [9.0]], 2, axis=0) * np.ones(5)
-        coh, trial = np.array([0, 0, 1, 1]), np.arange(4)
-        for ell0, cap, room in ((math.nan, 3, 0), (0.5, 3, 4), (0.5, 4, 0)):
-            cohorts = np.zeros((3, cap))
-            cohorts[:, :2] = [[ell0, -0.25], [0.125, -0.0625], [1.0, -1.0]]
+        for cap, want in ((3, (0, 2, 4)), (4, (1, 4, 0))):
+            cohorts, bounds, draws, coh, trial = self._flagged_step(0.5, cap)
             before = cohorts.copy()
-            bounds = np.tile([-np.inf, np.inf] + [0.0] * (cap - 2), (5, 1))  # flags both cohorts
             got = steps(cohorts, bounds, 0, 1, (draws, coh.copy(), trial, 1, 2))
-            if cap == 4:  # room for both forks: every row switches at step 1, into a cohort
-                # with its source's ell and carry, and the step adds their increments
-                assert got == (1, 4, 0) and book[0].tolist() == [1] * 4
-                ell, carry, sgn = montecarlo._fork(*before[:, :2], np.array([0, 1]))[1:]
-                y = montecarlo._increment(G1, ell, sgn) - carry
-                ref = np.array([ell + y, (ell + y - ell) - y, sgn])
-                assert cohorts.tobytes() == ref.tobytes()
+            assert got == want
+            if cap == 3:  # two forks need four columns: the step is handed back
+                assert cohorts.tobytes() == before.tobytes() and not book.any()
                 continue
-            assert got == (0, 2, room)
-            assert cohorts.tobytes() == before.tobytes() and not book.any()
+            # room for both forks: every row switches at step 1, into a cohort with its
+            # source's ell and carry, and the step adds their increments
+            assert book[0].tolist() == [1] * 4
+            ell, carry, sgn = montecarlo._fork(*before[:, :2], np.array([0, 1]))[1:]
+            y = montecarlo._increment(G1, ell, sgn) - carry
+            ref = np.array([ell + y, (ell + y - ell) - y, sgn])
+            assert cohorts.tobytes() == ref.tobytes()
         for bad in (np.array([0, 0, 1, 2]), np.array([0, -1, 1, 1])):  # cohorts 0 and 1 are live
             with pytest.raises(ValueError, match="live cohort"):
                 steps(cohorts, bounds, 0, 1, (draws, bad, trial, 1, 2))
         with pytest.raises(ValueError, match="trial of the book"):
             steps(cohorts, bounds, 0, 1, (draws, coh, np.array([0, 1, 2, 4]), 1, 2))
+
+    @pytest.mark.parametrize("cap", [3, 4])
+    def test_a_flagged_nan_belief_steps_as_the_python_step(self, cap, native_loop):
+        # Cohort 0 plays +1 at a NaN belief: its bound flags it, and each of its
+        # rows switches, as in the Python step, whose NaN belief C carries too
+        llr, books = functools.partial(montecarlo._llr, G1, PLUS), np.zeros((2, 6, 4), dtype=np.int64)
+        steppers = (_native.cohort_stepper(native_loop, G1, montecarlo._increment, llr, books[0], None, 10,
+                                           1.0, False, montecarlo._HERD_MARGIN),
+                    montecarlo._python_stepper(G1, llr, books[1], None, 10, 1.0, False))
+        out = []
+        for steps, book in zip(steppers, books):
+            cohorts, bounds, draws, coh, trial = self._flagged_step(math.nan, cap)
+            got = steps(cohorts, bounds, 0, 1, (draws, coh, trial, 1, 2))
+            out.append((got, cohorts.tobytes(), book.tobytes(), coh.tobytes()))
+        assert out[0] == out[1]
+        assert out[0][0] == ((1, 4, 0) if cap == 4 else (0, 2, 4))
+        if cap == 4:
+            assert np.isnan(np.frombuffer(out[0][1])[[0, 2]]).all()
 
 
 class TestPolyTailTransform:
@@ -1759,20 +1806,22 @@ class TestExactTypes:
 
     @pytest.mark.parametrize("sub, base", SUBCLASSES, ids=["gaussian", "polytail"])
     def test_a_subclass_takes_no_c_kernel(self, sub, base, native_loop):
+        book = np.zeros((6, 1), dtype=np.int64)
         for theta in (PLUS, MINUS):
             assert _native.llr_transform(native_loop, sub, theta.sign) is None
-            assert montecarlo._llr_map(sub, theta, native_loop).func is montecarlo._llr
-        # bulk beliefs, whose increments the base computes in C
+            llr = montecarlo._llr_map(sub, theta, native_loop)
+            assert llr.func is montecarlo._llr
+            assert _native.cohort_stepper(native_loop, sub, montecarlo._increment, llr, book, None,
+                                          10, theta.sign, False, 0.0) is None
+        # bulk beliefs, whose increments the base computes in C, as the subclass's Python step does
         ell0, sgn = np.array([0.5, -3.0, 4.0, 1.5]), np.array([1.0, 1.0, -1.0, -1.0])
         carry0, steps = np.full(4, 1e-17), 25
-        bounds = TestCohortLoop._no_flag(sgn, steps)
-        out = {}
-        for model in (sub, base):
-            calls, ell, carry = [], ell0.copy(), carry0.copy()
-            stepper = _native.cohort_stepper(native_loop, model, TestCohortLoop._counted(calls))
-            assert stepper((ell, carry, sgn), bounds, 0, steps) == steps
-            out[model] = ell.tobytes() + carry.tobytes(), len(calls)
-        assert out[sub] == (out[base][0], steps) and out[base][1] == 0
+        calls, ell, carry = [], ell0.copy(), carry0.copy()
+        stepper = TestCohortLoop._stepper(native_loop, base, TestCohortLoop._counted(calls))
+        assert stepper((ell, carry, sgn), TestCohortLoop._no_flag(sgn, steps), 0, steps) == steps
+        ref = TestCohortLoop._python_steps(sub, ell0, carry0, sgn, steps)
+        assert ell.tobytes() + carry.tobytes() == ref[0].tobytes() + ref[1].tobytes()
+        assert calls == []
 
     @pytest.mark.parametrize("sub, base", SUBCLASSES, ids=["gaussian", "polytail"])
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)

@@ -72,6 +72,8 @@ def test_output_digests_smoke(quick_lines):
     # only through actions and by the baseline sums in every bit
     assert {f"run_trials/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)
     assert "run_trials/gaussian-sigma0.7/multi-batch" in names
+    # a subclass of the Gaussian model, whose passes take the Python step
+    assert {f"run_trials/gaussian-subclass/theta={s}" for s in ("+1", "-1")} <= set(names)
     # many quiet chunks, checkpoints inside them
     assert {"run_trials/gaussian/long", "run_trials/polytail/long"} <= set(names)
     assert {f"baseline/gaussian-sigma0.7/theta={s}" for s in ("+1", "-1")} <= set(names)

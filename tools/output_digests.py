@@ -101,6 +101,10 @@ RECURRENCES = {
 }
 
 
+class GaussianSubclass(GaussianSignalModel):
+    """The Gaussian law in a subclass, which ``_native`` steps in Python: it chooses kernels by exact type."""
+
+
 def _harmonic_q(n: int) -> float:
     return 1.0 / (n + 2.0)
 
@@ -219,6 +223,9 @@ def aggregate_digests(size: dict):
         for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
             agg = montecarlo.run_trials(model, theta, horizon, trials, master_seed=20)
             yield f"run_trials/{family}/theta={theta.sign:+d}", aggregate_sha(agg)
+    for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
+        agg = montecarlo.run_trials(GaussianSubclass(sigma=1.0), theta, horizon, trials, master_seed=20)
+        yield f"run_trials/gaussian-subclass/theta={theta.sign:+d}", aggregate_sha(agg)
     trials, horizon, batch_size = size["multi"]
     for family, model in mc_models.items():
         agg = montecarlo.run_trials(
