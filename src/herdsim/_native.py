@@ -37,15 +37,12 @@ transform (``llr_from_uniform``) the same way: numpy's ``power`` and
 evaluation; ``checked_transform`` compares it with the Python transform bit
 for bit once per model, and ``llr_transform`` hands a pass the checked map,
 else None.  These two builders make every
-choice of kernel of a Monte Carlo pass, ``baseline_sums`` that of the
-observed-signals baseline, and ``path_steps`` the choice of an exact path's
-loop, by the model's exact type, since a subclass may change the law.
-``baseline_chunk`` runs the baseline's sums over a chunk of draws: each row
-in ``np.cumsum``'s order, four rows at a time as independent chains, the
-sums at the chunk's checkpoints and the compensated add of the chunk's sum,
-a Gaussian's ``raw * tau + mean`` inline.  ``philox_fill`` fills each row
-of a draws array from one Monte Carlo stream, held as a row of numpy's
-``philox_state`` words (``STATE_WORDS``): it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
+choice of kernel of a Monte Carlo pass, and ``path_steps`` the choice of an
+exact path's loop, by the model's exact type, since a subclass may change
+the law.  The observed-signals baseline has no kernel: its mean is exact
+(``SignalModel.llr_mean``), and one trial's sums run in numpy.
+``philox_fill`` fills each row of a draws array from one Monte Carlo
+stream, held as a row of numpy's ``philox_state`` words (``STATE_WORDS``): it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
 bumped before each block of four words) and draws as numpy does, so every
 draw equals ``Generator(Philox)``'s bit for bit.  A uniform is a word's top
 53 bits scaled by 2**-53, computed inline.  A normal runs numpy's ziggurat
@@ -804,52 +801,6 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
         PyBuffer_Release(views + got);
     return PyErr_Occurred() ? -1 : s;
 }
-
-/* baseline_chunk on the rows x[0..chains) of a chunk (cols each) as independent chains: with map,
-   a raw z is the LLR z * tau + mean; row k's sum at column at[i] goes to out[k * width + i] */
-static inline __attribute__((always_inline)) void baseline_chains(
-    const double *x, int chains, int64_t cols, int map, double tau, double mean, const int64_t *at,
-    int64_t m, double *out, int64_t width, double *total, double *carry)
-{
-    double p[4];
-    for (int k = 0; k < chains; k++)
-        p[k] = map ? x[k * cols] * tau + mean : x[k * cols];
-    int64_t j = 1;
-    for (int64_t i = 0; i <= m; i++) {
-        for (int64_t end = i < m ? at[i] + 1 : cols; j < end; j++)
-            for (int k = 0; k < chains; k++)
-                p[k] = p[k] + (map ? x[k * cols + j] * tau + mean : x[k * cols + j]);
-        if (i < m)
-            for (int k = 0; k < chains; k++)
-                out[k * width + i] = total[k] + p[k];
-    }
-    for (int k = 0; k < chains; k++) {
-        double y = p[k] - carry[k], tot = total[k] + y;
-        carry[k] = (tot - total[k]) - y, total[k] = tot;
-    }
-}
-
-/* One time chunk of montecarlo._baseline_rows on a block of rows x cols draws (raw normals mapped
-   to z * tau + mean if map, else LLRs): each row is summed in np.cumsum's order, p = x[0] then
-   p = p + x[j]; at the m increasing chunk columns at[i], out[r * width + i] gets total[r] + p; at the
-   chunk's end total and carry take the compensated step of the row's sum.  A row's sum is one chain
-   of dependent adds, so four rows run at once. */
-void baseline_chunk(const double *draws, int64_t rows, int64_t cols, int64_t map, double tau,
-                    double mean, const int64_t *at, int64_t m, double *out, int64_t width,
-                    double *total, double *carry)
-{
-    int64_t r = 0;
-    for (; r + 4 <= rows; r += 4)
-        if (map)
-            baseline_chains(draws + r * cols, 4, cols, 1, tau, mean, at, m, out + r * width, width,
-                            total + r, carry + r);
-        else
-            baseline_chains(draws + r * cols, 4, cols, 0, tau, mean, at, m, out + r * width, width,
-                            total + r, carry + r);
-    for (; r < rows; r++)
-        baseline_chains(draws + r * cols, 1, cols, map != 0, tau, mean, at, m, out + r * width,
-                        width, total + r, carry + r);
-}
 """
 
 # Appended to _SOURCE where numpy ships its sampler library (see _sampler).
@@ -1205,8 +1156,6 @@ def _load(cache_dir: str):
     lib.spline_table.argtypes, lib.spline_table.restype = [ptr, i64, ptr], None
     lib.polytail_llr.argtypes = [obj] * 3 + [f64] * 4 + [spline]
     lib.polytail_llr.restype = ctypes.c_int
-    lib.baseline_chunk.argtypes = [ptr, i64, i64, i64, f64, f64, ptr, i64, ptr, i64, ptr, ptr]
-    lib.baseline_chunk.restype = None
     if hasattr(lib, "philox_fill"):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]
@@ -1261,47 +1210,6 @@ def fill_extremes(lib, states: np.ndarray, out: np.ndarray, normal: bool, start:
         raise ValueError("ext must be a writable C-contiguous float64 array with a row per cohort")
     lib.philox_fill_extremes(states.ctypes.data, out.ctypes.data, out.shape[1], int(normal),
                              start.ctypes.data, low.ctypes.data, ext.ctypes.data, len(low))
-
-
-def baseline_sums(lib, model, sign: float, llr):
-    """``montecarlo._baseline_rows``' chunk step by C's ``baseline_chunk``, or None where ``lib`` is None.
-
-    ``sums(draws, at, out, first, total, carry)`` sums each row of a chunk's
-    raw ``draws`` along time as ``np.cumsum`` does.  A ``GaussianSignalModel``'s
-    (the exact type) standard normals map to z * tau + mean in C, which is
-    ``montecarlo._llr``'s arithmetic and ``_runs``' choice; any other model's
-    draws are mapped by the pass's map ``llr`` first.  Row r's sum up to the
-    chunk's column ``at[i]``, plus ``total[r]``, goes to ``out[r, first + i]``,
-    and the chunk's sum is added to ``total`` with the compensated ``carry``.
-    """
-    if lib is None:
-        return None
-    gaussian = type(model) is GaussianSignalModel
-    tau, mean = (model.tau, model._mean(StateOfWorld(int(sign)))) if gaussian else (0.0, 0.0)
-    call = lib.baseline_chunk
-
-    def sums(draws, at, out, first, total, carry):
-        if not gaussian:
-            draws = llr(draws)
-        if not (draws.dtype == np.float64 and draws.ndim == 2 and draws.shape[1] > 0
-                and draws.flags.c_contiguous):
-            raise ValueError("draws must be a C-contiguous float64 array with a column per step")
-        rows, cols = draws.shape
-        if not (at.dtype == np.int64 and at.ndim == 1 and at.flags.c_contiguous
-                and (not at.size or 0 <= at[0] and at[-1] < cols) and np.all(at[1:] >= at[:-1])):
-            raise ValueError("at must be C-contiguous int64 columns of the draws, never decreasing")
-        if not (out.dtype == np.float64 and out.ndim == 2 and len(out) == rows and out.flags.c_contiguous
-                and out.flags.writeable and 0 <= first <= out.shape[1] - len(at)):
-            raise ValueError("out must be a writable C-contiguous float64 array with a row per draws row "
-                             "and a column per at from first")
-        for name, v in (("total", total), ("carry", carry)):
-            if not (v.dtype == np.float64 and v.shape == (rows,) and v.flags.c_contiguous
-                    and v.flags.writeable):
-                raise ValueError(f"{name} must be a writable C-contiguous float64 array with a value per row")
-        call(draws.ctypes.data, rows, cols, int(gaussian), tau, mean, at.ctypes.data, len(at),
-             out.ctypes.data + first * out.itemsize, out.shape[1], total.ctypes.data, carry.ctypes.data)
-
-    return sums
 
 
 def path_steps(lib, model, increment, values: np.ndarray, start: int, stop: int, a: float, carry: float):
@@ -1503,7 +1411,7 @@ def cohort_stepper(lib, model, increment, llr, book: np.ndarray, actions, horizo
     """
     runs = Runs(sign=sign, margin=margin, decreasing=decreasing, horizon=horizon, funcs=None, work=None)
     if type(model) is GaussianSignalModel:  # its map is montecarlo._llr's z * tau + mean
-        runs.family, runs.tau, runs.mean = 1, model.tau, model._mean(StateOfWorld(int(sign)))
+        runs.family, runs.tau, runs.mean = 1, model.tau, model.llr_mean(StateOfWorld(int(sign)))
         funcs, consts, spline = (special.ndtr, np.log), (*model._state_means[:, 0], model.tau), None
     elif (type(model) is PolyTailSignalModel and (head := getattr(llr, "head", None))
           and (args := checked_spline(lib, model._log_tail_spline))):

@@ -134,6 +134,11 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
             model_from_dict(model)
         except (ModelValidationError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from exc
+    if experiment == "baseline-compare" and family == "polytail" and not model["k"] > 1:
+        raise ConfigError(
+            f"model.k: baseline-compare needs a finite mean LLR, which a polytail model "
+            f"has only for k > 1, got {model['k']!r}"
+        )
     family_needed, first_t = _PAIRED.get(experiment, (family, 1))
     if family_needed != family or _PAIRED.get(family, (experiment, 1))[0] != experiment:
         raise ConfigError(f"model.family: {experiment} cannot take a {family!r} model")
@@ -202,20 +207,20 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_to_reference(config, model, reference, name: str):
-    """ratio.csv of ell*_t against a reference curve at the checkpoints where it is defined.
+def _ratio_to_reference(config, model, reference, name: str, file: str = "ratio.csv"):
+    """``file`` of ell*_t against a reference curve at the checkpoints where it is defined.
 
     ``parse_config`` has checked that the grid reaches the experiment's
     first usable t, so the file has at least one row.
     """
-    first_t = _PAIRED[config.experiment][1]
+    first_t = _PAIRED.get(config.experiment, (None, 1))[1]
     path = belief.ell_star_path(model, config.horizon, config.prior_llr)
     rows = [
         (t, path.values[t - 1], reference(t), path.values[t - 1] / reference(t))
         for t in config.checkpoint_times()
         if t >= first_t
     ]
-    return {"ratio.csv": _csv_text(["t", "ell_star", name, "ratio"], rows)}, [r[3] for r in rows]
+    return {file: _csv_text(["t", "ell_star", name, "ratio"], rows)}, [r[3] for r in rows]
 
 
 def _exp_gauss_rate(config: ExperimentConfig, model):
@@ -313,21 +318,12 @@ def _exp_mistake_curve(config: ExperimentConfig, model):
 
 
 def _exp_baseline_compare(config: ExperimentConfig, model):
-    ckpt = config.checkpoint_times()
-    sums = np.zeros(len(ckpt))
-    for lo in range(0, config.trials, montecarlo.DEFAULT_BATCH_SIZE):
-        batch = range(lo, min(lo + montecarlo.DEFAULT_BATCH_SIZE, config.trials))
-        trial_sums = montecarlo._baseline_batch(
-            model, StateOfWorld.PLUS, config.horizon, config.master_seed, batch, ckpt
-        )
-        # in trial order, as one trial at a time: accumulate adds row by row
-        sums = np.add.accumulate(np.vstack((sums, trial_sums)), axis=0)[-1]
-    means = sums / config.trials
-    rows = [(t, means[i], means[i] / t) for i, t in enumerate(ckpt)]
-    files = {
-        "baseline.csv": _csv_text(["t", "mean_ell_tilde", "mean_per_step"], rows)
-    }
-    return files, {"final_per_step": rows[-1][2]}
+    # the observed-signals baseline: E+[sum of t private LLRs] = t E+[L], exactly
+    per_step = model.llr_mean(StateOfWorld.PLUS)
+    files, _ = _ratio_to_reference(
+        config, model, lambda t: t * per_step, "mean_ell_tilde", "baseline.csv"
+    )
+    return files, {"final_per_step": per_step}
 
 
 def _exp_ode_check(config: ExperimentConfig, model):

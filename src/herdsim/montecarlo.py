@@ -43,21 +43,21 @@ own ufuncs and, for PolyTail, the spline evaluation redone in C; the
 Python step (``_python_stepper``), its reference, for every other model
 and without the library.  Checkpoint beliefs are
 summed after the last step, so the aggregates are bit-identical to
-stepping every trial.  The observed-signals baseline draws a batch's
-streams chunk by chunk through the same sampler, maps them by the same
-``_llr_map`` (a Gaussian's map runs inline in C) and sums along time in
-C's ``baseline_chunk`` where the library loads, else in numpy.  Batches
-are reduced into mergeable ``AggregateStats``; batch boundaries are fixed
-by the trial indices alone.  A run's batches step together in lockstep
-passes of whole batches and bounded width, each pass drawing at most
-``_DRAW_BUDGET`` values at once; each batch is then summed on its own, and
-the batches merge in batch order.  So ``batch_size`` sets only how the aggregate is
-summed, which fixes its last bits, not which trials step together.
+stepping every trial.  The observed-signals baseline of one trial
+(``simulate_baseline_llr``) draws its stream chunk by chunk through the
+same sampler, maps it by the same ``_llr_map`` and sums it along time in
+numpy; its mean over trials, t E+[L], is exact (``SignalModel.llr_mean``),
+so ``baseline-compare`` draws none.  Batches are reduced into mergeable
+``AggregateStats``; batch boundaries are fixed by the trial indices alone.
+A run's batches step together in lockstep passes of whole batches and
+bounded width, each pass drawing at most ``_DRAW_BUDGET`` values at once;
+each batch is then summed on its own, and the batches merge in batch order.
+So ``batch_size`` sets only how the aggregate is summed, which fixes its
+last bits, not which trials step together.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field, fields
@@ -98,7 +98,6 @@ DEFAULT_BATCH_SIZE = 2048
 _TIME_CHUNK = 1024
 _PASS_TRIALS = 8192  # trials stepped together in one lockstep pass, in whole batches
 _DRAW_BUDGET = DEFAULT_BATCH_SIZE * 256  # draws held at once by a lockstep pass
-_BASELINE_ROWS = 64  # streams a baseline block draws at once; bounds its transform's temporaries
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -378,7 +377,7 @@ def _llr(model: SignalModel, theta: StateOfWorld, raw):
     ``llr_from_uniform``; any other model's draws are LLRs already.
     """
     if isinstance(model, GaussianSignalModel):
-        return raw * model.tau + model._mean(theta)
+        return raw * model.tau + model.llr_mean(theta)
     if isinstance(model, InverseCdfSignalModel):
         return model.llr_from_uniform(theta, raw)
     return raw
@@ -764,74 +763,27 @@ def simulate_baseline_llr(
     """Running sum of the raw private LLRs (the observed-signals baseline).
 
     Uses the same per-trial stream as simulate_trajectory, so the baseline
-    and the herding run see identical signal sequences.
-    """
-    _check_theta(theta)
-    ckpt = _checkpoint_grid(checkpoint_times, horizon)
-    row = _baseline_batch(model, theta, horizon, master_seed, [trial_index], ckpt)[0]
-    return tuple((t, float(v)) for t, v in zip(ckpt, row))
-
-
-def _baseline_batch(
-    model: SignalModel,
-    theta: StateOfWorld,
-    horizon: int,
-    master_seed: int,
-    trial_indices: Sequence[int],
-    ckpt: tuple[int, ...],
-) -> np.ndarray:
-    """The observed-signals baseline of a batch: row j holds trial j's sums at ``ckpt``.
-
-    Blocks of rows are drawn and summed one after the other, which changes
-    no bit, since each row is summed on its own.  Each time chunk of draws
-    is summed in place along time; the chunk totals are added with a
-    compensated (Kahan) carry per trial.  The chunk length fixes the bits
-    of the sums.
+    and the herding run see identical signal sequences.  Each time chunk of
+    draws is summed in place along time; the chunk totals are added with a
+    compensated (Kahan) carry.  The chunk length fixes the bits of the sums.
     """
     from . import _native  # imported here: importing the package loads no library
 
-    streams = _trial_rng(master_seed, trial_indices)
-    lib = _native.library()
-    llr = _llr_map(model, theta, lib)
-    sums = _native.baseline_sums(lib, model, theta.sign, llr)
-    out = np.empty((len(streams), len(ckpt)))
-    for lo in range(0, len(streams), _BASELINE_ROWS):
-        block = streams[lo:lo + _BASELINE_ROWS]
-        out[lo:lo + _BASELINE_ROWS] = _baseline_rows(model, theta, llr, sums, horizon, block, ckpt)
-    return out
-
-
-def _baseline_rows(model: SignalModel, theta: StateOfWorld, llr, sums, horizon: int,
-                   streams: np.ndarray, ckpt: tuple[int, ...]) -> np.ndarray:
-    """``_baseline_batch``'s sums for a block of streams; ``llr`` (``_llr_map``) reads each draw.
-
-    Each chunk's step runs in C, ``sums`` (``_native.baseline_sums``), where
-    the library loads: it sums four rows at a time, in this body's order of
-    operations.  Without it this body runs, the reference.
-    """
-    out = np.empty((len(streams), len(ckpt)))
-    total = np.zeros(len(streams))
-    carry = np.zeros(len(streams))
-    next_i = 0
-    t = 1
-    while t <= horizon and next_i < len(ckpt):
+    _check_theta(theta)
+    ckpt = _checkpoint_grid(checkpoint_times, horizon)
+    stream = _trial_rng(master_seed, [trial_index])
+    llr = _llr_map(model, theta, _native.library())
+    sums, total, carry = [], 0.0, 0.0
+    for t in range(1, ckpt[-1] + 1, _TIME_CHUNK):
         chunk = min(_TIME_CHUNK, horizon - t + 1)
-        draws = _draw_chunk(model, theta, streams, np.empty((len(streams), chunk)))
-        if sums is not None:
-            stop = bisect.bisect_left(ckpt, t + chunk, next_i)
-            sums(draws, np.array(ckpt[next_i:stop], dtype=np.int64) - t, out, next_i, total, carry)
-            next_i = stop
-        else:
-            partial = np.cumsum(llr(draws), axis=1, out=draws)
-            while next_i < len(ckpt) and ckpt[next_i] < t + chunk:
-                out[:, next_i] = total + partial[:, ckpt[next_i] - t]
-                next_i += 1
-            y = partial[:, -1] - carry
-            tot = total + y
-            carry = (tot - total) - y
-            total = tot
-        t += chunk
-    return out
+        draws = _draw_chunk(model, theta, stream, np.empty((1, chunk)))
+        partial = np.cumsum(llr(draws), axis=1, out=draws)[0]
+        sums += [(c, total + float(partial[c - t])) for c in ckpt[len(sums):] if c < t + chunk]
+        y = float(partial[-1]) - carry
+        tot = total + y
+        carry = (tot - total) - y
+        total = tot
+    return tuple(sums)
 
 
 def run_trials(

@@ -142,6 +142,10 @@ class SignalModel:
         """Conditional density of the LLR; None for discrete models."""
         return None
 
+    def llr_mean(self, state: StateOfWorld) -> float:
+        """E_state[L], the mean private LLR; +-inf where it diverges."""
+        raise NotImplementedError
+
     def log_action_probabilities(self, x: np.ndarray, sign: int):
         """log P(action ``sign`` | public LLR x) under theta = -1 and under theta = +1.
 
@@ -231,11 +235,11 @@ class GaussianSignalModel(SignalModel):
         """Standard deviation of the private LLR (= 2/sigma)."""
         return 2.0 / self.sigma
 
-    def _mean(self, state: StateOfWorld) -> float:
+    def llr_mean(self, state: StateOfWorld) -> float:
         return state.sign * 2.0 / (self.sigma * self.sigma)
 
     def _z(self, state: StateOfWorld, x):
-        return (np.asarray(x, dtype=float) - self._mean(state)) / self.tau
+        return (np.asarray(x, dtype=float) - self.llr_mean(state)) / self.tau
 
     def llr_cdf(self, state, x):
         return special.ndtr(self._z(state, x))
@@ -252,7 +256,7 @@ class GaussianSignalModel(SignalModel):
 
     @cached_property
     def _state_means(self):
-        return np.array([[self._mean(StateOfWorld.MINUS)], [self._mean(StateOfWorld.PLUS)]])
+        return np.array([[self.llr_mean(StateOfWorld.MINUS)], [self.llr_mean(StateOfWorld.PLUS)]])
 
     def log_action_probabilities(self, x, sign):
         # Row 0 is theta = -1, row 1 is theta = +1, so ndtr and log run once
@@ -263,7 +267,7 @@ class GaussianSignalModel(SignalModel):
         return b_minus, b_plus
 
     def sample_llr(self, state, rng, size=None):
-        return rng.normal(self._mean(state), self.tau, size)
+        return rng.normal(self.llr_mean(state), self.tau, size)
 
     def to_dict(self):
         return {"family": "gaussian", "sigma": self.sigma}
@@ -587,6 +591,16 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         out[left] = self.c * np.power(-x[left], -self.k - 1.0)
         return _restore(out, scalar)
 
+    def llr_mean(self, state):
+        # Under theta=+1 the density c x^{-k-1} on x >= 1 adds c/(k - 1) to the mean,
+        # finite only for k > 1, and c e^{x} (-x)^{-k-1} on x <= -1 adds -c Gamma(1 - k, 1)
+        if not self.k > 1.0:
+            mean = math.inf
+        else:
+            gamma = float(np.exp(_log_exp_poly_upper_tail(1.0, self.k - 1.0)))
+            mean = self.c * (1.0 / (self.k - 1.0) - gamma)
+        return mean if state is StateOfWorld.PLUS else -mean
+
     # -- sampling ------------------------------------------------------
 
     @cached_property
@@ -666,6 +680,11 @@ class RateTargetSignalModel(InverseCdfSignalModel):
         # P(L <= n | +) = P(L >= -n | -): the minus masses accumulated from
         # the far right, so tiny tail masses are summed before the bulk.
         return np.minimum(np.cumsum(self._p_minus[::-1]), 1.0)
+
+    def llr_mean(self, state):
+        # the plus law mirrors the minus law: E+[L] = -E-[L]
+        mean = float(np.sum(self.support * self._p_minus))
+        return -mean if state is StateOfWorld.PLUS else mean
 
     def _index_leq(self, x):
         """Number of support points <= x, elementwise."""

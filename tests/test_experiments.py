@@ -9,9 +9,9 @@ import os
 
 import pytest
 
-from herdsim import experiments, montecarlo
+from herdsim import belief, experiments, montecarlo
 from herdsim.cli import main as cli_main
-from herdsim.signal_models import NumericalFailure, StateOfWorld
+from herdsim.signal_models import NumericalFailure
 from herdsim.experiments import (
     EXPERIMENT_NAMES,
     ConfigError,
@@ -24,7 +24,6 @@ GAUSS = {"family": "gaussian", "sigma": 2.0}
 POLY = {"family": "polytail", "k": 2.0}
 Q_TABLE = [1.0 / (n + 2.0) for n in range(-1, 41)]
 RATE = {"family": "ratetarget", "q_table": Q_TABLE}
-PLUS = StateOfWorld.PLUS
 
 
 def make_config(**over):
@@ -99,6 +98,8 @@ class TestParseConfig:
             ({"experiment": "rate-target", "model": RATE, "checkpoints": [1, 2]}, "checkpoints"),
             # a key the family does not take would be ignored: refused, not dropped
             ({"model": {"family": "gaussian", "sigma": 1.0, "sgima": 3}}, "model.sgima:"),
+            # a polytail law with k <= 1 has no mean LLR for baseline-compare to read
+            ({"experiment": "baseline-compare", "model": dict(POLY, k=1.0)}, "model.k"),
         ],
     )
     def test_errors_name_the_key(self, over, needle):
@@ -194,20 +195,19 @@ class TestExperiments:
         assert (tmp_path / "rate-target" / "manifest.json").read_text() == deep
         assert len(manifest.config["model"]["q_table"]) == 2002
 
-    def test_baseline_compare_adds_the_trials_in_order(self, tmp_path):
-        # two whole batches and three trials: one accumulate per batch from the
-        # running sums gives the bits of adding one trial at a time
-        cfg = _cfg(tmp_path, "baseline-compare", trials=2 * montecarlo.DEFAULT_BATCH_SIZE + 3)
-        ckpt, model = cfg.checkpoint_times(), experiments.model_from_dict(GAUSS)
-        rows = montecarlo._baseline_batch(model, PLUS, cfg.horizon, cfg.master_seed, range(cfg.trials), ckpt)
-        sums = [0.0] * len(ckpt)
-        for row in rows:
-            sums = [s + float(v) for s, v in zip(sums, row)]
-        means = [s / cfg.trials for s in sums]
-        want = experiments._csv_text(["t", "mean_ell_tilde", "mean_per_step"],
-                                     [(t, m, m / t) for t, m in zip(ckpt, means)])
-        run_experiment(cfg)
+    def test_baseline_compare_rows_are_exact(self, tmp_path):
+        # the signals side is t E+[L] = t/2 at sigma = 2, whatever the trials
+        cfg = _cfg(tmp_path, "baseline-compare", prior=0.3, checkpoints=[1, 7, 60])
+        path = belief.ell_star_path(experiments.model_from_dict(GAUSS), cfg.horizon, cfg.prior_llr)
+        want = experiments._csv_text(
+            ["t", "ell_star", "mean_ell_tilde", "ratio"],
+            [(t, path.values[t - 1], 0.5 * t, path.values[t - 1] / (0.5 * t)) for t in (1, 7, 60)],
+        )
+        manifest = run_experiment(cfg)
         assert (tmp_path / "baseline-compare" / "baseline.csv").read_text() == want
+        assert manifest.summary["final_per_step"] == 0.5
+        other = run_experiment(dataclasses.replace(cfg, trials=1, output_dir=str(tmp_path / "one")))
+        assert other.files == manifest.files
 
     def test_gauss_rate_rejects_other_models(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -376,6 +376,17 @@ class TestCli:
         assert "NaN" in open(p).read()
         assert cli_main(["run", p]) == 2
         assert "model.q_table" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k", [0.8, 1])
+    def test_baseline_compare_without_a_mean_llr_exit_two(self, tmp_path, capsys, k):
+        p = self._write(
+            tmp_path,
+            {"experiment": "baseline-compare", "model": dict(POLY, k=k), "horizon": 50,
+             "output_dir": str(tmp_path / "out")},
+        )
+        assert cli_main(["run", p]) == 2
+        assert "model.k" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_threads_exit_two(self, tmp_path, capsys):

@@ -498,13 +498,11 @@ class TestCustomSampler:
 class TestBaselineBatch:
     @pytest.mark.parametrize("model", [G2, G07, PT2, RT], ids=repr)
     @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
-    def test_rows_equal_the_per_trial_reference(self, model, theta):
+    def test_rows_equal_the_per_trial_reference(self, model, theta, python_loop):
         # Reference: one stream at a time, each chunk summed and the chunk
         # totals added with a compensated carry.
         horizon, ckpt = 2500, (1, 2, 1023, 1024, 1025, 2048, 2049, 2500)
-        indices = [0, 1, 7, 2047, 2048, 5000]
-        batch = montecarlo._baseline_batch(model, theta, horizon, 9, indices, ckpt)
-        for row, i in zip(batch, indices):
+        for i in [0, 1, 7, 2047, 2048, 5000]:
             gen, total, carry, ref = _rng_for(9, i), 0.0, 0.0, {}
             for t in range(1, horizon + 1, montecarlo._TIME_CHUNK):
                 chunk = min(montecarlo._TIME_CHUNK, horizon - t + 1)
@@ -513,75 +511,9 @@ class TestBaselineBatch:
                 y = float(partial[-1]) - carry
                 tot = total + y
                 carry, total = (tot - total) - y, tot
-            assert row.tolist() == [ref[c] for c in ckpt]
-            one = simulate_baseline_llr(model, theta, horizon, 9, i, ckpt)
-            assert one == tuple(zip(ckpt, row.tolist()))
-
-    @pytest.mark.parametrize("model", [G07, PT2], ids=repr)
-    def test_row_blocks_change_no_bit(self, model, monkeypatch):
-        # A batch is drawn in blocks of _BASELINE_ROWS rows; each row is
-        # summed on its own, so the block size moves no bit.
-        ckpt, indices = (1, 1024, 1500), range(11)
-        whole = montecarlo._baseline_batch(model, PLUS, 1500, 4, indices, ckpt)
-        monkeypatch.setattr(montecarlo, "_BASELINE_ROWS", 3)
-        blocks = montecarlo._baseline_batch(model, PLUS, 1500, 4, indices, ckpt)
-        assert whole.tobytes() == blocks.tobytes()
-
-    @pytest.mark.parametrize("model", [G07, PT2, RT], ids=repr)
-    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
-    def test_c_sums_equal_the_numpy_body(self, model, theta, native_loop, python_loop, monkeypatch):
-        # C sums four rows at a time, then row by row: blocks of 1, 3, 4, 5 and
-        # 67 (64 and 3) rows.  Checkpoints at step 1, at the last step of the
-        # first chunk, the first and last of the second, none in the third, the
-        # first of the fourth and one inside it; the horizon runs two chunks on.
-        horizon, ckpt = 5000, (1, 1024, 1025, 2048, 3073, 3100)
-        calls, baseline_sums = [], _native.baseline_sums
-
-        def spy_sums(*args):
-            sums = baseline_sums(*args)
-            return sums and (lambda *a: calls.append(len(a[0])) or sums(*a))
-
-        monkeypatch.setattr(_native, "baseline_sums", spy_sums)
-        for rows in (1, 3, 4, 5, 67):
-            got = montecarlo._baseline_batch(model, theta, horizon, 11, range(rows), ckpt)
-            ref = python_loop(montecarlo._baseline_batch, model, theta, horizon, 11, range(rows), ckpt)
-            assert got.tobytes() == ref.tobytes()
-        # the library run summed every drawn chunk in C: four per block, none past 3100
-        assert calls == [1] * 4 + [3] * 4 + [4] * 4 + [5] * 4 + [64] * 4 + [3] * 4
-
-    def test_c_sums_refuse_bad_arrays_by_name(self, native_loop):
-        sums = _native.baseline_sums(native_loop, G07, 1.0, None)
-        good = {"draws": np.zeros((3, 8)), "at": np.array([0, 7]), "out": np.zeros((3, 2)), "first": 0,
-                "total": np.zeros(3), "carry": np.zeros(3)}
-        frozen = np.zeros((3, 2))
-        frozen.flags.writeable = False
-        bad = [
-            ("draws", {"draws": np.zeros((3, 8), np.float32)}),
-            ("draws", {"draws": np.zeros((8, 3)).T}),
-            ("draws", {"draws": np.zeros((3, 0))}),
-            ("at", {"at": np.array([0, 8])}),
-            ("at", {"at": np.array([-1, 0])}),
-            ("at", {"at": np.array([3, 2])}),
-            ("at", {"at": np.array([0, 7], np.int32)}),
-            ("out", {"out": np.zeros((2, 2))}),
-            ("out", {"out": np.zeros((2, 3)).T}),
-            ("out", {"out": frozen}),
-            ("out", {"first": 1}),
-            ("out", {"first": -1}),
-            ("total", {"total": np.zeros(2)}),
-            ("total", {"total": np.zeros(3, np.float32)}),
-            ("carry", {"carry": np.zeros((3, 1))}),
-        ]
-        for name, change in bad:
-            args = {**good, **change}
-            before = {k: v.copy() for k, v in args.items() if isinstance(v, np.ndarray)}
-            with pytest.raises(ValueError, match=f"^{name} must be "):
-                sums(*args.values())
-            assert all(np.array_equal(args[k], v) for k, v in before.items())  # nothing written
-        sums(*good.values())
-        ref = np.cumsum(montecarlo._llr(G07, PLUS, good["draws"][0]))
-        assert good["out"].tolist() == [[ref[0], ref[7]]] * 3
-        assert good["total"].tolist() == [ref[7]] * 3
+            want = tuple((c, ref[c]) for c in ckpt)
+            assert simulate_baseline_llr(model, theta, horizon, 9, i, ckpt) == want
+            assert python_loop(simulate_baseline_llr, model, theta, horizon, 9, i, ckpt) == want
 
 
 class TestRunsAndUpsets:
@@ -620,13 +552,16 @@ class TestEstimators:
         n_mistake = sum(c for t, c in agg.first_mistake_hist.items() if t == 1)
         assert abs(n_mistake / 20000 - 0.308537538725986896) < 0.015
 
-    def test_baseline_llr_mean(self):
-        # mean of the raw LLR sum is 2t/sigma^2 = t/2 at sigma=2
-        vals = [
-            simulate_baseline_llr(G2, PLUS, 1000, master_seed=21, trial_index=i)[-1][1]
-            for i in range(300)
-        ]
-        assert abs(np.mean(vals) / 1000 - 0.5) < 0.02
+    @pytest.mark.parametrize("model", [G2, RT, PolyTailSignalModel(k=3.0)],
+                             ids=["gaussian", "ratetarget", "polytail-k3"])
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=str)
+    def test_baseline_mean_is_t_times_the_mean_llr(self, model, theta):
+        # E_theta[sum of t LLRs] = t E_theta[L]; PolyTail k = 2 is left out, as
+        # its variance is infinite and the standard error means nothing
+        t, n = 1000, 400
+        sums = np.array([simulate_baseline_llr(model, theta, t, 23, i, (t,))[0][1] for i in range(n)])
+        stderr = np.std(sums, ddof=1) / math.sqrt(n)
+        assert abs(np.mean(sums) - t * model.llr_mean(theta)) < 3 * stderr
 
     def test_mistake_curve_shape(self):
         agg = run_trials(G2, PLUS, 100, 2000, master_seed=3)
@@ -1723,7 +1658,7 @@ class TestPolyTailTransform:
         assert transform(in_place) is in_place
         assert in_place.tobytes() == ref.tobytes()
         assert _native.checked_transform(native_loop, model)
-        rows = u[:4 * 1000].reshape(4, 1000).copy()  # a block of rows, as the baseline maps them
+        rows = u[:4 * 1000].reshape(4, 1000).copy()  # a block of rows, as a pass maps them
         llr = montecarlo._llr_map(model, theta, native_loop)
         assert llr(rows).tobytes() == ref[:4000].reshape(4, 1000).tobytes()
 
@@ -1833,8 +1768,7 @@ class TestExactTypes:
         for agg, actions in (run(sub, *args), python_loop(run, sub, *args)):
             _same_aggregate(agg, ref)
             assert np.array_equal(actions, ref_actions)
-        ckpt = default_checkpoints(600)
-        baseline = montecarlo._baseline_batch(base, theta, 600, 7, range(8), ckpt)
-        for fn in (montecarlo._baseline_batch,
-                   functools.partial(python_loop, montecarlo._baseline_batch)):
-            assert fn(sub, theta, 600, 7, range(8), ckpt).tobytes() == baseline.tobytes()
+        for i in range(8):
+            baseline = simulate_baseline_llr(base, theta, 600, 7, i)
+            assert simulate_baseline_llr(sub, theta, 600, 7, i) == baseline
+            assert python_loop(simulate_baseline_llr, sub, theta, 600, 7, i) == baseline

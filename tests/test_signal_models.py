@@ -499,6 +499,41 @@ class TestCrossModelProperties:
         assert_allclose(one, parts, rtol=0)
 
 
+class TestLlrMean:
+    # E+[L], the per-step mean of the observed-signals baseline, and E-[L] = -E+[L]
+    @pytest.mark.parametrize("sigma, mean", [(2.0, 0.5), (1.0, 2.0), (0.7, 2.0 / (0.7 * 0.7))])
+    def test_gaussian_is_two_over_sigma_squared(self, sigma, mean):
+        model = GaussianSignalModel(sigma=sigma)
+        assert model.llr_mean(PLUS) == mean and model.llr_mean(MINUS) == -mean
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
+    def test_polytail_equals_quadrature(self, k):
+        model = PolyTailSignalModel(k=k)
+        pieces = [
+            integrate.quad(lambda x: x * model.llr_pdf(PLUS, x), a, b, limit=500, epsabs=0, epsrel=1e-13)[0]
+            for a, b in ((-np.inf, -1.0), (1.0, np.inf))
+        ]
+        assert_allclose(model.llr_mean(PLUS), sum(pieces), rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0.5, 0.8, 1.0])
+    def test_polytail_is_infinite_for_k_at_most_one(self, k):
+        # the tail x^{-k-1} on x >= 1 has no mean
+        model = PolyTailSignalModel(k=k)
+        assert model.llr_mean(PLUS) == math.inf and model.llr_mean(MINUS) == -math.inf
+
+    def test_rate_target_equals_the_direct_sum(self):
+        model = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=5000)
+        p_plus = model._p_minus[::-1]  # P(L = n | +) = P(L = -n | -) on the symmetric support
+        direct = math.fsum(float(n) * float(p) for n, p in zip(model.support, p_plus))
+        assert_allclose(model.llr_mean(PLUS), direct, rtol=1e-12)
+        assert model.llr_mean(PLUS) == pytest.approx(6.5074256704, abs=1e-10)
+
+    @pytest.mark.parametrize("model", [*all_models(), PolyTailSignalModel(k=3.0)],
+                             ids=lambda m: repr(m)[:30])
+    def test_the_minus_mean_mirrors_the_plus_mean(self, model):
+        assert model.llr_mean(MINUS) == -model.llr_mean(PLUS)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("model", all_models(), ids=lambda m: repr(m)[:30])
     def test_json_round_trip(self, model):

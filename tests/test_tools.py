@@ -80,7 +80,7 @@ def test_output_digests_smoke(quick_lines):
     # inversion draws and the streams' continuation across time chunks, in every bit
     for family in ("polytail", "ratetarget"):
         assert {f"baseline/{family}/theta={s}" for s in ("+1", "-1")} <= set(names)
-    # one block of 13 rows over two time chunks: C's chains of four and its last row
+    # 13 trials' sums over two time chunks, stacked into one array
     for family in (*families, "gaussian-sigma0.7"):
         assert {f"baseline_batch/{family}/theta={s}" for s in ("+1", "-1")} <= set(names)
     # the growth ODE's steps, values and dense output, by one call and by a call per point

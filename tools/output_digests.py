@@ -33,11 +33,11 @@ sums of ``simulate_baseline_llr`` at sigma = 0.7 and of the PolyTail k = 2
 and rate-target models at theta = +-, over at least two time chunks, which
 see every last bit of the draws and of the streams' continuation from one
 chunk to the next (the aggregates see a draw only through an action); the
-sums of one 13-row ``_baseline_batch`` block of each family at theta = +-,
-over two time chunks with checkpoints at both ends of the first, which C
-sums in chains of four rows and a last row alone; and the
-CSV files of all eight CLI experiments, with upset-tail's trajectory dump on
-(``manifest.json`` holds timestamps, so it is skipped).  ``--quick``
+sums of ``simulate_baseline_llr`` for 13 trials of each family at theta = +-,
+stacked into one array (the ``baseline_batch`` lines), over two time chunks
+with checkpoints at both ends of the first; and the CSV files of all eight
+CLI experiments, with upset-tail's trajectory dump on (``manifest.json``
+holds timestamps, so it is skipped).  ``--quick``
 shrinks every size, for a smoke run.  ``--no-native`` runs without the
 compiled library (``herdsim._native.library`` returns None), so every loop
 and fill takes its Python path; its lines must equal those of a run with it.
@@ -73,7 +73,7 @@ UNIFORMS = np.concatenate(
     [[0.0, 2.0**-53, 1e-12], np.linspace(0.0, 1.0, 4097)[1:-1], [1.0 - 1e-12, 1.0 - 2.0**-53]]
 )
 
-# the checkpoints of the baseline block: step 1, both ends of the first time chunk, one inside the second
+# the checkpoints of the stacked baseline rows: step 1, both ends of the first time chunk, one in the second
 BASELINE_CKPT = (1, 2, 1023, 1024, 1025, 1600)
 
 # ell* horizon, the long rate-target path's horizon, recurrence steps, Monte Carlo trials and horizon, the same
@@ -262,10 +262,13 @@ def baseline_digests(size: dict):
                 for i in range(trials)
             ]
             yield f"baseline/{family}/theta={theta.sign:+d}", sha(*sums)
-    # one 13-row block over two time chunks
+    # 13 trials over two time chunks, their sums stacked row by row
     for family, model in {**models(), "gaussian-sigma0.7": GaussianSignalModel(sigma=0.7)}.items():
         for theta in (StateOfWorld.PLUS, StateOfWorld.MINUS):
-            sums = montecarlo._baseline_batch(model, theta, 1600, 25, range(13), BASELINE_CKPT)
+            sums = np.array([
+                [v for _, v in montecarlo.simulate_baseline_llr(model, theta, 1600, 25, i, BASELINE_CKPT)]
+                for i in range(13)
+            ])
             yield f"baseline_batch/{family}/theta={theta.sign:+d}", sha(sums)
 
 
