@@ -1,16 +1,24 @@
 """The compensated loops, the Philox stream fill and the Monte Carlo kernels in C, compiled on first use.
 
 One compensated step, ``asymptotics._python_steps``' body in the same order
-of operations, serves two loops: ``gaussian_steps`` fused with the Gaussian
-closed-form increment (``log_ndtr_scalar`` on the same libm functions) and
-``call_steps`` over a Python increment (a rate-target table lookup, a block
-solve's replay).  A loop hands back the first step it cannot add (an invalid
-one, or a return that is not an exact float) with its index, for the Python
-loop to raise at or go on from, so the bytes, errors and types are that
-loop's.  ``cohort_steps`` runs every step of a Gaussian or PolyTail
+of operations, serves every exact-path loop, which ``path_loop`` picks by
+the model's exact type: ``gaussian_steps`` fused with the Gaussian
+closed-form increment (``log_ndtr_scalar`` on the same libm functions),
+``table_steps`` reading a rate-target model's table of D+ per integer cell,
+``polytail_steps`` (below 40 the lockstep engine's PolyTail increment at one
+point, and in its tail branch ``_signed_increment``'s tail form, from 40 up ``_scalar_increment``'s closed form on libm in its order
+of operations, checked against it bit for bit once per k by
+``checked_far_steps``) and ``call_steps`` over a Python increment (a
+subclass's, a block solve's replay, ``iterate_recurrence``'s).  Where a
+fused loop's increment leaves a step to Python (PolyTail's tail branch
+below 1, a NaN belief, a rate-target belief that is not finite) it calls the Python increment, as
+``call_steps`` does.  A loop hands back the first step it cannot add (an
+invalid one, or a return that is not an exact float) with its index, for
+the Python loop to raise at or go on from, so the bytes, errors and types
+are that loop's.  ``cohort_steps`` runs every step of a Gaussian or PolyTail
 lockstep pass (each cohort's bound test, increment and compensated update)
 through the stepper that ``cohort_stepper`` builds once per pass, the
-model's family, ufuncs, constants, splines and raw-to-LLR map resolved; any
+model's family, constants, splines and raw-to-LLR map resolved; any
 other model's pass takes the Python step.  Given the pass's run book and a
 chunk's draws (``Runs``) it settles the flagged steps as the Python step
 does: it reads only the flagged cohorts' rows, maps them (a Gaussian's
@@ -19,25 +27,39 @@ the runs of the rows that switch, forks one cohort per source into spare
 columns, and at a step with no switch rebounds the flagged cohorts by their
 own rows; it writes the actions and ends every run at the horizon.  It
 stops early only before a step whose forks outgrow the spare columns.
-Its Gaussian increment calls scipy's ``ndtr`` and numpy's ``log`` ufuncs
-from C.  Its PolyTail increment takes each cohort's branch as
-``belief._signed_increment`` does: the log-T spline on [1, 60], evaluated as
-the spline's numpy ``reference`` does (``spline_values``, checked against it
-once per spline by ``checked_spline``; the spline's own call then runs it,
-``spline_call``; the interval comes from a guess as if the knots were even,
-else from the spline's table of knot indices, ``_spline_table``),
-``_log_T``'s asymptotic series past 60 and
-the closed forms below 1; each branch's values are gathered for numpy's
-``power``, ``exp``, ``log`` and ``log1p``, so the bits are theirs.  The
-Gaussian tail and deep branches, and PolyTail's tail branch and a NaN
-belief, call the engine's Python ``_increment`` from C.
+The kernels call scipy's ``ndtr`` and numpy's ``log``, ``exp``, ``log1p``
+and ``power`` (``_UFUNCS``) at one site, ``ufunc_apply``, on a pointer and a
+count: through the ufunc's float64 inner loop, the first entry of its loop
+table whose types are all float64, which is the loop a call of the ufunc
+on float64 arrays runs (numpy's SIMD-dispatched ones, NEP 38), so the
+bits are the ufunc's.  ``checked_loops`` checks each loop once per process,
+as ``normals_checked`` checks the inline normals: ``loop_checked`` compares
+it with a call of its ufunc at every length 1..70 and 255..257, at offsets
+0, 1 and 3, in place, on inputs with +-0, +-inf, NaN and subnormals, power
+with a stride-0 exponent; a loop that fails, or a ufunc with no float64
+loop, is called as the ufunc itself.  Around a loop call the
+floating-point status is cleared (only where a flag is set) and any flag
+raised is reported through numpy's ``PyUFunc_GiveFloatingpointErrors``, so
+warnings and ``np.errstate`` act as on a call of the ufunc.  This needs
+numpy's headers (``np.get_include()``).
+The Gaussian increment takes ``ndtr`` and ``log``.  The PolyTail increment
+takes each cohort's branch as ``belief._signed_increment`` does: the log-T
+spline on [1, 60], evaluated as the spline's numpy ``reference`` does
+(``spline_values``, checked against it once per spline by
+``checked_spline``; the spline's own call then runs it, ``spline_call``; the
+interval comes from a guess as if the knots were even, else from the
+spline's table of knot indices, ``_spline_table``), ``_log_T``'s asymptotic
+series past 60 and the closed forms below 1; each branch's values are
+gathered for ``power``, ``exp``, ``log`` and ``log1p``.  The Gaussian tail
+and deep branches, and PolyTail's tail branch and a NaN belief, call the
+engine's Python ``_increment`` from C.
 ``polytail_llr`` (``polytail_map`` on an array) is PolyTail's quantile
 transform (``llr_from_uniform``) the same way: numpy's ``power`` and
 ``log``, and the quantile spline on its uneven knots by the same
 evaluation; ``checked_transform`` compares it with the Python transform bit
 for bit once per model, and ``llr_transform`` hands a pass the checked map,
 else None.  These two builders make every
-choice of kernel of a Monte Carlo pass, and ``path_steps`` the choice of an
+choice of kernel of a Monte Carlo pass, and ``path_loop`` the choice of an
 exact path's loop, by the model's exact type, since a subclass may change
 the law.  The observed-signals baseline has no kernel: its mean is exact
 (``SignalModel.llr_mean``), and one trial's sums run in numpy.
@@ -58,20 +80,23 @@ fills the same rows, whose streams are sorted by lockstep cohort, and folds
 each row, while it is in cache, into its cohort's per-column min or max
 (``montecarlo._extremes`` is its reference); the fold is a compare and
 select, which gives each element's bits whether or not it is vectorised.
-Where that archive or its headers are missing the library holds the loops
+Where that archive is missing the library holds the loops and kernels
 only.  The library includes ``Python.h`` and is loaded with
 ``ctypes.PyDLL``, so a call holds the GIL and an increment's exception
-propagates.  Only ``gaussian_steps`` releases the GIL, around its loop:
-the loop reads and writes nothing but the values buffer it took a view of
-(which keeps the array alive) and calls only libm, so no Python object is
-touched while other threads run; ``belief.first_mistake_distribution``
-turns the final part of a path into the law meanwhile.  ``call_steps``
-calls Python at every step and keeps the GIL.  It is built once per source, flags,
+propagates.  Only ``gaussian_steps``, ``table_steps`` and ``polytail_steps``
+past 40 release the GIL, around their loops: a loop reads and writes
+nothing but the values buffer it took a view of (which keeps the array
+alive) and, for ``table_steps``, the model's table, and calls only libm,
+so no Python object is touched while other threads run;
+``belief.first_mistake_distribution`` turns the final part of a path into
+the law meanwhile.  ``call_steps``, and ``polytail_steps`` below 40, may
+call Python at any step and keep the GIL.  It is built once per source, flags,
 interpreter ABI and numpy version with the interpreter's C compiler into
 ``$XDG_CACHE_HOME/herdsim`` (else ``~/.cache/herdsim``) as
 ``compensated_steps-<SOABI>-<key>.so``; a build removes the libraries it
-replaces there (``_remove_stale``).  Where it cannot be built or loaded,
-``library()`` is None and the Python loops and fill run.
+replaces there (``_remove_stale``).  Where it cannot be built (no C
+compiler, ``Python.h`` or numpy's headers) or loaded, ``library()`` is None
+and the Python loops and fill run.
 """
 from __future__ import annotations
 
@@ -97,14 +122,118 @@ from .signal_models import (
     _SQRT2,
     GaussianSignalModel,
     PolyTailSignalModel,
+    RateTargetSignalModel,
     StateOfWorld,
 )
 
 _SOURCE = r"""
 #include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_2_0_API_VERSION
+#define NPY_TARGET_VERSION NPY_2_0_API_VERSION
+#include <numpy/ndarrayobject.h>
+#include <numpy/ufuncobject.h>
+#include <fenv.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+/* numpy's array and ufunc C APIs, for ufunc_apply: 0, or -1 with an error set */
+int numpy_api(void)
+{
+    return _import_array() < 0 || _import_umath() < 0 ? -1 : 0;
+}
+
+/* The ufuncs whose float64 loops the kernels call, in the order of their table (_UFUNCS) */
+enum { NDTR, LOG, EXP, LOG1P, POWER };
+
+/* A ufunc with the float64 inner loop that a call of it runs, and the loop's data; with loop NULL
+   the ufunc itself is called */
+typedef struct {
+    PyObject *ufunc;
+    PyUFuncGenericFunction loop;
+    void *data;
+} ufunc_t;
+
+/* 1 with the first loop of ufunc whose types are all float64, and its data, in *loop and *data (the
+   loop a call of the ufunc on float64 arrays runs), else 0 */
+int float64_loop(PyObject *ufunc, void **loop, void **data)
+{
+    if (!PyObject_TypeCheck(ufunc, &PyUFunc_Type))
+        return 0;
+    PyUFuncObject *u = (PyUFuncObject *)ufunc;
+    for (int i = 0; i < u->ntypes; i++) {
+        int all = 1;
+        for (int j = 0; j < u->nargs; j++)
+            all &= u->types[i * u->nargs + j] == NPY_DOUBLE;
+        if (all) {
+            *loop = (void *)u->functions[i], *data = u->data[i];
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* The floating-point exceptions raised since the last feclearexcept, as numpy's NPY_FPE_ flags */
+static int fp_flags(void)
+{
+    int raised = fetestexcept(FE_DIVBYZERO | FE_OVERFLOW | FE_UNDERFLOW | FE_INVALID);
+    return (raised & FE_DIVBYZERO ? NPY_FPE_DIVIDEBYZERO : 0) | (raised & FE_OVERFLOW ? NPY_FPE_OVERFLOW : 0)
+           | (raised & FE_UNDERFLOW ? NPY_FPE_UNDERFLOW : 0) | (raised & FE_INVALID ? NPY_FPE_INVALID : 0);
+}
+
+/* The one site at which the kernels call a ufunc: f on v[0..n) in place, f(v) or, given arg, f(v, *arg)
+   with arg a stride-0 operand.  By f's float64 loop where it has one: the floating-point status is
+   cleared before and any flag raised is reported after, as a call of the ufunc reports it (warnings,
+   np.errstate); else by a call of the ufunc on an array over v.  0, or -1 with an error set. */
+int ufunc_apply(const ufunc_t *f, double *v, int64_t n, const double *arg)
+{
+    if (n <= 0)
+        return 0;
+    npy_intp dims = (npy_intp)n;
+    if (f->loop) {
+        char *args[3] = {(char *)v, arg ? (char *)arg : (char *)v, (char *)v};
+        npy_intp steps[3] = {sizeof *v, arg ? 0 : sizeof *v, sizeof *v};
+        if (fp_flags())  /* feclearexcept costs more than the test */
+            feclearexcept(FE_DIVBYZERO | FE_OVERFLOW | FE_UNDERFLOW | FE_INVALID);
+        f->loop(args, &dims, steps, f->data);
+        int flags = fp_flags();
+        return flags ? PyUFunc_GiveFloatingpointErrors(((PyUFuncObject *)f->ufunc)->name, flags) : 0;
+    }
+    PyObject *on = PyArray_SimpleNewFromData(1, &dims, NPY_DOUBLE, v), *x = NULL, *done = NULL;
+    if (on && arg)
+        x = PyFloat_FromDouble(*arg);
+    if (on && (!arg || x))
+        done = x ? PyObject_CallFunctionObjArgs(f->ufunc, on, x, on, NULL)
+                 : PyObject_CallFunctionObjArgs(f->ufunc, on, on, NULL);
+    Py_XDECREF(on), Py_XDECREF(x), Py_XDECREF(done);
+    return done ? 0 : -1;
+}
+
+/* 1 if f's loop gives the bytes of a call of f on the m inputs, each of the nargs args in turn
+   (none: f is unary), in place at every length 1..70 and 255..257 and at offsets 0, 1 and 3 in a
+   buffer, the inputs taken in turn from a place that moves with the length; else 0, and f's loop
+   becomes NULL.  The caller ignores floating-point errors (np.errstate).  -1 with an error set. */
+int loop_checked(ufunc_t *f, const double *inputs, int64_t m, const double *args, int64_t nargs)
+{
+    enum { CAP = 260 };
+    static const int offsets[3] = {0, 1, 3};
+    double got[CAP], want[CAP];
+    ufunc_t call = *f;
+    call.loop = NULL;
+    for (int64_t a = 0; f->loop && a < (nargs ? nargs : 1); a++)
+        for (int64_t len = 1; f->loop && len <= 257; len = len == 70 ? 255 : len + 1)
+            for (int o = 0; o < 3 && f->loop; o++) {
+                double *x = got + offsets[o], *y = want + offsets[o];
+                for (int64_t j = 0; j < len; j++)
+                    x[j] = y[j] = inputs[(len * 7 + j) % m];
+                const double *arg = nargs ? args + a : NULL;
+                if (ufunc_apply(f, x, len, arg) < 0 || ufunc_apply(&call, y, len, arg) < 0)
+                    return -1;
+                if (memcmp(x, y, len * sizeof *x))
+                    f->loop = NULL;
+            }
+    return f->loop != NULL;
+}
 
 /* One step of asymptotics._python_steps: stores values[i] and returns 1, or
    returns 0 for a step that is negative or not finite. */
@@ -181,6 +310,14 @@ PyObject *gaussian_steps(PyObject *array, int64_t start, int64_t stop, double *s
     return hand_back(state, a, carry, i, stop, &out, i < stop ? PyFloat_FromDouble(step) : NULL);
 }
 
+/* increment(a), a new reference, or NULL with an error set */
+static PyObject *call_at(PyObject *increment, double a)
+{
+    PyObject *arg = PyFloat_FromDouble(a), *step = arg ? PyObject_CallOneArg(increment, arg) : NULL;
+    Py_XDECREF(arg);
+    return step;
+}
+
 /* The step at index i is increment(a); a return that is not an exact float is handed back */
 PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state,
                      PyObject *increment)
@@ -193,9 +330,7 @@ PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state
     PyObject *handed = NULL;
     int64_t i = start;
     for (; i < stop; i++) {
-        PyObject *arg = PyFloat_FromDouble(a);
-        handed = arg == NULL ? NULL : PyObject_CallOneArg(increment, arg);
-        Py_XDECREF(arg);
+        handed = call_at(increment, a);
         if (handed == NULL || !PyFloat_CheckExact(handed)
             || !add_step(PyFloat_AS_DOUBLE(handed), &a, &carry, values + i))
             break;
@@ -204,46 +339,23 @@ PyObject *call_steps(PyObject *array, int64_t start, int64_t stop, double *state
     return hand_back(state, a, carry, i, stop, &out, handed);
 }
 
-/* The ufunc func on the array on in place, func(on, on) or with arg func(on, arg, on):
-   returns 0, or -1 with an error set */
-static int in_place(PyObject *func, PyObject *on, PyObject *arg)
-{
-    PyObject *done = arg ? PyObject_CallFunctionObjArgs(func, on, arg, on, NULL)
-                         : PyObject_CallFunctionObjArgs(func, on, on, NULL);
-    Py_XDECREF(done);
-    return done ? 0 : -1;
-}
-
-/* in_place on the slice work[lo:hi] of a 1-d array, or on view where the caller holds that slice;
-   an empty slice calls nothing */
-static int in_slice(PyObject *func, PyObject *work, Py_ssize_t lo, Py_ssize_t hi, PyObject *arg,
-                    PyObject *view)
-{
-    if (lo >= hi)
-        return 0;
-    PyObject *on = view ? Py_NewRef(view) : PySequence_GetSlice(work, lo, hi);
-    int done = on ? in_place(func, on, arg) : -1;
-    Py_XDECREF(on);
-    return done;
-}
-
-/* The Gaussian increments sgn * (b+ - b-) of belief._signed_increment at x = sgn * ell, in work's
-   data z (2 x n): z = (x + means) / tau, then scipy's ndtr and numpy's log in place give (b-, b+).
+/* The Gaussian increments sgn * (b+ - b-) of belief._signed_increment at x = sgn * ell, in z
+   (2 x n): z = (x + means) / tau, then scipy's ndtr and numpy's log in place give (b-, b+).
    Returns 1 with the increments in z[0..n), 0 at the deep branch (any p < 1e-300) or the tail
    branch (b- > -1e-8), or -1 with an error set. */
-static int gaussian_increments(PyObject *work, double *z, const double *ell, const double *sgn,
-                               Py_ssize_t n, PyObject *funcs, const double *means, double tau)
+static int gaussian_increments(double *z, const double *ell, const double *sgn, Py_ssize_t n,
+                               const ufunc_t *loops, const double *means, double tau)
 {
     for (Py_ssize_t c = 0; c < n; c++) {
         double x = sgn[c] * ell[c];
         z[c] = (x + means[0]) / tau, z[n + c] = (x + means[1]) / tau;
     }
-    if (in_place(PyTuple_GET_ITEM(funcs, 0), work, NULL) < 0)
+    if (ufunc_apply(loops + NDTR, z, 2 * n, NULL) < 0)
         return -1;
     for (Py_ssize_t i = 0; i < 2 * n; i++)
         if (z[i] < 1e-300)
             return 0;
-    if (in_place(PyTuple_GET_ITEM(funcs, 1), work, NULL) < 0)
+    if (ufunc_apply(loops + LOG, z, 2 * n, NULL) < 0)
         return -1;
     for (Py_ssize_t c = 0; c < n; c++)
         if (z[c] > -1e-8)
@@ -360,9 +472,9 @@ static inline double series_log_t(double x, double log_x, double log_total, doub
    a < -60 and where -60 <= a <= -1, then the series sums where a > 60 and where a < -60; inc
    holds the series' scratch until the increments.  Returns 1, 0 in the tail branch, or -1 with
    an error set. */
-static int polytail_far(PyObject *work, double *w, const double *ell, const double *sgn,
-                        Py_ssize_t n, Py_ssize_t p, Py_ssize_t p60, Py_ssize_t nn, Py_ssize_t n60,
-                        PyObject *funcs, const double *consts, const spline_t *sp)
+static int polytail_far(double *w, const double *ell, const double *sgn, Py_ssize_t n, Py_ssize_t p,
+                        Py_ssize_t p60, Py_ssize_t nn, Py_ssize_t n60, const ufunc_t *loops,
+                        const double *consts, const spline_t *sp)
 {
     double k = consts[2], *l = w + 2 * n, *sums = l + p60 + nn, *inc = w + 4 * n;
     Py_ssize_t ip = 0, jp = 0, jn = 0, jm = 0;
@@ -377,7 +489,7 @@ static int polytail_far(PyObject *work, double *w, const double *ell, const doub
     }
     tail_series(l, sums, inc, p60, k);
     tail_series(l + p60, sums + p60, inc, n60, k);
-    if (in_slice(PyTuple_GET_ITEM(funcs, 3), work, 2 * n, 2 * n + 2 * p60 + nn + n60, NULL, NULL) < 0)
+    if (ufunc_apply(loops + LOG, l, 2 * p60 + nn + n60, NULL) < 0)
         return -1;
     jp = jn = jm = 0;
     for (Py_ssize_t c = 0; c < n; c++) {
@@ -402,18 +514,16 @@ static int polytail_far(PyObject *work, double *w, const double *ell, const doub
     return 1;
 }
 
-/* PolyTail's increments sgn * (b+ - b-) at a = sgn * ell, into w[4n..5n) (w is work's data, 5n
-   values), each (b-, b+) as belief._signed_increment(model, a, +1) takes it on a's branch:
+/* PolyTail's increments sgn * (b+ - b-) at a = sgn * ell, into w[4n..5n) (w holds 5n values), each
+   (b-, b+) as belief._signed_increment(model, a, +1) takes it on a's branch:
    a >= 1: log1p(-c/k * a**-k) and log1p(-c * T(a)); -1 < a < 1: log1p(-c/k) and log(c/k);
    a <= -1: log c + log T(-a) and log(c/k) - k * log(-a).  log T is the spline on [1, 60] and
    _log_exp_poly_tail_asymptotic's series past 60, which _log_T runs over all a > 60 at once and
-   over all a < -60 at once.  Each branch's values are gathered into work for numpy's power, exp,
-   log1p and log: funcs = (power, exp, log1p, log, -k), views = (work[:n], work[n:2n], work[:2n]),
-   consts = (-c/k, -c, k, log1p(-c/k), log(c/k), log c) with the logs taken by Python's math.
-   Returns 1, 0 at a NaN a or in the tail branch (b- > -1e-8), or -1 with an error set. */
-static int polytail_increments(PyObject *work, PyObject *const *views, double *w, const double *ell,
-                               const double *sgn, Py_ssize_t n, PyObject *funcs, const double *consts,
-                               const spline_t *sp)
+   over all a < -60 at once.  Each branch's values are gathered in w for numpy's power, exp, log1p
+   and log; consts = (-c/k, -c, k, log1p(-c/k), log(c/k), log c, -k) with the logs taken by Python's
+   math.  Returns 1, 0 at a NaN a or in the tail branch (b- > -1e-8), or -1 with an error set. */
+static int polytail_increments(double *w, const double *ell, const double *sgn, Py_ssize_t n,
+                               const ufunc_t *loops, const double *consts, const spline_t *sp)
 {
     Py_ssize_t p = 0, p60 = 0, nn = 0, n60 = 0;
     for (Py_ssize_t c = 0; c < n; c++) {  /* w[0:p]: a >= 1; w[n:n+p]: log T(a) where a <= 60 */
@@ -431,18 +541,14 @@ static int polytail_increments(PyObject *work, PyObject *const *views, double *w
     }
     if (p < n)  /* log T(a) next to a, for one log1p over both */
         memmove(w + p, w + n, p * sizeof *w);
-    int done = p < n || p60 ? polytail_far(work, w, ell, sgn, n, p, p60, nn, n60, funcs, consts, sp)
-                            : 1;
+    int done = p < n || p60 ? polytail_far(w, ell, sgn, n, p, p60, nn, n60, loops, consts, sp) : 1;
     if (done < 1)
         return done;
-    int full = p == n;  /* the slices are the ones funcs holds */
-    if (in_slice(PyTuple_GET_ITEM(funcs, 0), work, 0, p, PyTuple_GET_ITEM(funcs, 4),
-                 full ? views[0] : NULL) < 0
-        || in_slice(PyTuple_GET_ITEM(funcs, 1), work, p, 2 * p, NULL, full ? views[1] : NULL) < 0)
+    if (ufunc_apply(loops + POWER, w, p, consts + 6) < 0 || ufunc_apply(loops + EXP, w + p, p, NULL) < 0)
         return -1;
     for (Py_ssize_t i = 0; i < 2 * p; i++)
         w[i] *= consts[i >= p];
-    if (in_slice(PyTuple_GET_ITEM(funcs, 2), work, 0, 2 * p, NULL, full ? views[2] : NULL) < 0)
+    if (ufunc_apply(loops + LOG1P, w, 2 * p, NULL) < 0)
         return -1;
     double *inc = w + 4 * n;
     for (Py_ssize_t c = 0, ip = 0; c < n; c++) {
@@ -456,13 +562,123 @@ static int polytail_increments(PyObject *work, PyObject *const *views, double *w
     return 1;
 }
 
+/* _scalar_increment's PolyTail form past 40 on libm, in its order of operations (a = c / k) */
+static inline double polytail_far_step(double x, double a, double c, double k)
+{
+    return -log1p(-a * pow(x, -k)) - c * exp(-x) * pow(x, -k - 1.0);
+}
+
+/* polytail_far_step at each of the m values x, into out */
+void polytail_far_steps(const double *x, double *out, int64_t m, double a, double c, double k)
+{
+    for (int64_t j = 0; j < m; j++)
+        out[j] = polytail_far_step(x[j], a, c, k);
+}
+
+/* belief._signed_increment's tail form of PolyTail's D+ at 1 <= a <= 60, in its order of operations:
+   exp(near + log1p(-exp(far - near))) with near = log(c/k) - k * log(a) and far = log c + log T(a),
+   log T by the spline (consts and sp as in polytail_increments).  There far < near, so log1p's
+   argument stays above -1 and the divide error that the Python form ignores cannot arise.  0 with
+   the step in *step, or -1 with an error set. */
+static int polytail_tail_step(double a, double *step, const ufunc_t *loops, const double *consts,
+                              const spline_t *sp)
+{
+    double v = a;
+    if (ufunc_apply(loops + LOG, &v, 1, NULL) < 0)
+        return -1;
+    double near = consts[4] - consts[2] * v, far = consts[5] + spline_at(sp, a);
+    v = far - near;
+    if (ufunc_apply(loops + EXP, &v, 1, NULL) < 0)
+        return -1;
+    v = -v;
+    if (ufunc_apply(loops + LOG1P, &v, 1, NULL) < 0)
+        return -1;
+    *step = near + v;
+    return ufunc_apply(loops + EXP, step, 1, NULL);
+}
+
+/* The PolyTail ell* loop: below 40 the step at a is polytail_increments' at the one point a with
+   sgn = +1 (loops, consts and spline as there), or in its tail branch polytail_tail_step; where it
+   leaves the step to Python (a tail branch below 1, a NaN) increment(a) as in call_steps.  From 40
+   up it is polytail_far_step.  The path never falls, so the second stretch, which calls only libm,
+   runs without the GIL. */
+PyObject *polytail_steps(PyObject *array, int64_t start, int64_t stop, double *state, PyObject *increment,
+                         const ufunc_t *loops, const double *consts, const spline_t *sp)
+{
+    Py_buffer out;
+    double *values = float64s(array, &out, -1);
+    if (values == NULL)
+        return NULL;
+    double a = state[0], carry = state[1], step = 0.0, w[5], plus = 1.0;
+    PyObject *handed = NULL;
+    int64_t i = start;
+    for (; i < stop && !(a >= 40.0); i++) {
+        int fused = polytail_increments(w, &a, &plus, 1, loops, consts, sp);
+        if (fused == 0 && a >= 1.0)
+            fused = polytail_tail_step(a, w + 4, loops, consts, sp) < 0 ? -1 : 1;
+        if (fused < 0)
+            break;
+        if (fused) {
+            step = w[4];
+        } else {
+            handed = call_at(increment, a);
+            if (handed == NULL || !PyFloat_CheckExact(handed))
+                break;
+            step = PyFloat_AS_DOUBLE(handed);
+            Py_CLEAR(handed);
+        }
+        if (!add_step(step, &a, &carry, values + i))
+            return hand_back(state, a, carry, i, stop, &out, PyFloat_FromDouble(step));
+    }
+    if (i < stop && a >= 40.0) {
+        double ck = -consts[0], c = -consts[1], k = consts[2];
+        /* the loop reads and writes only values and calls only libm: other threads may run Python */
+        Py_BEGIN_ALLOW_THREADS
+        for (; i < stop; i++) {
+            step = polytail_far_step(a, ck, c, k);
+            if (!add_step(step, &a, &carry, values + i))
+                break;
+        }
+        Py_END_ALLOW_THREADS
+        if (i < stop)
+            handed = PyFloat_FromDouble(step);
+    }
+    return hand_back(state, a, carry, i, stop, &out, handed);
+}
+
+/* The rate-target ell* loop: the step at a is table[clamp(ceil(a) + cut, 0, top)], as
+   _scalar_increment reads the table; at a NaN or infinite a it is increment(a), as in call_steps */
+PyObject *table_steps(PyObject *array, int64_t start, int64_t stop, double *state, PyObject *increment,
+                      const double *table, int64_t cut, int64_t top)
+{
+    Py_buffer out;
+    double *values = float64s(array, &out, -1);
+    if (values == NULL)
+        return NULL;
+    double a = state[0], carry = state[1], step = 0.0;
+    int64_t i = start;
+    /* the loop reads only table and writes only values: other threads may run Python */
+    Py_BEGIN_ALLOW_THREADS
+    for (; i < stop && fabs(a) < INFINITY; i++) {
+        double cell = ceil(a) + (double)cut;
+        step = table[cell < 0.0 ? 0 : cell > (double)top ? top : (int64_t)cell];
+        if (!add_step(step, &a, &carry, values + i))
+            break;
+    }
+    Py_END_ALLOW_THREADS
+    PyObject *handed = i == stop            ? NULL
+                       : fabs(a) < INFINITY ? PyFloat_FromDouble(step)
+                                            : call_at(increment, a);
+    return hand_back(state, a, carry, i, stop, &out, handed);
+}
+
 /* PolyTailSignalModel.llr_from_uniform(theta, u) in place on the m uniforms u: sign * x for theta's
    sign, with x = _ppf_minus(u) in its order of operations.  Where u <= c/k,
    x = -power(k * max(u, 2**-53) / c, -1/k); elsewhere x is the quantile spline sp at
-   log(1 - u) clipped to its knots as numpy's clip does.  Each branch's values are gathered into
-   work (a 1-d float64 array of at least m values, w its data) for numpy's power and log:
-   funcs = (power, log, -1/k), ck = c/k.  Returns 0, or -1 with an error set. */
-static int polytail_map(double *u, Py_ssize_t m, PyObject *work, double *w, PyObject *funcs,
+   log(1 - u) clipped to its knots as numpy's clip does.  Each branch's values are gathered in w
+   (m values) for numpy's power (to the power inv_k = -1/k) and log, ck = c/k.  Returns 0, or -1
+   with an error set. */
+static int polytail_map(double *u, Py_ssize_t m, double *w, const ufunc_t *loops, double inv_k,
                         double ck, double k, double c, double sign, const spline_t *sp)
 {
     double lo = sp->x[0], hi = sp->x[sp->n - 1];
@@ -475,9 +691,9 @@ static int polytail_map(double *u, Py_ssize_t m, PyObject *work, double *w, PyOb
         else
             w[jhi++] = 1.0 - u[j];
     }
-    int done = in_slice(PyTuple_GET_ITEM(funcs, 0), work, 0, below, PyTuple_GET_ITEM(funcs, 2), NULL);
+    int done = ufunc_apply(loops + POWER, w, below, &inv_k);
     if (done == 0)
-        done = in_slice(PyTuple_GET_ITEM(funcs, 1), work, below, m, NULL, NULL);
+        done = ufunc_apply(loops + LOG, w + below, m - below, NULL);
     for (Py_ssize_t j = 0, jlo = 0, jhi = below; done == 0 && j < m; j++) {
         double x, v;
         if (u[j] <= ck) {
@@ -493,21 +709,19 @@ static int polytail_map(double *u, Py_ssize_t m, PyObject *work, double *w, PyOb
     return done;
 }
 
-/* polytail_map on the uniforms of the array u_a, work as long as u_a */
-int polytail_llr(PyObject *u_a, PyObject *work, PyObject *funcs, double ck, double k, double c,
+/* polytail_map on the uniforms of the array u_a */
+int polytail_llr(PyObject *u_a, const ufunc_t *loops, double inv_k, double ck, double k, double c,
                  double sign, const spline_t *sp)
 {
-    Py_buffer views[2];
-    double *u = float64s(u_a, views, -1), *w = u ? float64s(work, views + 1, views[0].len) : NULL;
-    if (w == NULL) {
-        if (u)
-            PyBuffer_Release(views);
+    Py_buffer view;
+    double *u = float64s(u_a, &view, -1);
+    if (u == NULL)
         return -1;
-    }
-    int done = polytail_map(u, views[0].len / (Py_ssize_t)sizeof(double), work, w, funcs, ck, k, c,
-                            sign, sp);
-    PyBuffer_Release(views);
-    PyBuffer_Release(views + 1);
+    Py_ssize_t m = view.len / (Py_ssize_t)sizeof(double);
+    double *w = PyMem_Malloc((m + 1) * sizeof *w);
+    int done = w ? polytail_map(u, m, w, loops, inv_k, ck, k, c, sign, sp) : (PyErr_NoMemory(), -1);
+    PyMem_Free(w);
+    PyBuffer_Release(&view);
     return done;
 }
 
@@ -526,7 +740,9 @@ static void fold_row(double *restrict e, const double *restrict row, int64_t col
 
 /* What cohort_steps reads and writes to settle a lockstep pass's flagged steps (_native.Runs):
    - the family, whose raw-to-LLR map C runs: 1 (Gaussian) is raw * tau + mean, 2 (PolyTail)
-     polytail_map with funcs on work (a 1-d float64 array of at least max(rows, cols) values);
+     polytail_map with inv_k, ck, k, c and llr_sign;
+   - the ufuncs' table (ufunc_t, in _UFUNCS' order) through which the increments and the map call
+     numpy's and scipy's loops;
    - theta's sign, the bounds' margin, and whether the map falls (a cohort playing +1 then errs
      on its raw maximum);
    - the run book (the rows T_FIRST.. of trials int64 values each) and the actions (trials x
@@ -537,8 +753,8 @@ static void fold_row(double *restrict e, const double *restrict row, int64_t col
 typedef struct {
     int64_t family;
     double tau, mean;
-    PyObject *funcs, *work;
-    double ck, k, c, llr_sign;
+    const ufunc_t *loops;
+    double inv_k, ck, k, c, llr_sign;
     const spline_t *spline;
     double sign, margin;
     int64_t decreasing;
@@ -581,7 +797,7 @@ static void write_actions(runs_t *p, const double *sgn, int64_t from, int64_t to
                sgn[p->coh[r]] > 0.0 ? 1 : -1, (size_t)(to - from));
 }
 
-/* The pass's raw-to-LLR map in place on v[0..m) (w: work's data): 0, or -1 with an error set */
+/* The pass's raw-to-LLR map in place on v[0..m) (w: scratch of m values): 0, or -1 with an error set */
 static int map_llr(runs_t *p, double *w, double *v, Py_ssize_t m)
 {
     if (p->family == 1) {
@@ -589,7 +805,7 @@ static int map_llr(runs_t *p, double *w, double *v, Py_ssize_t m)
             v[i] = v[i] * p->tau + p->mean;
         return 0;
     }
-    return polytail_map(v, m, p->work, w, p->funcs, p->ck, p->k, p->c, p->llr_sign, p->spline);
+    return polytail_map(v, m, w, p->loops, p->inv_k, p->ck, p->k, p->c, p->llr_sign, p->spline);
 }
 
 /* montecarlo._bounds' widening of an LLR x on the erring side of sgn */
@@ -599,18 +815,19 @@ static inline double widen(double x, double sgn, double margin)
 }
 
 /* Scratch of a pass's cohort_steps: each cohort's flag and fork (cap each), the rows read and
-   their values (rows each), one cohort's extremes (cols) */
+   their values (rows each), one cohort's extremes (cols), the map's values (max(rows, cols)) and
+   the increments' (2 cap for a Gaussian, 5 cap for PolyTail) */
 typedef struct {
     uint8_t *flag;
     int64_t *fork, *idx;
-    double *u, *e;
+    double *u, *e, *w, *z;
 } scratch_t;
 
 /* Rebounds each flagged cohort c by its own read rows idx[0..m) over the steps after s, as
    montecarlo._bounds takes _extremes: the extreme of each step on its erring side, mapped and
    widened, unless the widened extreme over all those steps keeps its action, which then bounds
    every step; a cohort with no rows gets sgn[c] * inf.  Returns 0, or -1 with an error set. */
-static int rebound(runs_t *p, double *w, scratch_t *x, Py_ssize_t m, const double *ell,
+static int rebound(runs_t *p, scratch_t *x, Py_ssize_t m, const double *ell,
                    const double *sgn, Py_ssize_t n, double *bounds, int64_t width, int64_t s)
 {
     int64_t left = p->cols - s - 1;
@@ -628,13 +845,13 @@ static int rebound(runs_t *p, double *w, scratch_t *x, Py_ssize_t m, const doubl
         for (int64_t j = 1; j < left; j++)
             raw = low ? (e[j] < raw ? e[j] : raw) : (e[j] > raw ? e[j] : raw);
         if (some) {
-            if (map_llr(p, w, &raw, 1) < 0)
+            if (map_llr(p, x->w, &raw, 1) < 0)
                 return -1;
             whole = widen(raw, sgn[c], p->margin);
         }
         double *col = bounds + (s + 1) * width + c;
         int stepped = some && (ell[c] + whole > 0.0) != (sgn[c] > 0.0);
-        if (stepped && map_llr(p, w, e, left) < 0)
+        if (stepped && map_llr(p, x->w, e, left) < 0)
             return -1;
         for (int64_t j = 0; j < left; j++)
             col[j * width] = stepped ? widen(e[j], sgn[c], p->margin) : whole;
@@ -649,7 +866,7 @@ static int rebound(runs_t *p, double *w, scratch_t *x, Py_ssize_t m, const doubl
    flips, rebound.  The actions up to s are written first (from *seg, which moves to s).  Where
    fewer than the new cohorts are spare of cap, it changes nothing and sets p->room to the cohorts
    the step needs.  Returns 1, or -1 with an error set. */
-static int settle(runs_t *p, double *w, scratch_t *x, double *ell, double *carry, double *sgn,
+static int settle(runs_t *p, scratch_t *x, double *ell, double *carry, double *sgn,
                   Py_ssize_t cap, double *bounds, int64_t width, int64_t s, int64_t *seg)
 {
     Py_ssize_t n = p->n, m = 0, flips = 0, forks = 0;
@@ -658,7 +875,7 @@ static int settle(runs_t *p, double *w, scratch_t *x, double *ell, double *carry
     for (int64_t r = 0; r < p->rows; r++)
         if (x->flag[p->coh[r]])
             x->idx[m] = r, x->u[m++] = p->draws[r * p->cols + s];
-    if (map_llr(p, w, x->u, m) < 0)
+    if (map_llr(p, x->w, x->u, m) < 0)
         return -1;
     for (Py_ssize_t i = 0; i < m; i++) {
         int64_t c = p->coh[x->idx[i]];
@@ -666,7 +883,7 @@ static int settle(runs_t *p, double *w, scratch_t *x, double *ell, double *carry
             x->idx[flips++] = x->idx[i];
     }
     if (flips == 0)  /* an idle step: the flagged cohorts are rebounded for the rest of the chunk */
-        return s + 1 < p->cols && rebound(p, w, x, m, ell, sgn, n, bounds, width, s) < 0 ? -1 : 1;
+        return s + 1 < p->cols && rebound(p, x, m, ell, sgn, n, bounds, width, s) < 0 ? -1 : 1;
     memset(x->fork, 0, n * sizeof *x->fork);
     for (Py_ssize_t i = 0; i < flips; i++) {
         int64_t c = p->coh[x->idx[i]];
@@ -699,79 +916,66 @@ static int settle(runs_t *p, double *w, scratch_t *x, double *ell, double *carry
     return 1;
 }
 
-/* The views of n live cohorts of capacity arrays: ell[:n] and sgn[:n] for the Python increment,
-   work[:rows * n], and for family 2 work[:n], work[n:2n] and work[:2n].  0, or -1 with an error set */
-static int live_views(PyObject **live, PyObject *ell_a, PyObject *sgn_a, PyObject *work,
-                      int64_t family, Py_ssize_t n)
+/* The Python increment(model, ell[:n], sgn[:n]) of n live cohorts: a new reference, or NULL with an
+   error set */
+static PyObject *call_increment(PyObject *increment, PyObject *model, PyObject *ell_a, PyObject *sgn_a,
+                                Py_ssize_t n)
 {
-    for (int i = 0; i < 6; i++)
-        Py_CLEAR(live[i]);
-    Py_ssize_t ends[6][2] = {{0, n}, {0, n}, {0, (family == 2 ? 5 : 2) * n}, {0, n}, {n, 2 * n},
-                             {0, 2 * n}};
-    for (int i = 0; i < (family == 2 ? 6 : 3); i++)
-        if (!(live[i] = PySequence_GetSlice(i == 0 ? ell_a : i == 1 ? sgn_a : work, ends[i][0],
-                                            ends[i][1])))
-            return -1;
-    return 0;
+    PyObject *ell = PySequence_GetSlice(ell_a, 0, n), *sgn = ell ? PySequence_GetSlice(sgn_a, 0, n) : NULL;
+    PyObject *called = sgn ? PyObject_CallFunctionObjArgs(increment, model, ell, sgn, NULL) : NULL;
+    Py_XDECREF(ell), Py_XDECREF(sgn);
+    return called;
 }
 
 /* montecarlo's Python step over steps s..stop-1 of a chunk, in place on the cohorts' ell, carry and
    sgn, whose first runs->n values are live.  A step adds increment(model, ell, sgn) by the engine's
-   compensated update.  For family 1 (funcs = (ndtr, log), consts = the two state means and tau,
-   work 2n values) or 2 (the PolyTail funcs, consts and spline, work 5n) the increment is computed
-   in C, on work, unless the model's branch leaves it to Python; work is as long as ell, times 2 or
-   5.  A step at which cohort c's bound bounds[step * width + c] could flip its action sgn[c] is
-   settled first.  Returns the step it stopped at (stop, or a flagged step whose forks need
-   runs->room columns, which it leaves unchanged), with runs->n the live cohorts, or -1 with an
-   error set.  A pass's last step closes every run. */
-int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObject *work,
-                     double *bounds, int64_t width, int64_t s, int64_t stop,
-                     PyObject *increment, PyObject *model,
-                     PyObject *funcs, const double *consts, const spline_t *spline, runs_t *runs)
+   compensated update.  For family 1 (consts = the two state means and tau) or 2 (the PolyTail
+   consts and spline) the increment is computed in C through runs->loops, unless the model's branch
+   leaves it to Python.  A step at which cohort c's bound bounds[step * width + c] could flip its
+   action sgn[c] is settled first.  Returns the step it stopped at (stop, or a flagged step whose
+   forks need runs->room columns, which it leaves unchanged), with runs->n the live cohorts, or -1
+   with an error set.  A pass's last step closes every run. */
+int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, double *bounds, int64_t width,
+                     int64_t s, int64_t stop, PyObject *increment, PyObject *model,
+                     const double *consts, const spline_t *spline, runs_t *runs)
 {
-    PyObject *arrays[4] = {ell_a, carry_a, sgn_a, work}, *live[6] = {NULL};
-    Py_buffer views[4], view, llr_view;
-    double *data[4] = {NULL}, *llr_work = NULL;
+    PyObject *arrays[3] = {ell_a, carry_a, sgn_a};
+    Py_buffer views[3], view;
+    double *data[3] = {NULL};
     int64_t family = runs->family;
-    int got = 0, rows = family == 2 ? 5 : 2;
-    while (got < 4 && (data[got] = float64s(arrays[got], views + got,
-                                            got ? (got < 3 ? 1 : rows) * views[0].len : -1)))
+    int got = 0;
+    while (got < 3 && (data[got] = float64s(arrays[got], views + got, got ? views[0].len : -1)))
         got++;
     Py_ssize_t cap = got ? views[0].len / (Py_ssize_t)sizeof(double) : 0, n = runs->n;
     double *ell = data[0], *carry = data[1], *sgn = data[2];
-    int64_t seg = s;
-    scratch_t x = {NULL, NULL, NULL, NULL, NULL};
-    int ready = got == 4 && live_views(live, ell_a, sgn_a, work, family, n) == 0;
+    int64_t seg = s, most = runs->rows > runs->cols ? runs->rows : runs->cols;
+    scratch_t x = {NULL, NULL, NULL, NULL, NULL, NULL, NULL};
+    int ready = got == 3;
     runs->room = 0;
     if (ready) {
         x.flag = PyMem_Malloc(cap + 1), x.fork = PyMem_Malloc((cap + 1) * sizeof *x.fork);
         x.idx = PyMem_Malloc((runs->rows + 1) * sizeof *x.idx);
         x.u = PyMem_Malloc((runs->rows + 1) * sizeof *x.u);
         x.e = PyMem_Malloc((runs->cols + 1) * sizeof *x.e);
-        if (!(x.flag && x.fork && x.idx && x.u && x.e))
+        x.w = PyMem_Malloc((most + 1) * sizeof *x.w);
+        x.z = PyMem_Malloc(((family == 2 ? 5 : 2) * cap + 1) * sizeof *x.z);
+        if (!(x.flag && x.fork && x.idx && x.u && x.e && x.w && x.z))
             ready = 0, PyErr_NoMemory();
-        else if (family == 2 && !(llr_work = float64s(runs->work, &llr_view, -1)))
-            ready = 0;
     }
     for (; ready && s < stop; s++) {
         int flagged = 0;
         for (Py_ssize_t c = 0; c < n && !flagged; c++)
             flagged = (ell[c] + bounds[s * width + c] > 0.0) != (sgn[c] > 0.0);
         if (flagged) {
-            if (settle(runs, llr_work, &x, ell, carry, sgn, cap, bounds, width, s, &seg) < 0
-                || runs->room)
-                break;
-            if (runs->n != n && live_views(live, ell_a, sgn_a, work, family, runs->n) < 0)
+            if (settle(runs, &x, ell, carry, sgn, cap, bounds, width, s, &seg) < 0 || runs->room)
                 break;
             n = runs->n;
         }
-        double *z = data[3];
-        int fused = family == 1
-                    ? gaussian_increments(live[2], z, ell, sgn, n, funcs, consts, consts[2])
-                    : polytail_increments(live[2], live + 3, z, ell, sgn, n, funcs, consts, spline);
+        int fused = family == 1 ? gaussian_increments(x.z, ell, sgn, n, runs->loops, consts, consts[2])
+                                : polytail_increments(x.z, ell, sgn, n, runs->loops, consts, spline);
         PyObject *called = NULL;
-        double *inc = fused > 0 ? z + (family == 2 ? 4 * n : 0) : NULL;
-        if (!fused && (called = PyObject_CallFunctionObjArgs(increment, model, live[0], live[1], NULL)))
+        double *inc = fused > 0 ? x.z + (family == 2 ? 4 * n : 0) : NULL;
+        if (!fused && (called = call_increment(increment, model, ell_a, sgn_a, n)))
             inc = float64s(called, &view, n * (Py_ssize_t)sizeof(double));
         if (fused < 0 || inc == NULL) {
             Py_XDECREF(called);
@@ -792,11 +996,8 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, PyObje
             for (int64_t r = 0; r < runs->rows; r++)
                 close_run(runs, runs->trial[r], sgn[runs->coh[r]] == runs->sign, runs->horizon + 1);
     }
-    if (llr_work)
-        PyBuffer_Release(&llr_view);
     PyMem_Free(x.flag), PyMem_Free(x.fork), PyMem_Free(x.idx), PyMem_Free(x.u), PyMem_Free(x.e);
-    for (int i = 0; i < 6; i++)
-        Py_XDECREF(live[i]);
+    PyMem_Free(x.w), PyMem_Free(x.z);
     while (got-- > 0)
         PyBuffer_Release(views + got);
     return PyErr_Occurred() ? -1 : s;
@@ -1109,11 +1310,9 @@ def _build(path: str) -> None:
     if not cc:
         raise FileNotFoundError("the interpreter names no C compiler")
     paths = sysconfig.get_paths()  # Python.h, and pyconfig.h where a distribution splits them
-    includes, archive = ["-I", paths["include"], "-I", paths["platinclude"]], []
-    sampler = _sampler()
-    if sampler:
-        # -x none: the archive after the source read as C is linked, not parsed
-        includes += ["-I", sampler[0]]
+    includes = ["-I", paths["include"], "-I", paths["platinclude"], "-I", np.get_include()]
+    sampler, archive = _sampler(), []
+    if sampler:  # -x none: the archive after the source read as C is linked, not parsed
         archive = ["-x", "none", sampler[1]]
     fd, built = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
     os.close(fd)
@@ -1140,21 +1339,29 @@ def _load(cache_dir: str):
             _build(path)
             _remove_stale(path)
         lib = ctypes.PyDLL(path)
-    except (OSError, subprocess.SubprocessError):
+        lib.numpy_api.argtypes, lib.numpy_api.restype = [], ctypes.c_int
+        lib.numpy_api()  # raises where numpy's C APIs cannot be imported
+    except (OSError, ImportError, RuntimeError, subprocess.SubprocessError):
         return None
-    head = [ctypes.py_object, ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
-    lib.gaussian_steps.argtypes = head + [ctypes.c_double] * 4
-    lib.call_steps.argtypes = head + [ctypes.py_object]
-    lib.gaussian_steps.restype = lib.call_steps.restype = ctypes.py_object
     obj, ptr, i64, f64 = ctypes.py_object, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    spline = ctypes.POINTER(Spline)
-    lib.cohort_steps.argtypes = ([obj] * 4 + [ptr, i64, i64, i64, obj, obj, obj, ptr, spline]
-                                 + [ctypes.POINTER(Runs)])
+    head = [obj, i64, i64, ctypes.POINTER(f64)]
+    spline, loops = ctypes.POINTER(Spline), ctypes.POINTER(Ufunc)
+    lib.gaussian_steps.argtypes = head + [f64] * 4
+    lib.call_steps.argtypes = head + [obj]
+    lib.polytail_steps.argtypes = head + [obj, loops, ptr, spline]
+    lib.table_steps.argtypes = head + [obj, ptr, i64, i64]
+    for loop in (lib.gaussian_steps, lib.call_steps, lib.polytail_steps, lib.table_steps):
+        loop.restype = obj
+    lib.float64_loop.argtypes, lib.float64_loop.restype = [obj, ptr, ptr], ctypes.c_int
+    lib.ufunc_apply.argtypes, lib.ufunc_apply.restype = [loops, ptr, i64, ptr], ctypes.c_int
+    lib.loop_checked.argtypes, lib.loop_checked.restype = [loops, ptr, i64, ptr, i64], ctypes.c_int
+    lib.polytail_far_steps.argtypes, lib.polytail_far_steps.restype = [ptr, ptr, i64] + [f64] * 3, None
+    lib.cohort_steps.argtypes = [obj] * 3 + [ptr, i64, i64, i64, obj, obj, ptr, spline, ctypes.POINTER(Runs)]
     lib.cohort_steps.restype = i64
     lib.spline_values.argtypes = [spline, ptr, ptr, i64]
     lib.spline_values.restype = None
     lib.spline_table.argtypes, lib.spline_table.restype = [ptr, i64, ptr], None
-    lib.polytail_llr.argtypes = [obj] * 3 + [f64] * 4 + [spline]
+    lib.polytail_llr.argtypes = [obj, loops] + [f64] * 5 + [spline]
     lib.polytail_llr.restype = ctypes.c_int
     if hasattr(lib, "philox_fill"):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
@@ -1212,6 +1419,121 @@ def fill_extremes(lib, states: np.ndarray, out: np.ndarray, normal: bool, start:
                              start.ctypes.data, low.ctypes.data, ext.ctypes.data, len(low))
 
 
+class Ufunc(ctypes.Structure):
+    """C's ``ufunc_t``: a ufunc and the float64 loop that a call of it runs, with the loop's data.
+
+    With ``loop`` None, C calls the ufunc itself.
+    """
+
+    _fields_ = [("ufunc", ctypes.py_object), ("loop", ctypes.c_void_p), ("data", ctypes.c_void_p)]
+
+
+_UFUNCS = (special.ndtr, np.log, np.exp, np.log1p, np.power)  # C's NDTR, LOG, EXP, LOG1P, POWER
+
+
+def ufunc_loops(lib):
+    """C's table of ``_UFUNCS``, each with its float64 loop (``float64_loop``) where it has one."""
+    table = (Ufunc * len(_UFUNCS))()
+    for entry, ufunc in zip(table, _UFUNCS):
+        loop, data = ctypes.c_void_p(), ctypes.c_void_p()
+        entry.ufunc = ufunc
+        if lib.float64_loop(ufunc, ctypes.byref(loop), ctypes.byref(data)):
+            entry.loop, entry.data = loop, data
+    return table
+
+
+def _loop_inputs():
+    """``checked_loops``' inputs of each ufunc, and the exponents of power (numpy's power to -k and -1/k)."""
+    rng = np.random.Generator(np.random.Philox(34))
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 2.0**-1022, 1.0, -1.0, 0.5]
+    spread = {  # each ufunc's working range and beyond
+        "ndtr": rng.normal(0.0, 20.0, 300),
+        "log": 10.0 ** rng.uniform(-320.0, 308.0, 300),
+        "exp": rng.uniform(-750.0, 710.0, 300),
+        "log1p": np.concatenate([rng.uniform(-1.0, 2.0, 150), 10.0 ** rng.uniform(-20.0, 5.0, 150)]),
+        "power": 10.0 ** rng.uniform(-5.0, 5.0, 300),
+    }
+    inputs = [np.concatenate([edges, spread[ufunc.__name__]]) for ufunc in _UFUNCS]
+    return inputs, np.array([-0.5, -2.0, -3.0, -1.0 / 3.0, -20.0])
+
+
+@functools.cache
+def checked_loops(lib):
+    """``ufunc_loops``, each loop kept only if it passed ``loop_checked``, once per library.
+
+    A loop is checked as ``normals_checked`` checks the inline normals: it
+    must give the bytes of a call of its ufunc at every length 1..70 and
+    255..257, at offsets 0, 1 and 3 in a buffer, in place, on ``_loop_inputs``
+    (+-0, +-inf, NaN and subnormals among them), power with a stride-0
+    exponent.  Where one fails, C calls that ufunc itself.
+    """
+    table = ufunc_loops(lib)
+    inputs, exponents = _loop_inputs()
+    with np.errstate(all="ignore"):
+        for entry, values in zip(table, inputs):
+            args, nargs = (exponents.ctypes.data, len(exponents)) if entry.ufunc.nin == 2 else (None, 0)
+            lib.loop_checked(ctypes.byref(entry), values.ctypes.data, len(values), args, nargs)
+    return table
+
+
+def _polytail_consts(model):
+    """``polytail_increments``' consts: -c/k, -c, k, log1p(-c/k), log(c/k), log c, -k."""
+    k, c = model.k, model.c
+    ck = c / k
+    return (ctypes.c_double * 7)(-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c), -k)
+
+
+_checked_far_steps = weakref.WeakKeyDictionary()  # PolyTail tables of a k -> checked_far_steps' return
+
+
+def checked_far_steps(lib, model) -> bool:
+    """Whether C's ``polytail_far_steps`` equals the Python form of ``_scalar_increment`` past 40 bit for bit.
+
+    Checked once per k (the models of a k share their tables), at 40, its
+    neighbour above, a few points out to the largest float and 2000
+    log-uniform points in [40, 1e8].
+    """
+    tables = model._tables
+    if tables not in _checked_far_steps:
+        from .belief import _scalar_increment  # imported here: belief imports this module's users
+
+        far = _scalar_increment(model)[0]
+        spread = 10.0 ** np.random.Generator(np.random.Philox(35)).uniform(math.log10(40.0), 8.0, 2000)
+        x = np.concatenate([[40.0, np.nextafter(40.0, np.inf), 41.0, 60.0, 1e3, 1e6, 1e15, 1e300,
+                             np.finfo(float).max], spread])
+        out = np.empty_like(x)
+        lib.polytail_far_steps(x.ctypes.data, out.ctypes.data, len(x), model.c / model.k, model.c, model.k)
+        _checked_far_steps[tables] = out.tobytes() == np.array([far(v) for v in x]).tobytes()
+    return _checked_far_steps[tables]
+
+
+def path_loop(lib, model, increment=None):
+    """The C loop of ``model``'s ell* and its arguments after the state, by exact type, or None.
+
+    ``gaussian_steps`` fuses a ``GaussianSignalModel``'s closed form,
+    ``table_steps`` reads a ``RateTargetSignalModel``'s table
+    (``belief._rate_table``, which the model keeps alive), calling
+    ``increment`` at a belief that is not finite, and ``polytail_steps``
+    steps a ``PolyTailSignalModel`` whose log-T spline passes
+    ``checked_spline`` and whose form past 40 passes ``checked_far_steps``,
+    calling ``increment`` only where its kernel leaves a step to Python (a
+    tail branch below 1, a NaN belief).  Any other model's path takes
+    ``call_steps`` over ``increment``.
+    """
+    if type(model) is GaussianSignalModel:  # increment, the model's D+, fused into the loop
+        return lib.gaussian_steps, (model._state_means[1, 0], 1.0 / model.tau, _SQRT2, _LOG_SQRT_2PI)
+    if type(model) is RateTargetSignalModel:
+        from .belief import _rate_table  # imported here: belief's path loop imports this module
+
+        return lib.table_steps, (increment, _rate_table(model).ctypes.data, len(model.support) // 2,
+                                 len(model.support))
+    if (type(model) is PolyTailSignalModel and (spline := checked_spline(lib, model._log_tail_spline))
+            and checked_far_steps(lib, model)):
+        return lib.polytail_steps, (increment, checked_loops(lib), _polytail_consts(model),
+                                    ctypes.pointer(spline))
+    return None
+
+
 def path_steps(lib, model, increment, values: np.ndarray, start: int, stop: int, a: float, carry: float):
     """Fill ``values[start:i]`` from ``a``, ``carry`` at start - 1 by ``model``'s loop over ``increment``.
 
@@ -1220,9 +1542,7 @@ def path_steps(lib, model, increment, values: np.ndarray, start: int, stop: int,
     if not 0 <= start <= stop <= len(values):
         raise ValueError(f"range [{start}, {stop}) outside values of length {len(values)}")
     state = (ctypes.c_double * 3)(a, carry, start)
-    loop, args = lib.call_steps, (increment,)
-    if type(model) is GaussianSignalModel:  # increment, the model's D+, fused into the loop
-        loop, args = lib.gaussian_steps, (model._state_means[1, 0], 1.0 / model.tau, _SQRT2, _LOG_SQRT_2PI)
+    loop, args = path_loop(lib, model, increment) or (lib.call_steps, (increment,))
     step = loop(values, start, stop, state, *args)
     return int(state[2]), state[0], state[1], step
 
@@ -1318,12 +1638,12 @@ def polytail_transform(lib, model, sign: float):
     """
     spline = model._pos_branch_ppf
     args = checked_spline(lib, spline)
-    head = ((np.power, np.log, -1.0 / model.k), model.c / model.k, model.k, model.c, sign,
+    head = (checked_loops(lib), -1.0 / model.k, model.c / model.k, model.k, model.c, sign,
             ctypes.pointer(args))
     call = lib.polytail_llr
 
     def transform(u: np.ndarray) -> np.ndarray:
-        call(u, np.empty(u.size), *head)
+        call(u, *head)
         return u
 
     transform.head = head  # C's polytail_map takes these arguments too (cohort_stepper)
@@ -1375,8 +1695,8 @@ class Runs(ctypes.Structure):
 
     _fields_ = [
         ("family", ctypes.c_int64), ("tau", ctypes.c_double), ("mean", ctypes.c_double),
-        ("funcs", ctypes.py_object), ("work", ctypes.py_object),
-        *((name, ctypes.c_double) for name in ("ck", "k", "c", "llr_sign")),
+        ("loops", ctypes.POINTER(Ufunc)),
+        *((name, ctypes.c_double) for name in ("inv_k", "ck", "k", "c", "llr_sign")),
         ("spline", ctypes.POINTER(Spline)),
         ("sign", ctypes.c_double), ("margin", ctypes.c_double), ("decreasing", ctypes.c_int64),
         ("book", ctypes.c_void_p), ("trials", ctypes.c_int64), ("horizon", ctypes.c_int64),
@@ -1409,17 +1729,15 @@ def cohort_stepper(lib, model, increment, llr, book: np.ndarray, actions, horizo
     the bounds' ``margin``.  It writes ``actions`` unless None, and at
     ``horizon`` ends every run.
     """
-    runs = Runs(sign=sign, margin=margin, decreasing=decreasing, horizon=horizon, funcs=None, work=None)
+    runs = Runs(sign=sign, margin=margin, decreasing=decreasing, horizon=horizon, loops=checked_loops(lib))
     if type(model) is GaussianSignalModel:  # its map is montecarlo._llr's z * tau + mean
         runs.family, runs.tau, runs.mean = 1, model.tau, model.llr_mean(StateOfWorld(int(sign)))
-        funcs, consts, spline = (special.ndtr, np.log), (*model._state_means[:, 0], model.tau), None
+        consts, spline = (ctypes.c_double * 3)(*model._state_means[:, 0], model.tau), None
     elif (type(model) is PolyTailSignalModel and (head := getattr(llr, "head", None))
           and (args := checked_spline(lib, model._log_tail_spline))):
-        runs.family, runs.funcs, runs.work = 2, head[0], np.empty(0)  # polytail_map on llr's arguments
-        runs.ck, runs.k, runs.c, runs.llr_sign, runs.spline = head[1:]
-        k, c = model.k, model.c
-        funcs, ck, spline = (np.power, np.exp, np.log1p, np.log, -k), c / k, ctypes.pointer(args)
-        consts = (-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c))
+        runs.family = 2  # polytail_map on llr's arguments
+        runs.inv_k, runs.ck, runs.k, runs.c, runs.llr_sign, runs.spline = head[1:]
+        consts, spline = _polytail_consts(model), ctypes.pointer(args)
     else:
         return None
     if not (book.dtype == np.int64 and book.ndim == 2 and len(book) == 6 and book.flags.c_contiguous):
@@ -1432,7 +1750,7 @@ def cohort_stepper(lib, model, increment, llr, book: np.ndarray, actions, horizo
         if actions.shape[1] != horizon:
             raise ValueError("actions must have a column per step of the horizon")
         runs.actions = actions.ctypes.data
-    consts, call, rows = (ctypes.c_double * 6)(*consts), lib.cohort_steps, 2 if runs.family == 1 else 5
+    call = lib.cohort_steps
 
     def steps(cohorts, bounds: np.ndarray, s: int, stop: int, chunk):
         cap = len(cohorts[0])
@@ -1447,13 +1765,11 @@ def cohort_stepper(lib, model, increment, llr, book: np.ndarray, actions, horizo
                              "of the book per row")
         runs.draws, runs.coh, runs.trial = draws.ctypes.data, coh.ctypes.data, trial.ctypes.data
         runs.rows, runs.cols = draws.shape
-        if runs.family == 2 and runs.work.size < max(draws.shape):
-            runs.work = np.empty(max(draws.shape))
         if not (bounds.dtype == np.float64 and bounds.ndim == 2 and bounds.flags.c_contiguous
                 and cap <= bounds.shape[1] and 0 <= s <= stop <= len(bounds)):
             raise ValueError("bounds must be C-contiguous float64, a column per cohort, a row per step")
-        got = call(*cohorts, np.empty(rows * cap), bounds.ctypes.data, bounds.shape[1], s, stop,
-                   increment, model, funcs, consts, spline, ctypes.byref(runs))
+        got = call(*cohorts, bounds.ctypes.data, bounds.shape[1], s, stop, increment, model, consts, spline,
+                   ctypes.byref(runs))
         return got, runs.n, runs.room
 
     return steps

@@ -267,15 +267,30 @@ def closed_form_polynomial_tail(k: float, c: float, t) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def gaussian_rate_prediction(sigma: float, t) -> float:
-    """Leading-order growth (2 sqrt(2) / sigma) sqrt(log t) of the Gaussian model."""
+def gaussian_rate_prediction(sigma: float, t, order: int = 1) -> float:
+    """The growth of the Gaussian model's ell*_t: leading order, or to second order.
+
+    ``order`` 1 gives (2 sqrt(2) / sigma) sqrt(log t) = tau sqrt(2 log t),
+    with tau = 2/sigma the LLR's standard deviation.  ``order`` 2 adds the
+    Mills-ratio shift: m + tau sqrt(2 log(t / (tau sqrt(2 pi)))), with
+    m = 2/sigma**2 the LLR's mean, defined for t > tau sqrt(2 pi).
+    """
     _check_finite("sigma", sigma)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 1.0):
-        raise ValueError("prediction requires t > 1")
-    out = (2.0 * math.sqrt(2.0) / sigma) * np.sqrt(np.log(t))
+    if order == 1:
+        if not np.all(t > 1.0):
+            raise ValueError("prediction requires t > 1")
+        out = (2.0 * math.sqrt(2.0) / sigma) * np.sqrt(np.log(t))
+    else:
+        m, tau = 2.0 / sigma**2, 2.0 / sigma
+        scale = tau * math.sqrt(2.0 * math.pi)
+        if not np.all(t > scale):
+            raise ValueError(f"second-order prediction requires t > tau sqrt(2 pi) = {scale!r}")
+        out = m + tau * np.sqrt(2.0 * np.log(t / scale))
     return float(out) if out.ndim == 0 else out
 
 
@@ -378,6 +393,14 @@ def _compensated_steps(
             a, carry = _python_steps(lambda _: step, values, start, start + 1, a, carry)
             start += 1
     return _python_steps(increment, values, start, stop, a, carry)
+
+
+def fused_loop(model: SignalModel) -> bool:
+    """Whether ``_compensated_steps`` steps ``model``'s ell* in its own C loop (``_native.path_loop``)."""
+    from . import _native  # imported here: importing the package loads no library
+
+    lib = _native.library()
+    return lib is not None and _native.path_loop(lib, model) is not None
 
 
 def _python_steps(increment, values, start, stop, a, carry) -> tuple[float, float]:

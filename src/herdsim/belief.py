@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import _compensated_steps
+from .asymptotics import _compensated_steps, fused_loop
 from .signal_models import (
     GaussianSignalModel,
     NumericalFailure,
@@ -421,13 +421,15 @@ def ell_star_path(
     Compensated summation (``asymptotics.iterate_recurrence``'s loop) keeps
     even 1e7 steps of shrinking increments accurate; a step that underflows
     to exactly 0 holds the path (a rate-target one from a prior at or below
-    -cut).  Where the increment is the kernel itself (PolyTail below 40,
-    custom models) the path is solved in blocks of steps (``_solve_blocks``),
-    bit-identical to the step-by-step loop, and every loop runs in C where
-    ``_native`` loads: the one ``_native.path_steps`` picks for ``model``,
-    fused with the closed-form increment for an exact-type Gaussian.  The
-    loop then runs in chunks of ``_CHUNK`` steps, each resumed from the
-    (a, carry) the last one returned, so the bytes are those of one loop.
+    -cut).  Every loop runs in C where ``_native`` loads: the one
+    ``_native.path_steps`` picks for ``model``, which steps an exact-type
+    Gaussian, PolyTail or rate-target path by its own increment in C
+    (``asymptotics.fused_loop``).  Any other path whose increment is the
+    kernel itself (PolyTail below 40 in a subclass or without the library,
+    custom models) is first solved in blocks of steps (``_solve_blocks``),
+    bit-identical to the step-by-step loop.  The loop then runs in chunks
+    of ``_CHUNK`` steps, each resumed from the (a, carry) the last one
+    returned, so the bytes are those of one loop.
     After the block solve and after each chunk, ``on_chunk(values, stop)``
     (if given) sees the path's array, final up to ``stop``; an exception it
     raises ends the path.  ``prior_llr`` must be finite.
@@ -437,7 +439,9 @@ def ell_star_path(
     values = np.empty(horizon, dtype=float)
     values[0] = a = float(prior_llr)
     incr, below = _scalar_increment(model)
-    i, a, carry = _solve_blocks(model, incr, below, values, a)
+    i, carry = 0, 0.0
+    if below > -math.inf and not fused_loop(model):
+        i, a, carry = _solve_blocks(model, incr, below, values, a)
     start = i + 1
     if on_chunk is not None:
         on_chunk(values, start)

@@ -21,7 +21,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import asymptotics, belief, montecarlo
-from .signal_models import ModelValidationError, NumericalFailure, StateOfWorld, model_from_dict
+from .signal_models import (
+    ModelValidationError,
+    NumericalFailure,
+    RateTargetSignalModel,
+    StateOfWorld,
+    model_from_dict,
+)
 
 __all__ = [
     "EXPERIMENT_NAMES",
@@ -323,7 +329,11 @@ def _exp_baseline_compare(config: ExperimentConfig, model):
     files, _ = _ratio_to_reference(
         config, model, lambda t: t * per_step, "mean_ell_tilde", "baseline.csv"
     )
-    return files, {"final_per_step": per_step}
+    summary = {"final_per_step": per_step}
+    if isinstance(model, RateTargetSignalModel):
+        # the mean of the truncated table: where sum n dq(n) diverges, the cut sets it
+        summary["support_cut"] = int(model.support[-1])
+    return files, summary
 
 
 def _exp_ode_check(config: ExperimentConfig, model):

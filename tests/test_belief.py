@@ -63,6 +63,10 @@ class SubGaussian(GaussianSignalModel):
     """The base's law in a subclass, to which _native gives no C loop of the base."""
 
 
+class SubPolyTail(PolyTailSignalModel):
+    """The base's law in a subclass: its path below 40 is block-solved, since C steps only the base's."""
+
+
 class TestIncrements:
     def test_gaussian_d_plus_at_zero(self):
         # [DERIVED] mpmath: ln(Phi(1/2)/Phi(-1/2)) = 0.806965346304962216
@@ -440,13 +444,14 @@ PRIORS = [0.0, 0.3, -2.0, 39.5, 41.0, -45.0]
 class TestBlockSolve:
     """ell_star_path solves the d_plus stretch in blocks; the bytes are the loop's."""
 
+    @pytest.mark.parametrize("kind", [PolyTailSignalModel, SubPolyTail], ids=["exact", "subclass"])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
-    def test_polytail_paths_equal_the_sequential_loop(self, k):
-        model = PolyTailSignalModel(k=k)
+    def test_polytail_paths_equal_the_sequential_loop(self, k, kind):
+        model = kind(k=k)
         # a prior from which the path crosses 40 within a few hundred steps,
         # inside a block; from 41 it starts past 40
         crossing = 40.0 - 300.0 * float(d_plus(model, 40.0))
-        for prior in PRIORS + [crossing]:
+        for prior in PRIORS + [-70.0, 1e3, crossing]:
             for horizon in (1, 2, 3000):  # 3000 steps end mid-block
                 path = ell_star_path(model, horizon, prior).values
                 assert _bytes_equal(path, _sequential(model, horizon, prior)), (prior, horizon)
@@ -504,11 +509,12 @@ class TestBlockSolve:
         return sequential, replayed
 
     def test_sweep_cap_commits_the_converged_prefix(self, monkeypatch):
-        expected = {prior: _sequential(PT2, 700, prior) for prior in PRIORS}
+        model = SubPolyTail(k=2.0)  # block-solved with or without the library
+        expected = {prior: _sequential(model, 700, prior) for prior in PRIORS}
         sequential, replayed = self._spy_on_scans(monkeypatch)
         monkeypatch.setattr(belief, "_MAX_SWEEPS", 1)  # one sweep solves no block of 3+ steps
         for prior in PRIORS:
-            assert _bytes_equal(ell_star_path(PT2, 700, prior).values, expected[prior])
+            assert _bytes_equal(ell_star_path(model, 700, prior).values, expected[prior])
         # each capped block commits the step its exact start fixes; none runs step by step
         assert all(stop == 700 for _, stop in sequential)
         assert (1, 257) in replayed and (1, 2) in replayed and (2, 258) in replayed
@@ -516,7 +522,7 @@ class TestBlockSolve:
     @pytest.mark.parametrize("k", [2.0, 4.0])
     def test_unconverged_first_block_is_not_rerun_step_by_step(self, k, monkeypatch):
         # from a prior near 0 the first block of a k >= 1 path hits the sweep cap
-        model = PolyTailSignalModel(k=k)
+        model = SubPolyTail(k=k)
         expected = _sequential(model, 1000, 0.1)
         sequential, replayed = self._spy_on_scans(monkeypatch)
         assert _bytes_equal(ell_star_path(model, 1000, 0.1).values, expected)
@@ -640,15 +646,20 @@ class TestNativeLoops:
         expected = python_loop(_sequential, G1, 10**6, 0.1)
         assert _bytes_equal(ell_star_path(G1, 10**6, 0.1).values, expected)
 
-    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 4.0, 20.0])
     def test_polytail_paths_equal_the_python_loop(self, k, native_loop, python_loop):
         model = PolyTailSignalModel(k=k)
         crossing = 40.0 - 300.0 * float(d_plus(model, 40.0))  # crosses 40 inside a block
-        for prior in (0.0, 0.3, -2.0, 39.5, 41.0, crossing):
+        # -70: the increment's deep left branch (a < -60); 1e3: far past 40
+        for prior in (0.0, 0.3, -2.0, 39.5, 41.0, -70.0, 1e3, crossing):
             path = ell_star_path(model, 3000, prior).values
             assert _bytes_equal(path, python_loop(ell_star_path, model, 3000, prior).values), prior
             assert _bytes_equal(path, python_loop(_sequential, model, 3000, prior)), prior
-        assert 100 < np.argmax(ell_star_path(model, 3000, crossing).values >= 40.0) < 3000
+        if k < 20.0:
+            assert 100 < np.argmax(ell_star_path(model, 3000, crossing).values >= 40.0) < 3000
+        else:  # the tail branch, which C leaves to the Python increment, lies below 40
+            b_minus, _ = model.log_action_probabilities(np.array([5.0, 39.5]), +1)
+            assert np.all(b_minus > -1e-8)
 
     @pytest.mark.parametrize(
         "q, support",
@@ -735,13 +746,12 @@ class TestNativeLoops:
         lib = _native._load(str(tmp_path / "herdsim"))
         assert lib is not None and not hasattr(lib, "philox_fill")
         values = np.empty(5)
-        assert _native.path_steps(lib, PT2, lambda a: 1.0, values, 0, 5, 0.0, 0.0)[0] == 5
+        assert _native.path_steps(lib, None, lambda a: 1.0, values, 0, 5, 0.0, 0.0)[0] == 5
         assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_the_c_source_compiles_with_warnings_as_errors(self, native_loop):
-        paths, sampler = sysconfig.get_paths(), _native._sampler()
-        includes = ["-I", paths["include"], "-I", paths["platinclude"]]
-        includes += ["-I", sampler[0]] if sampler else []
+        paths = sysconfig.get_paths()
+        includes = ["-I", paths["include"], "-I", paths["platinclude"], "-I", np.get_include()]
         cc = shlex.split(sysconfig.get_config_var("CC"))
         done = subprocess.run([*cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *includes,
                                "-x", "c", "-"], input=_native._source(), text=True,

@@ -11,7 +11,7 @@ import pytest
 
 from herdsim import belief, experiments, montecarlo
 from herdsim.cli import main as cli_main
-from herdsim.signal_models import NumericalFailure
+from herdsim.signal_models import NumericalFailure, StateOfWorld, build_rate_target
 from herdsim.experiments import (
     EXPERIMENT_NAMES,
     ConfigError,
@@ -20,6 +20,7 @@ from herdsim.experiments import (
     run_experiment,
 )
 
+PLUS = StateOfWorld.PLUS
 GAUSS = {"family": "gaussian", "sigma": 2.0}
 POLY = {"family": "polytail", "k": 2.0}
 Q_TABLE = [1.0 / (n + 2.0) for n in range(-1, 41)]
@@ -208,6 +209,20 @@ class TestExperiments:
         assert manifest.summary["final_per_step"] == 0.5
         other = run_experiment(dataclasses.replace(cfg, trials=1, output_dir=str(tmp_path / "one")))
         assert other.files == manifest.files
+
+    def test_baseline_compare_names_the_support_cut_that_sets_a_rate_target_mean(self, tmp_path):
+        # for Q(n) = 1/log(n + 2 + e), sum n dq(n) diverges: E+[L] is the truncated table's, and
+        # grows with the cut, which the summary names
+        summaries = []
+        for cut in (2000, 20000):
+            table = [1.0 / math.log(n + 2.0 + math.e) for n in range(-1, cut + 1)]
+            model = {"family": "ratetarget", "q_table": table}
+            cfg = _cfg(tmp_path, "baseline-compare", model=model, output_dir=str(tmp_path / str(cut)))
+            summary = run_experiment(cfg).summary
+            assert summary == {"final_per_step": build_rate_target(table).llr_mean(PLUS), "support_cut": cut}
+            summaries.append(summary)
+        assert 3.0 * summaries[0]["final_per_step"] < summaries[1]["final_per_step"]
+        assert set(run_experiment(_cfg(tmp_path, "baseline-compare")).summary) == {"final_per_step"}
 
     def test_gauss_rate_rejects_other_models(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Tests that show, from exact laws, what the paper's results predict.
+"""Tests that show, from exact laws, what the paper's results predict, and why criteria fail by design.
 
 The paper's dichotomy: the left tail of the private signals decides whether
 the expected time until agents stop erring is finite.  A rate-target model
@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from herdsim.belief import first_mistake_distribution
-from herdsim.signal_models import build_rate_target
+from herdsim.asymptotics import gaussian_rate_prediction
+from herdsim.belief import ell_star_path, first_mistake_distribution
+from herdsim.signal_models import GaussianSignalModel, build_rate_target
 
 DECADES = (10**4, 10**5, 10**6)
 
@@ -41,3 +42,21 @@ def test_rate_target_boundary():
     shrink = (above[2] - above[1]) / (above[1] - above[0])
     assert 0.5 <= shrink <= 0.65, (
         f"c = 1.25: the increment of E[T1; T1 <= t] per decade shrinks x{shrink:.4f}, not in [0.5, 0.65]")
+
+
+def test_gaussian_second_order_rate():
+    # Criterion 05 asks |ell*/prediction - 1| to fall monotonically against the
+    # leading-order rate, whose ratio sits at 1.118-1.137 and is not monotone up
+    # to 10**7.  The Mills-ratio shift m + tau sqrt(2 ln(t / (tau sqrt(2 pi))))
+    # is what the path follows: against it the ratio rises strictly towards 1.
+    horizons = [10**e for e in range(2, 8)]
+    path = ell_star_path(GaussianSignalModel(sigma=1.0), horizons[-1]).values
+    ratios = [float(path[t - 1]) / gaussian_rate_prediction(1.0, t, order=2) for t in horizons]
+    expected = [0.9845, 0.9932, 0.9965, 0.9979, 0.9986, 0.9990]
+    for t, ratio, want in zip(horizons, ratios, expected):
+        assert abs(ratio - want) < 5e-5, f"ell*/second-order prediction at t = {t} is {ratio:.5f}, not {want}"
+    for t, lo, hi in zip(horizons[1:], ratios, ratios[1:]):
+        assert lo < hi < 1.0, (
+            f"ell*/second-order prediction does not rise strictly below 1 at t = {t}: {ratios}")
+    leading = [float(path[t - 1]) / gaussian_rate_prediction(1.0, t) for t in horizons]
+    assert all(1.11 < r < 1.14 for r in leading), f"ell*/leading-order prediction: {leading}"

@@ -9,14 +9,18 @@ The outputs are the ell* path and the first-mistake law of each model
 family at priors 0, 0.3 and 2, and of a Gaussian at sigma = 0.7, whose
 constants 2/sigma^2 and sigma/2 in the fused C loop are rounded; the
 Gaussian ell* from -80, which starts in the deep-tail series of
-``log_ndtr`` (argument below -37), and the PolyTail ell* from 41, which
-steps past 40 from the start; the rate-target ell* from -cut, where it
-holds, and from -cut + 0.5, and its long path of criterion 06, whose
-increments stay in one integer cell for many steps; each family's law at
-that long horizon, which the law computes in more than one chunk; each model's CDF, log-CDF and log-survival
-under both states and D+-, log D+- on a fixed grid; each model's draws
-under both states (``llr_from_uniform`` on a fixed grid of uniforms from 0
-to 1 - 2^-53, and for the Gaussian ``sample_llr`` from a fixed Philox);
+``log_ndtr`` (argument below -37), the PolyTail ell* from 41, which
+steps past 40 from the start, from -70, whose first steps take the
+deep left branch (a < -60) of the increment, and from -0.5, inside the
+gap (-1, 1), and its long path from 0, which crosses 40 in the full
+run; the rate-target ell* from -cut, where it holds, and from
+-cut + 0.5, and its long path of criterion 06, whose increments stay
+in one integer cell for many steps; each family's law at that long
+horizon, which the law computes in more than one chunk; each model's
+CDF, log-CDF and log-survival under both states and D+-, log D+- on a
+fixed grid; each model's draws under both states (``llr_from_uniform``
+on a fixed grid of uniforms from 0 to 1 - 2^-53, and for the Gaussian
+``sample_llr`` from a fixed Philox);
 ``iterate_recurrence`` over criterion 04's three increments from 0; the
 growth ODE of the Gaussian at sigma = 1 from (1, 1) and of ode-check's
 exponential and polynomial (k = 2) tails from 0: the step grid, the values
@@ -141,9 +145,11 @@ def path_digests(size: dict):
     yield "ell_star/gaussian-sigma0.7/prior=0.0", sha(law.ell_star.values)
     yield "first_mistake/gaussian-sigma0.7/prior=0.0/pmf", sha(law.pmf)
     yield "first_mistake/gaussian-sigma0.7/prior=0.0/survivor", sha(law.survivor)
-    for family, prior in (("gaussian", -80.0), ("polytail", 41.0)):
+    for family, prior in (("gaussian", -80.0), ("polytail", 41.0), ("polytail", -70.0), ("polytail", -0.5)):
         path = belief.ell_star_path(models()[family], size["path"], prior)
         yield f"ell_star/{family}/prior={prior}", sha(path.values)
+    path = belief.ell_star_path(models()["polytail"], size["long_path"])
+    yield "ell_star/polytail/long", sha(path.values)
     model = models()["ratetarget"]
     cut = float(model.support[-1])
     for prior in (-cut, 0.5 - cut):  # the hold in cell -cut, and the cell above it
