@@ -4,14 +4,17 @@ One compensated step, ``asymptotics._python_steps``' body in the same order
 of operations, serves every exact-path loop, which ``path_loop`` picks by
 the model's exact type: ``gaussian_steps`` fused with the Gaussian
 closed-form increment (``log_ndtr_scalar`` on the same libm functions),
-``table_steps`` reading a rate-target model's table of D+ per integer cell,
+``table_steps`` reading a rate-target model's table of D+ per integer cell
+(``belief._RateTable``, whose slices are built as they are first read),
 ``polytail_steps`` (below 40 the lockstep engine's PolyTail increment at one
 point, and in its tail branch ``_signed_increment``'s tail form, from 40 up ``_scalar_increment``'s closed form on libm in its order
 of operations, checked against it bit for bit once per k by
 ``checked_far_steps``) and ``call_steps`` over a Python increment (a
 subclass's, a block solve's replay, ``iterate_recurrence``'s).  Where a
 fused loop's increment leaves a step to Python (PolyTail's tail branch
-below 1, a NaN belief, a rate-target belief that is not finite) it calls the Python increment, as
+below 1, a NaN belief, a PolyTail |a| past 60 where the series of log T
+does not serve, a rate-target cell whose slice is not built yet or a
+belief that is not finite) it calls the Python increment, as
 ``call_steps`` does.  A loop hands back the first step it cannot add (an
 invalid one, or a return that is not an exact float) with its index, for
 the Python loop to raise at or go on from, so the bytes, errors and types
@@ -49,7 +52,9 @@ spline on [1, 60], evaluated as the spline's numpy ``reference`` does
 ``checked_spline``; the spline's own call then runs it, ``spline_call``; the
 interval comes from a guess as if the knots were even, else from the
 spline's table of knot indices, ``_spline_table``), ``_log_T``'s asymptotic
-series past 60 and the closed forms below 1; each branch's values are
+series past 60 (past ``_PolyTailTables.series_floor``: at 60 < |a| <= floor,
+where ``_log_T`` takes the continued fraction, the step goes to Python) and
+the closed forms below 1; each branch's values are
 gathered for ``power``, ``exp``, ``log`` and ``log1p``.  The Gaussian tail
 and deep branches, and PolyTail's tail branch and a NaN belief, call the
 engine's Python ``_increment`` from C.
@@ -86,7 +91,8 @@ only.  The library includes ``Python.h`` and is loaded with
 propagates.  Only ``gaussian_steps``, ``table_steps`` and ``polytail_steps``
 past 40 release the GIL, around their loops: a loop reads and writes
 nothing but the values buffer it took a view of (which keeps the array
-alive) and, for ``table_steps``, the model's table, and calls only libm,
+alive) and, for ``table_steps``, the model's table and its ready bytes
+(it takes the GIL back to have a slice built), and calls only libm,
 so no Python object is touched while other threads run;
 ``belief.first_mistake_distribution`` turns the final part of a path into
 the law meanwhile.  ``call_steps``, and ``polytail_steps`` below 40, may
@@ -487,6 +493,9 @@ static int polytail_far(double *w, const double *ell, const double *sgn, Py_ssiz
         else if (a <= -1.0)
             l[p60 + n60 + jm++] = -a;
     }
+    for (Py_ssize_t i = 0; i < p60 + n60; i++)
+        if (l[i] <= consts[7])  /* where the series does not serve, _log_T's continued fraction: Python */
+            return 0;
     tail_series(l, sums, inc, p60, k);
     tail_series(l + p60, sums + p60, inc, n60, k);
     if (ufunc_apply(loops + LOG, l, 2 * p60 + nn + n60, NULL) < 0)
@@ -520,8 +529,10 @@ static int polytail_far(double *w, const double *ell, const double *sgn, Py_ssiz
    a <= -1: log c + log T(-a) and log(c/k) - k * log(-a).  log T is the spline on [1, 60] and
    _log_exp_poly_tail_asymptotic's series past 60, which _log_T runs over all a > 60 at once and
    over all a < -60 at once.  Each branch's values are gathered in w for numpy's power, exp, log1p
-   and log; consts = (-c/k, -c, k, log1p(-c/k), log(c/k), log c, -k) with the logs taken by Python's
-   math.  Returns 1, 0 at a NaN a or in the tail branch (b- > -1e-8), or -1 with an error set. */
+   and log; consts = (-c/k, -c, k, log1p(-c/k), log(c/k), log c, -k, floor) with the logs taken by
+   Python's math and floor the series' _PolyTailTables.series_floor (60 for k up to 5).  Returns 1,
+   0 at a NaN a, in the tail branch (b- > -1e-8) or at 60 < |a| <= floor, where _log_T takes the
+   continued fraction, or -1 with an error set. */
 static int polytail_increments(double *w, const double *ell, const double *sgn, Py_ssize_t n,
                                const ufunc_t *loops, const double *consts, const spline_t *sp)
 {
@@ -646,10 +657,12 @@ PyObject *polytail_steps(PyObject *array, int64_t start, int64_t stop, double *s
     return hand_back(state, a, carry, i, stop, &out, handed);
 }
 
-/* The rate-target ell* loop: the step at a is table[clamp(ceil(a) + cut, 0, top)], as
-   _scalar_increment reads the table; at a NaN or infinite a it is increment(a), as in call_steps */
+/* The rate-target ell* loop: the step at a is table[j], j = clamp(ceil(a) + cut, 0, top), as
+   _scalar_increment reads the table, where cell j is ready (its slice is built).  At a cell that is
+   not, the step is increment(a), as in call_steps, which builds the cell's slice, and the loop goes
+   on; at a NaN or infinite a increment(a) is handed back. */
 PyObject *table_steps(PyObject *array, int64_t start, int64_t stop, double *state, PyObject *increment,
-                      const double *table, int64_t cut, int64_t top)
+                      const double *table, int64_t cut, int64_t top, const uint8_t *ready)
 {
     Py_buffer out;
     double *values = float64s(array, &out, -1);
@@ -657,19 +670,30 @@ PyObject *table_steps(PyObject *array, int64_t start, int64_t stop, double *stat
         return NULL;
     double a = state[0], carry = state[1], step = 0.0;
     int64_t i = start;
-    /* the loop reads only table and writes only values: other threads may run Python */
-    Py_BEGIN_ALLOW_THREADS
-    for (; i < stop && fabs(a) < INFINITY; i++) {
-        double cell = ceil(a) + (double)cut;
-        step = table[cell < 0.0 ? 0 : cell > (double)top ? top : (int64_t)cell];
-        if (!add_step(step, &a, &carry, values + i))
+    for (;;) {
+        int added = 1;
+        /* the loop reads only table and ready and writes only values: other threads may run Python */
+        Py_BEGIN_ALLOW_THREADS
+        for (; i < stop && fabs(a) < INFINITY; i++) {
+            double cell = ceil(a) + (double)cut;
+            int64_t j = cell < 0.0 ? 0 : cell > (double)top ? top : (int64_t)cell;
+            if (!ready[j])
+                break;
+            step = table[j];
+            if (!(added = add_step(step, &a, &carry, values + i)))
+                break;
+        }
+        Py_END_ALLOW_THREADS
+        if (i == stop || !added)
             break;
+        PyObject *handed = call_at(increment, a);
+        if (!(fabs(a) < INFINITY) || handed == NULL || !PyFloat_CheckExact(handed)
+            || !add_step(PyFloat_AS_DOUBLE(handed), &a, &carry, values + i))
+            return hand_back(state, a, carry, i, stop, &out, handed);
+        Py_DECREF(handed);
+        i++;
     }
-    Py_END_ALLOW_THREADS
-    PyObject *handed = i == stop            ? NULL
-                       : fabs(a) < INFINITY ? PyFloat_FromDouble(step)
-                                            : call_at(increment, a);
-    return hand_back(state, a, carry, i, stop, &out, handed);
+    return hand_back(state, a, carry, i, stop, &out, i < stop ? PyFloat_FromDouble(step) : NULL);
 }
 
 /* PolyTailSignalModel.llr_from_uniform(theta, u) in place on the m uniforms u: sign * x for theta's
@@ -1349,7 +1373,7 @@ def _load(cache_dir: str):
     lib.gaussian_steps.argtypes = head + [f64] * 4
     lib.call_steps.argtypes = head + [obj]
     lib.polytail_steps.argtypes = head + [obj, loops, ptr, spline]
-    lib.table_steps.argtypes = head + [obj, ptr, i64, i64]
+    lib.table_steps.argtypes = head + [obj, ptr, i64, i64, ptr]
     for loop in (lib.gaussian_steps, lib.call_steps, lib.polytail_steps, lib.table_steps):
         loop.restype = obj
     lib.float64_loop.argtypes, lib.float64_loop.restype = [obj, ptr, ptr], ctypes.c_int
@@ -1477,10 +1501,12 @@ def checked_loops(lib):
 
 
 def _polytail_consts(model):
-    """``polytail_increments``' consts: -c/k, -c, k, log1p(-c/k), log(c/k), log c, -k."""
+    """``polytail_increments``' consts: -c/k, -c, k, log1p(-c/k), log(c/k), log c, -k and the x past
+    which the series of log T serves (``_PolyTailTables.series_floor``)."""
     k, c = model.k, model.c
     ck = c / k
-    return (ctypes.c_double * 7)(-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c), -k)
+    return (ctypes.c_double * 8)(-ck, -c, k, math.log1p(-ck), math.log(ck), math.log(c), -k,
+                                 model._tables.series_floor)
 
 
 _checked_far_steps = weakref.WeakKeyDictionary()  # PolyTail tables of a k -> checked_far_steps' return
@@ -1513,11 +1539,13 @@ def path_loop(lib, model, increment=None):
     ``gaussian_steps`` fuses a ``GaussianSignalModel``'s closed form,
     ``table_steps`` reads a ``RateTargetSignalModel``'s table
     (``belief._rate_table``, which the model keeps alive), calling
-    ``increment`` at a belief that is not finite, and ``polytail_steps``
+    ``increment`` at a cell whose slice is not built, which builds it, and
+    at a belief that is not finite, and ``polytail_steps``
     steps a ``PolyTailSignalModel`` whose log-T spline passes
     ``checked_spline`` and whose form past 40 passes ``checked_far_steps``,
     calling ``increment`` only where its kernel leaves a step to Python (a
-    tail branch below 1, a NaN belief).  Any other model's path takes
+    tail branch below 1, a NaN belief, an |a| past 60 that the series of
+    log T does not serve).  Any other model's path takes
     ``call_steps`` over ``increment``.
     """
     if type(model) is GaussianSignalModel:  # increment, the model's D+, fused into the loop
@@ -1525,8 +1553,9 @@ def path_loop(lib, model, increment=None):
     if type(model) is RateTargetSignalModel:
         from .belief import _rate_table  # imported here: belief's path loop imports this module
 
-        return lib.table_steps, (increment, _rate_table(model).ctypes.data, len(model.support) // 2,
-                                 len(model.support))
+        table = _rate_table(model)
+        return lib.table_steps, (increment, table.cells.ctypes.data, len(model.support) // 2,
+                                 len(model.support), table.ready.ctypes.data)
     if (type(model) is PolyTailSignalModel and (spline := checked_spline(lib, model._log_tail_spline))
             and checked_far_steps(lib, model)):
         return lib.polytail_steps, (increment, checked_loops(lib), _polytail_consts(model),
@@ -1720,8 +1749,9 @@ def cohort_stepper(lib, model, increment, llr, book: np.ndarray, actions, horizo
     these equal bit for bit and whose interface they share.
 
     A step adds ``increment(model, ell, sgn)``, computed in C but in a
-    Gaussian's tail and deep branches and in PolyTail's tail branch and at
-    a NaN belief, where C calls it.  A flagged step is settled first: C
+    Gaussian's tail and deep branches and in PolyTail's tail branch, at an
+    |a| past 60 that its series of log T does not serve and at a NaN
+    belief, where C calls it.  A flagged step is settled first: C
     reads the flagged cohorts' rows, maps them, ends the runs of the rows
     that switch in ``book`` (``montecarlo._BOOK``'s rows), forks their
     cohorts into the spare columns and rebounds a step at which none

@@ -199,19 +199,59 @@ _RATE_TABLES = weakref.WeakKeyDictionary()  # the model stores only its law
 _TABLE_SLICE = 8192  # cells per kernel call of a table build; bounds its temporaries
 
 
-def _rate_table(model: RateTargetSignalModel) -> np.ndarray:
-    """D_plus on the cells (k - 1, k], k = -cut..cut + 1, at index k + cut; built once.
+class _RateTable:
+    """D_plus on the cells (k - 1, k], k = -cut..cut + 1, at index k + cut; each slice built at its first read.
 
-    The LLR lives on the integers, so D_plus(x) depends on x only through ceil(x): the
-    table is exact.  Cell -cut, where no agent plays +1, holds 0; D_minus(x) = -table[1 - ceil x].
+    The LLR lives on the integers, so D_plus(x) depends on x only through
+    ceil(x): the table is exact.  Cell 0 (k = -cut), where no agent plays
+    +1, holds 0; D_minus(x) = -cells[1 - ceil x].  The other cells come in
+    slices of ``_TABLE_SLICE``, aligned on 0: slice s holds the cells whose
+    right ends lie in [s * S, (s + 1) * S), and is built by one kernel call
+    over those ends.  The kernel acts on each end alone, so every cell has
+    the bits of a build of the whole table at once.  A slice of ends >= 0
+    never reads the model's ``_log_far_tail``, which only the ends below
+    about -734 need for criterion 10's model.  ``ready[j]`` is set once
+    cell j's slice is written whole; it is a byte per cell so that a
+    reader's check is one lookup, as cheap as the read itself.  Both arrays
+    are zero-filled (calloc'd), so an unbuilt slice costs neither time nor
+    resident memory: a path from a prior near 0 builds one or two of
+    criterion 10's 50 slices.  Every reader builds what it reads: the
+    Monte Carlo increment (``read``), ``_scalar_increment``'s ``rate`` and,
+    by calling ``rate``, C's ``table_steps``.
     """
-    if model not in _RATE_TABLES:
-        table = np.zeros(len(model.support) + 1)
-        for lo in range(0, len(model.support), _TABLE_SLICE):
-            ends = model.support[lo:lo + _TABLE_SLICE] + 1.0  # cells above -cut, by right ends
-            table[lo + 1:lo + 1 + len(ends)] = _signed_increment(model, ends, +1)
-        _RATE_TABLES[model] = table
-    return _RATE_TABLES[model]
+
+    __slots__ = ("cells", "ready", "_lock")
+
+    def __init__(self, size: int):
+        self.cells = np.zeros(size + 1)
+        self.ready = np.zeros(size + 1, np.uint8)
+        self.ready[0] = 1
+        self._lock = threading.Lock()  # one build per slice, whichever thread reads it first
+
+    def build(self, model: RateTargetSignalModel, j: int) -> None:
+        """Write the slice of ``model``'s table that holds cell j > 0, unless it is built."""
+        with self._lock:
+            if not self.ready[j]:
+                cut = len(model.support) // 2  # cell j's right end is j - cut
+                start = cut + (j - cut) // _TABLE_SLICE * _TABLE_SLICE
+                lo, hi = max(start, 1), min(start + _TABLE_SLICE, len(self.cells))
+                self.cells[lo:hi] = _signed_increment(model, model.support[lo - 1:hi - 1] + 1.0, +1)
+                self.ready[lo:hi] = 1
+
+    def read(self, model: RateTargetSignalModel, index: np.ndarray) -> np.ndarray:
+        """The cells at ``index`` (int64), building the slices they lie in first."""
+        if b"\0" in self.ready[index].tobytes():  # one check per call; faster than .all() on a few cells
+            for j in np.unique(index[self.ready[index] == 0]).tolist():
+                self.build(model, j)
+        return self.cells[index]
+
+
+def _rate_table(model: RateTargetSignalModel) -> _RateTable:
+    """``model``'s table of D_plus per integer cell, one per model, slices built as they are read."""
+    table = _RATE_TABLES.get(model)
+    if table is None:
+        table = _RATE_TABLES.setdefault(model, _RateTable(len(model.support)))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +345,15 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
         return incr, -math.inf
 
     if isinstance(model, RateTargetSignalModel):
-        table, cut, top = memoryview(_rate_table(model)), len(model.support) // 2, len(model.support)
+        table, cut, top = _rate_table(model), len(model.support) // 2, len(model.support)
+        cells, ready = memoryview(table.cells), memoryview(table.ready)
 
         def rate(x: float, ceil=math.ceil) -> float:
             k = ceil(x) + cut  # clamped by comparisons: min and max calls cost thrice as much
-            return table[k if 0 <= k <= top else (0 if k < 0 else top)]
+            k = k if 0 <= k <= top else (0 if k < 0 else top)
+            if not ready[k]:
+                table.build(model, k)
+            return cells[k]
 
         return rate, -math.inf
 

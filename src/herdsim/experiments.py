@@ -89,6 +89,7 @@ class RunManifest:
     finished_at: str = ""
     files: dict = field(default_factory=dict)  # name -> sha256
     summary: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)  # what the bits may depend on: ``_environment()``
 
     def to_json(self) -> str:
         # The fields hold only JSON values, so no deep copy (dataclasses.asdict) is needed
@@ -466,6 +467,37 @@ def emit_outputs(files: dict, output_dir: str) -> dict:
     return checksums
 
 
+def _environment() -> dict:
+    """The versions, CPU count and CPU features of this process, for a run's manifest.
+
+    numpy picks its SIMD loops at run time (NEP 38) from the targets that
+    it was built for (``__cpu_dispatch__``) and that this CPU has, less any
+    that ``NPY_DISABLE_CPU_FEATURES`` turns off; the C kernels call those
+    loops, so the bits of a run may depend on them.
+    """
+    import platform
+
+    import scipy
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+
+    from . import __version__
+
+    features = umath.__cpu_features__
+    return {
+        "herdsim": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "numpy_cpu_baseline": list(umath.__cpu_baseline__),
+        "numpy_cpu_dispatch": [name for name in umath.__cpu_dispatch__ if features.get(name)],
+    }
+
+
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Run one experiment and write its artifacts plus manifest.json.
 
@@ -495,6 +527,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         finished_at=datetime.now(timezone.utc).isoformat(),
         files=checksums,
         summary={k: (None if v is None else float(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else v) for k, v in summary.items()},
+        environment=_environment(),
     )
     with open(os.path.join(config.output_dir, "manifest.json"), "w", newline="") as fh:
         fh.write(manifest.to_json())

@@ -454,12 +454,13 @@ def _increment(model: SignalModel, ell: np.ndarray, sgn: np.ndarray) -> np.ndarr
 
     For continuous families D_minus(x) = -D_plus(-x) holds bit for bit, so
     one signed call serves both actions.  The discrete rate-target model
-    breaks that identity at its integer atoms; both read its ``_rate_table``.
+    breaks that identity at its integer atoms; both read its ``_rate_table``,
+    which builds the slices of the cells read that are not built yet.
     """
     if model.is_discrete:  # D_plus at cell ceil(ell), D_minus at 1 - ceil(ell); index cell + cut
         k, cut = np.ceil(ell), len(model.support) // 2
         index = np.clip(np.where(sgn > 0.0, k, 1.0 - k) + cut, 0, 2 * cut + 1)
-        return sgn * _rate_table(model)[index.astype(np.int64)]
+        return sgn * _rate_table(model).read(model, index.astype(np.int64))
     return sgn * _signed_increment(model, sgn * ell, +1)
 
 

@@ -327,6 +327,28 @@ def _log_exp_poly_tail_asymptotic(x, k: float):
     return -x - (k + 1.0) * np.log(x) + np.log(total)
 
 
+def _series_serves(x: float, k: float) -> bool:
+    """Whether ``_log_exp_poly_tail_asymptotic``'s terms at x > 0 fall below 1e-17 within its 39 before they turn.
+
+    The magnitudes of the terms shrink while (k + j)/x < 1 and grow after.
+    Where a term falls below 1e-17 first, the series sums log T to double
+    precision; elsewhere (x not far above k + 39) it is no approximation:
+    at k = 50 it gives NaN at x = 61.  A term's magnitude is the product
+    of the ratios (k + j)/x, as in the series.  Each ratio and product is
+    correctly rounded, so each is monotone in x and the answer is False up
+    to some x and True past it (``_PolyTailTables.series_floor``).
+    """
+    term = 1.0
+    for j in range(1, 40):
+        ratio = (k + j) / x
+        if ratio >= 1.0:
+            return False
+        term = term * ratio
+        if term < 1e-17:
+            return True
+    return False
+
+
 def poly_tail_normalizer(k: float) -> float:
     """Normalizing constant of the piecewise polynomial-tail density.
 
@@ -340,13 +362,59 @@ def poly_tail_normalizer(k: float) -> float:
     return 1.0 / (val + 1.0 / k)
 
 
+class SingularSystemError(NumericalFailure):
+    """A tridiagonal system met a zero pivot: its matrix is singular."""
+
+
+def _solve_tridiagonal(dl, d, du, b):
+    """x with A x = b, A tridiagonal with sub-, main and superdiagonals dl, d, du (lists, all overwritten).
+
+    Reference LAPACK ``dgtsv`` for one right-hand side, in its order of
+    operations: Gaussian elimination with partial pivoting, which swaps rows
+    i and i + 1 where |dl[i]| > |d[i]| and keeps the fill-in of the second
+    superdiagonal in dl, then the two-term back substitution.  scipy's
+    ``solve_banded((1, 1), ...)`` calls that routine, so the bits are its
+    bits.  A zero pivot raises ``SingularSystemError`` (scipy raises
+    ``LinAlgError("singular matrix")``).  Returns b, holding x.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise SingularSystemError(f"singular matrix: zero pivot in row {i}")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise SingularSystemError(f"singular matrix: zero pivot in row {n - 1}")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
 class _CubicSpline:
     """Not-a-knot cubic spline through (x, y), x increasing, with scipy's ``CubicSpline``'s bits.
 
     The slopes at the knots solve ``CubicSpline``'s tridiagonal system (scipy
     1.17, more than three knots, not-a-knot at both ends), built in its order
-    of operations and solved by the same ``solve_banded`` call; the
-    coefficients ``c`` (4 x n-1, highest power first) are then formed as
+    of operations and solved by ``_solve_tridiagonal``, the LAPACK routine
+    that its ``solve_banded`` call runs, on Python floats (about 9 ms for
+    20001 knots; importing ``scipy.linalg`` cost more); the coefficients
+    ``c`` (4 x n-1, highest power first) are then formed as
     ``CubicHermiteSpline`` forms them.  ``reference`` evaluates as scipy's
     ``PPoly`` does, extrapolating past the end knots.  A call runs C's
     ``spline_values`` once ``_native.checked_spline`` has found it equal to
@@ -356,25 +424,19 @@ class _CubicSpline:
     __slots__ = ("x", "c", "_call", "__weakref__")
 
     def __init__(self, x, y):
-        from scipy.linalg import solve_banded  # imported here: scipy.linalg costs ~30 ms at import
-
         x, y = np.ascontiguousarray(x, dtype=float), np.asarray(y, dtype=float)
         n, dx = len(x), np.diff(x)
         slope = np.diff(y) / dx
-        a = np.zeros((3, n))  # rows: the upper, main and lower diagonals
-        b = np.empty(n)
-        a[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        a[0, 2:] = dx[:-1]
-        a[-1, :-2] = dx[1:]
+        d, b = np.empty(n), np.empty(n)  # the main diagonal and the right-hand side
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        a[1, 0] = dx[1]
-        a[0, 1] = d = x[2] - x[0]
-        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        a[1, -1] = dx[-2]
-        a[-1, -2] = d = x[-1] - x[-3]
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), a, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True,
-                         check_finite=False).reshape(n)
+        d[0] = dx[1]
+        du = [float(x[2] - x[0]), *dx[:-1].tolist()]  # the superdiagonal; Python floats step fastest
+        b[0] = ((dx[0] + 2 * du[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / du[0]
+        d[-1] = dx[-2]
+        dl = [*dx[1:].tolist(), float(x[-1] - x[-3])]  # the subdiagonal
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * dl[-1] + dx[-1]) * dx[-2] * slope[-1]) / dl[-1]
+        s = np.array(_solve_tridiagonal(dl, d.tolist(), du, b.tolist()))
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -415,6 +477,24 @@ class _PolyTailTables:
     def __init__(self, k):
         self.c = poly_tail_normalizer(k)  # validates k
         self.k = k
+
+    @cached_property
+    def series_floor(self) -> float:
+        """The largest float >= 60 at which ``_series_serves`` fails: 60.0 for k up to 5.
+
+        ``PolyTailSignalModel._log_T`` takes the series past it and the
+        continued fraction on (60, series_floor]; C leaves a step there to
+        Python (``_native._polytail_consts``).  Found by bisection over the
+        floats, whose bit patterns sort as they do.
+        """
+        k, to_float = self.k, lambda i: float(np.int64(i).view(np.float64))  # noqa: E731
+        lo = hi = int(np.float64(60.0).view(np.int64))
+        while not _series_serves(to_float(hi), k):  # doubling x: the terms (k + j)/x shrink
+            lo, hi = hi, int(np.float64(2.0 * to_float(hi)).view(np.int64))
+        while hi - lo > 1:  # the series fails at lo (or lo is 60) and serves at hi
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _series_serves(to_float(mid), k) else (mid, hi)
+        return to_float(lo)
 
     # T in the notation of PolyTailSignalModel
     @cached_property
@@ -499,7 +579,12 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         return self._tables.log_tail_spline
 
     def _log_T(self, x):
-        """log T(x) for x >= 1, elementwise and fast."""
+        """log T(x) for x >= 1, elementwise and fast.
+
+        The spline on [1, 60]; past 60 the asymptotic series where its terms
+        fall below 1e-17 before they turn (past ``series_floor``: every x >
+        60 for k up to 5), else the continued fraction.  NaN takes the series.
+        """
         x = np.asarray(x, dtype=float)
         near = x <= 60.0
         if near.all():
@@ -507,8 +592,11 @@ class PolyTailSignalModel(InverseCdfSignalModel):
         out = np.empty_like(x)
         out[near] = self._log_tail_spline(x[near])
         far = ~near
-        if np.any(far):
-            out[far] = _log_exp_poly_tail_asymptotic(x[far], self.k)
+        exact = far & (x <= self._tables.series_floor)  # none for k up to 5; NaN takes the series
+        series = far & ~exact
+        out[series] = _log_exp_poly_tail_asymptotic(x[series], self.k)
+        if np.any(exact):
+            out[exact] = _log_exp_poly_upper_tail(x[exact], self.k)
         return out
 
     def _T(self, x):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import hashlib
 import math
 import os
 import re
@@ -621,12 +622,99 @@ class TestRateTable:
         expected = iterate_recurrence(lambda x: float(d_plus(model, x)), 0.3, 5000)
         calls.clear()
         assert _bytes_equal(ell_star_path(model, 5000, 0.3).values, expected)
-        # one sliced pass over the cells above -cut
-        assert sum(calls) == 2 * cut + 1 and max(calls) <= belief._TABLE_SLICE < 2 * cut + 1
+        # one kernel call for each slice of cells that the path reads, and none for the rest
+        read = np.unique(np.ceil(expected[:-1]) // belief._TABLE_SLICE)
+        assert calls == [belief._TABLE_SLICE] * len(read) and len(read) < self._slices(cut)
         calls.clear()
-        ell_star_path(model, 5000, -2.0)
+        again = ell_star_path(model, 5000, -2.0).values
         first_mistake_distribution(model, 5000)
-        assert calls == []
+        new = np.setdiff1d(np.unique(np.ceil(again[:-1]) // belief._TABLE_SLICE), read)
+        assert calls == [belief._TABLE_SLICE] * len(new)  # only the slices not read before
+
+    def test_threads_reading_one_table_build_each_slice_once(self, monkeypatch):
+        # eight threads read one fresh table, by the lockstep increment and by the path's, with
+        # the interpreter switching threads every microsecond: each slice is built by one kernel
+        # call, and every read gets its cell whole
+        model = build_rate_target(lambda n: 1.0 / (n + 2.0), max_support=30000)
+        cut = len(model.support) // 2
+        x = np.random.default_rng(4).uniform(0.5 - cut, cut + 2.0, (8, 300))
+        expected = [d_plus(model, row) for row in x]
+        calls, kernel = [], belief._signed_increment
+        monkeypatch.setattr(belief, "_signed_increment",
+                            lambda model, ends, sign: calls.append(float(ends[0])) or kernel(model, ends, sign))
+        incr = belief._scalar_increment(model)[0]
+        got = [None] * len(x)
+
+        def read(i):
+            got[i] = (montecarlo._increment(model, x[i], np.ones(x.shape[1])) if i % 2
+                      else np.array([incr(v) for v in x[i]]))
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(x))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == len(set(calls)) == self._slices(cut)
+        for row, want in zip(got, expected):
+            assert _bytes_equal(row, want)
+
+    @staticmethod
+    def _slice_of(cut):
+        """The slice of each cell 1..2 cut + 1: slices are aligned on the right end 0."""
+        return (np.arange(1, 2 * cut + 2) - cut) // belief._TABLE_SLICE
+
+    @classmethod
+    def _slices(cls, cut):
+        return len(np.unique(cls._slice_of(cut)))
+
+    @staticmethod
+    def _boundary_model():
+        """Criterion 10's model: Q(n) = 1/log(n + 2 + e), support +-2e5, 50 slices of cells."""
+        return build_rate_target(lambda n: 1.0 / math.log(n + 2.0 + math.e), max_support=200000)
+
+    def test_a_path_near_0_builds_only_the_slices_it_reads(self):
+        model = self._boundary_model()
+        cut = len(model.support) // 2
+        path = ell_star_path(model, 10**4, 0.0).values
+        assert hashlib.sha256(path.tobytes()).hexdigest() == (
+            "3a4bcb7447f34815672183885900c0476e100fe1d5f682050eccfb825657fe5d")  # the eager table's path
+        built = np.unique(self._slice_of(cut)[belief._rate_table(model).ready[1:] == 1])
+        assert self._slices(cut) == 50 and 1 <= len(built) <= 2
+        # the slices of ends >= 0 need no far tail, which ends below about -734 read
+        assert "_log_far_tail" not in vars(model)
+
+    def test_reads_at_both_far_ends_give_the_eager_cells(self):
+        model = self._boundary_model()
+        cut = len(model.support) // 2
+        eager = np.zeros(2 * cut + 2)
+        for lo in range(0, 2 * cut + 1, belief._TABLE_SLICE):  # the table as it was built whole
+            ends = model.support[lo:lo + belief._TABLE_SLICE] + 1.0
+            eager[lo + 1:lo + 1 + len(ends)] = belief._signed_increment(model, ends, +1)
+        x = np.concatenate([np.arange(-cut - 3.0, -cut + 40.0), np.arange(cut - 40.0, cut + 4.0)])
+        x = np.concatenate([x, x - 0.5])
+        cell = np.clip(np.ceil(x) + cut, 0, 2 * cut + 1).astype(np.int64)
+        mirror = np.clip(1.0 - np.ceil(x) + cut, 0, 2 * cut + 1).astype(np.int64)
+        ones = np.ones(len(x))
+        model = self._boundary_model()  # a fresh table
+        assert _bytes_equal(montecarlo._increment(model, x, -ones), -eager[mirror])  # D- first
+        assert _bytes_equal(montecarlo._increment(model, x, ones), eager[cell])
+        incr = belief._scalar_increment(self._boundary_model())[0]  # a fresh table, read one cell at a time
+        assert _bytes_equal(np.array([incr(v) for v in x[::-1]]), eager[cell[::-1]])
+        table = belief._rate_table(model)
+        built = table.ready == 1
+        assert built[0] and built[-1] and not built.all()  # the slices near 0 were never read
+        slice_of = self._slice_of(cut)  # each slice is built whole or not at all
+        assert np.array_equal(built[1:], np.isin(slice_of, slice_of[built[1:]]))
+        assert _bytes_equal(table.cells[built], eager[built])
+        assert not table.cells[~built].any()
+        # read whole, the table is the eager one
+        assert _bytes_equal(table.read(model, np.arange(2 * cut + 2)), eager)
 
 
 class TestNativeLoops:

@@ -6,8 +6,13 @@ import hashlib
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+import scipy
 
 from herdsim import belief, experiments, montecarlo
 from herdsim.cli import main as cli_main
@@ -196,6 +201,39 @@ class TestExperiments:
         assert (tmp_path / "rate-target" / "manifest.json").read_text() == deep
         assert len(manifest.config["model"]["q_table"]) == 2002
 
+    def test_manifest_records_the_environment_outside_the_summary(self, tmp_path):
+        manifest = run_experiment(_cfg(tmp_path, "gauss-rate"))
+        doc = json.loads((tmp_path / "gauss-rate" / "manifest.json").read_text())
+        assert doc["environment"] == manifest.environment
+        assert "environment" not in doc["summary"]
+        env = manifest.environment
+        assert (env["herdsim"], env["python"], env["numpy"], env["scipy"], env["cpu_count"]) == (
+            "0.1.0", platform.python_version(), np.__version__, scipy.__version__, os.cpu_count())
+        assert env["numpy_cpu_baseline"] and all(isinstance(name, str) for name in env["numpy_cpu_baseline"])
+        assert all(isinstance(name, str) for name in env["numpy_cpu_dispatch"])
+
+    def test_a_disabled_cpu_target_leaves_the_environment_and_not_the_csv(self, tmp_path):
+        # numpy reads NPY_DISABLE_CPU_FEATURES at import, so the run is a new process
+        target = "AVX512_SPR"
+        if target not in experiments._environment()["numpy_cpu_dispatch"]:
+            pytest.skip(f"numpy does not dispatch to {target} on this host")
+        cfg = {"experiment": "gauss-rate", "model": GAUSS, "horizon": 200, "master_seed": 11}
+        runs = {}
+        for name, env in (("here", {}), ("disabled", {"NPY_DISABLE_CPU_FEATURES": target})):
+            out = tmp_path / name
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**cfg, "output_dir": str(out)}))
+            done = subprocess.run(
+                [sys.executable, "-m", "herdsim.cli", "run", str(path)],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env},
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr[-2000:]
+            runs[name] = json.loads((out / "manifest.json").read_text())
+        assert target in runs["here"]["environment"]["numpy_cpu_dispatch"]
+        assert target not in runs["disabled"]["environment"]["numpy_cpu_dispatch"]
+        assert runs["disabled"]["files"] == runs["here"]["files"]
+
     def test_baseline_compare_rows_are_exact(self, tmp_path):
         # the signals side is t E+[L] = t/2 at sigma = 2, whatever the trials
         cfg = _cfg(tmp_path, "baseline-compare", prior=0.3, checkpoints=[1, 7, 60])
@@ -350,6 +388,36 @@ class TestCli:
         assert cli_main(["run", p]) == 0
         assert (tmp_path / "out" / "ratio.csv").exists()
         assert "wrote" in capsys.readouterr().out
+
+    def test_a_cold_run_of_every_experiment_loads_only_scipy_special(self, tmp_path):
+        # scipy.special's ndtr and log_ndtr are the only scipy a run reads; the splines
+        # solve their own systems and the ODE steps its own Runge-Kutta
+        code = (
+            "import contextlib, io, json, os, sys\n"
+            "import scipy\n"
+            "from herdsim import cli\n"
+            "tmp = sys.argv[1]\n"
+            "gauss, poly = {'family': 'gaussian', 'sigma': 2.0}, {'family': 'polytail', 'k': 2.0}\n"
+            "rate = {'family': 'ratetarget', 'q_table': [1.0 / (n + 2.0) for n in range(-1, 201)]}\n"
+            "runs = {'gauss-rate': gauss, 'first-mistake': gauss, 'time-to-learn': poly,\n"
+            "        'upset-tail': gauss, 'rate-target': rate, 'mistake-curve': poly,\n"
+            "        'baseline-compare': gauss, 'ode-check': poly}\n"
+            "for name, model in runs.items():\n"
+            "    path = os.path.join(tmp, name + '.json')\n"
+            "    with open(path, 'w') as fh:\n"
+            "        json.dump({'experiment': name, 'model': model, 'horizon': 300, 'trials': 400,\n"
+            "                   'dump_trajectories': name == 'upset-tail',\n"
+            "                   'output_dir': os.path.join(tmp, name)}, fh)\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['run', path]) == 0, name\n"
+            "print(sorted(n for n in scipy.submodules if 'scipy.' + n in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.split() == ["['special']"]
+        assert len(list(tmp_path.glob("*/manifest.json"))) == 8
 
     def test_missing_config_exit_two(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.json")]) == 2

@@ -60,3 +60,30 @@ def test_gaussian_second_order_rate():
             f"ell*/second-order prediction does not rise strictly below 1 at t = {t}: {ratios}")
     leading = [float(path[t - 1]) / gaussian_rate_prediction(1.0, t) for t in horizons]
     assert all(1.11 < r < 1.14 for r in leading), f"ell*/leading-order prediction: {leading}"
+
+
+def test_first_mistake_slope_follows_second_order():
+    # Criterion 07 asks the log-log slope of P(T1 = t) over [10**2, 10**6] to lie
+    # in [-1.25, -1]; it is -1.488.  With u = sqrt(2 ln(t / (tau sqrt(2 pi)))), the
+    # Mills-ratio argument of the second-order rate, the local slope is
+    # -1 - tau/u - 1/u**2: over each decade the exact pmf's slope lies within 0.03
+    # of it at the decade's geometric middle, and nearer each decade.  The formula
+    # reaches -1.25 only near t = 2e16.
+    tau = 2.0  # sigma = 1
+    law = first_mistake_distribution(GaussianSignalModel(sigma=1.0), 10**6)
+    t = np.arange(1, 10**6 + 1)
+    gaps = []
+    for lo in (10**2, 10**3, 10**4, 10**5):
+        decade = (t >= lo) & (t <= 10 * lo)
+        slope = float(np.polyfit(np.log10(t[decade]), np.log10(law.pmf[decade]), 1)[0])
+        u = math.sqrt(2.0 * math.log(lo * math.sqrt(10.0) / (tau * math.sqrt(2.0 * math.pi))))
+        predicted = -1.0 - tau / u - 1.0 / u**2
+        gap = abs(slope - predicted)
+        assert gap < 0.03, (
+            f"decade [{lo:g}, {10 * lo:g}]: log-log slope of the pmf {slope:.4f} is {gap:.4f} "
+            f"from the second-order prediction {predicted:.4f}")
+        if gaps:
+            assert gap < gaps[-1], (
+                f"decade [{lo:g}, {10 * lo:g}]: slope {slope:.4f} is {gap:.4f} from the prediction "
+                f"{predicted:.4f}, no nearer than the decade before ({gaps[-1]:.4f})")
+        gaps.append(gap)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from herdsim import _native, signal_models
+from herdsim import _native, belief, signal_models
 from herdsim.belief import d_minus, d_plus, ell_star_path, first_mistake_distribution, log_d_plus
 from herdsim.montecarlo import run_trials
 from herdsim.signal_models import (
@@ -182,11 +182,12 @@ class TestPolyTailModel:
             PolyTailSignalModel(k=0.0)
 
     def test_a_cold_polytail_run_loads_neither_interpolate_nor_optimize(self):
-        # The splines need scipy.linalg only: a fresh process that builds the
+        # The splines solve their own systems: a fresh process that builds the
         # model, evaluates its tails, runs an exact path and a Monte Carlo run
         # never imports scipy.interpolate or scipy.optimize, which cost about
-        # 0.15 s at import.  It runs silent under -W error, and a second model
-        # of the same k builds no second table of log T.
+        # 0.15 s at import, nor scipy.linalg (about 35 ms and 6 MiB).  It runs
+        # silent under -W error, and a second model of the same k builds no
+        # second table of log T.
         code = (
             "import sys, numpy as np, herdsim\n"
             "from herdsim import PolyTailSignalModel, StateOfWorld, ell_star_path, run_trials\n"
@@ -202,7 +203,7 @@ class TestPolyTailModel:
             "        m.llr_log_cdf(state, grid), m.llr_log_sf(state, grid)\n"
             "    ell_star_path(m, 1000)\n"
             "    run_trials(m, StateOfWorld.PLUS, 300, 64, 1)\n"
-            "print(sorted(n for n in ('scipy.interpolate', 'scipy.optimize') if n in sys.modules))\n"
+            "print(sorted(n for n in ('scipy.interpolate', 'scipy.linalg', 'scipy.optimize') if n in sys.modules))\n"
             "print(sum(n > 1 for n in tables))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -210,6 +211,109 @@ class TestPolyTailModel:
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr[-2000:]
         assert done.stdout.split() == ["[]", "1"]
+
+
+class TestTridiagonalSolve:
+    """The splines' solve is LAPACK's dgtsv, the routine of scipy's solve_banded((1, 1), ...), bit for bit."""
+
+    @staticmethod
+    def _both(dl, d, du, b):
+        from scipy.linalg import solve_banded
+
+        ab = np.zeros((3, len(d)))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        want = solve_banded((1, 1), ab, b, check_finite=False)
+        got = np.array(signal_models._solve_tridiagonal(list(dl), list(d), list(du), list(b)))
+        return got, want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 1000])
+    def test_random_systems_equal_solve_banded(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (0.1, 1.0, 10.0):  # a small diagonal swaps most rows, a large one none
+            dl, du, b = rng.normal(size=n - 1), rng.normal(size=n - 1), rng.normal(size=n)
+            d = scale * rng.normal(size=n)
+            got, want = self._both(dl, d, du, b)
+            assert got.tobytes() == want.tobytes()
+
+    def test_forced_interchanges_equal_solve_banded(self):
+        # |dl[i]| > |d[i]| in every row, in every other row, and only in the last one
+        rng = np.random.default_rng(5)
+        n = 9
+        dl, du, b = rng.uniform(1.0, 2.0, n - 1), rng.normal(size=n - 1), rng.normal(size=n)
+        for d in (rng.uniform(-0.5, 0.5, n), np.where(np.arange(n) % 2, 0.1, 5.0), np.r_[[5.0] * (n - 2), 0.1, 3.0]):
+            got, want = self._both(dl, d, du, b)
+            assert got.tobytes() == want.tobytes()
+
+    def test_the_quantile_splines_system_equals_solve_banded(self):
+        # the knots log(c T(x)) are uneven; the system as _CubicSpline builds it
+        model = PolyTailSignalModel(k=2.0)
+        x_nodes, log_t = model._tail_nodes
+        x = (np.log(model.c) + log_t)[::-1]
+        dx = np.diff(x)
+        rng = np.random.default_rng(7)
+        d = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]]
+        got, want = self._both(np.r_[dx[1:], x[-1] - x[-3]], d, np.r_[x[2] - x[0], dx[:-1]],
+                               rng.normal(size=len(x)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_zero_pivot_is_named(self):
+        with pytest.raises(signal_models.SingularSystemError, match="zero pivot in row 1"):
+            signal_models._solve_tridiagonal([0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(signal_models.SingularSystemError, match="zero pivot in row 2"):
+            signal_models._solve_tridiagonal([0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(signal_models.SingularSystemError), np.errstate(divide="ignore"):  # repeated knots
+            signal_models._CubicSpline(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.arange(5.0))
+
+
+class TestPolyTailFarTail:
+    """log T past 60 takes the series only where its terms fall below 1e-17 before they turn."""
+
+    def test_k2_takes_the_series_at_every_point_past_60(self):
+        model = PolyTailSignalModel(k=2.0)
+        x = np.concatenate([[np.nextafter(60.0, np.inf), 61.0, 70.0, 1e3, 1e300, np.inf, np.nan],
+                            np.random.default_rng(3).uniform(60.0, 200.0, 500)])
+        assert model._tables.series_floor == 60.0
+        assert model._log_T(x).tobytes() == signal_models._log_exp_poly_tail_asymptotic(x, 2.0).tobytes()
+
+    @pytest.mark.parametrize("k, served", [(0.5, True), (5.0, True), (5.01, False), (20.0, False), (50.0, False)])
+    def test_the_series_serves_every_point_past_60_up_to_k_5(self, k, served):
+        floor = _poly_tail_tables(k).series_floor
+        assert (floor == 60.0) is served
+        # the least float past the floor is served, and the floor itself is not (unless it is 60)
+        assert signal_models._series_serves(float(np.nextafter(floor, np.inf)), k)
+        assert served or not signal_models._series_serves(floor, k)
+        x = np.random.default_rng(8).uniform(60.0, 2.0 * floor, 300).tolist()  # one threshold decides
+        assert [signal_models._series_serves(v, k) for v in x] == [v > floor for v in x]
+
+    @pytest.mark.parametrize("k", [20.0, 50.0])
+    def test_large_k_takes_the_continued_fraction_where_the_series_fails(self, k):
+        model = PolyTailSignalModel(k=k)
+        x = np.array([61.0, 70.0, 100.0, 200.0, 1e4, np.nan])
+        series = np.array([signal_models._series_serves(v, k) for v in x])
+        assert np.array_equal(series[:-1], x[:-1] > _poly_tail_tables(k).series_floor)
+        exact = signal_models._log_exp_poly_upper_tail(x[:-1], k)
+        got = model._log_T(x)
+        assert np.isnan(got[-1])
+        assert got[:-1][~series[:-1]].tobytes() == exact[~series[:-1]].tobytes()
+        assert np.all(np.abs(got[:-1] - exact) <= 1e-12 * np.abs(exact))
+        assert not series[0] and series[-2]  # 61 is too near k + 39; 1e4 is far past it
+
+    @pytest.mark.parametrize("k", [7.3, 50.0])
+    def test_c_leaves_a_step_the_series_cannot_serve_to_python(self, k, native_loop, python_loop, monkeypatch):
+        model = PolyTailSignalModel(k=k)
+        assert _native.path_loop(native_loop, model) is not None
+        for prior in (-70.0, -61.0):
+            path = ell_star_path(model, 500, prior).values
+            assert path.tobytes() == python_loop(ell_star_path, model, 500, prior).values.tobytes()
+            assert np.all(np.isfinite(path))
+        for theta in (MINUS, PLUS):
+            agg = run_trials(model, theta, 300, 64, 3)
+            assert repr(vars(agg)) == repr(vars(python_loop(run_trials, model, theta, 300, 64, 3)))
+        # from -61 the first steps need log T at 61, which the series does not serve: C calls Python
+        calls, kernel = [], belief._signed_increment
+        monkeypatch.setattr(belief, "_signed_increment", lambda *args: calls.append(1) or kernel(*args))
+        ell_star_path(model, 3, -61.0)
+        assert calls
 
 
 def _table_arrays(model):

@@ -39,7 +39,13 @@ see every last bit of the draws and of the streams' continuation from one
 chunk to the next (the aggregates see a draw only through an action); the
 sums of ``simulate_baseline_llr`` for 13 trials of each family at theta = +-,
 stacked into one array (the ``baseline_batch`` lines), over two time chunks
-with checkpoints at both ends of the first; and the CSV files of all eight
+with checkpoints at both ends of the first; the knots and coefficients of
+both PolyTail k = 2 splines (log T and the quantile); the rate-target D+
+table of acceptance criterion 10's model (Q(n) = 1/log(n + 2 + e), support
++-2e5) read cell by cell through ``montecarlo._increment``: the cells
+around 0 first, then every cell from -cut - 1 up to -735 and from 735 up
+to cut + 2 (the far cells past +-734, where one state's plain sums
+underflow, and the clamped ends); and the CSV files of all eight
 CLI experiments, with upset-tail's trajectory dump on (``manifest.json``
 holds timestamps, so it is skipped).  ``--quick``
 shrinks every size, for a smoke run.  ``--no-native`` runs without the
@@ -278,6 +284,20 @@ def baseline_digests(size: dict):
             yield f"baseline_batch/{family}/theta={theta.sign:+d}", sha(sums)
 
 
+def spline_digests(_size: dict):
+    model = models()["polytail"]
+    for name, spline in (("tail", model._log_tail_spline), ("quantile", model._pos_branch_ppf)):
+        yield f"spline/polytail/k={model.k:g}/{name}", sha(spline.x, spline.c)
+
+
+def rate_table_digests(_size: dict):
+    model = build_rate_target(lambda n: 1.0 / math.log(n + 2.0 + math.e), max_support=200_000)
+    cut = len(model.support) // 2
+    for name, cells in (("near0", np.arange(-733.0, 734.0)), ("minus-far", np.arange(-cut - 1.0, -734.0)),
+                        ("plus-far", np.arange(735.0, cut + 3.0))):
+        yield f"rate_table/q=1-log/{name}", sha(montecarlo._increment(model, cells, np.ones(len(cells))))
+
+
 def _cli_configs(horizon: int, trials: int) -> dict:
     gauss = {"family": "gaussian", "sigma": 2.0}
     poly = {"family": "polytail", "k": 2.0}
@@ -323,7 +343,8 @@ def main(argv=None) -> int:
         _native.library = lambda: None
     size = SIZES["quick" if args.quick else "full"]
     for digests in (path_digests, model_digests, sample_digests, increment_digests,
-                    recurrence_digests, ode_digests, aggregate_digests, baseline_digests, cli_digests):
+                    recurrence_digests, ode_digests, aggregate_digests, baseline_digests, spline_digests,
+                    rate_table_digests, cli_digests):
         for name, digest in digests(size):
             print(name, digest)
     return 0
