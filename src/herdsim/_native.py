@@ -10,7 +10,7 @@ closed-form increment (``log_ndtr_scalar`` on the same libm functions),
 point, and in its tail branch ``_signed_increment``'s tail form, from 40 up ``_scalar_increment``'s closed form on libm in its order
 of operations, checked against it bit for bit once per k by
 ``checked_far_steps``) and ``call_steps`` over a Python increment (a
-subclass's, a block solve's replay, ``iterate_recurrence``'s).  Where a
+subclass's, a custom model's, ``iterate_recurrence``'s).  Where a
 fused loop's increment leaves a step to Python (PolyTail's tail branch
 below 1, a NaN belief, a PolyTail |a| past 60 where the series of log T
 does not serve, a rate-target cell whose slice is not built yet or a
@@ -1523,7 +1523,7 @@ def checked_far_steps(lib, model) -> bool:
     if tables not in _checked_far_steps:
         from .belief import _scalar_increment  # imported here: belief imports this module's users
 
-        far = _scalar_increment(model)[0]
+        far = _scalar_increment(model)
         spread = 10.0 ** np.random.Generator(np.random.Philox(35)).uniform(math.log10(40.0), 8.0, 2000)
         x = np.concatenate([[40.0, np.nextafter(40.0, np.inf), 41.0, 60.0, 1e3, 1e6, 1e15, 1e300,
                              np.finfo(float).max], spread])

@@ -395,14 +395,6 @@ def _compensated_steps(
     return _python_steps(increment, values, start, stop, a, carry)
 
 
-def fused_loop(model: SignalModel) -> bool:
-    """Whether ``_compensated_steps`` steps ``model``'s ell* in its own C loop (``_native.path_loop``)."""
-    from . import _native  # imported here: importing the package loads no library
-
-    lib = _native.library()
-    return lib is not None and _native.path_loop(lib, model) is not None
-
-
 def _python_steps(increment, values, start, stop, a, carry) -> tuple[float, float]:
     """``_compensated_steps`` in Python: the reference of the C loops, and their fallback."""
     out = memoryview(values)  # stores a Python float faster than ndarray item assignment

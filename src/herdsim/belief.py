@@ -12,7 +12,6 @@ All functions are pure; d_plus / d_minus accept scalars or arrays, not NaN.
 
 from __future__ import annotations
 
-import functools
 import math
 import queue
 import threading
@@ -22,10 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import _compensated_steps, fused_loop
+from .asymptotics import _compensated_steps
 from .signal_models import (
     GaussianSignalModel,
-    NumericalFailure,
     PolyTailSignalModel,
     RateTargetSignalModel,
     SignalModel,
@@ -292,7 +290,8 @@ def action_probability(model: SignalModel, ell, state: StateOfWorld):
 def rb_mistake_weight(ell):
     """Conditional mistake probability min(mu, 1-mu) = 1/(e^|ell| + 1)."""
     ell = _not_nan(np.asarray(ell, dtype=float), "ell")
-    return 1.0 / (np.exp(np.abs(ell)) + 1.0)
+    with np.errstate(over="ignore"):  # past |ell| ~ 709 e^|ell| is inf, and the weight its exact 0
+        return 1.0 / (np.exp(np.abs(ell)) + 1.0)
 
 
 def martingale_residual(model: SignalModel, ell: float) -> float:
@@ -326,12 +325,15 @@ class EllStarPath:
         return len(self.values)
 
 
-def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], float]:
-    """A fast scalar x -> D_plus(x) for the tight path loops, and its kernel stretch.
+def _scalar_increment(model: SignalModel) -> Callable[[float], float]:
+    """A fast scalar x -> D_plus(x), the increment of the compensated path loop.
 
-    The second value is the x below which the scalar increment is the kernel
-    itself: -inf for the Gaussian closed form and the rate-target table, 40
-    for PolyTail, +inf for any other model (a subclass counts as its base).
+    It is the Gaussian closed form, the rate-target table, PolyTail's kernel
+    below 40 and its closed form of both tails from 40 up, and the kernel
+    itself for any other model (a subclass counts as its base).  C's loop
+    of an exact-type model steps by its own increment and calls this one
+    only where that leaves a step to Python; C's loop of any other model
+    calls it at every step.
     """
     if isinstance(model, GaussianSignalModel):
         mean_p, inv_tau = 2.0 / (model.sigma * model.sigma), 1.0 / model.tau
@@ -342,7 +344,7 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
                 (x - mean_p) * inv_tau
             )
 
-        return incr, -math.inf
+        return incr
 
     if isinstance(model, RateTargetSignalModel):
         table, cut, top = _rate_table(model), len(model.support) // 2, len(model.support)
@@ -355,7 +357,7 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
                 table.build(model, k)
             return cells[k]
 
-        return rate, -math.inf
+        return rate
 
     if isinstance(model, PolyTailSignalModel):
         c, k = model.c, model.k
@@ -369,86 +371,15 @@ def _scalar_increment(model: SignalModel) -> tuple[Callable[[float], float], flo
             # smaller by a factor ~ e^-x x^k+1, i.e. < 1e-15 of the result
             return -math.log1p(-a * x**-k) - c * math.exp(-x) * x ** (-k - 1.0)
 
-        return poly, 40.0
+        return poly
 
     def generic(x: float) -> float:
         return _signed_increment(model, x, +1)
 
-    return generic, math.inf
+    return generic
 
 
-# Steps per block of the block solve, and the sweeps a block may take
-# before it is finished by the sequential loop instead.
-_BLOCK = 256
-_MAX_SWEEPS = 24
-
-
-def _solve_blocks(model, incr, below, values, a):
-    """Fill ``values[1:]`` from ``values[0] = a`` while the path lies below ``below``.
-
-    While x < ``below`` the path's increment is the kernel itself, so a block of
-    steps is the fixed point of "evaluate the kernel at guessed positions in one
-    call, rerun the compensated scan over those steps": each sweep fixes at
-    least one more position, and only the sequential path returns its input
-    bit for bit.  A block that has not converged within ``_MAX_SWEEPS``
-    commits the prefix its last sweep returned unchanged, plus the next
-    position, which that exact prefix determines.  A block whose sweep fails
-    (a guessed position may be one the path never visits) is run by the
-    sequential loop, which raises any error where the step-by-step iteration
-    would.  Returns the index of the last position filled, with its value
-    and carry.
-    """
-    horizon = len(values)
-    i, carry, slope = 0, 0.0, 0.0
-    while i < horizon - 1 and a < below:
-        n = min(_BLOCK, horizon - 1 - i)
-        x = a + slope * np.arange(n, dtype=float)  # x[j] guesses values[i + j]
-        x[0] = a
-        new = values[i + 1:i + n]  # what the scan makes of x[1:]
-        for _ in range(_MAX_SWEEPS):
-            try:
-                steps = _signed_increment(model, x, +1)
-                end = _compensated_steps(_replay(steps), values, i + 1, i + 1 + n, a, carry)
-            except (ArithmeticError, ValueError, NumericalFailure):
-                exact = 0  # the sequential loop below raises it again if the path meets it
-                break
-            moved = new.view(np.int64) != x[1:].view(np.int64)
-            # x[:j + 1] is exact while the scan returns x[1:j + 1] unchanged,
-            # and then so is the step it takes from there
-            exact = int(np.argmax(moved)) + 1 if moved.any() else n
-            if exact == n:
-                break
-            x[1:] = new
-        if not exact:
-            a, carry = _compensated_steps(incr, values, i + 1, i + 1 + n, a, carry)
-            i += n
-        else:
-            # past the first position >= below the steps are not the path's
-            crossed = np.flatnonzero(values[i + 1:i + exact] >= below)
-            if len(crossed):
-                exact = int(crossed[0]) + 1
-            if exact < n:
-                end = _compensated_steps(
-                    _replay(steps[:exact]), values, i + 1, i + 1 + exact, a, carry
-                )
-            a, carry = end
-            i += exact
-        slope = values[i] - values[i - 1]
-    return i, a, carry
-
-
-def _replay(steps: np.ndarray) -> Callable[[float], float]:
-    """An increment that returns ``steps`` in turn, whatever its argument.
-
-    ``next(it, a)`` returns the next step (``a`` would only be the default
-    of an exhausted iterator), with no Python frame per step; a memoryview
-    yields them as Python floats.
-    """
-    steps = np.ascontiguousarray(steps, dtype=float)
-    return functools.partial(next, iter(memoryview(steps)))
-
-
-# Steps per resume of the path loop after the block solve: the unit in which
+# Steps per resume of the path loop: the unit in which
 # ``first_mistake_distribution`` reads the path while the rest is computed.
 _CHUNK = 2**16
 
@@ -465,28 +396,23 @@ def ell_star_path(
     Compensated summation (``asymptotics.iterate_recurrence``'s loop) keeps
     even 1e7 steps of shrinking increments accurate; a step that underflows
     to exactly 0 holds the path (a rate-target one from a prior at or below
-    -cut).  Every loop runs in C where ``_native`` loads: the one
+    -cut).  The loop runs in C where ``_native`` loads: the one
     ``_native.path_steps`` picks for ``model``, which steps an exact-type
-    Gaussian, PolyTail or rate-target path by its own increment in C
-    (``asymptotics.fused_loop``).  Any other path whose increment is the
-    kernel itself (PolyTail below 40 in a subclass or without the library,
-    custom models) is first solved in blocks of steps (``_solve_blocks``),
-    bit-identical to the step-by-step loop.  The loop then runs in chunks
-    of ``_CHUNK`` steps, each resumed from the (a, carry) the last one
-    returned, so the bytes are those of one loop.
-    After the block solve and after each chunk, ``on_chunk(values, stop)``
-    (if given) sees the path's array, final up to ``stop``; an exception it
-    raises ends the path.  ``prior_llr`` must be finite.
+    Gaussian, PolyTail or rate-target path by its own increment in C and
+    any other path (a subclass's, a custom model's) by calling
+    ``_scalar_increment``'s at every step; without the library it runs in
+    Python.  It runs in chunks of ``_CHUNK`` steps, each resumed from the
+    (a, carry) the last one returned, so the bytes are those of one loop.
+    Before the first chunk (with the prior alone) and after each chunk,
+    ``on_chunk(values, stop)`` (if given) sees the path's array, final up
+    to ``stop``; an exception it raises ends the path.  ``prior_llr`` must
+    be finite.
     """
     _check_size("horizon", horizon)
     _check_finite("prior_llr", prior_llr)
     values = np.empty(horizon, dtype=float)
     values[0] = a = float(prior_llr)
-    incr, below = _scalar_increment(model)
-    i, carry = 0, 0.0
-    if below > -math.inf and not fused_loop(model):
-        i, a, carry = _solve_blocks(model, incr, below, values, a)
-    start = i + 1
+    incr, start, carry = _scalar_increment(model), 1, 0.0
     if on_chunk is not None:
         on_chunk(values, start)
     for stop in [*range(start + _CHUNK, horizon, _CHUNK), horizon]:

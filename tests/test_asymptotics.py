@@ -137,6 +137,8 @@ PARITY_CASES = {
     "exponential-tail": lambda: (lambda x: math.exp(-x), 0.0, 0.0),
     "polynomial-tail": lambda: (
         lambda x: x ** -2.0 if x > 1e-12 else 1e12, 0.0, closed_form_polynomial_tail(2.0, 1.0, 0.0)),
+    # a rate too small for RK45's first-step estimate: d1, d2 <= 1e-15 take h1 = max(1e-6, h0 * 1e-3)
+    "flat": lambda: (lambda x: 1e-30, 1.0, 1.0),
 }
 
 

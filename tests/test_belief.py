@@ -1,7 +1,6 @@
 """Public-belief dynamics: increments, martingale identity, ell*, first mistake."""
 
 import concurrent.futures
-import functools
 import hashlib
 import math
 import os
@@ -65,7 +64,7 @@ class SubGaussian(GaussianSignalModel):
 
 
 class SubPolyTail(PolyTailSignalModel):
-    """The base's law in a subclass: its path below 40 is block-solved, since C steps only the base's."""
+    """The base's law in a subclass: C calls its scalar increment at every step, since it steps only the base's."""
 
 
 class TestIncrements:
@@ -326,6 +325,16 @@ class TestDecisionAndUpdate:
         assert rb_mistake_weight(0.0) == 0.5
         assert_allclose(rb_mistake_weight(math.log(3.0)), 0.25, rtol=1e-15)
         assert_allclose(rb_mistake_weight(-math.log(3.0)), 0.25, rtol=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e^|ell| overflows past 709; 1/inf is the exact 0
+            assert rb_mistake_weight(-710.0) == 0.0 and np.all(rb_mistake_weight([800.0, 1e300]) == 0.0)
+
+    def test_a_run_past_709_raises_no_overflow_warning(self):
+        # sigma = 0.05 lifts checkpoint beliefs past 709, where rb_mistake_weight's e^|ell| is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            agg = montecarlo.run_trials(GaussianSignalModel(0.05), PLUS, 500, 300, master_seed=1)
+        assert np.all(np.isfinite(agg.rb_sum))
 
 
 class TestMartingale:
@@ -346,6 +355,7 @@ class TestEllStarPath:
         path = ell_star_path(G2, 3)
         assert path.values[0] == 0.0  # uniform prior
         assert_allclose(path.values[1], 0.806965346304962216, rtol=1e-13)
+        assert len(ell_star_path(G1, 7)) == 7
 
     def test_prior_configurable(self):
         p0 = 0.8
@@ -431,8 +441,7 @@ class LogisticModel(SignalModel):
 
 def _sequential(model, horizon, prior):
     """ell* by the step-by-step compensated loop over the scalar increment."""
-    incr, _ = belief._scalar_increment(model)
-    return iterate_recurrence(incr, prior, horizon)
+    return iterate_recurrence(belief._scalar_increment(model), prior, horizon)
 
 
 def _bytes_equal(a, b):
@@ -442,18 +451,18 @@ def _bytes_equal(a, b):
 PRIORS = [0.0, 0.3, -2.0, 39.5, 41.0, -45.0]
 
 
-class TestBlockSolve:
-    """ell_star_path solves the d_plus stretch in blocks; the bytes are the loop's."""
+class TestPathLoop:
+    """ell_star_path is the compensated loop over the model's D+; the bytes are the sequential loop's."""
 
     @pytest.mark.parametrize("kind", [PolyTailSignalModel, SubPolyTail], ids=["exact", "subclass"])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
     def test_polytail_paths_equal_the_sequential_loop(self, k, kind):
         model = kind(k=k)
-        # a prior from which the path crosses 40 within a few hundred steps,
-        # inside a block; from 41 it starts past 40
+        # a prior from which the path crosses 40 within a few hundred steps;
+        # from 41 it starts past 40
         crossing = 40.0 - 300.0 * float(d_plus(model, 40.0))
         for prior in PRIORS + [-70.0, 1e3, crossing]:
-            for horizon in (1, 2, 3000):  # 3000 steps end mid-block
+            for horizon in (1, 2, 3000):
                 path = ell_star_path(model, horizon, prior).values
                 assert _bytes_equal(path, _sequential(model, horizon, prior)), (prior, horizon)
         assert 100 < np.argmax(ell_star_path(model, 3000, crossing).values >= 40.0) < 3000
@@ -495,60 +504,53 @@ class TestBlockSolve:
             pmf = np.exp(np.asarray(model.llr_log_cdf(PLUS, neg), dtype=float) + cum[:-1])
             assert _bytes_equal(law.pmf, pmf) and _bytes_equal(law.survivor, np.exp(cum[1:]))
 
-    @staticmethod
-    def _spy_on_scans(monkeypatch):
-        """Record the (start, stop) of every scan: over the model's own increment, and replays."""
-        sequential, replayed, scan = [], [], belief._compensated_steps
-
-        def spy(increment, values, start, stop, a, carry, model=None):
-            # a replay of solved steps is a partial; anything else steps the model
-            replay = isinstance(increment, functools.partial)
-            (replayed if replay else sequential).append((start, stop))
-            return scan(increment, values, start, stop, a, carry, model)
-
-        monkeypatch.setattr(belief, "_compensated_steps", spy)
-        return sequential, replayed
-
-    def test_sweep_cap_commits_the_converged_prefix(self, monkeypatch):
-        model = SubPolyTail(k=2.0)  # block-solved with or without the library
-        expected = {prior: _sequential(model, 700, prior) for prior in PRIORS}
-        sequential, replayed = self._spy_on_scans(monkeypatch)
-        monkeypatch.setattr(belief, "_MAX_SWEEPS", 1)  # one sweep solves no block of 3+ steps
-        for prior in PRIORS:
-            assert _bytes_equal(ell_star_path(model, 700, prior).values, expected[prior])
-        # each capped block commits the step its exact start fixes; none runs step by step
-        assert all(stop == 700 for _, stop in sequential)
-        assert (1, 257) in replayed and (1, 2) in replayed and (2, 258) in replayed
-
-    @pytest.mark.parametrize("k", [2.0, 4.0])
-    def test_unconverged_first_block_is_not_rerun_step_by_step(self, k, monkeypatch):
-        # from a prior near 0 the first block of a k >= 1 path hits the sweep cap
-        model = SubPolyTail(k=k)
-        expected = _sequential(model, 1000, 0.1)
-        sequential, replayed = self._spy_on_scans(monkeypatch)
-        assert _bytes_equal(ell_star_path(model, 1000, 0.1).values, expected)
-        assert sequential == [(1000, 1000)]
-        prefix = [stop for start, stop in replayed if start == 1 and stop < 257]
-        assert len(prefix) == 1 and 2 < prefix[0]
-
-    def test_invalid_guessed_step_falls_back(self, monkeypatch):
-        # the path stays below 10 for 300 steps, but the straight-line guess
-        # of the first block runs past it into NaN increments
-        model = LogisticModel(bad_above=10.0)
-        expected = _sequential(model, 300, 0.0)
-        sequential, _ = self._spy_on_scans(monkeypatch)
-        path = ell_star_path(model, 300).values
-        assert path[-1] < 10.0 and _bytes_equal(path, expected)
-        assert (1, 257) in sequential
-
     def test_invalid_step_on_the_path_raises_as_the_loop_does(self):
         model = LogisticModel(bad_above=3.0)
         with pytest.raises(NumericalFailure) as sequential:
             _sequential(model, 300, 0.0)
-        with pytest.raises(NumericalFailure) as blocked:
+        with pytest.raises(NumericalFailure) as path:
             ell_star_path(model, 300)
-        assert str(blocked.value) == str(sequential.value)
-        assert "nan" in str(blocked.value)
+        assert str(path.value) == str(sequential.value)
+        assert "nan" in str(path.value)
+
+    @staticmethod
+    def _spy_on_increments(monkeypatch):
+        """Record every point at which the path loop calls the model's scalar increment."""
+        calls, scalar = [], belief._scalar_increment
+
+        def spy(model):
+            incr = scalar(model)
+            return lambda x: calls.append(x) or incr(x)
+
+        monkeypatch.setattr(belief, "_scalar_increment", spy)
+        return calls
+
+    def test_a_path_below_an_invalid_region_never_steps_into_it(self, monkeypatch):
+        # the path stays below 10 for 300 steps; past 10 the increments are NaN,
+        # so a loop that evaluated any point off the path would raise
+        model = LogisticModel(bad_above=10.0)
+        expected = _sequential(model, 300, 0.0)
+        calls = self._spy_on_increments(monkeypatch)
+        path = ell_star_path(model, 300).values
+        assert path[-1] < 10.0 and _bytes_equal(path, expected)
+        assert calls == path[:-1].tolist()
+
+    @pytest.mark.parametrize("loop", ["library", "python"])
+    def test_each_step_calls_the_increment_once_at_the_path(self, loop, request, monkeypatch):
+        # a subclass, whose path C steps by calling the scalar increment; past
+        # one chunk, so the resume calls no step twice and skips none
+        if loop == "python":
+            run = request.getfixturevalue("python_loop")
+        else:
+            request.getfixturevalue("native_loop")  # the library must load
+            run = lambda f, *args: f(*args)  # noqa: E731
+        model, horizon = SubPolyTail(k=2.0), belief._CHUNK + 100
+        crossing = 40.0 - 300.0 * float(d_plus(model, 40.0))
+        expected = _sequential(model, horizon, crossing)
+        calls = self._spy_on_increments(monkeypatch)
+        path = run(ell_star_path, model, horizon, crossing).values
+        assert _bytes_equal(path, expected)
+        assert calls == path[:-1].tolist()
 
 
 RATE_TARGETS = pytest.mark.parametrize(
@@ -575,12 +577,11 @@ class TestRateTable:
     def test_path_increment_is_d_plus(self, q, support):
         model = build_rate_target(q, max_support=support)
         cut, x = self._points(model)
-        incr, below = belief._scalar_increment(model)
+        incr = belief._scalar_increment(model)
         steps = np.array([incr(v) for v in x])
         plus = x > -cut  # at x <= -cut no agent plays +1 and d_plus raises
         assert _bytes_equal(steps[plus], d_plus(model, x[plus]))
         assert not steps[~plus].any()  # those x read cell -cut, which holds
-        assert below == -math.inf  # no stretch is block-solved
 
     @RATE_TARGETS
     def test_lockstep_increments_are_the_kernels(self, q, support):
@@ -642,7 +643,7 @@ class TestRateTable:
         calls, kernel = [], belief._signed_increment
         monkeypatch.setattr(belief, "_signed_increment",
                             lambda model, ends, sign: calls.append(float(ends[0])) or kernel(model, ends, sign))
-        incr = belief._scalar_increment(model)[0]
+        incr = belief._scalar_increment(model)
         got = [None] * len(x)
 
         def read(i):
@@ -704,7 +705,7 @@ class TestRateTable:
         model = self._boundary_model()  # a fresh table
         assert _bytes_equal(montecarlo._increment(model, x, -ones), -eager[mirror])  # D- first
         assert _bytes_equal(montecarlo._increment(model, x, ones), eager[cell])
-        incr = belief._scalar_increment(self._boundary_model())[0]  # a fresh table, read one cell at a time
+        incr = belief._scalar_increment(self._boundary_model())  # a fresh table, read one cell at a time
         assert _bytes_equal(np.array([incr(v) for v in x[::-1]]), eager[cell[::-1]])
         table = belief._rate_table(model)
         built = table.ready == 1
@@ -737,7 +738,7 @@ class TestNativeLoops:
     @pytest.mark.parametrize("k", [0.5, 2.0, 4.0, 20.0])
     def test_polytail_paths_equal_the_python_loop(self, k, native_loop, python_loop):
         model = PolyTailSignalModel(k=k)
-        crossing = 40.0 - 300.0 * float(d_plus(model, 40.0))  # crosses 40 inside a block
+        crossing = 40.0 - 300.0 * float(d_plus(model, 40.0))  # crosses 40 within 300 steps
         # -70: the increment's deep left branch (a < -60); 1e3: far past 40
         for prior in (0.0, 0.3, -2.0, 39.5, 41.0, -70.0, 1e3, crossing):
             path = ell_star_path(model, 3000, prior).values
@@ -777,22 +778,13 @@ class TestNativeLoops:
         assert str(compiled.value) == str(sequential.value)
         assert str(compiled.value) == "increment nan not finite and >= 0 at a=-1e+160"
 
-    def test_invalid_replayed_step_raises_as_the_loop_does(self, native_loop, python_loop):
+    def test_invalid_custom_model_step_raises_as_the_loop_does(self, native_loop, python_loop):
         model = LogisticModel(bad_above=3.0)
         with pytest.raises(NumericalFailure) as python:
             python_loop(ell_star_path, model, 300)
         with pytest.raises(NumericalFailure) as compiled:
             ell_star_path(model, 300)
         assert str(compiled.value) == str(python.value)
-
-    def test_exhausted_replay_steps_by_its_argument_as_the_python_loop(self, native_loop, python_loop):
-        # next(it, a) returns a once the steps run out, also called from the C loop
-        def replayed():
-            values = np.zeros(6)
-            end = belief._compensated_steps(belief._replay(np.array([0.5, 1e-17])), values, 1, 6, 0.25, 0.0)
-            return values.tobytes(), end
-
-        assert replayed() == python_loop(replayed)
 
     def test_without_the_library_the_python_loop_gives_the_same_bytes(self, native_loop, python_loop):
         for model in (G2, PT2, RT):
@@ -947,14 +939,12 @@ class TestFirstMistake:
 def _one_pass_law(model, horizon, prior):
     """ell*, pmf and survivor as computed in one pass each: the reference of the streamed law.
 
-    The path is the block solve and then one compensated loop over the rest;
-    the law is one log-probability pass and one cumsum over the whole path.
+    The path is one compensated loop over the whole horizon, the law one
+    log-probability pass and one cumsum over the whole path.
     """
     values = np.empty(horizon)
     values[0] = float(prior)
-    incr, below = belief._scalar_increment(model)
-    i, a, carry = belief._solve_blocks(model, incr, below, values, values[0])
-    belief._compensated_steps(incr, values, i + 1, horizon, a, carry)
+    belief._compensated_steps(belief._scalar_increment(model), values, 1, horizon, values[0], 0.0)
     neg = -values
     log_mistake = np.asarray(model.llr_log_cdf(PLUS, neg), dtype=float)
     cum = np.concatenate(([0.0], np.cumsum(np.asarray(model.llr_log_sf(PLUS, neg), dtype=float))))
@@ -1023,10 +1013,10 @@ class TestStreamedLaw:
         # a subclass, whose C loop calls the scalar increment at every step
         model, horizon = SubGaussian(1.0), CHUNK + 100
         at = float(ell_star_path(model, horizon).values[CHUNK + 50])  # in the second resume
-        incr, below = belief._scalar_increment(model)
+        incr = belief._scalar_increment(model)
 
         def failing(model):
-            return (lambda x: math.nan if x >= at else incr(x)), below
+            return lambda x: math.nan if x >= at else incr(x)
 
         monkeypatch.setattr(belief, "_scalar_increment", failing)
         threads = threading.active_count()
@@ -1091,14 +1081,14 @@ class TestExactType:
 
     def test_only_the_exact_type_runs_the_fused_loop(self, native_loop, monkeypatch):
         # the fused loop calls no increment, and the law's path reaches it
-        incr, _ = belief._scalar_increment(G1)
+        incr = belief._scalar_increment(G1)
         calls = []
 
         def counted(x):
             calls.append(x)
             return incr(x)
 
-        monkeypatch.setattr(belief, "_scalar_increment", lambda model: (counted, -math.inf))
+        monkeypatch.setattr(belief, "_scalar_increment", lambda model: counted)
         out = []
         for model in (SubGaussian(1.0), G1):
             calls.clear()

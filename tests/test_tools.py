@@ -65,6 +65,8 @@ def test_output_digests_smoke(quick_lines):
     assert {"ell_star/gaussian-sigma0.7/prior=0.0", "first_mistake/gaussian-sigma0.7/prior=0.0/pmf",
             "first_mistake/gaussian-sigma0.7/prior=0.0/survivor", "ell_star/gaussian/prior=-80.0",
             "ell_star/polytail/prior=41.0"} <= set(names)
+    # a PolyTail subclass, which no C loop of its own steps, below 40 and across it
+    assert {"ell_star/polytail-subclass/prior=0.0", "ell_star/polytail-subclass/prior=39.5"} <= set(names)
     # the rate-target path held in cell -cut, started in the cell above it, and a long one
     assert {"ell_star/ratetarget/prior=-5000.0", "ell_star/ratetarget/prior=-4999.5",
             "ell_star/ratetarget/long"} <= set(names)

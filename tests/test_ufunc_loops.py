@@ -143,17 +143,16 @@ class TestFailedChecks:
         assert self._outputs() == direct
         assert set(calls) == {f.__name__ for f in _native._UFUNCS}
 
-    def test_a_failed_far_step_check_block_solves_and_gives_the_same_bytes(self, native_loop, monkeypatch):
+    def test_a_failed_far_step_check_leaves_no_path_loop_and_gives_the_same_bytes(self, native_loop,
+                                                                                  monkeypatch):
         assert _native.checked_far_steps(native_loop, PT2)
-        assert asymptotics.fused_loop(PT2)
+        assert _native.path_loop(native_loop, PT2) is not None
         fused = [belief.ell_star_path(PT2, 30000, prior).values for prior in (0.0, 41.0)]
-        entered, solve = [], belief._solve_blocks
-        monkeypatch.setattr(belief, "_solve_blocks", lambda *args: entered.append(1) or solve(*args))
         monkeypatch.setattr(_native, "checked_far_steps", lambda lib, model: False)
-        assert not asymptotics.fused_loop(PT2)
+        assert _native.path_loop(native_loop, PT2) is None  # C calls the scalar increment at every step
         for path, prior in zip(fused, (0.0, 41.0)):
             assert path.tobytes() == belief.ell_star_path(PT2, 30000, prior).values.tobytes()
-        assert len(entered) == 2 and fused[0][-1] > 40.0  # the first crosses 40
+        assert fused[0][-1] > 40.0  # the first crosses 40
 
 
 class TestPathLoops:
@@ -170,22 +169,20 @@ class TestPathLoops:
         belief.ell_star_path(model, 3000, 5.0)
         assert calls == []
 
-    def test_only_a_subclass_polytail_path_is_block_solved(self, native_loop, monkeypatch):
+    def test_only_a_subclass_polytail_path_has_no_path_loop(self, native_loop):
         class SubPolyTail(PolyTailSignalModel):
             pass
 
-        entered, solve = [], belief._solve_blocks
-        monkeypatch.setattr(belief, "_solve_blocks",
-                            lambda model, *args: entered.append(type(model)) or solve(model, *args))
+        assert _native.path_loop(native_loop, PT2) is not None
+        assert _native.path_loop(native_loop, SubPolyTail(2.0)) is None
         for prior in (0.1, -70.0):
             exact = belief.ell_star_path(PT2, 1000, prior).values
             assert exact.tobytes() == belief.ell_star_path(SubPolyTail(2.0), 1000, prior).values.tobytes()
-        assert entered == [SubPolyTail, SubPolyTail]
 
     def test_a_non_finite_rate_target_belief_is_stepped_by_the_python_increment(self, native_loop,
                                                                                 python_loop):
         # no path reaches one (its prior and steps are finite), but the loop raises as the Python loop
-        incr, _ = belief._scalar_increment(RT)
+        incr = belief._scalar_increment(RT)
         for a in (math.nan, math.inf):
             errors = []
             for run in (lambda f, *args: f(*args), python_loop):

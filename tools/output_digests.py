@@ -13,10 +13,12 @@ Gaussian ell* from -80, which starts in the deep-tail series of
 steps past 40 from the start, from -70, whose first steps take the
 deep left branch (a < -60) of the increment, and from -0.5, inside the
 gap (-1, 1), and its long path from 0, which crosses 40 in the full
-run; the rate-target ell* from -cut, where it holds, and from
--cut + 0.5, and its long path of criterion 06, whose increments stay
-in one integer cell for many steps; each family's law at that long
-horizon, which the law computes in more than one chunk; each model's
+run; the ell* of a PolyTail subclass, which no C loop of its own steps,
+from 0 and from 39.5, which crosses 40 in the full run; the rate-target
+ell* from -cut, where it holds, and from -cut + 0.5, and its long path
+of criterion 06, whose increments stay in one integer cell for many
+steps; each family's law at that long horizon, which the law computes in
+more than one chunk; each model's
 CDF, log-CDF and log-survival under both states and D+-, log D+- on a
 fixed grid; each model's draws under both states (``llr_from_uniform``
 on a fixed grid of uniforms from 0 to 1 - 2^-53, and for the Gaussian
@@ -115,6 +117,10 @@ class GaussianSubclass(GaussianSignalModel):
     """The Gaussian law in a subclass, which ``_native`` steps in Python: it chooses kernels by exact type."""
 
 
+class PolyTailSubclass(PolyTailSignalModel):
+    """The PolyTail law in a subclass, whose ell* loop calls the Python increment at every step."""
+
+
 def _harmonic_q(n: int) -> float:
     return 1.0 / (n + 2.0)
 
@@ -156,6 +162,9 @@ def path_digests(size: dict):
         yield f"ell_star/{family}/prior={prior}", sha(path.values)
     path = belief.ell_star_path(models()["polytail"], size["long_path"])
     yield "ell_star/polytail/long", sha(path.values)
+    for prior in (0.0, 39.5):  # below 40 each step is one kernel call
+        path = belief.ell_star_path(PolyTailSubclass(k=2.0), size["path"], prior)
+        yield f"ell_star/polytail-subclass/prior={prior}", sha(path.values)
     model = models()["ratetarget"]
     cut = float(model.support[-1])
     for prior in (-cut, 0.5 - cut):  # the hold in cell -cut, and the cell above it
