@@ -85,6 +85,17 @@ fills the same rows, whose streams are sorted by lockstep cohort, and folds
 each row, while it is in cache, into its cohort's per-column min or max
 (``montecarlo._extremes`` is its reference); the fold is a compare and
 select, which gives each element's bits whether or not it is vectorised.
+It is the one call that runs on more than one thread: it cuts the rows
+into contiguous parts, which the calling thread and helper threads that it
+starts and joins claim one at a time until none is left (``fill_split``:
+a thread per CPU the process may run on and per ``_THREAD_DRAWS`` draws,
+parts of ``_PART_DRAWS`` draws), so a helper that gets less of a CPU fills
+fewer parts and the caller fills every part if none starts.  That is safe
+and keeps every bit: each row's stream is its own and each part is written
+by the one thread that claimed it, a cohort that spans parts is folded in
+part order after the join, the ziggurat tables are read-only once
+``normals_checked`` has run, the helpers block every signal, and the
+caller holds the GIL until all are joined.
 Where that archive is missing the library holds the loops and kernels
 only.  The library includes ``Python.h`` and is loaded with
 ``ctypes.PyDLL``, so a call holds the GIL and an increment's exception
@@ -1031,6 +1042,9 @@ int64_t cohort_steps(PyObject *ell_a, PyObject *carry_a, PyObject *sgn_a, double
 # Appended to _SOURCE where numpy ships its sampler library (see _sampler).
 _FILL_SOURCE = r"""
 #include <numpy/random/distributions.h>
+#include <pthread.h>
+#include <signal.h>
+#include <stdatomic.h>
 
 /* A stream's row of uint64 words: numpy's philox_state */
 enum { COUNTER = 0, KEY = 4, BUFFER = 6, BUFFER_POS = 10, HAS_UINT32 = 11, UINTEGER = 12, ROW = 13 };
@@ -1252,22 +1266,115 @@ void philox_fill(uint64_t *states, double *out, int64_t rows, int64_t cols, int 
     fill_rows(states, out, rows, cols, normal, normal && normals_checked());
 }
 
-/* philox_fill, and each row folded into its cohort's row of ext (cohorts x cols, C order) while
-   it is in cache: cohort c holds rows start[c]..start[c + 1] - 1, and ext[c] is their per-column
-   min where low[c], else their max; +inf or -inf for a cohort with no rows */
-void philox_fill_extremes(uint64_t *states, double *out, int64_t cols, int normal,
-                          const int64_t *start, const uint8_t *low, double *ext, int64_t cohorts)
+/* One part of philox_fill_extremes: its rows lo..hi-1 and the cohorts c0..c1-1 that hold them.
+   Cohort c0 straddles where it begins before lo: its rows here fold into the part's own row. */
+typedef struct {
+    int64_t lo, hi, c0, c1;
+    double *own;
+} part_t;
+
+/* A fill's rows and its parts, which its threads claim one at a time: next is the first part
+   not yet claimed */
+typedef struct {
+    uint64_t *states;
+    double *out, *ext;
+    const int64_t *start;
+    const uint8_t *low;
+    int64_t cols, parts;
+    int normal, inline_normal;
+    const part_t *part;
+    atomic_int_fast64_t next;
+} fill_t;
+
+/* Fills a part's rows, each folded into its cohort's row of ext, or of own for a straddling
+   cohort, which starts at +-inf as a cohort's row of ext does.  It writes only its own rows of
+   out, states and ext, and own, and reads the ziggurat tables, which normals_checked has set. */
+static void fill_part(const fill_t *f, const part_t *p)
 {
-    int inline_normal = normal && normals_checked();
-    for (int64_t c = 0; c < cohorts; c++) {
-        double *e = ext + c * cols;
-        for (int64_t j = 0; j < cols; j++)
-            e[j] = low[c] ? INFINITY : -INFINITY;
-        for (int64_t i = start[c]; i < start[c + 1]; i++) {
-            fill_rows(states + i * ROW, out + i * cols, 1, cols, normal, inline_normal);
-            fold_row(e, out + i * cols, cols, low[c]);
+    for (int64_t c = p->c0; c < p->c1; c++) {
+        double *e = f->start[c] < p->lo ? p->own : f->ext + c * f->cols;
+        for (int64_t j = 0; j < f->cols; j++)
+            e[j] = f->low[c] ? INFINITY : -INFINITY;
+        int64_t i = f->start[c] < p->lo ? p->lo : f->start[c];
+        for (int64_t end = f->start[c + 1] < p->hi ? f->start[c + 1] : p->hi; i < end; i++) {
+            fill_rows(f->states + i * ROW, f->out + i * f->cols, 1, f->cols, f->normal, f->inline_normal);
+            fold_row(e, f->out + i * f->cols, f->cols, f->low[c]);
         }
     }
+}
+
+/* Fills the next part not yet claimed until none is left, so a thread that starts later or
+   runs slower fills fewer */
+static void *claim_parts(void *arg)
+{
+    fill_t *f = arg;
+    for (int64_t p; (p = atomic_fetch_add_explicit(&f->next, 1, memory_order_relaxed)) < f->parts;)
+        fill_part(f, f->part + p);
+    return NULL;
+}
+
+/* philox_fill, and each row folded into its cohort's row of ext (cohorts x cols, C order) while
+   it is in cache: cohort c holds rows start[c]..start[c + 1] - 1, and ext[c] is their per-column
+   min where low[c], else their max; +inf or -inf for a cohort with no rows.
+
+   The rows are cut into parts (at most one per row) of near-equal, contiguous ranges, which
+   the calling thread and threads - 1 helper threads claim one at a time until none is left; a
+   helper that starts late, or gets less of a CPU, fills fewer, and the caller fills every part
+   if none starts.  The caller joins every helper before it returns, so no thread outlives the
+   call.  Each stream is its own, so a row's draws do not depend on the thread or the order.  A
+   part owns the cohorts that begin in it (the last part also those that begin at the end), and
+   folds a cohort that began in an earlier part into a private row; after the join the private
+   rows are folded into ext in part order by fold_row.  A fold keeps the first of equal values,
+   so that gives the bits of one fold over the rows in order.  The threads share nothing they
+   write but the claim counter: each part's rows of out, states and ext, and its private row,
+   are written by the one thread that claimed it.  They read the static ziggurat tables only
+   after normals_checked has written them, and block every signal, so a handler runs on the
+   calling thread.  The caller holds the GIL throughout (the library is a PyDLL), so no Python
+   code runs, and none can fork, while a helper runs. */
+void philox_fill_extremes(uint64_t *states, double *out, int64_t cols, int normal,
+                          const int64_t *start, const uint8_t *low, double *ext, int64_t cohorts,
+                          int64_t parts, int64_t threads)
+{
+    enum { MOST_PARTS = 256 };
+    int64_t rows = start[cohorts];
+    parts = parts < rows ? parts : rows;
+    parts = parts < MOST_PARTS ? parts : MOST_PARTS;
+    part_t whole = {.hi = rows, .c1 = cohorts};
+    fill_t f = {.states = states, .out = out, .ext = ext, .start = start, .low = low, .cols = cols,
+                .parts = 1, .normal = normal, .inline_normal = normal && normals_checked(),
+                .part = &whole};
+    atomic_init(&f.next, 0);
+    /* the parts, then their own rows */
+    part_t *part = parts > 1 ? PyMem_Malloc(parts * (sizeof *part + cols * sizeof *ext)) : NULL;
+    if (part == NULL) {  /* one part, or no memory for more */
+        claim_parts(&f);
+        return;
+    }
+    for (int64_t p = 0, c = 0; p < parts; p++) {
+        part[p].own = (double *)(part + parts) + p * cols;
+        part[p].lo = rows * p / parts, part[p].hi = rows * (p + 1) / parts;
+        while (c < cohorts && start[c] < part[p].lo && start[c + 1] <= part[p].lo)
+            c++;  /* c: the first cohort with rows from lo on, or that begins at lo or later */
+        part[p].c0 = c, part[p].c1 = cohorts;
+        if (p > 0)  /* the part before owns the cohorts that begin before lo */
+            part[p - 1].c1 = c + (start[c] < part[p].lo);
+    }
+    f.part = part, f.parts = parts;
+    pthread_t helper[MOST_PARTS];
+    int64_t helpers = 0;
+    sigset_t all, mask;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &mask);  /* the helpers start with every signal blocked */
+    for (int64_t t = 1; t < threads && t < parts; t++)
+        helpers += pthread_create(helper + helpers, NULL, claim_parts, &f) == 0;
+    pthread_sigmask(SIG_SETMASK, &mask, NULL);
+    claim_parts(&f);
+    for (int64_t t = 0; t < helpers; t++)
+        pthread_join(helper[t], NULL);
+    for (int64_t p = 1; p < parts; p++)
+        if (start[part[p].c0] < part[p].lo)
+            fold_row(ext + part[p].c0 * cols, part[p].own, cols, low[part[p].c0]);
+    PyMem_Free(part);
 }
 """
 
@@ -1275,7 +1382,7 @@ STATE_WORDS = 13  # ROW: the words of a stream's state in philox_fill
 
 # No -ffast-math or -march=native: either may reorder, contract or
 # vectorise the arithmetic and move the path's bits.
-_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 _LIBS = ("-lm",)
 
 
@@ -1387,11 +1494,11 @@ def _load(cache_dir: str):
     lib.spline_table.argtypes, lib.spline_table.restype = [ptr, i64, ptr], None
     lib.polytail_llr.argtypes = [obj, loops] + [f64] * 5 + [spline]
     lib.polytail_llr.restype = ctypes.c_int
-    if hasattr(lib, "philox_fill"):
+    if has_fill(lib):
         lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int]
         lib.philox_fill.restype = None
-        lib.philox_fill_extremes.argtypes = [ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr, i64]
+        lib.philox_fill_extremes.argtypes = [ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr, i64, i64, i64]
         lib.philox_fill_extremes.restype = None
         lib.normals_checked.argtypes, lib.normals_checked.restype = [], ctypes.c_int
     return lib
@@ -1421,13 +1528,55 @@ def fill(lib, states: np.ndarray, out: np.ndarray, normal: bool) -> None:
     lib.philox_fill(states.ctypes.data, out.ctypes.data, out.shape[0], out.shape[1], int(normal))
 
 
+def has_fill(lib) -> bool:
+    """Whether ``lib``, the library or None, holds the C fill (``_FILL_SOURCE``)."""
+    return lib is not None and hasattr(lib, "philox_fill")
+
+
+# How a lockstep fill is split (fill_split).  A helper thread's start and
+# join cost about 30-40 us of CPU on a 2-CPU x86-64 virtual machine, and
+# 2**16 normals about 0.4 ms, so a thread gets at least that many draws.
+# The threads claim parts of about 2**14 draws in turn, so one that starts
+# late or runs slower fills fewer parts and the others do not wait on it.
+_THREAD_DRAWS = 2**16
+_PART_DRAWS = 2**14
+
+
+@functools.cache
+def fill_cpus() -> int:
+    """The CPUs this process may run on, read once: the most threads a fill runs on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def fill_threads() -> int:
+    """The most threads a lockstep fill runs on: ``fill_cpus()`` with the C fill, else 1."""
+    return fill_cpus() if has_fill(library()) else 1
+
+
+def fill_split(rows: int, cols: int) -> tuple[int, int]:
+    """The parts and threads ``fill_extremes`` cuts a rows x cols fill into.
+
+    A thread per CPU that the process may run on, at most one per row and
+    per ``_THREAD_DRAWS`` draws; parts of ``_PART_DRAWS`` draws or more, at
+    most one per row.  A fill on one thread is one part.
+    """
+    draws = rows * cols
+    threads = max(1, min(fill_cpus(), rows, draws // _THREAD_DRAWS))
+    return (1, 1) if threads == 1 else (min(rows, draws // _PART_DRAWS), threads)
+
+
 def fill_extremes(lib, states: np.ndarray, out: np.ndarray, normal: bool, start: np.ndarray,
                   low: np.ndarray, ext: np.ndarray) -> None:
     """``fill`` by ``philox_fill_extremes``, with each cohort's per-column extreme in ``ext``.
 
     Cohort c holds the rows ``start[c]:start[c + 1]`` of ``out``; row c of
     ``ext`` gets their min where ``low[c]``, else their max, as
-    ``montecarlo._extremes`` takes it.
+    ``montecarlo._extremes`` takes it.  The rows are cut into the parts of
+    ``fill_split``, which its threads claim in turn, with the bits of one
+    thread.
     """
     _check_fill(states, out)
     if not (start.dtype == np.int64 and start.ndim == 1 and start.flags.c_contiguous
@@ -1440,7 +1589,8 @@ def fill_extremes(lib, states: np.ndarray, out: np.ndarray, normal: bool, start:
             and ext.flags.c_contiguous and ext.flags.writeable):
         raise ValueError("ext must be a writable C-contiguous float64 array with a row per cohort")
     lib.philox_fill_extremes(states.ctypes.data, out.ctypes.data, out.shape[1], int(normal),
-                             start.ctypes.data, low.ctypes.data, ext.ctypes.data, len(low))
+                             start.ctypes.data, low.ctypes.data, ext.ctypes.data, len(low),
+                             *fill_split(*out.shape))
 
 
 class Ufunc(ctypes.Structure):

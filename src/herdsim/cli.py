@@ -28,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", default=None, help="override output directory")
     run.add_argument(
         "--threads", type=int, default=None,
-        help="override threads (validated; trials run in one thread, so it changes nothing)",
+        help="override threads (validated; it starts no worker and changes no result: the C fill "
+             "spreads each chunk's draws over the CPUs the process may run on, whatever it says)",
     )
     run.add_argument(
         "--dump-trajectories", action="store_true", default=None,

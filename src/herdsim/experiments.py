@@ -473,7 +473,10 @@ def _environment() -> dict:
     numpy picks its SIMD loops at run time (NEP 38) from the targets that
     it was built for (``__cpu_dispatch__``) and that this CPU has, less any
     that ``NPY_DISABLE_CPU_FEATURES`` turns off; the C kernels call those
-    loops, so the bits of a run may depend on them.
+    loops, so the bits of a run may depend on them.  ``fill_threads`` is the
+    most threads the C fill of a lockstep chunk runs on (one per CPU the
+    process may run on; 1 without the C fill): the time of a run depends on
+    it, its bits do not.
     """
     import platform
 
@@ -484,7 +487,7 @@ def _environment() -> dict:
     except ImportError:  # numpy 1
         from numpy.core import _multiarray_umath as umath
 
-    from . import __version__
+    from . import __version__, _native
 
     features = umath.__cpu_features__
     return {
@@ -493,6 +496,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
+        "fill_threads": _native.fill_threads(),
         "numpy_cpu_baseline": list(umath.__cpu_baseline__),
         "numpy_cpu_dispatch": [name for name in umath.__cpu_dispatch__ if features.get(name)],
     }

@@ -10,7 +10,9 @@ array whose row j holds stream j's ``Philox`` state words, and one call of
 ``_native``'s C fill steps them all for a chunk of draws as numpy's samplers
 do: uniforms and the ziggurat's fast path inline, the rare wedge or tail
 word through numpy's own normal sampler, so each row equals
-``Generator(Philox)``'s draws bit for bit.
+``Generator(Philox)``'s draws bit for bit.  A lockstep chunk's fill splits
+its rows over up to one thread per CPU that the process may run on
+(``_native.fill_split``); every stream is its own, so no draw depends on it.
 Where that library is missing, and for models that only define
 ``sample_llr``, one ``Generator`` steps the rows in turn from their states.
 Trials are simulated in lockstep, stepped by cohort: trials with equal
@@ -195,7 +197,7 @@ def _fill_streams(streams: np.ndarray, out: np.ndarray, normal: bool, cohorts=No
     from . import _native  # imported here: importing the package loads no library
 
     lib = _native.library()
-    if lib is not None and hasattr(lib, "philox_fill"):
+    if _native.has_fill(lib):
         if cohorts is None:
             _native.fill(lib, streams, out, normal)
         else:
@@ -805,9 +807,12 @@ def run_trials(
     summed on its own, and the batches merge in index order.  So
     ``batch_size`` sets only how the aggregate is summed, which fixes its
     last bits, not which trials step together.  ``threads`` is validated
-    and kept for the config key and CLI flag, but it starts no worker: the
-    results never depend on it.  When ``collect_actions`` is set, the raw
-    action matrices are returned alongside the aggregate.
+    and kept for the config key and CLI flag, but it starts no worker and
+    the results never depend on it.  The C fill spreads each chunk's rows
+    over the CPUs that the process may run on, whatever ``threads`` says
+    (``_native.fill_split``), with the bits of one thread.  When
+    ``collect_actions`` is set, the raw action matrices are returned
+    alongside the aggregate.
     """
     _check_theta(theta)
     _check_size("trials", trials)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from herdsim import belief, experiments, montecarlo
+from herdsim import _native, belief, experiments, montecarlo
 from herdsim.cli import main as cli_main
 from herdsim.signal_models import NumericalFailure, StateOfWorld, build_rate_target
 from herdsim.experiments import (
@@ -211,6 +211,18 @@ class TestExperiments:
             "0.1.0", platform.python_version(), np.__version__, scipy.__version__, os.cpu_count())
         assert env["numpy_cpu_baseline"] and all(isinstance(name, str) for name in env["numpy_cpu_baseline"])
         assert all(isinstance(name, str) for name in env["numpy_cpu_dispatch"])
+
+    def test_manifest_records_the_fill_threads_beside_the_cpu_count(self, tmp_path, monkeypatch):
+        big = dict(trials=4096, horizon=100)  # chunks of 4096 x 100 draws: up to 6 threads of 2**16
+        env = run_experiment(_cfg(tmp_path / "here", "first-mistake", **big)).environment
+        split = _native.has_fill(_native.library())
+        assert env["fill_threads"] == (_native.fill_cpus() if split else 1)
+        assert list(env).index("fill_threads") == list(env).index("cpu_count") + 1
+        monkeypatch.setattr(_native, "fill_cpus", lambda: 5)
+        again = run_experiment(_cfg(tmp_path / "five", "first-mistake", **big))
+        assert again.environment["fill_threads"] == (5 if split else 1)
+        files = lambda out: {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+        assert files(tmp_path / "five" / "first-mistake") == files(tmp_path / "here" / "first-mistake")
 
     def test_a_disabled_cpu_target_leaves_the_environment_and_not_the_csv(self, tmp_path):
         # numpy reads NPY_DISABLE_CPU_FEATURES at import, so the run is a new process

@@ -1,8 +1,15 @@
 """Monte Carlo engine: determinism, replay exactness, and estimator laws."""
 
 import functools
+import hashlib
+import json
 import math
+import os
+import select
+import signal
+import subprocess
 import sys
+import threading
 import traceback
 import warnings
 from dataclasses import dataclass
@@ -322,6 +329,220 @@ class TestFusedExtremes:
         with pytest.raises(ValueError, match="states"):
             _native.fill_extremes(native_loop, streams[:, :-1].copy(), out, False, start, low, ext)
         assert np.array_equal(streams, montecarlo._trial_rng(1, range(5)))  # nothing was drawn
+
+
+def _run_digest(got):
+    """sha256 of a ``run_trials(..., collect_actions=True)`` result: every aggregate field and the actions."""
+    agg, actions = got
+    digest = hashlib.sha256(actions.tobytes())
+    for name in _AGG_FIELDS:
+        value = getattr(agg, name)
+        digest.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def split_fill(native_loop):
+    if not hasattr(native_loop, "philox_fill_extremes"):
+        pytest.skip("the library holds no C fill")
+    return native_loop
+
+
+class TestSplitFill:
+    # The C fill cuts the rows into parts that its threads claim in turn.
+    # Each row's stream is its own and a cohort spanning parts is folded in
+    # part order, so every part and thread count must give the one-thread
+    # fill's rows, extremes and streams bit for bit.
+    ROWS = 42  # the part boundaries: 21 (2 parts), 14 and 28 (3), 6, 12, ..., 36 (7)
+    CASES = {
+        "one-cohort": [ROWS],
+        "straddles-every-boundary": [1, ROWS - 2, 1],
+        "empty-at-boundaries-and-ends": [0, 6, 0, 6, 2, 0, 7, 0, 7, 0, 8, 6, 0],
+        "uneven": [5, 1, 0, 17, 3, 9, 8],  # 43 rows: 2, 3 and 7 divide none
+        "fewer-rows-than-parts": [0, 2, 0, 1, 0],
+    }
+
+    @staticmethod
+    def _streams(rows, seed):
+        """Streams at buffer positions 0..4, every other one with a counter about to carry."""
+        streams = montecarlo._trial_rng(seed, range(rows))
+        rng = np.random.Generator(np.random.Philox(seed))
+        streams[:, montecarlo._BUFFER] = rng.integers(0, 2**64, (rows, 4), dtype=np.uint64)
+        streams[:, montecarlo._BUFFER_POS] = np.arange(rows) % 5
+        streams[::2, 0] = np.uint64(2**64 - 1) - np.arange(0, rows, 2).astype(np.uint64) % 3
+        return streams
+
+    @staticmethod
+    def _fill(monkeypatch, lib, streams, normal, start, low, cols, parts, threads):
+        """``fill_extremes`` on a copy of ``streams``, cut into ``parts`` on ``threads``."""
+        monkeypatch.setattr(_native, "fill_split", lambda *shape: (parts, threads))
+        streams = streams.copy()
+        out, ext = np.empty((len(streams), cols)), np.full((len(low), cols), np.nan)
+        _native.fill_extremes(lib, streams, out, normal, start, low, ext)
+        return out, ext, streams
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("normal", [False, True], ids=["random", "standard_normal"])
+    def test_every_part_count_gives_one_parts_bits(self, split_fill, monkeypatch, normal, case):
+        sizes = self.CASES[case]
+        start = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        low = np.arange(len(sizes)) % 3 != 1
+        streams = self._streams(int(start[-1]), 37)
+        for cols in (1, 5, 97):
+            one = self._fill(monkeypatch, split_fill, streams, normal, start, low, cols, 1, 1)
+            assert one[1].tobytes() == montecarlo._extremes(one[0], start, low).tobytes()
+            for parts in (2, 3, 7):
+                for threads in (1, 2, 3):
+                    got = self._fill(monkeypatch, split_fill, streams, normal, start, low, cols, parts, threads)
+                    for name, a, b in zip(("out", "ext", "states"), got, one):
+                        assert a.tobytes() == b.tobytes(), (name, cols, parts, threads)
+
+    def test_ties_keep_the_first_value_across_parts(self, split_fill, monkeypatch):
+        # The fold's strict compare keeps the earlier of equal values: a
+        # straddling cohort's parts, merged in part order, must too.  A word
+        # of layer 5 is a normal of rabs * wi[5], negated by its sign bit.
+        # Rows 0-3 draw a value on the far side of the extreme (rabs 1), rows
+        # 4-7 the zero that must win and rows 8-11 the zero of the other sign.
+        streams = self._streams(12, 3)
+        streams[:, montecarlo._BUFFER_POS] = 0
+        start, rows = np.array([0, 12], np.int64), np.arange(12)
+        for low in (True, False):
+            word = lambda sign, rabs: 5 | sign << 8 | rabs << 9
+            streams[:, montecarlo._BUFFER.start] = np.select(
+                [rows < 4, rows < 8], [word(1 - low, 1), word(int(low), 0)], word(1 - low, 0)).astype(np.uint64)
+            one = self._fill(monkeypatch, split_fill, streams, True, start, np.array([low]), 1, 1, 1)
+            draws = one[0][:, 0]
+            assert np.all(draws[:4] != 0.0) and np.all(draws[4:] == 0.0)
+            assert np.array_equal(np.signbit(draws), np.where(rows // 4 == 1, low, not low))
+            assert one[1][0, 0] == 0.0 and np.signbit(one[1][0, 0]) == low
+            for parts in (3, 5, 12):
+                got = self._fill(monkeypatch, split_fill, streams, True, start, np.array([low]), 1, parts, 2)
+                assert got[1].tobytes() == one[1].tobytes(), (low, parts)
+
+    def test_fill_split_counts_cpus_and_draws(self, monkeypatch):
+        monkeypatch.setattr(_native, "fill_cpus", lambda: 4)
+        assert _native.fill_split(2048, 256) == (32, 4)  # parts of 2**14 draws
+        assert _native.fill_split(2048, 64) == (8, 2)  # 2**17 draws: two threads of 2**16
+        assert _native.fill_split(100, 100) == (1, 1)
+        assert _native.fill_split(3, 10**6) == (3, 3)  # at most one part and thread per row
+        assert _native.fill_split(0, 256) == (1, 1)
+        monkeypatch.setattr(_native, "fill_cpus", lambda: 1)
+        assert _native.fill_split(2048, 256) == (1, 1)
+
+    def test_fill_cpus_is_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        assert _native.fill_cpus() == len(os.sched_getaffinity(0))
+
+    def test_fill_cpus_is_the_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _native.fill_cpus.__wrapped__() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("theta", [PLUS, MINUS], ids=["plus", "minus"])
+    @pytest.mark.parametrize("model", [G1, PT2], ids=["gaussian", "polytail"])
+    def test_run_trials_gives_the_bits_of_one_part(self, split_fill, monkeypatch, model, theta):
+        splits = []
+        counted = _native.fill_split
+        monkeypatch.setattr(_native, "fill_split", lambda *shape: splits.append(counted(*shape)) or splits[-1])
+
+        def run(cpus):
+            monkeypatch.setattr(_native, "fill_cpus", lambda: cpus)
+            return _run_digest(run_trials(model, theta, 700, 2048, master_seed=11, collect_actions=True))
+
+        one = run(1)
+        assert set(splits) == {(1, 1)}
+        for cpus in (2, 7):
+            splits.clear()
+            assert run(cpus) == one, cpus
+            assert max(splits) == (32, cpus)  # a chunk of 2048 x 256 draws: 32 parts on that many threads
+
+    def test_no_thread_outlives_a_split_fill(self, split_fill, monkeypatch):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count the threads in")
+        start, low = np.array([0, 700, 2048], np.int64), np.array([True, False])
+        before = sorted(os.listdir("/proc/self/task"))
+        for threads in (2, 3, 7):
+            self._fill(monkeypatch, split_fill, self._streams(2048, 5), True, start, low, 256, 32, threads)
+            assert sorted(os.listdir("/proc/self/task")) == before, threads
+
+    def test_a_split_fill_under_a_1ms_alarm_keeps_its_bits(self, split_fill, monkeypatch):
+        # As perfbench's sampler does, a SIGALRM handler runs every 1 ms of
+        # wall time: it runs on the main thread, and the fill keeps its bits.
+        # That the helpers block every signal is the next test's.
+        start, low = np.array([0, 1000, 2048], np.int64), np.array([False, True])
+        streams = self._streams(2048, 9)
+        want = self._fill(monkeypatch, split_fill, streams, True, start, low, 256, 1, 1)
+        seen = []
+        previous = signal.signal(signal.SIGALRM, lambda *_: seen.append(threading.current_thread()))
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+            got = [self._fill(monkeypatch, split_fill, streams, True, start, low, 256, 32, 3) for _ in range(10)]
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        for each in got:
+            for a, b in zip(each, want):
+                assert a.tobytes() == b.tobytes()
+        assert seen and all(t is threading.main_thread() for t in seen)
+
+    # Run by a second process: it reads the signal masks of this process's
+    # threads that are not in argv[2:] until it has seen 20, or for 5 s.
+    WATCH = """
+import json, os, sys, time
+pid, known, seen = sys.argv[1], set(sys.argv[2:]), []
+end = time.monotonic() + 5.0
+while len(seen) < 20 and time.monotonic() < end:
+    try:
+        tids = set(os.listdir(f"/proc/{pid}/task")) - known
+        for tid in tids:
+            with open(f"/proc/{pid}/task/{tid}/status") as fh:
+                seen += [int(line.split()[1], 16) for line in fh if line.startswith("SigBlk:")]
+    except OSError:  # the thread ended while it was read
+        pass
+print(json.dumps(seen))
+"""
+
+    def test_every_helper_thread_blocks_every_signal(self, split_fill, monkeypatch):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to read the threads' signal masks from")
+        start, low = np.array([0, 2048], np.int64), np.array([True])
+        streams = self._streams(2048, 2)
+        watch = subprocess.Popen([sys.executable, "-c", self.WATCH, str(os.getpid()),
+                                  *os.listdir("/proc/self/task")], stdout=subprocess.PIPE, text=True)
+        try:
+            while watch.poll() is None:
+                self._fill(monkeypatch, split_fill, streams, True, start, low, 256, 32, 2)
+        finally:
+            seen = json.loads(watch.communicate(timeout=30)[0])
+        if not seen:
+            pytest.skip("the watcher saw no helper thread while it ran")
+        blockable = [s for s in range(1, 32) if s not in (signal.SIGKILL, signal.SIGSTOP)]
+        assert all(mask >> (s - 1) & 1 for mask in seen for s in blockable), [hex(m) for m in seen]
+
+    def test_a_child_forked_after_split_fills_gives_the_parents_bits(self, split_fill, monkeypatch):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(_native, "fill_cpus", lambda: 3)
+        kw = dict(horizon=600, trials=2048, master_seed=4, collect_actions=True)
+        parent = _run_digest(run_trials(G1, PLUS, **kw))
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: its digest down the pipe, then out without pytest's exit handlers
+            code = 1
+            try:
+                os.close(read)
+                os.write(write, _run_digest(run_trials(G1, PLUS, **kw)).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        if not select.select([read], [], [], 120.0)[0]:  # the child is stuck: end it, and fail
+            os.kill(pid, signal.SIGKILL)
+        with os.fdopen(read) as fh:
+            child = fh.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert child == parent
 
 
 def _one_word_normal(word):

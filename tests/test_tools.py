@@ -155,3 +155,15 @@ def test_bench_pairs_parses_criterion_lines():
         "08": {"verdict": "FAIL", "s": 80.4, "detail": "pt change 0.0000, gauss growth 0.000"},
         "12": {"verdict": "PASS", "s": 3.0, "detail": ""},
     }
+
+
+def test_bench_pairs_records_the_cpus_the_fill_may_use():
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no affinity mask on this platform")
+    got = _bench_pairs().machine()
+    assert (got["cpu_count"], got["cpu_affinity"]) == (os.cpu_count(), len(os.sched_getaffinity(0)))
+
+
+def test_bench_pairs_records_no_affinity_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _bench_pairs().machine()["cpu_affinity"] is None

@@ -37,12 +37,18 @@ CRITERION = re.compile(r"criterion (\d\d): (PASS|FAIL) \((\d+(?:\.\d+)?)s\) ?(.*
 
 
 def machine() -> dict:
-    """The CPU count, platform and the Python, numpy, scipy and gcc versions."""
+    """The CPU count, the CPUs this process may run on (over which the C fill splits a chunk),
+    the platform and the Python, numpy, scipy and gcc versions."""
     import numpy
     import scipy
 
     gcc = subprocess.run(["gcc", "--version"], capture_output=True, text=True).stdout
-    return {"cpu_count": os.cpu_count(), "platform": platform.platform(),
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        affinity = None
+    return {"cpu_count": os.cpu_count(), "cpu_affinity": affinity,
+            "platform": platform.platform(),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "gcc": gcc.splitlines()[0] if gcc else None}
 
