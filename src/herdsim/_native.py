@@ -68,34 +68,36 @@ choice of kernel of a Monte Carlo pass, and ``path_loop`` the choice of an
 exact path's loop, by the model's exact type, since a subclass may change
 the law.  The observed-signals baseline has no kernel: its mean is exact
 (``SignalModel.llr_mean``), and one trial's sums run in numpy.
-``philox_fill`` fills each row of a draws array from one Monte Carlo
-stream, held as a row of numpy's ``philox_state`` words (``STATE_WORDS``): it steps Philox4x64-10 as numpy's ``philox_next`` does (the counter is
-bumped before each block of four words) and draws as numpy does, so every
-draw equals ``Generator(Philox)``'s bit for bit.  A uniform is a word's top
-53 bits scaled by 2**-53, computed inline.  A normal runs numpy's ziggurat
-(Marsaglia & Tsang 2000) fast path inline, on numpy's tables read once per
-process through its public ``random_standard_normal``
-(``ziggurat_tables``); the rare word that misses the fast path (about 1.5%)
-goes back to its stream for that numpy sampler to draw from, so the wedge
-and tail paths are numpy's code, linked from the ``libnpyrandom.a`` that
-numpy ships.  At first use a fixed set of streams is filled both inline and
-by numpy's ``random_standard_normal_fill``; if a bit differs, every normal
-is drawn by the latter (``normals_checked``).  ``philox_fill_extremes``
-fills the same rows, whose streams are sorted by lockstep cohort, and folds
-each row, while it is in cache, into its cohort's per-column min or max
-(``montecarlo._extremes`` is its reference); the fold is a compare and
-select, which gives each element's bits whether or not it is vectorised.
-It is the one call that runs on more than one thread: it cuts the rows
-into contiguous parts, which the calling thread and helper threads that it
-starts and joins claim one at a time until none is left (``fill_split``:
-a thread per CPU the process may run on and per ``_THREAD_DRAWS`` draws,
-parts of ``_PART_DRAWS`` draws), so a helper that gets less of a CPU fills
-fewer parts and the caller fills every part if none starts.  That is safe
-and keeps every bit: each row's stream is its own and each part is written
-by the one thread that claimed it, a cohort that spans parts is folded in
-part order after the join, the ziggurat tables are read-only once
-``normals_checked`` has run, the helpers block every signal, and the
-caller holds the GIL until all are joined.
+``philox_fill_extremes``, the one fill, fills each row of a draws array
+from one Monte Carlo stream, held as a row of numpy's ``philox_state``
+words (``STATE_WORDS``): it steps Philox4x64-10 as numpy's ``philox_next``
+does (the counter is bumped before each block of four words) and draws as
+numpy does, so every draw equals ``Generator(Philox)``'s bit for bit.  A
+uniform is a word's top 53 bits scaled by 2**-53, computed inline.  A
+normal runs numpy's ziggurat (Marsaglia & Tsang 2000) fast path inline, on
+numpy's tables read once per process through its public
+``random_standard_normal`` (``ziggurat_tables``); the rare word that misses
+the fast path (about 1.5%) goes back to its stream for that numpy sampler
+to draw from, so the wedge and tail paths are numpy's code, linked from the
+``libnpyrandom.a`` that numpy ships.  At first use a fixed set of streams
+is filled both inline and by numpy's ``random_standard_normal_fill``; if a
+bit differs, every normal is drawn by the latter (``normals_checked``).  It
+folds each row, while it is in cache, into its lockstep cohort's per-column
+min or max (``montecarlo._extremes`` is its reference), the rows sorted by
+cohort; a draw without cohorts (the observed-signals baseline's) is one
+cohort whose extremes go unread.  The fold is a compare and select, which
+gives each element's bits whether or not it is vectorised.  It is the one
+call that runs on more than one thread: it cuts the rows into contiguous
+parts, which the calling thread and helper threads that it starts and joins
+claim one at a time until none is left (``fill_split``: a thread per CPU
+the process may run on and per ``_THREAD_DRAWS`` draws, parts of
+``_PART_DRAWS`` draws), so a helper that gets less of a CPU fills fewer
+parts and the caller fills every part if none starts.  That is safe and
+keeps every bit: each row's stream is its own and each part is written by
+the one thread that claimed it, a cohort that spans parts is folded in part
+order after the join, the ziggurat tables are read-only once
+``normals_checked`` has run, the helpers block every signal, and the caller
+holds the GIL until all are joined.
 Where that archive is missing the library holds the loops and kernels
 only.  The library includes ``Python.h`` and is loaded with
 ``ctypes.PyDLL``, so a call holds the GIL and an increment's exception
@@ -1259,13 +1261,6 @@ int normals_checked(void)
     return inline_normals;
 }
 
-/* Row i of out (rows x cols, C order) from stream i of states (rows x ROW): numpy's
-   standard uniforms (normal == 0) or standard normals (normal != 0), bit for bit */
-void philox_fill(uint64_t *states, double *out, int64_t rows, int64_t cols, int normal)
-{
-    fill_rows(states, out, rows, cols, normal, normal && normals_checked());
-}
-
 /* One part of philox_fill_extremes: its rows lo..hi-1 and the cohorts c0..c1-1 that hold them.
    Cohort c0 straddles where it begins before lo: its rows here fold into the part's own row. */
 typedef struct {
@@ -1313,9 +1308,11 @@ static void *claim_parts(void *arg)
     return NULL;
 }
 
-/* philox_fill, and each row folded into its cohort's row of ext (cohorts x cols, C order) while
-   it is in cache: cohort c holds rows start[c]..start[c + 1] - 1, and ext[c] is their per-column
-   min where low[c], else their max; +inf or -inf for a cohort with no rows.
+/* The library's one fill.  Row i of out (rows x cols, C order) from stream i of states
+   (rows x ROW): numpy's standard uniforms (normal == 0) or standard normals (normal != 0), bit
+   for bit, each row folded into its cohort's row of ext (cohorts x cols, C order) while it is in
+   cache: cohort c holds rows start[c]..start[c + 1] - 1, rows is start[cohorts], and ext[c] is
+   their per-column min where low[c], else their max; +inf or -inf for a cohort with no rows.
 
    The rows are cut into parts (at most one per row) of near-equal, contiguous ranges, which
    the calling thread and threads - 1 helper threads claim one at a time until none is left; a
@@ -1378,7 +1375,7 @@ void philox_fill_extremes(uint64_t *states, double *out, int64_t cols, int norma
 }
 """
 
-STATE_WORDS = 13  # ROW: the words of a stream's state in philox_fill
+STATE_WORDS = 13  # ROW: the words of a stream's state in philox_fill_extremes
 
 # No -ffast-math or -march=native: either may reorder, contract or
 # vectorise the arithmetic and move the path's bits.
@@ -1495,9 +1492,6 @@ def _load(cache_dir: str):
     lib.polytail_llr.argtypes = [obj, loops] + [f64] * 5 + [spline]
     lib.polytail_llr.restype = ctypes.c_int
     if has_fill(lib):
-        lib.philox_fill.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                                    ctypes.c_int64, ctypes.c_int]
-        lib.philox_fill.restype = None
         lib.philox_fill_extremes.argtypes = [ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr, i64, i64, i64]
         lib.philox_fill_extremes.restype = None
         lib.normals_checked.argtypes, lib.normals_checked.restype = [], ctypes.c_int
@@ -1510,27 +1504,9 @@ def library():
     return _load(_cache_dir())
 
 
-def _check_fill(states: np.ndarray, out: np.ndarray) -> None:
-    if not (states.dtype == np.uint64 and states.ndim == 2 and states.shape[1] == STATE_WORDS
-            and states.flags.c_contiguous and states.flags.writeable):
-        raise ValueError(f"states must be a writable C-contiguous (n, {STATE_WORDS}) uint64 array")
-    if not (out.dtype == np.float64 and out.ndim == 2 and len(out) == len(states)
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("out must be a writable C-contiguous float64 array with a row per stream")
-
-
-def fill(lib, states: np.ndarray, out: np.ndarray, normal: bool) -> None:
-    """Fill row i of ``out`` from stream ``states[i]`` by ``philox_fill``, advancing the streams.
-
-    The rows are standard normals if ``normal``, else standard uniforms.
-    """
-    _check_fill(states, out)
-    lib.philox_fill(states.ctypes.data, out.ctypes.data, out.shape[0], out.shape[1], int(normal))
-
-
 def has_fill(lib) -> bool:
     """Whether ``lib``, the library or None, holds the C fill (``_FILL_SOURCE``)."""
-    return lib is not None and hasattr(lib, "philox_fill")
+    return lib is not None and hasattr(lib, "philox_fill_extremes")
 
 
 # How a lockstep fill is split (fill_split).  A helper thread's start and
@@ -1570,15 +1546,21 @@ def fill_split(rows: int, cols: int) -> tuple[int, int]:
 
 def fill_extremes(lib, states: np.ndarray, out: np.ndarray, normal: bool, start: np.ndarray,
                   low: np.ndarray, ext: np.ndarray) -> None:
-    """``fill`` by ``philox_fill_extremes``, with each cohort's per-column extreme in ``ext``.
+    """Row i of ``out`` from stream ``states[i]``, advanced in place, by ``philox_fill_extremes``.
 
+    The rows are standard normals if ``normal``, else standard uniforms.
     Cohort c holds the rows ``start[c]:start[c + 1]`` of ``out``; row c of
     ``ext`` gets their min where ``low[c]``, else their max, as
     ``montecarlo._extremes`` takes it.  The rows are cut into the parts of
     ``fill_split``, which its threads claim in turn, with the bits of one
     thread.
     """
-    _check_fill(states, out)
+    if not (states.dtype == np.uint64 and states.ndim == 2 and states.shape[1] == STATE_WORDS
+            and states.flags.c_contiguous and states.flags.writeable):
+        raise ValueError(f"states must be a writable C-contiguous (n, {STATE_WORDS}) uint64 array")
+    if not (out.dtype == np.float64 and out.ndim == 2 and len(out) == len(states)
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be a writable C-contiguous float64 array with a row per stream")
     if not (start.dtype == np.int64 and start.ndim == 1 and start.flags.c_contiguous
             and len(start) and start[0] == 0 and start[-1] == len(out)
             and np.all(start[1:] >= start[:-1])):

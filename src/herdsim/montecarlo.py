@@ -108,9 +108,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# A stream's state row, numpy's ``philox_state`` as uint64 words (the row of
-# ``_native.philox_fill``): counter[4], key[2], buffer[4], buffer_pos,
-# has_uint32, uinteger.  A new stream has counter 0 and an empty buffer.
+# A stream's state row, numpy's ``philox_state`` as uint64 words, as the C
+# fill reads it: counter[4], key[2], buffer[4], buffer_pos, has_uint32,
+# uinteger.  A new stream has counter 0 and an empty buffer.
 _COUNTER, _KEY, _BUFFER = slice(0, 4), slice(4, 6), slice(6, 10)
 _BUFFER_POS, _HAS_UINT32, _UINTEGER, _STATE_WORDS = 10, 11, 12, 13
 
@@ -184,29 +184,6 @@ def _trial_rng(master_seed: int, trial_indices: Sequence[int]) -> np.ndarray:
     streams[:, _KEY] = keys
     streams[:, _BUFFER_POS] = 4
     return streams
-
-
-def _fill_streams(streams: np.ndarray, out: np.ndarray, normal: bool, cohorts=None) -> None:
-    """Row j of ``out``: standard normals if ``normal``, else uniforms, from stream j.
-
-    The streams advance in place.  ``_native``'s C fill does all rows in
-    one call; without it each row is drawn by ``_python_fill``.  Given
-    ``cohorts`` = (start, low, ext), ext gets ``_extremes(out, *cohorts)``,
-    which the C fill takes while each row is in cache.
-    """
-    from . import _native  # imported here: importing the package loads no library
-
-    lib = _native.library()
-    if _native.has_fill(lib):
-        if cohorts is None:
-            _native.fill(lib, streams, out, normal)
-        else:
-            _native.fill_extremes(lib, streams, out, normal, *cohorts)
-        return
-    name = "standard_normal" if normal else "random"
-    _python_fill(streams, out, lambda gen, row: getattr(gen, name)(out=row))
-    if cohorts is not None:
-        _extremes(out, *cohorts)
 
 
 def _python_fill(streams: np.ndarray, out: np.ndarray, draw) -> None:
@@ -350,24 +327,35 @@ def _draw_chunk(model: SignalModel, theta: StateOfWorld, streams: np.ndarray,
     """Raw draws in ``draws`` (trials x chunk), row j from stream j, which ``_llr`` maps to LLRs.
 
     Inversion-sampled models draw uniforms and Gaussian models standard
-    normals; ``_llr`` maps each raw draw to the per-stream ``sample_llr``
-    draw bit for bit, so the caller transforms only the draws it reads.  Any
-    other model draws each row by its ``sample_llr`` on the row's stream.
-    Given ``cohorts`` = (start, low, ext), ext gets the cohorts' raw
-    extremes, ``_extremes(draws, *cohorts)``; the C fill takes them while
-    each row is in cache.  Returns ``draws``.
+    normals (by ``_native``'s C fill, else ``_python_fill``), which ``_llr``
+    maps to the per-stream ``sample_llr`` draws bit for bit, so the caller
+    transforms only the draws it reads.  Any other model draws each row by
+    its ``sample_llr`` on the row's stream.  The streams advance.  Given
+    ``cohorts`` = (start, low, ext), ext gets the cohorts' raw extremes,
+    ``_extremes(draws, *cohorts)``, which the C fill takes while each row is
+    in cache; without, the rows are one cohort whose extremes go unread.
+    Returns ``draws``.
     """
-    gaussian = isinstance(model, GaussianSignalModel)
-    if gaussian or isinstance(model, InverseCdfSignalModel):
-        _fill_streams(streams, draws, gaussian, cohorts)
-        return draws
+    from . import _native  # imported here: importing the package loads no library
 
-    def draw(gen, row):
-        row[:] = model.sample_llr(theta, gen, size=draws.shape[1])
+    if cohorts is None:
+        cohorts = np.array([0, len(draws)]), np.zeros(1, bool), np.empty((1, draws.shape[1]))
+    gaussian = isinstance(model, GaussianSignalModel)
+    lib = _native.library()
+    if not (gaussian or isinstance(model, InverseCdfSignalModel)):
+        def draw(gen, row):
+            row[:] = model.sample_llr(theta, gen, size=draws.shape[1])
+    elif _native.has_fill(lib):
+        _native.fill_extremes(lib, streams, draws, gaussian, *cohorts)
+        return draws
+    else:
+        name = "standard_normal" if gaussian else "random"
+
+        def draw(gen, row):
+            getattr(gen, name)(out=row)
 
     _python_fill(streams, draws, draw)
-    if cohorts is not None:
-        _extremes(draws, *cohorts)
+    _extremes(draws, *cohorts)
     return draws
 
 

@@ -824,7 +824,7 @@ class TestNativeLoops:
                                                                    tmp_path):
         monkeypatch.setattr(_native, "_sampler", lambda: None)
         lib = _native._load(str(tmp_path / "herdsim"))
-        assert lib is not None and not hasattr(lib, "philox_fill")
+        assert lib is not None and not hasattr(lib, "philox_fill_extremes")
         values = np.empty(5)
         assert _native.path_steps(lib, None, lambda a: 1.0, values, 0, 5, 0.0, 0.0)[0] == 5
         assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]

@@ -213,15 +213,20 @@ class TestStreamKeys:
         assert montecarlo._trial_rng(3, []).shape == (0, _native.STATE_WORDS)
 
 
+def _draw(streams, out, normal, cohorts=None):
+    """``montecarlo._draw_chunk`` of standard normals (a Gaussian model) or uniforms (PolyTail)."""
+    montecarlo._draw_chunk(G1 if normal else PT2, PLUS, streams, out, cohorts)
+
+
 @pytest.fixture(params=["c", "python"])
 def fill_route(request, native_loop, python_loop):
-    """``montecarlo._fill_streams`` through the C fill, or with the library unavailable."""
+    """``_draw`` through the C fill, or with the library unavailable."""
     if request.param == "python":
-        return functools.partial(python_loop, montecarlo._fill_streams)
+        return functools.partial(python_loop, _draw)
     if _native._sampler() is None:
         pytest.skip("numpy ships no libnpyrandom.a or no sampler headers to link the C fill with")
-    assert hasattr(native_loop, "philox_fill")
-    return montecarlo._fill_streams
+    assert _native.has_fill(native_loop)
+    return _draw
 
 
 class TestStreamFill:
@@ -255,21 +260,23 @@ class TestStreamFill:
         assert np.array_equal(streams[0], _state_row(ref.bit_generator))
 
     def test_c_fill_refuses_arrays_it_cannot_fill(self, native_loop):
-        if not hasattr(native_loop, "philox_fill"):
+        if not _native.has_fill(native_loop):
             pytest.skip("the library holds no C fill")
         streams = montecarlo._trial_rng(1, range(3))
+        cohort = np.array([0, 3]), np.zeros(1, bool), np.empty((1, 4))
         with pytest.raises(ValueError, match="states"):
-            _native.fill(native_loop, streams[:, :-1].copy(), np.empty((3, 4)), False)
+            _native.fill_extremes(native_loop, streams[:, :-1].copy(), np.empty((3, 4)), False, *cohort)
         with pytest.raises(ValueError, match="out"):
-            _native.fill(native_loop, streams, np.empty((2, 4)), False)
+            _native.fill_extremes(native_loop, streams, np.empty((2, 4)), False, *cohort)
         with pytest.raises(ValueError, match="out"):
-            _native.fill(native_loop, streams, np.empty((4, 3)).T, False)
+            _native.fill_extremes(native_loop, streams, np.empty((4, 3)).T, False, *cohort)
+        assert np.array_equal(streams, montecarlo._trial_rng(1, range(3)))  # nothing was drawn
 
 
 class TestFusedExtremes:
     # The C fill folds each row into its cohort's per-step extreme while the
-    # row is in cache.  Its rows must be philox_fill's and its extremes
-    # _extremes', bit for bit, from any buffer position and at any chunk
+    # row is in cache.  Its rows must be a plain fill's, Generator(Philox)'s,
+    # and its extremes _extremes', bit for bit, from any buffer position and at any chunk
     # length, for cohorts of no rows, one row and many rows, on both sides.
     SIZES = [2, 0, 1, 250, 3, 0, 1, 40]
     CASES = {"middle": SIZES, "empty-ends": [0, *SIZES, 0]}  # empty cohorts first and last too
@@ -284,16 +291,16 @@ class TestFusedExtremes:
     @pytest.mark.parametrize("normal", [False, True], ids=["random", "standard_normal"])
     def test_rows_and_extremes_equal_the_plain_fill(self, fill_route, normal, case):
         start, low = self._cohorts(self.CASES[case])
-        streams = montecarlo._trial_rng(9, range(start[-1]))
         for lead in (0, 1, 2, 3):  # buffer positions 0..3 inside a block, then each chunk
-            ref_streams = streams.copy()
+            seed = 9 + lead
+            streams = montecarlo._trial_rng(seed, range(start[-1]))
+            refs = [_rng_for(seed, i) for i in range(start[-1])]
             for cols in (lead or 4, 1, 3, 97, 258):
                 out, ext = np.empty((len(streams), cols)), np.full((len(low), cols), np.nan)
                 fill_route(streams, out, normal, (start, low, ext))
-                ref = np.empty_like(out)
-                montecarlo._fill_streams(ref_streams, ref, normal)
+                ref = np.array([g.standard_normal(cols) if normal else g.random(cols) for g in refs])
                 assert out.tobytes() == ref.tobytes(), (lead, cols)
-                assert np.array_equal(streams, ref_streams), (lead, cols)
+                assert np.array_equal(streams, [_state_row(g.bit_generator) for g in refs]), (lead, cols)
                 expected = montecarlo._extremes(ref, start, low)
                 assert np.array_equal(ext, expected), (lead, cols)
                 sizes = np.diff(start)
@@ -302,10 +309,9 @@ class TestFusedExtremes:
                 for c in np.flatnonzero(sizes):  # the reference takes the side it is told
                     rows = ref[start[c]:start[c + 1]]
                     assert np.array_equal(ext[c], rows.min(axis=0) if low[c] else rows.max(axis=0))
-            streams = montecarlo._trial_rng(9 + lead + 1, range(start[-1]))
 
     def test_c_fill_refuses_cohorts_it_cannot_read(self, native_loop):
-        if not hasattr(native_loop, "philox_fill_extremes"):
+        if not _native.has_fill(native_loop):
             pytest.skip("the library holds no C fill")
         start, low = self._cohorts([2, 0, 3])
         streams, out = montecarlo._trial_rng(1, range(5)), np.empty((5, 4))
@@ -343,7 +349,7 @@ def _run_digest(got):
 
 @pytest.fixture
 def split_fill(native_loop):
-    if not hasattr(native_loop, "philox_fill_extremes"):
+    if not _native.has_fill(native_loop):
         pytest.skip("the library holds no C fill")
     return native_loop
 
@@ -643,11 +649,12 @@ class TestZigguratSlowPaths:
 
     def test_many_streams_equal_the_generator(self, native_loop):
         # about 1.5% of these 2**18 normals take a slow path
-        if not hasattr(native_loop, "philox_fill"):
+        if not _native.has_fill(native_loop):
             pytest.skip("the library holds no C fill")
         streams = montecarlo._trial_rng(16, range(64))
         out = np.empty((64, 4096))
-        _native.fill(native_loop, streams, out, True)
+        _native.fill_extremes(native_loop, streams, out, True, np.array([0, 64]), np.zeros(1, bool),
+                              np.empty((1, 4096)))
         for i, (row, state) in enumerate(zip(out, streams)):
             ref = _rng_for(16, i)
             assert row.tobytes() == ref.standard_normal(4096).tobytes(), i
@@ -655,7 +662,7 @@ class TestZigguratSlowPaths:
 
     def test_the_inline_fast_path_passes_its_self_check(self, native_loop):
         # where it failed, the fill would draw every normal through numpy's own fill
-        if not hasattr(native_loop, "philox_fill"):
+        if not _native.has_fill(native_loop):
             pytest.skip("the library holds no C fill")
         assert native_loop.normals_checked() == 1
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from herdsim import experiments
+
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENTS = [
     "gauss-rate", "first-mistake", "time-to-learn", "upset-tail",
@@ -19,8 +21,8 @@ EXPERIMENTS = [
 ]
 
 
-def _quick_digests(cwd, *flags):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _quick_digests(cwd, *flags, **env):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "output_digests.py"), "--quick", *flags],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
@@ -37,6 +39,16 @@ def quick_lines(tmp_path_factory):
 def test_output_digests_without_the_library_are_the_same(quick_lines, tmp_path):
     # --no-native takes every Python loop and fill, the reference of the C ones
     assert _quick_digests(tmp_path, "--no-native") == quick_lines
+
+
+def test_output_digests_without_avx512_dispatch_and_the_library_are_the_same(tmp_path):
+    # numpy picks its SIMD loops at import (NEP 38) and the C kernels call those loops, so the
+    # C and Python routes must agree at the lower dispatch level too; the lines differ from
+    # those of an AVX-512 run, which is why both runs take the same setting
+    off = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    if "X86_V4" not in experiments._environment()["numpy_cpu_dispatch"]:
+        pytest.skip("numpy does not dispatch to AVX-512 on this host")
+    assert _quick_digests(tmp_path, "--no-native", **off) == _quick_digests(tmp_path, **off)
 
 
 def test_output_digests_smoke(quick_lines):
